@@ -446,30 +446,31 @@ def load_scheme_file(path):
     preserving; the form rows live in the same ring; "special" adds the
     determinant condition).  Returns (ring, scheme, matrices-by-name).
     """
-    import json
-
-    from .rings import make_ring
-
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = ringmat.read_json_file(path)
+    if not isinstance(payload, dict) or "ring" not in payload:
+        raise InputError('%s: expected a JSON object with "ring" and '
+                         '"matrices"' % path)
+    named = payload.get("matrices")
+    if not isinstance(named, dict) or not named:
+        raise InputError('%s: "matrices" must map generator names to rows'
+                         % path)
+    desc = payload.get("scheme", {"kind": "SL2"})
+    if not isinstance(desc, dict):
+        raise InputError('%s: "scheme" must be a JSON object' % path)
     ring = make_ring(payload["ring"])
-    matrices = {}
-    for name, rows in payload["matrices"].items():
-        matrices[name] = ringmat.matrix_from_json(
-            {"ring": payload["ring"], "rows": rows}, ring=ring)
+    matrices = {name: ringmat.matrix_from_json({"rows": rows}, ring=ring)
+                for name, rows in named.items()}
     sizes = {len(m) for m in matrices.values()}
     if len(sizes) != 1:
         raise InputError("generator matrices have mixed sizes")
     n = sizes.pop()
-    desc = payload.get("scheme", {"kind": "SL2"})
-    kind = desc.get("kind", "SL2").upper()
+    kind = str(desc.get("kind", "SL2")).upper()
     if kind == "SL2":
         if n != 2:
             raise InputError("SL2 scheme needs 2x2 matrices")
         scheme = SchemeSL(2)
     elif kind in ("O", "SU"):
-        form = ringmat.matrix_from_json(
-            {"ring": payload["ring"], "rows": desc["form"]}, ring=ring)
+        form = ringmat.matrix_from_json({"rows": desc.get("form")}, ring=ring)
         scheme = SchemeFormPreserving(
             n, form, "hermitian" if kind == "SU" else "bilinear",
             special=bool(desc.get("special", False)), name=kind)

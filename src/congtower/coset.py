@@ -375,15 +375,6 @@ def rewrite_word(table, gen_index, start, word):
     return free_reduce(tuple(out))
 
 
-def kernel_generators(pres, hom):
-    """Generator words for the kernel of a homomorphism onto a finite
-    matrix group (Schreier generators of the point stabilizer of the
-    right-multiplication action on the image)."""
-    table = table_from_permutations(pres, hom.permutations())
-    words, _ = schreier_generators(table)
-    return words, table
-
-
 def reidemeister_schreier(pres, table, strategy="shortlex"):
     """Presentation of the subgroup the table enumerates.
 
@@ -406,5 +397,5 @@ def reidemeister_schreier(pres, table, strategy="shortlex"):
 __all__ = [
     "CosetTable", "coset_enumerate", "table_from_permutations",
     "schreier_transversal", "schreier_generators", "rewrite_word",
-    "kernel_generators", "reidemeister_schreier", "MAX_COSETS_DEFAULT",
+    "reidemeister_schreier", "MAX_COSETS_DEFAULT",
 ]

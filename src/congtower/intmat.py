@@ -3,13 +3,14 @@
 Everything is plain Python ints (arbitrary precision), lists of rows.
 The Smith reduction uses minimal-absolute-value pivoting with full row and
 column reduction, which keeps entries tame at the sizes we need (a few
-thousand rows).  For the large, very sparse relation matrices coming out
-of Reidemeister-Schreier there is a sparse elimination front end that
-knocks out +-1 pivots before handing the small dense core to ``snf``.
+thousand rows).  Abelian invariants always go through a sparse elimination
+front end that knocks out +-1 pivots, cheapest first, before handing the
+small dense core to ``snf``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -282,88 +283,86 @@ class AbelianInvariants:
 
 
 def abelian_invariants(relation_rows, num_generators):
-    """Invariants of Z^num_generators / (row span of relation matrix)."""
-    rows = [r for r in relation_rows if any(r)]
-    if not rows:
-        return AbelianInvariants(num_generators, ())
-    if len(rows) * num_generators > 40000:
-        return _sparse_abelian_invariants(rows, num_generators)
-    return AbelianInvariants.from_divisors(num_generators, snf(rows))
+    """Invariants of Z^num_generators / (row span of relation matrix).
+
+    A row is a ``{column: coefficient}`` dict or a dense sequence; either
+    way it goes through the one sparse elimination path.
+    """
+    return _sparse_abelian_invariants(relation_rows, num_generators)
 
 
 def _sparse_abelian_invariants(rows, ncols):
-    """Unit-pivot sparse elimination, then dense SNF on the residual core."""
+    """Unit-pivot sparse elimination, then dense SNF on the residual core.
+
+    Pivots are chosen Markowitz-style (Havas & Majewski 1997): live rows
+    sit in a heap keyed by their length, and the shortest row with a +-1
+    entry is pivoted on the unit whose column has the fewest rows.  A
+    unit pivot contributes the divisor 1 and removes its row and column
+    exactly, so only the rows left without a unit reach ``snf``.
+    """
     sparse = []
     for r in rows:
-        d = {j: v for j, v in enumerate(r) if v}
+        d = {j: v for j, v in (r.items() if isinstance(r, dict)
+                               else enumerate(r)) if v}
         if d:
             sparse.append(d)
     by_col = {}
     for i, row in enumerate(sparse):
         for j in row:
             by_col.setdefault(j, set()).add(i)
-    alive_rows = set(range(len(sparse)))
-    alive_cols = set(by_col.keys())
+    alive = set(range(len(sparse)))
+    heap = [(len(row), i) for i, row in enumerate(sparse)]
+    heapq.heapify(heap)
     unit_pivots = 0
-
-    def pick_unit():
-        best = None
-        best_cost = None
-        for i in alive_rows:
-            row = sparse[i]
-            rn = len(row)
-            for j, v in row.items():
-                if v in (1, -1):
-                    cost = (rn - 1) * (len(by_col[j]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-                        if cost == 0:
-                            return best
-        return best
-
-    while True:
-        piv = pick_unit()
-        if piv is None:
-            break
-        pi, pj = piv
+    while heap:
+        length, pi = heapq.heappop(heap)
         prow = sparse[pi]
+        # a stale entry is skipped: a row is pushed again whenever an
+        # elimination changes it
+        if pi not in alive or length != len(prow):
+            continue
+        pj = None
+        for j, v in prow.items():
+            if (v == 1 or v == -1) and (
+                    pj is None or len(by_col[j]) < len(by_col[pj])):
+                pj = j
+        if pj is None:
+            continue  # no unit entry: back in the heap once it changes
         pval = prow[pj]
-        users = [i for i in by_col[pj] if i != pi and i in alive_rows]
-        for i in users:
+        for i in by_col.pop(pj) - {pi}:
             row = sparse[i]
             factor = row[pj] * pval  # pval is +-1 so this is row[pj]/pval
             for j, v in prow.items():
                 nv = row.get(j, 0) - factor * v
                 if nv:
                     if j not in row:
-                        by_col.setdefault(j, set()).add(i)
+                        by_col[j].add(i)
                     row[j] = nv
-                else:
-                    if j in row:
-                        del row[j]
+                elif j in row:
+                    del row[j]
+                    if j != pj:
                         by_col[j].discard(i)
-            if not row:
-                alive_rows.discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
+                alive.discard(i)
         for j in prow:
-            by_col[j].discard(pi)
-        alive_rows.discard(pi)
-        alive_cols.discard(pj)
+            if j != pj:
+                by_col[j].discard(pi)
+        alive.discard(pi)
         unit_pivots += 1
 
-    # densify the remaining core
-    col_list = sorted(alive_cols)
-    col_index = {j: t for t, j in enumerate(col_list)}
+    # densify the remaining core on the columns it still touches
+    core_rows = [sparse[i] for i in sorted(alive)]
+    col_index = {j: t for t, j in enumerate(
+        sorted({j for row in core_rows for j in row}))}
     core = []
-    for i in alive_rows:
-        row = sparse[i]
-        if not row:
-            continue
-        dense = [0] * len(col_list)
+    for row in core_rows:
+        dense = [0] * len(col_index)
         for j, v in row.items():
             dense[col_index[j]] = v
         core.append(dense)
-    core_divs = snf(core) if core and col_list else []
-    divisors = [1] * unit_pivots + core_divs
+    divisors = [1] * unit_pivots + (snf(core) if core else [])
     return AbelianInvariants.from_divisors(ncols, divisors)
 
 

@@ -103,12 +103,15 @@ class Presentation:
         return sum(len(r) for r in self.relators)
 
     def relation_matrix(self):
+        """One sparse row per relator: {generator index: exponent sum},
+        zero sums left out."""
         rows = []
         for rel in self.relators:
-            row = [0] * self.ngens
+            row = {}
             for letter in rel:
-                row[abs(letter) - 1] += 1 if letter > 0 else -1
-            rows.append(row)
+                j = abs(letter) - 1
+                row[j] = row.get(j, 0) + (1 if letter > 0 else -1)
+            rows.append({j: v for j, v in row.items() if v})
         return rows
 
     def abelianization(self):

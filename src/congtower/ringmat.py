@@ -183,15 +183,32 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(obj, ring=None):
+    """Square matrix from {"ring": tag, "rows": rows}; "ring" may be left
+    out when ``ring`` is given."""
+    if not isinstance(obj, dict) or "rows" not in obj or (
+            ring is None and "ring" not in obj):
+        raise InputError('a matrix must be a JSON object with "ring" and "rows"')
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not rows or any(
+            not isinstance(row, list) or len(row) != len(rows) for row in rows):
+        raise InputError("matrix rows must be a nonempty square list of lists")
     if ring is None:
         ring = make_ring(obj["ring"])
-    return mat(ring, [[entry_from_json(ring, v) for v in row] for row in obj["rows"]])
+    return mat(ring, [[entry_from_json(ring, v) for v in row] for row in rows])
+
+
+def read_json_file(path):
+    """Parsed contents of a JSON file; a file that is not JSON is an
+    InputError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InputError("%s is not valid JSON: %s" % (path, exc)) from None
 
 
 def load_matrix_file(path, ring=None):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return matrix_from_json(obj, ring=ring)
+    return matrix_from_json(read_json_file(path), ring=ring)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +312,6 @@ __all__ = [
     "mat", "identity", "mat_mul", "mat_add", "mat_sub", "mat_scale",
     "transpose", "conj_transpose", "mat_eq", "det", "mat_inverse",
     "is_integral", "preserves_form", "congruent_to_identity",
-    "matrix_to_json", "matrix_from_json", "load_matrix_file",
+    "matrix_to_json", "matrix_from_json", "read_json_file", "load_matrix_file",
     "coordinate_change_check",
 ]

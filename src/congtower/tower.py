@@ -409,9 +409,9 @@ def _align_pair(model, mid_type, f_m, v_i, v_n, depth=8):
         ringmat.mat_mul(model.swap, base), ctx)
     stab = _mid_stab_gens(model)
     a = bttree.canonicalize(
-        ringmat.mat_mul(ringmat.mat_inverse(f_m), _vmat(v_i)), ctx)
+        ringmat.mat_mul(ringmat.mat_inverse(f_m), v_i), ctx)
     b = bttree.canonicalize(
-        ringmat.mat_mul(ringmat.mat_inverse(f_m), _vmat(v_n)), ctx)
+        ringmat.mat_mul(ringmat.mat_inverse(f_m), v_n), ctx)
     ring = ctx.ring
     ident = ringmat.identity(ring, len(base))
 
@@ -438,10 +438,6 @@ def _align_pair(model, mid_type, f_m, v_i, v_n, depth=8):
                     nxt.append(s2)
         frontier = nxt
     return None
-
-
-def _vmat(vertex):
-    return vertex
 
 
 def _mid_stab_gens(model):
@@ -475,11 +471,11 @@ def _validate_step(model, cfg, step, tower_steps):
     # the swap conjugate exchanges source and target vertices
     g_n = step.swap_conjugate
     if bttree.canonicalize(
-            ringmat.mat_mul(g_n, _vmat(src.vertex)), ctx) != step.vertex:
+            ringmat.mat_mul(g_n, src.vertex), ctx) != step.vertex:
         raise CheckFailed("step %d: swap conjugate does not move source to target"
                           % step.n)
     if bttree.canonicalize(
-            ringmat.mat_mul(g_n, _vmat(step.vertex)), ctx) != src.vertex:
+            ringmat.mat_mul(g_n, step.vertex), ctx) != src.vertex:
         raise CheckFailed("step %d: swap conjugate does not move target to source"
                           % step.n)
     # form preservation where a form is attached to the model

@@ -120,6 +120,24 @@ def test_input_error_exit_code(capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_matrices_file_without_matrices_is_input_error(capsys, tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text('{"ring": 1}')
+    code = cli.main(["homology", "--field", "1", "--norm-max", "2",
+                     "--matrices", str(path)])
+    assert code == cli.EXIT_INPUT
+    assert '"matrices"' in capsys.readouterr().err
+
+
+def test_matrices_file_not_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text("gens a, b; rels a^2;")
+    code = cli.main(["homology", "--field", "1", "--norm-max", "2",
+                     "--matrices", str(path)])
+    assert code == cli.EXIT_INPUT
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_jobs_flag_validated(capsys):
     code = cli.main(["check-identities", "--jobs", "0"])
     assert code == cli.EXIT_INPUT

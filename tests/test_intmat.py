@@ -1,6 +1,8 @@
 import itertools
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from congtower import intmat
 from congtower.intmat import AbelianInvariants, abelian_invariants, hnf, snf
 
@@ -174,6 +176,36 @@ def test_sparse_path_matches_dense(rng):
         sparse = intmat._sparse_abelian_invariants(
             [r for r in rows if any(r)], 30)
         assert sparse == dense
+
+
+@st.composite
+def relation_matrices(draw):
+    """(rows, ncols): small integer rows, mostly zero, with non-unit
+    entries, plus duplicated and all-zero rows mixed in."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(
+            st.integers(0, len(rows) - 1), max_size=2))]
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(relation_matrices())
+@example(([[1, 0, 0]], 3))
+@example(([[2, 0], [0, 0], [2, 0], [0, 3]], 2))
+@example(([[0, 0, 0]], 3))
+def test_abelian_invariants_match_dense_snf(case):
+    rows, ncols = case
+    expected = AbelianInvariants.from_divisors(ncols, snf(rows))
+    assert abelian_invariants(rows, ncols) == expected
+    dict_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    before = [dict(r) for r in dict_rows]
+    assert abelian_invariants(dict_rows, ncols) == expected
+    assert dict_rows == before  # the caller's rows are left untouched
 
 
 def test_torsion_formatting():

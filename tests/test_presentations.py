@@ -121,3 +121,12 @@ def test_abelianization_examples():
     assert inv.free_rank == 2 and not inv.torsion
     p = parse_presentation("gens a; rels;")
     assert p.abelianization().free_rank == 1
+
+
+def test_relation_matrix_sparse_rows():
+    p = parse_presentation("gens a, b; rels [a,b], a^3*b^-1*a^-1, b^2;")
+    assert p.relation_matrix() == [{}, {0: 2, 1: -1}, {1: 2}]
+    assert str(p.abelianization()) == "Z/4"
+    p = parse_presentation("gens a, b; rels [a,b];")
+    assert p.relation_matrix() == [{}]
+    assert str(p.abelianization()) == "Z^2"
