@@ -9,7 +9,8 @@ Subcommands:
     lemma22           verify the congruence-quotient p-group lemma by
                       enumeration at small levels
 
-Exit codes: 0 success, 1 check failure, 2 budget exceeded, 3 input error.
+Exit codes: 0 success, 1 check failure, 2 budget exceeded, 3 input error
+(a usage error included).
 Every subcommand is deterministic given its flags and inputs.
 """
 
@@ -190,8 +191,36 @@ def cmd_lemma22(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with EXIT_INPUT, since argparse's own code 2
+    means a budget was exceeded here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (minimum, value))
+        return value
+    parse.__name__ = "int"      # argparse names the type in its messages
+    return parse
+
+
+_count = _int_at_least(0)
+_budget = _int_at_least(1)
+
+# Output formats per subcommand; the rest write text or json.
+_FORMATS = {"tree": ("text", "json", "dot")}
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="congtower",
         description="exact computation with congruence subgroups of rank-1 "
                     "arithmetic lattices")
@@ -204,7 +233,7 @@ def build_parser():
     p.add_argument("--presentation", help="presentation file override")
     p.add_argument("--matrices",
                    help="generator matrices file (JSON with a scheme block)")
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=_budget, default=10 ** 7)
     p.add_argument("--index-cap", type=int, default=50_000)
     p.add_argument("--big", action="store_true",
                    help="lift the index cap (research scale; may run long)")
@@ -215,16 +244,16 @@ def build_parser():
 
     p = sub.add_parser("tree", help="explore a Bruhat-Tits tree model")
     p.add_argument("model", choices=sorted(_MODEL_FACTORIES))
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=_count, default=2)
     p.add_argument("--p", type=int, default=None,
                    help="rational prime for the pgl2 model (default: 2)")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=_budget, default=100_000)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("tower", help="build a certified congruence tower")
     p.add_argument("example", choices=sorted(tower.TOWER_EXAMPLES))
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--recheck-points", type=int, default=100)
+    p.add_argument("--steps", type=_count, default=5)
+    p.add_argument("--recheck-points", type=_count, default=100)
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("lemma22", help="congruence quotient p-group checks")
@@ -235,28 +264,19 @@ def build_parser():
     p.add_argument("--prime-index", type=int, default=0)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=_budget, default=10 ** 7)
     p.set_defaults(func=cmd_lemma22)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--format", choices=("text", "json", "dot"),
-                        default="text")
+    for name, sp in sub.choices.items():
+        sp.add_argument("--format", default="text",
+                        choices=_FORMATS.get(name, ("text", "json")))
         sp.add_argument("--output", help="write output to a file")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker-thread cap (computations are "
-                             "deterministic regardless)")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "budget", 1) < 1:
-        print("error: --budget must be positive", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except BudgetExceeded as exc:

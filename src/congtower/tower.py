@@ -174,45 +174,6 @@ def recheck_certificate(cert, prime, rng=None, points=100, span=10):
 
 
 # ---------------------------------------------------------------------------
-# transporter search
-
-
-def transporter_search(model, v_i, v_target, seeds, depth=4):
-    """A word h in the seed elements with h(base) = v_i and h(swap base) =
-    v_target, found by breadth-first search over words; None if not found
-    within the depth (never an assertion of nonexistence)."""
-    ctx = model.ctx
-    base = model.bases[model.base_type]
-    swap = model.swap
-    swapped = bttree.canonicalize(ringmat.mat_mul(swap, base), ctx)
-
-    def key(h):
-        return (bttree.canonicalize(ringmat.mat_mul(h, base), ctx),
-                bttree.canonicalize(
-                    ringmat.mat_mul(h, ringmat.mat_mul(swap, base)), ctx))
-
-    ident = ringmat.identity(ctx.ring, len(base))
-    target = (v_i, v_target)
-    frontier = [ident]
-    seen = {key(ident): ident}
-    if target in seen:
-        return ident
-    for _ in range(depth):
-        nxt = []
-        for h in frontier:
-            for s in seeds:
-                h2 = ringmat.mat_mul(h, s)
-                k2 = key(h2)
-                if k2 not in seen:
-                    seen[k2] = h2
-                    if k2 == target:
-                        return h2
-                    nxt.append(h2)
-        frontier = nxt
-    return None
-
-
-# ---------------------------------------------------------------------------
 # tower configuration per example
 
 
@@ -309,7 +270,7 @@ class TowerData:
     requested: int
 
 
-def build_tower(example, steps, depth_budget=64, align_depth=6):
+def build_tower(example, steps):
     """Construct `steps` certified tower steps for a built-in example.
 
     Vertices are the type-x0 vertices of the tree in BFS order (step 0 is
@@ -385,7 +346,6 @@ def _swap_neighbors(model, cfg, src):
             yield vertex, t_n, h
     else:
         mid_type = model.moves(base_type)[0].target_type
-        mid_base = model.bases[mid_type]
         for mv_mid in model.moves(base_type):
             f_m = ringmat.mat_mul(t_i, mv_mid.transporter)
             for mv_b in model.moves(mid_type):
@@ -393,51 +353,73 @@ def _swap_neighbors(model, cfg, src):
                 vertex = bttree.canonicalize(ringmat.mat_mul(t_cand, base), ctx)
                 if vertex == src.vertex:
                     continue
-                h = _align_pair(model, mid_type, f_m, src.vertex, vertex)
+                h = _align_pair(model, f_m, src.vertex, vertex)
                 if h is None:
                     continue
                 t_n = ringmat.mat_mul(h, model.swap)
                 yield vertex, t_n, h
 
 
-def _align_pair(model, mid_type, f_m, v_i, v_n, depth=8):
+# Longest stabilizer word the alignment search tries.
+_ALIGN_DEPTH = 8
+
+
+def _align_pair(model, f_m, v_i, v_n):
     """h = f_m * sigma with sigma a word in the midpoint-base stabilizer,
-    such that h(base) = v_i and h(swap base) = v_n."""
+    such that h(base) = v_i and h(swap base) = v_n; None if no word of
+    length <= _ALIGN_DEPTH does it."""
     ctx = model.ctx
-    base = model.bases[model.base_type]
-    swap_base = bttree.canonicalize(
-        ringmat.mat_mul(model.swap, base), ctx)
-    stab = _mid_stab_gens(model)
-    a = bttree.canonicalize(
-        ringmat.mat_mul(ringmat.mat_inverse(f_m), v_i), ctx)
-    b = bttree.canonicalize(
-        ringmat.mat_mul(ringmat.mat_inverse(f_m), v_n), ctx)
-    ring = ctx.ring
-    ident = ringmat.identity(ring, len(base))
+    f_inv = ringmat.mat_inverse(f_m)
+    target = (bttree.canonicalize(ringmat.mat_mul(f_inv, v_i), ctx),
+              bttree.canonicalize(ringmat.mat_mul(f_inv, v_n), ctx))
+    pairs = getattr(model, "_stab_pairs", None)
+    if pairs is None:
+        pairs = model._stab_pairs = _StabilizerPairs(model)
+    sigma = pairs.word_for(target)
+    return None if sigma is None else ringmat.mat_mul(f_m, sigma)
 
-    def pair_of(s):
-        return (bttree.canonicalize(ringmat.mat_mul(s, base), ctx),
-                bttree.canonicalize(ringmat.mat_mul(s, ringmat.mat_mul(
-                    model.swap, base)), ctx))
 
-    target = (a, b)
-    seen = {pair_of(ident): ident}
-    if target in seen:
-        return ringmat.mat_mul(f_m, ident)
-    frontier = [ident]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for ggen in stab:
-                s2 = ringmat.mat_mul(ggen, s)
-                k2 = pair_of(s2)
-                if k2 not in seen:
-                    seen[k2] = s2
-                    if k2 == target:
-                        return ringmat.mat_mul(f_m, s2)
-                    nxt.append(s2)
-        frontier = nxt
-    return None
+class _StabilizerPairs:
+    """Breadth-first search over words s in the midpoint-base stabilizer,
+    keyed by the vertex pair (s base, s swap base).
+
+    The pairs do not depend on the vertices being aligned, so one search
+    per tree model serves every alignment.  It is grown one whole level at
+    a time, in generator order, only as far as a lookup needs, so each pair
+    maps to the same first word a fresh search would return.
+    """
+
+    def __init__(self, model):
+        self.ctx = model.ctx
+        self.base = model.bases[model.base_type]
+        self.swap_base = ringmat.mat_mul(model.swap, self.base)
+        self.gens = _mid_stab_gens(model)
+        ident = ringmat.identity(self.ctx.ring, len(self.base))
+        self.first = {self._pair_of(ident): ident}
+        self.frontier = [ident]
+        self.level = 0
+
+    def _pair_of(self, s):
+        return (bttree.canonicalize(ringmat.mat_mul(s, self.base), self.ctx),
+                bttree.canonicalize(ringmat.mat_mul(s, self.swap_base),
+                                    self.ctx))
+
+    def word_for(self, target):
+        """The first word reaching the target pair within _ALIGN_DEPTH
+        levels, or None."""
+        while (target not in self.first and self.frontier
+               and self.level < _ALIGN_DEPTH):
+            nxt = []
+            for s in self.frontier:
+                for gen in self.gens:
+                    s2 = ringmat.mat_mul(gen, s)
+                    k2 = self._pair_of(s2)
+                    if k2 not in self.first:
+                        self.first[k2] = s2
+                        nxt.append(s2)
+            self.frontier = nxt
+            self.level += 1
+        return self.first.get(target)
 
 
 def _mid_stab_gens(model):
@@ -498,7 +480,8 @@ def check_no_p_torsion(invariants, p):
 
 def covered_radius(tower):
     """Largest r such that every type-x0 vertex within r swap-steps of the
-    base is among the tower's vertices (the cofinality proxy)."""
+    base is among the tower's vertices (the cofinality proxy).  The search
+    stops at the first vertex outside the tower."""
     model = tower.model
     cfg = tower.config
     visited = {s.vertex for s in tower.steps}
@@ -511,9 +494,11 @@ def covered_radius(tower):
             src = TowerStep(0, frame, v, 0, 0, None, None, None)
             for vertex, t_n, _h in _swap_neighbors(model, cfg, src):
                 if vertex not in seen:
+                    if vertex not in visited:
+                        return radius
                     nxt[vertex] = t_n
                     seen.add(vertex)
-        if not nxt or not set(nxt) <= visited:
+        if not nxt:
             return radius
         radius += 1
         frontier = nxt
@@ -585,7 +570,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024, check_radius=True):
 
 __all__ = [
     "ContainmentCertificate", "certify_containment", "recheck_certificate",
-    "transporter_search", "TowerStep", "TowerData", "TowerConfig",
+    "TowerStep", "TowerData", "TowerConfig",
     "build_tower", "tower_report", "check_no_p_torsion", "covered_radius",
     "TOWER_EXAMPLES",
 ]

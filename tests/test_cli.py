@@ -138,6 +138,29 @@ def test_matrices_file_not_json_is_input_error(capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_jobs_flag_validated(capsys):
-    code = cli.main(["check-identities", "--jobs", "0"])
-    assert code == cli.EXIT_INPUT
+@pytest.mark.parametrize("argv, message", [
+    (["tower", "magic", "--steps", "abc"], "invalid int value"),
+    (["tower", "magic", "--format", "dot"], "invalid choice: 'dot'"),
+    (["homology", "--format", "dot"], "invalid choice: 'dot'"),
+    (["tower", "magic", "--recheck-points", "-5"], "must be at least 0"),
+    (["tower", "magic", "--steps", "-1"], "must be at least 0"),
+    (["tree", "pgl2", "--radius", "-1"], "must be at least 0"),
+    (["tree", "pgl2", "--budget", "0"], "must be at least 1"),
+    ([], "required"),
+])
+def test_usage_error_exits_input(capsys, argv, message):
+    # argparse would exit 2, which here means a budget was exceeded
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: congtower")
+    assert message in err
+
+
+def test_zero_counts_accepted(capsys):
+    code, out = run_cli(capsys, "tower", "magic", "--steps", "0",
+                        "--recheck-points", "0")
+    assert code == 0 and "verdict: PASS" in out
+    code, out = run_cli(capsys, "tree", "pgl2", "--radius", "0")
+    assert code == 0 and "vertices: 1 " in out

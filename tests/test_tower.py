@@ -75,41 +75,6 @@ def test_recheck_catches_corruption(magic_prime):
         tower.recheck_certificate(corrupted, magic_prime, points=50)
 
 
-def test_transporter_search_basics():
-    model = bttree.pgl2_model()
-    ring = model.ctx.ring
-    base = model.bases["v"]
-    v1 = bttree.canonicalize(ringmat.mat_mul(model.swap, base), model.ctx)
-    seeds = [model.swap] + model.stab_gens
-    # identity transports the base pairing to itself
-    h = tower.transporter_search(model, base, v1, seeds, depth=2)
-    assert h is not None
-    assert bttree.canonicalize(ringmat.mat_mul(h, base), model.ctx) == base
-    assert bttree.canonicalize(
-        ringmat.mat_mul(h, ringmat.mat_mul(model.swap, base)), model.ctx) == v1
-    # a radius-2 target
-    graph = bttree.bfs_explore(model, 2)
-    far = [v for v, t in zip(graph.vertices, graph.types)][-1]
-    near = None
-    for v, frame in zip(graph.vertices, graph.frames):
-        if bttree.gl_adjacent(v, far, model.ctx):
-            near = v
-            break
-    h2 = tower.transporter_search(model, near, far, seeds, depth=3)
-    assert h2 is not None
-
-
-def test_transporter_search_depth_limit():
-    model = bttree.pgl2_model()
-    base = model.bases["v"]
-    graph = bttree.bfs_explore(model, 3)
-    far = graph.vertices[-1]
-    prev = graph.vertices[1]
-    # depth 0 cannot reach anything but the identity pairing
-    h = tower.transporter_search(model, prev, far, [model.swap], depth=0)
-    assert h is None
-
-
 def test_check_no_p_torsion():
     assert tower.check_no_p_torsion(AbelianInvariants(55, ()), 2)
     assert tower.check_no_p_torsion(AbelianInvariants(60, ()), 5)
@@ -129,7 +94,7 @@ def test_magic_tower_small():
     verts = [s.vertex for s in data.steps]
     assert len(set(verts)) == len(verts)
     # steps 1..3 exhaust the base vertex's neighbors -> radius 1 covered
-    assert report["cofinality_radius"] >= 1
+    assert report["cofinality_radius"] == 1
 
 
 def test_magic_tower_form_free_steps():
@@ -227,3 +192,74 @@ def test_tower_vertex_sequence_deterministic():
     b = tower.build_tower("magic", 5)
     assert [s.vertex for s in a.steps] == [s.vertex for s in b.steps]
     assert [s.source_i for s in a.steps] == [s.source_i for s in b.steps]
+
+
+def _align_from_scratch(model, f_m, v_i, v_n, depth):
+    """Reference for tower._align_pair: a fresh breadth-first search over
+    midpoint-stabilizer words that stops at the first word reaching the
+    target pair."""
+    ctx = model.ctx
+    base = model.bases[model.base_type]
+    f_inv = ringmat.mat_inverse(f_m)
+    target = (bttree.canonicalize(ringmat.mat_mul(f_inv, v_i), ctx),
+              bttree.canonicalize(ringmat.mat_mul(f_inv, v_n), ctx))
+
+    def pair_of(s):
+        return (bttree.canonicalize(ringmat.mat_mul(s, base), ctx),
+                bttree.canonicalize(ringmat.mat_mul(
+                    s, ringmat.mat_mul(model.swap, base)), ctx))
+
+    ident = ringmat.identity(ctx.ring, len(base))
+    seen = {pair_of(ident): ident}
+    if target in seen:
+        return ringmat.mat_mul(f_m, ident)
+    frontier = [ident]
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            for gen in model.stab_xhalf:
+                s2 = ringmat.mat_mul(gen, s)
+                k2 = pair_of(s2)
+                if k2 not in seen:
+                    seen[k2] = s2
+                    if k2 == target:
+                        return ringmat.mat_mul(f_m, s2)
+                    nxt.append(s2)
+        frontier = nxt
+    return None
+
+
+@pytest.mark.parametrize("depth", [2, 8])
+def test_align_pair_memo_matches_fresh_search(monkeypatch, depth):
+    # one memo serves every base swap-neighbour, in candidate order, and
+    # gives the word a fresh search gives; some o41 pairs are first reached
+    # at level 3, so depth 2 checks that no word beyond the limit is returned
+    monkeypatch.setattr(tower, "_ALIGN_DEPTH", depth)
+    model = bttree.oq_model()
+    ctx = model.ctx
+    base = model.bases[model.base_type]
+    mid_type = model.moves(model.base_type)[0].target_type
+    found = beyond = 0
+    for mv_mid in model.moves(model.base_type):
+        f_m = mv_mid.transporter
+        for mv_b in model.moves(mid_type):
+            vertex = bttree.canonicalize(ringmat.mat_mul(
+                ringmat.mat_mul(f_m, mv_b.transporter), base), ctx)
+            h = tower._align_pair(model, f_m, base, vertex)
+            ref = _align_from_scratch(model, f_m, base, vertex, depth)
+            if ref is None:
+                assert h is None
+                beyond += vertex != base    # the base itself never aligns
+            else:
+                assert h is not None and ringmat.mat_eq(h, ref)
+                found += 1
+    assert found and bool(beyond) == (depth == 2)
+
+
+@pytest.mark.parametrize("example, steps, radius", [
+    ("magic", 3, 1), ("magic", 9, 2), ("magic", 10, 2),
+    ("o41", 3, 0), ("o41", 10, 1),
+])
+def test_covered_radius_pinned(example, steps, radius):
+    # values of the full-layer search, which the early stop must keep
+    assert tower.covered_radius(tower.build_tower(example, steps)) == radius
