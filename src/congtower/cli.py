@@ -163,6 +163,9 @@ def cmd_lemma22(args):
         field, p = args.field, int(args.prime)
     ring = make_ring(field)
     primes = factor_rational_prime(ring, p)
+    if not 0 <= args.prime_index < len(primes):
+        raise InputError("--prime-index %d is out of range: %d has %d prime(s) "
+                         "above it" % (args.prime_index, p, len(primes)))
     prime = primes[args.prime_index]
     if args.scheme.upper() != "SL2":
         raise InputError("only the SL2 scheme ships with the lemma checker")

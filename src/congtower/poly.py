@@ -1,5 +1,5 @@
 """Multivariate polynomials over an exact coefficient ring, and the
-deterministic identity test used by containment certificates.
+deterministic identity test used by the conjugation-display checks.
 
 Coefficients can be ints, Fractions, or RingElt; they only need +, -, *,
 and equality.  Monomials are exponent tuples over a fixed variable count.
@@ -8,7 +8,6 @@ and equality.  Monomials are exponent tuples over a fixed variable count.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import InputError
 
@@ -94,9 +93,6 @@ class Poly:
             out = out + v
         return out
 
-    def coefficients(self):
-        return list(self.terms.values())
-
     def is_zero(self):
         return not self.terms
 
@@ -159,9 +155,6 @@ class PolyContext:
 
     def mat_sub(self, a, b):
         return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-    def mat_scale(self, a, c):
-        return tuple(tuple(x * c for x in row) for row in a)
 
 
 GRID_EVAL_LIMIT = 200_000

@@ -43,6 +43,15 @@ def test_lemma22_budget_exit_code(capsys):
     assert code == cli.EXIT_BUDGET
 
 
+@pytest.mark.parametrize("index", ["9", "-1"])
+def test_lemma22_prime_index_out_of_range(capsys, index):
+    # 2 has a single prime above it in d=1
+    code = cli.main(["lemma22", "--j", "1", "--k", "2",
+                     "--prime-index", index])
+    assert code == cli.EXIT_INPUT
+    assert "--prime-index %s is out of range" % index in capsys.readouterr().err
+
+
 def test_tree_text_and_dot(capsys):
     code, out = run_cli(capsys, "tree", "pgl2", "--radius", "2")
     assert code == 0
@@ -102,8 +111,24 @@ def test_tower_json_schema(capsys):
     steps = payload["steps"]
     assert steps[0]["n"] == 0
     for s in steps[1:]:
-        assert {"a", "b", "pass", "grid"} <= set(s["certificate"])
+        cert = s["certificate"]
+        assert {"a", "b", "pass", "min_valuation"} <= set(cert)
+        assert cert["basis_checks"] == 2 * 2 + 1
+        assert cert["direction"] == "left"
+        assert "grid" not in cert and "mode" not in cert
         assert s["reverified"] is True
+
+
+def test_tower_zero_recheck_points_not_reverified(capsys):
+    # no point rechecked: the step is not reported as reverified, and the
+    # verdict rests on the complete certificate
+    code, out = run_cli(capsys, "tower", "magic", "--steps", "1",
+                        "--recheck-points", "0", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS"
+    assert payload["steps"][1]["reverified"] is False
+    assert payload["steps"][1]["certificate"]["pass"] is True
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -17,7 +17,7 @@ def test_certificate_magic(magic_prime):
     cert = tower.certify_containment(catalog.magic_swap(), magic_prime, 2, 1)
     assert cert.passed
     assert cert.min_valuation == 1
-    assert cert.identity_report["mode"] == "exhaustive"
+    assert cert.summary()["basis_checks"] == 2 * 2 + 1
     tower.recheck_certificate(cert, magic_prime, points=100)
 
 
@@ -43,7 +43,7 @@ def test_certificate_o41():
     cert = tower.certify_containment(catalog.o41_swap(), prime, 4, 2)
     assert cert.passed and cert.min_valuation == 2
     assert cert.nvars == 25
-    assert cert.identity_report["mode"] == "expansion"
+    assert cert.summary()["basis_checks"] == 5 * 5 + 1
     tower.recheck_certificate(cert, prime, points=10)
 
 
@@ -51,7 +51,17 @@ def test_certificate_pu21():
     _, prime = catalog.pu21_ring_and_prime()
     cert = tower.certify_containment(catalog.pu21_swap(), prime, 4, 2)
     assert cert.passed and cert.min_valuation == 2
+    assert cert.summary()["basis_checks"] == 3 * 3 + 1
     tower.recheck_certificate(cert, prime, points=10)
+
+
+def test_certificate_refuses_single_basis_failure(magic_prime):
+    # conjugating by diag(1, pi^-2) scales entry (0,1) by pi^-2 and entry
+    # (1,0) by pi^2: only E_01 drops to valuation 0 < 1
+    pi = magic_prime.gens[0]
+    g = ringmat.mat(make_ring(7), [[1, 0], [0, (pi * pi).inverse()]])
+    with pytest.raises(CheckFailed, match=r"E_\(0,1\), entry \(0,1\)"):
+        tower.certify_containment(g, magic_prime, 2, 1)
 
 
 def test_certificate_soundness_random_points(magic_prime):
@@ -68,9 +78,7 @@ def test_recheck_catches_corruption(magic_prime):
     corrupted = tower.ContainmentCertificate(
         conjugator=ringmat.mat(ring, [[0, 16], [Fraction(1, 16), 0]]),
         inner_level=cert.inner_level, outer_level=cert.outer_level,
-        direction=cert.direction, nvars=cert.nvars,
-        min_valuation=cert.min_valuation,
-        identity_report=cert.identity_report, passed=True)
+        nvars=cert.nvars, min_valuation=cert.min_valuation, passed=True)
     with pytest.raises(CheckFailed):
         tower.recheck_certificate(corrupted, magic_prime, points=50)
 
@@ -145,10 +153,8 @@ def test_fault_injected_certificate_flips_verdict():
         conjugator=ringmat.mat(ring, rows),
         inner_level=step.certificate.inner_level,
         outer_level=step.certificate.outer_level,
-        direction=step.certificate.direction,
         nvars=step.certificate.nvars,
         min_valuation=step.certificate.min_valuation,
-        identity_report=step.certificate.identity_report,
         passed=True)
     data.steps[1] = tower.TowerStep(
         n=step.n, conjugator=step.conjugator, vertex=step.vertex,
@@ -242,10 +248,12 @@ def test_align_pair_memo_matches_fresh_search(monkeypatch, depth):
     found = beyond = 0
     for mv_mid in model.moves(model.base_type):
         f_m = mv_mid.transporter
+        f_inv = ringmat.mat_inverse(f_m)
+        u_i = bttree.canonicalize(ringmat.mat_mul(f_inv, base), ctx)
         for mv_b in model.moves(mid_type):
             vertex = bttree.canonicalize(ringmat.mat_mul(
                 ringmat.mat_mul(f_m, mv_b.transporter), base), ctx)
-            h = tower._align_pair(model, f_m, base, vertex)
+            h = tower._align_pair(model, f_m, f_inv, u_i, vertex)
             ref = _align_from_scratch(model, f_m, base, vertex, depth)
             if ref is None:
                 assert h is None
