@@ -285,15 +285,17 @@ def _orbit_moves(ctx, base_vertices, seed_moves, stab_gens, budget=10_000):
 
 
 def pgl2_model(ring=None, prime=None):
-    """The (p+1)-regular tree for PGL2 at a principal prime; defaults to the
-    split prime over 2 in O_7 with the [[0,2],[1,0]] swap as seed."""
+    """The (N(p)+1)-regular tree for PGL2 at a principal prime; defaults to
+    the split prime over 2 in O_7.  The swap seed is [[0, x], [1, 0]] with
+    x of valuation 1: the rational prime p unless it ramifies, and then the
+    prime's generator."""
     if ring is None:
         ring, prime = catalog.magic_ring_and_prime()
     ctx = LocalContext(ring, prime)
     base = standard_lattice(ring, 2)
     bases = {"v": base}
-    swap = catalog.magic_swap() if ring.d == 7 else \
-        ringmat.mat(ring, [[0, int(prime.p)], [1, 0]])
+    x = ring(prime.p) if prime.e == 1 else ctx.pi
+    swap = ((ring.zero, x), (ring.one, ring.zero))
     gens = catalog.sl2_gen_matrices(ring)
     stab = [gens["a"], gens["b"], gens["u"]]
     moves = _orbit_moves(ctx, bases, [("v", swap)], stab)
@@ -303,7 +305,6 @@ def pgl2_model(ring=None, prime=None):
                              % (len(moves), expect))
     model = TreeModel(ctx, bases, {"v": moves}, "pgl2(%d)" % prime.norm())
     model.swap = swap
-    model.stab_gens = stab
     return model
 
 
@@ -349,8 +350,7 @@ def oq_model():
     model = TreeModel(ctx, bases,
                       {"x0": moves_x0, "xhalf": moves_xhalf}, "oq-tree")
     model.swap = g1
-    model.stab_x0 = stab_x0
-    model.stab_xhalf = stab_xhalf
+    model.stab_mid = stab_xhalf
     model.form = catalog.q_form()
     return model
 
@@ -423,7 +423,6 @@ def su_model():
     moves_mid = _orbit_moves(ctx, bases, [("v0", ident)], stab_mid)
     model = TreeModel(ctx, bases, {"v0": moves_v0, "mid": moves_mid}, "su-tree")
     model.swap = g0
-    model.stab_v0 = stab
     model.stab_mid = stab_mid
     model.form = h0
     return model

@@ -237,15 +237,6 @@ def pu21_ring_and_prime():
     return ring, prime
 
 
-def hermitian_h():
-    """h = [[phi,1,0],[1,phi,1],[0,1,phi]] with phi = (1-alpha)/2."""
-    ring = make_ring("cyclotomic-5")
-    phi = (ring.one - ring.alpha()) / 2
-    z = ring.zero
-    o = ring.one
-    return ((phi, o, z), (o, phi, o), (z, o, phi))
-
-
 def pu21_swap():
     """g0 = [[0,0,pi],[0,zeta^4,0],[conj(pi)^-1,0,0]] in SU(h)."""
     ring = make_ring("cyclotomic-5")
@@ -297,6 +288,6 @@ __all__ = [
     "o41_midpoint_stab_shear", "o41_reflection_roots", "reflection_matrix",
     "o41_reflections", "coxeter_diagram_orders",
     "magic_ring_and_prime", "magic_swap", "sl2_gen_matrices",
-    "pu21_ring_and_prime", "hermitian_h", "pu21_swap",
+    "pu21_ring_and_prime", "pu21_swap",
     "pu21_gamma_template_scalars",
 ]

@@ -160,7 +160,11 @@ def cmd_lemma22(args):
     if args.prime in _PRIME_ALIASES:
         field, p = _PRIME_ALIASES[args.prime]
     else:
-        field, p = args.field, int(args.prime)
+        try:
+            field, p = args.field, int(args.prime)
+        except ValueError:
+            raise InputError("--prime %r is neither an integer nor one of %s"
+                             % (args.prime, ", ".join(_PRIME_ALIASES))) from None
     ring = make_ring(field)
     primes = factor_rational_prime(ring, p)
     if not 0 <= args.prime_index < len(primes):
@@ -285,7 +289,12 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        if exc.filename is None:
+            raise
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except CheckFailed as exc:

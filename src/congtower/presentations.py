@@ -120,7 +120,7 @@ class Presentation:
     def to_text(self):
         lines = []
         if self.provenance:
-            for ln in self.provenance.splitlines():
+            for ln in self.provenance.split("\n"):
                 lines.append("# provenance: %s" % ln)
         lines.append("gens %s;" % ", ".join(self.generators))
         rels = ", ".join(word_to_string(r, self.generators) for r in self.relators)
@@ -286,8 +286,12 @@ def parse_presentation(text):
 
 
 def load_presentation(path):
-    with open(path) as fh:
-        return parse_presentation(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    return parse_presentation(text)
 
 
 # ---------------------------------------------------------------------------

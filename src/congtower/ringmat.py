@@ -152,10 +152,11 @@ def _coord_to_json(fr):
 
 
 def _coord_from_json(v):
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError("bad coordinate %r" % (v,))
 
 
@@ -200,7 +201,7 @@ def matrix_from_json(obj, ring=None):
 def read_json_file(path):
     """Parsed contents of a JSON file; a file that is not JSON is an
     InputError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:

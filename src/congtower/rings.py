@@ -134,13 +134,6 @@ class NumberRing:
             raise InputError("alpha lives in the cyclotomic ring")
         return self((-1, 0, -2, -2))
 
-    def sqrt_minus_d(self):
-        if self.kind != IMAG_QUAD:
-            raise InputError("sqrt(-d) lives in an imaginary quadratic ring")
-        if self.d % 4 == 3:
-            return self((-1, 2))  # 2 omega - 1
-        return self.gen()
-
     # -- element arithmetic (coordinate level) -------------------------
 
     def _mul_coords(self, a, b):
@@ -266,11 +259,6 @@ class RingElt:
     def denominator(self):
         return math.lcm(*(c.denominator for c in self.coords))
 
-    def as_rational(self):
-        if any(self.coords[1:]):
-            raise InputError("element %r is not rational" % (self,))
-        return self.coords[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring(other)
@@ -366,7 +354,7 @@ def make_ring(spec):
 def _parse_ring_spec(spec):
     if isinstance(spec, NumberRing):
         return spec.key
-    if isinstance(spec, int):
+    if isinstance(spec, int) and not isinstance(spec, bool):
         return (IMAG_QUAD, spec)
     if isinstance(spec, str):
         s = spec.strip().lower()
@@ -411,10 +399,6 @@ class PrimeIdeal:
         self._power_lattices[1] = self._lattice_from_gens(self.gens)
 
     def norm(self):
-        return self.p ** self.f
-
-    @property
-    def residue_field_size(self):
         return self.p ** self.f
 
     def _lattice_from_gens(self, gens):
@@ -469,22 +453,11 @@ class PrimeIdeal:
         den = x.denominator()
         num = x * den
         vd = self.e * _int_valuation(den, self.p)
-        # v(num) is at most e * v_p(N(num))
-        bound = self.e * _int_valuation(abs(_as_int(num.norm())), self.p)
+        # num is a nonzero integer of the ring, so it leaves p^v for some v
         v = 0
-        while v < bound and self.contains(num, v + 1):
+        while self.contains(num, v + 1):
             v += 1
         return v - vd
-
-    def conj_stable(self):
-        """Whether complex conjugation maps this ideal to itself."""
-        lat = self.power_lattice(1)
-        ring = self.ring
-        for row in lat:
-            elt = ring(row).conj()
-            if not self.contains(elt, 1):
-                return False
-        return True
 
     def __repr__(self):
         return "PrimeIdeal(p=%d, e=%d, f=%d, gens=%r)" % (self.p, self.e, self.f, self.gens)

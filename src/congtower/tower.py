@@ -3,9 +3,11 @@
 A tower is a sequence of conjugates Delta_n = T_n Gamma T_n^-1 of a fixed
 congruence subgroup Gamma = Gamma(p^j), indexed by the type-x0 vertices of
 the relevant tree in BFS order, T_n the frame carrying the base vertex to
-vertex n.  For each step there is an earlier index i and a relative element
-w = T_i^-1 T_n of the shape (base-stabilizer) * swap, and the step's
-certificate shows
+vertex n.  Each tree model has one fixed list of swap moves w = h * swap,
+h in the base stabilizer, worked out once per tower.  A step is an earlier
+frame times a move, T_n = T_i w, so its relative element T_i^-1 T_n is the
+move w itself, and one certificate per move serves every step that uses
+it.  The certificate shows
 
     w^-1 (Id + pi^(2j) X) w  ==  Id  mod p^j    (entrywise, X free),
 
@@ -145,8 +147,6 @@ class TowerConfig:
     model_factory: object
     prime_factory: object
     level_j: int              # Gamma = Gamma(p^j)
-    p: int
-    distance: int             # 1 (pgl2) or 2 (through a midpoint)
     torsion_check: object     # () -> (AbelianInvariants, mode, note)
 
 
@@ -194,14 +194,11 @@ def _pu21_prime():
 
 TOWER_EXAMPLES = {
     "magic": TowerConfig("magic", bttree.pgl2_model, _magic_prime,
-                         level_j=1, p=2, distance=1,
-                         torsion_check=_magic_torsion),
+                         level_j=1, torsion_check=_magic_torsion),
     "o41": TowerConfig("o41", bttree.oq_model, _o41_prime,
-                       level_j=2, p=2, distance=2,
-                       torsion_check=_o41_torsion),
+                       level_j=2, torsion_check=_o41_torsion),
     "pu21": TowerConfig("pu21", bttree.su_model, _pu21_prime,
-                        level_j=2, p=5, distance=2,
-                        torsion_check=_pu21_torsion),
+                        level_j=2, torsion_check=_pu21_torsion),
 }
 
 
@@ -227,6 +224,7 @@ class TowerData:
     config: TowerConfig
     model: object
     prime: object
+    moves: list               # the model's swap moves, see _swap_moves
     steps: list
     torsion: tuple            # (invariants, mode, note)
     requested: int
@@ -236,9 +234,10 @@ def build_tower(example, steps):
     """Construct `steps` certified tower steps for a built-in example.
 
     Vertices are the type-x0 vertices of the tree in BFS order (step 0 is
-    the base vertex with the identity conjugator); each later step records
-    its source index, the relative conjugator, and a containment
-    certificate at levels (2j, j).
+    the base vertex with the identity conjugator); each later step is its
+    source's frame times one of the model's swap moves, and records its
+    source index, that move as the relative conjugator, and the move's
+    containment certificate at levels (2j, j).
     """
     if example not in TOWER_EXAMPLES:
         raise InputError("unknown tower example %r (have %s)"
@@ -247,152 +246,119 @@ def build_tower(example, steps):
     model = cfg.model_factory()
     prime = cfg.prime_factory()
     ctx = model.ctx
-    ring = ctx.ring
-    n = len(model.bases[model.base_type])
-    ident = ringmat.identity(ring, n)
-    base_type = model.base_type
-    base = model.bases[base_type]
+    base = model.bases[model.base_type]
+    ident = ringmat.identity(ctx.ring, len(base))
     j = cfg.level_j
-    a, b = 2 * j, j
+    moves = _swap_moves(model)
+    certs = {}                # move index -> its certificate
 
     tower_steps = [TowerStep(
         n=0, conjugator=ident, vertex=base, vertex_depth=0, source_i=0,
         relative=ident, swap_conjugate=ident, certificate=None)]
     index = {base: 0}
-    queue = [0]
     head = 0
-    while len(tower_steps) < steps + 1 and head < len(queue):
-        i = queue[head]
+    while len(tower_steps) <= steps:
+        if head == len(tower_steps):
+            raise BudgetExceeded("ran out of reachable vertices",
+                                 estimate=len(tower_steps), budget=steps)
+        src = tower_steps[head]
         head += 1
-        src = tower_steps[i]
-        for cand in _swap_neighbors(model, cfg, src):
-            vertex, t_n, h_n = cand
+        for k, (w, h) in enumerate(moves):
+            t_n = ringmat.mat_mul(src.conjugator, w)
+            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), ctx)
             if vertex in index:
                 continue
-            w = ringmat.mat_mul(ringmat.mat_inverse(src.conjugator), t_n)
-            cert = certify_containment(w, prime, a, b)
+            if k not in certs:
+                certs[k] = certify_containment(w, prime, 2 * j, j)
+            h_n = ringmat.mat_mul(src.conjugator, h)
             swap_conj = ringmat.mat_mul(
                 ringmat.mat_mul(h_n, model.swap), ringmat.mat_inverse(h_n))
             step = TowerStep(
                 n=len(tower_steps), conjugator=t_n, vertex=vertex,
                 vertex_depth=src.vertex_depth + 1,
-                source_i=i, relative=w, swap_conjugate=swap_conj,
-                certificate=cert)
-            _validate_step(model, cfg, step, tower_steps)
+                source_i=src.n, relative=w, swap_conjugate=swap_conj,
+                certificate=certs[k])
+            _validate_step(model, step, tower_steps)
             index[vertex] = step.n
             tower_steps.append(step)
-            queue.append(step.n)
-            if len(tower_steps) == steps + 1:
+            if len(tower_steps) > steps:
                 break
-        if head >= len(queue) and len(tower_steps) < steps + 1:
-            raise BudgetExceeded("ran out of reachable vertices",
-                                 estimate=len(tower_steps), budget=steps)
-    return TowerData(example, cfg, model, prime, tower_steps,
+    return TowerData(example, cfg, model, prime, moves, tower_steps,
                      cfg.torsion_check(), steps)
 
 
-def _swap_neighbors(model, cfg, src):
-    """Candidate (vertex, frame, h) triples one swap-step from a source:
-    h(base) = source vertex, h(swap base) = candidate, frame = h * swap."""
+def _swap_moves(model):
+    """The model's swap moves in candidate order: pairs (w, h) with
+    w = h * swap and h(base) = base.  From a vertex with frame t, the
+    step to t w has relative element w, and t h carries the base and the
+    swap base to the source and the target.
+
+    When the base moves land on the base type they are themselves the
+    w's, built as (stabilizer word) * swap.  Otherwise a step goes
+    through a midpoint: for each base move f and each move b of the
+    midpoint, h = f sigma, with sigma the first midpoint-stabilizer word
+    sending (base, swap base) to (f^-1 base, b base).  The move leading
+    back to the base has no such word, nor has a pair that needs a word
+    longer than _ALIGN_DEPTH.
+    """
     ctx = model.ctx
     base_type = model.base_type
     base = model.bases[base_type]
-    t_i = src.conjugator
-    if cfg.distance == 1:
-        for mv in model.moves(base_type):
-            # moves were built as (stabilizer word) * swap
-            s = ringmat.mat_mul(mv.transporter, ringmat.mat_inverse(model.swap))
-            h = ringmat.mat_mul(t_i, s)
-            t_n = ringmat.mat_mul(t_i, mv.transporter)
-            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), ctx)
-            yield vertex, t_n, h
-    else:
-        mid_type = model.moves(base_type)[0].target_type
-        for mv_mid in model.moves(base_type):
-            f_m = ringmat.mat_mul(t_i, mv_mid.transporter)
-            f_inv = ringmat.mat_inverse(f_m)
-            u_i = bttree.canonicalize(ringmat.mat_mul(f_inv, src.vertex), ctx)
-            for mv_b in model.moves(mid_type):
-                t_cand = ringmat.mat_mul(f_m, mv_b.transporter)
-                vertex = bttree.canonicalize(ringmat.mat_mul(t_cand, base), ctx)
-                if vertex == src.vertex:
-                    continue
-                h = _align_pair(model, f_m, f_inv, u_i, vertex)
-                if h is None:
-                    continue
-                t_n = ringmat.mat_mul(h, model.swap)
-                yield vertex, t_n, h
+    base_moves = model.moves(base_type)
+    mid_type = base_moves[0].target_type
+    if mid_type == base_type:
+        swap_inv = ringmat.mat_inverse(model.swap)
+        return [(mv.transporter, ringmat.mat_mul(mv.transporter, swap_inv))
+                for mv in base_moves]
+    mid_moves = model.moves(mid_type)
+    # the midpoint's neighbours b base; they were found as an orbit of its
+    # stabilizer's generators, so the generators permute them
+    nbrs = {bttree.canonicalize(ringmat.mat_mul(b.transporter, base), ctx): k
+            for k, b in enumerate(mid_moves)}
+    words = _midpoint_words(model, nbrs)
+    moves = []
+    for f in base_moves:
+        back = nbrs.get(bttree.canonicalize(ringmat.mat_mul(
+            ringmat.mat_inverse(f.transporter), base), ctx))
+        for k in range(len(mid_moves)):
+            sigma = words.get((back, k))
+            if sigma is not None:
+                h = ringmat.mat_mul(f.transporter, sigma)
+                moves.append((ringmat.mat_mul(h, model.swap), h))
+    return moves
 
 
 # Longest stabilizer word the alignment search tries.
 _ALIGN_DEPTH = 8
 
 
-def _align_pair(model, f_m, f_inv, u_i, v_n):
-    """h = f_m * sigma with sigma a word in the midpoint-base stabilizer,
-    such that h(base) = v_i and h(swap base) = v_n; None if no word of
-    length <= _ALIGN_DEPTH does it.  f_inv is f_m^-1 and u_i the canonical
-    form of f_m^-1 v_i; both are fixed per midpoint."""
-    target = (u_i, bttree.canonicalize(ringmat.mat_mul(f_inv, v_n), model.ctx))
-    pairs = getattr(model, "_stab_pairs", None)
-    if pairs is None:
-        pairs = model._stab_pairs = _StabilizerPairs(model)
-    sigma = pairs.word_for(target)
-    return None if sigma is None else ringmat.mat_mul(f_m, sigma)
+def _midpoint_words(model, nbrs):
+    """Breadth-first search over words s in the midpoint stabilizer's
+    generators, at most _ALIGN_DEPTH long: the first word for each pair
+    (s base, s swap base) of the midpoint's neighbours, keyed by their
+    indices in `nbrs` (canonical vertex -> index)."""
+    ctx = model.ctx
+    base = model.bases[model.base_type]
+    gens = model.stab_mid
+    perms = [[nbrs[bttree.canonicalize(ringmat.mat_mul(gen, v), ctx)]
+              for v in nbrs] for gen in gens]
+    start = (nbrs[base], nbrs[bttree.canonicalize(
+        ringmat.mat_mul(model.swap, base), ctx)])
+    first = {start: ringmat.identity(ctx.ring, len(base))}
+    frontier = [start]
+    for _ in range(_ALIGN_DEPTH):
+        nxt = []
+        for key in frontier:
+            for gen, perm in zip(gens, perms):
+                key2 = (perm[key[0]], perm[key[1]])
+                if key2 not in first:
+                    first[key2] = ringmat.mat_mul(gen, first[key])
+                    nxt.append(key2)
+        frontier = nxt
+    return first
 
 
-class _StabilizerPairs:
-    """Breadth-first search over words s in the midpoint-base stabilizer,
-    keyed by the vertex pair (s base, s swap base).
-
-    The pairs do not depend on the vertices being aligned, so one search
-    per tree model serves every alignment.  It is grown one whole level at
-    a time, in generator order, only as far as a lookup needs, so each pair
-    maps to the same first word a fresh search would return.
-    """
-
-    def __init__(self, model):
-        self.ctx = model.ctx
-        self.base = model.bases[model.base_type]
-        self.swap_base = ringmat.mat_mul(model.swap, self.base)
-        self.gens = _mid_stab_gens(model)
-        ident = ringmat.identity(self.ctx.ring, len(self.base))
-        self.first = {self._pair_of(ident): ident}
-        self.frontier = [ident]
-        self.level = 0
-
-    def _pair_of(self, s):
-        return (bttree.canonicalize(ringmat.mat_mul(s, self.base), self.ctx),
-                bttree.canonicalize(ringmat.mat_mul(s, self.swap_base),
-                                    self.ctx))
-
-    def word_for(self, target):
-        """The first word reaching the target pair within _ALIGN_DEPTH
-        levels, or None."""
-        while (target not in self.first and self.frontier
-               and self.level < _ALIGN_DEPTH):
-            nxt = []
-            for s in self.frontier:
-                for gen in self.gens:
-                    s2 = ringmat.mat_mul(gen, s)
-                    k2 = self._pair_of(s2)
-                    if k2 not in self.first:
-                        self.first[k2] = s2
-                        nxt.append(s2)
-            self.frontier = nxt
-            self.level += 1
-        return self.first.get(target)
-
-
-def _mid_stab_gens(model):
-    if hasattr(model, "stab_xhalf"):
-        return model.stab_xhalf
-    if hasattr(model, "stab_mid"):
-        return model.stab_mid
-    raise InputError("model has no midpoint stabilizer generators")
-
-
-def _validate_step(model, cfg, step, tower_steps):
+def _validate_step(model, step, tower_steps):
     ctx = model.ctx
     base = model.bases[model.base_type]
     # frame really lands on the vertex
@@ -444,21 +410,22 @@ def covered_radius(tower):
     """Largest r such that every type-x0 vertex within r swap-steps of the
     base is among the tower's vertices (the cofinality proxy).  The search
     stops at the first vertex outside the tower."""
-    model = tower.model
-    cfg = tower.config
+    ctx = tower.model.ctx
+    base = tower.steps[0].vertex
     visited = {s.vertex for s in tower.steps}
     radius = 0
-    frontier = {tower.steps[0].vertex: tower.steps[0].conjugator}
-    seen = set(frontier)
+    frontier = [tower.steps[0].conjugator]
+    seen = {base}
     while True:
-        nxt = {}
-        for v, frame in frontier.items():
-            src = TowerStep(0, frame, v, 0, 0, None, None, None)
-            for vertex, t_n, _h in _swap_neighbors(model, cfg, src):
+        nxt = []
+        for frame in frontier:
+            for w, _h in tower.moves:
+                t_n = ringmat.mat_mul(frame, w)
+                vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), ctx)
                 if vertex not in seen:
                     if vertex not in visited:
                         return radius
-                    nxt[vertex] = t_n
+                    nxt.append(t_n)
                     seen.add(vertex)
         if not nxt:
             return radius
@@ -475,11 +442,12 @@ def tower_report(tower, recheck_points=100, rng_seed=2024, check_radius=True):
     radius is a proxy (vertex exhaustion), reported as such.
     """
     cfg = tower.config
+    p = tower.prime.p
     inv, mode, note = tower.torsion
     rng = random.Random(rng_seed)
     ok = True
     failures = []
-    if not check_no_p_torsion(inv, cfg.p):
+    if not check_no_p_torsion(inv, p):
         ok = False
         failures.append({"step": None, "reason": "base group has p-torsion"})
     steps_json = []
@@ -493,7 +461,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024, check_radius=True):
         if step.certificate is not None:
             entry["certificate"] = step.certificate.summary()
             try:
-                _validate_step(tower.model, cfg, step, tower.steps)
+                _validate_step(tower.model, step, tower.steps)
                 # with no points rechecked the verdict rests on the
                 # complete certificate alone
                 entry["reverified"] = recheck_certificate(
@@ -510,11 +478,11 @@ def tower_report(tower, recheck_points=100, rng_seed=2024, check_radius=True):
     radius = covered_radius(tower) if (ok and check_radius) else 0
     report = {
         "example": tower.example,
-        "p": cfg.p,
+        "p": p,
         "level_j": cfg.level_j,
         "certificate_levels": {"a": 2 * cfg.level_j, "b": cfg.level_j},
         "hypothesis": {
-            "no_p_torsion": check_no_p_torsion(inv, cfg.p),
+            "no_p_torsion": check_no_p_torsion(inv, p),
             "abelianization": str(inv),
             "mode": mode,
             "note": note,

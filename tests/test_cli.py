@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from congtower import cli
+from congtower.errors import InputError
+from congtower.presentations import parse_presentation
+from congtower.rings import make_ring
 
 
 def run_cli(capsys, *argv):
@@ -189,3 +196,191 @@ def test_zero_counts_accepted(capsys):
     assert code == 0 and "verdict: PASS" in out
     code, out = run_cli(capsys, "tree", "pgl2", "--radius", "0")
     assert code == 0 and "vertices: 1 " in out
+
+
+def test_tree_pgl2_at_ramified_prime(capsys):
+    # 7 ramifies in O_7: the swap seed uses the prime's generator
+    code, out = run_cli(capsys, "tree", "pgl2", "--p", "7", "--radius", "1")
+    assert code == 0
+    assert "valences: {'v': 8}" in out and "vertices: 9 " in out
+
+
+# the d=1 generator matrices as a scheme file; a valid file runs
+D1_SCHEME = {"ring": "d=1", "matrices": {
+    "a": [[1, 1], [0, 1]], "b": [[0, -1], [1, 0]],
+    "u": [[1, [0, 1]], [0, 1]], "j": [[-1, 0], [0, -1]]}}
+
+
+def _homology_on(tmp_dir, flag, content):
+    """Exit code and stderr of `homology --norm-max 2 <flag> <file>`."""
+    path = tmp_dir / "input"
+    if isinstance(content, str):
+        content = content.encode()
+    path.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["homology", "--field", "1", "--norm-max", "2",
+                         flag, str(path)])
+    return code, err.getvalue()
+
+
+def test_valid_scheme_file_runs(tmp_path):
+    code, _ = _homology_on(tmp_path, "--matrices", json.dumps(D1_SCHEME))
+    assert code == 0
+
+
+def _with_entry(entry):
+    payload = json.loads(json.dumps(D1_SCHEME))
+    payload["matrices"]["a"][0][1] = entry
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--matrices", _with_entry("abc"), "bad coordinate 'abc'"),
+    ("--matrices", _with_entry("1/0"), "bad coordinate '1/0'"),
+    ("--matrices", _with_entry(True), "bad coordinate True"),
+    ("--matrices", json.dumps({**D1_SCHEME, "ring": True}),
+     "cannot parse ring spec True"),
+    ("--presentation", b"# provenance: test\ngens a\xff; rels a^2;",
+     "is not UTF-8 text"),
+], ids=["letters", "zero-denominator", "boolean", "boolean-ring",
+        "not-utf8"])
+def test_malformed_file_exits_input(tmp_path, flag, content, message):
+    code, err = _homology_on(tmp_path, flag, content)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:") and message in err
+
+
+@pytest.mark.parametrize("flag", ["--presentation", "--matrices"])
+def test_directory_as_input_file_exits_input(capsys, tmp_path, flag):
+    code = cli.main(["homology", "--field", "1", flag, str(tmp_path)])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_lemma22_non_numeric_prime(capsys):
+    code = cli.main(["lemma22", "--prime", "x", "--j", "1", "--k", "2"])
+    assert code == cli.EXIT_INPUT
+    assert "--prime 'x'" in capsys.readouterr().err
+
+
+# -- malformed input, property-based --------------------------------------
+
+PRES_TOKENS = ["gens", "rels", "a", "b", "u", "j", "x1", "_", ",", ";",
+               "(", ")", "[", "]", "^", "*", "2", "-1", "0", "1", "#", "\n",
+               "@", "é", "²", "%"]
+pres_soup = st.lists(st.sampled_from(PRES_TOKENS), max_size=20).map(" ".join)
+pres_texts = st.one_of(pres_soup,
+                       pres_soup.map(lambda t: "gens a, b; rels " + t))
+
+
+def _parses(text):
+    try:
+        parse_presentation(text)
+    except InputError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=pres_texts, cut=st.none() | st.integers(min_value=0))
+def test_malformed_presentation_exits_input(tmp_path_factory, text, cut):
+    if cut is None:
+        assume(not _parses(text))
+        content = text.encode()
+    else:
+        # bytes that are never UTF-8
+        raw = ("# provenance: test\n" + text).encode()
+        cut %= len(raw) + 1
+        content = raw[:cut] + b"\xff" + raw[cut:]
+    code, err = _homology_on(tmp_path_factory.mktemp("pres"),
+                             "--presentation", content)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:")
+
+
+def _not_a_coordinate(v):
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        return True
+    try:
+        Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+def _not_d1(v):
+    try:
+        return make_ring(v) != make_ring(1)
+    except InputError:
+        return True
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def _replace(path, value):
+    """D1_SCHEME with the item at `path` (a key sequence) replaced."""
+    payload = json.loads(json.dumps(D1_SCHEME))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+malformed_schemes = st.one_of(
+    # not an object, or no usable "ring" or "matrices"
+    json_values.filter(lambda v: not isinstance(v, dict)),
+    json_values.filter(_not_d1).map(lambda v: _replace(["ring"], v)),
+    json_values.filter(lambda v: not isinstance(v, dict) or not v).map(
+        lambda v: _replace(["matrices"], v)),
+    # a generator missing, or its rows not a square list of lists
+    st.sampled_from("abuj").map(lambda g: {**D1_SCHEME, "matrices": {
+        k: v for k, v in D1_SCHEME["matrices"].items() if k != g}}),
+    json_values.filter(lambda v: not isinstance(v, list) or len(v) != 2
+                       or any(not isinstance(r, list) or len(r) != 2
+                              for r in v)).map(
+        lambda v: _replace(["matrices", "b"], v)),
+    # one entry that is no ring element: a bad coordinate, or a
+    # coordinate list of the wrong length or with a bad coordinate
+    json_values.filter(lambda v: not isinstance(v, list)
+                       and _not_a_coordinate(v)).map(
+        lambda v: _replace(["matrices", "u", 0, 1], v)),
+    st.lists(st.integers(), max_size=4).filter(lambda v: len(v) != 2).map(
+        lambda v: _replace(["matrices", "u", 0, 1], v)),
+    json_values.filter(_not_a_coordinate).map(
+        lambda v: _replace(["matrices", "u", 0, 1], [0, v])),
+    # a scheme block that is not an object or names no known kind
+    json_values.filter(lambda v: not isinstance(v, dict)).map(
+        lambda v: _replace(["scheme"], v)),
+    json_values.filter(lambda v: str(v).upper() not in ("SL2", "O", "SU")).map(
+        lambda v: _replace(["scheme"], {"kind": v})),
+).map(json.dumps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=malformed_schemes | st.text(max_size=30),
+       cut=st.none() | st.integers(min_value=0))
+def test_malformed_matrices_file_exits_input(tmp_path_factory, text, cut):
+    raw = text.encode()
+    if cut is None:
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            payload = None
+        assume(payload != D1_SCHEME)
+        content = raw
+    else:
+        cut %= len(raw) + 1
+        content = raw[:cut] + b"\xff" + raw[cut:]
+    code, err = _homology_on(tmp_path_factory.mktemp("mats"),
+                             "--matrices", content)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:")

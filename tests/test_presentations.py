@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congtower.errors import InputError
 from congtower.presentations import (
@@ -130,3 +131,27 @@ def test_relation_matrix_sparse_rows():
     p = parse_presentation("gens a, b; rels [a,b];")
     assert p.relation_matrix() == [{}]
     assert str(p.abelianization()) == "Z^2"
+
+
+@st.composite
+def presentations(draw):
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}",
+                                        fullmatch=True),
+                          min_size=1, max_size=4, unique=True))
+    letters = st.integers(1, len(names)).flatmap(
+        lambda k: st.sampled_from([k, -k]))
+    relators = draw(st.lists(
+        st.lists(letters, max_size=8).map(free_reduce).filter(bool),
+        max_size=5))
+    # provenance lines survive the round trip only without surrounding
+    # whitespace
+    lines = draw(st.lists(st.text(alphabet="abc xyz:;.,()#-012", max_size=12)
+                          .map(str.strip), max_size=3))
+    return Presentation(tuple(names), tuple(relators),
+                        provenance="\n".join(lines))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(presentations())
+def test_to_text_round_trips(pres):
+    assert parse_presentation(pres.to_text()) == pres

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from congtower import rings
+from congtower import catalog, rings
 from congtower.errors import BudgetExceeded, InputError
 from congtower.rings import factor_rational_prime, make_ring, residue_ring
 
@@ -89,6 +89,27 @@ def test_factor_5_in_cyclotomic(zeta5_prime):
     assert P.valuation(E.zero) == math.inf
     # alpha generates p^2
     assert P.valuation(E.alpha()) == 2
+
+
+@pytest.mark.parametrize("ring_and_prime", [
+    catalog.magic_ring_and_prime,
+    catalog.pu21_ring_and_prime,        # ramified, e = 4
+    lambda: (make_ring("rational"), factor_rational_prime("rational", 2)[0]),
+], ids=["magic", "zeta5", "rational-2"])
+def test_valuation_of_uniformizer_power_times_unit(ring_and_prime):
+    ring, prime = ring_and_prime()
+    pi = prime.gens[0]
+    units = [ring.one, -ring.one]
+    if ring.kind == rings.CYCLOTOMIC5:
+        units += [ring.zeta(), ring.zeta() + ring.one]
+    for k in range(6):
+        for u in units:
+            x = pi ** k * u
+            # pi has norm +-p and generates the only prime of the ring
+            # dividing it, so the norm pins the valuation
+            assert rings._int_valuation(abs(int(x.norm())), prime.p) == k
+            assert prime.valuation(x) == k
+            assert prime.valuation(x.inverse()) == -k
 
 
 def test_factor_2_gaussian(gaussian_prime2):

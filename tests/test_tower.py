@@ -201,9 +201,9 @@ def test_tower_vertex_sequence_deterministic():
 
 
 def _align_from_scratch(model, f_m, v_i, v_n, depth):
-    """Reference for tower._align_pair: a fresh breadth-first search over
-    midpoint-stabilizer words that stops at the first word reaching the
-    target pair."""
+    """Reference for the midpoint alignment of tower._swap_moves: a fresh
+    breadth-first search over midpoint-stabilizer words that stops at the
+    first word s with f_m s (base, swap base) = (v_i, v_n); returns f_m s."""
     ctx = model.ctx
     base = model.bases[model.base_type]
     f_inv = ringmat.mat_inverse(f_m)
@@ -223,7 +223,7 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
     for _ in range(depth):
         nxt = []
         for s in frontier:
-            for gen in model.stab_xhalf:
+            for gen in model.stab_mid:
                 s2 = ringmat.mat_mul(gen, s)
                 k2 = pair_of(s2)
                 if k2 not in seen:
@@ -236,32 +236,62 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
 
 
 @pytest.mark.parametrize("depth", [2, 8])
-def test_align_pair_memo_matches_fresh_search(monkeypatch, depth):
-    # one memo serves every base swap-neighbour, in candidate order, and
-    # gives the word a fresh search gives; some o41 pairs are first reached
-    # at level 3, so depth 2 checks that no word beyond the limit is returned
+def test_swap_moves_match_fresh_search(monkeypatch, depth):
+    # one pair (w, h) per (midpoint move, second move) pair, in that order,
+    # with h the word a fresh search gives; some o41 pairs are first
+    # reached at level 3, so depth 2 checks that no word beyond the limit
+    # is used
     monkeypatch.setattr(tower, "_ALIGN_DEPTH", depth)
     model = bttree.oq_model()
     ctx = model.ctx
     base = model.bases[model.base_type]
     mid_type = model.moves(model.base_type)[0].target_type
-    found = beyond = 0
+    expected = []
+    beyond = 0
     for mv_mid in model.moves(model.base_type):
         f_m = mv_mid.transporter
-        f_inv = ringmat.mat_inverse(f_m)
-        u_i = bttree.canonicalize(ringmat.mat_mul(f_inv, base), ctx)
         for mv_b in model.moves(mid_type):
             vertex = bttree.canonicalize(ringmat.mat_mul(
                 ringmat.mat_mul(f_m, mv_b.transporter), base), ctx)
-            h = tower._align_pair(model, f_m, f_inv, u_i, vertex)
-            ref = _align_from_scratch(model, f_m, base, vertex, depth)
-            if ref is None:
-                assert h is None
-                beyond += vertex != base    # the base itself never aligns
+            h = _align_from_scratch(model, f_m, base, vertex, depth)
+            if h is not None:
+                expected.append((ringmat.mat_mul(h, model.swap), h))
             else:
-                assert h is not None and ringmat.mat_eq(h, ref)
-                found += 1
-    assert found and bool(beyond) == (depth == 2)
+                beyond += vertex != base    # the base itself never aligns
+    moves = tower._swap_moves(model)
+    assert len(moves) == len(expected) > 0
+    for (w, h), (w_ref, h_ref) in zip(moves, expected):
+        assert ringmat.mat_eq(w, w_ref) and ringmat.mat_eq(h, h_ref)
+        assert bttree.canonicalize(ringmat.mat_mul(h, base), ctx) == base
+    assert bool(beyond) == (depth == 2)
+
+
+def test_magic_swap_moves_are_the_base_moves():
+    model = bttree.pgl2_model()
+    moves = tower._swap_moves(model)
+    assert [w for w, _h in moves] == [mv.transporter
+                                      for mv in model.moves("v")]
+    for w, h in moves:
+        assert ringmat.mat_eq(ringmat.mat_mul(h, model.swap), w)
+        assert bttree.canonicalize(h, model.ctx) == model.bases["v"]
+
+
+def test_one_certificate_per_swap_move(monkeypatch):
+    # magic has 3 swap moves; 10 steps use each of them several times
+    calls = []
+    certify = tower.certify_containment
+
+    def counting(*args):
+        calls.append(args[0])
+        return certify(*args)
+
+    monkeypatch.setattr(tower, "certify_containment", counting)
+    data = tower.build_tower("magic", 10)
+    assert len(data.steps) == 11 and len(data.moves) == 3
+    assert len(calls) == 3
+    for step in data.steps[1:]:
+        assert ringmat.mat_eq(step.certificate.conjugator, step.relative)
+        assert any(ringmat.mat_eq(step.relative, w) for w, _h in data.moves)
 
 
 @pytest.mark.parametrize("example, steps, radius", [
