@@ -5,7 +5,7 @@ Subpackages by task:
 - ``rings``          exact number-ring arithmetic, prime ideals, residue rings
 - ``intmat``         Hermite/Smith normal forms, abelian invariants
 - ``ringmat``        matrices over number rings, form preservation checks
-- ``poly``           polynomial identity testing for the conjugation displays
+- ``poly``           the affine identity test for the conjugation displays
 - ``presentations``  finitely presented groups and the presentation file format
 - ``coset``          Todd-Coxeter enumeration and Reidemeister-Schreier
 - ``congsub``        finite matrix groups over residue rings, orbits, closures

@@ -170,6 +170,21 @@ def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, predicate=None,
     return sorted(seen)
 
 
+def right_permutations(R, elements, gens, canon=None):
+    """Right-multiplication action of each generator on a closed element
+    list, as permutations of positions, with the identity moved to
+    position 0 (the base coset of a coset table).  ``canon`` is the
+    canonical form the elements were closed under, as in group_closure;
+    it applies to the identity and to every product."""
+    if canon is None:
+        canon = lambda m: m
+    ident = canon(rmat_identity(R, len(gens[0])))
+    elems = [ident] + [m for m in elements if m != ident]
+    index = {m: i for i, m in enumerate(elems)}
+    return [tuple(index[canon(rmat_mul(R, m, g))] for m in elems)
+            for g in gens]
+
+
 def orbit(R, gens, point, action="vector"):
     """Orbit of a point under generator matrices.
 
@@ -260,14 +275,13 @@ class ReductionHom:
         self.R = residue_ring(prime, k)
         self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
         self.image_inverses = [self._canon(reduce_matrix(self.R, m)) for m in inverses]
-        rid = rmat_identity(self.R, n)
+        rid = self._canon(rmat_identity(self.R, n))
         for rel in pres.relators:
             if self.image_of_word(rel) != rid:
                 raise InputError("relator fails in the quotient (internal error)")
         self.elements = group_closure(self.R, self.images + self.image_inverses,
                                       budget=budget, canon=self._canon)
         self.order = len(self.elements)
-        self._index = {m: i for i, m in enumerate(self.elements)}
 
     def _canon(self, m):
         if not self.projective:
@@ -276,7 +290,7 @@ class ReductionHom:
         return min(m, neg)
 
     def image_of_word(self, word):
-        out = rmat_identity(self.R, len(self.images[0]))
+        out = self._canon(rmat_identity(self.R, len(self.images[0])))
         for letter in word:
             m = (self.images[letter - 1] if letter > 0
                  else self.image_inverses[-letter - 1])
@@ -286,14 +300,8 @@ class ReductionHom:
     def permutations(self):
         """Right-multiplication action of each generator on the element
         list, with the identity moved to position 0."""
-        ident = rmat_identity(self.R, len(self.images[0]))
-        elems = [ident] + [m for m in self.elements if m != ident]
-        index = {m: i for i, m in enumerate(elems)}
-        perms = []
-        for g in self.images:
-            perms.append(tuple(
-                index[self._canon(rmat_mul(self.R, m, g))] for m in elems))
-        return perms
+        return right_permutations(self.R, self.elements, self.images,
+                                  canon=self._canon)
 
 
 def compose_reduction(hom, lower_k):
@@ -481,8 +489,8 @@ def load_scheme_file(path):
 
 __all__ = [
     "SchemeSL", "SchemeFormPreserving", "ReductionHom",
-    "group_closure", "orbit", "reduce_matrix", "rmat_identity", "rmat_mul",
-    "rmat_det", "rmat_vec", "compose_reduction",
+    "group_closure", "right_permutations", "orbit", "reduce_matrix",
+    "rmat_identity", "rmat_mul", "rmat_det", "rmat_vec", "compose_reduction",
     "congruence_quotient_check", "pu_identity_congruent_count",
     "load_scheme_file", "CLOSURE_BUDGET_DEFAULT",
 ]

@@ -299,11 +299,7 @@ def o41_two_stage(progress=None):
     imgs = [congsub.reduce_matrix(R4, m) for m in g2_mats]
     elements = congsub.group_closure(R4, imgs)
     note("Gamma(2) mod 4 image order %d" % len(elements))
-    idm = congsub.rmat_identity(R4, 5)
-    elems = [idm] + [m for m in elements if m != idm]
-    index = {m: i for i, m in enumerate(elems)}
-    perms = [tuple(index[congsub.rmat_mul(R4, m, g)] for m in elems)
-             for g in imgs]
+    perms = congsub.right_permutations(R4, elements, imgs)
     table4 = coset.table_from_permutations(simp2, perms)
     sub4, _ = coset.reidemeister_schreier(simp2, table4)
     note("Gamma(4) raw presentation: %d generators" % sub4.ngens)

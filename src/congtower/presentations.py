@@ -22,6 +22,11 @@ from dataclasses import dataclass, field
 from .errors import InputError
 from . import intmat
 
+# Longest word a presentation text may expand to, and the longest total of
+# its relators.  Powers, commutators and products are checked before they
+# are built, so a short text cannot make the parser build a huge word.
+MAX_WORD_LENGTH = 100_000
+
 
 # ---------------------------------------------------------------------------
 # words
@@ -209,6 +214,13 @@ def _collect_provenance(text):
     return "\n".join(lines)
 
 
+def _check_length(length, pos):
+    if length > MAX_WORD_LENGTH:
+        raise InputError(
+            "word of %d letters exceeds the limit of %d at offset %d"
+            % (length, MAX_WORD_LENGTH, pos))
+
+
 def parse_presentation(text):
     toks = _Tokens(text)
     toks.expect("gens")
@@ -231,8 +243,10 @@ def parse_presentation(text):
     def parse_word():
         word = list(parse_factor())
         while toks.peek() == "*":
-            toks.next()
-            word.extend(parse_factor())
+            _, pos = toks.next()
+            factor = parse_factor()
+            _check_length(len(word) + len(factor), pos)
+            word.extend(factor)
         return tuple(word)
 
     def parse_factor():
@@ -243,11 +257,12 @@ def parse_presentation(text):
             toks.expect(")")
             return _maybe_power(inner)
         if tok == "[":
-            toks.next()
+            _, pos = toks.next()
             x = parse_word()
             toks.expect(",")
             y = parse_word()
             toks.expect("]")
+            _check_length(2 * (len(x) + len(y)), pos)
             return _maybe_power(commutator(x, y))
         tok, pos = toks.next()
         if tok in index:
@@ -262,6 +277,7 @@ def parse_presentation(text):
                 k = int(tok)
             except ValueError:
                 raise InputError("bad exponent %r at offset %d" % (tok, pos))
+            _check_length(len(word) * abs(k), pos)
             return word_pow(word, k)
         return word
 
@@ -271,8 +287,13 @@ def parse_presentation(text):
         if toks.peek() == ";":
             toks.next()
         else:
+            total = 0
             while True:
                 relators.append(free_reduce(parse_word()))
+                total += len(relators[-1])
+                if total > MAX_WORD_LENGTH:
+                    toks.error("relators total more than %d letters"
+                               % MAX_WORD_LENGTH)
                 if toks.peek() == ",":
                     toks.next()
                     continue
@@ -459,5 +480,5 @@ def tietze_simplify(pres, max_passes=None):
 __all__ = [
     "Presentation", "parse_presentation", "load_presentation",
     "tietze_simplify", "free_reduce", "cyclic_reduce", "inverse_word",
-    "word_pow", "commutator", "word_to_string",
+    "word_pow", "commutator", "word_to_string", "MAX_WORD_LENGTH",
 ]

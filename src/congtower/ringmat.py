@@ -26,6 +26,19 @@ def identity(ring, n):
     )
 
 
+def basis_points(ring, n):
+    """The zero n x n matrix, then each elementary matrix E_ij in row-major
+    order, as (label, matrix) pairs.  An affine map of an n x n matrix is
+    determined by its values at these n^2 + 1 points."""
+    zero = [[ring.zero] * n for _ in range(n)]
+    yield "0", tuple(tuple(row) for row in zero)
+    for i in range(n):
+        for j in range(n):
+            e_ij = [row[:] for row in zero]
+            e_ij[i][j] = ring.one
+            yield "E_(%d,%d)" % (i, j), tuple(tuple(row) for row in e_ij)
+
+
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     out = []
@@ -310,8 +323,8 @@ def coordinate_change_check():
 
 
 __all__ = [
-    "mat", "identity", "mat_mul", "mat_add", "mat_sub", "mat_scale",
-    "transpose", "conj_transpose", "mat_eq", "det", "mat_inverse",
+    "mat", "identity", "basis_points", "mat_mul", "mat_add", "mat_sub",
+    "mat_scale", "transpose", "conj_transpose", "mat_eq", "det", "mat_inverse",
     "is_integral", "preserves_form", "congruent_to_identity",
     "matrix_to_json", "matrix_from_json", "read_json_file", "load_matrix_file",
     "coordinate_change_check",

@@ -128,12 +128,6 @@ class NumberRing:
             raise InputError("zeta lives in the cyclotomic ring")
         return self.gen()
 
-    def alpha(self):
-        """sqrt(5) inside Z[zeta]: alpha = 1 + 2 zeta + 2 zeta^4."""
-        if self.kind != CYCLOTOMIC5:
-            raise InputError("alpha lives in the cyclotomic ring")
-        return self((-1, 0, -2, -2))
-
     # -- element arithmetic (coordinate level) -------------------------
 
     def _mul_coords(self, a, b):

@@ -18,10 +18,12 @@ checkable for the infinite tower; the report states the exhaustion radius
 actually covered as a proxy.
 
 Certificates are complete basis checks: the conjugation is affine in X, so
-it is computed exactly at X = 0, which must give Id, and at each of the n^2
-elementary matrices E_ij, whose conjugates must be = Id mod p^j by
-valuations.  Re-verification evaluates the conjugation at fresh random
-integer points with the same plain matrix arithmetic.
+it is computed exactly at the basis points of ``ringmat.basis_points`` --
+X = 0, which must give Id, and each of the n^2 elementary matrices E_ij,
+whose conjugates must be = Id mod p^j by valuations.  The conjugation
+displays of ``identities`` are proved at the same points.  Re-verification
+evaluates the conjugation at fresh random integer points with the same
+plain matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -92,24 +94,22 @@ def certify_containment(g, prime, a, b):
     pi_a = prime.gens[0] ** a
     g_inv = ringmat.mat_inverse(g)
     ident = ringmat.identity(ring, n)
-    zero = [[ring.zero] * n for _ in range(n)]
+    points = ringmat.basis_points(ring, n)
+    _, zero = next(points)
     if not ringmat.mat_eq(_conjugate_generic(g, g_inv, pi_a, zero), ident):
         raise CheckFailed("conjugating the identity does not give the identity")
     min_val = math.inf
-    for i in range(n):
-        for j in range(n):
-            e_ij = [row[:] for row in zero]
-            e_ij[i][j] = ring.one
-            conj = _conjugate_generic(g, g_inv, pi_a, e_ij)
-            for k in range(n):
-                for l in range(n):
-                    v = prime.valuation(conj[k][l] - ident[k][l])
-                    min_val = min(min_val, v)
-                    if v < b:
-                        raise CheckFailed(
-                            "at E_(%d,%d), entry (%d,%d) of the conjugate is "
-                            "%r, valuation %s < %d from the identity"
-                            % (i, j, k, l, conj[k][l], v, b))
+    for label, e_ij in points:
+        conj = _conjugate_generic(g, g_inv, pi_a, e_ij)
+        for k in range(n):
+            for l in range(n):
+                v = prime.valuation(conj[k][l] - ident[k][l])
+                min_val = min(min_val, v)
+                if v < b:
+                    raise CheckFailed(
+                        "at %s, entry (%d,%d) of the conjugate is %r, "
+                        "valuation %s < %d from the identity"
+                        % (label, k, l, conj[k][l], v, b))
     return ContainmentCertificate(
         conjugator=g, inner_level=a, outer_level=b, nvars=n * n,
         min_valuation=min_val, passed=True)

@@ -244,8 +244,14 @@ def _with_entry(entry):
      "cannot parse ring spec True"),
     ("--presentation", b"# provenance: test\ngens a\xff; rels a^2;",
      "is not UTF-8 text"),
+    ("--presentation", b"# provenance: test\ngens a; rels a^10000000;",
+     "exceeds the limit"),
+    ("--presentation", b"# provenance: test\ngens a, b; rels "
+     + b"[" * 18 + b"a,b]" + b",b]" * 17 + b";", "exceeds the limit"),
+    ("--presentation", b"# provenance: test\ngens a; rels "
+     + b", ".join([b"a^60000"] * 2) + b";", "relators total"),
 ], ids=["letters", "zero-denominator", "boolean", "boolean-ring",
-        "not-utf8"])
+        "not-utf8", "huge-power", "nested-commutators", "huge-total"])
 def test_malformed_file_exits_input(tmp_path, flag, content, message):
     code, err = _homology_on(tmp_path, flag, content)
     assert code == cli.EXIT_INPUT

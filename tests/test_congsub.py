@@ -60,6 +60,29 @@ def test_reduction_hom_composition(gaussian_prime2):
     assert lowered == hom1.images
 
 
+def test_projective_hom_at_every_prime_over_5_and_13():
+    # canonical images up to sign are compared with the canonical identity,
+    # so both conjugate primes work whichever of +-Id is the smaller form
+    from congtower import coset, homology
+    ring = make_ring(1)
+    pres = homology.bundled_presentation("psl2_d1.pres")
+    mats = homology._matrices_for(pres, ring)
+    homs = {}
+    for p in (5, 13):
+        for prime in factor_rational_prime(ring, p):
+            hom = congsub.ReductionHom(pres, mats, prime, 1, projective=True)
+            assert hom.order == p * (p * p - 1) // 2
+            homs[str(prime.gens[-1])] = hom
+    assert set(homs) == {"-1 + 2*sqrt(-1)", "1 + 2*sqrt(-1)",
+                         "5 + sqrt(-1)", "8 + sqrt(-1)"}
+    # -Id is not in Gamma(p) off 2, so the PSL2 and SL2 kernels agree:
+    # the published SL2 row (norm 5, rank 6)
+    hom = homs["1 + 2*sqrt(-1)"]
+    table = coset.table_from_permutations(pres, hom.permutations())
+    sub, _ = coset.reidemeister_schreier(pres, table)
+    assert str(sub.abelianization()) == "Z^6"
+
+
 def test_quotient_check_elementary_abelian(gaussian_prime2):
     sch = congsub.SchemeSL(2)
     rep = congsub.congruence_quotient_check(sch, gaussian_prime2, 1, 2)

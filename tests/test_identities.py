@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from congtower import catalog, identities, ringmat
+from congtower.poly import poly_identity_test
 from congtower.rings import make_ring
 
 
@@ -24,6 +25,39 @@ def test_fault_injected_unitary_swap_fails():
     rows = [list(row) for row in g0]
     rows[1][1] = rows[1][1] * ring.zeta()
     assert not identities.check_unitary_swap(tuple(tuple(r) for r in rows))
+
+
+def test_affine_identity_test_names_the_differing_elementary_point():
+    ring = make_ring("cyclotomic-5")
+    z = ring.zeta()
+
+    def lhs(y):
+        return ringmat.mat_add(ringmat.identity(ring, 3),
+                               ringmat.mat_scale(y, z - ring.one))
+
+    def rhs(y):
+        # lhs plus z * Y[1][0] in entry (2, 2): one E_ij coefficient apart
+        rows = [list(row) for row in lhs(y)]
+        rows[2][2] = rows[2][2] + z * y[1][0]
+        return tuple(tuple(row) for row in rows)
+
+    assert poly_identity_test(lhs, lhs, ring, 3) == (True, None)
+    assert poly_identity_test(lhs, rhs, ring, 3) == (False, "E_(1,0)")
+
+
+def test_affine_identity_test_checks_the_zero_point():
+    # Y + s(Y) J and Y + J, s the entry sum: equal at every E_ij, not at 0
+    ring = make_ring("rational")
+    ones = ringmat.mat(ring, [[1] * 2] * 2)
+
+    def lhs(y):
+        s = sum((x for row in y for x in row), ring.zero)
+        return ringmat.mat_add(y, ringmat.mat_scale(ones, s))
+
+    def rhs(y):
+        return ringmat.mat_add(y, ones)
+
+    assert poly_identity_test(lhs, rhs, ring, 2) == (False, "0")
 
 
 def test_identity_matrix_preserves_any_form():
