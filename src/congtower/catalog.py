@@ -18,6 +18,7 @@ preservation, determinants, swap action on the tree).
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from . import ringmat
@@ -95,79 +96,45 @@ def o41_midpoint_stab_shear():
     return ringmat.mat(ring, rows)
 
 
-def o41_reflection_roots():
-    """Simple roots of the reflection presentation of the (4,1) group, in the
-    diag(1,1,1,1,-1) coordinates.  Path labels 3,3,4 plus a branch label 3 at
-    the third node.  These seed the bundled data file; the reflections the
-    package actually uses are ingested from that file and validated by:
-    integrality of the reflections, preservation of Q0, and the pairwise
-    product orders matching the diagram."""
-    return [
-        (1, -1, 0, 0, 0),
-        (0, 1, -1, 0, 0),
-        (0, 0, 1, -1, 0),
-        (0, 0, 0, 1, 0),
-        (1, 1, 1, 0, 1),
-    ]
-
-
-def reflection_matrix(root, form):
-    """r_v(x) = x - 2 B(x,v)/q(v) v  as a matrix, for q(v) | 2B integrality."""
-    ring = form[0][0].ring
-    n = len(form)
-    v = [ring(c) for c in root]
-    qv = ringmat.mat_mul(ringmat.mat_mul((tuple(v),), form), tuple((x,) for x in v))[0][0]
-    cols = []
-    for j in range(n):
-        ej = [ring.one if t == j else ring.zero for t in range(n)]
-        bxv = ringmat.mat_mul(ringmat.mat_mul((tuple(ej),), form), tuple((x,) for x in v))[0][0]
-        coef = (bxv * 2) / qv
-        cols.append([ej[i] - coef * v[i] for i in range(n)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def o41_reflections(form=None, path=None):
+def o41_reflections():
     """The five reflection generators as matrices preserving Q0.
 
-    Loaded from the bundled data file when present (they are ingestion data,
-    not printed anywhere authoritative) and validated: integral, preserve
-    the form, pairwise product orders match the diagram.  Falls back to the
-    root construction when the data file is absent.
+    They are ingestion data, not printed anywhere authoritative: they are
+    read from ``matrices/o41_reflections.json`` in the data directory and
+    validated by ``reflection_data_problem``.  A missing or malformed file
+    is an InputError.
     """
-    if form is None:
-        form = q0_form()
-    mats = _load_reflection_file(path)
-    if mats is None:
-        mats = [reflection_matrix(r, form) for r in o41_reflection_roots()]
-    _validate_reflections(mats, form)
+    from . import homology
+    path = os.path.join(homology.data_dir(), "matrices", "o41_reflections.json")
+    if not os.path.exists(path):
+        raise InputError("reflection data file %s not found" % path)
+    payload = ringmat.read_json_file(path)
+    if not isinstance(payload, dict) or payload.get("ring") != "rational":
+        raise InputError('%s: reflection data must be an object with '
+                         '"ring": "rational"' % path)
+    rows = payload.get("matrices")
+    # matrix_from_json then checks that each matrix is square
+    if not (isinstance(rows, list) and len(rows) == 5
+            and all(isinstance(m, list) and len(m) == 5 for m in rows)):
+        raise InputError('%s: "matrices" must list five 5x5 matrices' % path)
+    ring = make_ring("rational")
+    mats = [ringmat.matrix_from_json({"rows": m}, ring=ring) for m in rows]
+    problem = reflection_data_problem(mats)
+    if problem:
+        raise InputError("%s: %s" % (path, problem))
     return mats
 
 
-def _load_reflection_file(path):
-    import json
-    import os
-    if path is None:
-        from . import homology
-        path = os.path.join(homology.data_dir(), "matrices",
-                            "o41_reflections.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    ring = make_ring(payload.get("ring", "rational"))
-    return [ringmat.matrix_from_json({"ring": "rational", "rows": rows},
-                                     ring=ring)
-            for rows in payload["matrices"]]
-
-
-def _validate_reflections(mats, form):
+def reflection_data_problem(mats):
+    """None when the five matrices are integral, preserve Q0, and their
+    pairwise product orders match the diagram labels; else what fails."""
+    form = q0_form()
     orders = coxeter_diagram_orders()
-    ring = form[0][0].ring
-    ident = ringmat.identity(ring, 5)
+    ident = ringmat.identity(form[0][0].ring, 5)
     for m in mats:
         if not (ringmat.is_integral(m)
                 and ringmat.preserves_form(m, form, "bilinear")):
-            raise InputError("reflection data fails integrality or form check")
+            return "reflection data fails integrality or form check"
     for i in range(5):
         for j in range(i, 5):
             prod = ringmat.mat_mul(mats[i], mats[j])
@@ -179,9 +146,9 @@ def _validate_reflections(mats, form):
                     break
                 power = ringmat.mat_mul(power, prod)
             if order != orders[i][j]:
-                raise InputError(
-                    "reflection data: product order (%d,%d) is %r, diagram "
-                    "says %d" % (i, j, order, orders[i][j]))
+                return ("reflection data: product order (%d,%d) is %r, "
+                        "diagram says %d" % (i, j, order, orders[i][j]))
+    return None
 
 
 def coxeter_diagram_orders():
@@ -285,8 +252,8 @@ def pu21_gamma_template_scalars():
 
 __all__ = [
     "q0_form", "q_form", "coordinate_change_alpha", "o41_swap",
-    "o41_midpoint_stab_shear", "o41_reflection_roots", "reflection_matrix",
-    "o41_reflections", "coxeter_diagram_orders",
+    "o41_midpoint_stab_shear", "o41_reflections", "reflection_data_problem",
+    "coxeter_diagram_orders",
     "magic_ring_and_prime", "magic_swap", "sl2_gen_matrices",
     "pu21_ring_and_prime", "pu21_swap",
     "pu21_gamma_template_scalars",

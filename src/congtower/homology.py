@@ -107,12 +107,11 @@ class HomologyRow:
         }
 
 
-def congruence_kernel_invariants(pres, matrices, prime, budget=10 ** 7,
-                                 transversal="shortlex"):
+def congruence_kernel_invariants(pres, matrices, prime, budget=10 ** 7):
     """Abelian invariants of ker(G -> image mod p) for the presented group."""
     hom = congsub.ReductionHom(pres, matrices, prime, 1, budget=budget)
     table = coset.table_from_permutations(pres, hom.permutations())
-    sub, _ = coset.reidemeister_schreier(pres, table, strategy=transversal)
+    sub, _ = coset.reidemeister_schreier(pres, table)
     inv = sub.abelianization()
     return inv, hom.order
 
@@ -216,7 +215,7 @@ def _matrices_for(pres, ring):
 
 
 def homology_table(d, norm_max, pres_file=None, matrices_file=None,
-                   budget=10 ** 7, index_cap=50_000, transversal="shortlex"):
+                   budget=10 ** 7, index_cap=50_000):
     """Rows (norm, rank, torsion) for prime ideals of O_d up to norm_max.
 
     Rows whose congruence image would exceed index_cap are skipped with a
@@ -234,8 +233,8 @@ def homology_table(d, norm_max, pres_file=None, matrices_file=None,
                 "reason": "index %d exceeds cap %d" % (expected, index_cap),
             })
             continue
-        inv, order = congruence_kernel_invariants(
-            pres, mats, prime, budget=budget, transversal=transversal)
+        inv, order = congruence_kernel_invariants(pres, mats, prime,
+                                                  budget=budget)
         if order != expected:
             raise InputError(
                 "image order %d != |SL2(F_%d)| = %d; presentation or matrices wrong"

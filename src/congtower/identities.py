@@ -52,7 +52,7 @@ def check_unitary_swap(g0=None):
 
 
 def check_coordinate_change():
-    """c~^t h c = -h0 in the square-root field, plus N(1+a)=N(4+2a)=-4."""
+    """c~^t h c = -h0 in Q(d), d^4 = 2d^2 + 4, plus N(1+a)=N(4+2a)=-4."""
     ok, _details = ringmat.coordinate_change_check()
     return ok
 
@@ -144,28 +144,9 @@ def check_pu21_containment():
 
 def check_reflection_data():
     """The reflection generators: integral, preserve Q0, and the pairwise
-    product orders match the diagram labels."""
-    q0 = catalog.q0_form()
-    refs = catalog.o41_reflections()
-    orders = catalog.coxeter_diagram_orders()
-    ring = make_ring("rational")
-    ident = ringmat.identity(ring, 5)
-    for r in refs:
-        if not (ringmat.is_integral(r) and ringmat.preserves_form(r, q0, "bilinear")):
-            return False
-    for i in range(5):
-        for j in range(i, 5):
-            prod = ringmat.mat_mul(refs[i], refs[j])
-            power = prod
-            order = None
-            for k in range(1, 13):
-                if ringmat.mat_eq(power, ident):
-                    order = k
-                    break
-                power = ringmat.mat_mul(power, prod)
-            if order != orders[i][j]:
-                return False
-    return True
+    product orders match the diagram labels.  Loading them runs the same
+    predicate and raises InputError on data that fails it."""
+    return catalog.reflection_data_problem(catalog.o41_reflections()) is None
 
 
 IDENTITY_CHECKS = [

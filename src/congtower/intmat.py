@@ -285,23 +285,17 @@ class AbelianInvariants:
 def abelian_invariants(relation_rows, num_generators):
     """Invariants of Z^num_generators / (row span of relation matrix).
 
-    A row is a ``{column: coefficient}`` dict or a dense sequence; either
-    way it goes through the one sparse elimination path.
-    """
-    return _sparse_abelian_invariants(relation_rows, num_generators)
-
-
-def _sparse_abelian_invariants(rows, ncols):
-    """Unit-pivot sparse elimination, then dense SNF on the residual core.
-
-    Pivots are chosen Markowitz-style (Havas & Majewski 1997): live rows
-    sit in a heap keyed by their length, and the shortest row with a +-1
-    entry is pivoted on the unit whose column has the fewest rows.  A
-    unit pivot contributes the divisor 1 and removes its row and column
-    exactly, so only the rows left without a unit reach ``snf``.
+    A row is a ``{column: coefficient}`` dict or a dense sequence.  The
+    rows go through unit-pivot sparse elimination, then dense SNF on the
+    residual core.  Pivots are chosen Markowitz-style (Havas & Majewski
+    1997): live rows sit in a heap keyed by their length, and the shortest
+    row with a +-1 entry is pivoted on the unit whose column has the
+    fewest rows.  A unit pivot contributes the divisor 1 and removes its
+    row and column exactly, so only the rows left without a unit reach
+    ``snf``.
     """
     sparse = []
-    for r in rows:
+    for r in relation_rows:
         d = {j: v for j, v in (r.items() if isinstance(r, dict)
                                else enumerate(r)) if v}
         if d:
@@ -363,7 +357,7 @@ def _sparse_abelian_invariants(rows, ncols):
             dense[col_index[j]] = v
         core.append(dense)
     divisors = [1] * unit_pivots + (snf(core) if core else [])
-    return AbelianInvariants.from_divisors(ncols, divisors)
+    return AbelianInvariants.from_divisors(num_generators, divisors)
 
 
 __all__ = [

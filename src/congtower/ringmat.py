@@ -57,10 +57,6 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(a, c):
     return tuple(tuple(x * c for x in row) for row in a)
 
@@ -228,67 +224,37 @@ def load_matrix_file(path, ring=None):
 # ---------------------------------------------------------------------------
 # the coordinate-change verification for the hermitian example
 #
-# Work in Q[a,d] with a = sqrt5 and d^2 = 1+a (a degree-4 field).  The second
-# square root e with e^2 = 4+2a is not independent: (1+a)^3 = 4(4+2a), so
-# e = d(1+a)/2 is a compatible choice and the two roots must be chosen
-# compatibly for the displayed base change to work (with e -> -e the product
-# c~^t h c is not even close).  Check that c carries the hermitian form with
-# matrix h (phi = (1-a)/2 on the diagonal) to -h0, h0 the antidiagonal unit
-# form: c~^t h c = -h0.  All entries of c are real, so conjugation is
-# trivial on them.  Also checks N(1+a) = N(4+2a) = -4 in Q(a).
+# Work in the real field Q(d), d^4 = 2d^2 + 4, where d = sqrt(1+sqrt5) and
+# a = d^2 - 1 = sqrt5.  The second square root e with e^2 = 4+2a is not
+# independent: (1+a)^3 = 4(4+2a), so e = d(1+a)/2 is a compatible choice and
+# the two roots must be chosen compatibly for the displayed base change to
+# work (with e -> -e the product c~^t h c is not even close).  Check that c
+# carries the hermitian form with matrix h (phi = (1-a)/2 on the diagonal)
+# to -h0, h0 the antidiagonal unit form: c~^t h c = -h0.  All entries of c
+# are real, so conjugation is trivial on them.  Also checks
+# N(1+a) = N(4+2a) = -4 in Q(a).
 
 
-def _sqrt_algebra_matrices():
-    A = rings.SquareRootAlgebra()
-    one = A.one
-    a = A.a()
-    d = A.d()
-    # compatible square root of 4+2a
-    e = A.scale(A.mul(d, A.add(one, a)), Fraction(1, 2))
-    half = Fraction(1, 2)
-
-    def q(x):
-        return A.from_rational(x)
-
-    # d_inv = d (a-1)/4  since d * d(a-1)/4 = (1+a)(a-1)/4 = 1
-    d_inv = A.scale(A.mul(d, A.sub(a, one)), Fraction(1, 4))
-    phi = A.scale(A.sub(one, a), half)          # (1-a)/2
-    h = [
-        [phi, one, A.zero],
-        [one, phi, one],
-        [A.zero, one, phi],
-    ]
-    h0 = [
-        [A.zero, A.zero, one],
-        [A.zero, one, A.zero],
-        [one, A.zero, A.zero],
-    ]
-    c = [
-        [one,
-         A.scale(d_inv, -1),
-         A.scale(A.sub(a, one), Fraction(1, 8))],
-        [A.add(q(-1), d),
-         d_inv,
-         A.scale(A.mul(A.sub(one, a), A.add(one, d)), Fraction(1, 8))],
-        [A.add(A.sub(q(-1), a), e),
-         A.zero,
-         A.scale(A.add(q(2), d), Fraction(-1, 4))],
-    ]
-    return A, h, h0, c, d, d_inv, e, a
+def _base_change_matrices():
+    """h, h0 and c over Q(d), then a = sqrt5, d, 1/d and e."""
+    field = rings.NumberRing(rings.SQRT_1_PLUS_SQRT5)
+    d = field.gen()
+    a = d * d - 1
+    e = d * (1 + a) / 2
+    d_inv = d * (a - 1) / 4
+    phi = (1 - a) / 2
+    h = mat(field, [[phi, 1, 0], [1, phi, 1], [0, 1, phi]])
+    h0 = mat(field, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    c = mat(field, [
+        [1, -d_inv, (a - 1) / 8],
+        [d - 1, d_inv, (1 - a) * (1 + d) / 8],
+        [e - 1 - a, 0, -(2 + d) / 4],
+    ])
+    return h, h0, c, a, d, d_inv, e
 
 
-def _alg_mat_mul(A, x, y):
-    n, k, m = len(x), len(y), len(y[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A.zero
-            for t in range(k):
-                acc = A.add(acc, A.mul(x[i][t], y[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+def _carries_h_to_minus_h0(c, h, h0):
+    return mat_eq(mat_mul(mat_mul(transpose(c), h), c), mat_scale(h0, -1))
 
 
 def coordinate_change_check():
@@ -296,34 +262,28 @@ def coordinate_change_check():
 
     Returns (ok, details).  The identity verified is  c~^t h c = -h0
     (equivalently, in the new coordinates the form h has matrix -h0), and
-    N(1+a) = N(4+2a) = -4, and that d, e are units with the stated squares.
+    N(1+a) = N(4+2a) = -4, and that a^2 = 5 and d, e are units with the
+    stated squares.
     """
-    A, h, h0, c, d, d_inv, e, a = _sqrt_algebra_matrices()
-    ct = [[c[j][i] for j in range(3)] for i in range(3)]  # entries are real
-    lhs = _alg_mat_mul(A, _alg_mat_mul(A, ct, h), c)
-    minus_h0 = [[A.scale(x, -1) for x in row] for row in h0]
-    ok_form = all(
-        A.equal(lhs[i][j], minus_h0[i][j]) for i in range(3) for j in range(3)
-    )
-    # square-root bookkeeping
-    one = A.one
-    ok_d = A.equal(A.mul(d, d), A.add(one, a)) and A.equal(A.mul(d, d_inv), one)
-    ok_e = A.equal(A.mul(e, e), A.add(A.from_rational(4), A.scale(a, 2)))
-    # norms in Q(sqrt5): N(x + y a) = x^2 - 5 y^2
-    n1 = Fraction(1) ** 2 - 5 * Fraction(1) ** 2          # N(1 + a)
-    n2 = Fraction(4) ** 2 - 5 * Fraction(2) ** 2          # N(4 + 2a)
-    ok_norms = (n1 == -4) and (n2 == -4)
+    h, h0, c, a, d, d_inv, e = _base_change_matrices()
+    ok_form = _carries_h_to_minus_h0(c, h, h0)
+    ok_units = (a * a == 5 and d * d == 1 + a and d * d_inv == 1
+                and e * e == 4 + 2 * a)
+    # the norm from Q(a) to Q multiplies by the conjugate a -> -a
+    n1 = (1 + a) * (1 - a)
+    n2 = (4 + 2 * a) * (4 - 2 * a)
+    ok_norms = n1 == -4 and n2 == -4
     details = {
         "form_identity": ok_form,
-        "sqrt_units": ok_d and ok_e,
-        "norm_1_plus_a": int(n1),
-        "norm_4_plus_2a": int(n2),
+        "sqrt_units": ok_units,
+        "norm_1_plus_a": int(n1.coords[0]),
+        "norm_4_plus_2a": int(n2.coords[0]),
     }
-    return (ok_form and ok_d and ok_e and ok_norms), details
+    return (ok_form and ok_units and ok_norms), details
 
 
 __all__ = [
-    "mat", "identity", "basis_points", "mat_mul", "mat_add", "mat_sub",
+    "mat", "identity", "basis_points", "mat_mul", "mat_add",
     "mat_scale", "transpose", "conj_transpose", "mat_eq", "det", "mat_inverse",
     "is_integral", "preserves_form", "congruent_to_identity",
     "matrix_to_json", "matrix_from_json", "read_json_file", "load_matrix_file",

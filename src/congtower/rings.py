@@ -2,10 +2,19 @@
 
 Supported rings: the rational integers, the imaginary quadratic orders
 O_d = Z[omega_d] for d in {1, 2, 3, 7, 11} (omega = (1+sqrt(-d))/2 when
-d = 3 mod 4, else sqrt(-d)), and Z[zeta] for zeta a primitive 5th root
-of unity.  Elements are coordinate vectors over the integral basis with
-Fraction entries, so the field of fractions comes for free; integrality
-is just "all denominators 1".
+d = 3 mod 4, else sqrt(-d)), Z[zeta] for zeta a primitive 5th root of
+unity, and Z[d] with d^4 = 2d^2 + 4 (d = sqrt(1+sqrt5), used only by the
+base-change check).  Each ring is given by the minimal polynomial of its
+generator x, the image of x under conjugation, and its basis names; the
+multiplication table (x^(i+j) reduced by the minimal polynomial) and the
+conjugation matrix are derived from them.
+
+Elements are coordinate vectors over the power basis with Fraction
+entries, so the field of fractions comes for free; integrality is just
+"all denominators 1".  Coordinate products keep the type of their inputs:
+residue and lattice arithmetic multiplies int tuples and stays in ints,
+while RingElt coordinates are always Fraction, so that dividing one by an
+int never yields a float.
 
 Prime ideals are stored with their Z-lattice (HNF basis), which makes
 membership, valuations and residue rings O/p^k purely integer linear
@@ -24,61 +33,61 @@ from . import intmat
 RATIONAL = "rational"
 IMAG_QUAD = "imag-quad"
 CYCLOTOMIC5 = "cyclotomic-5"
+# Q(d), d^4 = 2d^2 + 4: only the base-change check in ringmat builds it
+SQRT_1_PLUS_SQRT5 = "sqrt(1+sqrt5)"
 
 SUPPORTED_D = (1, 2, 3, 7, 11)
 
+# the zero of each coordinate type; _mul_coords accumulates onto it
+_ZERO = {int: 0, Fraction: Fraction(0)}
+
 
 class NumberRing:
-    """Ring descriptor: integral basis, multiplication table, conjugation."""
+    """Ring descriptor: Z[x]/(min_poly) on the power basis 1, x, ..., x^(n-1),
+    with the conjugation that sends the generator x to ``conj_gen``."""
 
     def __init__(self, kind, d=None):
         self.kind = kind
         self.d = d
         if kind == RATIONAL:
-            self.degree = 1
-            self.basis_names = ("1",)
-            self._mult = (((1,),),)
-            self._conj = ((1,),)
-            self.min_poly = (0, 1)  # x
+            # degree 1: the tables hold only 1 * 1 = 1 and conj(1) = 1
+            self.min_poly, conj_gen, self.basis_names = (0, 1), (0,), ("1",)
         elif kind == IMAG_QUAD:
             if d not in SUPPORTED_D:
                 raise InputError("unsupported imaginary quadratic field d=%r" % (d,))
-            self.degree = 2
             if d % 4 == 3:
-                # omega = (1+sqrt(-d))/2, omega^2 = omega - (1+d)/4
-                t, n = 1, -(1 + d) // 4
+                # omega = (1+sqrt(-d))/2: omega^2 = omega - (1+d)/4
+                self.min_poly, conj_gen = ((1 + d) // 4, -1, 1), (1, -1)
                 self.basis_names = ("1", "(1+sqrt(-%d))/2" % d)
             else:
-                # omega = sqrt(-d), omega^2 = -d
-                t, n = 0, -d
+                # omega = sqrt(-d): omega^2 = -d
+                self.min_poly, conj_gen = (d, 0, 1), (0, -1)
                 self.basis_names = ("1", "sqrt(-%d)" % d)
-            self.min_poly = (-n, -t, 1)  # x^2 - t x - n
-            self._mult = (
-                ((1, 0), (0, 1)),
-                ((0, 1), (n, t)),
-            )
-            # conj(omega) = t - omega
-            self._conj = ((1, t), (0, -1))
         elif kind == CYCLOTOMIC5:
-            self.degree = 4
+            # conj(z) = z^4 = -1 - z - z^2 - z^3
+            self.min_poly, conj_gen = (1, 1, 1, 1, 1), (-1, -1, -1, -1)
             self.basis_names = ("1", "z", "z^2", "z^3")
-            self.min_poly = (1, 1, 1, 1, 1)  # x^4+x^3+x^2+x+1
-            # z^4 = -1-z-z^2-z^3, z^5 = 1
-            pows = {0: (1, 0, 0, 0), 1: (0, 1, 0, 0), 2: (0, 0, 1, 0),
-                    3: (0, 0, 0, 1), 4: (-1, -1, -1, -1)}
-            pows[5] = pows[0]
-            pows[6] = pows[1]
-            table = []
-            for i in range(4):
-                table.append(tuple(pows[i + j] for j in range(4)))
-            self._mult = tuple(table)
-            # conj is z -> z^4
-            conj_cols = (pows[0], pows[4], pows[3], pows[2])
-            self._conj = tuple(
-                tuple(conj_cols[j][i] for j in range(4)) for i in range(4)
-            )
+        elif kind == SQRT_1_PLUS_SQRT5:
+            # d = sqrt(1+sqrt5) is real, so conjugation is the identity
+            self.min_poly, conj_gen = (-4, 0, -2, 0, 1), (0, 1, 0, 0)
+            self.basis_names = ("1", "d", "d^2", "d^3")
         else:
             raise InputError("unsupported ring kind %r" % (kind,))
+        n = self.degree = len(self.min_poly) - 1
+        # powers[k] = x^k reduced by the monic minimal polynomial:
+        # x * x^k shifts the coordinates up and replaces x^n by
+        # -(min_poly[0] + ... + min_poly[n-1] x^(n-1))
+        powers = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        while len(powers) < 2 * n - 1:
+            prev = powers[-1]
+            powers.append(tuple((prev[i - 1] if i else 0) - prev[-1] * c
+                                for i, c in enumerate(self.min_poly[:n])))
+        self._mult = tuple(tuple(powers[i + j] for j in range(n)) for i in range(n))
+        # column j of the conjugation matrix is conj(x^j) = conj_gen^j
+        cols = [powers[0]]
+        while len(cols) < n:
+            cols.append(self._mul_coords(cols[-1], conj_gen))
+        self._conj = tuple(tuple(col[i] for col in cols) for i in range(n))
 
     @property
     def key(self):
@@ -131,8 +140,10 @@ class NumberRing:
     # -- element arithmetic (coordinate level) -------------------------
 
     def _mul_coords(self, a, b):
+        """Coordinates of a*b in the coordinate type of a: int tuples stay
+        ints and Fraction tuples stay Fractions (b may hold ints)."""
         n = self.degree
-        out = [Fraction(0)] * n
+        out = [_ZERO[type(a[0])]] * n
         for i in range(n):
             ai = a[i]
             if not ai:
@@ -156,13 +167,12 @@ class NumberRing:
         )
 
     def mult_matrix(self, a):
-        """Matrix of y -> a*y over the integral basis (columns = a*b_j)."""
+        """Matrix of y -> a*y over the integral basis (columns = a*b_j), with
+        the coordinate type of a."""
         n = self.degree
-        cols = []
-        for j in range(n):
-            ej = tuple(Fraction(1) if t == j else Fraction(0) for t in range(n))
-            cols.append(self._mul_coords(a, ej))
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        cols = [self._mul_coords(a, tuple(int(t == j) for t in range(n)))
+                for j in range(n)]
+        return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
 class RingElt:
@@ -234,10 +244,6 @@ class RingElt:
     def norm(self):
         """Field norm down to Q (determinant of the multiplication map)."""
         return _fraction_det(self.ring.mult_matrix(self.coords))
-
-    def trace(self):
-        m = self.ring.mult_matrix(self.coords)
-        return sum(m[i][i] for i in range(self.ring.degree))
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -400,10 +406,8 @@ class PrimeIdeal:
         n = ring.degree
         rows = [[self.p if i == j else 0 for j in range(n)] for i in range(n)]
         for g in gens:
-            for j in range(n):
-                ej = tuple(Fraction(1) if t == j else Fraction(0) for t in range(n))
-                prod = ring._mul_coords(g.coords, ej)
-                rows.append([int(c) for c in prod])
+            # the rows g*b_j are the columns of g's multiplication matrix
+            rows.extend(list(col) for col in zip(*ring.mult_matrix(g.int_coords())))
         h, _ = intmat.hnf(rows)
         return tuple(tuple(r) for r in h[: n])
 
@@ -419,13 +423,7 @@ class PrimeIdeal:
             prev = self.power_lattice(k - 1)
             ring = self.ring
             n = ring.degree
-            rows = []
-            for a in prev:
-                fa = tuple(Fraction(x) for x in a)
-                for b in base:
-                    fb = tuple(Fraction(x) for x in b)
-                    prod = ring._mul_coords(fa, fb)
-                    rows.append([int(c) for c in prod])
+            rows = [list(ring._mul_coords(a, b)) for a in prev for b in base]
             h, _ = intmat.hnf(rows)
             self._power_lattices[k] = tuple(tuple(r) for r in h[: n])
         return self._power_lattices[k]
@@ -706,11 +704,7 @@ class ResidueRing:
         return self.reduce_coords(tuple(-x for x in a))
 
     def mul(self, a, b):
-        fa = tuple(Fraction(x) for x in a)
-        fb = tuple(Fraction(x) for x in b)
-        return self.reduce_coords(
-            tuple(int(c) for c in self.ring._mul_coords(fa, fb))
-        )
+        return self.reduce_coords(self.ring._mul_coords(a, b))
 
     def pow(self, a, k):
         out = self.one
@@ -729,15 +723,11 @@ class ResidueRing:
         if a in self._inv_cache:
             return self._inv_cache[a]
         n = self.ring.degree
-        fa = tuple(Fraction(x) for x in a)
-        mult = self.ring.mult_matrix(fa)
-        cols = [[int(mult[i][j]) for j in range(n)] for i in range(n)]
-        lat_cols = [list(col) for col in zip(*self.lattice)]
-        one = [1] + [0] * (n - 1)
+        # solve a*x + (lattice vector) = 1 over Z
         sol = intmat.solve_integer_linear(
-            [ [cols[i][j] for j in range(n)] + [lat_cols[i][j] for j in range(n)]
-              for i in range(n) ],
-            one,
+            [list(m_row) + list(lat_col)
+             for m_row, lat_col in zip(self.ring.mult_matrix(a), zip(*self.lattice))],
+            [1] + [0] * (n - 1),
         )
         if sol is None:
             raise InputError("element %r is not a unit in O/p^%d" % (a, self.k))
@@ -790,95 +780,8 @@ def residue_ring(prime, k):
     return ResidueRing(prime, k)
 
 
-# ---------------------------------------------------------------------------
-# the rank-8 square-root algebra Q[a,d,e]/(a^2-5, d^2-(1+a), e^2-(4+2a))
-
-
-class SquareRootAlgebra:
-    """Symbolic home for sqrt(5), sqrt(1+sqrt5), sqrt(4+2*sqrt5).
-
-    Elements are Fraction coordinate dicts over the basis a^i d^j e^k,
-    (i,j,k) in {0,1}^3.  Only used for coordinate-change verification, so
-    inverses are provided for the handful of elements that need them.
-    """
-
-    BASIS = tuple(itertools.product((0, 1), repeat=3))
-
-    def elt(self, mapping=None):
-        out = {b: Fraction(0) for b in self.BASIS}
-        if mapping:
-            for key, val in mapping.items():
-                out[key] = Fraction(val)
-        return out
-
-    def from_rational(self, q):
-        return self.elt({(0, 0, 0): Fraction(q)})
-
-    @property
-    def one(self):
-        return self.from_rational(1)
-
-    @property
-    def zero(self):
-        return self.elt()
-
-    def a(self):
-        return self.elt({(1, 0, 0): 1})
-
-    def d(self):
-        return self.elt({(0, 1, 0): 1})
-
-    def e(self):
-        return self.elt({(0, 0, 1): 1})
-
-    def add(self, x, y):
-        return {b: x[b] + y[b] for b in self.BASIS}
-
-    def sub(self, x, y):
-        return {b: x[b] - y[b] for b in self.BASIS}
-
-    def scale(self, x, c):
-        c = Fraction(c)
-        return {b: x[b] * c for b in self.BASIS}
-
-    def mul(self, x, y):
-        out = {b: Fraction(0) for b in self.BASIS}
-        for (i1, j1, k1), c1 in x.items():
-            if not c1:
-                continue
-            for (i2, j2, k2), c2 in y.items():
-                if not c2:
-                    continue
-                c = c1 * c2
-                # reduce a^2 -> 5, d^2 -> 1+a, e^2 -> 4+2a
-                terms = [((i1 + i2) % 2, (j1 + j2) % 2, (k1 + k2) % 2, c)]
-                if i1 + i2 == 2:
-                    terms = [(i, j, k, cc * 5) for (i, j, k, cc) in terms]
-                if j1 + j2 == 2:
-                    expanded = []
-                    for (i, j, k, cc) in terms:
-                        expanded.append((i, j, k, cc))
-                        expanded.append(((i + 1) % 2, j, k, cc * (5 if i else 1)))
-                    terms = expanded
-                if k1 + k2 == 2:
-                    expanded = []
-                    for (i, j, k, cc) in terms:
-                        expanded.append((i, j, k, cc * 4))
-                        expanded.append(((i + 1) % 2, j, k, cc * 2 * (5 if i else 1)))
-                    terms = expanded
-                for (i, j, k, cc) in terms:
-                    out[(i, j, k)] += cc
-        return out
-
-    def equal(self, x, y):
-        return all(x[b] == y[b] for b in self.BASIS)
-
-    def is_zero(self, x):
-        return all(v == 0 for v in x.values())
-
-
 __all__ = [
-    "NumberRing", "RingElt", "PrimeIdeal", "ResidueRing", "SquareRootAlgebra",
+    "NumberRing", "RingElt", "PrimeIdeal", "ResidueRing",
     "make_ring", "factor_rational_prime", "residue_ring", "ring_tag",
     "RATIONAL", "IMAG_QUAD", "CYCLOTOMIC5", "SUPPORTED_D", "ENUMERATION_LIMIT",
 ]

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from congtower import cli
+from congtower import cli, homology
 from congtower.errors import InputError
 from congtower.presentations import parse_presentation
 from congtower.rings import make_ring
@@ -254,6 +255,48 @@ def _with_entry(entry):
         "not-utf8", "huge-power", "nested-commutators", "huge-total"])
 def test_malformed_file_exits_input(tmp_path, flag, content, message):
     code, err = _homology_on(tmp_path, flag, content)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:") and message in err
+
+
+def _bundled_reflections():
+    path = os.path.join(homology.data_dir(), "matrices", "o41_reflections.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _corrupt_entry(payload):
+    payload["matrices"][0][0][0] = 5
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    (["tower", "o41"], lambda p: "[1, 2", "not valid JSON"),
+    (["tower", "o41"], lambda p: json.dumps({"ring": "rational"}),
+     '"matrices" must list'),
+    (["tower", "o41"], lambda p: json.dumps({**p, "ring": "d=7"}),
+     '"ring": "rational"'),
+    (["tower", "o41"], lambda p: json.dumps({**p, "matrices": p["matrices"][:4]}),
+     '"matrices" must list'),
+    (["tower", "o41"], lambda p: json.dumps(
+        {**p, "matrices": [[row[:4] for row in m[:4]] for m in p["matrices"]]}),
+     "five 5x5"),
+    (["tower", "o41"], None, "not found"),
+    (["check-identities"], lambda p: json.dumps({"ring": "rational"}),
+     '"matrices" must list'),
+    (["check-identities"], _corrupt_entry, "integrality or form"),
+], ids=["not-json", "no-matrices", "wrong-ring", "four-matrices",
+        "four-by-four", "missing", "identities-no-matrices",
+        "identities-corrupt-entry"])
+def test_malformed_reflection_file_exits_input(capsys, tmp_path, monkeypatch,
+                                               argv, edit, message):
+    payload = _bundled_reflections()
+    (tmp_path / "matrices").mkdir()
+    if edit is not None:
+        (tmp_path / "matrices" / "o41_reflections.json").write_text(edit(payload))
+    monkeypatch.setenv(homology.DATA_ENV_VAR, str(tmp_path))
+    code = cli.main(argv)
+    err = capsys.readouterr().err
     assert code == cli.EXIT_INPUT
     assert err.startswith("input error:") and message in err
 

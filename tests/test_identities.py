@@ -76,13 +76,26 @@ def test_coordinate_change_details():
 
 def test_identity_coordinate_change_fails_for_identity_matrix():
     # substituting c = Id: h and -h0 are different forms
-    from congtower.rings import SquareRootAlgebra
-    from congtower.ringmat import _alg_mat_mul, _sqrt_algebra_matrices
-    A, h, h0, c, d, d_inv, e, a = _sqrt_algebra_matrices()
-    ident = [[A.one if i == j else A.zero for j in range(3)] for i in range(3)]
-    lhs = _alg_mat_mul(A, _alg_mat_mul(
-        A, [[ident[j][i] for j in range(3)] for i in range(3)], h), ident)
-    minus_h0 = [[A.scale(x, -1) for x in row] for row in h0]
-    agree = all(A.equal(lhs[i][j], minus_h0[i][j])
-                for i in range(3) for j in range(3))
-    assert not agree
+    h, h0, c, *_ = ringmat._base_change_matrices()
+    assert ringmat._carries_h_to_minus_h0(c, h, h0)
+    ident = ringmat.identity(c[0][0].ring, 3)
+    assert not ringmat._carries_h_to_minus_h0(ident, h, h0)
+
+
+def test_coordinate_change_fails_for_one_changed_entry():
+    h, h0, c, *_ = ringmat._base_change_matrices()
+    for i in range(3):
+        for j in range(3):
+            rows = [list(row) for row in c]
+            rows[i][j] = rows[i][j] + 1
+            changed = tuple(tuple(row) for row in rows)
+            assert not ringmat._carries_h_to_minus_h0(changed, h, h0), (i, j)
+
+
+def test_coordinate_change_needs_the_compatible_second_root():
+    # e -> -e in the bottom-left entry -1 - a + e breaks the identity
+    h, h0, c, a, _d, _d_inv, e = ringmat._base_change_matrices()
+    rows = [list(row) for row in c]
+    rows[2][0] = -1 - a - e
+    changed = tuple(tuple(row) for row in rows)
+    assert not ringmat._carries_h_to_minus_h0(changed, h, h0)

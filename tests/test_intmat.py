@@ -173,8 +173,7 @@ def test_sparse_path_matches_dense(rng):
         rows = [[rng.randint(-4, 4) if rng.random() < 0.3 else 0
                  for _ in range(30)] for _ in range(40)]
         dense = AbelianInvariants.from_divisors(30, snf([r for r in rows if any(r)]) if any(any(r) for r in rows) else [])
-        sparse = intmat._sparse_abelian_invariants(
-            [r for r in rows if any(r)], 30)
+        sparse = abelian_invariants([r for r in rows if any(r)], 30)
         assert sparse == dense
 
 

@@ -49,6 +49,26 @@ def test_alpha_and_galois_action():
     assert E.zeta().conj() == E.zeta() ** 4
 
 
+@pytest.mark.parametrize("d", rings.SUPPORTED_D)
+def test_imaginary_quadratic_conjugation(d):
+    # an identity conjugation passes the ring axioms but not these
+    ring = make_ring(d)
+    assert ring.gen().conj() != ring.gen()
+    rng = random.Random(d)
+    for _ in range(200):
+        x = random_elt(rng, ring)
+        assert x * x.conj() == x.norm()
+
+
+def test_products_keep_fraction_coordinates():
+    for ring in (make_ring(1), make_ring("cyclotomic-5")):
+        x = ring.gen() * ring.gen()     # -1 and z^2: zero coordinates
+        for y in (x, x / 2, x * 3, x.conj() * x):
+            assert all(isinstance(c, Fraction) for c in y.coords), y
+    assert str(make_ring(1).gen() * make_ring(1).gen() / 2) == "-1/2"
+    assert str(make_ring("cyclotomic-5").zeta() ** 2 / 2) == "1/2*z^2"
+
+
 def test_ring_axioms_bulk(all_rings):
     # 10^4 random triples per ring: associativity, distributivity,
     # conjugation multiplicativity
