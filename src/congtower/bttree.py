@@ -16,7 +16,6 @@ what the tower construction consumes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InputError
 from . import ringmat
-from .rings import make_ring, factor_rational_prime, residue_ring
+from .rings import make_ring, residue_ring
 
 CLOSURE_BUDGET_DEFAULT = 10_000_000
 

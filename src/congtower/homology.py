@@ -18,8 +18,8 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import BudgetExceeded, InputError
-from . import catalog, congsub, coset, intmat, ringmat
+from .errors import InputError
+from . import catalog, congsub, coset, ringmat
 from .presentations import Presentation, load_presentation, free_reduce
 from .rings import make_ring, factor_rational_prime
 

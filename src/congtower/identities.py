@@ -11,7 +11,7 @@ display for every Y.
 
 from __future__ import annotations
 
-from . import catalog, congsub, ringmat, tower
+from . import catalog, ringmat, tower
 from .poly import poly_identity_test
 from .rings import make_ring, factor_rational_prime
 

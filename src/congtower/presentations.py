@@ -17,7 +17,7 @@ provenance field (required for ingested presentations that are not bundled).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 from . import intmat

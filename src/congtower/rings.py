@@ -6,15 +6,15 @@ d = 3 mod 4, else sqrt(-d)), Z[zeta] for zeta a primitive 5th root of
 unity, and Z[d] with d^4 = 2d^2 + 4 (d = sqrt(1+sqrt5), used only by the
 base-change check).  Each ring is given by the minimal polynomial of its
 generator x, the image of x under conjugation, and its basis names; the
-multiplication table (x^(i+j) reduced by the minimal polynomial) and the
-conjugation matrix are derived from them.
+multiplication table (the powers x^k, k < 2n - 1, reduced by the minimal
+polynomial) and the conjugation matrix are derived from them.
 
-Elements are coordinate vectors over the power basis with Fraction
-entries, so the field of fractions comes for free; integrality is just
-"all denominators 1".  Coordinate products keep the type of their inputs:
-residue and lattice arithmetic multiplies int tuples and stays in ints,
-while RingElt coordinates are always Fraction, so that dividing one by an
-int never yields a float.
+Elements of the fraction field are int coordinates over the power basis
+plus one shared positive denominator, kept in lowest terms, so equal
+elements have equal representations and integrality is just "denominator
+1".  All element, residue and lattice arithmetic runs on ints; Fraction
+appears only at the edges: element construction, the ``coords`` view,
+scaling by a Fraction, and the value of ``norm``.
 
 Prime ideals are stored with their Z-lattice (HNF basis), which makes
 membership, valuations and residue rings O/p^k purely integer linear
@@ -37,10 +37,6 @@ CYCLOTOMIC5 = "cyclotomic-5"
 SQRT_1_PLUS_SQRT5 = "sqrt(1+sqrt5)"
 
 SUPPORTED_D = (1, 2, 3, 7, 11)
-
-# the zero of each coordinate type; _mul_coords accumulates onto it
-_ZERO = {int: 0, Fraction: Fraction(0)}
-
 
 class NumberRing:
     """Ring descriptor: Z[x]/(min_poly) on the power basis 1, x, ..., x^(n-1),
@@ -82,7 +78,8 @@ class NumberRing:
             prev = powers[-1]
             powers.append(tuple((prev[i - 1] if i else 0) - prev[-1] * c
                                 for i, c in enumerate(self.min_poly[:n])))
-        self._mult = tuple(tuple(powers[i + j] for j in range(n)) for i in range(n))
+        # x^i * x^j = x^(i+j), kept as its nonzero (coordinate, value) pairs
+        self._powers = tuple(tuple((k, c) for k, c in enumerate(p) if c) for p in powers)
         # column j of the conjugation matrix is conj(x^j) = conj_gen^j
         cols = [powers[0]]
         while len(cols) < n:
@@ -111,12 +108,15 @@ class NumberRing:
             if coords.ring is not self and coords.ring != self:
                 raise InputError("element of %r used in %r" % (coords.ring, self))
             return coords
-        if isinstance(coords, (int, Fraction)):
+        if isinstance(coords, int):
+            return RingElt(self, (coords,) + (0,) * (self.degree - 1))
+        if isinstance(coords, Fraction):
             coords = (coords,) + (0,) * (self.degree - 1)
         coords = tuple(Fraction(c) for c in coords)
         if len(coords) != self.degree:
             raise InputError("expected %d coordinates, got %d" % (self.degree, len(coords)))
-        return RingElt(self, coords)
+        den = math.lcm(*(c.denominator for c in coords))
+        return RingElt(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     @property
     def zero(self):
@@ -140,24 +140,20 @@ class NumberRing:
     # -- element arithmetic (coordinate level) -------------------------
 
     def _mul_coords(self, a, b):
-        """Coordinates of a*b in the coordinate type of a: int tuples stay
-        ints and Fraction tuples stay Fractions (b may hold ints)."""
+        """Coordinates of a*b: int tuples in, an int tuple out."""
         n = self.degree
-        out = [_ZERO[type(a[0])]] * n
+        out = [0] * n
         for i in range(n):
             ai = a[i]
             if not ai:
                 continue
-            row = self._mult[i]
             for j in range(n):
                 bj = b[j]
                 if not bj:
                     continue
                 c = ai * bj
-                basis = row[j]
-                for k in range(n):
-                    if basis[k]:
-                        out[k] += c * basis[k]
+                for k, m in self._powers[i + j]:
+                    out[k] += c * m
         return tuple(out)
 
     def _conj_coords(self, a):
@@ -167,8 +163,8 @@ class NumberRing:
         )
 
     def mult_matrix(self, a):
-        """Matrix of y -> a*y over the integral basis (columns = a*b_j), with
-        the coordinate type of a."""
+        """Int matrix of y -> a*y over the integral basis (columns = a*b_j)
+        for int coordinates a."""
         n = self.degree
         cols = [self._mul_coords(a, tuple(int(t == j) for t in range(n)))
                 for j in range(n)]
@@ -176,35 +172,59 @@ class NumberRing:
 
 
 class RingElt:
-    """Element of a NumberRing (or its fraction field) as basis coordinates."""
+    """Element of a NumberRing's fraction field: the basis coordinates are
+    num[i] / den, with int num, int den > 0 and gcd(den, *num) == 1, so equal
+    elements have equal (num, den)."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring, coords):
+    def __init__(self, ring, num, den=1):
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = tuple(a // g for a in num)
+                den //= g
         self.ring = ring
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self):
+        """The coordinates as reduced Fractions (read-only view)."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     def __add__(self, other):
         other = self.ring(other)
-        return RingElt(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        return RingElt(self.ring, tuple(x * b + y * a for x, y in zip(self.num, other.num)),
+                       a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElt(self.ring, tuple(-a for a in self.coords))
+        return RingElt(self.ring, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self.ring(other)
-        return RingElt(self.ring, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        return RingElt(self.ring, tuple(x * b - y * a for x, y in zip(self.num, other.num)),
+                       a * b)
 
     def __rsub__(self, other):
         return self.ring(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RingElt(self.ring, tuple(a * other for a in self.coords))
+        if not isinstance(other, RingElt):
+            if isinstance(other, int):
+                return RingElt(self.ring, tuple(a * other for a in self.num), self.den)
+            if isinstance(other, Fraction):
+                p = other.numerator
+                return RingElt(self.ring, tuple(a * p for a in self.num),
+                               self.den * other.denominator)
         other = self.ring(other)
-        return RingElt(self.ring, self.ring._mul_coords(self.coords, other.coords))
+        return RingElt(self.ring, self.ring._mul_coords(self.num, other.num),
+                       self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -212,7 +232,10 @@ class RingElt:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return RingElt(self.ring, tuple(a / other for a in self.coords))
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return RingElt(self.ring, tuple(a * q for a in self.num), self.den * p)
         other = self.ring(other)
         return self * other.inverse()
 
@@ -229,47 +252,53 @@ class RingElt:
         return out
 
     def inverse(self):
-        """Exact inverse in the fraction field (linear solve against mult matrix)."""
-        n = self.ring.degree
-        m = self.ring.mult_matrix(self.coords)
-        rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        sol = _solve_fraction_linear(m, rhs)
-        if sol is None:
+        """Exact inverse in the fraction field.  With M the int matrix of
+        y -> num*y, (num/den)^-1 = den * adj(M) e_0 / det(M), and column 0
+        of adj(M) is the cofactor row that expands det(M)."""
+        m = self.ring.mult_matrix(self.num)
+        cof = _first_row_cofactors(m)
+        det = sum(a * c for a, c in zip(m[0], cof))
+        if det == 0:
             raise ZeroDivisionError("element is zero")
-        return RingElt(self.ring, tuple(sol))
+        if det < 0:
+            det, cof = -det, [-c for c in cof]
+        return RingElt(self.ring, tuple(self.den * c for c in cof), det)
 
     def conj(self):
-        return RingElt(self.ring, self.ring._conj_coords(self.coords))
+        return RingElt(self.ring, self.ring._conj_coords(self.num), self.den)
 
     def norm(self):
         """Field norm down to Q (determinant of the multiplication map)."""
-        return _fraction_det(self.ring.mult_matrix(self.coords))
+        return Fraction(_int_det(self.ring.mult_matrix(self.num)),
+                        self.den ** self.ring.degree)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def int_coords(self):
-        if not self.is_integral():
+        if self.den != 1:
             raise InputError("element %r is not integral" % (self,))
-        return tuple(int(c) for c in self.coords)
+        return self.num
 
     def denominator(self):
-        return math.lcm(*(c.denominator for c in self.coords))
+        return self.den
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RingElt):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = self.ring(other)
         return (
-            isinstance(other, RingElt)
+            self.num == other.num
+            and self.den == other.den
             and self.ring == other.ring
-            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.ring.key, self.coords))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         names = self.ring.basis_names
@@ -286,50 +315,25 @@ class RingElt:
         return " + ".join(terms) if terms else "0"
 
 
-def _solve_fraction_linear(m, rhs):
-    """Solve m x = rhs over Q by Gaussian elimination; None if singular."""
-    n = len(rhs)
-    aug = [list(m[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _first_row_cofactors(m):
+    """Cofactors (-1)^j det(m without row 0 and column j) of a square int
+    matrix; det(m) is their dot product with m[0]."""
+    rest = m[1:]
+    out = []
+    for j in range(len(m)):
+        minor = _int_det([row[:j] + row[j + 1:] for row in rest])
+        out.append(-minor if j % 2 else minor)
+    return out
 
 
-def _fraction_det(m):
-    n = len(m)
-    mat = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        pv = mat[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                f = mat[r][col] / pv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return det
+def _int_det(m):
+    """Exact determinant of a square int matrix: direct up to 2 x 2, else by
+    cofactor expansion (the rings here have degree at most 4)."""
+    if len(m) <= 2:
+        if len(m) < 2:
+            return m[0][0] if m else 1
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(a * c for a, c in zip(m[0], _first_row_cofactors(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +446,10 @@ class PrimeIdeal:
         x = self.ring(x)
         if x.is_zero():
             return math.inf
-        den = x.denominator()
-        num = x * den
-        vd = self.e * _int_valuation(den, self.p)
+        vd = self.e * _int_valuation(x.den, self.p)
         # num is a nonzero integer of the ring, so it leaves p^v for some v
         v = 0
-        while self.contains(num, v + 1):
+        while intmat.lattice_contains(self.power_lattice(v + 1), x.num):
             v += 1
         return v - vd
 
@@ -642,7 +644,7 @@ class ResidueRing:
 
     def reduce_coords(self, coords):
         # the lattice basis is upper triangular, so reduce top-down
-        x = [int(c) for c in coords]
+        x = list(coords)
         n = len(x)
         for i in range(n):
             q = x[i] // self.lattice[i][i]
@@ -661,15 +663,14 @@ class ResidueRing:
         divisible by p at the conjugate primes.
         """
         elt = self.ring(elt)
-        den = elt.denominator()
+        num, den = elt.num, elt.den
         if den == 1:
-            return self.reduce_coords(elt.int_coords())
+            return self.reduce_coords(num)
         if self.prime.valuation(elt) < 0:
             raise InputError("element %r is not locally integral at p" % (elt,))
         vm = self.prime.valuation(self.ring(den))
         if vm == math.inf:
             raise InputError("zero denominator")
-        num = (elt * den).int_coords()
         lat = self.prime.power_lattice(self.k + int(vm))
         n = self.ring.degree
         rows = [

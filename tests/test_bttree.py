@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -212,6 +213,16 @@ def test_bfs_counts_and_acyclicity(pgl2, oq, su):
     assert oq3.is_tree()
     su2 = bttree.bfs_explore(su, 2)
     assert len(su2.vertices) == 1 + 6 + 30 and su2.is_tree()
+
+
+def test_vertex_key_is_reduced_fraction_coordinates(pgl2, oq):
+    # bfs_explore orders each vertex's neighbours by this key, so the tree
+    # and tower JSON depend on it
+    for graph in (bttree.bfs_explore(pgl2, 3), bttree.bfs_explore(oq, 2)):
+        for v in graph.vertices:
+            coords = [[Fraction(c, x.den) for x in row for c in x.num] for row in v]
+            assert bttree._vertex_key(v) == tuple(
+                tuple((f.numerator, f.denominator) for f in row) for row in coords)
 
 
 def test_explored_valences_recomputed(oq):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congtower import catalog, rings
 from congtower.errors import BudgetExceeded, InputError
@@ -67,6 +68,123 @@ def test_products_keep_fraction_coordinates():
             assert all(isinstance(c, Fraction) for c in y.coords), y
     assert str(make_ring(1).gen() * make_ring(1).gen() / 2) == "-1/2"
     assert str(make_ring("cyclotomic-5").zeta() ** 2 / 2) == "1/2*z^2"
+
+
+# -- RingElt against a per-coordinate Fraction reference -------------------
+
+REFERENCE_RINGS = [make_ring(spec) for spec in ("rational", 1, 2, 3, 7, 11, "cyclotomic-5")]
+REFERENCE_RINGS.append(rings.NumberRing(rings.SQRT_1_PLUS_SQRT5))
+
+
+def ref_mul(ring, a, b):
+    """Product of coordinate lists as polynomials in the generator, reduced
+    by the monic minimal polynomial: x^k = -(m_0 + ... + m_(n-1) x^(n-1)) x^(k-n)."""
+    n = ring.degree
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        for i in range(n):
+            prod[k - n + i] -= prod[k] * ring.min_poly[i]
+    return prod[:n]
+
+
+def ref_det(m):
+    """Determinant over Q by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def ref_mult_matrix(ring, a):
+    n = ring.degree
+    cols = [ref_mul(ring, a, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[col[i] for col in cols] for i in range(n)]
+
+
+def ref_inverse(ring, a):
+    """Cramer's rule for M y = e_0, M the matrix of multiplication by a."""
+    m = ref_mult_matrix(ring, a)
+    det = ref_det(m)
+    n = ring.degree
+    return [ref_det([row[:i] + [int(r == 0)] + row[i + 1:] for r, row in enumerate(m)]) / det
+            for i in range(n)]
+
+
+def ref_conj(ring, a):
+    """sum a_i conj(x)^i, from the conjugate of the generator alone."""
+    cg = list(ring.gen().conj().coords)
+    out, power = [Fraction(0)] * ring.degree, [Fraction(1)] + [Fraction(0)] * (ring.degree - 1)
+    for c in a:
+        out = [o + c * p for o, p in zip(out, power)]
+        power = ref_mul(ring, power, cg)
+    return out
+
+
+def assert_lowest_terms(x):
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1, (x.num, x.den)
+
+
+# denominators: small ints times the primes the trees and towers work at
+fraction_coords = st.builds(
+    Fraction, st.integers(-40, 40),
+    st.builds(lambda k, p: k * p, st.integers(1, 6), st.sampled_from([1, 2, 3, 5, 7, 11])))
+
+
+@st.composite
+def ring_elements(draw):
+    ring = draw(st.sampled_from(REFERENCE_RINGS))
+    coords = st.lists(fraction_coords, min_size=ring.degree, max_size=ring.degree)
+    return ring, draw(coords), draw(coords), draw(fraction_coords)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ring_elements())
+def test_int_coordinates_match_fraction_reference(case):
+    ring, a, b, q = case
+    x, y = ring(tuple(a)), ring(tuple(b))
+    expected = [
+        (x, a), (y, b),
+        (x + y, [s + t for s, t in zip(a, b)]),
+        (x - y, [s - t for s, t in zip(a, b)]),
+        (x * y, ref_mul(ring, a, b)),
+        (x * q, [s * q for s in a]),
+        (x * 3, [s * 3 for s in a]),
+        (x.conj(), ref_conj(ring, a)),
+    ]
+    if any(b):
+        expected += [(y.inverse(), ref_inverse(ring, b)),
+                     (x / y, ref_mul(ring, a, ref_inverse(ring, b)))]
+    if q:
+        expected.append((x / q, [s / q for s in a]))
+    for got, want in expected:
+        assert_lowest_terms(got)
+        assert list(got.coords) == want
+    assert x.norm() == ref_det(ref_mult_matrix(ring, a))
+    assert x.denominator() == math.lcm(*(c.denominator for c in a))
+    assert x.is_integral() == all(c.denominator == 1 for c in a)
+    # equal values built two ways are equal and hash alike
+    for left, right in [((x / 6) * 3, x / 2), (x * Fraction(1, 2), x / 2),
+                        ((x + y) - y, x), (ring(tuple(x.coords)), x)]:
+        assert left == right and hash(left) == hash(right)
+    with pytest.raises(ZeroDivisionError):
+        ring.zero.inverse()
+    for zero in (0, Fraction(0), ring.zero):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
 
 
 def test_ring_axioms_bulk(all_rings):
