@@ -42,7 +42,7 @@ def cmd_homology(args):
     rows, skipped = homology.homology_table(
         args.field, args.norm_max, pres_file=args.presentation,
         matrices_file=args.matrices, budget=args.budget,
-        index_cap=args.index_cap if not args.big else 10 ** 9)
+        index_cap=args.index_cap)
     if args.format == "json":
         payload = {
             "field": args.field,
@@ -236,14 +236,12 @@ def build_parser():
     p = sub.add_parser("homology", help="congruence-kernel homology table")
     p.add_argument("--field", type=int, default=1,
                    help="imaginary quadratic field d (1, 2, 3, 7, 11)")
-    p.add_argument("--norm-max", type=int, default=13)
+    p.add_argument("--norm-max", type=_count, default=13)
     p.add_argument("--presentation", help="presentation file override")
     p.add_argument("--matrices",
                    help="generator matrices file (JSON with a scheme block)")
     p.add_argument("--budget", type=_budget, default=10 ** 7)
-    p.add_argument("--index-cap", type=int, default=50_000)
-    p.add_argument("--big", action="store_true",
-                   help="lift the index cap (research scale; may run long)")
+    p.add_argument("--index-cap", type=_count, default=50_000)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("check-identities", help="run the exact identity suite")

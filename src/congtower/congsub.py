@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,55 +135,47 @@ class SchemeFormPreserving:
 # closure and orbits
 
 
-def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, predicate=None,
-                  canon=None):
-    """BFS closure of generator matrices; returns the element list in
-    deterministic (discovery from sorted generators) order.
+@dataclass
+class Closure:
+    """A finite group, identity first, then in BFS order, with its right
+    Cayley action: ``elements[action[g][i]]`` is canon(elements[i] * g)
+    for each canonical generator g.  ``len()`` is the group order."""
+    elements: list
+    action: dict
 
-    The result is independent of generator order: elements are a set; the
-    returned list is sorted canonically before being handed back.  ``canon``
-    optionally canonicalizes products (quotient by a central subgroup).
+    def __len__(self):
+        return len(self.elements)
+
+
+def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None):
+    """BFS closure of generator matrices from the identity, recording the
+    position of every product it forms as the Closure's action.
+
+    No inverses are needed: in a finite group the monoid the generators
+    generate is the whole group.  The distinct canonical generators are
+    tried in sorted order, so the result does not depend on the order of
+    ``gens``.  ``canon`` optionally canonicalizes products (quotient by a
+    central subgroup).
     """
-    n = len(gens[0])
     if canon is None:
         canon = lambda m: m
-    ident = canon(rmat_identity(R, n))
     gens = sorted({canon(g) for g in gens})
-    if predicate is not None:
-        for g in gens:
-            if not predicate(R, g):
-                raise InputError("generator fails the scheme predicate")
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = canon(rmat_mul(R, a, g))
-                if b not in seen:
-                    seen.add(b)
-                    new.append(b)
-                    if len(seen) > budget:
-                        raise BudgetExceeded(
-                            "group closure exceeded budget %d" % budget,
-                            estimate=len(seen), budget=budget)
-        frontier = new
-    return sorted(seen)
-
-
-def right_permutations(R, elements, gens, canon=None):
-    """Right-multiplication action of each generator on a closed element
-    list, as permutations of positions, with the identity moved to
-    position 0 (the base coset of a coset table).  ``canon`` is the
-    canonical form the elements were closed under, as in group_closure;
-    it applies to the identity and to every product."""
-    if canon is None:
-        canon = lambda m: m
-    ident = canon(rmat_identity(R, len(gens[0])))
-    elems = [ident] + [m for m in elements if m != ident]
-    index = {m: i for i, m in enumerate(elems)}
-    return [tuple(index[canon(rmat_mul(R, m, g))] for m in elems)
-            for g in gens]
+    elements = [canon(rmat_identity(R, len(gens[0])))]
+    index = {elements[0]: 0}
+    columns = [[] for _ in gens]
+    for a in elements:          # the list grows as it is walked: a BFS queue
+        for g, column in zip(gens, columns):
+            b = canon(rmat_mul(R, a, g))
+            pos = index.get(b)
+            if pos is None:
+                pos = index[b] = len(elements)
+                elements.append(b)
+                if len(elements) > budget:
+                    raise BudgetExceeded(
+                        "group closure exceeded budget %d" % budget,
+                        estimate=len(elements), budget=budget)
+            column.append(pos)
+    return Closure(elements, {g: tuple(c) for g, c in zip(gens, columns)})
 
 
 def orbit(R, gens, point, action="vector"):
@@ -246,6 +239,9 @@ class ReductionHom:
     in the finite quotient after reducing.  With projective=True the target
     is the quotient by the center {+-Id}: relators may evaluate to -Id over
     the ring, and residue matrices are canonicalized up to sign.
+
+    ``elements`` is group_closure's list of the image (identity first, then
+    BFS order); ``permutations`` reads the action it recorded.
     """
 
     def __init__(self, pres, gen_matrices, prime, k,
@@ -279,9 +275,11 @@ class ReductionHom:
         for rel in pres.relators:
             if self.image_of_word(rel) != rid:
                 raise InputError("relator fails in the quotient (internal error)")
-        self.elements = group_closure(self.R, self.images + self.image_inverses,
-                                      budget=budget, canon=self._canon)
-        self.order = len(self.elements)
+        closure = group_closure(self.R, self.images, budget=budget,
+                                canon=self._canon)
+        self.elements = closure.elements
+        self.order = len(closure)
+        self._action = closure.action
 
     def _canon(self, m):
         if not self.projective:
@@ -299,9 +297,8 @@ class ReductionHom:
 
     def permutations(self):
         """Right-multiplication action of each generator on the element
-        list, with the identity moved to position 0."""
-        return right_permutations(self.R, self.elements, self.images,
-                                  canon=self._canon)
+        list (identity at position 0), as recorded by the closure."""
+        return [self._action[g] for g in self.images]
 
 
 def compose_reduction(hom, lower_k):
@@ -489,7 +486,7 @@ def load_scheme_file(path):
 
 __all__ = [
     "SchemeSL", "SchemeFormPreserving", "ReductionHom",
-    "group_closure", "right_permutations", "orbit", "reduce_matrix",
+    "Closure", "group_closure", "orbit", "reduce_matrix",
     "rmat_identity", "rmat_mul", "rmat_det", "rmat_vec", "compose_reduction",
     "congruence_quotient_check", "pu_identity_congruent_count",
     "load_scheme_file", "CLOSURE_BUDGET_DEFAULT",

@@ -7,6 +7,9 @@ invariants of the level-p congruence kernel:
     reduction hom -> finite image (closure) -> coset action table ->
     Reidemeister-Schreier presentation -> Smith normal form.
 
+The closure lists the image identity first, then in BFS order, and its
+recorded right action is the coset table: no product is formed twice.
+
 Presentations are data: the SL2(Z[i]) one is bundled (classical); the
 others carry their provenance and are revalidated against the relator
 matrices at load time.
@@ -107,13 +110,22 @@ class HomologyRow:
         }
 
 
+def kernel_presentation(pres, matrices, prime, k=1, projective=False,
+                        budget=10 ** 7):
+    """ker(G -> image mod p^k) for the presented group G: reduction hom
+    (relators checked on the matrices) -> coset table -> Reidemeister-
+    Schreier.  Returns (image order, presentation, generator words)."""
+    hom = congsub.ReductionHom(pres, matrices, prime, k, budget=budget,
+                               projective=projective)
+    table = coset.table_from_permutations(pres, hom.permutations())
+    sub, gen_words = coset.reidemeister_schreier(pres, table)
+    return hom.order, sub, gen_words
+
+
 def congruence_kernel_invariants(pres, matrices, prime, budget=10 ** 7):
     """Abelian invariants of ker(G -> image mod p) for the presented group."""
-    hom = congsub.ReductionHom(pres, matrices, prime, 1, budget=budget)
-    table = coset.table_from_permutations(pres, hom.permutations())
-    sub, _ = coset.reidemeister_schreier(pres, table)
-    inv = sub.abelianization()
-    return inv, hom.order
+    order, sub, _ = kernel_presentation(pres, matrices, prime, budget=budget)
+    return sub.abelianization(), order
 
 
 def sl2_image_order(norm):
@@ -267,10 +279,10 @@ def o41_two_stage(progress=None):
     Stage 1 computes Gamma(2) as the mod-2 congruence kernel of the
     reflection group (index = mod-2 image order, computed by closure) and
     simplifies its presentation; stage 2 computes Gamma(4) as the mod-4
-    kernel inside Gamma(2) and abelianizes it.  Returns a report dict.
+    kernel inside Gamma(2) (its matrices checked against the simplified
+    relators) and abelianizes it.  Returns a report dict.
     """
     from .presentations import tietze_simplify
-    from .rings import residue_ring
 
     def note(msg):
         if progress:
@@ -280,10 +292,8 @@ def o41_two_stage(progress=None):
     prime = factor_rational_prime(ring, 2)[0]
     pres = coxeter_presentation()
     mats = catalog.o41_reflections()
-    hom2 = congsub.ReductionHom(pres, mats, prime, 1)
-    note("mod-2 image order %d" % hom2.order)
-    table2 = coset.table_from_permutations(pres, hom2.permutations())
-    sub2, gen_words2 = coset.reidemeister_schreier(pres, table2)
+    index2, sub2, gen_words2 = kernel_presentation(pres, mats, prime)
+    note("mod-2 image order %d" % index2)
     simp2 = tietze_simplify(sub2)
     note("Gamma(2) simplified to %d generators" % simp2.ngens)
     inv2 = simp2.abelianization()
@@ -294,28 +304,23 @@ def o41_two_stage(progress=None):
         congsub.evaluate_word(mats, inverses, gen_words2[int(nm[1:])], ident)
         for nm in simp2.generators
     ]
-    R4 = residue_ring(prime, 2)
-    imgs = [congsub.reduce_matrix(R4, m) for m in g2_mats]
-    elements = congsub.group_closure(R4, imgs)
-    note("Gamma(2) mod 4 image order %d" % len(elements))
-    perms = congsub.right_permutations(R4, elements, imgs)
-    table4 = coset.table_from_permutations(simp2, perms)
-    sub4, _ = coset.reidemeister_schreier(simp2, table4)
+    index4, sub4, _ = kernel_presentation(simp2, g2_mats, prime, k=2)
+    note("Gamma(2) mod 4 image order %d" % index4)
     note("Gamma(4) raw presentation: %d generators" % sub4.ngens)
     inv4 = sub4.abelianization()
     return {
-        "index_gamma2": hom2.order,
+        "index_gamma2": index2,
         "gamma2_generators": simp2.ngens,
         "gamma2_abelianization": str(inv2),
-        "index_gamma4_in_gamma2": len(elements),
+        "index_gamma4_in_gamma2": index4,
         "gamma4_abelianization": inv4,
     }
 
 
 __all__ = [
-    "sl2_lift", "congruence_kernel_invariants", "homology_table",
-    "sl2_presentation_and_matrices", "primes_up_to_norm", "conjugate_dedup",
-    "sl2_image_order", "HomologyRow", "bundled_presentation", "data_dir",
+    "sl2_lift", "kernel_presentation", "congruence_kernel_invariants",
+    "homology_table", "sl2_presentation_and_matrices", "primes_up_to_norm",
+    "conjugate_dedup", "sl2_image_order", "HomologyRow", "bundled_presentation", "data_dir",
     "DATA_ENV_VAR", "PRESENTATION_FILES", "coxeter_presentation",
     "o41_two_stage",
 ]

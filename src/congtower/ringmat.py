@@ -138,13 +138,14 @@ def preserves_form(m, form, kind):
 
 
 def congruent_to_identity(m, prime, level):
-    """Entrywise p-adic check that m = Id mod p^level (localized valuations)."""
+    """Entrywise p-adic check that m = Id mod p^level: each entry of
+    m - Id has valuation >= level, asked as one lattice membership."""
     n = len(m)
     ring = m[0][0].ring
     for i in range(n):
         for j in range(n):
             e = m[i][j] - (ring.one if i == j else ring.zero)
-            if prime.valuation(e) < level:
+            if not prime.valuation_at_least(e, level):
                 return False
     return True
 

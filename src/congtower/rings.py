@@ -432,14 +432,15 @@ class PrimeIdeal:
             self._power_lattices[k] = tuple(tuple(r) for r in h[: n])
         return self._power_lattices[k]
 
-    def contains(self, x, k=1):
-        """Is x in p^k?  x must be integral."""
+    def valuation_at_least(self, x, level):
+        """Is v_p(x) >= level?  One lattice membership: for x = num/den,
+        num must lie in p^(level + e v_p(den)), and an exponent <= 0 asks
+        nothing of the integral num."""
         x = self.ring(x)
         if x.is_zero():
             return True
-        if not x.is_integral():
-            return False
-        return intmat.lattice_contains(self.power_lattice(k), x.int_coords())
+        k = level + self.e * _int_valuation(x.den, self.p)
+        return k <= 0 or intmat.lattice_contains(self.power_lattice(k), x.num)
 
     def valuation(self, x):
         """p-adic valuation on the fraction field; +inf on 0."""
@@ -566,7 +567,7 @@ def _small_generator_search(ideal):
         if not any(coords):
             continue
         x = ring(coords)
-        if abs(_as_int(x.norm())) == target and ideal.contains(x):
+        if abs(_as_int(x.norm())) == target and ideal.valuation_at_least(x, 1):
             probe = PrimeIdeal(ring, ideal.p, (x,), ideal.e, ideal.f)
             if probe.power_lattice(1) == ideal.power_lattice(1):
                 return x

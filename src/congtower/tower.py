@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CheckFailed, InputError
-from . import bttree, catalog, congsub, coset, homology, ringmat
+from . import bttree, catalog, homology, ringmat
 from .intmat import AbelianInvariants
 
 
@@ -152,18 +152,12 @@ class TowerConfig:
 
 def _magic_torsion():
     ring, prime = catalog.magic_ring_and_prime()
-    name = "psl2_d7.pres"
-    if homology.have_presentation(name):
-        pres = homology.bundled_presentation(name)
-        mats = homology._matrices_for(pres, ring)
-        hom = congsub.ReductionHom(pres, mats, prime, 1, projective=True)
-        table = coset.table_from_permutations(pres, hom.permutations())
-        sub, _ = coset.reidemeister_schreier(pres, table)
-        inv = sub.abelianization()
-        return inv, "computed", \
-            "kernel of PSL2(O_7) -> PSL2(F_2) abelianized via Reidemeister-Schreier"
-    return AbelianInvariants(3, ()), "declared", \
-        "H_1 of the norm-2 congruence kernel (3-chain link complement)"
+    pres = homology.bundled_presentation("psl2_d7.pres")
+    mats = homology._matrices_for(pres, ring)
+    _, sub, _ = homology.kernel_presentation(pres, mats, prime,
+                                             projective=True)
+    return sub.abelianization(), "computed", \
+        "kernel of PSL2(O_7) -> PSL2(F_2) abelianized via Reidemeister-Schreier"
 
 
 def _o41_torsion():

@@ -205,7 +205,6 @@ def test_criterion_9_property_sweep(rng):
     cases += tower.recheck_certificate(cert, prime, points=100)
     # canonicalize idempotence on random p-local matrices
     ctx = bttree.LocalContext(*catalog.magic_ring_and_prime())
-    from congtower import ringmat
     ring = ctx.ring
     for _ in range(300):
         rows = [[ring(rng.randint(-6, 6)) for _ in range(2)] for _ in range(2)]

@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -176,7 +175,6 @@ def test_oq_base_neighbors_match_published_representatives(oq):
     for cols in explicit:
         assert vert(cols) in nb_x0
     nb_xh = {v for (v, t, g) in oq.neighbors("xhalf", ident)}
-    from fractions import Fraction
     shear_image = vert([(1, 0, 0, 0, Fraction(1, 2)), (0, 1, 0, 0, 0),
                         (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
     assert nb_xh == {oq.bases["x0"], bttree.apartment_vertex(oq.ctx, 5, 2),

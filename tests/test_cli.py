@@ -180,6 +180,8 @@ def test_matrices_file_not_json_is_input_error(capsys, tmp_path):
     (["tree", "pgl2", "--radius", "-1"], "must be at least 0"),
     (["tree", "pgl2", "--budget", "0"], "must be at least 1"),
     ([], "required"),
+    (["homology", "--index-cap", "-1"], "must be at least 0"),
+    (["homology", "--norm-max", "-3"], "must be at least 0"),
 ])
 def test_usage_error_exits_input(capsys, argv, message):
     # argparse would exit 2, which here means a budget was exceeded
@@ -285,9 +287,10 @@ def _corrupt_entry(payload):
     (["check-identities"], lambda p: json.dumps({"ring": "rational"}),
      '"matrices" must list'),
     (["check-identities"], _corrupt_entry, "integrality or form"),
+    (["tower", "magic", "--steps", "2"], None, "not found"),
 ], ids=["not-json", "no-matrices", "wrong-ring", "four-matrices",
         "four-by-four", "missing", "identities-no-matrices",
-        "identities-corrupt-entry"])
+        "identities-corrupt-entry", "magic-missing-presentation"])
 def test_malformed_reflection_file_exits_input(capsys, tmp_path, monkeypatch,
                                                argv, edit, message):
     payload = _bundled_reflections()

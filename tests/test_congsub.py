@@ -83,6 +83,36 @@ def test_projective_hom_at_every_prime_over_5_and_13():
     assert str(sub.abelianization()) == "Z^6"
 
 
+def _right_products(hom):
+    # the reference: form every element x generator product anew and look
+    # up its position, as the permutations were built before the closure
+    # recorded its action
+    index = {m: i for i, m in enumerate(hom.elements)}
+    return [tuple(index[hom._canon(congsub.rmat_mul(hom.R, m, g))]
+                  for m in hom.elements)
+            for g in hom.images]
+
+
+def test_closure_records_the_right_action():
+    # elements[perm[k][i]] == canon(elements[i] * images[k]) for all i, k,
+    # with the canonical identity at position 0
+    from congtower import homology
+    ring = make_ring(1)
+    psl2 = homology.bundled_presentation("psl2_d1.pres")
+    cases = [
+        (homology.sl2_presentation_and_matrices(1),
+         factor_rational_prime(ring, 5)[0], False, 120),
+        ((psl2, homology._matrices_for(psl2, ring)),
+         next(q for q in factor_rational_prime(ring, 5)
+              if str(q.gens[-1]) == "1 + 2*sqrt(-1)"), True, 60),
+    ]
+    for (pres, mats), prime, projective, order in cases:
+        hom = congsub.ReductionHom(pres, mats, prime, 1, projective=projective)
+        assert hom.order == len(hom.elements) == order
+        assert hom.elements[0] == hom._canon(congsub.rmat_identity(hom.R, 2))
+        assert hom.permutations() == _right_products(hom)
+
+
 def test_quotient_check_elementary_abelian(gaussian_prime2):
     sch = congsub.SchemeSL(2)
     rep = congsub.congruence_quotient_check(sch, gaussian_prime2, 1, 2)

@@ -1,11 +1,9 @@
-import os
-
 import pytest
 
-from congtower import congsub, coset, homology, ringmat
+from congtower import congsub, homology, ringmat
 from congtower.errors import InputError
 from congtower.presentations import parse_presentation
-from congtower.rings import factor_rational_prime, make_ring
+from congtower.rings import make_ring
 
 
 def test_bundled_presentations_parse_and_validate():

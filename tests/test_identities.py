@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 from congtower import catalog, identities, ringmat
 from congtower.poly import poly_identity_test
 from congtower.rings import make_ring

@@ -1,6 +1,3 @@
-import itertools
-import random
-
 from hypothesis import example, given, settings, strategies as st
 
 from congtower import intmat
