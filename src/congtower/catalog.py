@@ -230,13 +230,6 @@ def pu21_gamma_template_scalars():
     pi = z - ring.one
     five = ring(5)
 
-    def u(*coeffs):
-        # coeffs are for powers z^0..z^3 after reducing z^4
-        acc = ring.zero
-        for k, c in enumerate(coeffs):
-            acc = acc + ring(c) * z ** k
-        return acc
-
     s = [[None] * 3 for _ in range(3)]
     s[0][0] = five
     s[0][1] = -(z ** 2 + 2 * z + ring.one) * pi ** 5

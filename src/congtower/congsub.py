@@ -3,8 +3,10 @@ breadth-first closures, congruence-kernel quotient checks, and orbit
 enumeration.
 
 Matrices over a residue ring are tuples of tuples of canonical residue
-representatives, so they hash and compare directly; all arithmetic lifts
-to the number ring and reduces back.  Every enumeration declares its cost
+representatives, so they hash and compare directly.  Each entry of a
+product is one ``ResidueRing.dot``: the exact int dot product of the
+representatives, reduced once; determinants and transposes are the
+``ringmat`` ones on the lift.  Every enumeration declares its cost
 estimate up front and refuses to start past the budget.
 """
 
@@ -37,58 +39,25 @@ def rmat_identity(R, n):
 
 
 def rmat_mul(R, a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = R.mul(a[i][0], b[0][j])
-            for t in range(1, k):
-                acc = R.add(acc, R.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """a * b, each entry one ``R.dot`` of a row and a column."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(R.dot(row, col) for col in cols) for row in a)
 
 
 def rmat_vec(R, a, v):
-    return tuple(
-        _dot(R, row, v) for row in a
-    )
-
-
-def _dot(R, row, v):
-    acc = R.mul(row[0], v[0])
-    for t in range(1, len(v)):
-        acc = R.add(acc, R.mul(row[t], v[t]))
-    return acc
+    return tuple(row[0] for row in rmat_mul(R, a, tuple((x,) for x in v)))
 
 
 def rmat_det(R, a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return R.sub(R.mul(a[0][0], a[1][1]), R.mul(a[0][1], a[1][0]))
-    acc = None
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
-        term = R.mul(a[0][j], rmat_det(R, minor))
-        if j % 2:
-            term = R.neg(term)
-        acc = term if acc is None else R.add(acc, term)
-    return acc
+    """The determinant of the lift, reduced: reduction is a ring map."""
+    return R.reduce(ringmat.det(tuple(tuple(R.lift(x) for x in row)
+                                      for row in a)))
 
 
 def rmat_conj_transpose(R, a):
     return tuple(
         tuple(R.involution(a[i][j]) for i in range(len(a))) for j in range(len(a[0]))
     )
-
-
-def rmat_transpose(a):
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +87,10 @@ class SchemeFormPreserving:
         self.special = special
         self.name = name or ("SU" if kind == "hermitian" else "O")
 
-    def reduced_form(self, R):
-        return tuple(tuple(R.reduce(x) for x in row) for row in self.form_rows)
-
     def check(self, R, m):
-        f = self.reduced_form(R)
-        left = rmat_conj_transpose(R, m) if self.kind == "hermitian" else rmat_transpose(m)
+        f = reduce_matrix(R, self.form_rows)
+        left = (rmat_conj_transpose(R, m) if self.kind == "hermitian"
+                else ringmat.transpose(m))
         if rmat_mul(R, rmat_mul(R, left, f), m) != f:
             return False
         if self.special and rmat_det(R, m) != R.one:
@@ -301,15 +268,6 @@ class ReductionHom:
         return [self._action[g] for g in self.images]
 
 
-def compose_reduction(hom, lower_k):
-    """Reduce the images of a level-k hom further to level j < k."""
-    R_low = residue_ring(hom.prime, lower_k)
-    return [
-        tuple(tuple(hom.R.reduce_to_level(R_low, x) for x in row) for row in img)
-        for img in hom.images
-    ]
-
-
 # ---------------------------------------------------------------------------
 # congruence quotient checks (the p-group lemma, verified by enumeration)
 
@@ -319,7 +277,9 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     its order, commutativity, exponent, and elementary-abelian-ness.
 
     The kernel is {Id + pi^j M}; candidates are parametrized by M over
-    O/p^(k-j) and filtered by the scheme predicate in O/p^k.
+    O/p^(k-j) and filtered by the scheme predicate in O/p^k.  The
+    candidate count is checked against the budget before the enumeration,
+    and the kernel order squared (the pair passes) before those passes.
     """
     if not (1 <= j <= k):
         raise InputError("need 1 <= j <= k")
@@ -362,6 +322,11 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
         if scheme.check(R, m):
             elements.append(m)
     order = len(elements)
+    # the pair passes below make up to order^2 products: declare them too
+    if order * order > budget:
+        raise BudgetExceeded(
+            "kernel of order %d needs %d pair products, over the budget"
+            % (order, order * order), estimate=order * order, budget=budget)
     elem_set = set(elements)
     abelian = True
     for a, b in itertools.combinations(elements, 2):
@@ -487,7 +452,7 @@ def load_scheme_file(path):
 __all__ = [
     "SchemeSL", "SchemeFormPreserving", "ReductionHom",
     "Closure", "group_closure", "orbit", "reduce_matrix",
-    "rmat_identity", "rmat_mul", "rmat_det", "rmat_vec", "compose_reduction",
+    "rmat_identity", "rmat_mul", "rmat_det", "rmat_vec",
     "congruence_quotient_check", "pu_identity_congruent_count",
     "load_scheme_file", "CLOSURE_BUDGET_DEFAULT",
 ]

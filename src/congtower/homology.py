@@ -273,7 +273,7 @@ def coxeter_presentation():
                                    "validated root reflections")
 
 
-def o41_two_stage(progress=None):
+def o41_two_stage():
     """Reflection group -> Gamma(2) -> Gamma(4), abelianized.
 
     Stage 1 computes Gamma(2) as the mod-2 congruence kernel of the
@@ -284,18 +284,12 @@ def o41_two_stage(progress=None):
     """
     from .presentations import tietze_simplify
 
-    def note(msg):
-        if progress:
-            progress(msg)
-
     ring = make_ring("rational")
     prime = factor_rational_prime(ring, 2)[0]
     pres = coxeter_presentation()
     mats = catalog.o41_reflections()
     index2, sub2, gen_words2 = kernel_presentation(pres, mats, prime)
-    note("mod-2 image order %d" % index2)
     simp2 = tietze_simplify(sub2)
-    note("Gamma(2) simplified to %d generators" % simp2.ngens)
     inv2 = simp2.abelianization()
 
     ident = ringmat.identity(ring, 5)
@@ -305,8 +299,6 @@ def o41_two_stage(progress=None):
         for nm in simp2.generators
     ]
     index4, sub4, _ = kernel_presentation(simp2, g2_mats, prime, k=2)
-    note("Gamma(2) mod 4 image order %d" % index4)
-    note("Gamma(4) raw presentation: %d generators" % sub4.ngens)
     inv4 = sub4.abelianization()
     return {
         "index_gamma2": index2,

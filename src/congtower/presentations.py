@@ -393,20 +393,18 @@ def _substring_shorten(relators):
     return relators
 
 
-def tietze_simplify(pres, max_passes=None):
+def tietze_simplify(pres):
     """Simplify by generator elimination and relator rewriting.
 
     Only Tietze moves are applied, so the group is unchanged up to
     isomorphism; the total relator length never increases.  Each pass
-    eliminates at most one generator, so the default pass budget is the
+    eliminates at most one generator, so the passes are bounded by the
     generator count (plus one stabilization pass).
     """
-    if max_passes is None:
-        max_passes = pres.ngens + 1
     names = list(pres.generators)
     relators = _normalize(list(pres.relators))
     shorten_due = True
-    for _ in range(max_passes):
+    for _ in range(pres.ngens + 1):
         # find the cheapest single-occurrence elimination
         total_occ = {}
         for rel in relators:

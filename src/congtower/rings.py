@@ -520,14 +520,9 @@ def _factor_monic_mod_p(coeffs, p):
                 changed = True
                 break
     deg = len(work) - 1
-    if deg == 0:
-        pass
-    elif deg in (2, 3):
+    if deg in (2, 3):
         # no roots left: degree-2 is irreducible; degree 3 with no roots is too
-        if deg == 2:
-            add(work)
-        else:
-            add(work)
+        add(work)
     elif deg == 4:
         found = False
         for b in range(p):
@@ -546,13 +541,33 @@ def _factor_monic_mod_p(coeffs, p):
     return [(list(k), m) for k, m in sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 
-def _small_generator_search(ideal):
-    """Look for a single generator: small coords, right norm, inside the ideal.
+def _norm_solutions(ring, target):
+    """Every coordinate pair (a, b) with N(a + b x) = target, x the generator
+    of an imaginary quadratic ring.  With x^2 + c1 x + c0 = 0,
+    4 N(a + b x) = (2a - c1 b)^2 + (4 c0 - c1^2) b^2, a positive definite
+    form, so b is bounded and each b leaves at most two a."""
+    c0, c1, _ = ring.min_poly
+    disc = 4 * c0 - c1 * c1
+    bound = math.isqrt(4 * target // disc)
+    out = []
+    for b in range(-bound, bound + 1):
+        rest = 4 * target - disc * b * b
+        t = math.isqrt(rest)
+        if t * t == rest:
+            out.extend(((s + c1 * b) // 2, b) for s in {t, -t}
+                       if (s + c1 * b) % 2 == 0)
+    return out
 
-    Candidates are ordered so that e.g. zeta-1 beats its unit multiples.
+
+def _single_generator_search(ideal):
+    """Look for a single generator: right norm, inside the ideal.
+
+    In an imaginary quadratic ring every element of the right norm is
+    tried, so a principal prime always gets its generator; elsewhere the
+    coordinates range over [-2, 2].  Candidates are ordered so that e.g.
+    zeta-1 beats its unit multiples.
     """
     ring = ideal.ring
-    n = ring.degree
     target = ideal.norm()
 
     def preference(t):
@@ -561,8 +576,11 @@ def _small_generator_search(ideal):
         return (sum(abs(c) for c in t), top, -t[top],
                 tuple(-c for c in t))
 
-    candidates = sorted(itertools.product(range(-2, 3), repeat=n),
-                        key=preference)
+    if ring.kind == IMAG_QUAD:
+        pool = _norm_solutions(ring, target)
+    else:
+        pool = itertools.product(range(-2, 3), repeat=ring.degree)
+    candidates = sorted(pool, key=preference)
     for coords in candidates:
         if not any(coords):
             continue
@@ -594,7 +612,7 @@ def factor_rational_prime(ring, p):
         for i, c in enumerate(fac):
             val = val + ring(c) * gen ** i
         ideal = PrimeIdeal(ring, p, (ring(p), val), mult, len(fac) - 1)
-        single = _small_generator_search(ideal)
+        single = _single_generator_search(ideal)
         if single is not None:
             ideal = PrimeIdeal(ring, p, (single,), mult, len(fac) - 1)
         ideals.append(ideal)
@@ -699,24 +717,18 @@ class ResidueRing:
     def add(self, a, b):
         return self.reduce_coords(tuple(x + y for x, y in zip(a, b)))
 
-    def sub(self, a, b):
-        return self.reduce_coords(tuple(x - y for x, y in zip(a, b)))
-
     def neg(self, a):
         return self.reduce_coords(tuple(-x for x in a))
 
     def mul(self, a, b):
         return self.reduce_coords(self.ring._mul_coords(a, b))
 
-    def pow(self, a, k):
-        out = self.one
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+    def dot(self, xs, ys):
+        """sum x_i y_i with one reduction: p^k is an ideal, so the exact int
+        sum of the representatives' products has the same residue."""
+        mul = self.ring._mul_coords
+        return self.reduce_coords(
+            [sum(c) for c in zip(*(mul(x, y) for x, y in zip(xs, ys)))])
 
     def is_unit(self, a):
         return self.prime.valuation(self.lift(a)) == 0 if a != self.zero else False
@@ -760,12 +772,6 @@ class ResidueRing:
         if not self.has_involution():
             raise InputError("conjugation does not preserve this ideal power")
         return self.reduce(self.lift(a).conj())
-
-    def reduce_to_level(self, other, a):
-        """Natural map O/p^k -> O/p^j for j < k."""
-        if other.prime is not self.prime or other.k > self.k:
-            raise InputError("not a coarser residue ring")
-        return other.reduce_coords(a)
 
     def __repr__(self):
         return "ResidueRing(N(p)=%d, k=%d, size=%d)" % (

@@ -115,7 +115,11 @@ def certify_containment(g, prime, a, b):
         min_valuation=min_val, passed=True)
 
 
-def recheck_certificate(cert, prime, rng=None, points=100, span=10):
+# Recheck points have integer entries in [-_RECHECK_SPAN, _RECHECK_SPAN].
+_RECHECK_SPAN = 10
+
+
+def recheck_certificate(cert, prime, rng=None, points=100):
     """Independent numeric re-verification at fresh random integer points.
 
     Evaluates the conjugation with plain matrix arithmetic and checks the
@@ -129,8 +133,8 @@ def recheck_certificate(cert, prime, rng=None, points=100, span=10):
     pi_a = prime.gens[0] ** cert.inner_level
     g_inv = ringmat.mat_inverse(g)
     for _ in range(points):
-        x = [[ring(rng.randrange(-span, span + 1)) for _ in range(n)]
-             for _ in range(n)]
+        x = [[ring(rng.randrange(-_RECHECK_SPAN, _RECHECK_SPAN + 1))
+              for _ in range(n)] for _ in range(n)]
         conj = _conjugate_generic(g, g_inv, pi_a, x)
         if not ringmat.congruent_to_identity(conj, prime, cert.outer_level):
             raise CheckFailed("certificate fails at a random point")
@@ -145,7 +149,6 @@ def recheck_certificate(cert, prime, rng=None, points=100, span=10):
 class TowerConfig:
     name: str
     model_factory: object
-    prime_factory: object
     level_j: int              # Gamma = Gamma(p^j)
     torsion_check: object     # () -> (AbelianInvariants, mode, note)
 
@@ -173,26 +176,13 @@ def _pu21_torsion():
         "cocompact unitary lattice (Z^60); source data, not recomputed here"
 
 
-def _magic_prime():
-    return catalog.magic_ring_and_prime()[1]
-
-
-def _o41_prime():
-    from .rings import make_ring, factor_rational_prime
-    return factor_rational_prime(make_ring("rational"), 2)[0]
-
-
-def _pu21_prime():
-    return catalog.pu21_ring_and_prime()[1]
-
-
 TOWER_EXAMPLES = {
-    "magic": TowerConfig("magic", bttree.pgl2_model, _magic_prime,
-                         level_j=1, torsion_check=_magic_torsion),
-    "o41": TowerConfig("o41", bttree.oq_model, _o41_prime,
-                       level_j=2, torsion_check=_o41_torsion),
-    "pu21": TowerConfig("pu21", bttree.su_model, _pu21_prime,
-                        level_j=2, torsion_check=_pu21_torsion),
+    "magic": TowerConfig("magic", bttree.pgl2_model, level_j=1,
+                         torsion_check=_magic_torsion),
+    "o41": TowerConfig("o41", bttree.oq_model, level_j=2,
+                       torsion_check=_o41_torsion),
+    "pu21": TowerConfig("pu21", bttree.su_model, level_j=2,
+                        torsion_check=_pu21_torsion),
 }
 
 
@@ -238,8 +228,8 @@ def build_tower(example, steps):
                          % (example, ", ".join(sorted(TOWER_EXAMPLES))))
     cfg = TOWER_EXAMPLES[example]
     model = cfg.model_factory()
-    prime = cfg.prime_factory()
     ctx = model.ctx
+    prime = ctx.prime
     base = model.bases[model.base_type]
     ident = ringmat.identity(ctx.ring, len(base))
     j = cfg.level_j

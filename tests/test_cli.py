@@ -51,6 +51,15 @@ def test_lemma22_budget_exit_code(capsys):
     assert code == cli.EXIT_BUDGET
 
 
+def test_lemma22_budget_covers_the_pair_passes(capsys):
+    # 256 candidates fit the budget, but the kernel has order 64 and its
+    # pair passes need 64^2 = 4096 products
+    code = cli.main(["lemma22", "SL2", "--prime", "1+i", "--j", "1",
+                     "--k", "3", "--budget", "1000"])
+    assert code == cli.EXIT_BUDGET
+    assert "4096 pair products" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("index", ["9", "-1"])
 def test_lemma22_prime_index_out_of_range(capsys, index):
     # 2 has a single prime above it in d=1
@@ -206,6 +215,15 @@ def test_tree_pgl2_at_ramified_prime(capsys):
     code, out = run_cli(capsys, "tree", "pgl2", "--p", "7", "--radius", "1")
     assert code == 0
     assert "valences: {'v': 8}" in out and "vertices: 9 " in out
+
+
+@pytest.mark.parametrize("p, vertices", [("3", 11), ("11", 13)])
+def test_tree_pgl2_at_primes_outside_the_small_box(capsys, p, vertices):
+    # 3 is inert in O_7 (generator 3), and the primes over 11 need a
+    # coordinate of size 3: both are principal, so both trees build
+    code, out = run_cli(capsys, "tree", "pgl2", "--p", p, "--radius", "1")
+    assert code == 0
+    assert "vertices: %d " % vertices in out
 
 
 # the d=1 generator matrices as a scheme file; a valid file runs

@@ -1,6 +1,9 @@
-import pytest
+import itertools
 
-from congtower import catalog, congsub
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from congtower import catalog, congsub, ringmat
 from congtower.errors import BudgetExceeded, InputError
 from congtower.rings import factor_rational_prime, make_ring, residue_ring
 
@@ -56,7 +59,9 @@ def test_reduction_hom_composition(gaussian_prime2):
     pres, mats = homology.sl2_presentation_and_matrices(1)
     hom2 = congsub.ReductionHom(pres, mats, gaussian_prime2, 2)
     hom1 = congsub.ReductionHom(pres, mats, gaussian_prime2, 1)
-    lowered = congsub.compose_reduction(hom2, 1)
+    # p^2 lies in p, so reducing level-2 representatives gives level 1
+    lowered = [tuple(tuple(hom1.R.reduce_coords(x) for x in row) for row in img)
+               for img in hom2.images]
     assert lowered == hom1.images
 
 
@@ -74,7 +79,7 @@ def test_projective_hom_at_every_prime_over_5_and_13():
             assert hom.order == p * (p * p - 1) // 2
             homs[str(prime.gens[-1])] = hom
     assert set(homs) == {"-1 + 2*sqrt(-1)", "1 + 2*sqrt(-1)",
-                         "5 + sqrt(-1)", "8 + sqrt(-1)"}
+                         "-2 + 3*sqrt(-1)", "2 + 3*sqrt(-1)"}
     # -Id is not in Gamma(p) off 2, so the PSL2 and SL2 kernels agree:
     # the published SL2 row (norm 5, rank 6)
     hom = homs["1 + 2*sqrt(-1)"]
@@ -184,3 +189,84 @@ def test_form_preserving_scheme(gaussian_prime2):
     shear = congsub.reduce_matrix(
         R, ((ring.one, ring.one), (ring.zero, ring.one)))
     assert not sch.check(R, shear)
+
+
+# residue rings for the matrix-arithmetic properties: O_1 mod (1+i)^4,
+# Z[zeta5] mod p^2, O_7 mod the prime over 2 that contains omega, Z/4
+RESIDUE_CASES = {
+    "O1 mod (1+i)^4": lambda: residue_ring(
+        factor_rational_prime(make_ring(1), 2)[0], 4),
+    "Z[zeta5] mod p^2": lambda: residue_ring(
+        factor_rational_prime(make_ring("cyclotomic-5"), 5)[0], 2),
+    "O7 mod p": lambda: residue_ring(catalog.magic_ring_and_prime()[1], 1),
+    "Z/4": lambda: residue_ring(
+        factor_rational_prime(make_ring("rational"), 2)[0], 2),
+}
+
+
+@st.composite
+def residue_matrices(draw):
+    """A residue ring and exact integral matrices A (n x k), B (k x m) and
+    S (n x n) over its number ring; sizes up to 5 over Z/4, else up to 3."""
+    case = draw(st.sampled_from(sorted(RESIDUE_CASES)))
+    R = RESIDUE_CASES[case]()
+    top = 5 if case == "Z/4" else 3
+    n, k, m = (draw(st.integers(1, top)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return tuple(tuple(
+            R.ring(tuple(draw(st.integers(-30, 30)) for _ in range(R.ring.degree)))
+            for _ in range(cols)) for _ in range(rows))
+    return R, matrix(n, k), matrix(k, m), matrix(n, n)
+
+
+def _leibniz_det(m):
+    # sum over permutations of sign * product: independent of the
+    # cofactor expansion in ringmat.det
+    ring = m[0][0].ring
+    n = len(m)
+    total = ring.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        term = ring.one
+        for i in range(n):
+            term = term * m[i][perm[i]]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_matrices())
+def test_residue_matrix_arithmetic_matches_exact_reference(case):
+    # reduction is a ring map: each residue result equals the exact
+    # result over the number ring, reduced
+    R, A, B, S = case
+    a, b = congsub.reduce_matrix(R, A), congsub.reduce_matrix(R, B)
+    assert congsub.rmat_mul(R, a, b) == congsub.reduce_matrix(
+        R, ringmat.mat_mul(A, B))
+    column = tuple((row[0],) for row in B)
+    assert congsub.rmat_vec(R, a, tuple(row[0] for row in b)) == tuple(
+        x for x, in congsub.reduce_matrix(R, ringmat.mat_mul(A, column)))
+    assert congsub.rmat_det(R, congsub.reduce_matrix(R, S)) == R.reduce(
+        _leibniz_det(S))
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUE_CASES))
+def test_rmat_mul_reduces_each_entry_once(case, monkeypatch):
+    # an n x k by k x m product makes exactly n * m reductions (a 5 x 5
+    # product: 25, where reducing every partial product and sum makes 225)
+    R = RESIDUE_CASES[case]()
+    calls = []
+    reduce_coords = R.reduce_coords
+    monkeypatch.setattr(R, "reduce_coords",
+                        lambda x: calls.append(x) or reduce_coords(x))
+    pool = list(itertools.islice(R.elements(), 7))
+    for n, k, m in ((5, 5, 5), (3, 4, 2), (1, 5, 1)):
+        a = tuple(tuple(pool[(i * k + t) % len(pool)] for t in range(k))
+                  for i in range(n))
+        b = tuple(tuple(pool[(t * m + j + 3) % len(pool)] for j in range(m))
+                  for t in range(k))
+        del calls[:]
+        congsub.rmat_mul(R, a, b)
+        assert len(calls) == n * m
