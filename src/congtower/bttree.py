@@ -5,7 +5,10 @@ canonical basis matrices: the column span over the localization at the
 prime, scaled so the minimal elementary-divisor exponent is 0 and put into
 Hermite form over the local ring with canonical residue representatives.
 All arithmetic is global and exact (entries in K with denominators only at
-the prime); two vertices are equal iff their canonical matrices are.
+the prime); two vertices are equal iff their canonical matrices are.  The
+local context caches the uniformizer powers pi^k, negative k included, so
+canonicalization divides by pi^v as a product with pi^-v and inverts only
+each pivot's unit.
 
 Tree models package a base vertex per type together with "moves": global
 group elements carrying the base vertex to each of its neighbors,
@@ -33,13 +36,18 @@ class LocalContext:
         if len(prime.gens) != 1:
             raise InputError("tree contexts need a principal prime")
         self.pi = prime.gens[0]
+        # pi^k for every k asked for; negative k are powers of pi^-1
+        self._pi_powers = {0: ring.one, 1: self.pi, -1: self.pi.inverse()}
         self._residue = {}
 
     def valuation(self, x):
         return self.prime.valuation(x)
 
     def uniformizer_power(self, k):
-        return self.pi ** k
+        """pi^k for any int k, made once per k and context."""
+        if k not in self._pi_powers:
+            self._pi_powers[k] = self._pi_powers[1 if k > 0 else -1] ** abs(k)
+        return self._pi_powers[k]
 
     def residue(self, k):
         if k not in self._residue:
@@ -78,15 +86,17 @@ def canonicalize(basis_matrix, ctx):
         if piv is None:
             raise InputError("basis matrix is singular")
         rows[col], rows[piv] = rows[piv], rows[col]
-        # normalize the pivot to an exact uniformizer power
-        unit = rows[col][col] / ctx.uniformizer_power(piv_val)
-        unit_inv = unit.inverse()
+        # normalize the pivot to an exact uniformizer power: the one
+        # inverse per pivot; every later division by pi^v multiplies by
+        # the cached pi^-v
+        piv_inv = ctx.uniformizer_power(-piv_val)
+        unit_inv = (rows[col][col] * piv_inv).inverse()
         rows[col] = [x * unit_inv for x in rows[col]]
         exps.append(piv_val)
         for r in range(col + 1, n):
             x = rows[r][col]
             if not x.is_zero():
-                f = x / rows[col][col]
+                f = x * piv_inv
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     # scale so the lattice is primitive: content = min valuation of any entry
     content = min(
@@ -99,11 +109,11 @@ def canonicalize(basis_matrix, ctx):
     # reduce entries above each pivot to canonical residue representatives;
     # ascending column order so later columns absorb the fixups
     for col in range(1, n):
-        piv_pow = ctx.uniformizer_power(exps[col])
+        piv_inv = ctx.uniformizer_power(-exps[col])
         for r in range(col):
             x = rows[r][col]
             rep = ctx.canonical_mod(x, exps[col])
-            diff = (x - rep) / piv_pow
+            diff = (x - rep) * piv_inv
             if not diff.is_zero():
                 rows[r] = [a - diff * b for a, b in zip(rows[r], rows[col])]
     # hand back in column convention

@@ -3,12 +3,15 @@ form-preservation predicates, and the JSON interchange format.
 
 Matrices are immutable tuples of tuples of RingElt.  Entries may sit in the
 fraction field (several of the built-in conjugators do); integrality is a
-property you ask about, not a constraint.
+property you ask about, not a constraint.  ``mat_mul`` works on the int
+numerators: each entry of a product is one ring dot product over a common
+denominator, normalized once, with no intermediate elements.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -39,17 +42,30 @@ def basis_points(ring, n):
             yield "E_(%d,%d)" % (i, j), tuple(tuple(row) for row in e_ij)
 
 
+def _over_common_den(elts):
+    """The elements' numerators over one common denominator, the lcm of
+    theirs, and that denominator."""
+    den = math.lcm(*(x.den for x in elts))
+    return [x.num if x.den == den else tuple(c * (den // x.den) for c in x.num)
+            for x in elts], den
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """a * b for an n x m and an m x k matrix.  Each row of a and column of
+    b is put over one common denominator once; entry (i, j) is then one
+    ``NumberRing.dot_coords`` of row i and column j over the product of
+    their denominators, so the product builds exactly n * k RingElts and
+    normalizes each once."""
+    ring = a[0][0].ring
+    if b[0][0].ring != ring:
+        raise InputError("element of %r used in %r" % (b[0][0].ring, ring))
+    dot = ring.dot_coords
+    cols = [_over_common_den(col) for col in zip(*b)]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        xs, xden = _over_common_den(row)
+        out.append(tuple(rings.RingElt(ring, dot(xs, ys), xden * yden)
+                         for ys, yden in cols))
     return tuple(out)
 
 

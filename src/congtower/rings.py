@@ -7,7 +7,10 @@ unity, and Z[d] with d^4 = 2d^2 + 4 (d = sqrt(1+sqrt5), used only by the
 base-change check).  Each ring is given by the minimal polynomial of its
 generator x, the image of x under conjugation, and its basis names; the
 multiplication table (the powers x^k, k < 2n - 1, reduced by the minimal
-polynomial) and the conjugation matrix are derived from them.
+polynomial) and the conjugation matrix are derived from them.  Products go
+through one kernel, ``NumberRing.dot_coords``: a sum of products is
+convolved unreduced and folded by the minimal polynomial once per dot, a
+single product being the one-term dot.
 
 Elements of the fraction field are int coordinates over the power basis
 plus one shared positive denominator, kept in lowest terms, so equal
@@ -139,22 +142,42 @@ class NumberRing:
 
     # -- element arithmetic (coordinate level) -------------------------
 
+    def dot_coords(self, xs, ys):
+        """Coordinates of sum_t x_t * y_t: int coordinate tuples in, an int
+        tuple out.  The polynomial products of all terms are summed
+        unreduced, up to x^(2n-2), and the powers x^k with k >= n are folded
+        back by the minimal polynomial once for the whole sum.  Degrees 1
+        and 2 write the same sum and fold out in closed form."""
+        n = self.degree
+        if n == 1:
+            return (sum([a * b for (a,), (b,) in zip(xs, ys)]),)
+        if n == 2:
+            s0 = s1 = s2 = 0
+            for (a0, a1), (b0, b1) in zip(xs, ys):
+                s0 += a0 * b0
+                s1 += a0 * b1 + a1 * b0
+                s2 += a1 * b1
+            # x^2 = -c0 - c1 x
+            c0, c1 = self.min_poly[0], self.min_poly[1]
+            return (s0 - c0 * s2, s1 - c1 * s2)
+        conv = [0] * (2 * n - 1)
+        for a, b in zip(xs, ys):
+            for i, ai in enumerate(a):
+                if ai:
+                    for k, bj in enumerate(b, i):
+                        if bj:
+                            conv[k] += ai * bj
+        out = conv[:n]
+        for k in range(n, 2 * n - 1):
+            c = conv[k]
+            if c:
+                for i, m in self._powers[k]:
+                    out[i] += c * m
+        return tuple(out)
+
     def _mul_coords(self, a, b):
         """Coordinates of a*b: int tuples in, an int tuple out."""
-        n = self.degree
-        out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n):
-                bj = b[j]
-                if not bj:
-                    continue
-                c = ai * bj
-                for k, m in self._powers[i + j]:
-                    out[k] += c * m
-        return tuple(out)
+        return self.dot_coords((a,), (b,))
 
     def _conj_coords(self, a):
         n = self.degree
@@ -725,10 +748,8 @@ class ResidueRing:
 
     def dot(self, xs, ys):
         """sum x_i y_i with one reduction: p^k is an ideal, so the exact int
-        sum of the representatives' products has the same residue."""
-        mul = self.ring._mul_coords
-        return self.reduce_coords(
-            [sum(c) for c in zip(*(mul(x, y) for x, y in zip(xs, ys)))])
+        dot product of the representatives has the same residue."""
+        return self.reduce_coords(self.ring.dot_coords(xs, ys))
 
     def is_unit(self, a):
         return self.prime.valuation(self.lift(a)) == 0 if a != self.zero else False

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from congtower import bttree, catalog, ringmat
+from congtower import bttree, catalog, ringmat, rings
 from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -67,6 +67,35 @@ def test_canonicalize_stabilizer_invariance(magic_ctx, rng):
         conj = ringmat.mat_mul(ringmat.mat_mul(swap, g),
                                ringmat.mat_inverse(swap))
         assert bttree.canonicalize(ringmat.mat_mul(conj, w), magic_ctx) == w
+
+
+@pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
+def test_uniformizer_powers_are_cached(request, name):
+    ctx = request.getfixturevalue(name).ctx
+    for k in range(-4, 5):
+        assert ctx.uniformizer_power(k) == ctx.pi ** k
+        assert ctx.uniformizer_power(k) is ctx.uniformizer_power(k)
+
+
+@pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
+def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch):
+    # every division by pi^v is a product with the cached pi^-v, which
+    # leaves one inverse per pivot unit
+    model = request.getfixturevalue(name)
+    ctx = model.ctx
+    base = model.bases[model.base_type]
+    graph = bttree.bfs_explore(model, 2)
+    pi_inv = ctx.uniformizer_power(-1)
+    inputs = [ringmat.mat_mul(frame, base) for frame in graph.frames]
+    inputs += [ringmat.mat_scale(m, pi_inv) for m in inputs[:8]]
+    calls = []
+    inverse = rings.RingElt.inverse
+    monkeypatch.setattr(rings.RingElt, "inverse",
+                        lambda self: calls.append(self) or inverse(self))
+    for m in inputs:
+        del calls[:]
+        bttree.canonicalize(m, ctx)
+        assert len(calls) <= len(m)
 
 
 def test_gl_adjacent_symmetric_irreflexive(magic_ctx):

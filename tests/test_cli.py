@@ -45,6 +45,18 @@ def test_lemma22_pass_and_output(capsys):
     assert payload["pass"] and payload["order"] == 64
 
 
+def test_lemma22_past_2j_reports_the_exponent_as_data(capsys):
+    # k = 3 > 2j: the lemma claims nothing of the kernel, which is neither
+    # abelian nor of exponent p; the verdict passes and the data stays
+    code, out = run_cli(capsys, "lemma22", "SL2", "--prime", "1+i",
+                        "--j", "1", "--k", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert (payload["order"], payload["exponent"]) == (64, 4)
+    assert payload["abelian"] is False
+
+
 def test_lemma22_budget_exit_code(capsys):
     code, _ = run_cli(capsys, "lemma22", "SL2", "--prime", "zeta5-1",
                       "--j", "1", "--k", "4", "--budget", "10")

@@ -1,9 +1,12 @@
+import functools
 import json
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from congtower import catalog, congsub, ringmat
+from congtower import catalog, congsub, ringmat, rings
 from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -15,6 +18,85 @@ def test_mat_mul_and_inverse():
     assert ringmat.mat_eq(ringmat.mat_mul(m, mi), ringmat.identity(ring, 2))
     with pytest.raises(InputError):
         ringmat.mat_inverse(ringmat.mat(ring, [[1, 1], [1, 1]]))
+
+
+RINGS = [make_ring(spec) for spec in ("rational", 1, 7, "cyclotomic-5")]
+RINGS.append(rings.NumberRing(rings.SQRT_1_PLUS_SQRT5))
+
+
+def fold_mat_mul(a, b):
+    """Each entry as the left fold of RingElt * and + over its terms: the
+    reference for the fused product."""
+    return tuple(
+        tuple(functools.reduce(operator.add, (x * y for x, y in zip(row, col)))
+              for col in zip(*b))
+        for row in a)
+
+
+# zero entries, and denominators mixed within a row and a column
+entry_coords = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 4, 5, 7, 12])))
+
+
+@st.composite
+def product_cases(draw):
+    ring = draw(st.sampled_from(RINGS))
+    n, m, k = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return tuple(tuple(ring(tuple(draw(entry_coords) for _ in range(ring.degree)))
+                           for _ in range(cols)) for _ in range(rows))
+
+    return matrix(n, m), matrix(m, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(product_cases())
+def test_mat_mul_matches_the_entrywise_fold(case):
+    a, b = case
+    assert ringmat.mat_mul(a, b) == fold_mat_mul(a, b)
+
+
+def test_mat_mul_two_by_two_times_column():
+    ring = make_ring(7)
+    w = ring.gen()
+    a = ((w / 2, ring.zero), (ring(Fraction(1, 3)), w * w / 6))
+    b = ((ring(Fraction(3, 4)),), (w / 5,))
+    got = ringmat.mat_mul(a, b)
+    assert len(got) == 2 and all(len(row) == 1 for row in got)
+    assert got == fold_mat_mul(a, b)
+    assert got[0][0] == w * 3 / 8
+
+
+def test_mat_mul_builds_one_ringelt_per_entry(monkeypatch):
+    # an n x m by m x k product constructs exactly n * k RingElts
+    cases = []
+    for ring in RINGS:
+        x = ring.gen()
+        pool = [x / 2, ring.zero, ring.one, x * x / 3, x + 1, ring(Fraction(5, 4))]
+        for n, m, k in ((2, 2, 1), (3, 4, 2), (5, 5, 5), (1, 3, 1)):
+            a = tuple(tuple(pool[(i * m + t) % 6] for t in range(m)) for i in range(n))
+            b = tuple(tuple(pool[(t * k + j + 1) % 6] for j in range(k)) for t in range(m))
+            cases.append((a, b, n * k))
+    built = []
+    init = rings.RingElt.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(rings.RingElt, "__init__", counting)
+    for a, b, entries in cases:
+        del built[:]
+        ringmat.mat_mul(a, b)
+        assert len(built) == entries
+
+
+def test_mat_mul_refuses_mixed_rings():
+    a = ringmat.identity(make_ring(1), 2)
+    with pytest.raises(InputError):
+        ringmat.mat_mul(a, ringmat.identity(make_ring(7), 2))
 
 
 def test_det_values():

@@ -188,6 +188,62 @@ def test_int_coordinates_match_fraction_reference(case):
             x / zero
 
 
+# -- the dot kernel against the per-term triple loop ------------------------
+
+def loop_mul_coords(ring, a, b):
+    """a*b by the triple loop over the reduced powers x^(i+j), one fold per
+    term pair: the reference for ``dot_coords``."""
+    n = ring.degree
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            c = a[i] * b[j]
+            for k, m in ring._powers[i + j]:
+                out[k] += c * m
+    return tuple(out)
+
+
+@st.composite
+def dot_terms(draw, ring):
+    coords = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * ring.degree)
+    count = draw(st.integers(0, 6))
+    terms = st.lists(coords, min_size=count, max_size=count)
+    return draw(terms), draw(terms)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dot_kernel_matches_triple_loop(ring, data):
+    # REFERENCE_RINGS spans every kind: degree 1, both quadratic minimal
+    # polynomial shapes, Z[zeta5] and Q(sqrt(1+sqrt5))
+    xs, ys = data.draw(dot_terms(ring))
+    want = [0] * ring.degree
+    for x, y in zip(xs, ys):
+        product = loop_mul_coords(ring, x, y)
+        assert ring._mul_coords(x, y) == product
+        want = [s + t for s, t in zip(want, product)]
+    assert ring.dot_coords(xs, ys) == tuple(want)
+    for x in xs:
+        cols = [loop_mul_coords(ring, x, tuple(int(i == j) for i in range(ring.degree)))
+                for j in range(ring.degree)]
+        assert ring.mult_matrix(x) == tuple(zip(*cols))
+
+
+def test_residue_dot_is_the_reduced_loop_sum(gaussian_prime2, zeta5_prime):
+    rng = random.Random(5)
+    for prime in (gaussian_prime2, zeta5_prime):
+        R = residue_ring(prime, 3)
+        pool = list(itertools.islice(R.elements(), 40))
+        for _ in range(50):
+            xs = [rng.choice(pool) for _ in range(3)]
+            ys = [rng.choice(pool) for _ in range(3)]
+            total = [0] * R.ring.degree
+            for x, y in zip(xs, ys):
+                total = [s + t for s, t in zip(total, loop_mul_coords(R.ring, x, y))]
+            assert R.dot(xs, ys) == R.reduce_coords(total)
+
+
 def test_ring_axioms_bulk(all_rings):
     # 10^4 random triples per ring: associativity, distributivity,
     # conjugation multiplicativity

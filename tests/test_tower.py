@@ -294,6 +294,50 @@ def test_one_certificate_per_swap_move(monkeypatch):
         assert any(ringmat.mat_eq(step.relative, w) for w, _h in data.moves)
 
 
+def _counting_rechecks(monkeypatch, fail=None):
+    """Record each recheck_certificate call; the certificate `fail`, if
+    given, fails its recheck."""
+    calls = []
+    recheck = tower.recheck_certificate
+
+    def counting(cert, prime, rng=None, points=100):
+        calls.append((cert, points))
+        if cert is fail:
+            raise CheckFailed("injected recheck failure")
+        return recheck(cert, prime, rng=rng, points=points)
+
+    monkeypatch.setattr(tower, "recheck_certificate", counting)
+    return calls
+
+
+def test_each_certificate_rechecked_once(monkeypatch):
+    calls = _counting_rechecks(monkeypatch)
+    data = tower.build_tower("magic", 10)
+    report = tower.tower_report(data, recheck_points=7, check_radius=False)
+    assert report["verdict"] == "PASS"
+    certs = {id(step.certificate) for step in data.steps[1:]}
+    assert len(certs) == 3 and len(calls) == 3
+    assert {id(cert) for cert, _ in calls} == certs
+    assert all(points == 7 for _, points in calls)
+    assert all(entry["reverified"] for entry in report["steps"][1:])
+
+
+def test_failed_recheck_reaches_every_step_citing_it(monkeypatch):
+    data = tower.build_tower("magic", 10)
+    certs = [step.certificate for step in data.steps[1:]]
+    shared = max(certs, key=lambda c: sum(c is d for d in certs))
+    citing = [s.n for s in data.steps[1:] if s.certificate is shared]
+    assert len(citing) > 1
+    calls = _counting_rechecks(monkeypatch, fail=shared)
+    report = tower.tower_report(data, recheck_points=5, check_radius=False)
+    assert report["verdict"] == "FAIL"
+    assert len(calls) == 3
+    assert [f["step"] for f in report["failures"]] == citing
+    assert all(f["reason"] == "injected recheck failure" for f in report["failures"])
+    for entry in report["steps"][1:]:
+        assert entry["reverified"] == (entry["n"] not in citing)
+
+
 @pytest.mark.parametrize("example, steps, radius", [
     ("magic", 3, 1), ("magic", 9, 2), ("magic", 10, 2),
     ("o41", 3, 0), ("o41", 10, 1),
