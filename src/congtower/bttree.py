@@ -19,6 +19,7 @@ what the tower construction consumes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -380,9 +381,10 @@ def _su_stab_gens(ring):
     # u(x, y) = [[1, -conj(x), y], [0, 1, x], [0, 0, 1]], y + conj(y) = -x conj(x)
     found = []
     prime = factor_rational_prime(ring, 5)[0]
+    traces = _box_traces(ring)
     for x in (one, z, z - one, pi, pi * z, pi * z ** 2):
         target = -(x * x.conj())
-        y = _solve_trace(ring, target, prime)
+        y = _solve_trace(ring, traces, target, prime)
         if y is not None:
             upper = ((one, -x.conj(), y), (zero, one, x), (zero, zero, one))
             lower = ((one, zero, zero), (x, one, zero), (y, -x.conj(), one))
@@ -396,17 +398,29 @@ def _su_stab_gens(ring):
     return gens, h0
 
 
-def _solve_trace(ring, target, prime):
-    """Small integral y with y + conj(y) = target, minimizing v_p(y)."""
-    import itertools
+def _box_traces(ring):
+    """The int coordinates of y + conj(y) for each integral y with
+    coordinates in [-2, 2], mapped to those y in ``itertools.product``
+    order."""
+    traces = {}
+    for coords in itertools.product(range(-2, 3), repeat=ring.degree):
+        trace = tuple(a + b for a, b in zip(coords, ring._conj_coords(coords)))
+        traces.setdefault(trace, []).append(coords)
+    return traces
+
+
+def _solve_trace(ring, traces, target, prime):
+    """Small integral y with y + conj(y) = target, minimizing v_p(y): the
+    first such y of the box, in ``_box_traces`` order, of least valuation."""
+    if target.den != 1:
+        return None
     best = None
     best_val = None
-    for coords in itertools.product(range(-2, 3), repeat=ring.degree):
+    for coords in traces.get(target.num, ()):
         y = ring(coords)
-        if y + y.conj() == target:
-            v = prime.valuation(y)
-            if best_val is None or v < best_val:
-                best, best_val = y, v
+        v = prime.valuation(y)
+        if best_val is None or v < best_val:
+            best, best_val = y, v
     return best
 
 

@@ -13,7 +13,6 @@ estimate up front and refuses to start past the budget.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,8 +277,18 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
 
     The kernel is {Id + pi^j M}; candidates are parametrized by M over
     O/p^(k-j) and filtered by the scheme predicate in O/p^k.  The
-    candidate count is checked against the budget before the enumeration,
-    and the kernel order squared (the pair passes) before those passes.
+    candidate count is checked against the budget before the enumeration.
+
+    The group passes work on a generating set.  Walking the kernel set,
+    each element not yet in <gens> joins gens and <gens> is closed again;
+    every closure must stay inside the kernel set, and at the end
+    |<gens>| = order proves the set is a group.  It is abelian exactly
+    when the generators commute pairwise, and each element's order comes
+    from repeated p-th powers.  Each new generator at least doubles
+    <gens>, so there are at most r = ceil(log2 order) of them: the
+    closures and commutators make at most 2 * order * r products and the
+    powers at most 2 * order * r more, a bound checked against the budget
+    before the passes.
     """
     if not (1 <= j <= k):
         raise InputError("need 1 <= j <= k")
@@ -300,10 +309,7 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
         return report
     R = residue_ring(prime, k)
     Rdiff = residue_ring(prime, k - j)
-    ring = prime.ring
-    pi = prime.gens[0]
-    pi_j = pi ** j
-    ident = rmat_identity(R, n)
+    pi_j = prime.gens[0] ** j
     elements = []
     coords = list(Rdiff.elements())
     for combo in itertools.product(coords, repeat=n * n):
@@ -322,33 +328,25 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
         if scheme.check(R, m):
             elements.append(m)
     order = len(elements)
-    # the pair passes below make up to order^2 products: declare them too
-    if order * order > budget:
+    products = 4 * order * (order - 1).bit_length()    # 4 * order * ceil(log2 order)
+    if products > budget:
         raise BudgetExceeded(
-            "kernel of order %d needs %d pair products, over the budget"
-            % (order, order * order), estimate=order * order, budget=budget)
-    elem_set = set(elements)
-    abelian = True
-    for a, b in itertools.combinations(elements, 2):
-        if rmat_mul(R, a, b) != rmat_mul(R, b, a):
-            abelian = False
-            break
+            "kernel of order %d needs up to %d products, over the budget"
+            % (order, products), estimate=products, budget=budget)
+    ident = rmat_identity(R, n)
+    gens = _generating_set(R, elements, ident)
+    abelian = all(rmat_mul(R, a, b) == rmat_mul(R, b, a)
+                  for a, b in itertools.combinations(gens, 2))
+    p = prime.p
     exponent = 1
     for a in elements:
         o = 1
-        cur = a
-        while cur != ident:
-            cur = rmat_mul(R, cur, a)
-            o += 1
-            if o > order:
-                raise AssertionError("element order exceeds group order")
-        exponent = math.lcm(exponent, o)
-    # closure sanity: the kernel is a group
-    for a in elements[: min(len(elements), 50)]:
-        for b in elements[: min(len(elements), 50)]:
-            if rmat_mul(R, a, b) not in elem_set:
-                raise AssertionError("kernel set is not closed")
-    p = prime.p
+        while a != ident:       # a, a^p, a^(p^2), ... until Id
+            if o * p > order:
+                raise AssertionError("kernel is not a p-group")
+            a = _rmat_pow(R, a, p)
+            o *= p
+        exponent = max(exponent, o)
     report.update(
         order=order,
         abelian=abelian,
@@ -356,6 +354,40 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
         elementary_abelian=abelian and exponent == p,
     )
     return report
+
+
+def _generating_set(R, elements, ident):
+    """Generators of the set ``elements``, chosen greedily in order; raises
+    AssertionError unless the set is a group."""
+    members = set(elements)
+    gens = []
+    span = {ident}
+    for a in elements:
+        if a in span:
+            continue
+        gens.append(a)
+        try:
+            # a closure past len(members) elements cannot lie inside them
+            span = set(group_closure(R, gens, budget=len(members)).elements)
+        except BudgetExceeded:
+            raise AssertionError("kernel set is not closed") from None
+        if not span <= members:
+            raise AssertionError("kernel set is not closed")
+    if span != members:
+        raise AssertionError("kernel set is not closed")
+    return gens
+
+
+def _rmat_pow(R, a, e):
+    """a^e for e >= 1 by square-and-multiply: at most 2 log2(e) products."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else rmat_mul(R, out, a)
+        e >>= 1
+        if not e:
+            return out
+        a = rmat_mul(R, a, a)
 
 
 # ---------------------------------------------------------------------------

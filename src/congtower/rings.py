@@ -26,6 +26,7 @@ algebra.  No general ideal arithmetic beyond powers of primes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -121,11 +122,13 @@ class NumberRing:
         den = math.lcm(*(c.denominator for c in coords))
         return RingElt(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
-    @property
+    # elements are immutable, so each ring builds its zero and one once,
+    # on first read
+    @functools.cached_property
     def zero(self):
         return self(0)
 
-    @property
+    @functools.cached_property
     def one(self):
         return self(1)
 
@@ -582,16 +585,63 @@ def _norm_solutions(ring, target):
     return out
 
 
+def _trace_form_ball(lattice, bound):
+    """Every vector c of a row lattice in Z^4 (square upper-triangular HNF)
+    with T2(c) = 5 sum(c_i^2) - (sum c_i)^2 <= bound.
+
+    T2 is the trace form of Z[zeta5] on the power basis: sum over the
+    four embeddings of |sigma(x)|^2.  With a fifth coordinate fixed at 0
+    it is 5 sum(c_i^2) - (sum c_i)^2 over five values, and with K values
+    known (sum S, sum of squares Q) the least value over real choices of
+    the rest is 5 (K Q - S^2) / K.  Coordinates are fixed in order, each
+    over the integers that keep that least value within the bound and lie
+    in the residue class the HNF rows leave for it.
+    """
+    n = len(lattice)
+    out = []
+
+    def walk(prefix, acc, s, q):
+        m = len(prefix)
+        if m == n:
+            out.append(tuple(prefix))
+            return
+        # c joins the m + 1 known values: 5 (K+1) (q + c^2) - 5 (s + c)^2
+        # <= (K+1) bound with K = m + 1, i.e. a c^2 + b c + d <= 0
+        a, b = 5 * (m + 1), -10 * s
+        d = 5 * (m + 2) * q - 5 * s * s - (m + 2) * bound
+        disc = b * b - 4 * a * d
+        if disc < 0:
+            return
+        r = math.isqrt(disc)
+        lo, hi = (-b - r - 1) // (2 * a), (-b + r + 1) // (2 * a)
+        piv, t = lattice[m][m], acc[m]
+        for c in range(lo + (t - lo) % piv, hi + 1, piv):
+            if a * c * c + b * c + d <= 0:
+                y = (c - t) // piv
+                walk(prefix + [c], [x + y * h for x, h in zip(acc, lattice[m])],
+                     s + c, q + c * c)
+
+    walk([], [0] * n, 0, 0)
+    return out
+
+
 def _single_generator_search(ideal):
     """Look for a single generator: right norm, inside the ideal.
 
     In an imaginary quadratic ring every element of the right norm is
-    tried, so a principal prime always gets its generator; elsewhere the
-    coordinates range over [-2, 2].  Candidates are ordered so that e.g.
-    zeta-1 beats its unit multiples.
+    tried, so a principal prime always gets its generator.  Elsewhere the
+    coordinates first range over [-2, 2].  In Z[zeta5] the search then
+    goes on, complete, through the ideal's points x with
+    T2(x) <= 2 sqrt(5 N(p)): Q(zeta5) is CM with real unit phi, and
+    multiplying a generator x by a power of phi brings
+    |sigma1 x|^2 / |sigma2 x|^2 into [phi^-2, phi^2], where
+    T2(x) = 2 (|sigma1 x|^2 + |sigma2 x|^2) <= 2 (phi + 1/phi) sqrt(N(p)).
+    Each pool is tried in preference order, so that e.g. zeta-1 beats its
+    unit multiples, and the box keeps the generators it always found.
     """
     ring = ideal.ring
     target = ideal.norm()
+    lattice = ideal.power_lattice(1)
 
     def preference(t):
         support = [i for i, c in enumerate(t) if c]
@@ -599,20 +649,24 @@ def _single_generator_search(ideal):
         return (sum(abs(c) for c in t), top, -t[top],
                 tuple(-c for c in t))
 
+    def first_generator(pool):
+        for coords in sorted(pool, key=preference):
+            if not any(coords) or not intmat.lattice_contains(lattice, coords):
+                continue
+            x = ring(coords)
+            if abs(_as_int(x.norm())) == target:
+                probe = PrimeIdeal(ring, ideal.p, (x,), ideal.e, ideal.f)
+                if probe.power_lattice(1) == lattice:
+                    return x
+        return None
+
     if ring.kind == IMAG_QUAD:
-        pool = _norm_solutions(ring, target)
-    else:
-        pool = itertools.product(range(-2, 3), repeat=ring.degree)
-    candidates = sorted(pool, key=preference)
-    for coords in candidates:
-        if not any(coords):
-            continue
-        x = ring(coords)
-        if abs(_as_int(x.norm())) == target and ideal.valuation_at_least(x, 1):
-            probe = PrimeIdeal(ring, ideal.p, (x,), ideal.e, ideal.f)
-            if probe.power_lattice(1) == ideal.power_lattice(1):
-                return x
-    return None
+        return first_generator(_norm_solutions(ring, target))
+    x = first_generator(itertools.product(range(-2, 3), repeat=ring.degree))
+    if x is None and ring.kind == CYCLOTOMIC5:
+        # T2 is an integer: T2 <= 2 sqrt(5 N) is T2 <= isqrt(20 N)
+        x = first_generator(_trace_form_ball(lattice, math.isqrt(20 * target)))
+    return x
 
 
 def factor_rational_prime(ring, p):

@@ -281,3 +281,34 @@ def test_frames_carry_base_to_vertex(oq):
     for v, t, frame in zip(graph.vertices, graph.types, graph.frames):
         assert bttree.canonicalize(
             ringmat.mat_mul(frame, oq.bases[t]), oq.ctx) == v
+
+
+def _box_solve_trace(ring, target, prime):
+    # the reference: build every y of the [-2, 2] box and keep the first of
+    # least valuation among those with y + conj(y) = target
+    import itertools
+    best = best_val = None
+    for coords in itertools.product(range(-2, 3), repeat=ring.degree):
+        y = ring(coords)
+        if y + y.conj() == target:
+            v = prime.valuation(y)
+            if best_val is None or v < best_val:
+                best, best_val = y, v
+    return best
+
+
+def test_su_stab_gens_match_the_box_loop():
+    ring = make_ring("cyclotomic-5")
+    prime = factor_rational_prime(ring, 5)[0]
+    gens, _ = bttree._su_stab_gens(ring)
+    # after the torus unit, each upper u(x, y) is followed by its lower
+    uppers = gens[1::2]
+    expected = []
+    z, one = ring.zeta(), ring.one
+    pi = z - one
+    for x in (one, z, z - one, pi, pi * z, pi * z ** 2):
+        y = _box_solve_trace(ring, -(x * x.conj()), prime)
+        if y is not None:
+            expected.append((x, y))
+    assert len(expected) > 0
+    assert [(u[1][2], u[0][2]) for u in uppers] == expected

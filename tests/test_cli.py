@@ -65,11 +65,11 @@ def test_lemma22_budget_exit_code(capsys):
 
 def test_lemma22_budget_covers_the_pair_passes(capsys):
     # 256 candidates fit the budget, but the kernel has order 64 and its
-    # pair passes need 64^2 = 4096 products
+    # group passes are declared at up to 4 * 64 * log2(64) = 1536 products
     code = cli.main(["lemma22", "SL2", "--prime", "1+i", "--j", "1",
                      "--k", "3", "--budget", "1000"])
     assert code == cli.EXIT_BUDGET
-    assert "4096 pair products" in capsys.readouterr().err
+    assert "1536 products" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index", ["9", "-1"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,107 @@ def test_quotient_check_budget(zeta5_prime):
     sch = congsub.SchemeSL(2)
     with pytest.raises(BudgetExceeded):
         congsub.congruence_quotient_check(sch, zeta5_prime, 1, 4, budget=100)
+
+
+def _kernel_set(scheme, prime, j, k):
+    # the residue ring O/p^k and every Id + pi^j M, M over O/p^(k-j), that
+    # the scheme accepts
+    R, Rdiff = residue_ring(prime, k), residue_ring(prime, k - j)
+    pi_j = prime.gens[0] ** j
+    n = scheme.n
+    out = []
+    for combo in itertools.product(list(Rdiff.elements()), repeat=n * n):
+        m = tuple(tuple(
+            R.add(R.one if r == c else R.zero,
+                  R.reduce(pi_j * Rdiff.lift(combo[r * n + c])))
+            for c in range(n)) for r in range(n))
+        if scheme.check(R, m):
+            out.append(m)
+    return R, out
+
+
+def _pair_pass_reference(scheme, prime, j, k):
+    # the brute-force oracle: every pair is multiplied both ways and its
+    # product looked up, and each element is multiplied by itself until it
+    # reaches the identity
+    R, elements = _kernel_set(scheme, prime, j, k)
+    members = set(elements)
+    abelian = True
+    for a in elements:
+        for b in elements:
+            ab = congsub.rmat_mul(R, a, b)
+            assert ab in members
+            abelian = abelian and ab == congsub.rmat_mul(R, b, a)
+    ident = congsub.rmat_identity(R, scheme.n)
+    exponent = 1
+    for a in elements:
+        o, cur = 1, a
+        while cur != ident:
+            cur, o = congsub.rmat_mul(R, cur, a), o + 1
+        exponent = math.lcm(exponent, o)
+    return {"order": len(elements), "abelian": abelian, "exponent": exponent,
+            "elementary_abelian": abelian and exponent == prime.p}
+
+
+# (ring, rational prime, j, k); (1, 3) is past 2j and not abelian
+QUOTIENT_CASES = [(1, 2, 1, 2), (1, 2, 2, 3), (1, 2, 2, 4), (1, 2, 1, 3),
+                  ("cyclotomic-5", 5, 1, 2)]
+
+
+@pytest.mark.parametrize("field,p,j,k", QUOTIENT_CASES)
+def test_quotient_check_agrees_with_the_pair_passes(field, p, j, k):
+    prime = factor_rational_prime(make_ring(field), p)[0]
+    sch = congsub.SchemeSL(2)
+    rep = congsub.congruence_quotient_check(sch, prime, j, k)
+    ref = _pair_pass_reference(sch, prime, j, k)
+    assert {key: rep[key] for key in ref} == ref
+
+
+@pytest.mark.parametrize("field,p,j,k", QUOTIENT_CASES)
+def test_quotient_check_products_stay_within_the_declared_bound(
+        field, p, j, k, monkeypatch):
+    prime = factor_rational_prime(make_ring(field), p)[0]
+    sch = congsub.SchemeSL(2)
+    calls = []
+    rmat_mul = congsub.rmat_mul
+    monkeypatch.setattr(congsub, "rmat_mul",
+                        lambda R, a, b: calls.append(1) or rmat_mul(R, a, b))
+    rep = congsub.congruence_quotient_check(sch, prime, j, k)
+    # a budget that admits the candidates but not the group passes reports
+    # the declared product bound
+    with pytest.raises(BudgetExceeded) as exc:
+        congsub.congruence_quotient_check(sch, prime, j, k,
+                                          budget=rep["estimate"])
+    bound = exc.value.estimate
+    assert bound == 4 * rep["order"] * math.ceil(math.log2(rep["order"]))
+    assert len(calls) <= bound
+    if field == "cyclotomic-5":
+        assert len(calls) <= 1000
+
+
+class _Rejecting:
+    """SL2 with one kernel element taken out."""
+
+    name = "SL"
+    n = 2
+
+    def __init__(self, rejected):
+        self.rejected = rejected
+
+    def check(self, R, m):
+        return m != self.rejected and congsub.SchemeSL(2).check(R, m)
+
+
+def test_quotient_check_refuses_a_kernel_set_that_is_not_a_group(
+        gaussian_prime2):
+    R, elements = _kernel_set(congsub.SchemeSL(2), gaussian_prime2, 2, 4)
+    ident = congsub.rmat_identity(R, 2)
+    assert len(elements) == 64
+    for x in elements:
+        if x == ident:
+            continue
+        with pytest.raises(AssertionError):
+            congsub.congruence_quotient_check(_Rejecting(x), gaussian_prime2, 2, 4)
 
 
 def test_pu_identity_counts():

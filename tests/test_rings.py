@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congtower import catalog, rings
+from congtower import catalog, intmat, rings
 from congtower.errors import BudgetExceeded, InputError
 from congtower.rings import factor_rational_prime, make_ring, residue_ring
 
@@ -356,6 +356,72 @@ def test_every_imaginary_quadratic_prime_is_principal():
                 assert len(prime.gens) == 1, (d, p)
                 (g,) = prime.gens
                 assert abs(g.norm()) == prime.norm()
+
+
+# the generators the [-2, 2] box search found before the search in
+# Z[zeta5] was made complete, by rational prime, in factorization order
+ZETA5_BOX_GENERATORS = {
+    2: [(2, 0, 0, 0)], 5: [(-1, 1, 0, 0)],
+    11: [(2, 1, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (2, 0, 1, 0)],
+    31: [(-1, 2, 0, 0), (-2, 0, 1, 0), (-1, 0, 2, 0), (-2, 1, 0, 0)],
+    41: [(1, -1, 0, 2), (-1, -2, 1, 0), (-1, 2, 1, 0), (-1, 1, 0, 2)],
+    61: [(2, 0, -1, 2), (-1, 2, 2, 0), (2, -1, 0, 2), (-2, -2, 1, 0)],
+    71: [(1, -2, -1, 1), (2, -1, -1, 1), (1, -1, -1, 2), (1, -1, -2, 1)],
+}
+
+
+def test_every_zeta5_prime_is_principal():
+    # class number 1: every prime below 100 gets one generator, and the
+    # ones the box search found stay the same (zeta - 1 at 5)
+    E = make_ring("cyclotomic-5")
+    for p in range(2, 100):
+        if not rings._is_small_prime(p):
+            continue
+        ideals = factor_rational_prime(E, p)
+        for prime in ideals:
+            assert len(prime.gens) == 1, p
+            assert abs(prime.gens[0].norm()) == prime.norm()
+        if p in ZETA5_BOX_GENERATORS:
+            assert [q.gens[0].num for q in ideals] == ZETA5_BOX_GENERATORS[p]
+    assert str(factor_rational_prime(E, 5)[0].gens[0]) == "-1 + z"
+
+
+def _trace_form(c):
+    return 5 * sum(x * x for x in c) - sum(c) ** 2
+
+
+def test_trace_form_ball_is_complete():
+    # against a box past the bound: T2(c) >= sum(c_i^2), so |c_i| <= 5 when
+    # T2 <= 30; on Z^4 and on the lattices of primes over 5 and 11
+    E = make_ring("cyclotomic-5")
+    box = [c for c in itertools.product(range(-6, 7), repeat=4)
+           if _trace_form(c) <= 30]
+    lattices = [tuple(tuple(int(i == j) for j in range(4)) for i in range(4))]
+    lattices += [q.power_lattice(1) for p in (5, 11)
+                 for q in factor_rational_prime(E, p)]
+    for lattice in lattices:
+        for bound in (0, 4, 17, 30):
+            expected = sorted(c for c in box if _trace_form(c) <= bound
+                              and intmat.lattice_contains(lattice, c))
+            assert sorted(rings._trace_form_ball(lattice, bound)) == expected
+
+
+def test_ring_zero_and_one_are_built_once(monkeypatch):
+    # a fresh ring builds each on first read; later reads build nothing
+    ring = rings.NumberRing(rings.IMAG_QUAD, 7)
+    calls = []
+    init = rings.RingElt.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(rings.RingElt, "__init__", counted)
+    zero, one = ring.zero, ring.one
+    assert len(calls) == 2
+    assert ring.zero is zero and ring.one is one
+    assert len(calls) == 2
+    assert zero.is_zero() and one == 1
 
 
 def test_norm_solutions_complete():
