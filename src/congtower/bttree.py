@@ -76,14 +76,18 @@ def canonicalize(basis_matrix, ctx):
     # work on rows of the transpose (row span = column span of the input)
     rows = [[basis_matrix[i][j] for i in range(n)] for j in range(n)]
     rows = [[ring(x) for x in row] for row in rows]
+    at_least = ctx.prime.valuation_at_least
     exps = []
+    # row col is zero left of column col once the earlier columns are
+    # cleared, so the row operations start at column col
     for col in range(n):
-        piv = None
-        piv_val = None
+        # the first row of least valuation: past the first nonzero entry,
+        # one membership test against the least valuation so far
+        piv = piv_val = None
         for r in range(col, n):
-            v = ctx.valuation(rows[r][col])
-            if v is not math.inf and (piv_val is None or v < piv_val):
-                piv, piv_val = r, v
+            x = rows[r][col]
+            if not x.is_zero() and (piv is None or not at_least(x, piv_val)):
+                piv, piv_val = r, ctx.valuation(x)
         if piv is None:
             raise InputError("basis matrix is singular")
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -92,17 +96,22 @@ def canonicalize(basis_matrix, ctx):
         # the cached pi^-v
         piv_inv = ctx.uniformizer_power(-piv_val)
         unit_inv = (rows[col][col] * piv_inv).inverse()
-        rows[col] = [x * unit_inv for x in rows[col]]
+        rows[col][col:] = [x * unit_inv for x in rows[col][col:]]
         exps.append(piv_val)
         for r in range(col + 1, n):
             x = rows[r][col]
             if not x.is_zero():
                 f = x * piv_inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    # scale so the lattice is primitive: content = min valuation of any entry
-    content = min(
-        (ctx.valuation(x) for row in rows for x in row if not x.is_zero()),
-    )
+                rows[r][col:] = [a - f * b
+                                 for a, b in zip(rows[r][col:], rows[col][col:])]
+    # scale so the lattice is primitive: content = min valuation of any
+    # entry.  The pivots are the exact powers pi^exps, and each entry above
+    # them is tested against the least valuation so far.
+    content = min(exps)
+    for r in range(n):
+        for x in rows[r][r + 1:]:
+            if not x.is_zero() and not at_least(x, content):
+                content = ctx.valuation(x)
     if content:
         scale = ctx.uniformizer_power(-content)
         rows = [[x * scale for x in row] for row in rows]
@@ -116,7 +125,8 @@ def canonicalize(basis_matrix, ctx):
             rep = ctx.canonical_mod(x, exps[col])
             diff = (x - rep) * piv_inv
             if not diff.is_zero():
-                rows[r] = [a - diff * b for a, b in zip(rows[r], rows[col])]
+                rows[r][col:] = [a - diff * b
+                                 for a, b in zip(rows[r][col:], rows[col][col:])]
     # hand back in column convention
     return tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
 
@@ -592,7 +602,11 @@ def bfs_explore(model, radius, budget=100_000):
 
 
 def _vertex_key(v):
-    return tuple(tuple((c.numerator, c.denominator) for x in row for c in x.coords)
+    """Each row's coordinates as (numerator, denominator) pairs in lowest
+    terms: a coordinate a/den with g = gcd(a, den) gives (a // g, den // g),
+    the pair of Fraction(a, den)."""
+    return tuple(tuple((a // g, x.den // g)
+                       for x in row for a in x.num for g in (math.gcd(a, x.den),))
                  for row in v)
 
 

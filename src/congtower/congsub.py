@@ -15,10 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceeded, InputError
-from . import ringmat
+from . import intmat, ringmat
 from .rings import make_ring, residue_ring
 
 CLOSURE_BUDGET_DEFAULT = 10_000_000
@@ -310,23 +308,15 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     R = residue_ring(prime, k)
     Rdiff = residue_ring(prime, k - j)
     pi_j = prime.gens[0] ** j
-    elements = []
-    coords = list(Rdiff.elements())
-    for combo in itertools.product(coords, repeat=n * n):
-        m = []
-        idx = 0
-        for i in range(n):
-            row = []
-            for jj in range(n):
-                lift = Rdiff.lift(combo[idx])
-                entry = R.reduce(pi_j * lift)
-                base = R.one if i == jj else R.zero
-                row.append(R.add(base, entry))
-                idx += 1
-            m.append(tuple(row))
-        m = tuple(m)
-        if scheme.check(R, m):
-            elements.append(m)
+    # each entry is pi^j c for c over O/p^(k-j), plus 1 on the diagonal:
+    # those values are built once.  A product over the rows, each row a
+    # product over its entries, keeps the row-major lexicographic order of
+    # a product over all n * n entries.
+    off = [R.reduce(pi_j * Rdiff.lift(c)) for c in Rdiff.elements()]
+    diag = [R.add(R.one, e) for e in off]
+    rows = [list(itertools.product(*(diag if i == jj else off for jj in range(n))))
+            for i in range(n)]
+    elements = [m for m in itertools.product(*rows) if scheme.check(R, m)]
     order = len(elements)
     products = 4 * order * (order - 1).bit_length()    # 4 * order * ceil(log2 order)
     if products > budget:
@@ -396,38 +386,34 @@ def _rmat_pow(R, a, e):
 
 def pu_identity_congruent_count():
     """Count unitary matrices Id + eps*X over F_5[eps]/(eps^2) for the
-    reduced hermitian form [[3,1,0],[1,3,1],[0,1,3]], the scalars among
+    reduced hermitian form H = [[3,1,0],[1,3,1],[0,1,3]], the scalars among
     them, and the projective count.
 
-    Elements of the ring are pairs (a, b) = a + b*eps with eps^2 = 0 and
-    the involution eps -> -eps.  The unitarity condition M* H M = H is
-    evaluated exactly on all 5^9 candidate X by vectorized arithmetic on
-    the two components.
+    Elements of the ring are a + b*eps with eps^2 = 0 and the involution
+    eps -> -eps, so M = Id + eps X has M* = Id - eps X^T and
+    M* H M = H + eps (H X - X^T H).  H is symmetric, so unitarity is "H X
+    is symmetric mod 5": three linear equations in the 9 entries of X.
+    They are evaluated on the basis E_ab, and the solutions number
+    5^(9 - rank), the rank over F_5 of that 3 x 9 condition matrix being
+    its count of Smith divisors prime to 5.  The scalar solutions are the
+    scalars c * Id, c in F_5, that pass the same equations.
     """
-    H = np.array([[3, 1, 0], [1, 3, 1], [0, 1, 3]], dtype=np.int8)
-    # digit k of the base-5 counter cycles with period 5^(9-k)
-    base = np.arange(5, dtype=np.int8)
-    digits = np.stack(
-        [np.tile(np.repeat(base, 5 ** (8 - k)), 5 ** k) for k in range(9)],
-        axis=1,
-    )
-    X = digits.reshape(-1, 3, 3)
-    # M = Id + eps X and M* = Id - eps X^T (involution negates eps).
-    # Expanding M* H M over F_5[eps]/(eps^2): the eps^0 component is H
-    # identically, and the eps component is H X - X^T H, which is the whole
-    # unitarity condition.  H is symmetric, so the condition is that H X is
-    # symmetric; entries stay below 127, so int8 arithmetic is exact.
-    hx = np.matmul(H, X)
-    ok = np.ones(len(X), dtype=bool)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        ok &= (hx[:, i, j] - hx[:, j, i]) % 5 == 0
-    lift_count = int(ok.sum())
-    # scalar solutions: X = c * Id
-    scalar = np.ones(len(X), dtype=bool)
-    for off_pos in (1, 2, 3, 5, 6, 7):
-        scalar &= digits[:, off_pos] == 0
-    scalar &= (digits[:, 0] == digits[:, 4]) & (digits[:, 4] == digits[:, 8])
-    scalar_count = int((ok & scalar).sum())
+    p, n = 5, 3
+    H = ((3, 1, 0), (1, 3, 1), (0, 1, 3))
+
+    def asymmetry(X):
+        hx = [[sum(H[i][t] * X[t][jj] for t in range(n)) for jj in range(n)]
+              for i in range(n)]
+        return [hx[i][jj] - hx[jj][i] for i, jj in itertools.combinations(range(n), 2)]
+
+    columns = [asymmetry([[int((i, jj) == (a, b)) for jj in range(n)] for i in range(n)])
+               for a in range(n) for b in range(n)]
+    rank = sum(1 for d in intmat.snf(list(zip(*columns))) if d % p)
+    lift_count = p ** (n * n - rank)
+    scalar_count = sum(
+        1 for c in range(p)
+        if all(v % p == 0 for v in
+               asymmetry([[c * (i == jj) for jj in range(n)] for i in range(n)])))
     if scalar_count == 0 or lift_count % scalar_count:
         raise AssertionError("scalar subgroup does not divide the solution count")
     return {

@@ -10,14 +10,17 @@ multiplication table (the powers x^k, k < 2n - 1, reduced by the minimal
 polynomial) and the conjugation matrix are derived from them.  Products go
 through one kernel, ``NumberRing.dot_coords``: a sum of products is
 convolved unreduced and folded by the minimal polynomial once per dot, a
-single product being the one-term dot.
+single product being the one-term dot.  Multiplication by x alone (the
+reduced powers, the columns of a multiplication matrix) is a shift and one
+fold, ``NumberRing._times_gen``.
 
 Elements of the fraction field are int coordinates over the power basis
 plus one shared positive denominator, kept in lowest terms, so equal
 elements have equal representations and integrality is just "denominator
-1".  All element, residue and lattice arithmetic runs on ints; Fraction
-appears only at the edges: element construction, the ``coords`` view,
-scaling by a Fraction, and the value of ``norm``.
+1".  All element, residue and lattice arithmetic runs on ints, residue
+reduction and lifting included; Fraction appears only at the edges:
+element construction from Fractions, the ``coords`` view, scaling by a
+Fraction, and the value of ``norm``.
 
 Prime ideals are stored with their Z-lattice (HNF basis), which makes
 membership, valuations and residue rings O/p^k purely integer linear
@@ -74,14 +77,10 @@ class NumberRing:
         else:
             raise InputError("unsupported ring kind %r" % (kind,))
         n = self.degree = len(self.min_poly) - 1
-        # powers[k] = x^k reduced by the monic minimal polynomial:
-        # x * x^k shifts the coordinates up and replaces x^n by
-        # -(min_poly[0] + ... + min_poly[n-1] x^(n-1))
+        # powers[k] = x^k reduced by the monic minimal polynomial
         powers = [tuple(int(i == k) for i in range(n)) for k in range(n)]
         while len(powers) < 2 * n - 1:
-            prev = powers[-1]
-            powers.append(tuple((prev[i - 1] if i else 0) - prev[-1] * c
-                                for i, c in enumerate(self.min_poly[:n])))
+            powers.append(self._times_gen(powers[-1]))
         # x^i * x^j = x^(i+j), kept as its nonzero (coordinate, value) pairs
         self._powers = tuple(tuple((k, c) for k, c in enumerate(p) if c) for p in powers)
         # column j of the conjugation matrix is conj(x^j) = conj_gen^j
@@ -178,6 +177,13 @@ class NumberRing:
                     out[i] += c * m
         return tuple(out)
 
+    def _times_gen(self, a):
+        """Coordinates of x*a: the coordinates shift up and x^n is replaced
+        by -(min_poly[0] + ... + min_poly[n-1] x^(n-1))."""
+        top = a[-1]
+        return tuple((a[i - 1] if i else 0) - top * c
+                     for i, c in enumerate(self.min_poly[:-1]))
+
     def _mul_coords(self, a, b):
         """Coordinates of a*b: int tuples in, an int tuple out."""
         return self.dot_coords((a,), (b,))
@@ -189,12 +195,12 @@ class NumberRing:
         )
 
     def mult_matrix(self, a):
-        """Int matrix of y -> a*y over the integral basis (columns = a*b_j)
-        for int coordinates a."""
-        n = self.degree
-        cols = [self._mul_coords(a, tuple(int(t == j) for t in range(n)))
-                for j in range(n)]
-        return tuple(tuple(col[i] for col in cols) for i in range(n))
+        """Int matrix of y -> a*y over the integral basis (columns = a*x^j)
+        for int coordinates a; column j + 1 is x times column j."""
+        cols = [tuple(a)]
+        while len(cols) < self.degree:
+            cols.append(self._times_gen(cols[-1]))
+        return tuple(zip(*cols))
 
 
 class RingElt:
@@ -353,12 +359,15 @@ def _first_row_cofactors(m):
 
 
 def _int_det(m):
-    """Exact determinant of a square int matrix: direct up to 2 x 2, else by
+    """Exact determinant of a square int matrix: direct up to 3 x 3, else by
     cofactor expansion (the rings here have degree at most 4)."""
     if len(m) <= 2:
         if len(m) < 2:
             return m[0][0] if m else 1
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if len(m) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return sum(a * c for a, c in zip(m[0], _first_row_cofactors(m)))
 
 
@@ -734,6 +743,9 @@ class ResidueRing:
         for d in self.diag:
             self.size *= d
         assert self.size == prime.norm() ** k
+        # p^m with m = ceil(k/e) lies in p^k: the modulus for inverting
+        # denominators prime to p
+        self._den_modulus = prime.p ** -(-k // prime.e)
         self._inv_cache = {}
 
     # -- representatives ----------------------------------------------
@@ -751,23 +763,31 @@ class ResidueRing:
         return tuple(x)
 
     def reduce(self, elt):
-        """Reduce a ring element; any p-locally integral element of the
-        fraction field is accepted (localized reduction).
+        """Reduce a p-locally integral element x = num/den of the fraction
+        field to its representative mod p^k.
 
-        For x = n/m the representative r solves m r = n mod p^(k + v(m)),
-        an integer linear system; this works even when the denominator is
-        divisible by p at the conjugate primes.
+        - den = 1: reduce num against the lattice.
+        - den prime to p: reduce num * inv, where inv = den^-1 mod p^m for
+          the rational prime p and m = ceil(k/e).  This is exact:
+          num * inv - x = x (den inv - 1), x is locally integral, and
+          den inv - 1 is a multiple of p^m, which lies in the (e m)-th
+          power of the prime ideal, inside its k-th power.
+        - p | den: the representative r solves den r = num mod
+          p^(k + v(den)), an integer linear system; this works even when
+          the denominator is divisible by p at the conjugate primes.
+          InputError if x is not locally integral.
         """
         elt = self.ring(elt)
         num, den = elt.num, elt.den
         if den == 1:
             return self.reduce_coords(num)
+        if den % self.prime.p:
+            inv = pow(den, -1, self._den_modulus)
+            return self.reduce_coords(tuple(a * inv for a in num))
         if self.prime.valuation(elt) < 0:
             raise InputError("element %r is not locally integral at p" % (elt,))
         vm = self.prime.valuation(self.ring(den))
-        if vm == math.inf:
-            raise InputError("zero denominator")
-        lat = self.prime.power_lattice(self.k + int(vm))
+        lat = self.prime.power_lattice(self.k + vm)
         n = self.ring.degree
         rows = [
             [den if i == j else 0 for j in range(n)] + [lat[j][i] for j in range(n)]
@@ -779,13 +799,14 @@ class ResidueRing:
         return self.reduce_coords(sol[:n])
 
     def lift(self, rep):
-        return self.ring(rep)
+        return RingElt(self.ring, tuple(rep))
 
-    @property
+    # representatives are immutable tuples, so each is built once
+    @functools.cached_property
     def zero(self):
         return self.reduce_coords((0,) * self.ring.degree)
 
-    @property
+    @functools.cached_property
     def one(self):
         return self.reduce(self.ring.one)
 

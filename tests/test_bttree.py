@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from congtower import bttree, catalog, ringmat, rings
+from congtower import bttree, catalog, intmat, ringmat, rings
 from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -75,6 +75,23 @@ def test_uniformizer_powers_are_cached(request, name):
     for k in range(-4, 5):
         assert ctx.uniformizer_power(k) == ctx.pi ** k
         assert ctx.uniformizer_power(k) is ctx.uniformizer_power(k)
+
+
+@pytest.mark.parametrize("name", ["oq", "su"])
+def test_canonicalize_solves_no_integer_system(request, name, monkeypatch):
+    # the denominators canonicalize meets at these primes are prime to p,
+    # and a residue reduction inverts those mod a power of p
+    model = request.getfixturevalue(name)
+    calls = []
+    solve = intmat.solve_integer_linear
+    monkeypatch.setattr(intmat, "solve_integer_linear",
+                        lambda *args: calls.append(args) or solve(*args))
+    # exploring the ball canonicalizes every neighbour it meets
+    graph = bttree.bfs_explore(model, 2)
+    for v, t, frame in zip(graph.vertices, graph.types, graph.frames):
+        assert bttree.canonicalize(
+            ringmat.mat_mul(frame, model.bases[t]), model.ctx) == v
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
@@ -242,11 +259,14 @@ def test_bfs_counts_and_acyclicity(pgl2, oq, su):
     assert len(su2.vertices) == 1 + 6 + 30 and su2.is_tree()
 
 
-def test_vertex_key_is_reduced_fraction_coordinates(pgl2, oq):
+def test_vertex_key_is_reduced_fraction_coordinates(pgl2, oq, su):
     # bfs_explore orders each vertex's neighbours by this key, so the tree
-    # and tower JSON depend on it
-    for graph in (bttree.bfs_explore(pgl2, 3), bttree.bfs_explore(oq, 2)):
-        for v in graph.vertices:
+    # and tower JSON depend on it; the vertices are integral, so each is
+    # also keyed over the denominator 6
+    for graph in (bttree.bfs_explore(pgl2, 3), bttree.bfs_explore(oq, 2),
+                  bttree.bfs_explore(su, 2)):
+        for v in graph.vertices + [ringmat.mat_scale(v, Fraction(1, 6))
+                                   for v in graph.vertices]:
             coords = [[Fraction(c, x.den) for x in row for c in x.num] for row in v]
             assert bttree._vertex_key(v) == tuple(
                 tuple((f.numerator, f.denominator) for f in row) for row in coords)

@@ -251,11 +251,37 @@ def test_quotient_check_refuses_a_kernel_set_that_is_not_a_group(
             congsub.congruence_quotient_check(_Rejecting(x), gaussian_prime2, 2, 4)
 
 
+def _pu_counts_by_brute_force():
+    """The counts of ``pu_identity_congruent_count`` by testing all 5^9
+    matrices X: Id + eps X is unitary for H exactly when H X is
+    symmetric mod 5.  Entries stay below 127, so int8 arithmetic is exact."""
+    import numpy as np
+    H = np.array([[3, 1, 0], [1, 3, 1], [0, 1, 3]], dtype=np.int8)
+    # digit k of the base-5 counter cycles with period 5^(9-k)
+    base = np.arange(5, dtype=np.int8)
+    digits = np.stack(
+        [np.tile(np.repeat(base, 5 ** (8 - k)), 5 ** k) for k in range(9)],
+        axis=1,
+    )
+    hx = np.matmul(H, digits.reshape(-1, 3, 3))
+    ok = np.ones(len(digits), dtype=bool)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ok &= (hx[:, i, j] - hx[:, j, i]) % 5 == 0
+    # scalar solutions: X = c * Id
+    scalar = np.ones(len(digits), dtype=bool)
+    for off_pos in (1, 2, 3, 5, 6, 7):
+        scalar &= digits[:, off_pos] == 0
+    scalar &= (digits[:, 0] == digits[:, 4]) & (digits[:, 4] == digits[:, 8])
+    return int(ok.sum()), int((ok & scalar).sum())
+
+
 def test_pu_identity_counts():
     out = congsub.pu_identity_congruent_count()
     assert out["lift_count"] == 5 ** 6
     assert out["scalar_count"] == 5
     assert out["pu_count"] == 5 ** 5
+    lift_count, scalar_count = _pu_counts_by_brute_force()
+    assert (out["lift_count"], out["scalar_count"]) == (lift_count, scalar_count)
 
 
 def test_orbit_fixed_point(gaussian_prime2):

@@ -424,6 +424,13 @@ def test_ring_zero_and_one_are_built_once(monkeypatch):
     assert zero.is_zero() and one == 1
 
 
+def test_residue_zero_and_one_are_built_once(zeta5_prime):
+    R = rings.ResidueRing(zeta5_prime, 2)
+    zero, one = R.zero, R.one
+    assert R.zero is zero and R.one is one
+    assert zero == R.reduce(0) and one == R.reduce(1)
+
+
 def test_norm_solutions_complete():
     # every element of norm N in a box well past the bound, against the
     # solved enumeration
@@ -526,6 +533,51 @@ def test_residue_localized_reduction(gaussian_prime2):
     assert gaussian_prime2.valuation(y - R.lift(r2)) >= 2
     with pytest.raises(InputError):
         R.reduce(ring.one / 2)
+
+
+def localized_reduce(R, x):
+    """The residue of a locally integral x = num/den from the integer
+    system den r = num mod p^(k + v(den)): the reference for
+    ``ResidueRing.reduce``."""
+    prime, n = R.prime, R.ring.degree
+    lat = prime.power_lattice(R.k + prime.valuation(R.ring(x.den)))
+    rows = [[x.den if i == j else 0 for j in range(n)] + [lat[j][i] for j in range(n)]
+            for i in range(n)]
+    return R.reduce_coords(intmat.solve_integer_linear(rows, list(x.num))[:n])
+
+
+# (ring, rational prime, index among the primes over it): split, ramified
+# and inert primes
+REDUCTION_PRIMES = [(7, 2, 0), (7, 2, 1), (1, 5, 0), (1, 2, 0),
+                    ("cyclotomic-5", 5, 0), (1, 3, 0), (2, 5, 0)]
+
+
+@st.composite
+def locally_integral(draw, prime):
+    """(R, x): a residue ring O/p^k, k = 1..4, and x = pi^(e a) y / (p^a u)
+    with y integral and u prime to p, so x is locally integral.  Its
+    denominator is prime to p when a = 0, and divisible by p for some
+    a > 0 at a split prime; at a prime alone over p, local integrality
+    leaves no p in the denominator."""
+    ring, p = prime.ring, prime.p
+    R = residue_ring(prime, draw(st.integers(1, 4)))
+    y = ring(tuple(draw(st.lists(st.integers(-10 ** 4, 10 ** 4),
+                                 min_size=ring.degree, max_size=ring.degree))))
+    a = draw(st.integers(0, 2))
+    u = draw(st.integers(1, 10 ** 5).filter(lambda u: u % p))
+    return R, prime.gens[0] ** (prime.e * a) * y / (p ** a * u)
+
+
+@pytest.mark.parametrize("spec,p,index", REDUCTION_PRIMES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reduce_matches_the_localized_system(spec, p, index, data):
+    R, x = data.draw(locally_integral(factor_rational_prime(make_ring(spec), p)[index]))
+    assert R.prime.valuation(x) >= 0
+    r = R.reduce(x)
+    assert r == localized_reduce(R, x)
+    assert R.prime.valuation_at_least(x - R.lift(r), R.k)
+    assert R.lift(r) == R.ring(r)
 
 
 def test_enumeration_budget():
