@@ -131,77 +131,6 @@ def canonicalize(basis_matrix, ctx):
     return tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
 
 
-def transition_exponents(v, w, ctx):
-    """Elementary-divisor exponents (sorted) of the transition matrix
-    between two lattice representatives."""
-    t = ringmat.mat_mul(ringmat.mat_inverse(v), w)
-    n = len(t)
-    rows = [list(row) for row in t]
-    exps = []
-    for s in range(n):
-        piv = None
-        piv_val = None
-        for r in range(s, n):
-            for c in range(s, n):
-                val = ctx.valuation(rows[r][c])
-                if val is not math.inf and (piv_val is None or val < piv_val):
-                    piv, piv_val = (r, c), val
-        if piv is None:
-            raise InputError("singular transition")
-        r0, c0 = piv
-        rows[s], rows[r0] = rows[r0], rows[s]
-        for row in rows:
-            row[s], row[c0] = row[c0], row[s]
-        for r in range(s + 1, n):
-            x = rows[r][s]
-            if not x.is_zero():
-                f = x / rows[s][s]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[s])]
-        for c in range(s + 1, n):
-            x = rows[s][c]
-            if not x.is_zero():
-                f = x / rows[s][s]
-                for row in rows:
-                    row[c] = row[c] - f * row[s]
-        exps.append(piv_val)
-    return sorted(exps)
-
-
-def gl_adjacent(v, w, ctx):
-    """Ambient building adjacency: after homothety normalization the
-    transition exponents are all in {0,1} and not all equal."""
-    if len(v) != len(w):
-        raise InputError("dimension mismatch")
-    exps = transition_exponents(v, w, ctx)
-    lo = exps[0]
-    exps = [e - lo for e in exps]
-    return set(exps) <= {0, 1} and len(set(exps)) == 2
-
-
-def pgl2_neighbors(v, ctx):
-    """The p+1 neighbors of a vertex of the PGL2 tree (index-p sublattices)."""
-    if len(v) != 2:
-        raise InputError("pgl2 neighbors need 2x2 vertices")
-    ring = ctx.ring
-    p = ctx.prime.norm()
-    pi = ctx.pi
-    reps = [ctx.canonical_mod(ring(k), 1) for k in range(p)]
-    # canonical residue reps may repeat as ring elements only if p is wrong
-    mats = [((pi, r), (ring.zero, ring.one)) for r in reps]
-    mats.append(((ring.one, ring.zero), (ring.zero, pi)))
-    out = []
-    seen = set()
-    for m in mats:
-        w = canonicalize(ringmat.mat_mul(v, m), ctx)
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    if len(out) != p + 1:
-        raise AssertionError("expected %d distinct neighbors, got %d"
-                             % (p + 1, len(out)))
-    return out
-
-
 def standard_lattice(ring, n):
     return ringmat.identity(ring, n)
 
@@ -225,15 +154,6 @@ def apartment_vertex(ctx, n, r_twice):
         rows[i][i] = ring.one
     rows[n - 1][n - 1] = ctx.uniformizer_power(b)
     return canonicalize(tuple(tuple(r) for r in rows), ctx)
-
-
-def su_tree_vertex(r_twice):
-    """Apartment dictionary for the unitary tree over Z[zeta5]: the vertex
-    of the PGL3 building associated with the additive-norm apartment point
-    r (encoded as 2r, so psi between phi_0 and phi_1 is r_twice=1)."""
-    ring, prime = catalog.pu21_ring_and_prime()
-    ctx = LocalContext(ring, prime)
-    return apartment_vertex(ctx, 3, r_twice)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +270,7 @@ def oq_model():
     prime = factor_rational_prime(ring, 2)[0]
     ctx = LocalContext(ring, prime)
     x0 = standard_lattice(ring, 5)
-    half_rows = [[2 if i == j == 0 else (1 if i == j else 0) for j in range(5)]
-                 for i in range(5)]
-    xhalf = canonicalize(ringmat.mat(ring, half_rows), ctx)
+    xhalf = apartment_vertex(ctx, 5, 1)
     bases = {"x0": x0, "xhalf": xhalf}
     refl = _conjugated_reflections()
     g1 = catalog.o41_swap()
@@ -439,12 +357,8 @@ def su_model():
     over 5; vertex types 'v0' (standard lattice) and 'mid' (psi vertex)."""
     ring, prime = catalog.pu21_ring_and_prime()
     ctx = LocalContext(ring, prime)
-    pi = ctx.pi
     v0 = standard_lattice(ring, 3)
-    mid = canonicalize(ringmat.mat(
-        ring, [[pi, ring.zero, ring.zero],
-               [ring.zero, ring.one, ring.zero],
-               [ring.zero, ring.zero, ring.one]]), ctx)
+    mid = apartment_vertex(ctx, 3, 1)
     bases = {"v0": v0, "mid": mid}
     stab, h0 = _su_stab_gens(ring)
     g0 = catalog.pu21_swap()
@@ -611,8 +525,7 @@ def _vertex_key(v):
 
 
 __all__ = [
-    "LocalContext", "canonicalize", "transition_exponents", "gl_adjacent",
-    "pgl2_neighbors", "apartment_vertex", "su_tree_vertex",
+    "LocalContext", "canonicalize", "apartment_vertex",
     "standard_lattice", "TreeModel", "Move", "pgl2_model", "oq_model",
     "su_model", "bfs_explore", "TreeGraph",
 ]

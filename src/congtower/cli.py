@@ -171,11 +171,8 @@ def cmd_lemma22(args):
         raise InputError("--prime-index %d is out of range: %d has %d prime(s) "
                          "above it" % (args.prime_index, p, len(primes)))
     prime = primes[args.prime_index]
-    if args.scheme.upper() != "SL2":
-        raise InputError("only the SL2 scheme ships with the lemma checker")
-    scheme = congsub.SchemeSL(2)
     report = congsub.congruence_quotient_check(
-        scheme, prime, args.j, args.k, budget=args.budget)
+        congsub.SchemeSL(2), prime, args.j, args.k, budget=args.budget)
     # the verdict asks only what the lemma claims: abelian for k <= 2j,
     # elementary abelian for k = j + 1; the exponent, and everything past
     # 2j, are reported as data
@@ -240,7 +237,8 @@ def build_parser():
     p.add_argument("--norm-max", type=_count, default=13)
     p.add_argument("--presentation", help="presentation file override")
     p.add_argument("--matrices",
-                   help="generator matrices file (JSON with a scheme block)")
+                   help="SL2 generator matrices file (JSON, 2x2 matrices by "
+                        "generator name)")
     p.add_argument("--budget", type=_budget, default=10 ** 7)
     p.add_argument("--index-cap", type=_count, default=50_000)
     p.set_defaults(func=cmd_homology)
@@ -262,8 +260,7 @@ def build_parser():
     p.add_argument("--recheck-points", type=_count, default=100)
     p.set_defaults(func=cmd_tower)
 
-    p = sub.add_parser("lemma22", help="congruence quotient p-group checks")
-    p.add_argument("scheme", nargs="?", default="SL2")
+    p = sub.add_parser("lemma22", help="SL2 congruence quotient p-group checks")
     p.add_argument("--field", default="d=1")
     p.add_argument("--prime", default="1+i",
                    help="rational prime, or an alias like 1+i / zeta5-1")

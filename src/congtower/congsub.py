@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
 from . import intmat, ringmat
-from .rings import make_ring, residue_ring
+from .rings import residue_ring
 
 CLOSURE_BUDGET_DEFAULT = 10_000_000
 
@@ -51,14 +51,8 @@ def rmat_det(R, a):
                                       for row in a)))
 
 
-def rmat_conj_transpose(R, a):
-    return tuple(
-        tuple(R.involution(a[i][j]) for i in range(len(a))) for j in range(len(a[0]))
-    )
-
-
 # ---------------------------------------------------------------------------
-# scheme predicates
+# the scheme predicate
 
 
 class SchemeSL:
@@ -71,28 +65,6 @@ class SchemeSL:
 
     def check(self, R, m):
         return rmat_det(R, m) == R.one
-
-
-class SchemeFormPreserving:
-    """m~^t F m = F over the residue ring; kind 'bilinear' or 'hermitian',
-    optionally with det = 1 (special)."""
-
-    def __init__(self, n, form_rows, kind, special=False, name=None):
-        self.n = n
-        self.form_rows = form_rows
-        self.kind = kind
-        self.special = special
-        self.name = name or ("SU" if kind == "hermitian" else "O")
-
-    def check(self, R, m):
-        f = reduce_matrix(R, self.form_rows)
-        left = (rmat_conj_transpose(R, m) if self.kind == "hermitian"
-                else ringmat.transpose(m))
-        if rmat_mul(R, rmat_mul(R, left, f), m) != f:
-            return False
-        if self.special and rmat_det(R, m) != R.one:
-            return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -423,54 +395,10 @@ def pu_identity_congruent_count():
     }
 
 
-# ---------------------------------------------------------------------------
-# ingestion: generator matrices plus a scheme descriptor block
-
-
-def load_scheme_file(path):
-    """Read {"ring": tag, "scheme": {...}, "matrices": {name: rows}}.
-
-    The scheme block has kind "SL2" (determinant one) or "O"/"SU" (form
-    preserving; the form rows live in the same ring; "special" adds the
-    determinant condition).  Returns (ring, scheme, matrices-by-name).
-    """
-    payload = ringmat.read_json_file(path)
-    if not isinstance(payload, dict) or "ring" not in payload:
-        raise InputError('%s: expected a JSON object with "ring" and '
-                         '"matrices"' % path)
-    named = payload.get("matrices")
-    if not isinstance(named, dict) or not named:
-        raise InputError('%s: "matrices" must map generator names to rows'
-                         % path)
-    desc = payload.get("scheme", {"kind": "SL2"})
-    if not isinstance(desc, dict):
-        raise InputError('%s: "scheme" must be a JSON object' % path)
-    ring = make_ring(payload["ring"])
-    matrices = {name: ringmat.matrix_from_json({"rows": rows}, ring=ring)
-                for name, rows in named.items()}
-    sizes = {len(m) for m in matrices.values()}
-    if len(sizes) != 1:
-        raise InputError("generator matrices have mixed sizes")
-    n = sizes.pop()
-    kind = str(desc.get("kind", "SL2")).upper()
-    if kind == "SL2":
-        if n != 2:
-            raise InputError("SL2 scheme needs 2x2 matrices")
-        scheme = SchemeSL(2)
-    elif kind in ("O", "SU"):
-        form = ringmat.matrix_from_json({"rows": desc.get("form")}, ring=ring)
-        scheme = SchemeFormPreserving(
-            n, form, "hermitian" if kind == "SU" else "bilinear",
-            special=bool(desc.get("special", False)), name=kind)
-    else:
-        raise InputError("unknown scheme kind %r" % (kind,))
-    return ring, scheme, matrices
-
-
 __all__ = [
-    "SchemeSL", "SchemeFormPreserving", "ReductionHom",
+    "SchemeSL", "ReductionHom",
     "Closure", "group_closure", "orbit", "reduce_matrix",
     "rmat_identity", "rmat_mul", "rmat_det", "rmat_vec",
     "congruence_quotient_check", "pu_identity_congruent_count",
-    "load_scheme_file", "CLOSURE_BUDGET_DEFAULT",
+    "CLOSURE_BUDGET_DEFAULT",
 ]

@@ -23,7 +23,7 @@ from importlib import resources
 
 from .errors import InputError
 from . import catalog, congsub, coset, ringmat
-from .presentations import Presentation, load_presentation, free_reduce
+from .presentations import Presentation, load_presentation
 from .rings import make_ring, factor_rational_prime
 
 DATA_ENV_VAR = "CONGTOWER_DATA_DIR"
@@ -49,45 +49,6 @@ def bundled_presentation(name):
 
 def have_presentation(name):
     return os.path.exists(presentation_path(name))
-
-
-# ---------------------------------------------------------------------------
-# SL2 lift of a PSL2 presentation
-
-
-def sl2_lift(pres, matrices, ring):
-    """Add the central -Id generator j to a PSL2 presentation.
-
-    Each PSL2 relator w evaluates to +-Id on the matrices; those with -Id
-    become w*j^-1.  New relators j^2 and [g, j] make j central of order 2.
-    The lift is mechanical and verified: it raises if some relator matrix
-    is not +-Id.
-    """
-    n = 2
-    ident = ringmat.identity(ring, n)
-    minus = ringmat.mat_scale(ident, -1)
-    inverses = [ringmat.mat_inverse(m) for m in matrices]
-    j_index = pres.ngens + 1
-    relators = []
-    for rel in pres.relators:
-        val = congsub.evaluate_word(matrices, inverses, rel, ident)
-        if ringmat.mat_eq(val, ident):
-            relators.append(rel)
-        elif ringmat.mat_eq(val, minus):
-            relators.append(rel + (-j_index,))
-        else:
-            raise InputError(
-                "relator %r is not +-Id on the matrices; not a PSL2 presentation"
-                % (rel,))
-    relators.append((j_index, j_index))
-    for g in range(1, pres.ngens + 1):
-        relators.append(free_reduce((g, j_index, -g, -j_index)))
-    names = pres.generators + ("j",)
-    mats = list(matrices) + [minus]
-    prov = pres.provenance
-    if prov:
-        prov = prov + "\nlifted to SL2 by adjoining the central j = -Id"
-    return Presentation(names, tuple(relators), provenance=prov), mats
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +135,38 @@ PRESENTATION_FILES = {
 }
 
 
+def load_generator_matrices(path):
+    """Read an SL2 generator-matrices file,
+    {"ring": tag, "scheme": {"kind": "SL2"}, "matrices": {name: rows}},
+    the scheme block optional.  Returns (ring, 2x2 matrices by name)."""
+    payload = ringmat.read_json_file(path)
+    if not isinstance(payload, dict) or "ring" not in payload:
+        raise InputError('%s: expected a JSON object with "ring" and '
+                         '"matrices"' % path)
+    named = payload.get("matrices")
+    if not isinstance(named, dict) or not named:
+        raise InputError('%s: "matrices" must map generator names to rows'
+                         % path)
+    if "scheme" in payload and payload["scheme"] != {"kind": "SL2"}:
+        raise InputError('%s: "scheme" must be {"kind": "SL2"} or left out'
+                         % path)
+    ring = make_ring(payload["ring"])
+    matrices = {name: ringmat.matrix_from_json({"rows": rows}, ring=ring)
+                for name, rows in named.items()}
+    if any(len(m) != 2 for m in matrices.values()):
+        raise InputError("%s: generator matrices must be 2x2" % path)
+    return ring, matrices
+
+
 def sl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
     """The SL2 presentation for O_d and its generator matrices.
 
     d=1 is bundled (its presentation is classical); other fields load from
     data files with provenance.
     The generator name convention is a, b, u (and optional extras), then j;
-    matrices follow catalog.sl2_gen_matrices unless overridden by a scheme
-    file (--matrices) keyed by generator name.
+    matrices follow catalog.sl2_gen_matrices unless overridden by a
+    generator-matrices file (--matrices, read by load_generator_matrices)
+    keyed by generator name.
     """
     ring = make_ring(d)
     if pres_file is None:
@@ -197,7 +182,7 @@ def sl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
                 "ingested presentation %s lacks a provenance comment"
                 % pres_file)
     if matrices_file is not None:
-        file_ring, _scheme, named = congsub.load_scheme_file(matrices_file)
+        file_ring, named = load_generator_matrices(matrices_file)
         if file_ring != ring:
             raise InputError("matrices file is over a different ring")
         mats = []
@@ -310,8 +295,9 @@ def o41_two_stage():
 
 
 __all__ = [
-    "sl2_lift", "kernel_presentation", "congruence_kernel_invariants",
-    "homology_table", "sl2_presentation_and_matrices", "primes_up_to_norm",
+    "kernel_presentation", "congruence_kernel_invariants",
+    "homology_table", "load_generator_matrices", "sl2_presentation_and_matrices",
+    "primes_up_to_norm",
     "conjugate_dedup", "sl2_image_order", "HomologyRow", "bundled_presentation", "data_dir",
     "DATA_ENV_VAR", "PRESENTATION_FILES", "coxeter_presentation",
     "o41_two_stage",

@@ -248,12 +248,6 @@ class AbelianInvariants:
                 torsion.append(p ** e)
         return cls(rank, tuple(sorted(torsion)))
 
-    def torsion_size(self):
-        out = 1
-        for q in self.torsion:
-            out *= q
-        return out
-
     def torsion_factorization(self):
         """Size of the torsion subgroup in prime factorization, e.g. '2^5'."""
         if not self.torsion:

@@ -1,5 +1,5 @@
 """Matrices over number rings: products, conjugate transpose, determinants,
-form-preservation predicates, and the JSON interchange format.
+form-preservation predicates, and the reader of JSON matrices.
 
 Matrices are immutable tuples of tuples of RingElt.  Entries may sit in the
 fraction field (several of the built-in conjugators do); integrality is a
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from . import rings
-from .rings import make_ring, ring_tag
+from .rings import make_ring
 
 
 def mat(ring, rows):
@@ -167,14 +167,8 @@ def congruent_to_identity(m, prime, level):
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: {"ring": tag, "rows": [[entry, ...], ...]}
+# JSON input: {"ring": tag, "rows": [[entry, ...], ...]}
 # entry = int | "a/b" | [coord, ...] with coord = int | "a/b"
-
-
-def _coord_to_json(fr):
-    if fr.denominator == 1:
-        return int(fr)
-    return "%d/%d" % (fr.numerator, fr.denominator)
 
 
 def _coord_from_json(v):
@@ -186,27 +180,12 @@ def _coord_from_json(v):
     raise InputError("bad coordinate %r" % (v,))
 
 
-def entry_to_json(x):
-    coords = [_coord_to_json(c) for c in x.coords]
-    if all(c == 0 for c in x.coords[1:]):
-        return coords[0]
-    return coords
-
-
 def entry_from_json(ring, v):
     if isinstance(v, (int, str)):
         return ring(_coord_from_json(v))
     if isinstance(v, list):
         return ring(tuple(_coord_from_json(c) for c in v))
     raise InputError("bad matrix entry %r" % (v,))
-
-
-def matrix_to_json(m):
-    ring = m[0][0].ring
-    return {
-        "ring": ring_tag(ring),
-        "rows": [[entry_to_json(x) for x in row] for row in m],
-    }
 
 
 def matrix_from_json(obj, ring=None):
@@ -232,10 +211,6 @@ def read_json_file(path):
             return json.load(fh)
         except ValueError as exc:
             raise InputError("%s is not valid JSON: %s" % (path, exc)) from None
-
-
-def load_matrix_file(path, ring=None):
-    return matrix_from_json(read_json_file(path), ring=ring)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +278,6 @@ __all__ = [
     "mat", "identity", "basis_points", "mat_mul", "mat_add",
     "mat_scale", "transpose", "conj_transpose", "mat_eq", "det", "mat_inverse",
     "is_integral", "preserves_form", "congruent_to_identity",
-    "matrix_to_json", "matrix_from_json", "read_json_file", "load_matrix_file",
+    "matrix_from_json", "read_json_file",
     "coordinate_change_check",
 ]

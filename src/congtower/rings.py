@@ -412,15 +412,6 @@ def _parse_ring_spec(spec):
     raise InputError("cannot parse ring spec %r" % (spec,))
 
 
-def ring_tag(ring):
-    """Stable string tag for JSON files."""
-    if ring.kind == RATIONAL:
-        return "rational"
-    if ring.kind == CYCLOTOMIC5:
-        return "cyclotomic-5"
-    return "d=%d" % ring.d
-
-
 # ---------------------------------------------------------------------------
 # prime ideals
 
@@ -857,18 +848,6 @@ class ResidueRing:
         for combo in itertools.product(*ranges):
             yield self.reduce_coords(combo)
 
-    def has_involution(self):
-        ring = self.ring
-        return all(
-            intmat.lattice_contains(self.lattice, ring(row).conj().int_coords())
-            for row in self.lattice
-        )
-
-    def involution(self, a):
-        if not self.has_involution():
-            raise InputError("conjugation does not preserve this ideal power")
-        return self.reduce(self.lift(a).conj())
-
     def __repr__(self):
         return "ResidueRing(N(p)=%d, k=%d, size=%d)" % (
             self.prime.norm(), self.k, self.size)
@@ -886,6 +865,6 @@ def residue_ring(prime, k):
 
 __all__ = [
     "NumberRing", "RingElt", "PrimeIdeal", "ResidueRing",
-    "make_ring", "factor_rational_prime", "residue_ring", "ring_tag",
+    "make_ring", "factor_rational_prime", "residue_ring",
     "RATIONAL", "IMAG_QUAD", "CYCLOTOMIC5", "SUPPORTED_D", "ENUMERATION_LIMIT",
 ]

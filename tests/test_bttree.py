@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,56 @@ def oq():
 @pytest.fixture(scope="module")
 def su():
     return bttree.su_model()
+
+
+# -- the adjacency oracle: elementary divisors of the transition matrix -----
+# Independent of canonicalize and of the models' moves, which it checks.
+
+def transition_exponents(v, w, ctx):
+    """Elementary-divisor exponents (sorted) of the transition matrix
+    between two lattice representatives."""
+    t = ringmat.mat_mul(ringmat.mat_inverse(v), w)
+    n = len(t)
+    rows = [list(row) for row in t]
+    exps = []
+    for s in range(n):
+        piv = None
+        piv_val = None
+        for r in range(s, n):
+            for c in range(s, n):
+                val = ctx.valuation(rows[r][c])
+                if val is not math.inf and (piv_val is None or val < piv_val):
+                    piv, piv_val = (r, c), val
+        if piv is None:
+            raise InputError("singular transition")
+        r0, c0 = piv
+        rows[s], rows[r0] = rows[r0], rows[s]
+        for row in rows:
+            row[s], row[c0] = row[c0], row[s]
+        for r in range(s + 1, n):
+            x = rows[r][s]
+            if not x.is_zero():
+                f = x / rows[s][s]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[s])]
+        for c in range(s + 1, n):
+            x = rows[s][c]
+            if not x.is_zero():
+                f = x / rows[s][s]
+                for row in rows:
+                    row[c] = row[c] - f * row[s]
+        exps.append(piv_val)
+    return sorted(exps)
+
+
+def gl_adjacent(v, w, ctx):
+    """Ambient building adjacency: after homothety normalization the
+    transition exponents are all in {0,1} and not all equal."""
+    if len(v) != len(w):
+        raise InputError("dimension mismatch")
+    exps = transition_exponents(v, w, ctx)
+    lo = exps[0]
+    exps = [e - lo for e in exps]
+    return set(exps) <= {0, 1} and len(set(exps)) == 2
 
 
 def test_canonicalize_idempotent_and_homothety(magic_ctx):
@@ -115,12 +166,15 @@ def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch):
         assert len(calls) <= len(m)
 
 
-def test_gl_adjacent_symmetric_irreflexive(magic_ctx):
-    v0 = bttree.canonicalize(bttree.standard_lattice(magic_ctx.ring, 2), magic_ctx)
-    for w in bttree.pgl2_neighbors(v0, magic_ctx):
-        assert bttree.gl_adjacent(v0, w, magic_ctx)
-        assert bttree.gl_adjacent(w, v0, magic_ctx)
-    assert not bttree.gl_adjacent(v0, v0, magic_ctx)
+def test_gl_adjacent_symmetric_irreflexive(pgl2):
+    ctx = pgl2.ctx
+    v0 = pgl2.bases["v"]
+    nbrs = {w for (w, _, _) in pgl2.neighbors("v", ringmat.identity(ctx.ring, 2))}
+    assert len(nbrs) == pgl2.valences()["v"] == ctx.prime.norm() + 1
+    for w in nbrs:
+        assert gl_adjacent(v0, w, ctx)
+        assert gl_adjacent(w, v0, ctx)
+    assert not gl_adjacent(v0, v0, ctx)
 
 
 def test_apartment_adjacency(magic_ctx):
@@ -128,8 +182,8 @@ def test_apartment_adjacency(magic_ctx):
     # skipping one is distance two
     xs = [bttree.apartment_vertex(magic_ctx, 2, t) for t in range(-2, 3)]
     for a, b in zip(xs, xs[1:]):
-        assert bttree.gl_adjacent(a, b, magic_ctx)
-    assert not bttree.gl_adjacent(xs[0], xs[2], magic_ctx)
+        assert gl_adjacent(a, b, magic_ctx)
+    assert not gl_adjacent(xs[0], xs[2], magic_ctx)
 
 
 def test_pgl2_neighbor_count_various_p():
@@ -139,10 +193,11 @@ def test_pgl2_neighbor_count_various_p():
         primes = [q for q in factor_rational_prime(ring, p) if q.f == 1]
         if not primes:
             continue
-        ctx = bttree.LocalContext(ring, primes[0])
-        v0 = bttree.canonicalize(bttree.standard_lattice(ring, 2), ctx)
-        nbrs = bttree.pgl2_neighbors(v0, ctx)
-        assert len(nbrs) == p + 1
+        model = bttree.pgl2_model(ring, primes[0])
+        v0 = model.bases["v"]
+        nbrs = {w for (w, _, _) in model.neighbors("v", ringmat.identity(ring, 2))}
+        assert len(nbrs) == model.valences()["v"] == p + 1
+        assert all(gl_adjacent(v0, w, model.ctx) for w in nbrs)
         lines = set()
         for x in range(p):
             for y in range(p):
@@ -166,9 +221,9 @@ def test_oq_apartment_vertices_and_types(oq):
     assert bttree.apartment_vertex(ctx, 5, 0) == x0
     assert bttree.apartment_vertex(ctx, 5, 1) == xh
     x1 = bttree.apartment_vertex(ctx, 5, 2)
-    assert bttree.gl_adjacent(x0, xh, ctx)
-    assert bttree.gl_adjacent(xh, x1, ctx)
-    assert not bttree.gl_adjacent(x0, x1, ctx)
+    assert gl_adjacent(x0, xh, ctx)
+    assert gl_adjacent(xh, x1, ctx)
+    assert not gl_adjacent(x0, x1, ctx)
 
 
 def test_oq_valences_from_orbits(oq):
@@ -231,14 +286,15 @@ def test_su_dictionary_and_swap(su):
     ctx = su.ctx
     v0 = su.bases["v0"]
     mid = su.bases["mid"]
-    assert bttree.su_tree_vertex(0) == v0
-    assert bttree.su_tree_vertex(1) == mid
-    v1 = bttree.su_tree_vertex(2)
+    apartment = bttree.LocalContext(*catalog.pu21_ring_and_prime())
+    assert bttree.apartment_vertex(apartment, 3, 0) == v0
+    assert bttree.apartment_vertex(apartment, 3, 1) == mid
+    v1 = bttree.apartment_vertex(apartment, 3, 2)
     g0 = catalog.pu21_swap()
     assert bttree.canonicalize(ringmat.mat_mul(g0, v0), ctx) == v1
     assert bttree.canonicalize(ringmat.mat_mul(g0, mid), ctx) == mid
-    assert bttree.gl_adjacent(v0, mid, ctx)
-    assert bttree.gl_adjacent(mid, v1, ctx)
+    assert gl_adjacent(v0, mid, ctx)
+    assert gl_adjacent(mid, v1, ctx)
 
 
 def test_bfs_counts_and_acyclicity(pgl2, oq, su):
@@ -282,7 +338,7 @@ def test_explored_valences_recomputed(oq):
         verts = {w for (w, _, _) in nbrs}
         assert len(verts) == expected[t]
         for w, _, _ in nbrs:
-            assert bttree.gl_adjacent(v, w, oq.ctx)
+            assert gl_adjacent(v, w, oq.ctx)
 
 
 def test_exports(pgl2, tmp_path):

@@ -34,11 +34,11 @@ def test_check_identities_json(capsys):
 
 
 def test_lemma22_pass_and_output(capsys):
-    code, out = run_cli(capsys, "lemma22", "SL2", "--prime", "1+i",
+    code, out = run_cli(capsys, "lemma22", "--prime", "1+i",
                         "--j", "1", "--k", "2")
     assert code == 0
     assert "elementary abelian: True" in out
-    code, out = run_cli(capsys, "lemma22", "SL2", "--prime", "1+i",
+    code, out = run_cli(capsys, "lemma22", "--prime", "1+i",
                         "--j", "2", "--k", "4", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -48,7 +48,7 @@ def test_lemma22_pass_and_output(capsys):
 def test_lemma22_past_2j_reports_the_exponent_as_data(capsys):
     # k = 3 > 2j: the lemma claims nothing of the kernel, which is neither
     # abelian nor of exponent p; the verdict passes and the data stays
-    code, out = run_cli(capsys, "lemma22", "SL2", "--prime", "1+i",
+    code, out = run_cli(capsys, "lemma22", "--prime", "1+i",
                         "--j", "1", "--k", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -58,7 +58,7 @@ def test_lemma22_past_2j_reports_the_exponent_as_data(capsys):
 
 
 def test_lemma22_budget_exit_code(capsys):
-    code, _ = run_cli(capsys, "lemma22", "SL2", "--prime", "zeta5-1",
+    code, _ = run_cli(capsys, "lemma22", "--prime", "zeta5-1",
                       "--j", "1", "--k", "4", "--budget", "10")
     assert code == cli.EXIT_BUDGET
 
@@ -66,7 +66,7 @@ def test_lemma22_budget_exit_code(capsys):
 def test_lemma22_budget_covers_the_pair_passes(capsys):
     # 256 candidates fit the budget, but the kernel has order 64 and its
     # group passes are declared at up to 4 * 64 * log2(64) = 1536 products
-    code = cli.main(["lemma22", "SL2", "--prime", "1+i", "--j", "1",
+    code = cli.main(["lemma22", "--prime", "1+i", "--j", "1",
                      "--k", "3", "--budget", "1000"])
     assert code == cli.EXIT_BUDGET
     assert "1536 products" in capsys.readouterr().err
@@ -203,6 +203,7 @@ def test_matrices_file_not_json_is_input_error(capsys, tmp_path):
     ([], "required"),
     (["homology", "--index-cap", "-1"], "must be at least 0"),
     (["homology", "--norm-max", "-3"], "must be at least 0"),
+    (["lemma22", "SL2", "--j", "1", "--k", "2"], "unrecognized arguments: SL2"),
 ])
 def test_usage_error_exits_input(capsys, argv, message):
     # argparse would exit 2, which here means a budget was exceeded
@@ -238,7 +239,7 @@ def test_tree_pgl2_at_primes_outside_the_small_box(capsys, p, vertices):
     assert "vertices: %d " % vertices in out
 
 
-# the d=1 generator matrices as a scheme file; a valid file runs
+# the d=1 generator matrices as a generator-matrices file; a valid file runs
 D1_SCHEME = {"ring": "d=1", "matrices": {
     "a": [[1, 1], [0, 1]], "b": [[0, -1], [1, 0]],
     "u": [[1, [0, 1]], [0, 1]], "j": [[-1, 0], [0, -1]]}}
@@ -263,6 +264,19 @@ def test_valid_scheme_file_runs(tmp_path):
     assert code == 0
 
 
+def test_sl2_scheme_block_is_optional(capsys, tmp_path):
+    outputs = []
+    for payload in (D1_SCHEME, {**D1_SCHEME, "scheme": {"kind": "SL2"}}):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "homology", "--norm-max", "5",
+                            "--matrices", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == run_cli(capsys, "homology", "--norm-max", "5")[1]
+
+
 def _with_entry(entry):
     payload = json.loads(json.dumps(D1_SCHEME))
     payload["matrices"]["a"][0][1] = entry
@@ -275,6 +289,15 @@ def _with_entry(entry):
     ("--matrices", _with_entry(True), "bad coordinate True"),
     ("--matrices", json.dumps({**D1_SCHEME, "ring": True}),
      "cannot parse ring spec True"),
+    ("--matrices", json.dumps({**D1_SCHEME, "scheme": {
+        "kind": "SU", "form": [[0, 1], [1, 0]], "special": True}}),
+     '"scheme" must be {"kind": "SL2"}'),
+    ("--matrices", json.dumps({**D1_SCHEME, "scheme": {
+        "kind": "O", "form": [[1, 0], [0, 1]]}}),
+     '"scheme" must be {"kind": "SL2"}'),
+    ("--matrices", json.dumps({**D1_SCHEME, "matrices": {
+        **D1_SCHEME["matrices"], "j": [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]}}),
+     "must be 2x2"),
     ("--presentation", b"# provenance: test\ngens a\xff; rels a^2;",
      "is not UTF-8 text"),
     ("--presentation", b"# provenance: test\ngens a; rels a^10000000;",
@@ -284,7 +307,8 @@ def _with_entry(entry):
     ("--presentation", b"# provenance: test\ngens a; rels "
      + b", ".join([b"a^60000"] * 2) + b";", "relators total"),
 ], ids=["letters", "zero-denominator", "boolean", "boolean-ring",
-        "not-utf8", "huge-power", "nested-commutators", "huge-total"])
+        "su-scheme", "o-scheme", "three-by-three", "not-utf8", "huge-power",
+        "nested-commutators", "huge-total"])
 def test_malformed_file_exits_input(tmp_path, flag, content, message):
     code, err = _homology_on(tmp_path, flag, content)
     assert code == cli.EXIT_INPUT
@@ -439,10 +463,10 @@ malformed_schemes = st.one_of(
         lambda v: _replace(["matrices", "u", 0, 1], v)),
     json_values.filter(_not_a_coordinate).map(
         lambda v: _replace(["matrices", "u", 0, 1], [0, v])),
-    # a scheme block that is not an object or names no known kind
+    # a scheme block that is not an object or names a kind other than SL2
     json_values.filter(lambda v: not isinstance(v, dict)).map(
         lambda v: _replace(["scheme"], v)),
-    json_values.filter(lambda v: str(v).upper() not in ("SL2", "O", "SU")).map(
+    json_values.filter(lambda v: v != "SL2").map(
         lambda v: _replace(["scheme"], {"kind": v})),
 ).map(json.dumps)
 

@@ -304,21 +304,6 @@ def test_orbit_size_divides_group_order():
     assert len(lines) == 6  # P^1(F_5)
 
 
-def test_form_preserving_scheme(gaussian_prime2):
-    ring = make_ring(1)
-    form = [[ring.one, ring.zero], [ring.zero, ring.one]]
-    sch = congsub.SchemeFormPreserving(2, form, "bilinear")
-    R = residue_ring(gaussian_prime2, 2)
-    ident = congsub.rmat_identity(R, 2)
-    assert sch.check(R, ident)
-    swap = congsub.reduce_matrix(
-        R, ((ring.zero, ring.one), (ring.one, ring.zero)))
-    assert sch.check(R, swap)
-    shear = congsub.reduce_matrix(
-        R, ((ring.one, ring.one), (ring.zero, ring.one)))
-    assert not sch.check(R, shear)
-
-
 # residue rings for the matrix-arithmetic properties: O_1 mod (1+i)^4,
 # Z[zeta5] mod p^2, O_7 mod the prime over 2 that contains omega, Z/4
 RESIDUE_CASES = {

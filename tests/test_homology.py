@@ -1,8 +1,4 @@
-import pytest
-
 from congtower import congsub, homology, ringmat
-from congtower.errors import InputError
-from congtower.presentations import parse_presentation
 from congtower.rings import make_ring
 
 
@@ -21,30 +17,6 @@ def test_bundled_presentations_parse_and_validate():
             assert ringmat.mat_eq(val, ident)
         if d != 1:
             assert pres.provenance  # ingested presentations carry provenance
-
-
-def test_sl2_lift_mechanics():
-    psl = parse_presentation(
-        "gens a, b, u; rels b^2, (a*b)^3, [a,u], (b*u^-1*b*u)^2;")
-    ring = make_ring(2)
-    mats = homology._matrices_for(psl, ring)
-    sl2, sl2_mats = homology.sl2_lift(psl, mats, ring)
-    assert sl2.generators == ("a", "b", "u", "j")
-    assert len(sl2_mats) == 4
-    minus = ringmat.mat_scale(ringmat.identity(ring, 2), -1)
-    assert ringmat.mat_eq(sl2_mats[-1], minus)
-    # b^2 = -Id picks up j^-1; [a,u] does not
-    texts = {r for r in sl2.relators}
-    assert (2, 2, -4) in texts
-    assert (1, 3, -1, -3) in texts
-
-
-def test_sl2_lift_rejects_non_psl_presentation():
-    bad = parse_presentation("gens a, b, u; rels a^2;")
-    ring = make_ring(2)
-    mats = homology._matrices_for(bad, ring)
-    with pytest.raises(InputError):
-        homology.sl2_lift(bad, mats, ring)
 
 
 def test_primes_up_to_norm_dedupes_conjugates():

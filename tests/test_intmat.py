@@ -207,7 +207,6 @@ def test_abelian_invariants_match_dense_snf(case):
 def test_torsion_formatting():
     inv = AbelianInvariants(0, (2, 2, 2, 2, 2))
     assert inv.torsion_factorization() == "2^5"
-    assert inv.torsion_size() == 32
     inv = AbelianInvariants(3, (4,))
     assert inv.torsion_factorization() == "2^2"
     inv = AbelianInvariants(2, ())

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -17,6 +18,61 @@ def test_every_exported_name_resolves():
                for name in getattr(m, "__all__", ())
                if not hasattr(m, name)]
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# exported names that no command or benchmark job reads, and why they stay
+UNREAD_EXPORTS = {
+    "coset.coset_enumerate": "Todd-Coxeter, the oracle for the coset tables",
+    "congsub.pu_identity_congruent_count": "an acceptance row",
+    "homology.o41_two_stage": "the two-stage Gamma(4) pipeline of criterion 8",
+}
+
+
+def _names_read(node):
+    """Names that `node` reads, bare or as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+    return out
+
+
+def _names_defined(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def test_every_exported_name_is_read_by_the_program():
+    # code that only tests reach is deleted: each name in an __all__ must be
+    # read in the package or the benchmark, outside its own definition
+    src = ROOT / "src" / "congtower"
+    files = sorted(src.glob("*.py")) + sorted(
+        p for p in (ROOT / "perfbench").glob("*.py")
+        if not p.name.startswith("test_"))
+    exports = {}
+    statements = []     # (module or None, names defined, names read)
+    for path in files:
+        module = path.stem if path.parent == src else None
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = _names_defined(stmt)
+            if "__all__" in defined:
+                exports[module] = ast.literal_eval(stmt.value)
+            else:
+                statements.append((module, defined, _names_read(stmt)))
+    assert "congsub" in exports and "bttree" in exports
+    unread = {
+        "%s.%s" % (module, name)
+        for module, names in exports.items() for name in names
+        if not any(name in read and not (m == module and name in defined)
+                   for m, defined, read in statements)}
+    assert unread == set(UNREAD_EXPORTS)
 
 
 # what a `congtower` process does before its first job

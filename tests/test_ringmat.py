@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congtower import catalog, congsub, ringmat, rings
+from congtower import catalog, homology, ringmat, rings
 from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -160,8 +160,10 @@ def test_json_roundtrip_integral_and_fractional():
     ring = make_ring("cyclotomic-5")
     z = ring.zeta()
     m = ((z + 1, ring.zero), (ring.one / 2, z ** 3 * Fraction(3, 7)))
-    payload = ringmat.matrix_to_json(m)
-    text = json.dumps(payload)
+    # coordinates in the basis 1, z, z^2, z^3; a lone constant coordinate
+    # may be written as a scalar
+    text = ('{"ring": "cyclotomic-5", '
+            '"rows": [[[1, 1, 0, 0], 0], ["1/2", [0, 0, 0, "3/7"]]]}')
     back = ringmat.matrix_from_json(json.loads(text))
     assert ringmat.mat_eq(m, back)
     # rational shortcut entries
@@ -171,56 +173,50 @@ def test_json_roundtrip_integral_and_fractional():
 
 
 def test_load_matrix_file(tmp_path):
-    ring = make_ring(7)
-    m = catalog.magic_swap()
     path = tmp_path / "swap.json"
-    path.write_text(json.dumps(ringmat.matrix_to_json(m)))
-    back = ringmat.load_matrix_file(str(path))
-    assert ringmat.mat_eq(m, back)
+    path.write_text('{"ring": "d=7", "rows": [[0, 2], [1, 0]]}')
+    back = ringmat.matrix_from_json(ringmat.read_json_file(str(path)))
+    assert ringmat.mat_eq(catalog.magic_swap(), back)
+
+
+# the d=1 generator matrices as a generator-matrices file
+D1_MATRICES = {"a": [[1, 1], [0, 1]], "b": [[0, -1], [1, 0]],
+               "u": [[1, [0, 1]], [0, 1]], "j": [[-1, 0], [0, -1]]}
 
 
 def test_scheme_file_roundtrip(tmp_path):
     ring = make_ring(1)
     gens = catalog.sl2_gen_matrices(ring)
-    payload = {
-        "ring": "d=1",
-        "scheme": {"kind": "SL2"},
-        "matrices": {k: ringmat.matrix_to_json(v)["rows"]
-                     for k, v in gens.items()},
-    }
     path = tmp_path / "sl2.json"
-    path.write_text(json.dumps(payload))
-    file_ring, scheme, named = congsub.load_scheme_file(str(path))
-    assert file_ring == ring
-    assert scheme.name == "SL"
-    assert set(named) == {"a", "b", "u", "j"}
-    assert ringmat.mat_eq(named["a"], gens["a"])
+    for payload in ({"ring": "d=1", "matrices": D1_MATRICES},
+                    {"ring": "d=1", "scheme": {"kind": "SL2"},
+                     "matrices": D1_MATRICES}):
+        path.write_text(json.dumps(payload))
+        file_ring, named = homology.load_generator_matrices(str(path))
+        assert file_ring == ring
+        assert set(named) == {"a", "b", "u", "j"}
+        for name, m in named.items():
+            assert ringmat.mat_eq(m, gens[name])
 
 
 def test_scheme_file_form_kind(tmp_path):
-    payload = {
-        "ring": "rational",
-        "scheme": {"kind": "O",
-                   "form": ringmat.matrix_to_json(catalog.q0_form())["rows"]},
-        "matrices": {"r%d" % i: ringmat.matrix_to_json(m)["rows"]
-                     for i, m in enumerate(catalog.o41_reflections())},
-    }
+    # form-preserving schemes are not read: a file that names one, or any
+    # scheme block but {"kind": "SL2"}, is refused
     path = tmp_path / "o.json"
-    path.write_text(json.dumps(payload))
-    ring, scheme, named = congsub.load_scheme_file(str(path))
-    assert scheme.kind == "bilinear" and scheme.n == 5
-    from congtower.rings import factor_rational_prime, residue_ring
-    prime = factor_rational_prime(ring, 2)[0]
-    R = residue_ring(prime, 1)
-    for m in named.values():
-        assert scheme.check(R, congsub.reduce_matrix(R, m))
+    form = [[1, 0], [0, 1]]
+    for scheme in ({"kind": "O", "form": form},
+                   {"kind": "SU", "form": form, "special": True},
+                   {"kind": "sl2"}, {}, "SL2"):
+        path.write_text(json.dumps({"ring": "d=1", "scheme": scheme,
+                                    "matrices": D1_MATRICES}))
+        with pytest.raises(InputError, match='"scheme"'):
+            homology.load_generator_matrices(str(path))
 
 
 def test_reflection_data_file_is_validated(tmp_path, monkeypatch):
     # corrupting the data file must be caught on load
     import json as _json
     import os
-    from congtower import homology
     src = os.path.join(homology.data_dir(), "matrices", "o41_reflections.json")
     with open(src, encoding="utf-8") as fh:
         payload = _json.load(fh)
