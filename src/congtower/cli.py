@@ -80,7 +80,7 @@ def cmd_check_identities(args):
 
 _MODEL_FACTORIES = {
     "pgl2": lambda args: bttree.pgl2_model(
-        *(factor_and_ring(args.p) if args.p else (None, None))),
+        *(factor_and_ring(args.p) if args.p is not None else (None, None))),
     "oq": lambda args: bttree.oq_model(),
     "su": lambda args: bttree.su_model(),
 }

@@ -4,13 +4,12 @@ Everything is plain Python ints (arbitrary precision), lists of rows.
 The Smith reduction uses minimal-absolute-value pivoting with full row and
 column reduction, which keeps entries tame at the sizes we need (a few
 thousand rows).  Abelian invariants always go through a sparse elimination
-front end that knocks out +-1 pivots, cheapest first, before handing the
-small dense core to ``snf``.
+front end that knocks out +-1 pivots, shortest row first from a queue of
+rows bucketed by length, before handing the small dense core to ``snf``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 
@@ -282,11 +281,12 @@ def abelian_invariants(relation_rows, num_generators):
     A row is a ``{column: coefficient}`` dict or a dense sequence.  The
     rows go through unit-pivot sparse elimination, then dense SNF on the
     residual core.  Pivots are chosen Markowitz-style (Havas & Majewski
-    1997): live rows sit in a heap keyed by their length, and the shortest
-    row with a +-1 entry is pivoted on the unit whose column has the
-    fewest rows.  A unit pivot contributes the divisor 1 and removes its
-    row and column exactly, so only the rows left without a unit reach
-    ``snf``.
+    1997): the shortest row with a +-1 entry is pivoted on the unit whose
+    column has the fewest rows.  Live rows are filed in buckets indexed by
+    their length, drained from the shortest; a pointer to the shortest
+    non-empty bucket is lowered when an elimination shortens a row below
+    it.  A unit pivot contributes the divisor 1 and removes its row and
+    column exactly, so only the rows left without a unit reach ``snf``.
     """
     sparse = []
     for r in relation_rows:
@@ -298,16 +298,23 @@ def abelian_invariants(relation_rows, num_generators):
     for i, row in enumerate(sparse):
         for j in row:
             by_col.setdefault(j, set()).add(i)
-    alive = set(range(len(sparse)))
-    heap = [(len(row), i) for i, row in enumerate(sparse)]
-    heapq.heapify(heap)
+    # buckets[k] lists the rows filed at length k; a row is filed again
+    # whenever an elimination changes it, so an id whose row is dead or no
+    # longer of length k is stale and skipped.  No row is longer than the
+    # number of columns.
+    buckets = [[] for _ in range(len(by_col) + 1)]
+    for i, row in enumerate(sparse):
+        buckets[len(row)].append(i)
     unit_pivots = 0
-    while heap:
-        length, pi = heapq.heappop(heap)
+    k = 1
+    while k < len(buckets):
+        bucket = buckets[k]
+        if not bucket:
+            k += 1
+            continue
+        pi = bucket.pop()
         prow = sparse[pi]
-        # a stale entry is skipped: a row is pushed again whenever an
-        # elimination changes it
-        if pi not in alive or length != len(prow):
+        if prow is None or len(prow) != k:
             continue
         pj = None
         for j, v in prow.items():
@@ -315,33 +322,38 @@ def abelian_invariants(relation_rows, num_generators):
                     pj is None or len(by_col[j]) < len(by_col[pj])):
                 pj = j
         if pj is None:
-            continue  # no unit entry: back in the heap once it changes
-        pval = prow[pj]
-        for i in by_col.pop(pj) - {pi}:
-            row = sparse[i]
-            factor = row[pj] * pval  # pval is +-1 so this is row[pj]/pval
-            for j, v in prow.items():
-                nv = row.get(j, 0) - factor * v
-                if nv:
-                    if j not in row:
-                        by_col[j].add(i)
-                    row[j] = nv
-                elif j in row:
-                    del row[j]
-                    if j != pj:
-                        by_col[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-            else:
-                alive.discard(i)
+            continue  # no unit entry: filed again once it changes
+        pval = prow.pop(pj)
         for j in prow:
-            if j != pj:
-                by_col[j].discard(pi)
-        alive.discard(pi)
+            by_col[j].discard(pi)
+        sparse[pi] = None
         unit_pivots += 1
+        for i in by_col.pop(pj):
+            if i == pi:
+                continue
+            row = sparse[i]
+            factor = row.pop(pj) * pval  # pval is +-1 so this is row[pj]/pval
+            for j, v in prow.items():
+                if j in row:
+                    nv = row[j] - factor * v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
+                        by_col[j].discard(i)
+                else:
+                    row[j] = -factor * v
+                    by_col[j].add(i)
+            n = len(row)
+            if n:
+                buckets[n].append(i)
+                if n < k:
+                    k = n
+            else:
+                sparse[i] = None
 
     # densify the remaining core on the columns it still touches
-    core_rows = [sparse[i] for i in sorted(alive)]
+    core_rows = [row for row in sparse if row is not None]
     col_index = {j: t for t, j in enumerate(
         sorted({j for row in core_rows for j in row}))}
     core = []

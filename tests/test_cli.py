@@ -239,6 +239,14 @@ def test_tree_pgl2_at_primes_outside_the_small_box(capsys, p, vertices):
     assert "vertices: %d " % vertices in out
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4", "-2"])
+def test_tree_pgl2_rejects_non_prime(capsys, p):
+    # --p 0 is an explicit value, not the default p=2
+    code = cli.main(["tree", "pgl2", "--p", p, "--radius", "1"])
+    assert code == cli.EXIT_INPUT
+    assert "not a prime in the supported range" in capsys.readouterr().err
+
+
 # the d=1 generator matrices as a generator-matrices file; a valid file runs
 D1_SCHEME = {"ring": "d=1", "matrices": {
     "a": [[1, 1], [0, 1]], "b": [[0, -1], [1, 0]],

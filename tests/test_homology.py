@@ -1,4 +1,7 @@
+import pytest
+
 from congtower import congsub, homology, ringmat
+from congtower.intmat import AbelianInvariants, abelian_invariants, snf
 from congtower.rings import make_ring
 
 
@@ -37,6 +40,25 @@ def test_kernel_invariants_norm2(gaussian_prime2):
     assert order == 6
     assert inv.free_rank == 0
     assert inv.torsion_factorization() == "2^5"
+
+
+@pytest.mark.parametrize("d, norm, ngens, expected", [
+    (3, 3, 97, "Z/3 x Z/3 x Z/3"),
+    (11, 4, 181, "Z^15 x Z/2 x Z/2"),
+])
+def test_elimination_matches_dense_snf_on_relation_rows(d, norm, ngens,
+                                                        expected):
+    # real Reidemeister-Schreier rows whose torsion leaves a core for snf
+    pres, mats = homology.sl2_presentation_and_matrices(d)
+    prime, = [q for q in homology.primes_up_to_norm(make_ring(d), norm)
+              if q.norm() == norm]
+    _, sub, _ = homology.kernel_presentation(pres, mats, prime)
+    rows = sub.relation_matrix()
+    assert sub.ngens == ngens
+    dense = [[row.get(j, 0) for j in range(ngens)] for row in rows]
+    oracle = AbelianInvariants.from_divisors(ngens, snf(dense))
+    assert str(oracle) == expected
+    assert abelian_invariants(rows, ngens) == oracle
 
 
 def test_homology_table_skips_above_cap():
