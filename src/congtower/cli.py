@@ -98,6 +98,8 @@ def factor_and_ring(p):
 def cmd_tree(args):
     if args.model not in _MODEL_FACTORIES:
         raise InputError("unknown tree model %r (have pgl2, oq, su)" % args.model)
+    if args.p is not None and args.model != "pgl2":
+        raise InputError("--p applies to the pgl2 model only, not %s" % args.model)
     model = _MODEL_FACTORIES[args.model](args)
     graph = bttree.bfs_explore(model, args.radius, budget=args.budget)
     if not graph.is_tree():
@@ -159,9 +161,13 @@ _PRIME_ALIASES = {
 def cmd_lemma22(args):
     if args.prime in _PRIME_ALIASES:
         field, p = _PRIME_ALIASES[args.prime]
+        if args.field is not None and make_ring(args.field) != make_ring(field):
+            raise InputError("--prime %s lies in %s, not in --field %s"
+                             % (args.prime, field, args.field))
     else:
+        field = "d=1" if args.field is None else args.field
         try:
-            field, p = args.field, int(args.prime)
+            p = int(args.prime)
         except ValueError:
             raise InputError("--prime %r is neither an integer nor one of %s"
                              % (args.prime, ", ".join(_PRIME_ALIASES))) from None
@@ -261,7 +267,9 @@ def build_parser():
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("lemma22", help="SL2 congruence quotient p-group checks")
-    p.add_argument("--field", default="d=1")
+    p.add_argument("--field",
+                   help="ring of integers (default: d=1, or the ring of a "
+                        "--prime alias)")
     p.add_argument("--prime", default="1+i",
                    help="rational prime, or an alias like 1+i / zeta5-1")
     p.add_argument("--prime-index", type=int, default=0)

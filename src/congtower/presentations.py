@@ -17,6 +17,7 @@ provenance field (required for ingested presentations that are not bundled).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -63,24 +64,6 @@ def commutator(x, y):
     return tuple(x) + tuple(y) + inverse_word(x) + inverse_word(y)
 
 
-def word_to_string(word, names):
-    if not word:
-        return "1"
-    bits = []
-    i = 0
-    while i < len(word):
-        letter = word[i]
-        j = i
-        while j < len(word) and word[j] == letter:
-            j += 1
-        count = j - i
-        name = names[abs(letter) - 1]
-        exp = count if letter > 0 else -count
-        bits.append(name if exp == 1 else "%s^%d" % (name, exp))
-        i = j
-    return "*".join(bits)
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -121,16 +104,6 @@ class Presentation:
 
     def abelianization(self):
         return intmat.abelian_invariants(self.relation_matrix(), self.ngens)
-
-    def to_text(self):
-        lines = []
-        if self.provenance:
-            for ln in self.provenance.split("\n"):
-                lines.append("# provenance: %s" % ln)
-        lines.append("gens %s;" % ", ".join(self.generators))
-        rels = ", ".join(word_to_string(r, self.generators) for r in self.relators)
-        lines.append("rels %s;" % rels)
-        return "\n".join(lines) + "\n"
 
     def __str__(self):
         return "<%s | %d relators, total length %d>" % (
@@ -321,10 +294,8 @@ def load_presentation(path):
 
 def _canonical_cyclic(word):
     """Representative of a relator up to rotation and inversion (for dedupe)."""
-    def rotations(w):
-        return [w[i:] + w[:i] for i in range(len(w))] or [w]
-    cands = rotations(tuple(word)) + rotations(inverse_word(word))
-    return min(cands)
+    return min(w[i:] + w[:i] for w in (tuple(word), inverse_word(word))
+               for i in range(len(w)))
 
 
 def _normalize(relators):
@@ -339,78 +310,23 @@ def _normalize(relators):
     return sorted(seen.values(), key=lambda w: (len(w), w))
 
 
-def _substring_shorten(relators):
-    """Use short relators to shorten longer ones: if a relator r shares a
-    cyclic subword with s (or s^-1) longer than |s|/2, rewrite r through s."""
-    changed = True
-    while changed:
-        changed = False
-        relators = _normalize(relators)
-        for si, s in enumerate(relators):
-            ls = len(s)
-            tmin = ls // 2 + 1
-            lookup = {}
-            for variant in (s, inverse_word(s)):
-                doubled = variant + variant
-                for start in range(ls):
-                    chunk = doubled[start:start + tmin]
-                    if len(chunk) == tmin:
-                        lookup.setdefault(chunk, (variant, start))
-            for ri in range(len(relators)):
-                if ri == si:
-                    continue
-                r = relators[ri]
-                if len(r) < tmin:
-                    continue
-                hit = None
-                for start in range(len(r) - tmin + 1):
-                    chunk = r[start:start + tmin]
-                    if chunk in lookup:
-                        variant, spos = lookup[chunk]
-                        # grow the match greedily
-                        doubled = variant + variant
-                        t = tmin
-                        while (start + t < len(r) and t < ls
-                               and r[start + t] == doubled[spos + t]):
-                            t += 1
-                        hit = (start, t, variant, spos)
-                        break
-                if hit is None:
-                    continue
-                start, t, variant, spos = hit
-                if 2 * t <= ls:
-                    continue
-                doubled = variant + variant
-                # replace w by (complement)^-1 where variant = w * complement
-                complement = doubled[spos + t: spos + ls]
-                replacement = inverse_word(complement)
-                new_r = free_reduce(r[:start] + replacement + r[start + t:])
-                if len(new_r) < len(r):
-                    relators[ri] = new_r
-                    changed = True
-        if changed:
-            relators = _normalize(relators)
-    return relators
-
-
 def tietze_simplify(pres):
-    """Simplify by generator elimination and relator rewriting.
+    """Simplify by generator elimination only.
 
-    Only Tietze moves are applied, so the group is unchanged up to
-    isomorphism; the total relator length never increases.  Each pass
-    eliminates at most one generator, so the passes are bounded by the
-    generator count (plus one stabilization pass).
+    Each pass solves a relator for a generator that occurs once in it and
+    substitutes the solution into the other relators, choosing the least
+    change in total relator length (ties to the earliest relator in sorted
+    order).  These are Tietze moves, so the group is unchanged up to
+    isomorphism, and the total length never increases.  Each pass
+    eliminates one generator or stops, so there are at most `ngens` passes.
+    Generator ids stay fixed through the passes; the survivors are
+    renumbered once at the end, in their original order.
     """
-    names = list(pres.generators)
     relators = _normalize(list(pres.relators))
-    shorten_due = True
-    for _ in range(pres.ngens + 1):
+    eliminated = set()
+    for _ in range(pres.ngens):
         # find the cheapest single-occurrence elimination
-        total_occ = {}
-        for rel in relators:
-            for letter in rel:
-                g = abs(letter)
-                total_occ[g] = total_occ.get(g, 0) + 1
+        total_occ = Counter(abs(letter) for rel in relators for letter in rel)
         best = None
         for idx, rel in enumerate(relators):
             length = len(rel)
@@ -418,65 +334,48 @@ def tietze_simplify(pres):
             for letter in rel:
                 counts[abs(letter)] = counts.get(abs(letter), 0) + 1
             for g, cnt in counts.items():
-                if cnt != 1:
-                    continue
-                m = total_occ[g] - 1
-                delta = m * (length - 2) - length
-                if delta <= 0 and (best is None or delta < best[0]):
-                    best = (delta, idx, g)
+                if cnt == 1:
+                    delta = (total_occ[g] - 1) * (length - 2) - length
+                    if delta <= 0 and (best is None or delta < best[0]):
+                        best = (delta, idx, g)
         if best is None:
-            # no elimination available: try relator shortening once, which
-            # may unlock further eliminations
-            if not shorten_due:
-                break
-            shortened = _substring_shorten(relators)
-            shorten_due = False
-            if sum(map(len, shortened)) == sum(map(len, relators)):
-                break
-            relators = shortened
-            continue
-        shorten_due = True
+            break
         _, idx, g = best
         rel = relators[idx]
         pos = next(i for i, letter in enumerate(rel) if abs(letter) == g)
         # rotate so the g-letter is first, then  g = (rest)^-1  or  g^-1 = rest
         rot = rel[pos:] + rel[:pos]
-        if rot[0] == g:
-            replacement = inverse_word(rot[1:])
-        else:
-            replacement = rot[1:]
+        replacement = inverse_word(rot[1:]) if rot[0] == g else rot[1:]
+        inverse = inverse_word(replacement)
         out = []
         for i, r in enumerate(relators):
             if i == idx:
                 continue
-            new = []
-            for letter in r:
-                if letter == g:
-                    new.extend(replacement)
-                elif letter == -g:
-                    new.extend(inverse_word(replacement))
-                else:
-                    new.append(letter)
-            out.append(free_reduce(tuple(new)))
-        # drop the generator, remap letters
-        remap = {}
-        new_names = []
-        for k, nm in enumerate(names, start=1):
-            if k == g:
-                continue
-            remap[k] = len(new_names) + 1
-            new_names.append(nm)
-        remapped = []
-        for r in out:
-            remapped.append(tuple(
-                remap[letter] if letter > 0 else -remap[-letter] for letter in r))
-        names = new_names
-        relators = _normalize(remapped)
-    return Presentation(tuple(names), tuple(relators), provenance=pres.provenance)
+            if g in r or -g in r:
+                new = []
+                for letter in r:
+                    if letter == g:
+                        new.extend(replacement)
+                    elif letter == -g:
+                        new.extend(inverse)
+                    else:
+                        new.append(letter)
+                r = free_reduce(tuple(new))
+            out.append(r)
+        eliminated.add(g)
+        relators = _normalize(out)
+    # the renumbering keeps the order of the ids, so it keeps the order of
+    # the relators too
+    kept = [k for k in range(1, pres.ngens + 1) if k not in eliminated]
+    renumber = {k: i for i, k in enumerate(kept, start=1)}
+    relators = [tuple(renumber[letter] if letter > 0 else -renumber[-letter]
+                      for letter in r) for r in relators]
+    return Presentation(tuple(pres.generators[k - 1] for k in kept),
+                        tuple(relators), provenance=pres.provenance)
 
 
 __all__ = [
     "Presentation", "parse_presentation", "load_presentation",
     "tietze_simplify", "free_reduce", "cyclic_reduce", "inverse_word",
-    "word_pow", "commutator", "word_to_string", "MAX_WORD_LENGTH",
+    "word_pow", "commutator", "MAX_WORD_LENGTH",
 ]

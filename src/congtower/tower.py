@@ -418,7 +418,7 @@ def covered_radius(tower):
         frontier = nxt
 
 
-def tower_report(tower, recheck_points=100, rng_seed=2024, check_radius=True):
+def tower_report(tower, recheck_points=100, rng_seed=2024):
     """Verdict + evidence for a constructed tower.
 
     PASS requires: the no-p-torsion hypothesis holds for the base group's
@@ -472,7 +472,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024, check_radius=True):
                 ok = False
                 failures.append({"step": step.n, "reason": "certificate refused"})
         steps_json.append(entry)
-    radius = covered_radius(tower) if (ok and check_radius) else 0
+    radius = covered_radius(tower) if ok else 0
     report = {
         "example": tower.example,
         "p": p,

@@ -154,7 +154,7 @@ def test_criterion_7_towers(capsys, tmp_path):
         vertex_depth=step.vertex_depth, source_i=step.source_i,
         relative=step.relative, swap_conjugate=step.swap_conjugate,
         certificate=step.certificate)
-    rep_bad = tower.tower_report(magic, recheck_points=10, check_radius=False)
+    rep_bad = tower.tower_report(magic, recheck_points=10)
     assert rep_bad["verdict"] == "FAIL"
     dt = time.time() - t0
     assert dt < 120.0

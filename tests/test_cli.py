@@ -81,6 +81,25 @@ def test_lemma22_prime_index_out_of_range(capsys, index):
     assert "--prime-index %s is out of range" % index in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prime, field", [("1+i", "d=7"), ("1+i", "2"),
+                                          ("zeta5-1", "d=1")])
+def test_lemma22_alias_rejects_another_field(capsys, prime, field):
+    # an alias fixes its own ring; a --field naming another one used to be
+    # dropped
+    code = cli.main(["lemma22", "--field", field, "--prime", prime,
+                     "--j", "1", "--k", "2"])
+    assert code == cli.EXIT_INPUT
+    assert "--prime %s lies in" % prime in capsys.readouterr().err
+
+
+def test_lemma22_alias_with_its_own_field(capsys):
+    plain = run_cli(capsys, "lemma22", "--j", "1", "--k", "2",
+                    "--format", "json")
+    for field in ("d=1", "1", "O_1"):
+        assert run_cli(capsys, "lemma22", "--field", field, "--prime", "1+i",
+                       "--j", "1", "--k", "2", "--format", "json") == plain
+
+
 def test_tree_text_and_dot(capsys):
     code, out = run_cli(capsys, "tree", "pgl2", "--radius", "2")
     assert code == 0
@@ -245,6 +264,14 @@ def test_tree_pgl2_rejects_non_prime(capsys, p):
     code = cli.main(["tree", "pgl2", "--p", p, "--radius", "1"])
     assert code == cli.EXIT_INPUT
     assert "not a prime in the supported range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["oq", "su"])
+def test_tree_p_applies_to_pgl2_only(capsys, model):
+    # the oq and su models fix their own prime; --p used to be dropped
+    code = cli.main(["tree", model, "--p", "3", "--radius", "1"])
+    assert code == cli.EXIT_INPUT
+    assert "--p applies to the pgl2 model only" in capsys.readouterr().err
 
 
 # the d=1 generator matrices as a generator-matrices file; a valid file runs

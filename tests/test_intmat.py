@@ -197,6 +197,16 @@ def test_sparse_path_matches_dense(rng):
     dense = AbelianInvariants.from_divisors(ncols, snf(rows))
     assert dense == AbelianInvariants(0, (2, 2, 2, 3, 4))
     assert abelian_invariants(rows, ncols) == dense
+    # -1 pivots and odd torsion, where a pivot's sign shows: the rows
+    # -x_i + 3x_{i+1} give x_0 = 27x_3, so 2x_0 + 3x_3 leaves Z/57; with the
+    # sign dropped the chain gives Z/51 (and the first case Z/3)
+    chain = [[-1, 3, 0, 0], [0, -1, 3, 0], [0, 0, -1, 3], [2, 0, 0, 3]]
+    for rows, expected in (([[-1, 3], [2, 3]], (9,)),
+                           (chain, (3, 19)), (chain[::-1], (3, 19))):
+        ncols = len(rows[0])
+        dense = AbelianInvariants.from_divisors(ncols, snf(rows))
+        assert dense == AbelianInvariants(0, expected)
+        assert abelian_invariants(rows, ncols) == dense
 
 
 @st.composite

@@ -1,11 +1,15 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congtower import catalog, homology
 from congtower.errors import InputError
 from congtower.presentations import (
     Presentation, cyclic_reduce, free_reduce, inverse_word,
-    parse_presentation, tietze_simplify, word_to_string,
+    parse_presentation, tietze_simplify,
 )
+from congtower.rings import factor_rational_prime, make_ring
 
 
 def test_free_and_cyclic_reduction():
@@ -55,18 +59,6 @@ def test_provenance_collection():
     text = "# provenance: somewhere reliable\ngens a; rels a^2;"
     p = parse_presentation(text)
     assert p.provenance == "somewhere reliable"
-
-
-def test_roundtrip_serialization():
-    p = parse_presentation("gens a, b; rels a^3, [a,b], (a*b)^2;")
-    q = parse_presentation(p.to_text())
-    assert q.generators == p.generators
-    assert q.relators == p.relators
-
-
-def test_word_to_string():
-    assert word_to_string((1, 1, -2), ("a", "b")) == "a^2*b^-1"
-    assert word_to_string((), ("a",)) == "1"
 
 
 def test_relator_validation():
@@ -133,25 +125,58 @@ def test_relation_matrix_sparse_rows():
     assert str(p.abelianization()) == "Z^2"
 
 
+def test_tietze_o41_gamma2_stage():
+    # stage 1 of the two-stage pipeline: Gamma(2) of the o41 reflection
+    # group, 481 Schreier generators, simplified to these 10
+    prime = factor_rational_prime(make_ring("rational"), 2)[0]
+    _, sub, _ = homology.kernel_presentation(
+        homology.coxeter_presentation(), catalog.o41_reflections(), prime)
+    assert sub.ngens == 481
+    q = tietze_simplify(sub)
+    assert q.generators == ("s102", "s204", "s309", "s313", "s352", "s400",
+                            "s427", "s455", "s469", "s479")
+    assert len(q.relators) == 40 and q.total_length() == 140
+    digest = hashlib.sha256(repr((q.generators, q.relators)).encode())
+    assert digest.hexdigest() == (
+        "fba7f4b2f698f62a6d71d5cddd24ab3226fdfc2669a1cfb6a08342d48da938b3")
+
+
+def _power(name, exp):
+    return name if exp == 1 else "%s^%d" % (name, exp)
+
+
 @st.composite
-def presentations(draw):
+def presentation_texts(draw):
+    """A presentation text, with the names, relators and provenance it
+    must parse to."""
     names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}",
                                         fullmatch=True),
                           min_size=1, max_size=4, unique=True))
-    letters = st.integers(1, len(names)).flatmap(
-        lambda k: st.sampled_from([k, -k]))
-    relators = draw(st.lists(
-        st.lists(letters, max_size=8).map(free_reduce).filter(bool),
-        max_size=5))
-    # provenance lines survive the round trip only without surrounding
-    # whitespace
+    # a relator is a freely reduced list of powers of distinct neighbours
+    powers = st.tuples(st.integers(0, len(names) - 1),
+                       st.integers(-3, 3).filter(bool))
+    relators, texts = [], []
+    for syllables in draw(st.lists(st.lists(powers, min_size=1, max_size=4),
+                                   max_size=5)):
+        word = free_reduce(tuple(
+            (k + 1 if e > 0 else -k - 1) for k, e in syllables
+            for _ in range(abs(e))))
+        if word:
+            relators.append(word)
+            texts.append("*".join(_power(names[k], e) for k, e in syllables))
+    # provenance lines are compared after stripping their whitespace
     lines = draw(st.lists(st.text(alphabet="abc xyz:;.,()#-012", max_size=12)
                           .map(str.strip), max_size=3))
-    return Presentation(tuple(names), tuple(relators),
-                        provenance="\n".join(lines))
+    text = "".join("# provenance: %s\n" % ln for ln in lines)
+    text += "gens %s;\nrels %s;\n" % (", ".join(names), ", ".join(texts))
+    return text, tuple(names), tuple(relators), "\n".join(lines)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(presentations())
-def test_to_text_round_trips(pres):
-    assert parse_presentation(pres.to_text()) == pres
+@given(presentation_texts())
+def test_parse_matches_drawn_text(drawn):
+    text, names, relators, provenance = drawn
+    pres = parse_presentation(text)
+    assert pres.generators == names
+    assert pres.relators == relators
+    assert pres.provenance == provenance

@@ -161,13 +161,13 @@ def test_fault_injected_certificate_flips_verdict():
         vertex_depth=step.vertex_depth, source_i=step.source_i,
         relative=step.relative, swap_conjugate=step.swap_conjugate,
         certificate=corrupted)
-    report = tower.tower_report(data, recheck_points=25, check_radius=False)
+    report = tower.tower_report(data, recheck_points=25)
     assert report["verdict"] == "FAIL"
 
 
 def test_pu21_tower_steps():
     data = tower.build_tower("pu21", 2)
-    report = tower.tower_report(data, recheck_points=10, check_radius=False)
+    report = tower.tower_report(data, recheck_points=10)
     assert report["verdict"] == "PASS"
     for step in data.steps[1:]:
         assert step.certificate.min_valuation >= 2
@@ -178,7 +178,7 @@ def test_pu21_tower_steps():
 
 def test_o41_tower_steps():
     data = tower.build_tower("o41", 3)
-    report = tower.tower_report(data, recheck_points=10, check_radius=False)
+    report = tower.tower_report(data, recheck_points=10)
     assert report["verdict"] == "PASS"
     for step in data.steps[1:]:
         assert ringmat.preserves_form(step.conjugator, data.model.form,
@@ -313,7 +313,7 @@ def _counting_rechecks(monkeypatch, fail=None):
 def test_each_certificate_rechecked_once(monkeypatch):
     calls = _counting_rechecks(monkeypatch)
     data = tower.build_tower("magic", 10)
-    report = tower.tower_report(data, recheck_points=7, check_radius=False)
+    report = tower.tower_report(data, recheck_points=7)
     assert report["verdict"] == "PASS"
     certs = {id(step.certificate) for step in data.steps[1:]}
     assert len(certs) == 3 and len(calls) == 3
@@ -329,7 +329,7 @@ def test_failed_recheck_reaches_every_step_citing_it(monkeypatch):
     citing = [s.n for s in data.steps[1:] if s.certificate is shared]
     assert len(citing) > 1
     calls = _counting_rechecks(monkeypatch, fail=shared)
-    report = tower.tower_report(data, recheck_points=5, check_radius=False)
+    report = tower.tower_report(data, recheck_points=5)
     assert report["verdict"] == "FAIL"
     assert len(calls) == 3
     assert [f["step"] for f in report["failures"]] == citing
