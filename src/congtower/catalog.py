@@ -118,7 +118,7 @@ def o41_reflections():
             and all(isinstance(m, list) and len(m) == 5 for m in rows)):
         raise InputError('%s: "matrices" must list five 5x5 matrices' % path)
     ring = make_ring("rational")
-    mats = [ringmat.matrix_from_json({"rows": m}, ring=ring) for m in rows]
+    mats = [ringmat.matrix_from_json(m, ring) for m in rows]
     problem = reflection_data_problem(mats)
     if problem:
         raise InputError("%s: %s" % (path, problem))

@@ -41,9 +41,6 @@ class CosetTable:
     def nletters(self):
         return 2 * self.pres.ngens
 
-    def step(self, coset, letter):
-        return self.rows[coset][letter]
-
     def trace(self, coset, word):
         for x in _letters(word):
             coset = self.rows[coset][x]
@@ -62,13 +59,6 @@ class CosetTable:
             if self.trace(0, w) != 0:
                 raise InputError("subgroup generator moves coset 0")
         return True
-
-    def permutations(self):
-        """One permutation (tuple) per generator, acting on cosets."""
-        out = []
-        for g in range(self.pres.ngens):
-            out.append(tuple(self.rows[c][2 * g] for c in range(len(self.rows))))
-        return out
 
 
 def coset_enumerate(pres, subgroup_words=(), max_cosets=MAX_COSETS_DEFAULT):
@@ -261,7 +251,7 @@ def _standardize(rows):
     return out
 
 
-def table_from_permutations(pres, perms, subgroup_words=()):
+def table_from_permutations(pres, perms):
     """Coset table from an explicit permutation action of the generators.
 
     perms[g] maps coset -> coset for generator g (all bijections on the same
@@ -284,7 +274,7 @@ def table_from_permutations(pres, perms, subgroup_words=()):
             row.append(inv[g][c])
         rows.append(row)
     rows = _standardize(rows)
-    table = CosetTable(pres, rows, subgroup_words)
+    table = CosetTable(pres, rows, ())
     table.validate()
     return table
 
@@ -293,23 +283,15 @@ def table_from_permutations(pres, perms, subgroup_words=()):
 # Schreier transversals and Reidemeister-Schreier
 
 
-def schreier_transversal(table, strategy="shortlex"):
-    """Spanning tree of the coset graph.
+def schreier_transversal(table):
+    """Spanning tree of the coset graph: BFS from coset 0, letters in
+    ascending order (shortlex).
 
     Returns (transversal, tree_edges): transversal[c] is a word in the
     parent generators carrying coset 0 to c; tree_edges is a set of
     (coset, letter) pairs (both directions included).
-
-    Strategies: 'shortlex' (BFS, letters ascending) and 'reversed'
-    (BFS, letters descending) -- two genuinely different trees.
     """
     n = table.index
-    nletters = table.nletters
-    letter_order = list(range(nletters))
-    if strategy == "reversed":
-        letter_order.reverse()
-    elif strategy != "shortlex":
-        raise InputError("unknown transversal strategy %r" % (strategy,))
     transversal = [None] * n
     transversal[0] = ()
     tree = set()
@@ -318,7 +300,7 @@ def schreier_transversal(table, strategy="shortlex"):
     while head < len(queue):
         c = queue[head]
         head += 1
-        for x in letter_order:
+        for x in range(table.nletters):
             d = table.rows[c][x]
             if d is not None and transversal[d] is None:
                 letter = (x // 2 + 1) if x % 2 == 0 else -(x // 2 + 1)
@@ -331,14 +313,14 @@ def schreier_transversal(table, strategy="shortlex"):
     return transversal, tree
 
 
-def schreier_generators(table, strategy="shortlex"):
+def schreier_generators(table):
     """The nontrivial Schreier generators of the point stabilizer.
 
     Returns (gen_words, gen_index) where gen_words[k] is a word in the
     parent generators and gen_index maps (coset, generator) -> k for the
     non-tree edges.
     """
-    transversal, tree = schreier_transversal(table, strategy)
+    transversal, tree = schreier_transversal(table)
     gen_words = []
     gen_index = {}
     for c in range(table.index):
@@ -375,14 +357,14 @@ def rewrite_word(table, gen_index, start, word):
     return free_reduce(tuple(out))
 
 
-def reidemeister_schreier(pres, table, strategy="shortlex"):
+def reidemeister_schreier(pres, table):
     """Presentation of the subgroup the table enumerates.
 
     Generators: nontrivial Schreier generators (index*(ngens-1)+1 of them).
     Relators: every parent relator rewritten at every coset
     (index * len(relators) words, some of which may freely reduce away).
     """
-    gen_words, gen_index = schreier_generators(table, strategy)
+    gen_words, gen_index = schreier_generators(table)
     names = tuple("s%d" % k for k in range(len(gen_words)))
     relators = []
     for c in range(table.index):

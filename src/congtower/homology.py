@@ -151,7 +151,7 @@ def load_generator_matrices(path):
         raise InputError('%s: "scheme" must be {"kind": "SL2"} or left out'
                          % path)
     ring = make_ring(payload["ring"])
-    matrices = {name: ringmat.matrix_from_json({"rows": rows}, ring=ring)
+    matrices = {name: ringmat.matrix_from_json(rows, ring)
                 for name, rows in named.items()}
     if any(len(m) != 2 for m in matrices.values()):
         raise InputError("%s: generator matrices must be 2x2" % path)

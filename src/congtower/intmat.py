@@ -1,6 +1,8 @@
 """Exact integer matrix algebra: Hermite and Smith normal forms.
 
 Everything is plain Python ints (arbitrary precision), lists of rows.
+``hnf`` gives the canonical basis of a row lattice (the prime-power
+lattices of ``rings``), and ``lattice_contains`` tests membership in it.
 The Smith reduction uses minimal-absolute-value pivoting with full row and
 column reduction, which keeps entries tame at the sizes we need (a few
 thousand rows).  Abelian invariants always go through a sparse elimination
@@ -18,15 +20,13 @@ from dataclasses import dataclass
 
 
 def hnf(rows):
-    """Row HNF with transformation: returns (H, U) with U unimodular, U*M = H.
-
-    H is in canonical form: pivots positive, entries above each pivot reduced
+    """Row HNF H of an int matrix M: the same row lattice as M, in
+    canonical form: pivots positive, entries above each pivot reduced
     into [0, pivot), zero rows at the bottom.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     row = 0
     for col in range(n):
         # gcd-eliminate everything below `row` in this column
@@ -38,7 +38,6 @@ def hnf(rows):
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        u[row], u[piv] = u[piv], u[row]
         while True:
             done = True
             for r in range(row + 1, m):
@@ -46,26 +45,22 @@ def hnf(rows):
                     q = a[r][col] // a[row][col]
                     if q:
                         _row_sub(a[r], a[row], q)
-                        _row_sub(u[r], u[row], q)
                     if a[r][col]:
                         a[row], a[r] = a[r], a[row]
-                        u[row], u[r] = u[r], u[row]
                         done = False
             if done:
                 break
         if a[row][col] < 0:
             a[row] = [-x for x in a[row]]
-            u[row] = [-x for x in u[row]]
         # reduce entries above the pivot
         for r in range(row):
             q = a[r][col] // a[row][col]
             if q:
                 _row_sub(a[r], a[row], q)
-                _row_sub(u[r], u[row], q)
         row += 1
         if row == m:
             break
-    return [list(r) for r in a], u
+    return a
 
 
 def _row_sub(target, source, q):
@@ -88,38 +83,6 @@ def lattice_contains(hnf_rows, vector):
             for j in range(i, n):
                 x[j] -= q * hnf_rows[i][j]
     return all(v == 0 for v in x)
-
-
-def solve_integer_linear(m_rows, target):
-    """Integer solution x of M x = target (columns of M as generators), or None."""
-    nrows = len(m_rows)
-    ncols = len(m_rows[0]) if nrows else 0
-    gens = [[m_rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    h, u = hnf(gens)
-    # forward-substitute target against the HNF rows
-    x = list(target)
-    coeffs = [0] * len(h)
-    pivots = []  # (row, col)
-    for r, row in enumerate(h):
-        c = next((j for j, v in enumerate(row) if v), None)
-        if c is not None:
-            pivots.append((r, c))
-    for r, c in pivots:
-        if x[c] % h[r][c]:
-            return None
-        q = x[c] // h[r][c]
-        coeffs[r] = q
-        if q:
-            for j in range(len(x)):
-                x[j] -= q * h[r][j]
-    if any(x):
-        return None
-    sol = [0] * ncols
-    for r, q in enumerate(coeffs):
-        if q:
-            for j in range(ncols):
-                sol[j] += q * u[r][j]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -368,5 +331,5 @@ def abelian_invariants(relation_rows, num_generators):
 
 __all__ = [
     "hnf", "snf", "abelian_invariants", "AbelianInvariants",
-    "lattice_contains", "solve_integer_linear",
+    "lattice_contains",
 ]

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import InputError
 from . import rings
-from .rings import make_ring
 
 
 def mat(ring, rows):
@@ -167,7 +166,7 @@ def congruent_to_identity(m, prime, level):
 
 
 # ---------------------------------------------------------------------------
-# JSON input: {"ring": tag, "rows": [[entry, ...], ...]}
+# JSON input: rows = [[entry, ...], ...] over a ring the file names
 # entry = int | "a/b" | [coord, ...] with coord = int | "a/b"
 
 
@@ -188,18 +187,11 @@ def entry_from_json(ring, v):
     raise InputError("bad matrix entry %r" % (v,))
 
 
-def matrix_from_json(obj, ring=None):
-    """Square matrix from {"ring": tag, "rows": rows}; "ring" may be left
-    out when ``ring`` is given."""
-    if not isinstance(obj, dict) or "rows" not in obj or (
-            ring is None and "ring" not in obj):
-        raise InputError('a matrix must be a JSON object with "ring" and "rows"')
-    rows = obj["rows"]
+def matrix_from_json(rows, ring):
+    """Square matrix over ``ring`` from JSON rows of entries."""
     if not isinstance(rows, list) or not rows or any(
             not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise InputError("matrix rows must be a nonempty square list of lists")
-    if ring is None:
-        ring = make_ring(obj["ring"])
     return mat(ring, [[entry_from_json(ring, v) for v in row] for row in rows])
 
 

@@ -23,8 +23,13 @@ element construction from Fractions, the ``coords`` view, scaling by a
 Fraction, and the value of ``norm``.
 
 Prime ideals are stored with their Z-lattice (HNF basis), which makes
-membership, valuations and residue rings O/p^k purely integer linear
-algebra.  No general ideal arithmetic beyond powers of primes.
+membership and valuations lattice tests and a residue of O/p^k a vector
+reduced against the lattice of p^k.  Residue arithmetic is the ring's own
+multiplication followed by that reduction: a unit is inverted as
+a^(phi - 1), phi the order of the unit group, and a denominator divisible
+by p is cleared by the uniformizer pi of the (principal) prime, so no
+integer linear system is solved.  No general ideal arithmetic beyond
+powers of primes.
 """
 
 from __future__ import annotations
@@ -315,9 +320,6 @@ class RingElt:
             raise InputError("element %r is not integral" % (self,))
         return self.num
 
-    def denominator(self):
-        return self.den
-
     def __eq__(self, other):
         if not isinstance(other, RingElt):
             if not isinstance(other, (int, Fraction)):
@@ -438,7 +440,7 @@ class PrimeIdeal:
         for g in gens:
             # the rows g*b_j are the columns of g's multiplication matrix
             rows.extend(list(col) for col in zip(*ring.mult_matrix(g.int_coords())))
-        h, _ = intmat.hnf(rows)
+        h = intmat.hnf(rows)
         return tuple(tuple(r) for r in h[: n])
 
     def power_lattice(self, k):
@@ -454,7 +456,7 @@ class PrimeIdeal:
             ring = self.ring
             n = ring.degree
             rows = [list(ring._mul_coords(a, b)) for a in prev for b in base]
-            h, _ = intmat.hnf(rows)
+            h = intmat.hnf(rows)
             self._power_lattices[k] = tuple(tuple(r) for r in h[: n])
         return self._power_lattices[k]
 
@@ -737,6 +739,8 @@ class ResidueRing:
         # p^m with m = ceil(k/e) lies in p^k: the modulus for inverting
         # denominators prime to p
         self._den_modulus = prime.p ** -(-k // prime.e)
+        q = prime.norm()
+        self._unit_count = q ** (k - 1) * (q - 1)
         self._inv_cache = {}
 
     # -- representatives ----------------------------------------------
@@ -763,31 +767,35 @@ class ResidueRing:
           num * inv - x = x (den inv - 1), x is locally integral, and
           den inv - 1 is a multiple of p^m, which lies in the (e m)-th
           power of the prime ideal, inside its k-th power.
-        - p | den: the representative r solves den r = num mod
-          p^(k + v(den)), an integer linear system; this works even when
-          the denominator is divisible by p at the conjugate primes.
-          InputError if x is not locally integral.
+        - p | den: with p^v the power of p in den and p = pi^e u, u a unit
+          at the prime, x = (num pi^-ev) / (den pi^-ev).  The bottom is
+          the integral unit u^v (den / p^v), and the top is integral
+          exactly when x is locally integral (InputError otherwise), so
+          the residue is top times the inverse of bottom in O/p^k.  The
+          conjugate primes may divide den too.
         """
         elt = self.ring(elt)
         num, den = elt.num, elt.den
         if den == 1:
             return self.reduce_coords(num)
-        if den % self.prime.p:
+        p = self.prime.p
+        if den % p:
             inv = pow(den, -1, self._den_modulus)
             return self.reduce_coords(tuple(a * inv for a in num))
-        if self.prime.valuation(elt) < 0:
+        scale = self._pi_inverse ** (self.prime.e * _int_valuation(den, p))
+        top = RingElt(self.ring, num) * scale
+        if top.den != 1:
             raise InputError("element %r is not locally integral at p" % (elt,))
-        vm = self.prime.valuation(self.ring(den))
-        lat = self.prime.power_lattice(self.k + vm)
-        n = self.ring.degree
-        rows = [
-            [den if i == j else 0 for j in range(n)] + [lat[j][i] for j in range(n)]
-            for i in range(n)
-        ]
-        sol = intmat.solve_integer_linear(rows, list(num))
-        if sol is None:
-            raise AssertionError("localized reduction failed unexpectedly")
-        return self.reduce_coords(sol[:n])
+        bottom = scale * den
+        return self.mul(self.reduce_coords(top.num),
+                        self.inverse(self.reduce_coords(bottom.num)))
+
+    @functools.cached_property
+    def _pi_inverse(self):
+        """pi^-1 for the prime's single generator pi, built once."""
+        if len(self.prime.gens) != 1:
+            raise InputError("reducing p in a denominator needs a principal prime")
+        return self.prime.gens[0].inverse()
 
     def lift(self, rep):
         return RingElt(self.ring, tuple(rep))
@@ -821,18 +829,19 @@ class ResidueRing:
         return self.prime.valuation(self.lift(a)) == 0 if a != self.zero else False
 
     def inverse(self, a):
+        """a^-1 = a^(phi - 1) by square-and-multiply, where
+        phi = N(p)^(k-1) (N(p) - 1) is the order of the unit group of
+        O/p^k (Lagrange).  InputError if a is not a unit."""
         if a in self._inv_cache:
             return self._inv_cache[a]
-        n = self.ring.degree
-        # solve a*x + (lattice vector) = 1 over Z
-        sol = intmat.solve_integer_linear(
-            [list(m_row) + list(lat_col)
-             for m_row, lat_col in zip(self.ring.mult_matrix(a), zip(*self.lattice))],
-            [1] + [0] * (n - 1),
-        )
-        if sol is None:
+        inv, base, e = self.one, a, self._unit_count - 1
+        while e:
+            if e & 1:
+                inv = self.mul(inv, base)
+            base = self.mul(base, base)
+            e >>= 1
+        if self.mul(a, inv) != self.one:
             raise InputError("element %r is not a unit in O/p^%d" % (a, self.k))
-        inv = self.reduce_coords(sol[:n])
         self._inv_cache[a] = inv
         return inv
 

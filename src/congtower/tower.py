@@ -212,7 +212,6 @@ class TowerData:
     moves: list               # the model's swap moves, see _swap_moves
     steps: list
     torsion: tuple            # (invariants, mode, note)
-    requested: int
 
 
 def build_tower(example, steps):
@@ -269,7 +268,7 @@ def build_tower(example, steps):
             if len(tower_steps) > steps:
                 break
     return TowerData(example, cfg, model, prime, moves, tower_steps,
-                     cfg.torsion_check(), steps)
+                     cfg.torsion_check())
 
 
 def _swap_moves(model):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from congtower import bttree, catalog, intmat, ringmat, rings
+from congtower import bttree, catalog, ringmat, rings
 from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -126,23 +126,6 @@ def test_uniformizer_powers_are_cached(request, name):
     for k in range(-4, 5):
         assert ctx.uniformizer_power(k) == ctx.pi ** k
         assert ctx.uniformizer_power(k) is ctx.uniformizer_power(k)
-
-
-@pytest.mark.parametrize("name", ["oq", "su"])
-def test_canonicalize_solves_no_integer_system(request, name, monkeypatch):
-    # the denominators canonicalize meets at these primes are prime to p,
-    # and a residue reduction inverts those mod a power of p
-    model = request.getfixturevalue(name)
-    calls = []
-    solve = intmat.solve_integer_linear
-    monkeypatch.setattr(intmat, "solve_integer_linear",
-                        lambda *args: calls.append(args) or solve(*args))
-    # exploring the ball canonicalizes every neighbour it meets
-    graph = bttree.bfs_explore(model, 2)
-    for v, t, frame in zip(graph.vertices, graph.types, graph.frames):
-        assert bttree.canonicalize(
-            ringmat.mat_mul(frame, model.bases[t]), model.ctx) == v
-    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["pgl2", "oq", "su"])

@@ -2,7 +2,7 @@ import pytest
 
 from congtower import congsub, coset, homology
 from congtower.errors import BudgetExceeded
-from congtower.presentations import parse_presentation
+from congtower.presentations import Presentation, parse_presentation
 from congtower.rings import factor_rational_prime, make_ring
 
 
@@ -99,7 +99,24 @@ def test_kernel_index_120_todd_coxeter_cross_check():
     assert t2.index == 120
 
 
+def _reversed_generators(pres, table):
+    """The presentation with its generators in reverse order, the letter
+    map that carries its words back, and the table rebuilt from the
+    generators' permutations, reordered to match."""
+    n = pres.ngens
+
+    def back(word):
+        return tuple((n + 1 - abs(l)) * (1 if l > 0 else -1) for l in word)
+
+    rev = Presentation(pres.generators[::-1],
+                       tuple(back(r) for r in pres.relators))
+    perms = [tuple(row[2 * g] for row in table.rows) for g in range(n)]
+    return rev, back, coset.table_from_permutations(rev, perms[::-1])
+
+
 def test_transversal_strategies_differ_but_agree():
+    # the shortlex tree of the same subgroup under the reversed generator
+    # order is another spanning tree, with the same abelianization
     pres, mats = homology.sl2_presentation_and_matrices(1)
     ring = make_ring(1)
     subgroups = []
@@ -107,17 +124,24 @@ def test_transversal_strategies_differ_but_agree():
         prime = factor_rational_prime(ring, p)[0]
         hom = congsub.ReductionHom(pres, mats, prime, 1)
         subgroups.append(coset.table_from_permutations(pres, hom.permutations()))
+    # the cosets of <a> in D4 form a path of involutions, which has one
+    # spanning tree under either order
     q = parse_presentation("gens a, b; rels a^2, b^2, (a*b)^4;")
     subgroups.append(coset.coset_enumerate(q, [(1,)]))
     tested = 0
-    for table in subgroups:
+    for table, differ in zip(subgroups, (True, True, False)):
         pres_here = table.pres
-        sub1, _ = coset.reidemeister_schreier(pres_here, table, "shortlex")
-        sub2, _ = coset.reidemeister_schreier(pres_here, table, "reversed")
-        t1, _tree1 = coset.schreier_transversal(table, "shortlex")
-        t2, _tree2 = coset.schreier_transversal(table, "reversed")
-        if table.index > 2:
-            assert t1 != t2  # genuinely different transversals
+        rev, back, rev_table = _reversed_generators(pres_here, table)
+        assert rev_table.index == table.index
+        sub1, _ = coset.reidemeister_schreier(pres_here, table)
+        sub2, _ = coset.reidemeister_schreier(rev, rev_table)
+        t1, _tree1 = coset.schreier_transversal(table)
+        t2, _tree2 = coset.schreier_transversal(rev_table)
+        # a transversal is fixed by its set of words: each word names the
+        # coset it traces to
+        t2_back = {back(w) for w in t2}
+        assert {table.trace(0, w) for w in t2_back} == set(range(table.index))
+        assert (set(t1) != t2_back) == differ
         assert sub1.abelianization() == sub2.abelianization()
         tested += 1
     assert tested == 3

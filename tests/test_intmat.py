@@ -9,42 +9,29 @@ from congtower.intmat import AbelianInvariants, abelian_invariants, hnf, snf
 def brute_force_lattice_points(rows, box):
     """Lattice points in a box, decided by exact 2x2 Cramer solves: an
     independent membership oracle (no HNF machinery)."""
-    from fractions import Fraction
     (a, b), (c, d) = rows
     det = a * d - b * c
     assert det != 0
-    pts = set()
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            s = Fraction(x * d - y * c, det)
-            t = Fraction(a * y - b * x, det)
-            if s.denominator == 1 and t.denominator == 1:
-                pts.add((x, y))
-    return pts
+    return {(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
+            if (x * d - y * c) % det == 0 and (a * y - b * x) % det == 0}
 
 
 def test_hnf_identity_and_zero():
-    h, u = hnf([[1, 0], [0, 1]])
+    h = hnf([[1, 0], [0, 1]])
     assert h == [[1, 0], [0, 1]]
-    h, u = hnf([[0, 0], [0, 0]])
+    h = hnf([[0, 0], [0, 0]])
     assert h == [[0, 0], [0, 0]]
 
 
 def test_hnf_same_row_lattice():
     m = [[2, 4], [0, 3]]
-    h, u = hnf(m)
-    # U M = H with U unimodular
-    prod = [[sum(u[i][k] * m[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)]
-    assert prod == h
-    det_u = u[0][0] * u[1][1] - u[0][1] * u[1][0]
-    assert det_u in (1, -1)
+    h = hnf(m)
     # brute-force oracle: identical lattice points in a box
     assert brute_force_lattice_points(m, 8) == brute_force_lattice_points(h, 8)
 
 
 def test_hnf_canonical_reduction():
-    h, _ = hnf([[2, 4], [0, 3]])
+    h = hnf([[2, 4], [0, 3]])
     piv_rows = [r for r in h if any(r)]
     for i, row in enumerate(piv_rows):
         c = next(j for j, v in enumerate(row) if v)
@@ -54,12 +41,18 @@ def test_hnf_canonical_reduction():
 
 
 def test_hnf_random_unimodular_and_membership(rng):
+    for _ in range(50):
+        m = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
+        if m[0][0] * m[1][1] == m[0][1] * m[1][0]:
+            continue
+        h = hnf(m)
+        # the box holds both bases, so equal points in it put each basis
+        # in the other's lattice: H and M span the same lattice
+        box = max(abs(x) for row in m + h for x in row)
+        assert brute_force_lattice_points(m, box) == brute_force_lattice_points(h, box)
     for _ in range(100):
         m = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
-        h, u = hnf(m)
-        prod = [[sum(u[i][k] * m[k][j] for k in range(len(m))) for j in range(3)]
-                for i in range(len(m))]
-        assert prod == h
+        h = hnf(m)
         # every original row is in the row lattice of H
         square = [r for r in h if any(r)]
         if len(square) == 3 and all(square[i][i] for i in range(3)):
@@ -143,8 +136,8 @@ def test_snf_idempotence(rng):
         diag = [[divs[i] if i == j and i < len(divs) else 0 for j in range(3)]
                 for i in range(3)]
         assert snf(diag) == divs
-    h, _ = hnf([[2, 4], [0, 3]])
-    h2, _ = hnf(h)
+    h = hnf([[2, 4], [0, 3]])
+    h2 = hnf(h)
     assert h == h2
 
 
@@ -250,11 +243,3 @@ def test_torsion_formatting():
     assert inv.has_p_torsion(2) is False
     assert AbelianInvariants(0, (2,)).has_p_torsion(2) is True
     assert AbelianInvariants(0, (9,)).has_p_torsion(3) is True
-
-
-def test_solve_integer_linear():
-    sol = intmat.solve_integer_linear([[2, 0], [0, 3]], [4, 9])
-    assert sol == [2, 3]
-    assert intmat.solve_integer_linear([[2]], [3]) is None
-    sol = intmat.solve_integer_linear([[2, 3]], [1])
-    assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1

@@ -162,21 +162,16 @@ def test_json_roundtrip_integral_and_fractional():
     m = ((z + 1, ring.zero), (ring.one / 2, z ** 3 * Fraction(3, 7)))
     # coordinates in the basis 1, z, z^2, z^3; a lone constant coordinate
     # may be written as a scalar
-    text = ('{"ring": "cyclotomic-5", '
-            '"rows": [[[1, 1, 0, 0], 0], ["1/2", [0, 0, 0, "3/7"]]]}')
-    back = ringmat.matrix_from_json(json.loads(text))
+    text = '[[[1, 1, 0, 0], 0], ["1/2", [0, 0, 0, "3/7"]]]'
+    back = ringmat.matrix_from_json(json.loads(text), ring)
     assert ringmat.mat_eq(m, back)
     # rational shortcut entries
-    obj = {"ring": "rational", "rows": [[1, "1/2"], [0, 3]]}
-    m2 = ringmat.matrix_from_json(obj)
-    assert m2[0][1] == make_ring("rational")(Fraction(1, 2))
-
-
-def test_load_matrix_file(tmp_path):
-    path = tmp_path / "swap.json"
-    path.write_text('{"ring": "d=7", "rows": [[0, 2], [1, 0]]}')
-    back = ringmat.matrix_from_json(ringmat.read_json_file(str(path)))
-    assert ringmat.mat_eq(catalog.magic_swap(), back)
+    rational = make_ring("rational")
+    m2 = ringmat.matrix_from_json([[1, "1/2"], [0, 3]], rational)
+    assert m2[0][1] == rational(Fraction(1, 2))
+    for rows in ([], [[1, 2]], [[1], [2]], "rows", [[True]], [["x"]], [[{}]]):
+        with pytest.raises(InputError):
+            ringmat.matrix_from_json(rows, rational)
 
 
 # the d=1 generator matrices as a generator-matrices file

@@ -175,7 +175,7 @@ def test_int_coordinates_match_fraction_reference(case):
         assert_lowest_terms(got)
         assert list(got.coords) == want
     assert x.norm() == ref_det(ref_mult_matrix(ring, a))
-    assert x.denominator() == math.lcm(*(c.denominator for c in a))
+    assert x.den == math.lcm(*(c.denominator for c in a))
     assert x.is_integral() == all(c.denominator == 1 for c in a)
     # equal values built two ways are equal and hash alike
     for left, right in [((x / 6) * 3, x / 2), (x * Fraction(1, 2), x / 2),
@@ -526,17 +526,6 @@ def test_residue_localized_reduction(gaussian_prime2):
         R.reduce(ring.one / 2)
 
 
-def localized_reduce(R, x):
-    """The residue of a locally integral x = num/den from the integer
-    system den r = num mod p^(k + v(den)): the reference for
-    ``ResidueRing.reduce``."""
-    prime, n = R.prime, R.ring.degree
-    lat = prime.power_lattice(R.k + prime.valuation(R.ring(x.den)))
-    rows = [[x.den if i == j else 0 for j in range(n)] + [lat[j][i] for j in range(n)]
-            for i in range(n)]
-    return R.reduce_coords(intmat.solve_integer_linear(rows, list(x.num))[:n])
-
-
 # (ring, rational prime, index among the primes over it): split, ramified
 # and inert primes
 REDUCTION_PRIMES = [(7, 2, 0), (7, 2, 1), (1, 5, 0), (1, 2, 0),
@@ -563,12 +552,29 @@ def locally_integral(draw, prime):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_reduce_matches_the_localized_system(spec, p, index, data):
+    # a representative is reduced and congruent to x mod p^k; there is one
+    # such per class, so this pins reduce(x) down completely
     R, x = data.draw(locally_integral(factor_rational_prime(make_ring(spec), p)[index]))
     assert R.prime.valuation(x) >= 0
     r = R.reduce(x)
-    assert r == localized_reduce(R, x)
+    assert r == R.reduce_coords(r)
     assert R.prime.valuation_at_least(x - R.lift(r), R.k)
     assert R.lift(r) == R.ring(r)
+
+
+@pytest.mark.parametrize("spec,p,index", REDUCTION_PRIMES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inverse_of_a_unit(spec, p, index, data):
+    prime = factor_rational_prime(make_ring(spec), p)[index]
+    R = residue_ring(prime, data.draw(st.integers(1, 4)))
+    a = R.reduce_coords(tuple(data.draw(st.integers(-10 ** 4, 10 ** 4))
+                              for _ in range(R.ring.degree)))
+    if R.is_unit(a):
+        assert R.mul(a, R.inverse(a)) == R.one
+    else:
+        with pytest.raises(InputError):
+            R.inverse(a)
 
 
 def test_enumeration_budget():
