@@ -6,9 +6,10 @@ prime, scaled so the minimal elementary-divisor exponent is 0 and put into
 Hermite form over the local ring with canonical residue representatives.
 All arithmetic is global and exact (entries in K with denominators only at
 the prime); two vertices are equal iff their canonical matrices are.  The
-local context caches the uniformizer powers pi^k, negative k included, so
-canonicalization divides by pi^v as a product with pi^-v and inverts only
-each pivot's unit.
+prime (a ``rings.PrimeIdeal``) is all the local context there is: it
+caches the uniformizer powers pi^k, negative k included, and the residue
+rings O/p^k, so canonicalization divides by pi^v as a product with pi^-v
+and inverts only each pivot's unit.
 
 Tree models package a base vertex per type together with "moves": global
 group elements carrying the base vertex to each of its neighbors,
@@ -25,45 +26,10 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
 from . import catalog, congsub, ringmat
-from .rings import make_ring, factor_rational_prime, residue_ring
+from .rings import make_ring, factor_rational_prime
 
 
-class LocalContext:
-    """Valuation/reduction context at a prime of a number ring."""
-
-    def __init__(self, ring, prime):
-        self.ring = ring
-        self.prime = prime
-        if len(prime.gens) != 1:
-            raise InputError("tree contexts need a principal prime")
-        self.pi = prime.gens[0]
-        # pi^k for every k asked for; negative k are powers of pi^-1
-        self._pi_powers = {0: ring.one, 1: self.pi, -1: self.pi.inverse()}
-        self._residue = {}
-
-    def valuation(self, x):
-        return self.prime.valuation(x)
-
-    def uniformizer_power(self, k):
-        """pi^k for any int k, made once per k and context."""
-        if k not in self._pi_powers:
-            self._pi_powers[k] = self._pi_powers[1 if k > 0 else -1] ** abs(k)
-        return self._pi_powers[k]
-
-    def residue(self, k):
-        if k not in self._residue:
-            self._residue[k] = residue_ring(self.prime, k)
-        return self._residue[k]
-
-    def canonical_mod(self, x, k):
-        """Canonical representative of x mod p^k (x must be a local integer)."""
-        if k <= 0:
-            return self.ring.zero
-        R = self.residue(k)
-        return R.lift(R.reduce(x))
-
-
-def canonicalize(basis_matrix, ctx):
+def canonicalize(basis_matrix, prime):
     """Canonical representative of the homothety class of the column span.
 
     Hermite form over the localization: upper triangular, diagonal entries
@@ -72,11 +38,11 @@ def canonicalize(basis_matrix, ctx):
     Idempotent; raises on singular input.
     """
     n = len(basis_matrix)
-    ring = ctx.ring
+    ring = prime.ring
     # work on rows of the transpose (row span = column span of the input)
     rows = [[basis_matrix[i][j] for i in range(n)] for j in range(n)]
     rows = [[ring(x) for x in row] for row in rows]
-    at_least = ctx.prime.valuation_at_least
+    at_least = prime.valuation_at_least
     exps = []
     # row col is zero left of column col once the earlier columns are
     # cleared, so the row operations start at column col
@@ -87,14 +53,14 @@ def canonicalize(basis_matrix, ctx):
         for r in range(col, n):
             x = rows[r][col]
             if not x.is_zero() and (piv is None or not at_least(x, piv_val)):
-                piv, piv_val = r, ctx.valuation(x)
+                piv, piv_val = r, prime.valuation(x)
         if piv is None:
             raise InputError("basis matrix is singular")
         rows[col], rows[piv] = rows[piv], rows[col]
         # normalize the pivot to an exact uniformizer power: the one
         # inverse per pivot; every later division by pi^v multiplies by
         # the cached pi^-v
-        piv_inv = ctx.uniformizer_power(-piv_val)
+        piv_inv = prime.uniformizer_power(-piv_val)
         unit_inv = (rows[col][col] * piv_inv).inverse()
         rows[col][col:] = [x * unit_inv for x in rows[col][col:]]
         exps.append(piv_val)
@@ -111,19 +77,21 @@ def canonicalize(basis_matrix, ctx):
     for r in range(n):
         for x in rows[r][r + 1:]:
             if not x.is_zero() and not at_least(x, content):
-                content = ctx.valuation(x)
+                content = prime.valuation(x)
     if content:
-        scale = ctx.uniformizer_power(-content)
+        scale = prime.uniformizer_power(-content)
         rows = [[x * scale for x in row] for row in rows]
         exps = [e - content for e in exps]
-    # reduce entries above each pivot to canonical residue representatives;
-    # ascending column order so later columns absorb the fixups
+    # reduce entries above each pivot pi^k to their canonical residue
+    # representatives mod p^k (to 0 when k = 0); ascending column order so
+    # later columns absorb the fixups
     for col in range(1, n):
-        piv_inv = ctx.uniformizer_power(-exps[col])
+        k = exps[col]
+        piv_inv = prime.uniformizer_power(-k)
+        R = prime.residue(k) if k else None
         for r in range(col):
             x = rows[r][col]
-            rep = ctx.canonical_mod(x, exps[col])
-            diff = (x - rep) * piv_inv
+            diff = (x - R.lift(R.reduce(x)) if R else x) * piv_inv
             if not diff.is_zero():
                 rows[r][col:] = [a - diff * b
                                  for a, b in zip(rows[r][col:], rows[col][col:])]
@@ -131,17 +99,13 @@ def canonicalize(basis_matrix, ctx):
     return tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
 
 
-def standard_lattice(ring, n):
-    return ringmat.identity(ring, n)
-
-
-def apartment_vertex(ctx, n, r_twice):
+def apartment_vertex(prime, n, r_twice):
     """Apartment vertex x_{r} for r in (1/2)Z, encoded as 2r.
 
     Integer r: [pi^r e_1, e_2, ..., pi^-r e_n];  half-integers interleave:
     x_{r+1/2} = [pi^(r+1) e_1, e_2, ..., pi^-r e_n].
     """
-    ring = ctx.ring
+    ring = prime.ring
     if r_twice % 2 == 0:
         r = r_twice // 2
         a, b = r, -r
@@ -149,11 +113,11 @@ def apartment_vertex(ctx, n, r_twice):
         r = (r_twice - 1) // 2
         a, b = r + 1, -r
     rows = [[ring.zero] * n for _ in range(n)]
-    rows[0][0] = ctx.uniformizer_power(a)
+    rows[0][0] = prime.uniformizer_power(a)
     for i in range(1, n - 1):
         rows[i][i] = ring.one
-    rows[n - 1][n - 1] = ctx.uniformizer_power(b)
-    return canonicalize(tuple(tuple(r) for r in rows), ctx)
+    rows[n - 1][n - 1] = prime.uniformizer_power(b)
+    return canonicalize(tuple(tuple(r) for r in rows), prime)
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +131,28 @@ class Move:
 
 
 class TreeModel:
-    """Base vertices by type plus neighbor moves discovered from orbits."""
+    """Base vertices by type plus neighbor moves discovered from orbits,
+    the swap that the towers move by, the generators of the midpoint
+    stabilizer (two-type trees) and the form the group preserves, with
+    its ringmat.preserves_form kind (None for pgl2)."""
 
-    def __init__(self, ctx, bases, moves, name):
-        self.ctx = ctx
+    def __init__(self, prime, bases, moves, name, swap, stab_mid=(),
+                 form=None, form_kind=None):
+        self.prime = prime
         self.bases = bases            # type -> canonical vertex
         self._moves = moves           # type -> list of Move
         self.name = name
         self.base_type = next(iter(bases))
+        self.swap = swap
+        self.stab_mid = stab_mid
+        self.form = form
+        self.form_kind = form_kind
 
     def moves(self, vtype):
         return self._moves[vtype]
 
     def vertex(self, g, vtype):
-        return canonicalize(ringmat.mat_mul(g, self.bases[vtype]), self.ctx)
+        return canonicalize(ringmat.mat_mul(g, self.bases[vtype]), self.prime)
 
     def neighbors(self, vtype, frame):
         """Neighbor vertices of frame*base[vtype], with their frames."""
@@ -194,14 +166,14 @@ class TreeModel:
         return {t: len(ms) for t, ms in self._moves.items()}
 
 
-def _orbit_moves(ctx, base_vertices, seed_moves, stab_gens, budget=10_000):
+def _orbit_moves(prime, base_vertices, seed_moves, stab_gens, budget=10_000):
     """Close the seed neighbor set under stabilizer generators, keeping a
     witness transporter for each new neighbor vertex."""
     moves = []
     seen = {}
     queue = []
     for ttype, w in seed_moves:
-        v = canonicalize(ringmat.mat_mul(w, base_vertices[ttype]), ctx)
+        v = canonicalize(ringmat.mat_mul(w, base_vertices[ttype]), prime)
         if v not in seen:
             seen[v] = Move(ttype, w)
             queue.append((v, ttype, w))
@@ -212,7 +184,7 @@ def _orbit_moves(ctx, base_vertices, seed_moves, stab_gens, budget=10_000):
         head += 1
         for s in stab_gens:
             w2 = ringmat.mat_mul(s, w)
-            v2 = canonicalize(ringmat.mat_mul(w2, base_vertices[ttype]), ctx)
+            v2 = canonicalize(ringmat.mat_mul(w2, base_vertices[ttype]), prime)
             if v2 not in seen:
                 mv = Move(ttype, w2)
                 seen[v2] = mv
@@ -225,27 +197,23 @@ def _orbit_moves(ctx, base_vertices, seed_moves, stab_gens, budget=10_000):
 
 
 def pgl2_model(ring=None, prime=None):
-    """The (N(p)+1)-regular tree for PGL2 at a principal prime; defaults to
-    the split prime over 2 in O_7.  The swap seed is [[0, x], [1, 0]] with
+    """The (N(p)+1)-regular tree for PGL2 at a prime; defaults to the
+    split prime over 2 in O_7.  The swap seed is [[0, x], [1, 0]] with
     x of valuation 1: the rational prime p unless it ramifies, and then the
     prime's generator."""
     if ring is None:
         ring, prime = catalog.magic_ring_and_prime()
-    ctx = LocalContext(ring, prime)
-    base = standard_lattice(ring, 2)
-    bases = {"v": base}
-    x = ring(prime.p) if prime.e == 1 else ctx.pi
+    bases = {"v": ringmat.identity(ring, 2)}
+    x = ring(prime.p) if prime.e == 1 else prime.pi
     swap = ((ring.zero, x), (ring.one, ring.zero))
     gens = catalog.sl2_gen_matrices(ring)
     stab = [gens["a"], gens["b"], gens["u"]]
-    moves = _orbit_moves(ctx, bases, [("v", swap)], stab)
+    moves = _orbit_moves(prime, bases, [("v", swap)], stab)
     expect = prime.norm() + 1
     if len(moves) != expect:
         raise AssertionError("pgl2 model found %d neighbors, expected %d"
                              % (len(moves), expect))
-    model = TreeModel(ctx, bases, {"v": moves}, "pgl2(%d)" % prime.norm())
-    model.swap = swap
-    return model
+    return TreeModel(prime, bases, {"v": moves}, "pgl2(%d)" % prime.norm(), swap)
 
 
 def _conjugated_reflections():
@@ -268,9 +236,8 @@ def oq_model():
     """
     ring = make_ring("rational")
     prime = factor_rational_prime(ring, 2)[0]
-    ctx = LocalContext(ring, prime)
-    x0 = standard_lattice(ring, 5)
-    xhalf = apartment_vertex(ctx, 5, 1)
+    x0 = ringmat.identity(ring, 5)
+    xhalf = apartment_vertex(prime, 5, 1)
     bases = {"x0": x0, "xhalf": xhalf}
     refl = _conjugated_reflections()
     g1 = catalog.o41_swap()
@@ -279,18 +246,14 @@ def oq_model():
     stab_x0 = [m for m in refl]
     stab_xhalf = [g1, shear] + [
         m for m in refl
-        if canonicalize(ringmat.mat_mul(m, xhalf), ctx) == xhalf
+        if canonicalize(ringmat.mat_mul(m, xhalf), prime) == xhalf
     ]
-    moves_x0 = _orbit_moves(ctx, bases, [("xhalf", ringmat.identity(ring, 5))],
+    moves_x0 = _orbit_moves(prime, bases, [("xhalf", ringmat.identity(ring, 5))],
                             stab_x0)
-    moves_xhalf = _orbit_moves(ctx, bases, [("x0", ringmat.identity(ring, 5))],
+    moves_xhalf = _orbit_moves(prime, bases, [("x0", ringmat.identity(ring, 5))],
                                stab_xhalf)
-    model = TreeModel(ctx, bases,
-                      {"x0": moves_x0, "xhalf": moves_xhalf}, "oq-tree")
-    model.swap = g1
-    model.stab_mid = stab_xhalf
-    model.form = catalog.q_form()
-    return model
+    return TreeModel(prime, bases, {"x0": moves_x0, "xhalf": moves_xhalf},
+                     "oq-tree", g1, stab_xhalf, catalog.q_form(), "bilinear")
 
 
 def _su_stab_gens(ring):
@@ -356,23 +319,19 @@ def su_model():
     """The tree for the special unitary group of h0 at the ramified prime
     over 5; vertex types 'v0' (standard lattice) and 'mid' (psi vertex)."""
     ring, prime = catalog.pu21_ring_and_prime()
-    ctx = LocalContext(ring, prime)
-    v0 = standard_lattice(ring, 3)
-    mid = apartment_vertex(ctx, 3, 1)
+    v0 = ringmat.identity(ring, 3)
+    mid = apartment_vertex(prime, 3, 1)
     bases = {"v0": v0, "mid": mid}
     stab, h0 = _su_stab_gens(ring)
     g0 = catalog.pu21_swap()
     stab_mid = [g0] + [
-        m for m in stab if canonicalize(ringmat.mat_mul(m, mid), ctx) == mid
+        m for m in stab if canonicalize(ringmat.mat_mul(m, mid), prime) == mid
     ]
     ident = ringmat.identity(ring, 3)
-    moves_v0 = _orbit_moves(ctx, bases, [("mid", ident)], stab)
-    moves_mid = _orbit_moves(ctx, bases, [("v0", ident)], stab_mid)
-    model = TreeModel(ctx, bases, {"v0": moves_v0, "mid": moves_mid}, "su-tree")
-    model.swap = g0
-    model.stab_mid = stab_mid
-    model.form = h0
-    return model
+    moves_v0 = _orbit_moves(prime, bases, [("mid", ident)], stab)
+    moves_mid = _orbit_moves(prime, bases, [("v0", ident)], stab_mid)
+    return TreeModel(prime, bases, {"v0": moves_v0, "mid": moves_mid},
+                     "su-tree", g0, stab_mid, h0, "hermitian")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +346,7 @@ def oq_mod2_vector_orbit():
     equivalently of e5 itself; returns (orbit, group_order)."""
     ring = make_ring("rational")
     prime = factor_rational_prime(ring, 2)[0]
-    R = residue_ring(prime, 1)
+    R = prime.residue(1)
     gens = [congsub.reduce_matrix(R, m) for m in _conjugated_reflections()]
     group = congsub.group_closure(R, gens)
     e5 = (R.zero,) * 4 + (R.one,)
@@ -400,15 +359,14 @@ def oq_halfvertex_line_orbit():
     image of the stabilizer of L_{1/2} (computed in the f-basis)."""
     ring = make_ring("rational")
     prime = factor_rational_prime(ring, 2)[0]
-    R = residue_ring(prime, 1)
+    R = prime.residue(1)
     f = ringmat.mat(ring, [[2 if i == j == 0 else (1 if i == j else 0)
                             for j in range(5)] for i in range(5)])
     f_inv = ringmat.mat_inverse(f)
-    ctx = LocalContext(ring, prime)
-    xhalf = canonicalize(f, ctx)
+    xhalf = canonicalize(f, prime)
     stab = [catalog.o41_swap(), catalog.o41_midpoint_stab_shear()] + [
         m for m in _conjugated_reflections()
-        if canonicalize(ringmat.mat_mul(m, f), ctx) == xhalf
+        if canonicalize(ringmat.mat_mul(m, f), prime) == xhalf
     ]
     gens = []
     for m in stab:
@@ -487,7 +445,7 @@ def bfs_explore(model, radius, budget=100_000):
     (canonical vertex ordering within each BFS layer)."""
     base_type = model.base_type
     base = model.bases[base_type]
-    ident = ringmat.identity(model.ctx.ring, len(base))
+    ident = ringmat.identity(model.prime.ring, len(base))
     vertices = [base]
     types = [base_type]
     frames = [ident]
@@ -525,7 +483,6 @@ def _vertex_key(v):
 
 
 __all__ = [
-    "LocalContext", "canonicalize", "apartment_vertex",
-    "standard_lattice", "TreeModel", "Move", "pgl2_model", "oq_model",
-    "su_model", "bfs_explore", "TreeGraph",
+    "canonicalize", "apartment_vertex", "TreeModel", "Move", "pgl2_model",
+    "oq_model", "su_model", "bfs_explore", "TreeGraph",
 ]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
 from . import intmat, ringmat
-from .rings import residue_ring
 
 CLOSURE_BUDGET_DEFAULT = 10_000_000
 
@@ -204,7 +203,7 @@ class ReductionHom:
                 continue
             raise InputError("relator %r does not hold on the matrices" % (rel,))
         self.matrices = list(gen_matrices)
-        self.R = residue_ring(prime, k)
+        self.R = prime.residue(k)
         self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
         self.image_inverses = [self._canon(reduce_matrix(self.R, m)) for m in inverses]
         rid = self._canon(rmat_identity(self.R, n))
@@ -263,8 +262,6 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     if not (1 <= j <= k):
         raise InputError("need 1 <= j <= k")
     n = scheme.n
-    if len(prime.gens) != 1:
-        raise InputError("quotient check needs a principal prime")
     estimate = prime.norm() ** ((k - j) * n * n)
     if estimate > budget:
         raise BudgetExceeded(
@@ -277,9 +274,9 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     if j == k:
         report.update(order=1, abelian=True, exponent=1, elementary_abelian=True)
         return report
-    R = residue_ring(prime, k)
-    Rdiff = residue_ring(prime, k - j)
-    pi_j = prime.gens[0] ** j
+    R = prime.residue(k)
+    Rdiff = prime.residue(k - j)
+    pi_j = prime.uniformizer_power(j)
     # each entry is pi^j c for c over O/p^(k-j), plus 1 on the diagonal:
     # those values are built once.  A product over the rows, each row a
     # product over its entries, keeps the row-major lexicographic order of

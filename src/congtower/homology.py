@@ -24,7 +24,7 @@ from importlib import resources
 from .errors import InputError
 from . import catalog, congsub, coset, ringmat
 from .presentations import Presentation, load_presentation
-from .rings import make_ring, factor_rational_prime
+from .rings import PrimeIdeal, _is_small_prime, factor_rational_prime, make_ring
 
 DATA_ENV_VAR = "CONGTOWER_DATA_DIR"
 
@@ -102,9 +102,8 @@ def conjugate_dedup(ideals):
         key = ideal.power_lattice(1)
         if key in seen:
             continue
-        ring = ideal.ring
-        conj_gens = tuple(g.conj() for g in ideal.gens)
-        conj_ideal = type(ideal)(ring, ideal.p, conj_gens, ideal.e, ideal.f)
+        conj_ideal = PrimeIdeal(ideal.ring, ideal.p, ideal.pi.conj(),
+                                ideal.e, ideal.f)
         seen.add(key)
         seen.add(conj_ideal.power_lattice(1))
         out.append(ideal)
@@ -117,7 +116,7 @@ def primes_up_to_norm(ring, norm_max):
     out = []
     p = 2
     while p <= norm_max:
-        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
+        if _is_small_prime(p):
             for ideal in conjugate_dedup(factor_rational_prime(ring, p)):
                 if ideal.norm() <= norm_max:
                     out.append(ideal)

@@ -22,14 +22,18 @@ reduction and lifting included; Fraction appears only at the edges:
 element construction from Fractions, the ``coords`` view, scaling by a
 Fraction, and the value of ``norm``.
 
-Prime ideals are stored with their Z-lattice (HNF basis), which makes
-membership and valuations lattice tests and a residue of O/p^k a vector
-reduced against the lattice of p^k.  Residue arithmetic is the ring's own
-multiplication followed by that reduction: a unit is inverted as
-a^(phi - 1), phi the order of the unit group, and a denominator divisible
-by p is cleared by the uniformizer pi of the (principal) prime, so no
-integer linear system is solved.  No general ideal arithmetic beyond
-powers of primes.
+Every prime ideal of a supported ring is principal, p = pi O, and a
+``PrimeIdeal`` is built from its one generator pi.  It is the single
+owner of everything local at p: the Z-lattices of its powers (HNF bases),
+which make membership and valuations lattice tests; the powers pi^k for
+every int k, with pi inverted once; and the residue rings O/p^k, each
+built once and refused past ``ENUMERATION_LIMIT`` elements.  A residue of
+O/p^k is a vector reduced against the lattice of p^k, and residue
+arithmetic is the ring's own multiplication followed by that reduction: a
+unit is inverted as a^(phi - 1), phi the order of the unit group, and a
+denominator divisible by p is cleared by a power of pi^-1, so no integer
+linear system is solved.  No general ideal arithmetic beyond powers of
+primes.
 """
 
 from __future__ import annotations
@@ -419,29 +423,24 @@ def _parse_ring_spec(spec):
 
 
 class PrimeIdeal:
-    """Prime ideal over a rational prime p, with its Z-lattice in basis coords."""
+    """The prime ideal p = pi O over the rational prime p, with
+    ramification e and residue degree f.  It owns what every computation
+    local at p shares: the Z-lattices of its powers (HNF rows in basis
+    coords), the powers pi^k for every int k, pi being inverted once, and
+    the residue rings O/p^k."""
 
-    def __init__(self, ring, p, gens, e, f):
+    def __init__(self, ring, p, pi, e, f):
         self.ring = ring
         self.p = p
-        self.gens = tuple(gens)
+        self.pi = pi
         self.e = e
         self.f = f
-        self._power_lattices = {}
-        self._power_lattices[1] = self._lattice_from_gens(self.gens)
+        self._power_lattices = {1: _ideal_lattice(ring, p, pi)}
+        self._pi_powers = {0: ring.one, 1: pi}
+        self._residues = {}
 
     def norm(self):
         return self.p ** self.f
-
-    def _lattice_from_gens(self, gens):
-        ring = self.ring
-        n = ring.degree
-        rows = [[self.p if i == j else 0 for j in range(n)] for i in range(n)]
-        for g in gens:
-            # the rows g*b_j are the columns of g's multiplication matrix
-            rows.extend(list(col) for col in zip(*ring.mult_matrix(g.int_coords())))
-        h = intmat.hnf(rows)
-        return tuple(tuple(r) for r in h[: n])
 
     def power_lattice(self, k):
         """HNF basis (rows) of the Z-lattice of p^k."""
@@ -459,6 +458,23 @@ class PrimeIdeal:
             h = intmat.hnf(rows)
             self._power_lattices[k] = tuple(tuple(r) for r in h[: n])
         return self._power_lattices[k]
+
+    def uniformizer_power(self, k):
+        """pi^k for any int k, made once per k; negative k are powers of
+        pi^-1, the one inverse of pi."""
+        powers = self._pi_powers
+        if k not in powers:
+            if k == -1:
+                powers[k] = self.pi.inverse()
+            else:
+                powers[k] = self.uniformizer_power(1 if k > 0 else -1) ** abs(k)
+        return powers[k]
+
+    def residue(self, k):
+        """O/p^k, built once per k."""
+        if k not in self._residues:
+            self._residues[k] = ResidueRing(self, k)
+        return self._residues[k]
 
     def valuation_at_least(self, x, level):
         """Is v_p(x) >= level?  One lattice membership: for x = num/den,
@@ -483,7 +499,17 @@ class PrimeIdeal:
         return v - vd
 
     def __repr__(self):
-        return "PrimeIdeal(p=%d, e=%d, f=%d, gens=%r)" % (self.p, self.e, self.f, self.gens)
+        return "PrimeIdeal(p=%d, e=%d, f=%d, pi=%r)" % (self.p, self.e, self.f, self.pi)
+
+
+def _ideal_lattice(ring, p, g):
+    """HNF basis (rows) of the Z-lattice of the ideal (p, g)."""
+    n = ring.degree
+    rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    # the rows g*b_j are the columns of g's multiplication matrix
+    rows.extend(list(col) for col in zip(*ring.mult_matrix(g.int_coords())))
+    h = intmat.hnf(rows)
+    return tuple(tuple(r) for r in h[: n])
 
 
 def _as_int(fr):
@@ -627,13 +653,14 @@ def _trace_form_ball(lattice, bound):
     return out
 
 
-def _single_generator_search(ideal):
-    """Look for a single generator: right norm, inside the ideal.
+def _single_generator_search(ring, p, f, lattice):
+    """Look for a single generator of the prime over p of residue degree f
+    whose Z-lattice is ``lattice``: right norm, inside the ideal.
 
     In an imaginary quadratic ring every element of the right norm is
-    tried, so a principal prime always gets its generator.  Elsewhere the
-    coordinates first range over [-2, 2].  In Z[zeta5] the search then
-    goes on, complete, through the ideal's points x with
+    tried, so the search is complete there.  Elsewhere the coordinates
+    first range over [-2, 2].  In Z[zeta5] the search then goes on,
+    complete, through the ideal's points x with
     T2(x) <= 2 sqrt(5 N(p)): Q(zeta5) is CM with real unit phi, and
     multiplying a generator x by a power of phi brings
     |sigma1 x|^2 / |sigma2 x|^2 into [phi^-2, phi^2], where
@@ -641,9 +668,7 @@ def _single_generator_search(ideal):
     Each pool is tried in preference order, so that e.g. zeta-1 beats its
     unit multiples, and the box keeps the generators it always found.
     """
-    ring = ideal.ring
-    target = ideal.norm()
-    lattice = ideal.power_lattice(1)
+    target = p ** f
 
     def preference(t):
         support = [i for i, c in enumerate(t) if c]
@@ -656,10 +681,9 @@ def _single_generator_search(ideal):
             if not any(coords) or not intmat.lattice_contains(lattice, coords):
                 continue
             x = ring(coords)
-            if abs(_as_int(x.norm())) == target:
-                probe = PrimeIdeal(ring, ideal.p, (x,), ideal.e, ideal.f)
-                if probe.power_lattice(1) == lattice:
-                    return x
+            if (abs(_as_int(x.norm())) == target
+                    and _ideal_lattice(ring, p, x) == lattice):
+                return x
         return None
 
     if ring.kind == IMAG_QUAD:
@@ -679,7 +703,7 @@ def factor_rational_prime(ring, p):
         raise InputError("primes above 100 are out of the supported desk scale")
     ring = make_ring(ring)
     if ring.kind == RATIONAL:
-        return [PrimeIdeal(ring, p, (ring(p),), 1, 1)]
+        return [PrimeIdeal(ring, p, ring(p), 1, 1)]
     # factor the minimal polynomial of the generator mod p
     coeffs = list(ring.min_poly)
     facs = _factor_monic_mod_p(coeffs, p)
@@ -690,11 +714,13 @@ def factor_rational_prime(ring, p):
         val = ring.zero
         for i, c in enumerate(fac):
             val = val + ring(c) * gen ** i
-        ideal = PrimeIdeal(ring, p, (ring(p), val), mult, len(fac) - 1)
-        single = _single_generator_search(ideal)
-        if single is not None:
-            ideal = PrimeIdeal(ring, p, (single,), mult, len(fac) - 1)
-        ideals.append(ideal)
+        f = len(fac) - 1
+        pi = _single_generator_search(ring, p, f, _ideal_lattice(ring, p, val))
+        # every supported ring has class number 1, and the search is
+        # complete wherever the tests check it (every p < 100)
+        if pi is None:
+            raise AssertionError("no single generator of a prime over %d" % p)
+        ideals.append(PrimeIdeal(ring, p, pi, mult, f))
     total = 1
     for ideal in ideals:
         total *= ideal.norm() ** ideal.e
@@ -720,22 +746,28 @@ class ResidueRing:
 
     Representatives are integer tuples reduced against the HNF basis of the
     p^k lattice: 0 <= x_i < H[i][i] after back-substitution.  All group and
-    ring structure is computed by lifting to O and reducing.
+    ring structure is computed by lifting to O and reducing.  A ring of
+    more than ENUMERATION_LIMIT elements is refused (BudgetExceeded) at
+    construction.
     """
 
     def __init__(self, prime, k):
         if k < 1:
             raise InputError("residue ring exponent must be >= 1")
+        size = prime.norm() ** k
+        if size > ENUMERATION_LIMIT:
+            raise BudgetExceeded(
+                "residue ring size %d exceeds enumeration budget" % size,
+                estimate=size, budget=ENUMERATION_LIMIT,
+            )
         self.prime = prime
         self.k = k
         self.ring = prime.ring
         self.lattice = prime.power_lattice(k)
         n = self.ring.degree
         self.diag = tuple(self.lattice[i][i] for i in range(n))
-        self.size = 1
-        for d in self.diag:
-            self.size *= d
-        assert self.size == prime.norm() ** k
+        self.size = math.prod(self.diag)
+        assert self.size == size
         # p^m with m = ceil(k/e) lies in p^k: the modulus for inverting
         # denominators prime to p
         self._den_modulus = prime.p ** -(-k // prime.e)
@@ -782,20 +814,13 @@ class ResidueRing:
         if den % p:
             inv = pow(den, -1, self._den_modulus)
             return self.reduce_coords(tuple(a * inv for a in num))
-        scale = self._pi_inverse ** (self.prime.e * _int_valuation(den, p))
+        scale = self.prime.uniformizer_power(-self.prime.e * _int_valuation(den, p))
         top = RingElt(self.ring, num) * scale
         if top.den != 1:
             raise InputError("element %r is not locally integral at p" % (elt,))
         bottom = scale * den
         return self.mul(self.reduce_coords(top.num),
                         self.inverse(self.reduce_coords(bottom.num)))
-
-    @functools.cached_property
-    def _pi_inverse(self):
-        """pi^-1 for the prime's single generator pi, built once."""
-        if len(self.prime.gens) != 1:
-            raise InputError("reducing p in a denominator needs a principal prime")
-        return self.prime.gens[0].inverse()
 
     def lift(self, rep):
         return RingElt(self.ring, tuple(rep))
@@ -848,11 +873,6 @@ class ResidueRing:
     # -- structure -----------------------------------------------------
 
     def elements(self):
-        if self.size > ENUMERATION_LIMIT:
-            raise BudgetExceeded(
-                "residue ring of size %d exceeds the enumeration limit" % self.size,
-                estimate=self.size, budget=ENUMERATION_LIMIT,
-            )
         ranges = [range(d) for d in self.diag]
         for combo in itertools.product(*ranges):
             yield self.reduce_coords(combo)
@@ -862,18 +882,8 @@ class ResidueRing:
             self.prime.norm(), self.k, self.size)
 
 
-def residue_ring(prime, k):
-    size = prime.norm() ** k
-    if size > ENUMERATION_LIMIT:
-        raise BudgetExceeded(
-            "residue ring size %d exceeds enumeration budget" % size,
-            estimate=size, budget=ENUMERATION_LIMIT,
-        )
-    return ResidueRing(prime, k)
-
-
 __all__ = [
     "NumberRing", "RingElt", "PrimeIdeal", "ResidueRing",
-    "make_ring", "factor_rational_prime", "residue_ring",
+    "make_ring", "factor_rational_prime",
     "RATIONAL", "IMAG_QUAD", "CYCLOTOMIC5", "SUPPORTED_D", "ENUMERATION_LIMIT",
 ]

@@ -90,9 +90,7 @@ def certify_containment(g, prime, a, b):
     """
     ring = g[0][0].ring
     n = len(g)
-    if len(prime.gens) != 1:
-        raise InputError("certificates need a principal prime")
-    pi_a = prime.gens[0] ** a
+    pi_a = prime.uniformizer_power(a)
     g_inv = ringmat.mat_inverse(g)
     ident = ringmat.identity(ring, n)
     points = ringmat.basis_points(ring, n)
@@ -131,7 +129,7 @@ def recheck_certificate(cert, prime, rng=None, points=100):
     g = cert.conjugator
     ring = g[0][0].ring
     n = len(g)
-    pi_a = prime.gens[0] ** cert.inner_level
+    pi_a = prime.uniformizer_power(cert.inner_level)
     g_inv = ringmat.mat_inverse(g)
     for _ in range(points):
         x = [[ring(rng.randrange(-_RECHECK_SPAN, _RECHECK_SPAN + 1))
@@ -228,10 +226,9 @@ def build_tower(example, steps):
                          % (example, ", ".join(sorted(TOWER_EXAMPLES))))
     cfg = TOWER_EXAMPLES[example]
     model = cfg.model_factory()
-    ctx = model.ctx
-    prime = ctx.prime
+    prime = model.prime
     base = model.bases[model.base_type]
-    ident = ringmat.identity(ctx.ring, len(base))
+    ident = ringmat.identity(prime.ring, len(base))
     j = cfg.level_j
     moves = _swap_moves(model)
     certs = {}                # move index -> its certificate
@@ -249,7 +246,7 @@ def build_tower(example, steps):
         head += 1
         for k, (w, h) in enumerate(moves):
             t_n = ringmat.mat_mul(src.conjugator, w)
-            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), ctx)
+            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
             if vertex in index:
                 continue
             if k not in certs:
@@ -285,7 +282,7 @@ def _swap_moves(model):
     back to the base has no such word, nor has a pair that needs a word
     longer than _ALIGN_DEPTH.
     """
-    ctx = model.ctx
+    prime = model.prime
     base_type = model.base_type
     base = model.bases[base_type]
     base_moves = model.moves(base_type)
@@ -297,13 +294,13 @@ def _swap_moves(model):
     mid_moves = model.moves(mid_type)
     # the midpoint's neighbours b base; they were found as an orbit of its
     # stabilizer's generators, so the generators permute them
-    nbrs = {bttree.canonicalize(ringmat.mat_mul(b.transporter, base), ctx): k
+    nbrs = {bttree.canonicalize(ringmat.mat_mul(b.transporter, base), prime): k
             for k, b in enumerate(mid_moves)}
     words = _midpoint_words(model, nbrs)
     moves = []
     for f in base_moves:
         back = nbrs.get(bttree.canonicalize(ringmat.mat_mul(
-            ringmat.mat_inverse(f.transporter), base), ctx))
+            ringmat.mat_inverse(f.transporter), base), prime))
         for k in range(len(mid_moves)):
             sigma = words.get((back, k))
             if sigma is not None:
@@ -321,14 +318,14 @@ def _midpoint_words(model, nbrs):
     generators, at most _ALIGN_DEPTH long: the first word for each pair
     (s base, s swap base) of the midpoint's neighbours, keyed by their
     indices in `nbrs` (canonical vertex -> index)."""
-    ctx = model.ctx
+    prime = model.prime
     base = model.bases[model.base_type]
     gens = model.stab_mid
-    perms = [[nbrs[bttree.canonicalize(ringmat.mat_mul(gen, v), ctx)]
+    perms = [[nbrs[bttree.canonicalize(ringmat.mat_mul(gen, v), prime)]
               for v in nbrs] for gen in gens]
     start = (nbrs[base], nbrs[bttree.canonicalize(
-        ringmat.mat_mul(model.swap, base), ctx)])
-    first = {start: ringmat.identity(ctx.ring, len(base))}
+        ringmat.mat_mul(model.swap, base), prime)])
+    first = {start: ringmat.identity(prime.ring, len(base))}
     frontier = [start]
     for _ in range(_ALIGN_DEPTH):
         nxt = []
@@ -343,11 +340,11 @@ def _midpoint_words(model, nbrs):
 
 
 def _validate_step(model, step, tower_steps):
-    ctx = model.ctx
+    prime = model.prime
     base = model.bases[model.base_type]
     # frame really lands on the vertex
     if bttree.canonicalize(
-            ringmat.mat_mul(step.conjugator, base), ctx) != step.vertex:
+            ringmat.mat_mul(step.conjugator, base), prime) != step.vertex:
         raise CheckFailed("step %d: frame does not carry the base vertex"
                           % step.n)
     # the certified relative element is bound to the exact conjugators:
@@ -365,36 +362,29 @@ def _validate_step(model, step, tower_steps):
     # the swap conjugate exchanges source and target vertices
     g_n = step.swap_conjugate
     if bttree.canonicalize(
-            ringmat.mat_mul(g_n, src.vertex), ctx) != step.vertex:
+            ringmat.mat_mul(g_n, src.vertex), prime) != step.vertex:
         raise CheckFailed("step %d: swap conjugate does not move source to target"
                           % step.n)
     if bttree.canonicalize(
-            ringmat.mat_mul(g_n, step.vertex), ctx) != src.vertex:
+            ringmat.mat_mul(g_n, step.vertex), prime) != src.vertex:
         raise CheckFailed("step %d: swap conjugate does not move target to source"
                           % step.n)
     # form preservation where a form is attached to the model
-    form = getattr(model, "form", None)
-    if form is not None:
-        kind = "hermitian" if model.name == "su-tree" else "bilinear"
-        if not ringmat.preserves_form(step.conjugator, form, kind):
-            raise CheckFailed("step %d: conjugator does not preserve the form"
-                              % step.n)
+    if model.form is not None and not ringmat.preserves_form(
+            step.conjugator, model.form, model.form_kind):
+        raise CheckFailed("step %d: conjugator does not preserve the form"
+                          % step.n)
 
 
 # ---------------------------------------------------------------------------
-# no-p-torsion and reports
-
-
-def check_no_p_torsion(invariants, p):
-    """True iff no torsion factor of the abelianization is a power of p."""
-    return not invariants.has_p_torsion(p)
+# reports
 
 
 def covered_radius(tower):
     """Largest r such that every type-x0 vertex within r swap-steps of the
     base is among the tower's vertices (the cofinality proxy).  The search
     stops at the first vertex outside the tower."""
-    ctx = tower.model.ctx
+    prime = tower.prime
     base = tower.steps[0].vertex
     visited = {s.vertex for s in tower.steps}
     radius = 0
@@ -405,7 +395,7 @@ def covered_radius(tower):
         for frame in frontier:
             for w, _h in tower.moves:
                 t_n = ringmat.mat_mul(frame, w)
-                vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), ctx)
+                vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
                 if vertex not in seen:
                     if vertex not in visited:
                         return radius
@@ -432,7 +422,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
     rng = random.Random(rng_seed)
     ok = True
     failures = []
-    if not check_no_p_torsion(inv, p):
+    if inv.has_p_torsion(p):
         ok = False
         failures.append({"step": None, "reason": "base group has p-torsion"})
     # each distinct certificate object is rechecked once; every step that
@@ -478,7 +468,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
         "level_j": cfg.level_j,
         "certificate_levels": {"a": 2 * cfg.level_j, "b": cfg.level_j},
         "hypothesis": {
-            "no_p_torsion": check_no_p_torsion(inv, p),
+            "no_p_torsion": not inv.has_p_torsion(p),
             "abelianization": str(inv),
             "mode": mode,
             "note": note,
@@ -499,6 +489,6 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
 __all__ = [
     "ContainmentCertificate", "certify_containment", "recheck_certificate",
     "TowerStep", "TowerData", "TowerConfig",
-    "build_tower", "tower_report", "check_no_p_torsion", "covered_radius",
+    "build_tower", "tower_report", "covered_radius",
     "TOWER_EXAMPLES",
 ]

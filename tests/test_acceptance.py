@@ -204,16 +204,15 @@ def test_criterion_9_property_sweep(rng):
     cert = tower.certify_containment(catalog.magic_swap(), prime, 2, 1)
     cases += tower.recheck_certificate(cert, prime, points=100)
     # canonicalize idempotence on random p-local matrices
-    ctx = bttree.LocalContext(*catalog.magic_ring_and_prime())
-    ring = ctx.ring
+    ring = prime.ring
     for _ in range(300):
         rows = [[ring(rng.randint(-6, 6)) for _ in range(2)] for _ in range(2)]
         m = tuple(tuple(r) for r in rows)
         try:
-            c = bttree.canonicalize(m, ctx)
+            c = bttree.canonicalize(m, prime)
         except Exception:
             continue
-        assert bttree.canonicalize(c, ctx) == c
+        assert bttree.canonicalize(c, prime) == c
         cases += 1
     assert cases >= 10_000
     dt = time.time() - t0

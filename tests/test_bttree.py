@@ -10,9 +10,8 @@ from congtower.rings import factor_rational_prime, make_ring
 
 
 @pytest.fixture(scope="module")
-def magic_ctx():
-    ring, prime = catalog.magic_ring_and_prime()
-    return bttree.LocalContext(ring, prime)
+def magic_prime():
+    return catalog.magic_ring_and_prime()[1]
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +32,7 @@ def su():
 # -- the adjacency oracle: elementary divisors of the transition matrix -----
 # Independent of canonicalize and of the models' moves, which it checks.
 
-def transition_exponents(v, w, ctx):
+def transition_exponents(v, w, prime):
     """Elementary-divisor exponents (sorted) of the transition matrix
     between two lattice representatives."""
     t = ringmat.mat_mul(ringmat.mat_inverse(v), w)
@@ -45,7 +44,7 @@ def transition_exponents(v, w, ctx):
         piv_val = None
         for r in range(s, n):
             for c in range(s, n):
-                val = ctx.valuation(rows[r][c])
+                val = prime.valuation(rows[r][c])
                 if val is not math.inf and (piv_val is None or val < piv_val):
                     piv, piv_val = (r, c), val
         if piv is None:
@@ -69,47 +68,47 @@ def transition_exponents(v, w, ctx):
     return sorted(exps)
 
 
-def gl_adjacent(v, w, ctx):
+def gl_adjacent(v, w, prime):
     """Ambient building adjacency: after homothety normalization the
     transition exponents are all in {0,1} and not all equal."""
     if len(v) != len(w):
         raise InputError("dimension mismatch")
-    exps = transition_exponents(v, w, ctx)
+    exps = transition_exponents(v, w, prime)
     lo = exps[0]
     exps = [e - lo for e in exps]
     return set(exps) <= {0, 1} and len(set(exps)) == 2
 
 
-def test_canonicalize_idempotent_and_homothety(magic_ctx):
-    ring = magic_ctx.ring
-    v0 = bttree.standard_lattice(ring, 2)
-    c = bttree.canonicalize(v0, magic_ctx)
-    assert bttree.canonicalize(c, magic_ctx) == c
-    assert bttree.canonicalize(ringmat.mat_scale(v0, 2), magic_ctx) == c
-    assert bttree.canonicalize(ringmat.mat_scale(v0, ring.gen()), magic_ctx) == c
+def test_canonicalize_idempotent_and_homothety(magic_prime):
+    ring = magic_prime.ring
+    v0 = ringmat.identity(ring, 2)
+    c = bttree.canonicalize(v0, magic_prime)
+    assert bttree.canonicalize(c, magic_prime) == c
+    assert bttree.canonicalize(ringmat.mat_scale(v0, 2), magic_prime) == c
+    assert bttree.canonicalize(ringmat.mat_scale(v0, ring.gen()), magic_prime) == c
 
 
-def test_canonicalize_rejects_singular(magic_ctx):
-    ring = magic_ctx.ring
+def test_canonicalize_rejects_singular(magic_prime):
+    ring = magic_prime.ring
     with pytest.raises(InputError):
-        bttree.canonicalize(ringmat.mat(ring, [[1, 1], [1, 1]]), magic_ctx)
+        bttree.canonicalize(ringmat.mat(ring, [[1, 1], [1, 1]]), magic_prime)
 
 
-def test_canonicalize_stabilizer_invariance(magic_ctx, rng):
+def test_canonicalize_stabilizer_invariance(magic_prime, rng):
     # random words in SL2(O) stabilize the standard vertex
-    ring = magic_ctx.ring
+    ring = magic_prime.ring
     gens = catalog.sl2_gen_matrices(ring)
     mats = [gens[k] for k in "abu"]
     mats += [ringmat.mat_inverse(m) for m in mats]
-    v0 = bttree.standard_lattice(ring, 2)
-    base = bttree.canonicalize(v0, magic_ctx)
+    v0 = ringmat.identity(ring, 2)
+    base = bttree.canonicalize(v0, magic_prime)
     for _ in range(50):
         g = ringmat.identity(ring, 2)
         for _ in range(rng.randint(1, 6)):
             g = ringmat.mat_mul(g, rng.choice(mats))
-        assert bttree.canonicalize(ringmat.mat_mul(g, v0), magic_ctx) == base
+        assert bttree.canonicalize(ringmat.mat_mul(g, v0), magic_prime) == base
     # and for a moved vertex: stabilizer conjugates
-    w = bttree.canonicalize(ringmat.mat_mul(catalog.magic_swap(), v0), magic_ctx)
+    w = bttree.canonicalize(ringmat.mat_mul(catalog.magic_swap(), v0), magic_prime)
     swap = catalog.magic_swap()
     for _ in range(25):
         g = ringmat.identity(ring, 2)
@@ -117,15 +116,30 @@ def test_canonicalize_stabilizer_invariance(magic_ctx, rng):
             g = ringmat.mat_mul(g, rng.choice(mats))
         conj = ringmat.mat_mul(ringmat.mat_mul(swap, g),
                                ringmat.mat_inverse(swap))
-        assert bttree.canonicalize(ringmat.mat_mul(conj, w), magic_ctx) == w
+        assert bttree.canonicalize(ringmat.mat_mul(conj, w), magic_prime) == w
 
 
 @pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
 def test_uniformizer_powers_are_cached(request, name):
-    ctx = request.getfixturevalue(name).ctx
+    prime = request.getfixturevalue(name).prime
     for k in range(-4, 5):
-        assert ctx.uniformizer_power(k) == ctx.pi ** k
-        assert ctx.uniformizer_power(k) is ctx.uniformizer_power(k)
+        assert prime.uniformizer_power(k) == prime.pi ** k
+        assert prime.uniformizer_power(k) is prime.uniformizer_power(k)
+    for k in range(1, 4):
+        assert prime.residue(k) is prime.residue(k)
+        assert (prime.residue(k).prime, prime.residue(k).k) == (prime, k)
+
+
+def test_pi_is_inverted_once_per_prime(monkeypatch):
+    # the prime owns pi^-1: canonicalization and every residue ring
+    # O/p^1 .. O/p^6 the exploration reduces in share one inverse of pi
+    calls = []
+    inverse = rings.RingElt.inverse
+    monkeypatch.setattr(rings.RingElt, "inverse",
+                        lambda self: calls.append(self) or inverse(self))
+    model = bttree.pgl2_model()
+    bttree.bfs_explore(model, 6)
+    assert calls.count(model.prime.pi) == 1
 
 
 @pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
@@ -133,10 +147,10 @@ def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch):
     # every division by pi^v is a product with the cached pi^-v, which
     # leaves one inverse per pivot unit
     model = request.getfixturevalue(name)
-    ctx = model.ctx
+    prime = model.prime
     base = model.bases[model.base_type]
     graph = bttree.bfs_explore(model, 2)
-    pi_inv = ctx.uniformizer_power(-1)
+    pi_inv = prime.uniformizer_power(-1)
     inputs = [ringmat.mat_mul(frame, base) for frame in graph.frames]
     inputs += [ringmat.mat_scale(m, pi_inv) for m in inputs[:8]]
     calls = []
@@ -145,28 +159,28 @@ def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch):
                         lambda self: calls.append(self) or inverse(self))
     for m in inputs:
         del calls[:]
-        bttree.canonicalize(m, ctx)
+        bttree.canonicalize(m, prime)
         assert len(calls) <= len(m)
 
 
 def test_gl_adjacent_symmetric_irreflexive(pgl2):
-    ctx = pgl2.ctx
+    prime = pgl2.prime
     v0 = pgl2.bases["v"]
-    nbrs = {w for (w, _, _) in pgl2.neighbors("v", ringmat.identity(ctx.ring, 2))}
-    assert len(nbrs) == pgl2.valences()["v"] == ctx.prime.norm() + 1
+    nbrs = {w for (w, _, _) in pgl2.neighbors("v", ringmat.identity(prime.ring, 2))}
+    assert len(nbrs) == pgl2.valences()["v"] == prime.norm() + 1
     for w in nbrs:
-        assert gl_adjacent(v0, w, ctx)
-        assert gl_adjacent(w, v0, ctx)
-    assert not gl_adjacent(v0, v0, ctx)
+        assert gl_adjacent(v0, w, prime)
+        assert gl_adjacent(w, v0, prime)
+    assert not gl_adjacent(v0, v0, prime)
 
 
-def test_apartment_adjacency(magic_ctx):
+def test_apartment_adjacency(magic_prime):
     # consecutive apartment vertices (half-integer steps) are adjacent;
     # skipping one is distance two
-    xs = [bttree.apartment_vertex(magic_ctx, 2, t) for t in range(-2, 3)]
+    xs = [bttree.apartment_vertex(magic_prime, 2, t) for t in range(-2, 3)]
     for a, b in zip(xs, xs[1:]):
-        assert gl_adjacent(a, b, magic_ctx)
-    assert not gl_adjacent(xs[0], xs[2], magic_ctx)
+        assert gl_adjacent(a, b, magic_prime)
+    assert not gl_adjacent(xs[0], xs[2], magic_prime)
 
 
 def test_pgl2_neighbor_count_various_p():
@@ -180,7 +194,7 @@ def test_pgl2_neighbor_count_various_p():
         v0 = model.bases["v"]
         nbrs = {w for (w, _, _) in model.neighbors("v", ringmat.identity(ring, 2))}
         assert len(nbrs) == model.valences()["v"] == p + 1
-        assert all(gl_adjacent(v0, w, model.ctx) for w in nbrs)
+        assert all(gl_adjacent(v0, w, model.prime) for w in nbrs)
         lines = set()
         for x in range(p):
             for y in range(p):
@@ -198,15 +212,15 @@ def _line_rep(x, y, p):
 
 
 def test_oq_apartment_vertices_and_types(oq):
-    ctx = oq.ctx
+    prime = oq.prime
     x0 = oq.bases["x0"]
     xh = oq.bases["xhalf"]
-    assert bttree.apartment_vertex(ctx, 5, 0) == x0
-    assert bttree.apartment_vertex(ctx, 5, 1) == xh
-    x1 = bttree.apartment_vertex(ctx, 5, 2)
-    assert gl_adjacent(x0, xh, ctx)
-    assert gl_adjacent(xh, x1, ctx)
-    assert not gl_adjacent(x0, x1, ctx)
+    assert bttree.apartment_vertex(prime, 5, 0) == x0
+    assert bttree.apartment_vertex(prime, 5, 1) == xh
+    x1 = bttree.apartment_vertex(prime, 5, 2)
+    assert gl_adjacent(x0, xh, prime)
+    assert gl_adjacent(xh, x1, prime)
+    assert not gl_adjacent(x0, x1, prime)
 
 
 def test_oq_valences_from_orbits(oq):
@@ -238,12 +252,12 @@ def test_oq_orbit_members_match_published_sets():
 
 
 def test_oq_base_neighbors_match_published_representatives(oq):
-    ring = oq.ctx.ring
+    ring = oq.prime.ring
     ident = ringmat.identity(ring, 5)
 
     def vert(cols):
         m = tuple(tuple(ring(c[i]) for c in cols) for i in range(5))
-        return bttree.canonicalize(m, oq.ctx)
+        return bttree.canonicalize(m, oq.prime)
 
     nb_x0 = {v for (v, t, g) in oq.neighbors("x0", ident)}
     explicit = [
@@ -255,29 +269,29 @@ def test_oq_base_neighbors_match_published_representatives(oq):
          (1, 0, 1, 1, 1)],
     ]
     assert oq.bases["xhalf"] in nb_x0
-    assert bttree.apartment_vertex(oq.ctx, 5, -1) in nb_x0
+    assert bttree.apartment_vertex(oq.prime, 5, -1) in nb_x0
     for cols in explicit:
         assert vert(cols) in nb_x0
     nb_xh = {v for (v, t, g) in oq.neighbors("xhalf", ident)}
     shear_image = vert([(1, 0, 0, 0, Fraction(1, 2)), (0, 1, 0, 0, 0),
                         (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
-    assert nb_xh == {oq.bases["x0"], bttree.apartment_vertex(oq.ctx, 5, 2),
+    assert nb_xh == {oq.bases["x0"], bttree.apartment_vertex(oq.prime, 5, 2),
                      shear_image}
 
 
 def test_su_dictionary_and_swap(su):
-    ctx = su.ctx
+    prime = su.prime
     v0 = su.bases["v0"]
     mid = su.bases["mid"]
-    apartment = bttree.LocalContext(*catalog.pu21_ring_and_prime())
+    apartment = catalog.pu21_ring_and_prime()[1]
     assert bttree.apartment_vertex(apartment, 3, 0) == v0
     assert bttree.apartment_vertex(apartment, 3, 1) == mid
     v1 = bttree.apartment_vertex(apartment, 3, 2)
     g0 = catalog.pu21_swap()
-    assert bttree.canonicalize(ringmat.mat_mul(g0, v0), ctx) == v1
-    assert bttree.canonicalize(ringmat.mat_mul(g0, mid), ctx) == mid
-    assert gl_adjacent(v0, mid, ctx)
-    assert gl_adjacent(mid, v1, ctx)
+    assert bttree.canonicalize(ringmat.mat_mul(g0, v0), prime) == v1
+    assert bttree.canonicalize(ringmat.mat_mul(g0, mid), prime) == mid
+    assert gl_adjacent(v0, mid, prime)
+    assert gl_adjacent(mid, v1, prime)
 
 
 def test_bfs_counts_and_acyclicity(pgl2, oq, su):
@@ -321,7 +335,7 @@ def test_explored_valences_recomputed(oq):
         verts = {w for (w, _, _) in nbrs}
         assert len(verts) == expected[t]
         for w, _, _ in nbrs:
-            assert gl_adjacent(v, w, oq.ctx)
+            assert gl_adjacent(v, w, oq.prime)
 
 
 def test_exports(pgl2, tmp_path):
@@ -339,7 +353,7 @@ def test_frames_carry_base_to_vertex(oq):
     graph = bttree.bfs_explore(oq, 2)
     for v, t, frame in zip(graph.vertices, graph.types, graph.frames):
         assert bttree.canonicalize(
-            ringmat.mat_mul(frame, oq.bases[t]), oq.ctx) == v
+            ringmat.mat_mul(frame, oq.bases[t]), oq.prime) == v
 
 
 def _box_solve_trace(ring, target, prime):

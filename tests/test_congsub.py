@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from congtower import catalog, congsub, ringmat
 from congtower.errors import BudgetExceeded, InputError
-from congtower.rings import factor_rational_prime, make_ring, residue_ring
+from congtower.rings import ResidueRing, factor_rational_prime, make_ring
 
 
 def sl2_images(ring, prime, k=1):
-    R = residue_ring(prime, k)
+    R = ResidueRing(prime, k)
     gens = catalog.sl2_gen_matrices(ring)
     return R, [congsub.reduce_matrix(R, gens[k_]) for k_ in "abuj"]
 
@@ -78,7 +78,7 @@ def test_projective_hom_at_every_prime_over_5_and_13():
         for prime in factor_rational_prime(ring, p):
             hom = congsub.ReductionHom(pres, mats, prime, 1, projective=True)
             assert hom.order == p * (p * p - 1) // 2
-            homs[str(prime.gens[-1])] = hom
+            homs[str(prime.pi)] = hom
     assert set(homs) == {"-1 + 2*sqrt(-1)", "1 + 2*sqrt(-1)",
                          "-2 + 3*sqrt(-1)", "2 + 3*sqrt(-1)"}
     # -Id is not in Gamma(p) off 2, so the PSL2 and SL2 kernels agree:
@@ -110,7 +110,7 @@ def test_closure_records_the_right_action():
          factor_rational_prime(ring, 5)[0], False, 120),
         ((psl2, homology._matrices_for(psl2, ring)),
          next(q for q in factor_rational_prime(ring, 5)
-              if str(q.gens[-1]) == "1 + 2*sqrt(-1)"), True, 60),
+              if str(q.pi) == "1 + 2*sqrt(-1)"), True, 60),
     ]
     for (pres, mats), prime, projective, order in cases:
         hom = congsub.ReductionHom(pres, mats, prime, 1, projective=projective)
@@ -153,8 +153,8 @@ def test_quotient_check_budget(zeta5_prime):
 def _kernel_set(scheme, prime, j, k):
     # the residue ring O/p^k and every Id + pi^j M, M over O/p^(k-j), that
     # the scheme accepts
-    R, Rdiff = residue_ring(prime, k), residue_ring(prime, k - j)
-    pi_j = prime.gens[0] ** j
+    R, Rdiff = prime.residue(k), prime.residue(k - j)
+    pi_j = prime.pi ** j
     n = scheme.n
     out = []
     for combo in itertools.product(list(Rdiff.elements()), repeat=n * n):
@@ -285,7 +285,7 @@ def test_pu_identity_counts():
 
 
 def test_orbit_fixed_point(gaussian_prime2):
-    R = residue_ring(gaussian_prime2, 1)
+    R = ResidueRing(gaussian_prime2, 1)
     ident = congsub.rmat_identity(R, 2)
     v = (R.one, R.zero)
     assert congsub.orbit(R, [ident], v) == [v]
@@ -307,12 +307,12 @@ def test_orbit_size_divides_group_order():
 # residue rings for the matrix-arithmetic properties: O_1 mod (1+i)^4,
 # Z[zeta5] mod p^2, O_7 mod the prime over 2 that contains omega, Z/4
 RESIDUE_CASES = {
-    "O1 mod (1+i)^4": lambda: residue_ring(
+    "O1 mod (1+i)^4": lambda: ResidueRing(
         factor_rational_prime(make_ring(1), 2)[0], 4),
-    "Z[zeta5] mod p^2": lambda: residue_ring(
+    "Z[zeta5] mod p^2": lambda: ResidueRing(
         factor_rational_prime(make_ring("cyclotomic-5"), 5)[0], 2),
-    "O7 mod p": lambda: residue_ring(catalog.magic_ring_and_prime()[1], 1),
-    "Z/4": lambda: residue_ring(
+    "O7 mod p": lambda: ResidueRing(catalog.magic_ring_and_prime()[1], 1),
+    "Z/4": lambda: ResidueRing(
         factor_rational_prime(make_ring("rational"), 2)[0], 2),
 }
 

@@ -20,6 +20,11 @@ GOLDEN = {
         "b6d22d9626548977993d906a0683fc554f81bf30676f3b9b5e2fac03887b7887",
     "tree su --radius 2":
         "c7f6f1cecda0f4fde7a47835f0e869620bb26218541dc0a0aeb32c0bc5e29746",
+    # the ramified prime over 7 in O_7, and the rational ring
+    "tree pgl2 --p 7 --radius 3":
+        "14ddcbd2a8363054205f520ef5b82d4629ac7508231584a1a980acfb48d789fd",
+    "tree oq --radius 2":
+        "01b44a359403880d011ba375f7ff21611676780970ea7d9b29bf0402d921ba0b",
     "check-identities":
         "1daab3bfd58f842d8ef10ad659890d9527a0ba7f6d79a33b3a0a13e2f0f6347b",
 }

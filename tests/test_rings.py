@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from congtower import catalog, intmat, rings
 from congtower.errors import BudgetExceeded, InputError
-from congtower.rings import factor_rational_prime, make_ring, residue_ring
+from congtower.rings import factor_rational_prime, make_ring
 
 
 def random_elt(rng, ring, span=20):
@@ -233,7 +233,7 @@ def test_dot_kernel_matches_triple_loop(ring, data):
 def test_residue_dot_is_the_reduced_loop_sum(gaussian_prime2, zeta5_prime):
     rng = random.Random(5)
     for prime in (gaussian_prime2, zeta5_prime):
-        R = residue_ring(prime, 3)
+        R = rings.ResidueRing(prime, 3)
         pool = list(itertools.islice(R.elements(), 40))
         for _ in range(50):
             xs = [rng.choice(pool) for _ in range(3)]
@@ -278,7 +278,7 @@ def test_factor_5_in_cyclotomic(zeta5_prime):
     P = zeta5_prime
     assert (P.e, P.f) == (4, 1)
     assert P.norm() == 5
-    assert P.gens == (E.zeta() - E.one,)
+    assert P.pi == E.zeta() - E.one
     assert P.valuation(E(5)) == 4
     assert P.valuation(E.zeta() - E.one) == 1
     assert P.valuation(E.zero) == math.inf
@@ -293,7 +293,7 @@ def test_factor_5_in_cyclotomic(zeta5_prime):
 ], ids=["magic", "zeta5", "rational-2"])
 def test_valuation_of_uniformizer_power_times_unit(ring_and_prime):
     ring, prime = ring_and_prime()
-    pi = prime.gens[0]
+    pi = prime.pi
     units = [ring.one, -ring.one]
     if ring.kind == rings.CYCLOTOMIC5:
         units += [ring.zeta(), ring.zeta() + ring.one]
@@ -312,8 +312,7 @@ def test_factor_2_gaussian(gaussian_prime2):
     assert (P.e, P.f) == (2, 1)
     assert P.valuation(make_ring(1)(2)) == 2
     # the generator is 1+i up to ordering convention
-    g = P.gens[0]
-    assert abs(int(g.norm())) == 2
+    assert abs(int(P.pi.norm())) == 2
 
 
 def test_factor_2_in_O7_splits():
@@ -353,9 +352,7 @@ def test_every_imaginary_quadratic_prime_is_principal():
             if not rings._is_small_prime(p):
                 continue
             for prime in factor_rational_prime(ring, p):
-                assert len(prime.gens) == 1, (d, p)
-                (g,) = prime.gens
-                assert abs(g.norm()) == prime.norm()
+                assert abs(prime.pi.norm()) == prime.norm(), (d, p)
 
 
 # the generators the [-2, 2] box search found before the search in
@@ -379,11 +376,10 @@ def test_every_zeta5_prime_is_principal():
             continue
         ideals = factor_rational_prime(E, p)
         for prime in ideals:
-            assert len(prime.gens) == 1, p
-            assert abs(prime.gens[0].norm()) == prime.norm()
+            assert abs(prime.pi.norm()) == prime.norm(), p
         if p in ZETA5_BOX_GENERATORS:
-            assert [q.gens[0].num for q in ideals] == ZETA5_BOX_GENERATORS[p]
-    assert str(factor_rational_prime(E, 5)[0].gens[0]) == "-1 + z"
+            assert [q.pi.num for q in ideals] == ZETA5_BOX_GENERATORS[p]
+    assert str(factor_rational_prime(E, 5)[0].pi) == "-1 + z"
 
 
 def _trace_form(c):
@@ -464,7 +460,7 @@ def test_valuation_ultrametric(zeta5_prime, rng):
 
 
 def test_residue_ring_f5_eps(zeta5_prime):
-    R = residue_ring(zeta5_prime, 2)
+    R = rings.ResidueRing(zeta5_prime, 2)
     assert R.size == 25
     els = list(R.elements())
     assert len(els) == len(set(els)) == 25
@@ -483,9 +479,9 @@ def test_residue_ring_f5_eps(zeta5_prime):
 
 
 def test_residue_ring_level1_fields(zeta5_prime, gaussian_prime2):
-    R5 = residue_ring(zeta5_prime, 1)
+    R5 = rings.ResidueRing(zeta5_prime, 1)
     assert R5.size == 5
-    R2 = residue_ring(gaussian_prime2, 1)
+    R2 = rings.ResidueRing(gaussian_prime2, 1)
     assert R2.size == 2
     els = list(R2.elements())
     assert len(els) == 2
@@ -493,7 +489,7 @@ def test_residue_ring_level1_fields(zeta5_prime, gaussian_prime2):
 
 def test_residue_ring_is_hom(zeta5_prime, rng):
     E = make_ring("cyclotomic-5")
-    R = residue_ring(zeta5_prime, 2)
+    R = rings.ResidueRing(zeta5_prime, 2)
     for _ in range(300):
         x, y = random_elt(rng, E), random_elt(rng, E)
         assert R.reduce(x + y) == R.add(R.reduce(x), R.reduce(y))
@@ -502,8 +498,8 @@ def test_residue_ring_is_hom(zeta5_prime, rng):
 
 def test_residue_tower_compatibility(zeta5_prime, rng):
     E = make_ring("cyclotomic-5")
-    R2 = residue_ring(zeta5_prime, 2)
-    R1 = residue_ring(zeta5_prime, 1)
+    R2 = rings.ResidueRing(zeta5_prime, 2)
+    R1 = rings.ResidueRing(zeta5_prime, 1)
     for _ in range(100):
         x = random_elt(rng, E)
         # p^2 lies in p, so a level-2 representative reduces to level 1
@@ -513,7 +509,7 @@ def test_residue_tower_compatibility(zeta5_prime, rng):
 
 def test_residue_localized_reduction(gaussian_prime2):
     ring = make_ring(1)
-    R = residue_ring(gaussian_prime2, 2)
+    R = rings.ResidueRing(gaussian_prime2, 2)
     # x = i/3: denominator is a unit at the prime over 2
     x = ring.gen() / 3
     r = R.reduce(x)
@@ -540,12 +536,12 @@ def locally_integral(draw, prime):
     a > 0 at a split prime; at a prime alone over p, local integrality
     leaves no p in the denominator."""
     ring, p = prime.ring, prime.p
-    R = residue_ring(prime, draw(st.integers(1, 4)))
+    R = rings.ResidueRing(prime, draw(st.integers(1, 4)))
     y = ring(tuple(draw(st.lists(st.integers(-10 ** 4, 10 ** 4),
                                  min_size=ring.degree, max_size=ring.degree))))
     a = draw(st.integers(0, 2))
     u = draw(st.integers(1, 10 ** 5).filter(lambda u: u % p))
-    return R, prime.gens[0] ** (prime.e * a) * y / (p ** a * u)
+    return R, prime.pi ** (prime.e * a) * y / (p ** a * u)
 
 
 @pytest.mark.parametrize("spec,p,index", REDUCTION_PRIMES)
@@ -567,7 +563,7 @@ def test_reduce_matches_the_localized_system(spec, p, index, data):
 @given(data=st.data())
 def test_inverse_of_a_unit(spec, p, index, data):
     prime = factor_rational_prime(make_ring(spec), p)[index]
-    R = residue_ring(prime, data.draw(st.integers(1, 4)))
+    R = rings.ResidueRing(prime, data.draw(st.integers(1, 4)))
     a = R.reduce_coords(tuple(data.draw(st.integers(-10 ** 4, 10 ** 4))
                               for _ in range(R.ring.degree)))
     if R.is_unit(a):
@@ -578,14 +574,21 @@ def test_inverse_of_a_unit(spec, p, index, data):
 
 
 def test_enumeration_budget():
+    # N(p)^9 = 5^9 is past ENUMERATION_LIMIT and 5^8 is not: the ring is
+    # refused at construction, before any lattice of p^9 is built
     E = make_ring("cyclotomic-5")
     P = factor_rational_prime(E, 5)[0]
+    assert 5 ** 8 <= rings.ENUMERATION_LIMIT < 5 ** 9
     with pytest.raises(BudgetExceeded):
-        residue_ring(P, 10)
+        rings.ResidueRing(P, 9)
+    with pytest.raises(BudgetExceeded):
+        P.residue(9)
+    assert 9 not in P._power_lattices
+    assert rings.ResidueRing(P, 8).size == 5 ** 8
 
 
 def test_unit_inverse_in_residue(zeta5_prime):
-    R = residue_ring(zeta5_prime, 2)
+    R = rings.ResidueRing(zeta5_prime, 2)
     E = make_ring("cyclotomic-5")
     u = R.reduce(E.zeta())
     inv = R.inverse(u)

@@ -58,7 +58,7 @@ def test_certificate_pu21():
 def test_certificate_refuses_single_basis_failure(magic_prime):
     # conjugating by diag(1, pi^-2) scales entry (0,1) by pi^-2 and entry
     # (1,0) by pi^2: only E_01 drops to valuation 0 < 1
-    pi = magic_prime.gens[0]
+    pi = magic_prime.pi
     g = ringmat.mat(make_ring(7), [[1, 0], [0, (pi * pi).inverse()]])
     with pytest.raises(CheckFailed, match=r"E_\(0,1\), entry \(0,1\)"):
         tower.certify_containment(g, magic_prime, 2, 1)
@@ -84,10 +84,12 @@ def test_recheck_catches_corruption(magic_prime):
 
 
 def test_check_no_p_torsion():
-    assert tower.check_no_p_torsion(AbelianInvariants(55, ()), 2)
-    assert tower.check_no_p_torsion(AbelianInvariants(60, ()), 5)
-    assert not tower.check_no_p_torsion(AbelianInvariants(0, (2, 2, 2, 2, 2)), 2)
-    assert tower.check_no_p_torsion(AbelianInvariants(3, (3,)), 2)
+    # the tower hypothesis reads inv.has_p_torsion(p): o41's Z^55 at 2,
+    # pu21's Z^60 at 5, and (Z/2)^5 at 2
+    assert not AbelianInvariants(55, ()).has_p_torsion(2)
+    assert not AbelianInvariants(60, ()).has_p_torsion(5)
+    assert AbelianInvariants(0, (2, 2, 2, 2, 2)).has_p_torsion(2)
+    assert not AbelianInvariants(3, (3,)).has_p_torsion(2)
 
 
 def test_magic_tower_small():
@@ -114,9 +116,9 @@ def test_magic_tower_form_free_steps():
         # swap conjugate exchanges the two vertices (validated in build, but
         # re-assert through the public data)
         src = data.steps[step.source_i]
-        ctx = data.model.ctx
         assert bttree.canonicalize(
-            ringmat.mat_mul(step.swap_conjugate, src.vertex), ctx) == step.vertex
+            ringmat.mat_mul(step.swap_conjugate, src.vertex),
+            data.prime) == step.vertex
 
 
 def test_empty_tower_vacuous_pass():
@@ -176,6 +178,15 @@ def test_pu21_tower_steps():
                                       "hermitian")
 
 
+def test_validate_step_reads_the_form_kind_from_the_model():
+    # the unitary steps preserve h0 as a hermitian form, not as a bilinear one
+    data = tower.build_tower("pu21", 1)
+    assert (data.model.form_kind, bttree.pgl2_model().form) == ("hermitian", None)
+    data.model.form_kind = "bilinear"
+    with pytest.raises(CheckFailed, match="does not preserve the form"):
+        tower._validate_step(data.model, data.steps[1], data.steps)
+
+
 def test_o41_tower_steps():
     data = tower.build_tower("o41", 3)
     report = tower.tower_report(data, recheck_points=10)
@@ -204,18 +215,18 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
     """Reference for the midpoint alignment of tower._swap_moves: a fresh
     breadth-first search over midpoint-stabilizer words that stops at the
     first word s with f_m s (base, swap base) = (v_i, v_n); returns f_m s."""
-    ctx = model.ctx
+    prime = model.prime
     base = model.bases[model.base_type]
     f_inv = ringmat.mat_inverse(f_m)
-    target = (bttree.canonicalize(ringmat.mat_mul(f_inv, v_i), ctx),
-              bttree.canonicalize(ringmat.mat_mul(f_inv, v_n), ctx))
+    target = (bttree.canonicalize(ringmat.mat_mul(f_inv, v_i), prime),
+              bttree.canonicalize(ringmat.mat_mul(f_inv, v_n), prime))
 
     def pair_of(s):
-        return (bttree.canonicalize(ringmat.mat_mul(s, base), ctx),
+        return (bttree.canonicalize(ringmat.mat_mul(s, base), prime),
                 bttree.canonicalize(ringmat.mat_mul(
-                    s, ringmat.mat_mul(model.swap, base)), ctx))
+                    s, ringmat.mat_mul(model.swap, base)), prime))
 
-    ident = ringmat.identity(ctx.ring, len(base))
+    ident = ringmat.identity(prime.ring, len(base))
     seen = {pair_of(ident): ident}
     if target in seen:
         return ringmat.mat_mul(f_m, ident)
@@ -243,7 +254,7 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
     # is used
     monkeypatch.setattr(tower, "_ALIGN_DEPTH", depth)
     model = bttree.oq_model()
-    ctx = model.ctx
+    prime = model.prime
     base = model.bases[model.base_type]
     mid_type = model.moves(model.base_type)[0].target_type
     expected = []
@@ -252,7 +263,7 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
         f_m = mv_mid.transporter
         for mv_b in model.moves(mid_type):
             vertex = bttree.canonicalize(ringmat.mat_mul(
-                ringmat.mat_mul(f_m, mv_b.transporter), base), ctx)
+                ringmat.mat_mul(f_m, mv_b.transporter), base), prime)
             h = _align_from_scratch(model, f_m, base, vertex, depth)
             if h is not None:
                 expected.append((ringmat.mat_mul(h, model.swap), h))
@@ -262,7 +273,7 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
     assert len(moves) == len(expected) > 0
     for (w, h), (w_ref, h_ref) in zip(moves, expected):
         assert ringmat.mat_eq(w, w_ref) and ringmat.mat_eq(h, h_ref)
-        assert bttree.canonicalize(ringmat.mat_mul(h, base), ctx) == base
+        assert bttree.canonicalize(ringmat.mat_mul(h, base), prime) == base
     assert bool(beyond) == (depth == 2)
 
 
@@ -273,7 +284,7 @@ def test_magic_swap_moves_are_the_base_moves():
                                       for mv in model.moves("v")]
     for w, h in moves:
         assert ringmat.mat_eq(ringmat.mat_mul(h, model.swap), w)
-        assert bttree.canonicalize(h, model.ctx) == model.bases["v"]
+        assert bttree.canonicalize(h, model.prime) == model.bases["v"]
 
 
 def test_one_certificate_per_swap_move(monkeypatch):
