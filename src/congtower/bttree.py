@@ -14,8 +14,9 @@ and inverts only each pivot's unit.
 Tree models package a base vertex per type together with "moves": global
 group elements carrying the base vertex to each of its neighbors,
 discovered from stabilizer orbits (never hardcoded).  BFS exploration
-carries a frame (a transporter from the base) for every vertex, which is
-what the tower construction consumes.
+reaches each vertex's neighbours through a frame (a transporter from the
+base) and returns the vertices, types and edges.  The tower builds its own
+frames from the model's swap moves and the swap (``tower._swap_moves``).
 """
 
 from __future__ import annotations
@@ -386,7 +387,6 @@ class TreeGraph:
     model_name: str
     vertices: list          # canonical matrices
     types: list
-    frames: list            # transporter from the base vertex
     edges: list             # index pairs (i, j), i < j
 
     def is_tree(self):
@@ -441,14 +441,13 @@ class TreeGraph:
 
 def bfs_explore(model, radius, budget=100_000):
     """All vertices within the given radius of the base vertex, with their
-    frames; edges are deduplicated and the result is scheduling-independent
+    types; edges are deduplicated and the result is scheduling-independent
     (canonical vertex ordering within each BFS layer)."""
     base_type = model.base_type
     base = model.bases[base_type]
     ident = ringmat.identity(model.prime.ring, len(base))
     vertices = [base]
     types = [base_type]
-    frames = [ident]
     index = {base: 0}
     edges = set()
     layer = [(base, base_type, ident, 0)]
@@ -462,7 +461,6 @@ def bfs_explore(model, radius, budget=100_000):
                     index[w] = len(vertices)
                     vertices.append(w)
                     types.append(wt)
-                    frames.append(g)
                     nxt.append((w, wt, g, index[w]))
                     if len(vertices) > budget:
                         raise BudgetExceeded("tree exploration exceeded budget",
@@ -470,7 +468,7 @@ def bfs_explore(model, radius, budget=100_000):
                 e = (min(vi, index[w]), max(vi, index[w]))
                 edges.add(e)
         layer = nxt
-    return TreeGraph(model.name, vertices, types, frames, sorted(edges))
+    return TreeGraph(model.name, vertices, types, sorted(edges))
 
 
 def _vertex_key(v):

@@ -170,10 +170,12 @@ class ReductionHom:
     """The reduction SL-type group -> matrices over O/p^k, built from a
     presentation with explicit integral generator matrices.
 
-    Verifies every relator exactly over the ring before reducing, and again
-    in the finite quotient after reducing.  With projective=True the target
-    is the quotient by the center {+-Id}: relators may evaluate to -Id over
-    the ring, and residue matrices are canonicalized up to sign.
+    Verifies every relator exactly over the ring before reducing, which
+    makes it hold in the finite quotient too; the coset table built from
+    ``permutations`` traces every relator again on the same image.  With
+    projective=True the target is the quotient by the center {+-Id}:
+    relators may evaluate to -Id over the ring, and residue matrices are
+    canonicalized up to sign.
 
     ``elements`` is group_closure's list of the image (identity first, then
     BFS order); ``permutations`` reads the action it recorded.
@@ -205,11 +207,6 @@ class ReductionHom:
         self.matrices = list(gen_matrices)
         self.R = prime.residue(k)
         self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
-        self.image_inverses = [self._canon(reduce_matrix(self.R, m)) for m in inverses]
-        rid = self._canon(rmat_identity(self.R, n))
-        for rel in pres.relators:
-            if self.image_of_word(rel) != rid:
-                raise InputError("relator fails in the quotient (internal error)")
         closure = group_closure(self.R, self.images, budget=budget,
                                 canon=self._canon)
         self.elements = closure.elements
@@ -221,14 +218,6 @@ class ReductionHom:
             return m
         neg = tuple(tuple(self.R.neg(x) for x in row) for row in m)
         return min(m, neg)
-
-    def image_of_word(self, word):
-        out = self._canon(rmat_identity(self.R, len(self.images[0])))
-        for letter in word:
-            m = (self.images[letter - 1] if letter > 0
-                 else self.image_inverses[-letter - 1])
-            out = self._canon(rmat_mul(self.R, out, m))
-        return out
 
     def permutations(self):
         """Right-multiplication action of each generator on the element

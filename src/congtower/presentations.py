@@ -298,13 +298,18 @@ def _canonical_cyclic(word):
                for i in range(len(w)))
 
 
-def _normalize(relators):
+def _normalize(relators, keys):
+    """Cyclically reduced, deduplicated up to rotation and inversion, and
+    sorted; `keys` caches each relator's key across the passes of one
+    simplification."""
     seen = {}
     for rel in relators:
         rel = cyclic_reduce(rel)
         if not rel:
             continue
-        key = _canonical_cyclic(rel)
+        key = keys.get(rel)
+        if key is None:
+            key = keys[rel] = _canonical_cyclic(rel)
         if key not in seen:
             seen[key] = rel
     return sorted(seen.values(), key=lambda w: (len(w), w))
@@ -322,7 +327,8 @@ def tietze_simplify(pres):
     Generator ids stay fixed through the passes; the survivors are
     renumbered once at the end, in their original order.
     """
-    relators = _normalize(list(pres.relators))
+    keys = {}
+    relators = _normalize(pres.relators, keys)
     eliminated = set()
     for _ in range(pres.ngens):
         # find the cheapest single-occurrence elimination
@@ -363,7 +369,7 @@ def tietze_simplify(pres):
                 r = free_reduce(tuple(new))
             out.append(r)
         eliminated.add(g)
-        relators = _normalize(out)
+        relators = _normalize(out, keys)
     # the renumbering keeps the order of the ids, so it keeps the order of
     # the relators too
     kept = [k for k in range(1, pres.ngens + 1) if k not in eliminated]

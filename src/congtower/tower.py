@@ -4,8 +4,8 @@ A tower is a sequence of conjugates Delta_n = T_n Gamma T_n^-1 of a fixed
 congruence subgroup Gamma = Gamma(p^j), indexed by the type-x0 vertices of
 the relevant tree in BFS order, T_n the frame carrying the base vertex to
 vertex n.  Each tree model has one fixed list of swap moves w = h * swap,
-h in the base stabilizer, worked out once per tower.  A step is an earlier
-frame times a move, T_n = T_i w, so its relative element T_i^-1 T_n is the
+h in the base stabilizer, worked out once per tower.  A step is a source
+frame and a move, T_n = T_i w, so its relative element T_i^-1 T_n is the
 move w itself, and one certificate per move serves every step that uses
 it.  The certificate shows
 
@@ -21,10 +21,11 @@ Certificates are complete basis checks: the conjugation is affine in X, so
 it is computed exactly at the basis points of ``ringmat.basis_points`` --
 X = 0, which must give Id, and each of the n^2 elementary matrices E_ij,
 whose conjugates must be = Id mod p^j by valuations.  The conjugation
-displays of ``identities`` are proved at the same points.  Re-verification
-evaluates the conjugation at fresh random integer points with the same
-plain matrix arithmetic, once per distinct certificate: every step citing
-a certificate gets the outcome of its one recheck, a failure included.
+displays of ``identities`` are proved at the same points.  The report
+checks each move a tower uses once (h fixes the base, w keeps the form,
+the certificate is about w and re-verifies at fresh random points) and
+each step by one exact product, T_source w == T_n, and its vertex; every
+step citing a move gets the move's outcome, a failure included.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class ContainmentCertificate:
     outer_level: int          # b: the level certified after conjugation
     nvars: int
     min_valuation: object     # smallest valuation of conj - Id seen
-    passed: bool
 
     def summary(self):
         return {
@@ -64,7 +64,8 @@ class ContainmentCertificate:
                               else int(self.min_valuation)),
             # exact conjugations made: X = 0 and each E_ij
             "basis_checks": self.nvars + 1,
-            "pass": self.passed,
+            # certify_containment raises on failure
+            "pass": True,
         }
 
 
@@ -111,7 +112,7 @@ def certify_containment(g, prime, a, b):
                         % (label, k, l, conj[k][l], v, b))
     return ContainmentCertificate(
         conjugator=g, inner_level=a, outer_level=b, nvars=n * n,
-        min_valuation=min_val, passed=True)
+        min_valuation=min_val)
 
 
 # Recheck points have integer entries in [-_RECHECK_SPAN, _RECHECK_SPAN].
@@ -192,13 +193,10 @@ TOWER_EXAMPLES = {
 @dataclass
 class TowerStep:
     n: int
-    conjugator: tuple         # frame T_n with T_n(base) = vertex
-    vertex: tuple
-    vertex_depth: int         # distance from the base in swap-steps
+    conjugator: tuple         # frame T_n = T_source * moves[move]
+    vertex: tuple             # canonical T_n(base)
     source_i: int
-    relative: tuple           # w = T_i^-1 T_n, the certified element
-    swap_conjugate: tuple     # g_n = h_n swap h_n^-1 (the classical shape)
-    certificate: object
+    move: object              # index into TowerData.moves; None at step 0
 
 
 @dataclass
@@ -207,7 +205,8 @@ class TowerData:
     config: TowerConfig
     model: object
     prime: object
-    moves: list               # the model's swap moves, see _swap_moves
+    moves: list               # the model's swap moves w, see _swap_moves
+    certificates: dict        # move index -> its containment certificate
     steps: list
     torsion: tuple            # (invariants, mode, note)
 
@@ -216,10 +215,10 @@ def build_tower(example, steps):
     """Construct `steps` certified tower steps for a built-in example.
 
     Vertices are the type-x0 vertices of the tree in BFS order (step 0 is
-    the base vertex with the identity conjugator); each later step is its
+    the base vertex with the identity frame); each later step is its
     source's frame times one of the model's swap moves, and records its
-    source index, that move as the relative conjugator, and the move's
-    containment certificate at levels (2j, j).
+    source index and that move.  Each move used is certified once, at
+    levels (2j, j).  ``tower_report`` checks the result.
     """
     if example not in TOWER_EXAMPLES:
         raise InputError("unknown tower example %r (have %s)"
@@ -228,14 +227,13 @@ def build_tower(example, steps):
     model = cfg.model_factory()
     prime = model.prime
     base = model.bases[model.base_type]
-    ident = ringmat.identity(prime.ring, len(base))
     j = cfg.level_j
     moves = _swap_moves(model)
-    certs = {}                # move index -> its certificate
+    certs = {}
 
     tower_steps = [TowerStep(
-        n=0, conjugator=ident, vertex=base, vertex_depth=0, source_i=0,
-        relative=ident, swap_conjugate=ident, certificate=None)]
+        n=0, conjugator=ringmat.identity(prime.ring, len(base)), vertex=base,
+        source_i=0, move=None)]
     index = {base: 0}
     head = 0
     while len(tower_steps) <= steps:
@@ -244,35 +242,28 @@ def build_tower(example, steps):
                                  estimate=len(tower_steps), budget=steps)
         src = tower_steps[head]
         head += 1
-        for k, (w, h) in enumerate(moves):
+        for k, w in enumerate(moves):
             t_n = ringmat.mat_mul(src.conjugator, w)
             vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
             if vertex in index:
                 continue
             if k not in certs:
                 certs[k] = certify_containment(w, prime, 2 * j, j)
-            h_n = ringmat.mat_mul(src.conjugator, h)
-            swap_conj = ringmat.mat_mul(
-                ringmat.mat_mul(h_n, model.swap), ringmat.mat_inverse(h_n))
-            step = TowerStep(
+            index[vertex] = len(tower_steps)
+            tower_steps.append(TowerStep(
                 n=len(tower_steps), conjugator=t_n, vertex=vertex,
-                vertex_depth=src.vertex_depth + 1,
-                source_i=src.n, relative=w, swap_conjugate=swap_conj,
-                certificate=certs[k])
-            _validate_step(model, step, tower_steps)
-            index[vertex] = step.n
-            tower_steps.append(step)
+                source_i=src.n, move=k))
             if len(tower_steps) > steps:
                 break
-    return TowerData(example, cfg, model, prime, moves, tower_steps,
+    return TowerData(example, cfg, model, prime, moves, certs, tower_steps,
                      cfg.torsion_check())
 
 
 def _swap_moves(model):
-    """The model's swap moves in candidate order: pairs (w, h) with
-    w = h * swap and h(base) = base.  From a vertex with frame t, the
-    step to t w has relative element w, and t h carries the base and the
-    swap base to the source and the target.
+    """The model's swap moves w = h * swap, h(base) = base, in candidate
+    order.  From a vertex with frame t, the step to t w has relative
+    element w, and t h carries the base and the swap base to the source
+    and the target.
 
     When the base moves land on the base type they are themselves the
     w's, built as (stabilizer word) * swap.  Otherwise a step goes
@@ -288,9 +279,7 @@ def _swap_moves(model):
     base_moves = model.moves(base_type)
     mid_type = base_moves[0].target_type
     if mid_type == base_type:
-        swap_inv = ringmat.mat_inverse(model.swap)
-        return [(mv.transporter, ringmat.mat_mul(mv.transporter, swap_inv))
-                for mv in base_moves]
+        return [mv.transporter for mv in base_moves]
     mid_moves = model.moves(mid_type)
     # the midpoint's neighbours b base; they were found as an orbit of its
     # stabilizer's generators, so the generators permute them
@@ -304,8 +293,8 @@ def _swap_moves(model):
         for k in range(len(mid_moves)):
             sigma = words.get((back, k))
             if sigma is not None:
-                h = ringmat.mat_mul(f.transporter, sigma)
-                moves.append((ringmat.mat_mul(h, model.swap), h))
+                moves.append(ringmat.mat_mul(
+                    ringmat.mat_mul(f.transporter, sigma), model.swap))
     return moves
 
 
@@ -339,40 +328,52 @@ def _midpoint_words(model, nbrs):
     return first
 
 
-def _validate_step(model, step, tower_steps):
-    prime = model.prime
+def _check_move(tower, k, rng, points):
+    """The facts of move k that every step citing it uses.  h = w swap^-1
+    fixes the base (w swap base = base and swap^2 base = base), so
+    h_n swap h_n^-1, h_n = T_i h, exchanges the vertices of steps i and n;
+    w preserves the form, so every frame does, by induction over exact
+    products; the certificate is about w and rechecks at `points` fresh
+    points.  Returns the number of points rechecked; raises CheckFailed."""
+    model = tower.model
+    prime = tower.prime
     base = model.bases[model.base_type]
-    # frame really lands on the vertex
-    if bttree.canonicalize(
-            ringmat.mat_mul(step.conjugator, base), prime) != step.vertex:
-        raise CheckFailed("step %d: frame does not carry the base vertex"
-                          % step.n)
-    # the certified relative element is bound to the exact conjugators:
-    # any entry change in either frame breaks this equality
-    src = tower_steps[step.source_i]
-    recomputed = ringmat.mat_mul(
-        ringmat.mat_inverse(src.conjugator), step.conjugator)
-    if not ringmat.mat_eq(recomputed, step.relative):
-        raise CheckFailed(
-            "step %d: relative conjugator does not match the frames" % step.n)
-    if step.certificate is not None and not ringmat.mat_eq(
-            step.certificate.conjugator, step.relative):
-        raise CheckFailed(
-            "step %d: certificate is not about this step's conjugator" % step.n)
-    # the swap conjugate exchanges source and target vertices
-    g_n = step.swap_conjugate
-    if bttree.canonicalize(
-            ringmat.mat_mul(g_n, src.vertex), prime) != step.vertex:
-        raise CheckFailed("step %d: swap conjugate does not move source to target"
-                          % step.n)
-    if bttree.canonicalize(
-            ringmat.mat_mul(g_n, step.vertex), prime) != src.vertex:
-        raise CheckFailed("step %d: swap conjugate does not move target to source"
-                          % step.n)
-    # form preservation where a form is attached to the model
+    w = tower.moves[k]
+    swap_base = bttree.canonicalize(ringmat.mat_mul(model.swap, base), prime)
+    if bttree.canonicalize(ringmat.mat_mul(model.swap, swap_base),
+                           prime) != base:
+        raise CheckFailed("the swap does not exchange the base vertex and "
+                          "its image")
+    if bttree.canonicalize(ringmat.mat_mul(w, swap_base), prime) != base:
+        raise CheckFailed("move %d: w swap^-1 does not fix the base vertex" % k)
     if model.form is not None and not ringmat.preserves_form(
-            step.conjugator, model.form, model.form_kind):
-        raise CheckFailed("step %d: conjugator does not preserve the form"
+            w, model.form, model.form_kind):
+        raise CheckFailed("move %d does not preserve the form" % k)
+    cert = tower.certificates[k]
+    if not ringmat.mat_eq(cert.conjugator, w):
+        raise CheckFailed("move %d: certificate is not about this move" % k)
+    return recheck_certificate(cert, prime, rng=rng, points=points)
+
+
+def _check_step(tower, step):
+    """Step 0 has the identity frame; step n > 0 has an earlier source and
+    the frame T_source * w, exactly.  The frame carries the base vertex to
+    the step's vertex.  Raises CheckFailed."""
+    model = tower.model
+    base = model.bases[model.base_type]
+    if step.move is None:
+        frame = ringmat.identity(tower.prime.ring, len(base))
+        ok = step.n == 0
+    else:
+        frame = ringmat.mat_mul(tower.steps[step.source_i].conjugator,
+                                tower.moves[step.move])
+        ok = step.source_i < step.n
+    if not (ok and ringmat.mat_eq(frame, step.conjugator)):
+        raise CheckFailed("step %d: frame is not its source's frame times "
+                          "its move" % step.n)
+    if bttree.canonicalize(ringmat.mat_mul(step.conjugator, base),
+                           tower.prime) != step.vertex:
+        raise CheckFailed("step %d: frame does not carry the base vertex"
                           % step.n)
 
 
@@ -393,7 +394,7 @@ def covered_radius(tower):
     while True:
         nxt = []
         for frame in frontier:
-            for w, _h in tower.moves:
+            for w in tower.moves:
                 t_n = ringmat.mat_mul(frame, w)
                 vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
                 if vertex not in seen:
@@ -411,23 +412,20 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
     """Verdict + evidence for a constructed tower.
 
     PASS requires: the no-p-torsion hypothesis holds for the base group's
-    abelianization; every certificate passed and re-verifies at fresh
-    random points (one recheck per distinct certificate object, shared by
-    the steps citing it); every step's bookkeeping revalidates.  The
-    cofinality radius is a proxy (vertex exhaustion), reported as such.
+    abelianization; every move a step cites passes ``_check_move`` (once
+    per move, its outcome shared by the steps citing it); every step
+    passes ``_check_step``.  The cofinality radius is a proxy (vertex
+    exhaustion), reported as such.
     """
     cfg = tower.config
     p = tower.prime.p
     inv, mode, note = tower.torsion
     rng = random.Random(rng_seed)
-    ok = True
     failures = []
     if inv.has_p_torsion(p):
-        ok = False
         failures.append({"step": None, "reason": "base group has p-torsion"})
-    # each distinct certificate object is rechecked once; every step that
-    # cites it gets that outcome: the points checked, or the CheckFailed
-    rechecked = {}
+    # move index -> the points rechecked, or the CheckFailed
+    outcome = {}
     steps_json = []
     for step in tower.steps:
         entry = {
@@ -436,31 +434,27 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
             "vertex": [[str(x) for x in row] for row in step.vertex],
             "g": [[str(x) for x in row] for row in step.conjugator],
         }
-        if step.certificate is not None:
-            entry["certificate"] = step.certificate.summary()
-            try:
-                _validate_step(tower.model, step, tower.steps)
-                key = id(step.certificate)
-                if key not in rechecked:
+        if step.move is not None:
+            entry["certificate"] = tower.certificates[step.move].summary()
+            entry["reverified"] = False
+        try:
+            _check_step(tower, step)
+            if step.move is not None:
+                if step.move not in outcome:
                     try:
-                        rechecked[key] = recheck_certificate(
-                            step.certificate, tower.prime,
-                            rng=rng, points=recheck_points)
+                        outcome[step.move] = _check_move(
+                            tower, step.move, rng, recheck_points)
                     except CheckFailed as exc:
-                        rechecked[key] = exc
-                if isinstance(rechecked[key], CheckFailed):
-                    raise rechecked[key]
+                        outcome[step.move] = exc
+                if isinstance(outcome[step.move], CheckFailed):
+                    raise outcome[step.move]
                 # with no points rechecked the verdict rests on the
                 # complete certificate alone
-                entry["reverified"] = rechecked[key] > 0
-            except CheckFailed as exc:
-                ok = False
-                entry["reverified"] = False
-                failures.append({"step": step.n, "reason": str(exc)})
-            if not step.certificate.passed:
-                ok = False
-                failures.append({"step": step.n, "reason": "certificate refused"})
+                entry["reverified"] = outcome[step.move] > 0
+        except CheckFailed as exc:
+            failures.append({"step": step.n, "reason": str(exc)})
         steps_json.append(entry)
+    ok = not failures
     radius = covered_radius(tower) if ok else 0
     report = {
         "example": tower.example,

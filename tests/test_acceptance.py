@@ -5,6 +5,7 @@ failures are plain assertion failures.  Every criterion runs by default,
 the two-stage Gamma(4) pipeline of criterion 8 included.
 """
 
+import dataclasses
 import json
 import time
 
@@ -80,7 +81,7 @@ def test_criterion_4_identity_suite():
 
 # -- 5. tree lemmas ------------------------------------------------------------
 
-def test_criterion_5_tree_lemmas():
+def test_criterion_5_tree_lemmas(framed_ball):
     t0 = time.time()
     model = bttree.oq_model()
     assert model.valences() == {"x0": 5, "xhalf": 3}
@@ -98,7 +99,9 @@ def test_criterion_5_tree_lemmas():
     pgl2 = bttree.pgl2_model()
     graph = bttree.bfs_explore(pgl2, 4)
     assert len(graph.vertices) == 46 and graph.is_tree()
-    for vert, typ, frame in zip(graph.vertices, graph.types, graph.frames):
+    ball = framed_ball(pgl2, 4)
+    assert set(ball) == set(graph.vertices)
+    for typ, frame in ball.values():
         nbrs = {w for (w, _, _) in pgl2.neighbors(typ, frame)}
         assert len(nbrs) == 3
     dt = time.time() - t0
@@ -149,11 +152,7 @@ def test_criterion_7_towers(capsys, tmp_path):
     bad = [list(r) for r in step.conjugator]
     bad[0][0] = bad[0][0] + ring(2)
     from congtower.ringmat import mat
-    magic.steps[5] = tower.TowerStep(
-        n=step.n, conjugator=mat(ring, bad), vertex=step.vertex,
-        vertex_depth=step.vertex_depth, source_i=step.source_i,
-        relative=step.relative, swap_conjugate=step.swap_conjugate,
-        certificate=step.certificate)
+    magic.steps[5] = dataclasses.replace(step, conjugator=mat(ring, bad))
     rep_bad = tower.tower_report(magic, recheck_points=10)
     assert rep_bad["verdict"] == "FAIL"
     dt = time.time() - t0

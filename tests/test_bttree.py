@@ -143,15 +143,16 @@ def test_pi_is_inverted_once_per_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
-def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch):
+def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch,
+                                              framed_ball):
     # every division by pi^v is a product with the cached pi^-v, which
     # leaves one inverse per pivot unit
     model = request.getfixturevalue(name)
     prime = model.prime
     base = model.bases[model.base_type]
-    graph = bttree.bfs_explore(model, 2)
     pi_inv = prime.uniformizer_power(-1)
-    inputs = [ringmat.mat_mul(frame, base) for frame in graph.frames]
+    inputs = [ringmat.mat_mul(frame, base)
+              for _t, frame in framed_ball(model, 2).values()]
     inputs += [ringmat.mat_scale(m, pi_inv) for m in inputs[:8]]
     calls = []
     inverse = rings.RingElt.inverse
@@ -325,12 +326,14 @@ def test_vertex_key_is_reduced_fraction_coordinates(pgl2, oq, su):
                 tuple((f.numerator, f.denominator) for f in row) for row in coords)
 
 
-def test_explored_valences_recomputed(oq):
+def test_explored_valences_recomputed(oq, framed_ball):
     # every explored vertex has the valence of its type, recomputed from
     # the neighbors (distinctness and adjacency verified per vertex)
     graph = bttree.bfs_explore(oq, 3)
+    ball = framed_ball(oq, 3)
+    assert set(ball) == set(graph.vertices)
     expected = oq.valences()
-    for v, t, frame in zip(graph.vertices, graph.types, graph.frames):
+    for v, (t, frame) in ball.items():
         nbrs = oq.neighbors(t, frame)
         verts = {w for (w, _, _) in nbrs}
         assert len(verts) == expected[t]
@@ -349,9 +352,11 @@ def test_exports(pgl2, tmp_path):
     assert all(len(e) == 2 for e in back["edges"])
 
 
-def test_frames_carry_base_to_vertex(oq):
+def test_frames_carry_base_to_vertex(oq, framed_ball):
     graph = bttree.bfs_explore(oq, 2)
-    for v, t, frame in zip(graph.vertices, graph.types, graph.frames):
+    ball = framed_ball(oq, 2)
+    assert [ball[v][0] for v in graph.vertices] == graph.types
+    for v, (t, frame) in ball.items():
         assert bttree.canonicalize(
             ringmat.mat_mul(frame, oq.bases[t]), oq.prime) == v
 

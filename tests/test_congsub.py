@@ -54,6 +54,30 @@ def test_reduction_hom_rejects_bad_relators(gaussian_prime2):
         congsub.ReductionHom(pres, [gens["a"], gens["b"]], gaussian_prime2, 1)
 
 
+@pytest.mark.parametrize("perturbed", range(4))
+def test_perturbed_image_fails_the_coset_table(gaussian_prime2, monkeypatch,
+                                               perturbed):
+    # one reduced generator image times [[1,1],[0,1]]: the relators hold
+    # exactly on the matrices, and the coset table built from the images'
+    # action refuses the relator that no longer traces
+    from congtower import homology
+    pres, mats = homology.sl2_presentation_and_matrices(1)
+    assert pres.ngens == 4
+    calls = []
+    reduce = congsub.reduce_matrix
+
+    def perturb(R, m):
+        out = reduce(R, m)
+        calls.append(m)
+        if len(calls) == perturbed + 1:
+            out = congsub.rmat_mul(R, out, ((R.one, R.one), (R.zero, R.one)))
+        return out
+
+    monkeypatch.setattr(congsub, "reduce_matrix", perturb)
+    with pytest.raises(InputError, match="relator fails"):
+        homology.kernel_presentation(pres, mats, gaussian_prime2)
+
+
 def test_reduction_hom_composition(gaussian_prime2):
     # reducing the level-2 hom to level 1 equals the direct level-1 hom
     from congtower import homology

@@ -1,4 +1,6 @@
-from congtower import catalog, identities, ringmat
+from fractions import Fraction
+
+from congtower import catalog, cli, identities, ringmat
 from congtower.poly import poly_identity_test
 from congtower.rings import make_ring
 
@@ -7,6 +9,22 @@ def test_identity_suite_green():
     ok, results = identities.run_identity_suite()
     assert ok, [name for name, passed in results if not passed]
     assert len(results) == len(identities.IDENTITY_CHECKS)
+
+
+def test_refused_containment_certificate_is_a_failed_row(monkeypatch, capsys):
+    # certify_containment raises on a swap that drops the level; the suite
+    # reports that row as FAIL and runs the others
+    monkeypatch.setattr(catalog, "magic_swap", lambda: ringmat.mat(
+        make_ring(7), [[1, Fraction(1, 4)], [0, 1]]))
+    ok, results = identities.run_identity_suite()
+    assert not ok
+    assert [name for name, passed in results if not passed] == [
+        "magic containment: level p^2 conjugates into level p"]
+    assert cli.main(["check-identities"]) == cli.EXIT_CHECK_FAILED
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(identities.IDENTITY_CHECKS) + 1
+    assert out[6].startswith("magic containment") and out[6].endswith("FAIL")
+    assert out[-1] == "SOME CHECKS FAILED"
 
 
 def test_fault_injected_alpha_fails():

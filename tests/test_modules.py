@@ -44,11 +44,17 @@ def _reads(tree):
     return out
 
 
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in cls.decorator_list)
+
+
 def _definitions(module, tree):
     """(label, name, statement) for each name of `module` that must be
-    read: its __all__ names, top-level functions and the public methods of
-    its top-level classes.  The statement is the definition, or None.  A
-    method's label has two dots."""
+    read: its __all__ names, top-level functions, the public methods of
+    its top-level classes and the fields of its dataclasses.  The
+    statement is the definition, or None.  A method's or a field's label
+    has two dots."""
     exports, top = [], {}
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign):
@@ -68,15 +74,19 @@ def _definitions(module, tree):
                         and not sub.name.startswith("_")):
                     out["%s.%s.%s" % (module, stmt.name, sub.name)] = (
                         sub.name, sub)
+                elif (isinstance(sub, ast.AnnAssign) and _is_dataclass(stmt)
+                        and isinstance(sub.target, ast.Name)):
+                    out["%s.%s.%s" % (module, stmt.name, sub.target.id)] = (
+                        sub.target.id, sub)
     return [(label, name, node) for label, (name, node) in out.items()]
 
 
 def test_every_exported_name_is_read_by_the_program():
     # code that only tests reach is deleted: each __all__ name, top-level
-    # function and public method must be read in the package or the
-    # benchmark, outside its own definition.  Names are matched, not
-    # resolved, so a method counts as read when any `.name` is; a bare
-    # local of the same name does not count for a method.
+    # function, public method and dataclass field must be read in the
+    # package or the benchmark, outside its own definition.  Names are
+    # matched, not resolved, so a method or a field counts as read when
+    # any `.name` is; a bare local of the same name does not count.
     src = ROOT / "src" / "congtower"
     files = sorted(src.glob("*.py")) + sorted(
         p for p in (ROOT / "perfbench").glob("*.py")
@@ -92,7 +102,8 @@ def test_every_exported_name_is_read_by_the_program():
                         for label, name, node in _definitions(path.stem, tree)]
     labels = {label for label, _, _, _ in checked}
     assert {"congsub.SchemeSL", "bttree.bfs_explore",
-            "presentations.Presentation.abelianization"} <= labels
+            "presentations.Presentation.abelianization",
+            "tower.TowerStep.move", "bttree.TreeGraph.edges"} <= labels
 
     unread = {
         label for label, name, where, node in checked

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,6 @@ def magic_prime():
 
 def test_certificate_magic(magic_prime):
     cert = tower.certify_containment(catalog.magic_swap(), magic_prime, 2, 1)
-    assert cert.passed
     assert cert.min_valuation == 1
     assert cert.summary()["basis_checks"] == 2 * 2 + 1
     tower.recheck_certificate(cert, magic_prime, points=100)
@@ -25,7 +25,7 @@ def test_certificate_identity_trivial(magic_prime):
     ring = make_ring(7)
     ident = ringmat.identity(ring, 2)
     cert = tower.certify_containment(ident, magic_prime, 2, 1)
-    assert cert.passed and cert.min_valuation == 2
+    assert cert.min_valuation == 2
 
 
 def test_certificate_refuses_bad_conjugator(magic_prime):
@@ -41,7 +41,7 @@ def test_certificate_refuses_bad_conjugator(magic_prime):
 def test_certificate_o41():
     prime = factor_rational_prime(make_ring("rational"), 2)[0]
     cert = tower.certify_containment(catalog.o41_swap(), prime, 4, 2)
-    assert cert.passed and cert.min_valuation == 2
+    assert cert.min_valuation == 2
     assert cert.nvars == 25
     assert cert.summary()["basis_checks"] == 5 * 5 + 1
     tower.recheck_certificate(cert, prime, points=10)
@@ -50,7 +50,7 @@ def test_certificate_o41():
 def test_certificate_pu21():
     _, prime = catalog.pu21_ring_and_prime()
     cert = tower.certify_containment(catalog.pu21_swap(), prime, 4, 2)
-    assert cert.passed and cert.min_valuation == 2
+    assert cert.min_valuation == 2
     assert cert.summary()["basis_checks"] == 3 * 3 + 1
     tower.recheck_certificate(cert, prime, points=10)
 
@@ -78,7 +78,7 @@ def test_recheck_catches_corruption(magic_prime):
     corrupted = tower.ContainmentCertificate(
         conjugator=ringmat.mat(ring, [[0, 16], [Fraction(1, 16), 0]]),
         inner_level=cert.inner_level, outer_level=cert.outer_level,
-        nvars=cert.nvars, min_valuation=cert.min_valuation, passed=True)
+        nvars=cert.nvars, min_valuation=cert.min_valuation)
     with pytest.raises(CheckFailed):
         tower.recheck_certificate(corrupted, magic_prime, points=50)
 
@@ -109,16 +109,23 @@ def test_magic_tower_small():
 
 def test_magic_tower_form_free_steps():
     data = tower.build_tower("magic", 3)
+    swap_inv = ringmat.mat_inverse(data.model.swap)
     for step in data.steps[1:]:
-        assert step.certificate.passed
-        # the relative element is (stabilizer word) * swap: certificate holds
+        w = data.moves[step.move]
+        # the relative element is the move, which the certificate is about
         assert step.source_i < step.n
-        # swap conjugate exchanges the two vertices (validated in build, but
-        # re-assert through the public data)
         src = data.steps[step.source_i]
+        assert ringmat.mat_eq(ringmat.mat_mul(src.conjugator, w),
+                              step.conjugator)
+        assert ringmat.mat_eq(data.certificates[step.move].conjugator, w)
+        # h_n swap h_n^-1, h_n = T_i w swap^-1, exchanges the two vertices
+        h_n = ringmat.mat_mul(ringmat.mat_mul(src.conjugator, w), swap_inv)
+        g_n = ringmat.mat_mul(ringmat.mat_mul(h_n, data.model.swap),
+                              ringmat.mat_inverse(h_n))
         assert bttree.canonicalize(
-            ringmat.mat_mul(step.swap_conjugate, src.vertex),
-            data.prime) == step.vertex
+            ringmat.mat_mul(g_n, src.vertex), data.prime) == step.vertex
+        assert bttree.canonicalize(
+            ringmat.mat_mul(g_n, step.vertex), data.prime) == src.vertex
 
 
 def test_empty_tower_vacuous_pass():
@@ -135,36 +142,105 @@ def test_fault_injection_flips_verdict():
     step = data.steps[2]
     bad_rows = [list(row) for row in step.conjugator]
     bad_rows[0][0] = bad_rows[0][0] + ring(2)
-    data.steps[2] = tower.TowerStep(
-        n=step.n, conjugator=ringmat.mat(ring, bad_rows), vertex=step.vertex,
-        vertex_depth=step.vertex_depth, source_i=step.source_i,
-        relative=step.relative, swap_conjugate=step.swap_conjugate,
-        certificate=step.certificate)
+    data.steps[2] = dataclasses.replace(
+        step, conjugator=ringmat.mat(ring, bad_rows))
     report = tower.tower_report(data, recheck_points=5)
     assert report["verdict"] == "FAIL"
     assert any(f["step"] == 2 for f in report["failures"])
 
 
+def _citing(data, k):
+    return [s.n for s in data.steps[1:] if s.move == k]
+
+
 def test_fault_injected_certificate_flips_verdict():
-    data = tower.build_tower("magic", 2)
-    step = data.steps[1]
+    # a certificate is one move's: every step citing the move fails
+    data = tower.build_tower("magic", 10)
+    k = data.steps[1].move
+    cert = data.certificates[k]
     ring = make_ring(7)
-    rows = [list(row) for row in step.certificate.conjugator]
+    rows = [list(row) for row in cert.conjugator]
     rows[1][0] = rows[1][0] + ring.one
-    corrupted = tower.ContainmentCertificate(
-        conjugator=ringmat.mat(ring, rows),
-        inner_level=step.certificate.inner_level,
-        outer_level=step.certificate.outer_level,
-        nvars=step.certificate.nvars,
-        min_valuation=step.certificate.min_valuation,
-        passed=True)
-    data.steps[1] = tower.TowerStep(
-        n=step.n, conjugator=step.conjugator, vertex=step.vertex,
-        vertex_depth=step.vertex_depth, source_i=step.source_i,
-        relative=step.relative, swap_conjugate=step.swap_conjugate,
-        certificate=corrupted)
+    data.certificates[k] = dataclasses.replace(
+        cert, conjugator=ringmat.mat(ring, rows))
     report = tower.tower_report(data, recheck_points=25)
     assert report["verdict"] == "FAIL"
+    assert [f["step"] for f in report["failures"]] == _citing(data, k)
+    assert all("certificate is not about this move" in f["reason"]
+               for f in report["failures"])
+
+
+def test_tampered_step0_vertex_fails():
+    # step 0 is checked itself: the identity frame and the base vertex
+    data = tower.build_tower("magic", 3)
+    data.steps[0] = dataclasses.replace(data.steps[0],
+                                        vertex=data.steps[1].vertex)
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert report["failures"] == [
+        {"step": 0, "reason": "step 0: frame does not carry the base vertex"}]
+
+
+def test_tampered_step0_frame_fails():
+    data = tower.build_tower("magic", 3)
+    data.steps[0] = dataclasses.replace(
+        data.steps[0], conjugator=data.moves[0], vertex=data.steps[1].vertex)
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert report["failures"][0]["step"] == 0
+
+
+@pytest.mark.parametrize("example", ["magic", "o41"])
+def test_move_times_translation_fails_every_citing_step(example):
+    # w replaced by w [[1,1],[0,1]] (on the first two coordinates)
+    data = tower.build_tower(example, 3)
+    k = data.steps[1].move
+    w = data.moves[k]
+    ring = w[0][0].ring
+    u = [list(row) for row in ringmat.identity(ring, len(w))]
+    u[0][1] = ring.one
+    data.moves[k] = ringmat.mat_mul(w, ringmat.mat(ring, u))
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert [f["step"] for f in report["failures"]] == _citing(data, k)
+
+
+def test_identity_move_fails():
+    # a step that stays put: frame, vertex and certificate agree with the
+    # move, but h = w swap^-1 does not fix the base vertex
+    data = tower.build_tower("magic", 1)
+    k = data.steps[1].move
+    ident = data.steps[0].conjugator
+    data.moves[k] = ident
+    data.certificates[k] = tower.certify_containment(ident, data.prime, 2, 1)
+    data.steps[1] = dataclasses.replace(
+        data.steps[1], conjugator=ident, vertex=data.steps[0].vertex)
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert report["failures"] == [
+        {"step": 1, "reason": "move %d: w swap^-1 does not fix the base vertex" % k}]
+
+
+def test_swap_that_is_not_an_involution_fails():
+    # with swap = w^-1, w swap fixes the base, but swap^-1 base is not
+    # swap base, so h = w swap^-1 need not fix it
+    data = tower.build_tower("magic", 2)
+    # keep the step by move 1, whose inverse squared moves the base
+    data.steps[1:] = [dataclasses.replace(data.steps[2], n=1)]
+    assert data.steps[1].move == 1
+    data.model.swap = ringmat.mat_inverse(data.moves[1])
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert [f["step"] for f in report["failures"]] == [1]
+    assert "swap does not exchange" in report["failures"][0]["reason"]
+
+
+def test_later_step_without_a_move_fails():
+    data = tower.build_tower("magic", 2)
+    data.steps[2] = dataclasses.replace(data.steps[0], n=2)
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert [f["step"] for f in report["failures"]] == [2]
 
 
 def test_pu21_tower_steps():
@@ -172,19 +248,23 @@ def test_pu21_tower_steps():
     report = tower.tower_report(data, recheck_points=10)
     assert report["verdict"] == "PASS"
     for step in data.steps[1:]:
-        assert step.certificate.min_valuation >= 2
+        assert data.certificates[step.move].min_valuation >= 2
         # conjugators preserve the hermitian form exactly
         assert ringmat.preserves_form(step.conjugator, data.model.form,
                                       "hermitian")
 
 
-def test_validate_step_reads_the_form_kind_from_the_model():
-    # the unitary steps preserve h0 as a hermitian form, not as a bilinear one
-    data = tower.build_tower("pu21", 1)
+def test_move_check_reads_the_form_kind_from_the_model():
+    # the unitary moves preserve h0 as a hermitian form, not as a bilinear
+    # one: every step fails through the move it cites
+    data = tower.build_tower("pu21", 2)
     assert (data.model.form_kind, bttree.pgl2_model().form) == ("hermitian", None)
     data.model.form_kind = "bilinear"
-    with pytest.raises(CheckFailed, match="does not preserve the form"):
-        tower._validate_step(data.model, data.steps[1], data.steps)
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert [f["step"] for f in report["failures"]] == [1, 2]
+    assert all("does not preserve the form" in f["reason"]
+               for f in report["failures"])
 
 
 def test_o41_tower_steps():
@@ -200,8 +280,8 @@ def test_magic_certificate_levels_match_construction():
     # the magic chain certifies level p^2 inside level p at every step
     data = tower.build_tower("magic", 3)
     for step in data.steps[1:]:
-        assert step.certificate.inner_level == 2
-        assert step.certificate.outer_level == 1
+        assert data.certificates[step.move].inner_level == 2
+        assert data.certificates[step.move].outer_level == 1
 
 
 def test_tower_vertex_sequence_deterministic():
@@ -248,8 +328,8 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
 
 @pytest.mark.parametrize("depth", [2, 8])
 def test_swap_moves_match_fresh_search(monkeypatch, depth):
-    # one pair (w, h) per (midpoint move, second move) pair, in that order,
-    # with h the word a fresh search gives; some o41 pairs are first
+    # one move w = h swap per (midpoint move, second move) pair, in that
+    # order, with h the word a fresh search gives; some o41 pairs are first
     # reached at level 3, so depth 2 checks that no word beyond the limit
     # is used
     monkeypatch.setattr(tower, "_ALIGN_DEPTH", depth)
@@ -266,13 +346,15 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
                 ringmat.mat_mul(f_m, mv_b.transporter), base), prime)
             h = _align_from_scratch(model, f_m, base, vertex, depth)
             if h is not None:
-                expected.append((ringmat.mat_mul(h, model.swap), h))
+                expected.append(ringmat.mat_mul(h, model.swap))
             else:
                 beyond += vertex != base    # the base itself never aligns
     moves = tower._swap_moves(model)
     assert len(moves) == len(expected) > 0
-    for (w, h), (w_ref, h_ref) in zip(moves, expected):
-        assert ringmat.mat_eq(w, w_ref) and ringmat.mat_eq(h, h_ref)
+    swap_inv = ringmat.mat_inverse(model.swap)
+    for w, w_ref in zip(moves, expected):
+        assert ringmat.mat_eq(w, w_ref)
+        h = ringmat.mat_mul(w, swap_inv)
         assert bttree.canonicalize(ringmat.mat_mul(h, base), prime) == base
     assert bool(beyond) == (depth == 2)
 
@@ -280,10 +362,10 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
 def test_magic_swap_moves_are_the_base_moves():
     model = bttree.pgl2_model()
     moves = tower._swap_moves(model)
-    assert [w for w, _h in moves] == [mv.transporter
-                                      for mv in model.moves("v")]
-    for w, h in moves:
-        assert ringmat.mat_eq(ringmat.mat_mul(h, model.swap), w)
+    assert moves == [mv.transporter for mv in model.moves("v")]
+    swap_inv = ringmat.mat_inverse(model.swap)
+    for w in moves:
+        h = ringmat.mat_mul(w, swap_inv)
         assert bttree.canonicalize(h, model.prime) == model.bases["v"]
 
 
@@ -299,10 +381,9 @@ def test_one_certificate_per_swap_move(monkeypatch):
     monkeypatch.setattr(tower, "certify_containment", counting)
     data = tower.build_tower("magic", 10)
     assert len(data.steps) == 11 and len(data.moves) == 3
-    assert len(calls) == 3
-    for step in data.steps[1:]:
-        assert ringmat.mat_eq(step.certificate.conjugator, step.relative)
-        assert any(ringmat.mat_eq(step.relative, w) for w, _h in data.moves)
+    assert len(calls) == 3 and sorted(data.certificates) == [0, 1, 2]
+    for k, cert in data.certificates.items():
+        assert ringmat.mat_eq(cert.conjugator, data.moves[k])
 
 
 def _counting_rechecks(monkeypatch, fail=None):
@@ -326,7 +407,7 @@ def test_each_certificate_rechecked_once(monkeypatch):
     data = tower.build_tower("magic", 10)
     report = tower.tower_report(data, recheck_points=7)
     assert report["verdict"] == "PASS"
-    certs = {id(step.certificate) for step in data.steps[1:]}
+    certs = {id(data.certificates[step.move]) for step in data.steps[1:]}
     assert len(certs) == 3 and len(calls) == 3
     assert {id(cert) for cert, _ in calls} == certs
     assert all(points == 7 for _, points in calls)
@@ -335,9 +416,10 @@ def test_each_certificate_rechecked_once(monkeypatch):
 
 def test_failed_recheck_reaches_every_step_citing_it(monkeypatch):
     data = tower.build_tower("magic", 10)
-    certs = [step.certificate for step in data.steps[1:]]
-    shared = max(certs, key=lambda c: sum(c is d for d in certs))
-    citing = [s.n for s in data.steps[1:] if s.certificate is shared]
+    moves = [step.move for step in data.steps[1:]]
+    k = max(set(moves), key=moves.count)
+    shared = data.certificates[k]
+    citing = _citing(data, k)
     assert len(citing) > 1
     calls = _counting_rechecks(monkeypatch, fail=shared)
     report = tower.tower_report(data, recheck_points=5)
