@@ -204,7 +204,6 @@ class ReductionHom:
             if projective and ringmat.mat_eq(val, minus):
                 continue
             raise InputError("relator %r does not hold on the matrices" % (rel,))
-        self.matrices = list(gen_matrices)
         self.R = prime.residue(k)
         self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
         closure = group_closure(self.R, self.images, budget=budget,

@@ -117,7 +117,6 @@ class Presentation:
 class _Tokens:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._tokenize()
         self.idx = 0

@@ -152,19 +152,6 @@ def preserves_form(m, form, kind):
     return mat_eq(mat_mul(mat_mul(left, form), m), form)
 
 
-def congruent_to_identity(m, prime, level):
-    """Entrywise p-adic check that m = Id mod p^level: each entry of
-    m - Id has valuation >= level, asked as one lattice membership."""
-    n = len(m)
-    ring = m[0][0].ring
-    for i in range(n):
-        for j in range(n):
-            e = m[i][j] - (ring.one if i == j else ring.zero)
-            if not prime.valuation_at_least(e, level):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # JSON input: rows = [[entry, ...], ...] over a ring the file names
 # entry = int | "a/b" | [coord, ...] with coord = int | "a/b"
@@ -269,7 +256,7 @@ def coordinate_change_check():
 __all__ = [
     "mat", "identity", "basis_points", "mat_mul", "mat_add",
     "mat_scale", "transpose", "conj_transpose", "mat_eq", "det", "mat_inverse",
-    "is_integral", "preserves_form", "congruent_to_identity",
+    "is_integral", "preserves_form",
     "matrix_from_json", "read_json_file",
     "coordinate_change_check",
 ]

@@ -491,12 +491,18 @@ class PrimeIdeal:
         x = self.ring(x)
         if x.is_zero():
             return math.inf
-        vd = self.e * _int_valuation(x.den, self.p)
-        # num is a nonzero integer of the ring, so it leaves p^v for some v
+        return (self.numerator_valuation(x.num)
+                - self.e * _int_valuation(x.den, self.p))
+
+    def numerator_valuation(self, num):
+        """v_p of the ring integer with int coordinates num; +inf on 0."""
+        if not any(num):
+            return math.inf
+        # a nonzero integer of the ring leaves p^v for some v
         v = 0
-        while intmat.lattice_contains(self.power_lattice(v + 1), x.num):
+        while intmat.lattice_contains(self.power_lattice(v + 1), num):
             v += 1
-        return v - vd
+        return v
 
     def __repr__(self):
         return "PrimeIdeal(p=%d, e=%d, f=%d, pi=%r)" % (self.p, self.e, self.f, self.pi)

@@ -18,24 +18,33 @@ checkable for the infinite tower; the report states the exhaustion radius
 actually covered as a proxy.
 
 Certificates are complete basis checks: the conjugation is affine in X, so
-it is computed exactly at the basis points of ``ringmat.basis_points`` --
-X = 0, which must give Id, and each of the n^2 elementary matrices E_ij,
-whose conjugates must be = Id mod p^j by valuations.  The conjugation
-displays of ``identities`` are proved at the same points.  The report
-checks each move a tower uses once (h fixes the base, w keeps the form,
-the certificate is about w and re-verifies at fresh random points) and
-each step by one exact product, T_source w == T_n, and its vertex; every
-step citing a move gets the move's outcome, a failure included.
+it is computed exactly at X = 0, which must give Id, and at each of the
+n^2 elementary matrices E_ij, whose conjugates must be = Id mod p^j by
+valuations.  The conjugation displays of ``identities`` are proved at the
+same points.  Certificates and their rechecks at random points share one
+kernel, ``_Conjugation``: with w and w^-1 over common denominators,
+G = d_g w, H = d_h w^-1 and D = d_g d_h, and with w^-1 w == Id checked
+exactly once,
+
+    w^-1 (Id + pi^a X) w - Id  =  pi^a (H X G) / D,
+
+so each entry is one lattice membership of an int numerator of H X G.
+The report checks each move a tower uses once (h fixes the base, w keeps
+the form, the certificate is about w and re-verifies at fresh random
+points) and each step by one exact product, T_source w == T_n, and its
+vertex; every step citing a move gets the move's outcome, a failure
+included.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CheckFailed, InputError
-from . import bttree, catalog, homology, ringmat
+from . import bttree, catalog, homology, intmat, ringmat, rings
 from .intmat import AbelianInvariants
 
 
@@ -69,14 +78,65 @@ class ContainmentCertificate:
         }
 
 
-def _conjugate_generic(g, g_inv, pi_a, x):
-    """g^-1 (Id + pi^a X) g, exactly."""
-    ring = g[0][0].ring
-    n = len(g)
-    generic = ringmat.mat_add(
-        ringmat.identity(ring, n),
-        tuple(tuple(x[i][j] * pi_a for j in range(n)) for i in range(n)))
-    return ringmat.mat_mul(ringmat.mat_mul(g_inv, generic), g)
+class _Conjugation:
+    """X -> g^-1 (Id + pi^a X) g - Id at integer matrices X, on int
+    numerators.  g and g^-1 are each put over one common denominator,
+    G = d_g g and H = d_h g^-1, with D = d_g d_h.  Once g^-1 g == Id,
+    checked here exactly (it is the point X = 0),
+
+        g^-1 (Id + pi^a X) g - Id  =  pi^a (H X G) / D,
+
+    so entry (k, l) has valuation a + v(N_kl) - e v_p(D), N = H X G, and
+    it is >= b exactly when N_kl lies in p^(b - a + e v_p(D)).  Raises
+    CheckFailed if g^-1 g is not Id."""
+
+    def __init__(self, g, prime, a):
+        ring = g[0][0].ring
+        n = len(g)
+        self.ring, self.prime, self.a = ring, prime, a
+        gs, d_g = ringmat._over_common_den([x for row in g for x in row])
+        hs, d_h = ringmat._over_common_den(
+            [x for row in ringmat.mat_inverse(g) for x in row])
+        self.den = d_g * d_h
+        self._h_rows = [hs[k * n:(k + 1) * n] for k in range(n)]
+        # for each column l of G and coordinate c, the c-th coordinates
+        # of G's column l: X G is integer combinations of them
+        self._g_cols = [[tuple(gs[j * n + l][c] for j in range(n))
+                         for c in range(ring.degree)] for l in range(n)]
+        # v(pi^a N / D) = v(N) - shift
+        self.shift = prime.valuation(ring(self.den)) - a
+        zero = (0,) * ring.degree
+        scaled_id = [[(self.den,) + zero[1:] if k == l else zero
+                      for l in range(n)] for k in range(n)]
+        ident = [[int(k == l) for l in range(n)] for k in range(n)]
+        if self.numerators(ident) != scaled_id:
+            raise CheckFailed("conjugating the identity does not give the identity")
+
+    def numerators(self, x):
+        """N = H X G for an n x n matrix x of ints: X G row by row as
+        integer combinations of G's rows, then each entry one
+        ``NumberRing.dot_coords``."""
+        dot = self.ring.dot_coords
+        cols = [[tuple(sum(map(operator.mul, xi, gc)) for gc in g_col)
+                 for xi in x] for g_col in self._g_cols]
+        return [[dot(h, col) for col in cols] for h in self._h_rows]
+
+    def at_least(self, num, b):
+        """Is the valuation of the entry with numerator num >= b?  One
+        lattice membership; a level <= 0 asks nothing of an integral num."""
+        k = b + self.shift
+        return k <= 0 or intmat.lattice_contains(self.prime.power_lattice(k),
+                                                 num)
+
+    def valuation(self, num):
+        """Valuation of the entry with numerator num; +inf on 0."""
+        return self.prime.numerator_valuation(num) - self.shift
+
+    def entry(self, k, l, num):
+        """Entry (k, l) of the conjugate g^-1 (Id + pi^a X) g, exactly."""
+        diag = self.ring.one if k == l else self.ring.zero
+        return diag + self.prime.uniformizer_power(self.a) * rings.RingElt(
+            self.ring, num, self.den)
 
 
 def certify_containment(g, prime, a, b):
@@ -85,31 +145,27 @@ def certify_containment(g, prime, a, b):
 
     X -> g^-1 (Id + pi^a X) g is affine in X and p^b is an ideal, so the
     containment holds for every integral X exactly when it holds at X = 0
-    and at each elementary matrix E_ij.  X = 0 must give Id exactly; each
-    E_ij must give a matrix = Id mod p^b in the valuation sense.  Raises
-    CheckFailed with the offending E_ij and entry if not.
+    and at each elementary matrix E_ij.  X = 0 must give Id exactly, which
+    ``_Conjugation`` checks as g^-1 g == Id; each E_ij must give a matrix
+    = Id mod p^b in the valuation sense, one lattice membership of each
+    entry of H E_ij G.  Raises CheckFailed with the offending E_ij and
+    entry if not.
     """
-    ring = g[0][0].ring
     n = len(g)
-    pi_a = prime.uniformizer_power(a)
-    g_inv = ringmat.mat_inverse(g)
-    ident = ringmat.identity(ring, n)
-    points = ringmat.basis_points(ring, n)
-    _, zero = next(points)
-    if not ringmat.mat_eq(_conjugate_generic(g, g_inv, pi_a, zero), ident):
-        raise CheckFailed("conjugating the identity does not give the identity")
+    conj = _Conjugation(g, prime, a)
     min_val = math.inf
-    for label, e_ij in points:
-        conj = _conjugate_generic(g, g_inv, pi_a, e_ij)
-        for k in range(n):
-            for l in range(n):
-                v = prime.valuation(conj[k][l] - ident[k][l])
-                min_val = min(min_val, v)
-                if v < b:
-                    raise CheckFailed(
-                        "at %s, entry (%d,%d) of the conjugate is %r, "
-                        "valuation %s < %d from the identity"
-                        % (label, k, l, conj[k][l], v, b))
+    for i in range(n):
+        for j in range(n):
+            e_ij = [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+            for k, row in enumerate(conj.numerators(e_ij)):
+                for l, num in enumerate(row):
+                    v = conj.valuation(num)
+                    min_val = min(min_val, v)
+                    if v < b:
+                        raise CheckFailed(
+                            "at E_(%d,%d), entry (%d,%d) of the conjugate is "
+                            "%r, valuation %s < %d from the identity"
+                            % (i, j, k, l, conj.entry(k, l, num), v, b))
     return ContainmentCertificate(
         conjugator=g, inner_level=a, outer_level=b, nvars=n * n,
         min_valuation=min_val)
@@ -120,23 +176,23 @@ _RECHECK_SPAN = 10
 
 
 def recheck_certificate(cert, prime, rng=None, points=100):
-    """Independent numeric re-verification at fresh random integer points.
+    """Re-verification at fresh random integer points X, apart from the
+    basis points the certificate used.
 
-    Evaluates the conjugation with plain matrix arithmetic and checks the
-    level-b congruence by valuations.  Returns the number of points
-    checked; raises CheckFailed on any failure.
+    Each point is evaluated by the conjugation kernel, pi^a (H X G) / D,
+    and the level-b congruence asked as one lattice membership per entry
+    of H X G.  Returns the number of points checked; raises CheckFailed
+    on any failure.
     """
     rng = rng or random.Random(0)
-    g = cert.conjugator
-    ring = g[0][0].ring
-    n = len(g)
-    pi_a = prime.uniformizer_power(cert.inner_level)
-    g_inv = ringmat.mat_inverse(g)
+    n = len(cert.conjugator)
+    b = cert.outer_level
+    conj = _Conjugation(cert.conjugator, prime, cert.inner_level)
     for _ in range(points):
-        x = [[ring(rng.randrange(-_RECHECK_SPAN, _RECHECK_SPAN + 1))
+        x = [[rng.randrange(-_RECHECK_SPAN, _RECHECK_SPAN + 1)
               for _ in range(n)] for _ in range(n)]
-        conj = _conjugate_generic(g, g_inv, pi_a, x)
-        if not ringmat.congruent_to_identity(conj, prime, cert.outer_level):
+        if not all(conj.at_least(num, b)
+                   for row in conj.numerators(x) for num in row):
             raise CheckFailed("certificate fails at a random point")
     return points
 

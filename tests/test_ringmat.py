@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from congtower import catalog, homology, ringmat, rings
 from congtower.errors import InputError
-from congtower.rings import factor_rational_prime, make_ring
+from congtower.rings import make_ring
 
 
 def test_mat_mul_and_inverse():
@@ -123,37 +123,6 @@ def test_preserves_form_kinds_and_errors():
     other = ringmat.mat(make_ring(2), [[1, 0], [0, 1]])
     with pytest.raises(InputError):
         ringmat.preserves_form(rot, other, "bilinear")
-
-
-def test_congruent_to_identity(gaussian_prime2):
-    ring = make_ring(1)
-    m = ringmat.mat(ring, [[1, 2], [2, 1]])
-    assert ringmat.congruent_to_identity(m, gaussian_prime2, 2)
-    assert not ringmat.congruent_to_identity(m, gaussian_prime2, 3)
-
-
-@pytest.mark.parametrize("example", ["o41", "pu21"])
-def test_congruent_to_identity_matches_valuations(example):
-    # one lattice membership per entry answers as the full valuation does,
-    # fractional entries included: 1/2 in o41_swap, conj(pi)^-1 in pu21_swap
-    if example == "o41":
-        swap = catalog.o41_swap()
-        prime = factor_rational_prime(make_ring("rational"), 2)[0]
-    else:
-        swap = catalog.pu21_swap()
-        prime = catalog.pu21_ring_and_prime()[1]
-    ring = swap[0][0].ring
-    p = ring(prime.p)
-    entries = {x for row in swap for x in row}
-    values = {y for x in entries for y in (x, x * p, x * p * p, x / p, x + 1)}
-    seen = set()
-    for x in values:
-        m = ((ring.one + x,),)
-        for level in range(5):
-            expected = prime.valuation(x) >= level
-            assert ringmat.congruent_to_identity(m, prime, level) == expected
-            seen.add(expected)
-    assert seen == {True, False}
 
 
 def test_json_roundtrip_integral_and_fractional():

@@ -1,9 +1,10 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
-from congtower import bttree, catalog, ringmat, tower
+from congtower import bttree, catalog, identities, ringmat, tower
 from congtower.errors import CheckFailed
 from congtower.intmat import AbelianInvariants
 from congtower.rings import factor_rational_prime, make_ring
@@ -81,6 +82,86 @@ def test_recheck_catches_corruption(magic_prime):
         nvars=cert.nvars, min_valuation=cert.min_valuation)
     with pytest.raises(CheckFailed):
         tower.recheck_certificate(corrupted, magic_prime, points=50)
+
+
+def _kernel_case(case):
+    """(g, prime, a, b): the three swaps at their tower levels, and the
+    two conjugators the certificate refuses at the magic prime."""
+    if case == "o41":
+        prime = factor_rational_prime(make_ring("rational"), 2)[0]
+        return catalog.o41_swap(), prime, 4, 2
+    if case == "pu21":
+        return catalog.pu21_swap(), catalog.pu21_ring_and_prime()[1], 4, 2
+    ring, prime = catalog.magic_ring_and_prime()
+    g = {
+        "magic": catalog.magic_swap(),
+        "magic-sixteen": ringmat.mat(ring, [[0, 16], [Fraction(1, 16), 0]]),
+        "magic-diag": ringmat.mat(ring, [[1, 0], [0, (prime.pi ** 2).inverse()]]),
+    }[case]
+    return g, prime, 2, 1
+
+
+@pytest.mark.parametrize("case", ["magic", "o41", "pu21",
+                                  "magic-sixteen", "magic-diag"])
+def test_conjugation_kernel_matches_field_arithmetic(case):
+    # pi^a (H X G) / D on int numerators against g^-1 (Id + pi^a X) g by
+    # plain field arithmetic: the same entries, valuations and level-b
+    # verdicts at 25 random integer points
+    g, prime, a, b = _kernel_case(case)
+    ring = g[0][0].ring
+    n = len(g)
+    conj = tower._Conjugation(g, prime, a)
+    g_inv = ringmat.mat_inverse(g)
+    pi_a = prime.uniformizer_power(a)
+    rng = random.Random(2020)
+    verdicts = set()
+    for _ in range(25):
+        x = [[rng.randrange(-10, 11) for _ in range(n)] for _ in range(n)]
+        field = identities._conjugate_generic(g, g_inv, pi_a,
+                                              ringmat.mat(ring, x))
+        nums = conj.numerators(x)
+        for k in range(n):
+            for l in range(n):
+                diff = field[k][l] - (ring.one if k == l else ring.zero)
+                expected = prime.valuation_at_least(diff, b)
+                assert conj.at_least(nums[k][l], b) == expected
+                assert conj.valuation(nums[k][l]) == prime.valuation(diff)
+                assert conj.entry(k, l, nums[k][l]) == field[k][l]
+                verdicts.add(expected)
+    assert verdicts == ({True} if case in ("magic", "o41", "pu21")
+                        else {True, False})
+
+
+def test_conjugation_kernel_checks_the_identity_point(monkeypatch,
+                                                      magic_prime):
+    # with -g^-1 in place of g^-1 every E_ij entry keeps its valuation and
+    # the diagonal of the conjugate minus Id is -2 + ..., of valuation 1 at
+    # the prime over 2, so only the point X = 0, g^-1 g == Id, refuses it
+    inverse = ringmat.mat_inverse
+    monkeypatch.setattr(ringmat, "mat_inverse",
+                        lambda g: ringmat.mat_scale(inverse(g), -1))
+    cert = tower.ContainmentCertificate(
+        conjugator=catalog.magic_swap(), inner_level=2, outer_level=1,
+        nvars=4, min_valuation=1)
+    with pytest.raises(CheckFailed, match="conjugating the identity"):
+        tower.certify_containment(cert.conjugator, magic_prime, 2, 1)
+    with pytest.raises(CheckFailed, match="conjugating the identity"):
+        tower.recheck_certificate(cert, magic_prime, points=5)
+
+
+@pytest.mark.parametrize("case", ["magic", "o41", "pu21"])
+@pytest.mark.parametrize("points", [0, 1, 7])
+def test_recheck_draws_n_squared_entries_per_point(case, points):
+    # each point is n^2 draws of randrange(-10, 11), so a seed picks the
+    # same points as the field-arithmetic recheck did
+    g, prime, a, b = _kernel_case(case)
+    cert = tower.certify_containment(g, prime, a, b)
+    rng, ref = random.Random(31), random.Random(31)
+    assert tower.recheck_certificate(cert, prime, rng=rng,
+                                     points=points) == points
+    for _ in range(len(g) ** 2 * points):
+        ref.randrange(-10, 11)
+    assert rng.getstate() == ref.getstate()
 
 
 def test_check_no_p_torsion():
