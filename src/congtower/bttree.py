@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
-from . import catalog, congsub, ringmat
+from . import catalog, ringmat
 from .rings import make_ring, factor_rational_prime
 
 
@@ -333,49 +333,6 @@ def su_model():
     moves_mid = _orbit_moves(prime, bases, [("v0", ident)], stab_mid)
     return TreeModel(prime, bases, {"v0": moves_v0, "mid": moves_mid},
                      "su-tree", g0, stab_mid, h0, "hermitian")
-
-
-# ---------------------------------------------------------------------------
-# residue-level orbit verifications for the orthogonal tree
-
-
-def oq_mod2_vector_orbit():
-    """Orbit of e5 under the mod-2 image of the integral orthogonal group
-    of q (generated by the reduced reflection generators).
-
-    Neighbors of x0 correspond to the orbit of the hyperplane e5-perp,
-    equivalently of e5 itself; returns (orbit, group_order)."""
-    ring = make_ring("rational")
-    prime = factor_rational_prime(ring, 2)[0]
-    R = prime.residue(1)
-    gens = [congsub.reduce_matrix(R, m) for m in _conjugated_reflections()]
-    group = congsub.group_closure(R, gens)
-    e5 = (R.zero,) * 4 + (R.one,)
-    orb = congsub.orbit(R, gens, e5, action="vector")
-    return orb, len(group)
-
-
-def oq_halfvertex_line_orbit():
-    """Orbit of the line spanned by f1 in L_{1/2}/2L_{1/2} under the mod-2
-    image of the stabilizer of L_{1/2} (computed in the f-basis)."""
-    ring = make_ring("rational")
-    prime = factor_rational_prime(ring, 2)[0]
-    R = prime.residue(1)
-    f = ringmat.mat(ring, [[2 if i == j == 0 else (1 if i == j else 0)
-                            for j in range(5)] for i in range(5)])
-    f_inv = ringmat.mat_inverse(f)
-    xhalf = canonicalize(f, prime)
-    stab = [catalog.o41_swap(), catalog.o41_midpoint_stab_shear()] + [
-        m for m in _conjugated_reflections()
-        if canonicalize(ringmat.mat_mul(m, f), prime) == xhalf
-    ]
-    gens = []
-    for m in stab:
-        conj = ringmat.mat_mul(ringmat.mat_mul(f_inv, m), f)
-        gens.append(congsub.reduce_matrix(R, conj))
-    f1 = (R.one,) + (R.zero,) * 4
-    orb = congsub.orbit(R, gens, f1, action="line")
-    return orb
 
 
 # ---------------------------------------------------------------------------

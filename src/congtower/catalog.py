@@ -7,7 +7,9 @@ Each example packages the exact matrices its tower construction needs:
 - ``o41``:  the level-4 congruence subgroup of the integral orthogonal
   group of signature (4,1), after the standard change of coordinates to
   the form with matrix Q (antidiagonal corners), acting on the (5,3)-
-  biregular tree at 2.
+  biregular tree at 2.  Its reflection generators and their Coxeter
+  diagram are derived from the form diag(1,1,1,1,-1) by Vinberg's
+  algorithm, with a finite-volume check of the simplex they bound.
 - ``pu21``: the level-p5^2 congruence subgroup of the cocompact unitary
   lattice over Z[zeta5], acting on the tree of SU_3 at the ramified prime
   over 5.
@@ -18,11 +20,11 @@ preservation, determinants, swap action on the tree).
 
 from __future__ import annotations
 
-import os
+import itertools
+import math
 from fractions import Fraction
 
 from . import ringmat
-from .errors import InputError
 from .rings import make_ring, factor_rational_prime
 
 
@@ -96,68 +98,135 @@ def o41_midpoint_stab_shear():
     return ringmat.mat(ring, rows)
 
 
-def o41_reflections():
-    """The five reflection generators as matrices preserving Q0.
+# ---------------------------------------------------------------------------
+# orthogonal example: the reflection generators, by Vinberg's algorithm
 
-    They are ingestion data, not printed anywhere authoritative: they are
-    read from ``matrices/o41_reflections.json`` in the data directory and
-    validated by ``reflection_data_problem``.  A missing or malformed file
-    is an InputError.
+# v0 = e5 controls the search; this point of v0-perp is in no root's
+# hyperplane, so it picks one chamber of the height-0 root system B_4
+_CHAMBER_POINT = (4, 3, 2, 1, 0)
+# the search takes every root of height at most this
+_MAX_ROOT_HEIGHT = 1
+# cos^2 of the angle between two walls -> the order of their product
+_COXETER_LABELS = {Fraction(0): 2, Fraction(1, 4): 3, Fraction(1, 2): 4,
+                   Fraction(3, 4): 6}
+
+
+def _q0(u, v):
+    """The bilinear form of Q0 = diag(1,1,1,1,-1) on integer vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3] - u[4] * v[4]
+
+
+def o41_roots():
+    """The five simple roots of the integral reflection group of Q0, by
+    Vinberg's algorithm with control vector v0 = e5 (Vinberg 1972, "On the
+    groups of units of certain quadratic forms").
+
+    A root is an integer vector r with r.r in {1, 2}: it is primitive,
+    and its reflection is integral.  Its height is (r.v0)^2 / (r.r).  The
+    candidates are the roots with r.v0 < 0, and at height 0 those with
+    r.c < 0 for the chamber point c; each is kept, in increasing height,
+    when its angle with every root kept before it is not acute
+    (r.r_i <= 0).  Within height 0 the order by -r.c keeps exactly the
+    simple roots of B_4: any other root is a positive combination of
+    simple roots, so it comes after them and is acute to one of them.
+    The search stops at n + 1 = 5 roots, which must bound a finite-volume
+    simplex; ties are broken by the root itself, so the order is fixed.
     """
-    from . import homology
-    path = os.path.join(homology.data_dir(), "matrices", "o41_reflections.json")
-    if not os.path.exists(path):
-        raise InputError("reflection data file %s not found" % path)
-    payload = ringmat.read_json_file(path)
-    if not isinstance(payload, dict) or payload.get("ring") != "rational":
-        raise InputError('%s: reflection data must be an object with '
-                         '"ring": "rational"' % path)
-    rows = payload.get("matrices")
-    # matrix_from_json then checks that each matrix is square
-    if not (isinstance(rows, list) and len(rows) == 5
-            and all(isinstance(m, list) and len(m) == 5 for m in rows)):
-        raise InputError('%s: "matrices" must list five 5x5 matrices' % path)
+    candidates = []
+    for k in range(math.isqrt(2 * _MAX_ROOT_HEIGHT) + 1):   # k = r5 = -r.v0
+        bound = math.isqrt(k * k + 2)
+        for head in itertools.product(range(-bound, bound + 1), repeat=4):
+            r = head + (k,)
+            norm, c = _q0(r, r), _q0(r, _CHAMBER_POINT)
+            if (norm in (1, 2) and k * k <= _MAX_ROOT_HEIGHT * norm
+                    and (k or c < 0)):
+                # 2 k^2 / norm is twice the height, an integer
+                candidates.append((2 * k * k // norm, -c, r))
+    roots = []
+    for _height, _c, r in sorted(candidates):
+        if all(_q0(r, s) <= 0 for s in roots):
+            roots.append(r)
+            if len(roots) == 5:
+                check_finite_volume_simplex(roots)
+                return roots
+    raise AssertionError("fewer than five roots up to height %d"
+                         % _MAX_ROOT_HEIGHT)
+
+
+def _inertia(gram):
+    """(positive, negative, zero) counts of the eigenvalues of a symmetric
+    integer matrix, by diagonalizing it by congruence (Sylvester's law of
+    inertia).  Each Schur complement is kept scaled by |pivot| > 0, which
+    keeps it integral and does not change its inertia."""
+    a = [list(row) for row in gram]
+    pos = neg = 0
+    while a:
+        n = len(a)
+        p = next((i for i in range(n) if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in range(n) for j in range(n)
+                         if a[i][j]), None)
+            if pair is None:
+                break
+            # x_p -> x_p + x_j makes the (p, p) entry 2 a_pj, not zero
+            p, j = pair
+            for row in a:
+                row[p] += row[j]
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+        d = a[p][p]
+        sign = 1 if d > 0 else -1
+        pos, neg = pos + (d > 0), neg + (d < 0)
+        a = [[sign * (a[i][j] * d - a[i][p] * a[p][j])
+              for j in range(n) if j != p] for i in range(n) if i != p]
+    return pos, neg, len(gram) - pos - neg
+
+
+def check_finite_volume_simplex(roots):
+    """AssertionError unless the n + 1 roots bound a finite-volume simplex
+    of hyperbolic n-space: their Gram matrix has signature (n, 1), and
+    each n x n principal submatrix is positive definite (a finite vertex)
+    or positive semidefinite of corank 1 (an ideal vertex)."""
+    gram = [[_q0(r, s) for s in roots] for r in roots]
+    n = len(roots) - 1
+    if _inertia(gram) != (n, 1, 0):
+        raise AssertionError("the Gram matrix of %r is not of signature "
+                             "(%d, 1)" % (roots, n))
+    for v in range(n + 1):
+        minor = [[x for j, x in enumerate(row) if j != v]
+                 for i, row in enumerate(gram) if i != v]
+        if _inertia(minor) not in ((n, 0, 0), (n - 1, 0, 1)):
+            raise AssertionError("the vertex opposite %r is neither finite "
+                                 "nor ideal" % (roots[v],))
+
+
+def o41_reflections():
+    """The reflections s_r = Id - (2 / r.r) r r^t Q0 in the roots of
+    ``o41_roots``, in their order, as rational matrices.  They generate
+    the reflection group of the integral form Q0."""
     ring = make_ring("rational")
-    mats = [ringmat.matrix_from_json(m, ring) for m in rows]
-    problem = reflection_data_problem(mats)
-    if problem:
-        raise InputError("%s: %s" % (path, problem))
-    return mats
-
-
-def reflection_data_problem(mats):
-    """None when the five matrices are integral, preserve Q0, and their
-    pairwise product orders match the diagram labels; else what fails."""
-    form = q0_form()
-    orders = coxeter_diagram_orders()
-    ident = ringmat.identity(form[0][0].ring, 5)
-    for m in mats:
-        if not (ringmat.is_integral(m)
-                and ringmat.preserves_form(m, form, "bilinear")):
-            return "reflection data fails integrality or form check"
-    for i in range(5):
-        for j in range(i, 5):
-            prod = ringmat.mat_mul(mats[i], mats[j])
-            power = prod
-            order = None
-            for k in range(1, 13):
-                if ringmat.mat_eq(power, ident):
-                    order = k
-                    break
-                power = ringmat.mat_mul(power, prod)
-            if order != orders[i][j]:
-                return ("reflection data: product order (%d,%d) is %r, "
-                        "diagram says %d" % (i, j, order, orders[i][j]))
-    return None
+    out = []
+    for r in o41_roots():
+        scale, rq = 2 // _q0(r, r), r[:4] + (-r[4],)      # rq = r^t Q0
+        out.append(ringmat.mat(ring, [
+            [(i == j) - scale * r[i] * rq[j] for j in range(5)]
+            for i in range(5)]))
+    return out
 
 
 def coxeter_diagram_orders():
-    """m_ij for the five generators (1 on the diagonal, 2 = commute)."""
-    m = [[2] * 5 for _ in range(5)]
-    for i in range(5):
-        m[i][i] = 1
-    for i, j, label in ((0, 1, 3), (1, 2, 3), (2, 3, 4), (2, 4, 3)):
-        m[i][j] = m[j][i] = label
+    """m_ij for the five generators (1 on the diagonal, 2 = commute), read
+    off the Gram matrix of their roots: the label of roots r_i, r_j is
+    fixed by cos^2 = (r_i.r_j)^2 / ((r_i.r_i)(r_j.r_j)) in
+    {0, 1/4, 1/2, 3/4}, for m = 2, 3, 4, 6."""
+    roots = o41_roots()
+    m = [[1] * 5 for _ in range(5)]
+    for i, j in itertools.permutations(range(5), 2):
+        ri, rj = roots[i], roots[j]
+        cos2 = Fraction(_q0(ri, rj) ** 2, _q0(ri, ri) * _q0(rj, rj))
+        if cos2 not in _COXETER_LABELS:
+            raise AssertionError("roots %r and %r meet at no Coxeter angle"
+                                 % (ri, rj))
+        m[i][j] = _COXETER_LABELS[cos2]
     return m
 
 
@@ -245,8 +314,8 @@ def pu21_gamma_template_scalars():
 
 __all__ = [
     "q0_form", "q_form", "coordinate_change_alpha", "o41_swap",
-    "o41_midpoint_stab_shear", "o41_reflections", "reflection_data_problem",
-    "coxeter_diagram_orders",
+    "o41_midpoint_stab_shear", "o41_roots", "check_finite_volume_simplex",
+    "o41_reflections", "coxeter_diagram_orders",
     "magic_ring_and_prime", "magic_swap", "sl2_gen_matrices",
     "pu21_ring_and_prime", "pu21_swap",
     "pu21_gamma_template_scalars",

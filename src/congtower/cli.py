@@ -291,7 +291,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except BudgetExceeded as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
+        counts = ", ".join("%s %d" % (name, n) for name, n in (
+            ("estimate", exc.estimate), ("budget", exc.budget)) if n is not None)
+        print("budget exceeded: %s%s" % (exc, counts and " (%s)" % counts),
+              file=sys.stderr)
         return EXIT_BUDGET
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

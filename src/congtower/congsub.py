@@ -1,6 +1,5 @@
 """Finite matrix groups over residue rings O/p^k: reduction homomorphisms,
-breadth-first closures, congruence-kernel quotient checks, and orbit
-enumeration.
+breadth-first closures and congruence-kernel quotient checks.
 
 Matrices over a residue ring are tuples of tuples of canonical residue
 representatives, so they hash and compare directly.  Each entry of a
@@ -38,10 +37,6 @@ def rmat_mul(R, a, b):
     """a * b, each entry one ``R.dot`` of a row and a column."""
     cols = tuple(zip(*b))
     return tuple(tuple(R.dot(row, col) for col in cols) for row in a)
-
-
-def rmat_vec(R, a, v):
-    return tuple(row[0] for row in rmat_mul(R, a, tuple((x,) for x in v)))
 
 
 def rmat_det(R, a):
@@ -111,47 +106,6 @@ def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None):
                         estimate=len(elements), budget=budget)
             column.append(pos)
     return Closure(elements, {g: tuple(c) for g, c in zip(gens, columns)})
-
-
-def orbit(R, gens, point, action="vector"):
-    """Orbit of a point under generator matrices.
-
-    action 'vector': column vectors over R.
-    action 'line':   one-dimensional subspaces; points are normalized so the
-                     first unit coordinate equals 1 (residue ring must be a
-                     field for this normalization to be canonical).
-    """
-    if action == "vector":
-        act = lambda g, v: rmat_vec(R, g, v)
-        norm = lambda v: v
-    elif action == "line":
-        act = lambda g, v: _normalize_line(R, rmat_vec(R, g, v))
-        norm = lambda v: _normalize_line(R, v)
-    else:
-        raise InputError("unknown action %r" % (action,))
-    start = norm(tuple(point))
-    seen = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for g in gens:
-            w = act(g, v)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
-
-
-def _normalize_line(R, v):
-    for c in v:
-        if c != R.zero:
-            if not R.is_unit(c):
-                raise InputError("line normalization needs a unit leading entry")
-            inv = R.inverse(c)
-            return tuple(R.mul(inv, x) for x in v)
-    raise InputError("zero vector spans no line")
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +336,8 @@ def pu_identity_congruent_count():
 
 __all__ = [
     "SchemeSL", "ReductionHom",
-    "Closure", "group_closure", "orbit", "reduce_matrix",
-    "rmat_identity", "rmat_mul", "rmat_det", "rmat_vec",
+    "Closure", "group_closure", "reduce_matrix",
+    "rmat_identity", "rmat_mul", "rmat_det",
     "congruence_quotient_check", "pu_identity_congruent_count",
     "CLOSURE_BUDGET_DEFAULT",
 ]

@@ -30,6 +30,8 @@ DATA_ENV_VAR = "CONGTOWER_DATA_DIR"
 
 
 def data_dir():
+    """The directory of the bundled presentations: ``CONGTOWER_DATA_DIR``
+    when it is set, else the package's ``data``."""
     override = os.environ.get(DATA_ENV_VAR)
     if override:
         return override

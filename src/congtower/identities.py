@@ -159,10 +159,28 @@ def check_pu21_containment():
 
 
 def check_reflection_data():
-    """The reflection generators: integral, preserve Q0, and the pairwise
-    product orders match the diagram labels.  Loading them runs the same
-    predicate and raises InputError on data that fails it."""
-    return catalog.reflection_data_problem(catalog.o41_reflections()) is None
+    """The reflection generators are integral and preserve Q0, and the
+    order of each pairwise product, found by matrix powers, is the diagram
+    label read off the Gram matrix of their roots."""
+    mats = catalog.o41_reflections()
+    form = catalog.q0_form()
+    orders = catalog.coxeter_diagram_orders()
+    ident = ringmat.identity(form[0][0].ring, 5)
+    if not all(ringmat.is_integral(m)
+               and ringmat.preserves_form(m, form, "bilinear") for m in mats):
+        return False
+    for i in range(5):
+        for j in range(i, 5):
+            prod = ringmat.mat_mul(mats[i], mats[j])
+            power, order = prod, None
+            for k in range(1, 13):
+                if ringmat.mat_eq(power, ident):
+                    order = k
+                    break
+                power = ringmat.mat_mul(power, prod)
+            if order != orders[i][j]:
+                return False
+    return True
 
 
 IDENTITY_CHECKS = [

@@ -856,9 +856,6 @@ class ResidueRing:
         dot product of the representatives has the same residue."""
         return self.reduce_coords(self.ring.dot_coords(xs, ys))
 
-    def is_unit(self, a):
-        return self.prime.valuation(self.lift(a)) == 0 if a != self.zero else False
-
     def inverse(self, a):
         """a^-1 = a^(phi - 1) by square-and-multiply, where
         phi = N(p)^(k-1) (N(p) - 1) is the order of the unit group of

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from congtower import ringmat
+from congtower import bttree, catalog, congsub, ringmat
 from congtower.rings import make_ring, factor_rational_prime
 
 
@@ -46,3 +46,57 @@ def framed_ball():
             layer = nxt
         return out
     return ball
+
+
+@pytest.fixture(scope="session")
+def residue_orbit():
+    """(R, gens, point, lines=False) -> the sorted orbit of a column vector
+    over the residue ring R under generator matrices, by breadth-first
+    search.  With lines=True the points are the lines the vectors span,
+    each scaled so that its first nonzero coordinate is 1 (R a field)."""
+    def image(R, g, v):
+        return tuple(x for x, in congsub.rmat_mul(R, g, tuple((x,) for x in v)))
+
+    def line(R, v):
+        inv = R.inverse(next(x for x in v if x != R.zero))
+        return tuple(R.mul(inv, x) for x in v)
+
+    def orbit(R, gens, point, lines=False):
+        norm = (lambda v: line(R, v)) if lines else (lambda v: v)
+        queue = [norm(tuple(point))]
+        seen = set(queue)
+        for v in queue:         # the list grows as it is walked
+            for g in gens:
+                w = norm(image(R, g, v))
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return sorted(seen)
+    return orbit
+
+
+@pytest.fixture(scope="session")
+def oq_residue_orbits(residue_orbit):
+    """The oq tree's valences counted as residue orbits over F_2, not as
+    canonical forms of neighbours: the orbit of e5 under the reduced
+    reflection generators, which stabilize x0, and the orbit of the line
+    of f1 in L_{1/2}/2L_{1/2} under the reduced midpoint stabilizer,
+    written in the basis f of L_{1/2}.  Returns (x0 generators, vector
+    orbit, line orbit)."""
+    model = bttree.oq_model()
+    ring = model.prime.ring
+    R = model.prime.residue(1)
+    alpha = catalog.coordinate_change_alpha()
+    alpha_inv = ringmat.mat_inverse(alpha)
+    x0_gens = [congsub.reduce_matrix(
+        R, ringmat.mat_mul(ringmat.mat_mul(alpha_inv, r), alpha))
+        for r in catalog.o41_reflections()]
+    vectors = residue_orbit(R, x0_gens, (R.zero,) * 4 + (R.one,))
+    f = ringmat.mat(ring, [[2 if i == j == 0 else int(i == j)
+                            for j in range(5)] for i in range(5)])
+    f_inv = ringmat.mat_inverse(f)
+    mid_gens = [congsub.reduce_matrix(
+        R, ringmat.mat_mul(ringmat.mat_mul(f_inv, m), f))
+        for m in model.stab_mid]
+    lines = residue_orbit(R, mid_gens, (R.one,) + (R.zero,) * 4, lines=True)
+    return x0_gens, vectors, lines

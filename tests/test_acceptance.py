@@ -81,11 +81,11 @@ def test_criterion_4_identity_suite():
 
 # -- 5. tree lemmas ------------------------------------------------------------
 
-def test_criterion_5_tree_lemmas(framed_ball):
+def test_criterion_5_tree_lemmas(framed_ball, oq_residue_orbits):
     t0 = time.time()
     model = bttree.oq_model()
     assert model.valences() == {"x0": 5, "xhalf": 3}
-    orbit, _order = bttree.oq_mod2_vector_orbit()
+    _gens, orbit, lines = oq_residue_orbits
 
     def v(*coords):
         return tuple((c,) for c in coords)
@@ -93,8 +93,7 @@ def test_criterion_5_tree_lemmas(framed_ball):
     assert set(orbit) == {
         v(0, 0, 0, 0, 1), v(1, 0, 0, 0, 0), v(1, 1, 1, 0, 1),
         v(1, 1, 0, 1, 1), v(1, 0, 1, 1, 1)}
-    lines = set(bttree.oq_halfvertex_line_orbit())
-    assert lines == {v(1, 0, 0, 0, 0), v(0, 0, 0, 0, 1), v(1, 0, 0, 0, 1)}
+    assert set(lines) == {v(1, 0, 0, 0, 0), v(0, 0, 0, 0, 1), v(1, 0, 0, 0, 1)}
     # the pgl2(2) model is 3-regular out to radius 4
     pgl2 = bttree.pgl2_model()
     graph = bttree.bfs_explore(pgl2, 4)

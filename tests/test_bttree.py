@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from congtower import bttree, catalog, ringmat, rings
+from congtower import bttree, catalog, congsub, ringmat, rings
 from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -224,20 +224,20 @@ def test_oq_apartment_vertices_and_types(oq):
     assert not gl_adjacent(x0, x1, prime)
 
 
-def test_oq_valences_from_orbits(oq):
+def test_oq_valences_from_orbits(oq, oq_residue_orbits):
     assert oq.valences() == {"x0": 5, "xhalf": 3}
-    orbit, order = bttree.oq_mod2_vector_orbit()
+    gens, orbit, lines = oq_residue_orbits
     assert len(orbit) == 5
+    order = len(congsub.group_closure(oq.prime.residue(1), gens).elements)
     assert order % len(orbit) == 0
-    lines = bttree.oq_halfvertex_line_orbit()
     assert len(lines) == 3
     # orbit sizes match the recomputed tree valences
     assert len(orbit) == len(oq.moves("x0"))
     assert len(lines) == len(oq.moves("xhalf"))
 
 
-def test_oq_orbit_members_match_published_sets():
-    orbit, _ = bttree.oq_mod2_vector_orbit()
+def test_oq_orbit_members_match_published_sets(oq_residue_orbits):
+    _gens, orbit, lines = oq_residue_orbits
     def v(*coords):
         return tuple((c,) for c in coords)
     expected = {
@@ -248,8 +248,7 @@ def test_oq_orbit_members_match_published_sets():
         v(1, 0, 1, 1, 1),
     }
     assert set(orbit) == expected
-    lines = set(bttree.oq_halfvertex_line_orbit())
-    assert lines == {v(1, 0, 0, 0, 0), v(0, 0, 0, 0, 1), v(1, 0, 0, 0, 1)}
+    assert set(lines) == {v(1, 0, 0, 0, 0), v(0, 0, 0, 0, 1), v(1, 0, 0, 0, 1)}
 
 
 def test_oq_base_neighbors_match_published_representatives(oq):

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -70,6 +69,15 @@ def test_lemma22_budget_covers_the_pair_passes(capsys):
                      "--k", "3", "--budget", "1000"])
     assert code == cli.EXIT_BUDGET
     assert "1536 products" in capsys.readouterr().err
+
+
+def test_budget_exit_names_estimate_and_budget(capsys):
+    # the tree search stops at the 11th vertex, one past the budget
+    code = cli.main(["tree", "pgl2", "--radius", "9", "--budget", "10"])
+    assert code == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:")
+    assert "(estimate 11, budget 10)" in err
 
 
 @pytest.mark.parametrize("index", ["9", "-1"])
@@ -350,47 +358,13 @@ def test_malformed_file_exits_input(tmp_path, flag, content, message):
     assert err.startswith("input error:") and message in err
 
 
-def _bundled_reflections():
-    path = os.path.join(homology.data_dir(), "matrices", "o41_reflections.json")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _corrupt_entry(payload):
-    payload["matrices"][0][0][0] = 5
-    return json.dumps(payload)
-
-
-@pytest.mark.parametrize("argv, edit, message", [
-    (["tower", "o41"], lambda p: "[1, 2", "not valid JSON"),
-    (["tower", "o41"], lambda p: json.dumps({"ring": "rational"}),
-     '"matrices" must list'),
-    (["tower", "o41"], lambda p: json.dumps({**p, "ring": "d=7"}),
-     '"ring": "rational"'),
-    (["tower", "o41"], lambda p: json.dumps({**p, "matrices": p["matrices"][:4]}),
-     '"matrices" must list'),
-    (["tower", "o41"], lambda p: json.dumps(
-        {**p, "matrices": [[row[:4] for row in m[:4]] for m in p["matrices"]]}),
-     "five 5x5"),
-    (["tower", "o41"], None, "not found"),
-    (["check-identities"], lambda p: json.dumps({"ring": "rational"}),
-     '"matrices" must list'),
-    (["check-identities"], _corrupt_entry, "integrality or form"),
-    (["tower", "magic", "--steps", "2"], None, "not found"),
-], ids=["not-json", "no-matrices", "wrong-ring", "four-matrices",
-        "four-by-four", "missing", "identities-no-matrices",
-        "identities-corrupt-entry", "magic-missing-presentation"])
-def test_malformed_reflection_file_exits_input(capsys, tmp_path, monkeypatch,
-                                               argv, edit, message):
-    payload = _bundled_reflections()
-    (tmp_path / "matrices").mkdir()
-    if edit is not None:
-        (tmp_path / "matrices" / "o41_reflections.json").write_text(edit(payload))
+def test_missing_presentation_file_exits_input(capsys, tmp_path, monkeypatch):
+    # a data directory without the bundled presentations
     monkeypatch.setenv(homology.DATA_ENV_VAR, str(tmp_path))
-    code = cli.main(argv)
+    code = cli.main(["tower", "magic", "--steps", "2"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_INPUT
-    assert err.startswith("input error:") and message in err
+    assert err.startswith("input error:") and "not found" in err
 
 
 @pytest.mark.parametrize("flag", ["--presentation", "--matrices"])

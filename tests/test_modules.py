@@ -27,8 +27,6 @@ UNREAD = {
     "coset.coset_enumerate": "Todd-Coxeter, the oracle for the coset tables",
     "congsub.pu_identity_congruent_count": "an acceptance row",
     "homology.o41_two_stage": "the two-stage Gamma(4) pipeline of criterion 8",
-    "bttree.oq_mod2_vector_orbit": "an acceptance row (criterion 5)",
-    "bttree.oq_halfvertex_line_orbit": "an acceptance row (criterion 5)",
 }
 
 
@@ -49,12 +47,29 @@ def _is_dataclass(cls):
                for d in cls.decorator_list)
 
 
+def _self_attributes(cls):
+    """(name, statement) for each public `self.name = ...` assignment in
+    the methods of a class, the first one of each name."""
+    out = {}
+    for sub in ast.walk(cls):
+        if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            for t in targets:
+                if (isinstance(t, ast.Attribute)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"
+                        and not t.attr.startswith("_")):
+                    out.setdefault(t.attr, sub)
+    return out.items()
+
+
 def _definitions(module, tree):
     """(label, name, statement) for each name of `module` that must be
     read: its __all__ names, top-level functions, the public methods of
-    its top-level classes and the fields of its dataclasses.  The
-    statement is the definition, or None.  A method's or a field's label
-    has two dots."""
+    its top-level classes, the fields of its dataclasses and the public
+    `self.name = ...` attributes of its other classes.  The statement is
+    the definition, or None.  A method's, a field's or an attribute's
+    label has two dots."""
     exports, top = [], {}
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign):
@@ -78,15 +93,20 @@ def _definitions(module, tree):
                         and isinstance(sub.target, ast.Name)):
                     out["%s.%s.%s" % (module, stmt.name, sub.target.id)] = (
                         sub.target.id, sub)
+            if not _is_dataclass(stmt):
+                for name, sub in _self_attributes(stmt):
+                    out.setdefault("%s.%s.%s" % (module, stmt.name, name),
+                                   (name, sub))
     return [(label, name, node) for label, (name, node) in out.items()]
 
 
 def test_every_exported_name_is_read_by_the_program():
     # code that only tests reach is deleted: each __all__ name, top-level
-    # function, public method and dataclass field must be read in the
-    # package or the benchmark, outside its own definition.  Names are
-    # matched, not resolved, so a method or a field counts as read when
-    # any `.name` is; a bare local of the same name does not count.
+    # function, public method, dataclass field and public attribute must
+    # be read in the package or the benchmark, outside its own definition.
+    # Names are matched, not resolved, so a method, a field or an
+    # attribute counts as read when any `.name` is; a bare local of the
+    # same name does not count.
     src = ROOT / "src" / "congtower"
     files = sorted(src.glob("*.py")) + sorted(
         p for p in (ROOT / "perfbench").glob("*.py")
@@ -103,7 +123,8 @@ def test_every_exported_name_is_read_by_the_program():
     labels = {label for label, _, _, _ in checked}
     assert {"congsub.SchemeSL", "bttree.bfs_explore",
             "presentations.Presentation.abelianization",
-            "tower.TowerStep.move", "bttree.TreeGraph.edges"} <= labels
+            "tower.TowerStep.move", "bttree.TreeGraph.edges",
+            "errors.BudgetExceeded.estimate"} <= labels
 
     unread = {
         label for label, name, where, node in checked

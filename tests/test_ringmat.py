@@ -175,19 +175,3 @@ def test_scheme_file_form_kind(tmp_path):
                                     "matrices": D1_MATRICES}))
         with pytest.raises(InputError, match='"scheme"'):
             homology.load_generator_matrices(str(path))
-
-
-def test_reflection_data_file_is_validated(tmp_path, monkeypatch):
-    # corrupting the data file must be caught on load
-    import json as _json
-    import os
-    src = os.path.join(homology.data_dir(), "matrices", "o41_reflections.json")
-    with open(src, encoding="utf-8") as fh:
-        payload = _json.load(fh)
-    payload["matrices"][0][0][0] = 5
-    (tmp_path / "matrices").mkdir()
-    (tmp_path / "matrices" / "o41_reflections.json").write_text(
-        _json.dumps(payload))
-    monkeypatch.setenv(homology.DATA_ENV_VAR, str(tmp_path))
-    with pytest.raises(InputError, match="integrality or form"):
-        catalog.o41_reflections()

@@ -566,7 +566,7 @@ def test_inverse_of_a_unit(spec, p, index, data):
     R = rings.ResidueRing(prime, data.draw(st.integers(1, 4)))
     a = R.reduce_coords(tuple(data.draw(st.integers(-10 ** 4, 10 ** 4))
                               for _ in range(R.ring.degree)))
-    if R.is_unit(a):
+    if a != R.zero and R.prime.valuation(R.lift(a)) == 0:
         assert R.mul(a, R.inverse(a)) == R.one
     else:
         with pytest.raises(InputError):
