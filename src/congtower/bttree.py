@@ -167,7 +167,14 @@ class TreeModel:
         return {t: len(ms) for t, ms in self._moves.items()}
 
 
-def _orbit_moves(prime, base_vertices, seed_moves, stab_gens, budget=10_000):
+# Most neighbour moves one vertex type may have.
+_ORBIT_BUDGET = 10_000
+
+# Most vertices `bfs_explore` visits unless told otherwise.
+EXPLORE_BUDGET_DEFAULT = 100_000
+
+
+def _orbit_moves(prime, base_vertices, seed_moves, stab_gens):
     """Close the seed neighbor set under stabilizer generators, keeping a
     witness transporter for each new neighbor vertex."""
     moves = []
@@ -191,9 +198,10 @@ def _orbit_moves(prime, base_vertices, seed_moves, stab_gens, budget=10_000):
                 seen[v2] = mv
                 moves.append(mv)
                 queue.append((v2, ttype, w2))
-                if len(moves) > budget:
+                if len(moves) > _ORBIT_BUDGET:
                     raise BudgetExceeded("neighbor orbit exceeded budget",
-                                         estimate=len(moves), budget=budget)
+                                         estimate=len(moves),
+                                         budget=_ORBIT_BUDGET)
     return moves
 
 
@@ -274,7 +282,7 @@ def _su_stab_gens(ring):
     found = []
     prime = factor_rational_prime(ring, 5)[0]
     traces = _box_traces(ring)
-    for x in (one, z, z - one, pi, pi * z, pi * z ** 2):
+    for x in (one, z, pi, pi * z, pi * z ** 2):
         target = -(x * x.conj())
         y = _solve_trace(ring, traces, target, prime)
         if y is not None:
@@ -396,7 +404,7 @@ class TreeGraph:
         return "\n".join(lines) + "\n"
 
 
-def bfs_explore(model, radius, budget=100_000):
+def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
     """All vertices within the given radius of the base vertex, with their
     types; edges are deduplicated and the result is scheduling-independent
     (canonical vertex ordering within each BFS layer)."""
@@ -439,5 +447,5 @@ def _vertex_key(v):
 
 __all__ = [
     "canonicalize", "apartment_vertex", "TreeModel", "Move", "pgl2_model",
-    "oq_model", "su_model", "bfs_explore", "TreeGraph",
+    "oq_model", "su_model", "bfs_explore", "TreeGraph", "EXPLORE_BUDGET_DEFAULT",
 ]

@@ -41,8 +41,7 @@ def _write_output(text, path):
 def cmd_homology(args):
     rows, skipped = homology.homology_table(
         args.field, args.norm_max, pres_file=args.presentation,
-        matrices_file=args.matrices, budget=args.budget,
-        index_cap=args.index_cap)
+        matrices_file=args.matrices, index_cap=args.index_cap)
     if args.format == "json":
         payload = {
             "field": args.field,
@@ -245,7 +244,6 @@ def build_parser():
     p.add_argument("--matrices",
                    help="SL2 generator matrices file (JSON, 2x2 matrices by "
                         "generator name)")
-    p.add_argument("--budget", type=_budget, default=10 ** 7)
     p.add_argument("--index-cap", type=_count, default=50_000)
     p.set_defaults(func=cmd_homology)
 
@@ -257,7 +255,7 @@ def build_parser():
     p.add_argument("--radius", type=_count, default=2)
     p.add_argument("--p", type=int, default=None,
                    help="rational prime for the pgl2 model (default: 2)")
-    p.add_argument("--budget", type=_budget, default=100_000)
+    p.add_argument("--budget", type=_budget, default=bttree.EXPLORE_BUDGET_DEFAULT)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("tower", help="build a certified congruence tower")
@@ -275,7 +273,8 @@ def build_parser():
     p.add_argument("--prime-index", type=int, default=0)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=_budget, default=10 ** 7)
+    p.add_argument("--budget", type=_budget,
+                   default=congsub.CLOSURE_BUDGET_DEFAULT)
     p.set_defaults(func=cmd_lemma22)
 
     for name, sp in sub.choices.items():

@@ -11,8 +11,8 @@ The closure lists the image identity first, then in BFS order, and its
 recorded right action is the coset table: no product is formed twice.
 
 Presentations are data: the SL2(Z[i]) one is bundled (classical); the
-others carry their provenance and are revalidated against the relator
-matrices at load time.
+others carry their provenance.  ``ReductionHom`` checks every relator on
+the generator matrices each time a kernel is computed.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import InputError
+from .errors import BudgetExceeded, InputError
 from . import catalog, congsub, coset, ringmat
 from .presentations import Presentation, load_presentation
-from .rings import PrimeIdeal, _is_small_prime, factor_rational_prime, make_ring
+from .rings import _is_small_prime, factor_rational_prime, make_ring
 
 DATA_ENV_VAR = "CONGTOWER_DATA_DIR"
 
@@ -62,7 +62,6 @@ class HomologyRow:
     norm: int
     index: int
     invariants: object
-    prime: object
 
     def as_dict(self):
         return {
@@ -74,7 +73,7 @@ class HomologyRow:
 
 
 def kernel_presentation(pres, matrices, prime, k=1, projective=False,
-                        budget=10 ** 7):
+                        budget=congsub.CLOSURE_BUDGET_DEFAULT):
     """ker(G -> image mod p^k) for the presented group G: reduction hom
     (relators checked on the matrices) -> coset table -> Reidemeister-
     Schreier.  Returns (image order, presentation, generator words)."""
@@ -85,43 +84,24 @@ def kernel_presentation(pres, matrices, prime, k=1, projective=False,
     return hom.order, sub, gen_words
 
 
-def congruence_kernel_invariants(pres, matrices, prime, budget=10 ** 7):
-    """Abelian invariants of ker(G -> image mod p) for the presented group."""
-    order, sub, _ = kernel_presentation(pres, matrices, prime, budget=budget)
-    return sub.abelianization(), order
-
-
 def sl2_image_order(norm):
     """|SL2(F_q)| = q (q^2 - 1)."""
     return norm * (norm * norm - 1)
 
 
-def conjugate_dedup(ideals):
-    """One prime per conjugacy class, matching the table convention."""
-    out = []
-    seen = set()
-    for ideal in ideals:
-        key = ideal.power_lattice(1)
-        if key in seen:
-            continue
-        conj_ideal = PrimeIdeal(ideal.ring, ideal.p, ideal.pi.conj(),
-                                ideal.e, ideal.f)
-        seen.add(key)
-        seen.add(conj_ideal.power_lattice(1))
-        out.append(ideal)
-    return out
-
-
 def primes_up_to_norm(ring, norm_max):
-    """All prime ideals of norm <= norm_max, one per conjugacy class,
-    sorted by norm (then by lattice for determinism)."""
+    """The prime ideals of norm <= norm_max, one per conjugacy class,
+    sorted by norm (then by lattice for determinism).
+
+    The ring is imaginary quadratic, so the primes over p are one prime
+    or a complex-conjugate pair: the first one stands for p."""
     out = []
     p = 2
     while p <= norm_max:
         if _is_small_prime(p):
-            for ideal in conjugate_dedup(factor_rational_prime(ring, p)):
-                if ideal.norm() <= norm_max:
-                    out.append(ideal)
+            ideal = factor_rational_prime(ring, p)[0]
+            if ideal.norm() <= norm_max:
+                out.append(ideal)
         p += 1
     out.sort(key=lambda q: (q.norm(), q.power_lattice(1)))
     return out
@@ -213,11 +193,14 @@ def _matrices_for(pres, ring):
 
 
 def homology_table(d, norm_max, pres_file=None, matrices_file=None,
-                   budget=10 ** 7, index_cap=50_000):
+                   index_cap=50_000):
     """Rows (norm, rank, torsion) for prime ideals of O_d up to norm_max.
 
-    Rows whose congruence image would exceed index_cap are skipped with a
-    reason (research scale), mirroring the enumeration budget discipline.
+    A row's image is SL2(F_q), q the prime's norm, so its order
+    |SL2(F_q)| is known before the work: rows above index_cap are skipped
+    with a reason, and it is the closure budget of every other row.  A
+    closure past it, or an image of another order, means the presentation
+    or the matrices are wrong.
     """
     ring = make_ring(d)
     pres, mats = sl2_presentation_and_matrices(d, pres_file, matrices_file)
@@ -231,13 +214,16 @@ def homology_table(d, norm_max, pres_file=None, matrices_file=None,
                 "reason": "index %d exceeds cap %d" % (expected, index_cap),
             })
             continue
-        inv, order = congruence_kernel_invariants(pres, mats, prime,
-                                                  budget=budget)
+        try:
+            order, sub, _ = kernel_presentation(pres, mats, prime,
+                                                budget=expected)
+        except BudgetExceeded:
+            order = "> %d" % expected
         if order != expected:
             raise InputError(
-                "image order %d != |SL2(F_%d)| = %d; presentation or matrices wrong"
+                "image order %s != |SL2(F_%d)| = %d; presentation or matrices wrong"
                 % (order, prime.norm(), expected))
-        rows.append(HomologyRow(prime.norm(), order, inv, prime))
+        rows.append(HomologyRow(prime.norm(), order, sub.abelianization()))
     return rows, skipped
 
 
@@ -296,10 +282,9 @@ def o41_two_stage():
 
 
 __all__ = [
-    "kernel_presentation", "congruence_kernel_invariants",
+    "kernel_presentation",
     "homology_table", "load_generator_matrices", "sl2_presentation_and_matrices",
-    "primes_up_to_norm",
-    "conjugate_dedup", "sl2_image_order", "HomologyRow", "bundled_presentation", "data_dir",
+    "primes_up_to_norm", "sl2_image_order", "HomologyRow", "bundled_presentation", "data_dir",
     "DATA_ENV_VAR", "PRESENTATION_FILES", "coxeter_presentation",
     "o41_two_stage",
 ]

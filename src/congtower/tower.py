@@ -203,7 +203,6 @@ def recheck_certificate(cert, prime, rng=None, points=100):
 
 @dataclass
 class TowerConfig:
-    name: str
     model_factory: object
     level_j: int              # Gamma = Gamma(p^j)
     torsion_check: object     # () -> (AbelianInvariants, mode, note)
@@ -233,11 +232,11 @@ def _pu21_torsion():
 
 
 TOWER_EXAMPLES = {
-    "magic": TowerConfig("magic", bttree.pgl2_model, level_j=1,
+    "magic": TowerConfig(bttree.pgl2_model, level_j=1,
                          torsion_check=_magic_torsion),
-    "o41": TowerConfig("o41", bttree.oq_model, level_j=2,
+    "o41": TowerConfig(bttree.oq_model, level_j=2,
                        torsion_check=_o41_torsion),
-    "pu21": TowerConfig("pu21", bttree.su_model, level_j=2,
+    "pu21": TowerConfig(bttree.su_model, level_j=2,
                         torsion_check=_pu21_torsion),
 }
 
@@ -325,9 +324,10 @@ def _swap_moves(model):
     w's, built as (stabilizer word) * swap.  Otherwise a step goes
     through a midpoint: for each base move f and each move b of the
     midpoint, h = f sigma, with sigma the first midpoint-stabilizer word
-    sending (base, swap base) to (f^-1 base, b base).  The move leading
-    back to the base has no such word, nor has a pair that needs a word
-    longer than _ALIGN_DEPTH.
+    sending (base, swap base) to (base, b base).  f fixes the base, being
+    a word in the base stabilizer's generators, so f sigma does too.  The
+    move leading back to the base has no such word, nor has a pair that
+    needs a word longer than _ALIGN_DEPTH.
     """
     prime = model.prime
     base_type = model.base_type
@@ -342,16 +342,11 @@ def _swap_moves(model):
     nbrs = {bttree.canonicalize(ringmat.mat_mul(b.transporter, base), prime): k
             for k, b in enumerate(mid_moves)}
     words = _midpoint_words(model, nbrs)
-    moves = []
-    for f in base_moves:
-        back = nbrs.get(bttree.canonicalize(ringmat.mat_mul(
-            ringmat.mat_inverse(f.transporter), base), prime))
-        for k in range(len(mid_moves)):
-            sigma = words.get((back, k))
-            if sigma is not None:
-                moves.append(ringmat.mat_mul(
-                    ringmat.mat_mul(f.transporter, sigma), model.swap))
-    return moves
+    back = nbrs[base]
+    tails = [ringmat.mat_mul(words[back, k], model.swap)
+             for k in range(len(mid_moves)) if (back, k) in words]
+    return [ringmat.mat_mul(f.transporter, tail)
+            for f in base_moves for tail in tails]
 
 
 # Longest stabilizer word the alignment search tries.

@@ -196,6 +196,18 @@ def test_output_to_file(tmp_path, capsys):
     assert payload["rows"][0]["torsion"] == "2^5"
 
 
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_image_of_the_wrong_order_exits_input(monkeypatch, capsys, offset):
+    # one below the true order, the closure passes its budget; one above,
+    # it ends with too few elements: either way the input is at fault
+    true_order = homology.sl2_image_order
+    monkeypatch.setattr(homology, "sl2_image_order",
+                        lambda q: true_order(q) + offset)
+    code = cli.main(["homology", "--field", "1", "--norm-max", "2"])
+    assert code == cli.EXIT_INPUT
+    assert "presentation or matrices wrong" in capsys.readouterr().err
+
+
 def test_input_error_exit_code(capsys):
     code = cli.main(["homology", "--field", "6"])
     assert code == cli.EXIT_INPUT
@@ -231,6 +243,7 @@ def test_matrices_file_not_json_is_input_error(capsys, tmp_path):
     (["homology", "--index-cap", "-1"], "must be at least 0"),
     (["homology", "--norm-max", "-3"], "must be at least 0"),
     (["lemma22", "SL2", "--j", "1", "--k", "2"], "unrecognized arguments: SL2"),
+    (["homology", "--budget", "5"], "unrecognized arguments: --budget 5"),
 ])
 def test_usage_error_exits_input(capsys, argv, message):
     # argparse would exit 2, which here means a budget was exceeded

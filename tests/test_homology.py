@@ -2,7 +2,8 @@ import pytest
 
 from congtower import congsub, homology, ringmat
 from congtower.intmat import AbelianInvariants, abelian_invariants, snf
-from congtower.rings import make_ring
+from congtower.rings import (PrimeIdeal, _is_small_prime,
+                             factor_rational_prime, make_ring)
 
 
 def test_bundled_presentations_parse_and_validate():
@@ -33,13 +34,60 @@ def test_primes_up_to_norm_dedupes_conjugates():
     assert norms7 == [2, 7, 9, 11]
 
 
+def _conjugate_dedup(ideals):
+    """Reference: keep a prime unless it or its complex conjugate is
+    already kept, comparing the lattices of the ideals."""
+    out = []
+    seen = set()
+    for ideal in ideals:
+        key = ideal.power_lattice(1)
+        if key in seen:
+            continue
+        conj = PrimeIdeal(ideal.ring, ideal.p, ideal.pi.conj(), ideal.e,
+                          ideal.f)
+        seen.update((key, conj.power_lattice(1)))
+        out.append(ideal)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+def test_primes_up_to_norm_match_conjugate_dedup(d):
+    ring = make_ring(d)
+    expected = sorted(
+        (q for p in range(2, 101) if _is_small_prime(p)
+         for q in _conjugate_dedup(factor_rational_prime(ring, p))
+         if q.norm() <= 100),
+        key=lambda q: (q.norm(), q.power_lattice(1)))
+
+    def summary(q):
+        return q.p, q.norm(), q.power_lattice(1), q.pi
+
+    assert [summary(q) for q in homology.primes_up_to_norm(ring, 100)] == \
+        [summary(q) for q in expected]
+
+
 def test_kernel_invariants_norm2(gaussian_prime2):
     pres, mats = homology.sl2_presentation_and_matrices(1)
-    inv, order = homology.congruence_kernel_invariants(pres, mats,
-                                                       gaussian_prime2)
+    order, sub, _ = homology.kernel_presentation(pres, mats, gaussian_prime2)
+    inv = sub.abelianization()
     assert order == 6
     assert inv.free_rank == 0
     assert inv.torsion_factorization() == "2^5"
+
+
+def test_each_row_closure_is_bounded_by_its_image_order(monkeypatch):
+    budgets = []
+    closure = congsub.group_closure
+
+    def recording(R, gens, budget, canon=None):
+        budgets.append(budget)
+        return closure(R, gens, budget, canon)
+
+    monkeypatch.setattr(congsub, "group_closure", recording)
+    rows, _ = homology.homology_table(1, 9)
+    assert [r.norm for r in rows] == [2, 5, 9]
+    assert budgets == [homology.sl2_image_order(r.norm) for r in rows]
+    assert budgets == [r.index for r in rows]
 
 
 @pytest.mark.parametrize("d, norm, ngens, expected", [
