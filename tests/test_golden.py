@@ -27,6 +27,16 @@ GOLDEN = {
         "01b44a359403880d011ba375f7ff21611676780970ea7d9b29bf0402d921ba0b",
     "check-identities":
         "1daab3bfd58f842d8ef10ad659890d9527a0ba7f6d79a33b3a0a13e2f0f6347b",
+    # rows over 2 and odd rows, split and inert and ramified primes
+    "homology --field 1 --norm-max 17":
+        "159f40db173963c08c0d132e813134be0f69a21122418690d6c4b7479cad3aec",
+    "homology --field 3 --norm-max 19":
+        "96d1846a781437e3a3feb296f0c0947bc2468a85ab5df0cf95a5f83d74a76291",
+    "homology --field 7 --norm-max 17":
+        "6cfc8eaf37770bcefcb8a3cc94f5966dcd5d9113545de6d129914600be65b64a",
+    # rows past the cap are skipped with their SL2 index
+    "homology --field 1 --norm-max 13 --index-cap 500":
+        "93d81b47b361e641d8a31ca42aa5f404d99822c3fcb4a41f37f9dc659ba23432",
 }
 
 
