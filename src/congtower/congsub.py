@@ -167,10 +167,19 @@ class ReductionHom:
         self._action = closure.action
 
     def _canon(self, m):
+        """min(m, -m): the first entry x with -x != x decides, and the
+        matrix is negated only when -x < x."""
         if not self.projective:
             return m
-        neg = tuple(tuple(self.R.neg(x) for x in row) for row in m)
-        return min(m, neg)
+        neg = self.R.neg
+        for row in m:
+            for x in row:
+                nx = neg(x)
+                if nx != x:
+                    if nx < x:
+                        return tuple(tuple(neg(y) for y in r) for r in m)
+                    return m
+        return m
 
     def permutations(self):
         """Right-multiplication action of each generator on the element

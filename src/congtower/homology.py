@@ -1,16 +1,21 @@
 """The congruence-kernel homology pipeline for Bianchi-type groups.
 
-For a presentation of SL2 over an imaginary quadratic ring together with
+For a presentation of PSL2 over an imaginary quadratic ring together with
 exact generator matrices, computes for each prime ideal p the abelian
-invariants of the level-p congruence kernel:
+invariants of the level-p congruence kernel Gamma(p) of SL2:
 
     reduction hom -> finite image (closure) -> coset action table ->
     Reidemeister-Schreier presentation -> Smith normal form.
 
+Off 2, -Id is not congruent to Id mod p, so Gamma(p) maps isomorphically
+onto the level-p kernel of PSL2 and the row is computed on the PSL2 image,
+half the size of the SL2 one.  Over 2 the row needs SL2 itself, presented
+by the central lift of the same PSL2 presentation.
+
 The closure lists the image identity first, then in BFS order, and its
 recorded right action is the coset table: no product is formed twice.
 
-Presentations are data: the SL2(Z[i]) one is bundled (classical); the
+Presentations are data: the PSL2(Z[i]) one is bundled (classical); the
 others carry their provenance.  ``ReductionHom`` checks every relator on
 the generator matrices each time a kernel is computed.
 """
@@ -108,11 +113,11 @@ def primes_up_to_norm(ring, norm_max):
 
 
 PRESENTATION_FILES = {
-    1: "sl2_d1.pres",
-    2: "sl2_d2.pres",
-    3: "sl2_d3.pres",
-    7: "sl2_d7.pres",
-    11: "sl2_d11.pres",
+    1: "psl2_d1.pres",
+    2: "psl2_d2.pres",
+    3: "psl2_d3.pres",
+    7: "psl2_d7.pres",
+    11: "psl2_d11.pres",
 }
 
 
@@ -139,15 +144,14 @@ def load_generator_matrices(path):
     return ring, matrices
 
 
-def sl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
-    """The SL2 presentation for O_d and its generator matrices.
+def psl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
+    """The PSL2 presentation for O_d and its generator matrices.
 
-    d=1 is bundled (its presentation is classical); other fields load from
-    data files with provenance.
-    The generator name convention is a, b, u (and optional extras), then j;
-    matrices follow catalog.sl2_gen_matrices unless overridden by a
-    generator-matrices file (--matrices, read by load_generator_matrices)
-    keyed by generator name.
+    The bundled file for d unless a presentation file is given, which must
+    carry provenance.  The generator name convention is a, b, u (and
+    optional extras); matrices follow catalog.sl2_gen_matrices unless
+    overridden by a generator-matrices file (--matrices, read by
+    load_generator_matrices) keyed by generator name.
     """
     ring = make_ring(d)
     if pres_file is None:
@@ -176,6 +180,44 @@ def sl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
     return pres, mats
 
 
+def central_lift(pres, mats):
+    """The SL2 presentation over a PSL2 one, with the central j = -Id
+    adjoined as the last generator.
+
+    Each relator r is evaluated exactly: one that gives -Id becomes
+    r j^-1, one that gives Id stays, and anything else is an input error.
+    Then j^2 and [x, j] for every generator x.  A generator whose matrix
+    is +-Id is refused: such a presentation already carries the centre,
+    and its lift would present SL2 x Z/2.  Returns (presentation,
+    matrices)."""
+    ring = mats[0][0][0].ring
+    ident = ringmat.identity(ring, 2)
+    minus = ringmat.mat_scale(ident, -1)
+    for name, m in zip(pres.generators, mats):
+        if ringmat.mat_eq(m, ident) or ringmat.mat_eq(m, minus):
+            raise InputError("generator %r has the matrix +-Id; a PSL2 "
+                             "presentation is expected" % name)
+    inverses = [ringmat.mat_inverse(m) for m in mats]
+    j = pres.ngens + 1
+    relators = []
+    for rel in pres.relators:
+        val = congsub.evaluate_word(mats, inverses, rel, ident)
+        if ringmat.mat_eq(val, minus):
+            rel = rel + (-j,)
+        elif not ringmat.mat_eq(val, ident):
+            raise InputError("relator %r is neither Id nor -Id on the "
+                             "matrices" % (rel,))
+        relators.append(rel)
+    relators.append((j, j))
+    relators += [(x, j, -x, -j) for x in range(1, j)]
+    name = "j"
+    while name in pres.generators:
+        name += "_"
+    return (Presentation(pres.generators + (name,), tuple(relators),
+                         pres.provenance),
+            list(mats) + [minus])
+
+
 def _matrices_for(pres, ring):
     base = catalog.sl2_gen_matrices(ring)
     w = ring.gen()
@@ -196,34 +238,42 @@ def homology_table(d, norm_max, pres_file=None, matrices_file=None,
                    index_cap=50_000):
     """Rows (norm, rank, torsion) for prime ideals of O_d up to norm_max.
 
-    A row's image is SL2(F_q), q the prime's norm, so its order
-    |SL2(F_q)| is known before the work: rows above index_cap are skipped
-    with a reason, and it is the closure budget of every other row.  A
-    closure past it, or an image of another order, means the presentation
-    or the matrices are wrong.
+    A row's index is |SL2(F_q)|, q the prime's norm, known before the
+    work: rows above index_cap are skipped with a reason.  Off 2 the row
+    closes the PSL2 image, of order |SL2(F_q)| / 2; over 2 it closes the
+    SL2 image of the central lift.  That order is the row's closure
+    budget, so a closure past it, or an image of another order, means the
+    presentation or the matrices are wrong.
     """
     ring = make_ring(d)
-    pres, mats = sl2_presentation_and_matrices(d, pres_file, matrices_file)
+    psl2, mats = psl2_presentation_and_matrices(d, pres_file, matrices_file)
+    sl2, sl2_mats = central_lift(psl2, mats)
     rows = []
     skipped = []
     for prime in primes_up_to_norm(ring, norm_max):
-        expected = sl2_image_order(prime.norm())
-        if expected > index_cap:
+        index = sl2_image_order(prime.norm())
+        if index > index_cap:
             skipped.append({
                 "norm": prime.norm(),
-                "reason": "index %d exceeds cap %d" % (expected, index_cap),
+                "reason": "index %d exceeds cap %d" % (index, index_cap),
             })
             continue
+        # -Id = Id mod p exactly when p lies over 2
+        projective = prime.p != 2
+        if projective:
+            group, pres, gens, expected = "PSL2", psl2, mats, index // 2
+        else:
+            group, pres, gens, expected = "SL2", sl2, sl2_mats, index
         try:
-            order, sub, _ = kernel_presentation(pres, mats, prime,
-                                                budget=expected)
+            order, sub, _ = kernel_presentation(
+                pres, gens, prime, projective=projective, budget=expected)
         except BudgetExceeded:
             order = "> %d" % expected
         if order != expected:
             raise InputError(
-                "image order %s != |SL2(F_%d)| = %d; presentation or matrices wrong"
-                % (order, prime.norm(), expected))
-        rows.append(HomologyRow(prime.norm(), order, sub.abelianization()))
+                "image order %s != |%s(F_%d)| = %d; presentation or matrices wrong"
+                % (order, group, prime.norm(), expected))
+        rows.append(HomologyRow(prime.norm(), index, sub.abelianization()))
     return rows, skipped
 
 
@@ -283,7 +333,8 @@ def o41_two_stage():
 
 __all__ = [
     "kernel_presentation",
-    "homology_table", "load_generator_matrices", "sl2_presentation_and_matrices",
+    "homology_table", "load_generator_matrices", "psl2_presentation_and_matrices",
+    "central_lift",
     "primes_up_to_norm", "sl2_image_order", "HomologyRow", "bundled_presentation", "data_dir",
     "DATA_ENV_VAR", "PRESENTATION_FILES", "coxeter_presentation",
     "o41_two_stage",

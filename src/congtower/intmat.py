@@ -243,13 +243,14 @@ def abelian_invariants(relation_rows, num_generators):
 
     A row is a ``{column: coefficient}`` dict or a dense sequence.  The
     rows go through unit-pivot sparse elimination, then dense SNF on the
-    residual core.  Pivots are chosen Markowitz-style (Havas & Majewski
-    1997): the shortest row with a +-1 entry is pivoted on the unit whose
-    column has the fewest rows.  Live rows are filed in buckets indexed by
-    their length, drained from the shortest; a pointer to the shortest
-    non-empty bucket is lowered when an elimination shortens a row below
-    it.  A unit pivot contributes the divisor 1 and removes its row and
-    column exactly, so only the rows left without a unit reach ``snf``.
+    residual core.  The pivot row is the shortest row with a +-1 entry,
+    not the one of least Markowitz cost (r - 1)(c - 1) (Havas & Majewski
+    1997); within it the pivot is the unit whose column has the fewest
+    rows.  Live rows are filed in buckets indexed by their length, drained
+    from the shortest; a pointer to the shortest non-empty bucket is
+    lowered when an elimination shortens a row below it.  A unit pivot
+    contributes the divisor 1 and removes its row and column exactly, so
+    only the rows left without a unit reach ``snf``.
     """
     sparse = []
     for r in relation_rows:

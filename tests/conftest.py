@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from congtower import bttree, catalog, congsub, ringmat
+from congtower import bttree, catalog, congsub, homology, ringmat
 from congtower.rings import make_ring, factor_rational_prime
 
 
@@ -19,6 +19,16 @@ def all_rings():
 @pytest.fixture(scope="session")
 def gaussian_prime2():
     return factor_rational_prime(make_ring(1), 2)[0]
+
+
+@pytest.fixture(scope="session")
+def sl2_lift():
+    """d -> the SL2 presentation of O_d and its generator matrices: the
+    central lift of the bundled PSL2 presentation."""
+    def lift(d):
+        return homology.central_lift(
+            *homology.psl2_presentation_and_matrices(d))
+    return lift
 
 
 @pytest.fixture(scope="session")

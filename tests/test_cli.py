@@ -371,6 +371,52 @@ def test_malformed_file_exits_input(tmp_path, flag, content, message):
     assert err.startswith("input error:") and message in err
 
 
+def _with_matrix(name, rows):
+    payload = json.loads(json.dumps(D1_SCHEME))
+    payload["matrices"][name] = rows
+    return json.dumps(payload)
+
+
+# the SL2(Z[i]) presentation with j = -Id adjoined: it carries the centre
+# already, so its central lift would present SL2 x Z/2
+SL2_D1 = ("# provenance: test\ngens a, b, u, j;\n"
+          "rels (a*b)^3*j^-1, b^2*j^-1, j^2, [a,u], (b*u*b*u^-1)^3, "
+          "(b*u^2*b*u^-1)^2*j^-1, (a*u*b*a*u^-1*b)^2*j^-1, [a,j], [u,j];")
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--presentation", "# provenance: test\ngens a, b, u; rels b^2, a;",
+     "relator (1,) is neither Id nor -Id"),
+    ("--matrices", _with_matrix("a", [[1, 2], [0, 1]]),
+     "is neither Id nor -Id"),
+    ("--presentation", SL2_D1, "generator 'j' has the matrix +-Id"),
+    ("--matrices", _with_matrix("u", [[-1, 0], [0, -1]]),
+     "generator 'u' has the matrix +-Id"),
+    ("--matrices", _with_matrix("u", [[1, 0], [0, 1]]),
+     "generator 'u' has the matrix +-Id"),
+], ids=["relator-presentation", "relator-matrices", "sl2-presentation",
+        "minus-id-matrix", "id-matrix"])
+def test_input_without_a_central_lift_exits_input(tmp_path, flag, content,
+                                                  message):
+    code, err = _homology_on(tmp_path, flag, content)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:") and message in err
+
+
+def test_presentation_file_takes_psl2(capsys, tmp_path):
+    # the bundled PSL2(Z[i]) file as --presentation: its row over 2 on the
+    # central lift, its odd rows on the PSL2 image, as without the flag
+    path = tmp_path / "psl2.pres"
+    with open(homology.presentation_path("psl2_d1.pres")) as fh:
+        path.write_text(fh.read())
+    code, out = run_cli(capsys, "homology", "--norm-max", "5", "--format",
+                        "json", "--presentation", str(path))
+    assert code == 0
+    assert out == run_cli(capsys, "homology", "--norm-max", "5", "--format",
+                          "json")[1]
+    assert [r["index"] for r in json.loads(out)["rows"]] == [6, 120]
+
+
 def test_missing_presentation_file_exits_input(capsys, tmp_path, monkeypatch):
     # a data directory without the bundled presentations
     monkeypatch.setenv(homology.DATA_ENV_VAR, str(tmp_path))

@@ -56,12 +56,12 @@ def test_reduction_hom_rejects_bad_relators(gaussian_prime2):
 
 @pytest.mark.parametrize("perturbed", range(4))
 def test_perturbed_image_fails_the_coset_table(gaussian_prime2, monkeypatch,
-                                               perturbed):
+                                               sl2_lift, perturbed):
     # one reduced generator image times [[1,1],[0,1]]: the relators hold
     # exactly on the matrices, and the coset table built from the images'
     # action refuses the relator that no longer traces
     from congtower import homology
-    pres, mats = homology.sl2_presentation_and_matrices(1)
+    pres, mats = sl2_lift(1)
     assert pres.ngens == 4
     calls = []
     reduce = congsub.reduce_matrix
@@ -78,10 +78,10 @@ def test_perturbed_image_fails_the_coset_table(gaussian_prime2, monkeypatch,
         homology.kernel_presentation(pres, mats, gaussian_prime2)
 
 
-def test_reduction_hom_composition(gaussian_prime2):
+def test_reduction_hom_composition(gaussian_prime2, sl2_lift):
     # reducing the level-2 hom to level 1 equals the direct level-1 hom
     from congtower import homology
-    pres, mats = homology.sl2_presentation_and_matrices(1)
+    pres, mats = sl2_lift(1)
     hom2 = congsub.ReductionHom(pres, mats, gaussian_prime2, 2)
     hom1 = congsub.ReductionHom(pres, mats, gaussian_prime2, 1)
     # p^2 lies in p, so reducing level-2 representatives gives level 1
@@ -123,14 +123,14 @@ def _right_products(hom):
             for g in hom.images]
 
 
-def test_closure_records_the_right_action():
+def test_closure_records_the_right_action(sl2_lift):
     # elements[perm[k][i]] == canon(elements[i] * images[k]) for all i, k,
     # with the canonical identity at position 0
     from congtower import homology
     ring = make_ring(1)
     psl2 = homology.bundled_presentation("psl2_d1.pres")
     cases = [
-        (homology.sl2_presentation_and_matrices(1),
+        (sl2_lift(1),
          factor_rational_prime(ring, 5)[0], False, 120),
         ((psl2, homology._matrices_for(psl2, ring)),
          next(q for q in factor_rational_prime(ring, 5)
@@ -141,6 +141,30 @@ def test_closure_records_the_right_action():
         assert hom.order == len(hom.elements) == order
         assert hom.elements[0] == hom._canon(congsub.rmat_identity(hom.R, 2))
         assert hom.permutations() == _right_products(hom)
+
+
+@pytest.mark.parametrize("d, p", [(1, 5), (7, 2)])
+def test_projective_canon_is_the_smaller_sign(sl2_lift, d, p):
+    # min(m, -m) on every element of the SL2 image and on its negative:
+    # at a prime over 5, and at the magic prime over 2, where every
+    # residue x equals -x and the canonical form is m itself
+    from congtower import homology
+    ring = make_ring(d)
+    prime = factor_rational_prime(ring, p)[0]
+    if d == 7:
+        assert prime.pi == catalog.magic_ring_and_prime()[1].pi
+    psl2, mats = homology.psl2_presentation_and_matrices(d)
+    hom = congsub.ReductionHom(psl2, mats, prime, 1, projective=True)
+    sl2, sl2_mats = sl2_lift(d)
+    R = hom.R
+    elements = congsub.ReductionHom(sl2, sl2_mats, prime, 1).elements
+    assert len(elements) == homology.sl2_image_order(prime.norm())
+    fixed = set()
+    for m in elements:
+        neg = tuple(tuple(R.neg(x) for x in row) for row in m)
+        assert hom._canon(m) == hom._canon(neg) == min(m, neg)
+        fixed.add(neg == m)
+    assert fixed == {p == 2}
 
 
 def test_quotient_check_elementary_abelian(gaussian_prime2):

@@ -75,8 +75,8 @@ def test_rs_relator_count():
     assert inv.free_rank == 0 and inv.torsion == (3,)
 
 
-def test_kernel_index_matches_image_order(gaussian_prime2):
-    pres, mats = homology.sl2_presentation_and_matrices(1)
+def test_kernel_index_matches_image_order(gaussian_prime2, sl2_lift):
+    pres, mats = sl2_lift(1)
     hom = congsub.ReductionHom(pres, mats, gaussian_prime2, 1)
     assert hom.order == 6
     table = coset.table_from_permutations(pres, hom.permutations())
@@ -87,9 +87,9 @@ def test_kernel_index_matches_image_order(gaussian_prime2):
     assert t2.index == 6
 
 
-def test_kernel_index_120_todd_coxeter_cross_check():
+def test_kernel_index_120_todd_coxeter_cross_check(sl2_lift):
     # norm-5 congruence kernel: enumeration agrees with the image order
-    pres, mats = homology.sl2_presentation_and_matrices(1)
+    pres, mats = sl2_lift(1)
     prime = factor_rational_prime(make_ring(1), 5)[0]
     hom = congsub.ReductionHom(pres, mats, prime, 1)
     assert hom.order == 120
@@ -114,10 +114,10 @@ def _reversed_generators(pres, table):
     return rev, back, coset.table_from_permutations(rev, perms[::-1])
 
 
-def test_transversal_strategies_differ_but_agree():
+def test_transversal_strategies_differ_but_agree(sl2_lift):
     # the shortlex tree of the same subgroup under the reversed generator
     # order is another spanning tree, with the same abelianization
-    pres, mats = homology.sl2_presentation_and_matrices(1)
+    pres, mats = sl2_lift(1)
     ring = make_ring(1)
     subgroups = []
     for p in (2, 5):
