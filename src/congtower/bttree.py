@@ -13,10 +13,16 @@ and inverts only each pivot's unit.
 
 Tree models package a base vertex per type together with "moves": global
 group elements carrying the base vertex to each of its neighbors,
-discovered from stabilizer orbits (never hardcoded).  BFS exploration
-reaches each vertex's neighbours through a frame (a transporter from the
-base) and returns the vertices, types and edges.  The tower builds its own
-frames from the model's swap moves and the swap (``tower._swap_moves``).
+discovered from stabilizer orbits (never hardcoded), each with the
+canonical vertex it reaches.  A g in GL_n(K) maps the homothety class of
+X O^n to that of g X O^n, so canonicalize(g X) depends only on the class
+of X, and a move's small canonical vertex stands in for its transporter
+times the base.  BFS exploration reaches neighbour i of a vertex with
+frame g (a transporter from the base) as canonicalize(g * vertex_i),
+forms a child's frame g * transporter_i only when it expands the child,
+and skips the one move that leads back to the parent.  The tower builds
+its own frames from the model's swap moves and the swap
+(``tower._swap_moves``).
 """
 
 from __future__ import annotations
@@ -129,6 +135,7 @@ def apartment_vertex(prime, n, r_twice):
 class Move:
     target_type: str
     transporter: tuple  # global matrix
+    vertex: tuple       # canonical transporter * base[target_type]
 
 
 class TreeModel:
@@ -152,17 +159,6 @@ class TreeModel:
     def moves(self, vtype):
         return self._moves[vtype]
 
-    def vertex(self, g, vtype):
-        return canonicalize(ringmat.mat_mul(g, self.bases[vtype]), self.prime)
-
-    def neighbors(self, vtype, frame):
-        """Neighbor vertices of frame*base[vtype], with their frames."""
-        out = []
-        for mv in self._moves[vtype]:
-            g = ringmat.mat_mul(frame, mv.transporter)
-            out.append((self.vertex(g, mv.target_type), mv.target_type, g))
-        return out
-
     def valences(self):
         return {t: len(ms) for t, ms in self._moves.items()}
 
@@ -176,28 +172,23 @@ EXPLORE_BUDGET_DEFAULT = 100_000
 
 def _orbit_moves(prime, base_vertices, seed_moves, stab_gens):
     """Close the seed neighbor set under stabilizer generators, keeping a
-    witness transporter for each new neighbor vertex."""
+    witness transporter for each new neighbor vertex.  The image of the
+    neighbour w base under s is canonicalize(s * vertex), and s w is
+    formed only for a new neighbour."""
     moves = []
-    seen = {}
-    queue = []
+    seen = set()
     for ttype, w in seed_moves:
         v = canonicalize(ringmat.mat_mul(w, base_vertices[ttype]), prime)
         if v not in seen:
-            seen[v] = Move(ttype, w)
-            queue.append((v, ttype, w))
-            moves.append(Move(ttype, w))
-    head = 0
-    while head < len(queue):
-        v, ttype, w = queue[head]
-        head += 1
+            seen.add(v)
+            moves.append(Move(ttype, w, v))
+    for mv in moves:            # the list grows as it is walked
         for s in stab_gens:
-            w2 = ringmat.mat_mul(s, w)
-            v2 = canonicalize(ringmat.mat_mul(w2, base_vertices[ttype]), prime)
-            if v2 not in seen:
-                mv = Move(ttype, w2)
-                seen[v2] = mv
-                moves.append(mv)
-                queue.append((v2, ttype, w2))
+            v = canonicalize(ringmat.mat_mul(s, mv.vertex), prime)
+            if v not in seen:
+                seen.add(v)
+                moves.append(Move(mv.target_type,
+                                  ringmat.mat_mul(s, mv.transporter), v))
                 if len(moves) > _ORBIT_BUDGET:
                     raise BudgetExceeded("neighbor orbit exceeded budget",
                                          estimate=len(moves),
@@ -265,9 +256,10 @@ def oq_model():
                      "oq-tree", g1, stab_xhalf, catalog.q_form(), "bilinear")
 
 
-def _su_stab_gens(ring):
+def _su_stab_gens(ring, prime):
     """Generators of the standard-lattice stabilizer in SU(h0, O_E):
-    a torus unit, upper and lower unipotents (searched in a small box).
+    a torus unit, upper and lower unipotents (searched in a small box, of
+    least valuation at the prime over 5).
 
     The uniformizer-scaled uppers u(pi*a, y) with v(y) = 1 also stabilize
     the midpoint lattice and act nontrivially on its residue radical, which
@@ -280,7 +272,6 @@ def _su_stab_gens(ring):
     gens = [((z, zero, zero), (zero, z ** 3, zero), (zero, zero, z))]
     # u(x, y) = [[1, -conj(x), y], [0, 1, x], [0, 0, 1]], y + conj(y) = -x conj(x)
     found = []
-    prime = factor_rational_prime(ring, 5)[0]
     traces = _box_traces(ring)
     for x in (one, z, pi, pi * z, pi * z ** 2):
         target = -(x * x.conj())
@@ -331,7 +322,7 @@ def su_model():
     v0 = ringmat.identity(ring, 3)
     mid = apartment_vertex(prime, 3, 1)
     bases = {"v0": v0, "mid": mid}
-    stab, h0 = _su_stab_gens(ring)
+    stab, h0 = _su_stab_gens(ring, prime)
     g0 = catalog.pu21_swap()
     stab_mid = [g0] + [
         m for m in stab if canonicalize(ringmat.mat_mul(m, mid), prime) == mid
@@ -404,34 +395,69 @@ class TreeGraph:
         return "\n".join(lines) + "\n"
 
 
+def _back_moves(model):
+    """type -> for each move i of that type, the index of the one move of
+    its target type that leads back: the j with vertex_j equal to
+    canonicalize(T_i^-1 base[type]), so that a vertex reached from frame g
+    by move i returns to g base by move j.  Raises AssertionError unless
+    exactly one move of the target does."""
+    back = {}
+    for t in model.bases:
+        back[t] = []
+        for mv in model.moves(t):
+            home = canonicalize(ringmat.mat_mul(
+                ringmat.mat_inverse(mv.transporter), model.bases[t]),
+                model.prime)
+            js = [j for j, m in enumerate(model.moves(mv.target_type))
+                  if m.vertex == home]
+            if len(js) != 1:
+                raise AssertionError("%d moves of type %r lead back to the "
+                                     "base of type %r"
+                                     % (len(js), mv.target_type, t))
+            back[t].append(js[0])
+    return back
+
+
 def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
     """All vertices within the given radius of the base vertex, with their
     types; edges are deduplicated and the result is scheduling-independent
-    (canonical vertex ordering within each BFS layer)."""
+    (canonical vertex ordering within each BFS layer).
+
+    Neighbour i of a vertex with frame g is canonicalize(g * vertex_i); a
+    child's frame g * transporter_i is formed when the child is expanded,
+    so never on the last layer, and the move back to the parent, whose
+    edge is already recorded, is not tried."""
+    prime = model.prime
     base_type = model.base_type
     base = model.bases[base_type]
-    ident = ringmat.identity(model.prime.ring, len(base))
+    back = _back_moves(model)
     vertices = [base]
     types = [base_type]
     index = {base: 0}
     edges = set()
-    layer = [(base, base_type, ident, 0)]
+    # (vertex index, type, (parent frame, move) or None at the base, the
+    # index of the move back to the parent)
+    layer = [(0, base_type, None, None)]
     for _ in range(radius):
         nxt = []
-        for v, t, frame, vi in layer:
-            nbrs = model.neighbors(t, frame)
+        for vi, t, via, skip in layer:
+            frame = (ringmat.identity(prime.ring, len(base)) if via is None
+                     else ringmat.mat_mul(via[0], via[1].transporter))
+            nbrs = [(canonicalize(ringmat.mat_mul(frame, mv.vertex), prime), i)
+                    for i, mv in enumerate(model.moves(t)) if i != skip]
             nbrs.sort(key=lambda item: _vertex_key(item[0]))
-            for (w, wt, g) in nbrs:
+            for w, i in nbrs:
                 if w not in index:
+                    mv = model.moves(t)[i]
                     index[w] = len(vertices)
                     vertices.append(w)
-                    types.append(wt)
-                    nxt.append((w, wt, g, index[w]))
+                    types.append(mv.target_type)
+                    nxt.append((index[w], mv.target_type, (frame, mv),
+                                back[t][i]))
                     if len(vertices) > budget:
                         raise BudgetExceeded("tree exploration exceeded budget",
                                              estimate=len(vertices), budget=budget)
-                e = (min(vi, index[w]), max(vi, index[w]))
-                edges.add(e)
+                edges.add((min(vi, index[w]), max(vi, index[w])))
         layer = nxt
     return TreeGraph(model.name, vertices, types, sorted(edges))
 

@@ -281,8 +281,11 @@ def _generating_set(R, elements, ident):
             span = set(group_closure(R, gens, budget=len(members)).elements)
         except BudgetExceeded:
             raise AssertionError("kernel set is not closed") from None
+        # an early stop only: the span never shrinks, so the final
+        # check below catches whatever this one does
         if not span <= members:
             raise AssertionError("kernel set is not closed")
+    # the proof of closure: the group the generators span is the set
     if span != members:
         raise AssertionError("kernel set is not closed")
     return gens

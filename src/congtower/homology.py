@@ -151,7 +151,8 @@ def psl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
     carry provenance.  The generator name convention is a, b, u (and
     optional extras); matrices follow catalog.sl2_gen_matrices unless
     overridden by a generator-matrices file (--matrices, read by
-    load_generator_matrices) keyed by generator name.
+    load_generator_matrices) keyed by generator name, which must give
+    each generator of the presentation and no other name.
     """
     ring = make_ring(d)
     if pres_file is None:
@@ -175,6 +176,10 @@ def psl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
             if gname not in named:
                 raise InputError("matrices file has no entry for %r" % gname)
             mats.append(named[gname])
+        extra = sorted(set(named) - set(pres.generators))
+        if extra:
+            raise InputError("matrices file has an entry for %r, which is "
+                             "not a generator of the presentation" % extra[0])
     else:
         mats = _matrices_for(pres, ring)
     return pres, mats

@@ -284,6 +284,7 @@ def build_tower(example, steps):
     base = model.bases[model.base_type]
     j = cfg.level_j
     moves = _swap_moves(model)
+    move_vertices = []
     certs = {}
 
     tower_steps = [TowerStep(
@@ -297,21 +298,40 @@ def build_tower(example, steps):
                                  estimate=len(tower_steps), budget=steps)
         src = tower_steps[head]
         head += 1
-        for k, w in enumerate(moves):
-            t_n = ringmat.mat_mul(src.conjugator, w)
-            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
+        frame = src.conjugator if src.n else None
+        for k, vertex in _swap_targets(frame, moves, move_vertices, base,
+                                       prime):
             if vertex in index:
                 continue
+            w = moves[k]
             if k not in certs:
                 certs[k] = certify_containment(w, prime, 2 * j, j)
             index[vertex] = len(tower_steps)
             tower_steps.append(TowerStep(
-                n=len(tower_steps), conjugator=t_n, vertex=vertex,
+                n=len(tower_steps),
+                conjugator=ringmat.mat_mul(src.conjugator, w), vertex=vertex,
                 source_i=src.n, move=k))
             if len(tower_steps) > steps:
                 break
     return TowerData(example, cfg, model, prime, moves, certs, tower_steps,
                      cfg.torsion_check())
+
+
+def _swap_targets(frame, moves, move_vertices, base, prime):
+    """(k, canonical vertex of frame w_k base) for each swap move w_k, in
+    order.  frame None is the base's identity frame: the vertex is then
+    canonicalize(w_k base), appended to move_vertices.  A frame T maps the
+    class of w_k base to that of T w_k base, so from a later frame the
+    vertex is canonicalize(T * move_vertices[k]); the base is expanded
+    first, and the caller forms T w_k only for a new vertex."""
+    for k, w in enumerate(moves):
+        if frame is None:
+            move_vertices.append(
+                bttree.canonicalize(ringmat.mat_mul(w, base), prime))
+            yield k, move_vertices[k]
+        else:
+            yield k, bttree.canonicalize(
+                ringmat.mat_mul(frame, move_vertices[k]), prime)
 
 
 def _swap_moves(model):
@@ -329,9 +349,7 @@ def _swap_moves(model):
     move leading back to the base has no such word, nor has a pair that
     needs a word longer than _ALIGN_DEPTH.
     """
-    prime = model.prime
     base_type = model.base_type
-    base = model.bases[base_type]
     base_moves = model.moves(base_type)
     mid_type = base_moves[0].target_type
     if mid_type == base_type:
@@ -339,10 +357,9 @@ def _swap_moves(model):
     mid_moves = model.moves(mid_type)
     # the midpoint's neighbours b base; they were found as an orbit of its
     # stabilizer's generators, so the generators permute them
-    nbrs = {bttree.canonicalize(ringmat.mat_mul(b.transporter, base), prime): k
-            for k, b in enumerate(mid_moves)}
+    nbrs = {b.vertex: k for k, b in enumerate(mid_moves)}
     words = _midpoint_words(model, nbrs)
-    back = nbrs[base]
+    back = nbrs[model.bases[base_type]]
     tails = [ringmat.mat_mul(words[back, k], model.swap)
              for k in range(len(mid_moves)) if (back, k) in words]
     return [ringmat.mat_mul(f.transporter, tail)
@@ -439,19 +456,21 @@ def covered_radius(tower):
     prime = tower.prime
     base = tower.steps[0].vertex
     visited = {s.vertex for s in tower.steps}
+    move_vertices = []
     radius = 0
-    frontier = [tower.steps[0].conjugator]
+    frontier = [None]           # the base, with the identity frame
     seen = {base}
     while True:
         nxt = []
         for frame in frontier:
-            for w in tower.moves:
-                t_n = ringmat.mat_mul(frame, w)
-                vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
+            for k, vertex in _swap_targets(frame, tower.moves, move_vertices,
+                                           base, prime):
                 if vertex not in seen:
                     if vertex not in visited:
                         return radius
-                    nxt.append(t_n)
+                    w = tower.moves[k]
+                    nxt.append(w if frame is None
+                               else ringmat.mat_mul(frame, w))
                     seen.add(vertex)
         if not nxt:
             return radius

@@ -36,25 +36,66 @@ def zeta5_prime():
     return factor_rational_prime(make_ring("cyclotomic-5"), 5)[0]
 
 
+def _frame_neighbors(model, vtype, frame):
+    """(vertex, type, frame) for each neighbour of frame * base[vtype]:
+    the child frame frame * T for each move T and its vertex
+    canonicalize(frame * T * base[type]), every product formed exactly."""
+    out = []
+    for mv in model.moves(vtype):
+        g = ringmat.mat_mul(frame, mv.transporter)
+        out.append((bttree.canonicalize(
+            ringmat.mat_mul(g, model.bases[mv.target_type]), model.prime),
+            mv.target_type, g))
+    return out
+
+
 @pytest.fixture(scope="session")
-def framed_ball():
-    """(model, radius) -> {vertex: (type, frame)} for the vertices within
-    `radius` of the base, each frame its parent's times a move, as
-    ``TreeModel.neighbors`` gives it."""
-    def ball(model, radius):
+def frame_neighbors():
+    """(model, type, frame) -> the neighbours of frame * base[type] with
+    their frames, each reached through its full frame: the oracle for
+    ``bttree.bfs_explore``, which multiplies by a move's canonical vertex
+    and skips the move back to the parent."""
+    return _frame_neighbors
+
+
+@pytest.fixture(scope="session")
+def framed_explore():
+    """(model, radius) -> (vertices, types, edges, frames) by breadth-first
+    search through full frames: each layer in order, each vertex's
+    neighbours sorted by ``bttree._vertex_key``, every move tried, the back
+    move included, and each frame its parent's times a move."""
+    def explore(model, radius):
         base = model.bases[model.base_type]
-        out = {base: (model.base_type,
-                      ringmat.identity(model.prime.ring, len(base)))}
-        layer = list(out.items())
+        vertices, types = [base], [model.base_type]
+        frames = [ringmat.identity(model.prime.ring, len(base))]
+        index = {base: 0}
+        edges = set()
+        layer = [0]
         for _ in range(radius):
             nxt = []
-            for _v, (t, frame) in layer:
-                for w, wt, g in model.neighbors(t, frame):
-                    if w not in out:
-                        out[w] = (wt, g)
-                        nxt.append((w, (wt, g)))
+            for vi in layer:
+                nbrs = _frame_neighbors(model, types[vi], frames[vi])
+                nbrs.sort(key=lambda item: bttree._vertex_key(item[0]))
+                for w, wt, g in nbrs:
+                    if w not in index:
+                        index[w] = len(vertices)
+                        vertices.append(w)
+                        types.append(wt)
+                        frames.append(g)
+                        nxt.append(index[w])
+                    edges.add((min(vi, index[w]), max(vi, index[w])))
             layer = nxt
-        return out
+        return vertices, types, sorted(edges), frames
+    return explore
+
+
+@pytest.fixture(scope="session")
+def framed_ball(framed_explore):
+    """(model, radius) -> {vertex: (type, frame)} for the vertices within
+    `radius` of the base, each frame its parent's times a move."""
+    def ball(model, radius):
+        vertices, types, _edges, frames = framed_explore(model, radius)
+        return {v: (t, f) for v, t, f in zip(vertices, types, frames)}
     return ball
 
 

@@ -81,7 +81,8 @@ def test_criterion_4_identity_suite():
 
 # -- 5. tree lemmas ------------------------------------------------------------
 
-def test_criterion_5_tree_lemmas(framed_ball, oq_residue_orbits):
+def test_criterion_5_tree_lemmas(framed_ball, frame_neighbors,
+                                 oq_residue_orbits):
     t0 = time.time()
     model = bttree.oq_model()
     assert model.valences() == {"x0": 5, "xhalf": 3}
@@ -101,7 +102,7 @@ def test_criterion_5_tree_lemmas(framed_ball, oq_residue_orbits):
     ball = framed_ball(pgl2, 4)
     assert set(ball) == set(graph.vertices)
     for typ, frame in ball.values():
-        nbrs = {w for (w, _, _) in pgl2.neighbors(typ, frame)}
+        nbrs = {w for (w, _, _) in frame_neighbors(pgl2, typ, frame)}
         assert len(nbrs) == 3
     dt = time.time() - t0
     assert dt < 60.0

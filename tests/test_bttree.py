@@ -175,10 +175,11 @@ def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch,
         assert len(calls) <= len(m)
 
 
-def test_gl_adjacent_symmetric_irreflexive(pgl2):
+def test_gl_adjacent_symmetric_irreflexive(pgl2, frame_neighbors):
     prime = pgl2.prime
     v0 = pgl2.bases["v"]
-    nbrs = {w for (w, _, _) in pgl2.neighbors("v", ringmat.identity(prime.ring, 2))}
+    nbrs = {w for (w, _, _) in frame_neighbors(
+        pgl2, "v", ringmat.identity(prime.ring, 2))}
     assert len(nbrs) == pgl2.valences()["v"] == prime.norm() + 1
     for w in nbrs:
         assert gl_adjacent(v0, w, prime)
@@ -195,7 +196,7 @@ def test_apartment_adjacency(magic_prime):
     assert not gl_adjacent(xs[0], xs[2], magic_prime)
 
 
-def test_pgl2_neighbor_count_various_p():
+def test_pgl2_neighbor_count_various_p(frame_neighbors):
     # p+1 lines, counted by brute force over F_p^2
     for d, p in ((1, 3), (1, 5), (2, 3)):
         ring = make_ring(d)
@@ -204,7 +205,8 @@ def test_pgl2_neighbor_count_various_p():
             continue
         model = bttree.pgl2_model(ring, primes[0])
         v0 = model.bases["v"]
-        nbrs = {w for (w, _, _) in model.neighbors("v", ringmat.identity(ring, 2))}
+        nbrs = {w for (w, _, _) in frame_neighbors(
+            model, "v", ringmat.identity(ring, 2))}
         assert len(nbrs) == model.valences()["v"] == p + 1
         assert all(gl_adjacent(v0, w, model.prime) for w in nbrs)
         lines = set()
@@ -262,7 +264,8 @@ def test_oq_orbit_members_match_published_sets(oq_residue_orbits):
     assert set(lines) == {v(1, 0, 0, 0, 0), v(0, 0, 0, 0, 1), v(1, 0, 0, 0, 1)}
 
 
-def test_oq_base_neighbors_match_published_representatives(oq):
+def test_oq_base_neighbors_match_published_representatives(oq,
+                                                           frame_neighbors):
     ring = oq.prime.ring
     ident = ringmat.identity(ring, 5)
 
@@ -270,7 +273,7 @@ def test_oq_base_neighbors_match_published_representatives(oq):
         m = tuple(tuple(ring(c[i]) for c in cols) for i in range(5))
         return bttree.canonicalize(m, oq.prime)
 
-    nb_x0 = {v for (v, t, g) in oq.neighbors("x0", ident)}
+    nb_x0 = {v for (v, t, g) in frame_neighbors(oq, "x0", ident)}
     explicit = [
         [(2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 1, 0),
          (1, 1, 1, 0, 1)],
@@ -283,7 +286,7 @@ def test_oq_base_neighbors_match_published_representatives(oq):
     assert bttree.apartment_vertex(oq.prime, 5, -1) in nb_x0
     for cols in explicit:
         assert vert(cols) in nb_x0
-    nb_xh = {v for (v, t, g) in oq.neighbors("xhalf", ident)}
+    nb_xh = {v for (v, t, g) in frame_neighbors(oq, "xhalf", ident)}
     shear_image = vert([(1, 0, 0, 0, Fraction(1, 2)), (0, 1, 0, 0, 0),
                         (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
     assert nb_xh == {oq.bases["x0"], bttree.apartment_vertex(oq.prime, 5, 2),
@@ -336,7 +339,7 @@ def test_vertex_key_is_reduced_fraction_coordinates(pgl2, oq, su):
                 tuple((f.numerator, f.denominator) for f in row) for row in coords)
 
 
-def test_explored_valences_recomputed(oq, framed_ball):
+def test_explored_valences_recomputed(oq, framed_ball, frame_neighbors):
     # every explored vertex has the valence of its type, recomputed from
     # the neighbors (distinctness and adjacency verified per vertex)
     graph = bttree.bfs_explore(oq, 3)
@@ -344,11 +347,85 @@ def test_explored_valences_recomputed(oq, framed_ball):
     assert set(ball) == set(graph.vertices)
     expected = oq.valences()
     for v, (t, frame) in ball.items():
-        nbrs = oq.neighbors(t, frame)
+        nbrs = frame_neighbors(oq, t, frame)
         verts = {w for (w, _, _) in nbrs}
         assert len(verts) == expected[t]
         for w, _, _ in nbrs:
             assert gl_adjacent(v, w, oq.prime)
+
+
+@pytest.mark.parametrize("name, radius", [("pgl2", 5), ("oq", 3),
+                                          ("su", 3)])
+def test_bfs_explore_matches_the_frame_oracle(request, framed_explore, name,
+                                              radius):
+    # the same vertices in the same order, the same types and edges as a
+    # search that reaches every neighbour through its full frame and tries
+    # the move back to the parent too
+    model = request.getfixturevalue(name)
+    graph = bttree.bfs_explore(model, radius)
+    vertices, types, edges, _frames = framed_explore(model, radius)
+    assert graph.vertices == vertices
+    assert graph.types == types
+    assert graph.edges == edges
+
+
+@pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
+def test_move_vertex_is_the_canonical_transporter_image(request, name):
+    model = request.getfixturevalue(name)
+    for t in model.bases:
+        for mv in model.moves(t):
+            assert mv.vertex == bttree.canonicalize(ringmat.mat_mul(
+                mv.transporter, model.bases[mv.target_type]), model.prime)
+
+
+@pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
+def test_back_moves_lead_back_to_the_base(request, name):
+    # from the vertex that move i reaches, move back[t][i] returns to
+    # base[t], and it is the only move that does
+    model = request.getfixturevalue(name)
+    back = bttree._back_moves(model)
+    for t in model.bases:
+        assert len(back[t]) == len(model.moves(t))
+        for mv, j in zip(model.moves(t), back[t]):
+            home = [k for k, m in enumerate(model.moves(mv.target_type))
+                    if bttree.canonicalize(ringmat.mat_mul(
+                        mv.transporter, m.vertex), model.prime)
+                    == model.bases[t]]
+            assert home == [j]
+
+
+@pytest.mark.parametrize("name, radius", [("pgl2", 5), ("oq", 3),
+                                          ("su", 2)])
+def test_bfs_explore_forms_each_edge_once(request, monkeypatch, name, radius):
+    # past the back table (one inverse, product and canonical form per
+    # move), one product and one canonical form per edge, the move back
+    # to the parent never tried, and one frame per expanded vertex but the
+    # base, none on the last layer
+    model = request.getfixturevalue(name)
+    inner = len(bttree.bfs_explore(model, radius - 1).vertices)
+    table = sum(model.valences().values())
+    calls = {"canonicalize": 0, "mat_mul": 0}
+    for owner, attr in ((bttree, "canonicalize"), (ringmat, "mat_mul")):
+        def counting(*args, _f=getattr(owner, attr), _attr=attr):
+            calls[_attr] += 1
+            return _f(*args)
+        monkeypatch.setattr(owner, attr, counting)
+    graph = bttree.bfs_explore(model, radius)
+    edges = len(graph.edges)
+    assert calls == {"canonicalize": table + edges,
+                     "mat_mul": table + edges + inner - 1}
+
+
+def test_back_moves_refuse_a_model_without_one_way_back(oq):
+    moves = {t: list(oq.moves(t)) for t in oq.bases}
+    gone = bttree._back_moves(oq)["x0"][0]
+    for xhalf in ([m for k, m in enumerate(moves["xhalf"]) if k != gone],
+                  moves["xhalf"] + moves["xhalf"]):
+        broken = bttree.TreeModel(oq.prime, oq.bases,
+                                  {"x0": moves["x0"], "xhalf": xhalf},
+                                  oq.name, oq.swap)
+        with pytest.raises(AssertionError, match="lead back"):
+            bttree.bfs_explore(broken, 1)
 
 
 def test_exports(pgl2, tmp_path):
@@ -388,7 +465,7 @@ def _box_solve_trace(ring, target, prime):
 def test_su_stab_gens_match_the_box_loop():
     ring = make_ring("cyclotomic-5")
     prime = factor_rational_prime(ring, 5)[0]
-    gens, _ = bttree._su_stab_gens(ring)
+    gens, _ = bttree._su_stab_gens(ring, prime)
     # after the torus unit, each upper u(x, y) is followed by its lower
     uppers = gens[1::2]
     expected = []

@@ -298,7 +298,7 @@ def test_tree_p_applies_to_pgl2_only(capsys, model):
 # the d=1 generator matrices as a generator-matrices file; a valid file runs
 D1_SCHEME = {"ring": "d=1", "matrices": {
     "a": [[1, 1], [0, 1]], "b": [[0, -1], [1, 0]],
-    "u": [[1, [0, 1]], [0, 1]], "j": [[-1, 0], [0, -1]]}}
+    "u": [[1, [0, 1]], [0, 1]]}}
 
 
 def _homology_on(tmp_dir, flag, content):
@@ -352,7 +352,7 @@ def _with_entry(entry):
         "kind": "O", "form": [[1, 0], [0, 1]]}}),
      '"scheme" must be {"kind": "SL2"}'),
     ("--matrices", json.dumps({**D1_SCHEME, "matrices": {
-        **D1_SCHEME["matrices"], "j": [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]}}),
+        **D1_SCHEME["matrices"], "b": [[0, -1, 0], [1, 0, 0], [0, 0, 1]]}}),
      "must be 2x2"),
     ("--presentation", b"# provenance: test\ngens a\xff; rels a^2;",
      "is not UTF-8 text"),
@@ -375,6 +375,17 @@ def _with_matrix(name, rows):
     payload = json.loads(json.dumps(D1_SCHEME))
     payload["matrices"][name] = rows
     return json.dumps(payload)
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("uu", [[5, 0], [0, 1]]), ("x", [[1, 0], [0, 1]]),
+    ("j", [[-1, 0], [0, -1]])])
+def test_matrices_entry_for_no_generator_exits_input(tmp_path, name, rows):
+    # a misspelt generator name is refused, also when the presentation's
+    # own generator is given too
+    code, err = _homology_on(tmp_path, "--matrices", _with_matrix(name, rows))
+    assert code == cli.EXIT_INPUT
+    assert "entry for %r, which is not a generator" % name in err
 
 
 # the SL2(Z[i]) presentation with j = -Id adjoined: it carries the centre
@@ -516,7 +527,7 @@ malformed_schemes = st.one_of(
     json_values.filter(lambda v: not isinstance(v, dict) or not v).map(
         lambda v: _replace(["matrices"], v)),
     # a generator missing, or its rows not a square list of lists
-    st.sampled_from("abuj").map(lambda g: {**D1_SCHEME, "matrices": {
+    st.sampled_from("abu").map(lambda g: {**D1_SCHEME, "matrices": {
         k: v for k, v in D1_SCHEME["matrices"].items() if k != g}}),
     json_values.filter(lambda v: not isinstance(v, list) or len(v) != 2
                        or any(not isinstance(r, list) or len(r) != 2

@@ -372,6 +372,33 @@ def test_tower_vertex_sequence_deterministic():
     assert [s.source_i for s in a.steps] == [s.source_i for s in b.steps]
 
 
+@pytest.mark.parametrize("example, steps", [
+    ("magic", 25), ("o41", 8), ("pu21", 4)])
+def test_steps_match_full_frame_products(example, steps):
+    # build_tower canonicalizes T_source * canonicalize(w base); the
+    # reference forms T_source w for every candidate and canonicalizes
+    # T_source w base
+    data = tower.build_tower(example, steps)
+    base = data.model.bases[data.model.base_type]
+    frames = [ringmat.identity(data.prime.ring, len(base))]
+    expected = [(base, 0, None)]
+    index = {base: 0}
+    head = 0
+    while len(expected) <= steps:
+        src = head
+        head += 1
+        for k, w in enumerate(data.moves):
+            t_n = ringmat.mat_mul(frames[src], w)
+            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), data.prime)
+            if vertex not in index and len(expected) <= steps:
+                index[vertex] = len(expected)
+                frames.append(t_n)
+                expected.append((vertex, src, k))
+    assert [(s.vertex, s.source_i, s.move) for s in data.steps] == expected
+    assert all(ringmat.mat_eq(s.conjugator, f)
+               for s, f in zip(data.steps, frames))
+
+
 def _align_from_scratch(model, f_m, v_i, v_n, depth):
     """Reference for the midpoint alignment of tower._swap_moves: a fresh
     breadth-first search over midpoint-stabilizer words that stops at the
