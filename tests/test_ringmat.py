@@ -58,6 +58,29 @@ def test_mat_mul_matches_the_entrywise_fold(case):
     assert ringmat.mat_mul(a, b) == fold_mat_mul(a, b)
 
 
+@st.composite
+def square_cases(draw):
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 5))
+    return tuple(tuple(ring(tuple(draw(entry_coords) for _ in range(ring.degree)))
+                       for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(square_cases())
+def test_mat_inverse_is_two_sided_or_refuses_a_singular_matrix(a):
+    # the zero entries of entry_coords make singular and pivot-swapping
+    # cases; a two-sided inverse is unique, so this checks it completely
+    ring = a[0][0].ring
+    ident = ringmat.identity(ring, len(a))
+    if ringmat.det(a).is_zero():
+        with pytest.raises(InputError):
+            ringmat.mat_inverse(a)
+    else:
+        inv = ringmat.mat_inverse(a)
+        assert ringmat.mat_mul(a, inv) == ident == ringmat.mat_mul(inv, a)
+
+
 def test_mat_mul_two_by_two_times_column():
     ring = make_ring(7)
     w = ring.gen()
