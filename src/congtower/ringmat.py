@@ -113,10 +113,18 @@ def det(a):
 
 
 def mat_inverse(a):
-    """Inverse over the fraction field by Gauss-Jordan elimination on
-    [a | Id]: n pivot inverses and O(n^3) products, where the adjugate
-    takes n^2 cofactor determinants."""
+    """Inverse over the fraction field.  A 2 x 2 matrix is its adjugate
+    over its determinant, one inverse; a larger one is inverted by
+    Gauss-Jordan elimination on [a | Id], n pivot inverses and O(n^3)
+    products, where the adjugate takes n^2 cofactor determinants."""
     n = len(a)
+    if n == 2:
+        d = det(a)
+        if d.is_zero():
+            raise InputError("matrix is singular")
+        dinv = d.inverse()
+        (p, q), (r, s) = a
+        return ((s * dinv, -q * dinv), (-r * dinv, p * dinv))
     ring = a[0][0].ring
     rows = [list(row) + [ring.one if i == j else ring.zero for j in range(n)]
             for i, row in enumerate(a)]
