@@ -529,6 +529,9 @@ malformed_schemes = st.one_of(
     # a generator missing, or its rows not a square list of lists
     st.sampled_from("abu").map(lambda g: {**D1_SCHEME, "matrices": {
         k: v for k, v in D1_SCHEME["matrices"].items() if k != g}}),
+    # an entry for a name that is no generator of the presentation
+    st.text(max_size=3).filter(lambda g: g not in D1_SCHEME["matrices"]).map(
+        lambda g: _replace(["matrices", g], [[1, 0], [0, 1]])),
     json_values.filter(lambda v: not isinstance(v, list) or len(v) != 2
                        or any(not isinstance(r, list) or len(r) != 2
                               for r in v)).map(
