@@ -113,36 +113,26 @@ def det(a):
 
 
 def mat_inverse(a):
-    """Inverse over the fraction field.  A 2 x 2 matrix is its adjugate
-    over its determinant, one inverse; a larger one is inverted by
-    Gauss-Jordan elimination on [a | Id], n pivot inverses and O(n^3)
-    products, where the adjugate takes n^2 cofactor determinants."""
+    """Inverse over the fraction field via adjugate / det."""
     n = len(a)
-    if n == 2:
-        d = det(a)
-        if d.is_zero():
-            raise InputError("matrix is singular")
-        dinv = d.inverse()
-        (p, q), (r, s) = a
-        return ((s * dinv, -q * dinv), (-r * dinv, p * dinv))
-    ring = a[0][0].ring
-    rows = [list(row) + [ring.one if i == j else ring.zero for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not rows[r][col].is_zero()),
-                   None)
-        if piv is None:
-            raise InputError("matrix is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        # the columns left of col are unit columns already, and the pivot
-        # row is zero in them
-        inv = rows[col][col].inverse()
-        pivot = rows[col][col:] = [x * inv for x in rows[col][col:]]
-        for r in range(n):
-            f = rows[r][col]
-            if r != col and not f.is_zero():
-                rows[r][col:] = [x - f * y for x, y in zip(rows[r][col:], pivot)]
-    return tuple(tuple(row[n:]) for row in rows)
+    d = det(a)
+    if d.is_zero():
+        raise InputError("matrix is singular")
+    dinv = d.inverse()
+    cof = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = tuple(
+                tuple(a[r][c] for c in range(n) if c != j)
+                for r in range(n) if r != i
+            )
+            term = det(minor) if n > 1 else a[0][0].ring.one
+            if (i + j) % 2:
+                term = -term
+            row.append(term * dinv)
+        cof.append(tuple(row))
+    return transpose(tuple(cof))
 
 
 def is_integral(a):
