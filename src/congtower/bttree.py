@@ -170,18 +170,16 @@ _ORBIT_BUDGET = 10_000
 EXPLORE_BUDGET_DEFAULT = 100_000
 
 
-def _orbit_moves(prime, base_vertices, seed_moves, stab_gens):
-    """Close the seed neighbor set under stabilizer generators, keeping a
-    witness transporter for each new neighbor vertex.  The image of the
-    neighbour w base under s is canonicalize(s * vertex), and s w is
-    formed only for a new neighbour."""
-    moves = []
-    seen = set()
-    for ttype, w in seed_moves:
-        v = canonicalize(ringmat.mat_mul(w, base_vertices[ttype]), prime)
-        if v not in seen:
-            seen.add(v)
-            moves.append(Move(ttype, w, v))
+def _orbit_moves(prime, base_vertices, ttype, seed, stab_gens):
+    """Close the seed neighbour seed * base[ttype] under stabilizer
+    generators, keeping a witness transporter for each new neighbour
+    vertex: the seed is the first move, and every later one is a word in
+    the generators times it.  The image of the neighbour w base under s is
+    canonicalize(s * vertex), and s w is formed only for a new
+    neighbour."""
+    v = canonicalize(ringmat.mat_mul(seed, base_vertices[ttype]), prime)
+    moves = [Move(ttype, seed, v)]
+    seen = {v}
     for mv in moves:            # the list grows as it is walked
         for s in stab_gens:
             v = canonicalize(ringmat.mat_mul(s, mv.vertex), prime)
@@ -208,7 +206,7 @@ def pgl2_model(ring=None, prime=None):
     swap = ((ring.zero, x), (ring.one, ring.zero))
     gens = catalog.sl2_gen_matrices(ring)
     stab = [gens["a"], gens["b"], gens["u"]]
-    moves = _orbit_moves(prime, bases, [("v", swap)], stab)
+    moves = _orbit_moves(prime, bases, "v", swap, stab)
     expect = prime.norm() + 1
     if len(moves) != expect:
         raise AssertionError("pgl2 model found %d neighbors, expected %d"
@@ -248,10 +246,9 @@ def oq_model():
         m for m in refl
         if canonicalize(ringmat.mat_mul(m, xhalf), prime) == xhalf
     ]
-    moves_x0 = _orbit_moves(prime, bases, [("xhalf", ringmat.identity(ring, 5))],
-                            stab_x0)
-    moves_xhalf = _orbit_moves(prime, bases, [("x0", ringmat.identity(ring, 5))],
-                               stab_xhalf)
+    ident = ringmat.identity(ring, 5)
+    moves_x0 = _orbit_moves(prime, bases, "xhalf", ident, stab_x0)
+    moves_xhalf = _orbit_moves(prime, bases, "x0", ident, stab_xhalf)
     return TreeModel(prime, bases, {"x0": moves_x0, "xhalf": moves_xhalf},
                      "oq-tree", g1, stab_xhalf, catalog.q_form(), "bilinear")
 
@@ -328,8 +325,8 @@ def su_model():
         m for m in stab if canonicalize(ringmat.mat_mul(m, mid), prime) == mid
     ]
     ident = ringmat.identity(ring, 3)
-    moves_v0 = _orbit_moves(prime, bases, [("mid", ident)], stab)
-    moves_mid = _orbit_moves(prime, bases, [("v0", ident)], stab_mid)
+    moves_v0 = _orbit_moves(prime, bases, "mid", ident, stab)
+    moves_mid = _orbit_moves(prime, bases, "v0", ident, stab_mid)
     return TreeModel(prime, bases, {"v0": moves_v0, "mid": moves_mid},
                      "su-tree", g0, stab_mid, h0, "hermitian")
 
@@ -396,25 +393,24 @@ class TreeGraph:
 
 
 def _back_moves(model):
-    """type -> for each move i of that type, the index of the one move of
-    its target type that leads back: the j with vertex_j equal to
-    canonicalize(T_i^-1 base[type]), so that a vertex reached from frame g
-    by move i returns to g base by move j.  Raises AssertionError unless
+    """type -> the index of the one move of its moves' target type that
+    leads back: the j with vertex_j equal to canonicalize(T^-1 base[type])
+    for the seed T, the type's first move.  Every move T_i of the type is
+    s T with s fixing base[type] (``_orbit_moves``), so T_i^-1 base[type]
+    is in the class of T^-1 base[type], and a vertex reached from frame g by
+    any move i returns to g base by move j.  Raises AssertionError unless
     exactly one move of the target does."""
     back = {}
-    for t in model.bases:
-        back[t] = []
-        for mv in model.moves(t):
-            home = canonicalize(ringmat.mat_mul(
-                ringmat.mat_inverse(mv.transporter), model.bases[t]),
-                model.prime)
-            js = [j for j, m in enumerate(model.moves(mv.target_type))
-                  if m.vertex == home]
-            if len(js) != 1:
-                raise AssertionError("%d moves of type %r lead back to the "
-                                     "base of type %r"
-                                     % (len(js), mv.target_type, t))
-            back[t].append(js[0])
+    for t, base in model.bases.items():
+        seed = model.moves(t)[0]
+        home = canonicalize(ringmat.mat_mul(
+            ringmat.mat_inverse(seed.transporter), base), model.prime)
+        js = [j for j, m in enumerate(model.moves(seed.target_type))
+              if m.vertex == home]
+        if len(js) != 1:
+            raise AssertionError("%d moves of type %r lead back to the base "
+                                 "of type %r" % (len(js), seed.target_type, t))
+        back[t] = js[0]
     return back
 
 
@@ -453,7 +449,7 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
                     vertices.append(w)
                     types.append(mv.target_type)
                     nxt.append((index[w], mv.target_type, (frame, mv),
-                                back[t][i]))
+                                back[t]))
                     if len(vertices) > budget:
                         raise BudgetExceeded("tree exploration exceeded budget",
                                              estimate=len(vertices), budget=budget)
