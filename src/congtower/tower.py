@@ -261,6 +261,7 @@ class TowerData:
     model: object
     prime: object
     moves: list               # the model's swap moves w, see _swap_moves
+    move_vertices: list       # canonical w base for each move w
     certificates: dict        # move index -> its containment certificate
     steps: list
     torsion: tuple            # (invariants, mode, note)
@@ -284,7 +285,8 @@ def build_tower(example, steps):
     base = model.bases[model.base_type]
     j = cfg.level_j
     moves = _swap_moves(model)
-    move_vertices = []
+    move_vertices = [bttree.canonicalize(ringmat.mat_mul(w, base), prime)
+                     for w in moves]
     certs = {}
 
     tower_steps = [TowerStep(
@@ -298,12 +300,12 @@ def build_tower(example, steps):
                                  estimate=len(tower_steps), budget=steps)
         src = tower_steps[head]
         head += 1
-        frame = src.conjugator if src.n else None
-        for k, vertex in _swap_targets(frame, moves, move_vertices, base,
-                                       prime):
+        for k, (w, wv) in enumerate(zip(moves, move_vertices)):
+            # a frame T maps the class of w base to that of T w base
+            vertex = wv if src.n == 0 else bttree.canonicalize(
+                ringmat.mat_mul(src.conjugator, wv), prime)
             if vertex in index:
                 continue
-            w = moves[k]
             if k not in certs:
                 certs[k] = certify_containment(w, prime, 2 * j, j)
             index[vertex] = len(tower_steps)
@@ -313,25 +315,8 @@ def build_tower(example, steps):
                 source_i=src.n, move=k))
             if len(tower_steps) > steps:
                 break
-    return TowerData(example, cfg, model, prime, moves, certs, tower_steps,
-                     cfg.torsion_check())
-
-
-def _swap_targets(frame, moves, move_vertices, base, prime):
-    """(k, canonical vertex of frame w_k base) for each swap move w_k, in
-    order.  frame None is the base's identity frame: the vertex is then
-    canonicalize(w_k base), appended to move_vertices.  A frame T maps the
-    class of w_k base to that of T w_k base, so from a later frame the
-    vertex is canonicalize(T * move_vertices[k]); the base is expanded
-    first, and the caller forms T w_k only for a new vertex."""
-    for k, w in enumerate(moves):
-        if frame is None:
-            move_vertices.append(
-                bttree.canonicalize(ringmat.mat_mul(w, base), prime))
-            yield k, move_vertices[k]
-        else:
-            yield k, bttree.canonicalize(
-                ringmat.mat_mul(frame, move_vertices[k]), prime)
+    return TowerData(example, cfg, model, prime, moves, move_vertices,
+                     certs, tower_steps, cfg.torsion_check())
 
 
 def _swap_moves(model):
@@ -456,19 +441,18 @@ def covered_radius(tower):
     prime = tower.prime
     base = tower.steps[0].vertex
     visited = {s.vertex for s in tower.steps}
-    move_vertices = []
     radius = 0
     frontier = [None]           # the base, with the identity frame
     seen = {base}
     while True:
         nxt = []
         for frame in frontier:
-            for k, vertex in _swap_targets(frame, tower.moves, move_vertices,
-                                           base, prime):
+            for w, wv in zip(tower.moves, tower.move_vertices):
+                vertex = wv if frame is None else bttree.canonicalize(
+                    ringmat.mat_mul(frame, wv), prime)
                 if vertex not in seen:
                     if vertex not in visited:
                         return radius
-                    w = tower.moves[k]
                     nxt.append(w if frame is None
                                else ringmat.mat_mul(frame, w))
                     seen.add(vertex)

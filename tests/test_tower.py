@@ -546,3 +546,37 @@ def test_failed_recheck_reaches_every_step_citing_it(monkeypatch):
 def test_covered_radius_pinned(example, steps, radius):
     # values of the full-layer search, which the early stop must keep
     assert tower.covered_radius(tower.build_tower(example, steps)) == radius
+
+
+
+def _full_frame_radius(data):
+    # the covered radius, each candidate T w formed and T w base
+    # canonicalized
+    base = data.steps[0].vertex
+    visited = {s.vertex for s in data.steps}
+    frontier, seen, radius = [data.steps[0].conjugator], {base}, 0
+    while True:
+        nxt = []
+        for frame in frontier:
+            for w in data.moves:
+                t_n = ringmat.mat_mul(frame, w)
+                vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base),
+                                             data.prime)
+                if vertex not in seen:
+                    if vertex not in visited:
+                        return radius
+                    nxt.append(t_n)
+                    seen.add(vertex)
+        if not nxt:
+            return radius
+        radius += 1
+        frontier = nxt
+
+
+@pytest.mark.parametrize("example, steps", [
+    ("magic", 19), ("magic", 40), ("o41", 11), ("pu21", 7)])
+def test_covered_radius_matches_a_full_frame_search(example, steps):
+    # covered_radius canonicalizes T * canonicalize(w base); at magic 19
+    # and 40 a move paired with the wrong vertex reads one layer more
+    data = tower.build_tower(example, steps)
+    assert tower.covered_radius(data) == _full_frame_radius(data)
