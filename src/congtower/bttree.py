@@ -393,8 +393,8 @@ class TreeGraph:
 
 
 def _back_moves(model):
-    """type -> the index of the one move of its moves' target type that
-    leads back: the j with vertex_j equal to canonicalize(T^-1 base[type])
+    """type -> the index j, among the moves of its moves' target type, of
+    the one move that leads back: vertex_j is canonicalize(T^-1 base[type])
     for the seed T, the type's first move.  Every move T_i of the type is
     s T with s fixing base[type] (``_orbit_moves``), so T_i^-1 base[type]
     is in the class of T^-1 base[type], and a vertex reached from frame g by
