@@ -20,9 +20,11 @@ of X, and a move's small canonical vertex stands in for its transporter
 times the base.  BFS exploration reaches neighbour i of a vertex with
 frame g (a transporter from the base) as canonicalize(g * vertex_i),
 forms a child's frame g * transporter_i only when it expands the child,
-and skips the one move that leads back to the parent.  The tower builds
-its own frames from the model's swap moves and the swap
-(``tower._swap_moves``).
+and skips the one move that leads back to the parent.  The tower's swap
+moves are ``Move`` records too, to the base type (``tower._swap_moves``);
+in a one-type tree they are the base moves themselves, and one
+breadth-first walk over them (``tower._walk``) gives the tower's steps
+and its covered radius.
 """
 
 from __future__ import annotations
@@ -224,33 +226,40 @@ def _conjugated_reflections():
     return out
 
 
+def _two_type_model(prime, types, name, swap, mid_extra, stab, form,
+                    form_kind):
+    """A two-type tree whose base vertex (types[0]) is the standard
+    lattice and whose midpoint (types[1]) is apartment_vertex(prime, n, 1),
+    each reaching the other by the identity seed.  `stab` generates the
+    base stabilizer; the midpoint stabilizer is generated by the swap, the
+    `mid_extra` generators and the base-stabilizer generators that fix the
+    midpoint."""
+    n = len(form)
+    ident = ringmat.identity(prime.ring, n)
+    mid = apartment_vertex(prime, n, 1)
+    base_type, mid_type = types
+    bases = {base_type: ident, mid_type: mid}
+    stab_mid = [swap] + mid_extra + [
+        m for m in stab if canonicalize(ringmat.mat_mul(m, mid), prime) == mid]
+    moves = {base_type: _orbit_moves(prime, bases, mid_type, ident, stab),
+             mid_type: _orbit_moves(prime, bases, base_type, ident, stab_mid)}
+    return TreeModel(prime, bases, moves, name, swap, stab_mid, form,
+                     form_kind)
+
+
 def oq_model():
     """The (5,3)-biregular tree for the orthogonal group of q at 2.
 
     Base vertices: x0 = [L_0] (standard lattice) and xhalf = [L_{1/2}]
-    (first column scaled by 2).  Neighbor moves are discovered as stabilizer
-    orbits of the seed edges, with the swap g1 and the midpoint shear as the
-    only non-integral seeds.
+    (first column scaled by 2).  The reflections generate the stabilizer
+    of x0; the swap g1 and the midpoint shear, the only non-integral
+    generators, join those fixing xhalf to generate its stabilizer.
     """
-    ring = make_ring("rational")
-    prime = factor_rational_prime(ring, 2)[0]
-    x0 = ringmat.identity(ring, 5)
-    xhalf = apartment_vertex(prime, 5, 1)
-    bases = {"x0": x0, "xhalf": xhalf}
-    refl = _conjugated_reflections()
-    g1 = catalog.o41_swap()
-    shear = catalog.o41_midpoint_stab_shear()
-    # stabilizer generator sets
-    stab_x0 = [m for m in refl]
-    stab_xhalf = [g1, shear] + [
-        m for m in refl
-        if canonicalize(ringmat.mat_mul(m, xhalf), prime) == xhalf
-    ]
-    ident = ringmat.identity(ring, 5)
-    moves_x0 = _orbit_moves(prime, bases, "xhalf", ident, stab_x0)
-    moves_xhalf = _orbit_moves(prime, bases, "x0", ident, stab_xhalf)
-    return TreeModel(prime, bases, {"x0": moves_x0, "xhalf": moves_xhalf},
-                     "oq-tree", g1, stab_xhalf, catalog.q_form(), "bilinear")
+    prime = factor_rational_prime(make_ring("rational"), 2)[0]
+    return _two_type_model(
+        prime, ("x0", "xhalf"), "oq-tree", catalog.o41_swap(),
+        [catalog.o41_midpoint_stab_shear()], _conjugated_reflections(),
+        catalog.q_form(), "bilinear")
 
 
 def _su_stab_gens(ring, prime):
@@ -316,19 +325,9 @@ def su_model():
     """The tree for the special unitary group of h0 at the ramified prime
     over 5; vertex types 'v0' (standard lattice) and 'mid' (psi vertex)."""
     ring, prime = catalog.pu21_ring_and_prime()
-    v0 = ringmat.identity(ring, 3)
-    mid = apartment_vertex(prime, 3, 1)
-    bases = {"v0": v0, "mid": mid}
     stab, h0 = _su_stab_gens(ring, prime)
-    g0 = catalog.pu21_swap()
-    stab_mid = [g0] + [
-        m for m in stab if canonicalize(ringmat.mat_mul(m, mid), prime) == mid
-    ]
-    ident = ringmat.identity(ring, 3)
-    moves_v0 = _orbit_moves(prime, bases, "mid", ident, stab)
-    moves_mid = _orbit_moves(prime, bases, "v0", ident, stab_mid)
-    return TreeModel(prime, bases, {"v0": moves_v0, "mid": moves_mid},
-                     "su-tree", g0, stab_mid, h0, "hermitian")
+    return _two_type_model(prime, ("v0", "mid"), "su-tree",
+                           catalog.pu21_swap(), [], stab, h0, "hermitian")
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,6 @@ def factor_and_ring(p):
 
 
 def cmd_tree(args):
-    if args.model not in _MODEL_FACTORIES:
-        raise InputError("unknown tree model %r (have pgl2, oq, su)" % args.model)
     if args.p is not None and args.model != "pgl2":
         raise InputError("--p applies to the pgl2 model only, not %s" % args.model)
     model = _MODEL_FACTORIES[args.model](args)

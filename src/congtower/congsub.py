@@ -131,8 +131,8 @@ class ReductionHom:
     relators may evaluate to -Id over the ring, and residue matrices are
     canonicalized up to sign.
 
-    ``elements`` is group_closure's list of the image (identity first, then
-    BFS order); ``permutations`` reads the action it recorded.
+    ``permutations`` reads the action that group_closure recorded on its
+    list of the image (identity first, then BFS order).
     """
 
     def __init__(self, pres, gen_matrices, prime, k,
@@ -162,7 +162,6 @@ class ReductionHom:
         self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
         closure = group_closure(self.R, self.images, budget=budget,
                                 canon=self._canon)
-        self.elements = closure.elements
         self.order = len(closure)
         self._action = closure.action
 

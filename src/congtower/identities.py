@@ -17,12 +17,11 @@ from .poly import poly_identity_test
 from .rings import make_ring, factor_rational_prime
 
 
-def check_alpha_conjugates_forms(alpha=None):
+def check_alpha_conjugates_forms():
     """alpha^t Q0 alpha = Q, with alpha integral of determinant one."""
     q0 = catalog.q0_form()
     q = catalog.q_form()
-    if alpha is None:
-        alpha = catalog.coordinate_change_alpha()
+    alpha = catalog.coordinate_change_alpha()
     lhs = ringmat.mat_mul(ringmat.mat_mul(ringmat.transpose(alpha), q0), alpha)
     ring = make_ring("rational")
     return (ringmat.mat_eq(lhs, q)
@@ -39,14 +38,13 @@ def check_o41_swap_in_so():
             and ringmat.det(g1) == ring.one)
 
 
-def check_unitary_swap(g0=None):
+def check_unitary_swap():
     """The unitary swap preserves the antidiagonal hermitian form h0 (the
     coordinates in which the building is described; the original tridiagonal
     h is carried to -h0 by the base change, see the coordinate-change check)
     and has determinant one."""
     ring = make_ring("cyclotomic-5")
-    if g0 is None:
-        g0 = catalog.pu21_swap()
+    g0 = catalog.pu21_swap()
     h0 = ringmat.mat(ring, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     return (ringmat.preserves_form(g0, h0, "hermitian")
             and ringmat.det(g0) == ring.one)

@@ -87,9 +87,6 @@ class Presentation:
     def ngens(self):
         return len(self.generators)
 
-    def total_length(self):
-        return sum(len(r) for r in self.relators)
-
     def relation_matrix(self):
         """One sparse row per relator: {generator index: exponent sum},
         zero sums left out."""
@@ -104,10 +101,6 @@ class Presentation:
 
     def abelianization(self):
         return intmat.abelian_invariants(self.relation_matrix(), self.ngens)
-
-    def __str__(self):
-        return "<%s | %d relators, total length %d>" % (
-            ", ".join(self.generators), len(self.relators), self.total_length())
 
 
 # ---------------------------------------------------------------------------

@@ -557,47 +557,24 @@ def _poly_divmod_monic(num, den, p):
 def _factor_monic_mod_p(coeffs, p):
     """Factor a monic polynomial over F_p into irreducibles (degree <= 4).
 
-    Brute force: strip roots, then search monic quadratic divisors.
+    Trial division: by each monic linear polynomial while the rest has
+    degree >= 2, then by each monic quadratic while it has degree 4.  What
+    is left has no factor of at most half its degree, so it is irreducible.
     Returns a list of (factor_coeffs, multiplicity).
     """
-    coeffs = [c % p for c in coeffs]
+    work = [c % p for c in coeffs]
     factors = {}
-    work = list(coeffs)
-
-    def add(fac):
-        key = tuple(fac)
-        factors[key] = factors.get(key, 0) + 1
-
-    changed = True
-    while len(work) > 1 and changed:
-        changed = False
-        for r in range(p):
-            if sum(c * pow(r, i, p) for i, c in enumerate(work)) % p == 0:
-                lin = [(-r) % p, 1]
-                work, rem = _poly_divmod_monic(work, lin, p)
-                assert not any(rem)
-                add(lin)
-                changed = True
-                break
-    deg = len(work) - 1
-    if deg in (2, 3):
-        # no roots left: degree-2 is irreducible; degree 3 with no roots is too
-        add(work)
-    elif deg == 4:
-        found = False
-        for b in range(p):
-            for c in range(p):
-                quad = [c, b, 1]
-                quo, rem = _poly_divmod_monic(work, quad, p)
-                if not any(rem):
-                    add(quad)
-                    add([x % p for x in quo])
-                    found = True
+    for deg in (1, 2):
+        for tail in itertools.product(range(p), repeat=deg):
+            fac = tail + (1,)
+            while len(work) > 2 * deg:
+                quo, rem = _poly_divmod_monic(work, fac, p)
+                if any(rem):
                     break
-            if found:
-                break
-        if not found:
-            add(work)
+                work = quo
+                factors[fac] = factors.get(fac, 0) + 1
+    if len(work) > 1:
+        factors[tuple(work)] = factors.get(tuple(work), 0) + 1
     return [(list(k), m) for k, m in sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 

@@ -4,10 +4,12 @@ A tower is a sequence of conjugates Delta_n = T_n Gamma T_n^-1 of a fixed
 congruence subgroup Gamma = Gamma(p^j), indexed by the type-x0 vertices of
 the relevant tree in BFS order, T_n the frame carrying the base vertex to
 vertex n.  Each tree model has one fixed list of swap moves w = h * swap,
-h in the base stabilizer, worked out once per tower.  A step is a source
-frame and a move, T_n = T_i w, so its relative element T_i^-1 T_n is the
-move w itself, and one certificate per move serves every step that uses
-it.  The certificate shows
+h in the base stabilizer, worked out once per tower as ``bttree.Move``
+records that carry w and its canonical vertex w base.  One breadth-first
+walk over the swap moves, ``_walk``, gives both the tower's steps and its
+covered radius.  A step is a source frame and a move, T_n = T_i w, so its
+relative element T_i^-1 T_n is the move w itself, and one certificate per
+move serves every step that uses it.  The certificate shows
 
     w^-1 (Id + pi^(2j) X) w  ==  Id  mod p^j    (entrywise, X free),
 
@@ -38,6 +40,7 @@ included.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -60,19 +63,19 @@ class ContainmentCertificate:
     conjugator: tuple
     inner_level: int          # a: the level of the generic element
     outer_level: int          # b: the level certified after conjugation
-    nvars: int
     min_valuation: object     # smallest valuation of conj - Id seen
 
     def summary(self):
+        nvars = len(self.conjugator) ** 2
         return {
             "a": self.inner_level,
             "b": self.outer_level,
             "direction": "left",
-            "nvars": self.nvars,
+            "nvars": nvars,
             "min_valuation": (None if self.min_valuation is math.inf
                               else int(self.min_valuation)),
             # exact conjugations made: X = 0 and each E_ij
-            "basis_checks": self.nvars + 1,
+            "basis_checks": nvars + 1,
             # certify_containment raises on failure
             "pass": True,
         }
@@ -167,8 +170,7 @@ def certify_containment(g, prime, a, b):
                             "%r, valuation %s < %d from the identity"
                             % (i, j, k, l, conj.entry(k, l, num), v, b))
     return ContainmentCertificate(
-        conjugator=g, inner_level=a, outer_level=b, nvars=n * n,
-        min_valuation=min_val)
+        conjugator=g, inner_level=a, outer_level=b, min_valuation=min_val)
 
 
 # Recheck points have integer entries in [-_RECHECK_SPAN, _RECHECK_SPAN].
@@ -247,8 +249,7 @@ TOWER_EXAMPLES = {
 
 @dataclass
 class TowerStep:
-    n: int
-    conjugator: tuple         # frame T_n = T_source * moves[move]
+    conjugator: tuple         # frame T_n = T_source * moves[move].transporter
     vertex: tuple             # canonical T_n(base)
     source_i: int
     move: object              # index into TowerData.moves; None at step 0
@@ -259,9 +260,7 @@ class TowerData:
     example: str
     config: TowerConfig
     model: object
-    prime: object
-    moves: list               # the model's swap moves w, see _swap_moves
-    move_vertices: list       # canonical w base for each move w
+    moves: list               # the model's swap moves, see _swap_moves
     certificates: dict        # move index -> its containment certificate
     steps: list
     torsion: tuple            # (invariants, mode, note)
@@ -271,10 +270,10 @@ def build_tower(example, steps):
     """Construct `steps` certified tower steps for a built-in example.
 
     Vertices are the type-x0 vertices of the tree in BFS order (step 0 is
-    the base vertex with the identity frame); each later step is its
-    source's frame times one of the model's swap moves, and records its
-    source index and that move.  Each move used is certified once, at
-    levels (2j, j).  ``tower_report`` checks the result.
+    the base vertex with the identity frame); each later step is the next
+    vertex of ``_walk``: its source's frame times one of the model's swap
+    moves, with its source index and that move.  Each move used is
+    certified once, at levels (2j, j).  ``tower_report`` checks the result.
     """
     if example not in TOWER_EXAMPLES:
         raise InputError("unknown tower example %r (have %s)"
@@ -285,70 +284,82 @@ def build_tower(example, steps):
     base = model.bases[model.base_type]
     j = cfg.level_j
     moves = _swap_moves(model)
-    move_vertices = [bttree.canonicalize(ringmat.mat_mul(w, base), prime)
-                     for w in moves]
     certs = {}
+    tower_steps = [TowerStep(ringmat.identity(prime.ring, len(base)), base,
+                             0, None)]
+    for vertex, source_i, k, _, frame in itertools.islice(
+            _walk(model, moves), steps):
+        if k not in certs:
+            certs[k] = certify_containment(moves[k].transporter, prime,
+                                           2 * j, j)
+        tower_steps.append(TowerStep(frame, vertex, source_i, k))
+    if len(tower_steps) <= steps:
+        raise BudgetExceeded("ran out of reachable vertices",
+                             estimate=len(tower_steps), budget=steps)
+    return TowerData(example, cfg, model, moves, certs, tower_steps,
+                     cfg.torsion_check())
 
-    tower_steps = [TowerStep(
-        n=0, conjugator=ringmat.identity(prime.ring, len(base)), vertex=base,
-        source_i=0, move=None)]
-    index = {base: 0}
-    head = 0
-    while len(tower_steps) <= steps:
-        if head == len(tower_steps):
-            raise BudgetExceeded("ran out of reachable vertices",
-                                 estimate=len(tower_steps), budget=steps)
-        src = tower_steps[head]
-        head += 1
-        for k, (w, wv) in enumerate(zip(moves, move_vertices)):
-            # a frame T maps the class of w base to that of T w base
-            vertex = wv if src.n == 0 else bttree.canonicalize(
-                ringmat.mat_mul(src.conjugator, wv), prime)
-            if vertex in index:
-                continue
-            if k not in certs:
-                certs[k] = certify_containment(w, prime, 2 * j, j)
-            index[vertex] = len(tower_steps)
-            tower_steps.append(TowerStep(
-                n=len(tower_steps),
-                conjugator=ringmat.mat_mul(src.conjugator, w), vertex=vertex,
-                source_i=src.n, move=k))
-            if len(tower_steps) > steps:
-                break
-    return TowerData(example, cfg, model, prime, moves, move_vertices,
-                     certs, tower_steps, cfg.torsion_check())
+
+def _walk(model, moves):
+    """The base-type vertices after the base, breadth-first by the swap
+    moves: (vertex, source index, move index, source depth, frame) for
+    each vertex when first reached, the base being index 0 and each later
+    vertex the next index.  A frame T maps the class of w base to that of
+    T w base, so the vertex is canonicalize(T_source * mv.vertex) and its
+    frame T_source * mv.transporter; the base's frame is the identity, so
+    from the base they are mv.vertex and mv.transporter themselves."""
+    prime = model.prime
+    queue = [(None, 0)]         # (frame, depth); the base's frame is None
+    seen = {model.bases[model.base_type]}
+    for i, (src, depth) in enumerate(queue):    # the queue grows as walked
+        for k, mv in enumerate(moves):
+            vertex = mv.vertex if src is None else bttree.canonicalize(
+                ringmat.mat_mul(src, mv.vertex), prime)
+            if vertex not in seen:
+                seen.add(vertex)
+                frame = (mv.transporter if src is None
+                         else ringmat.mat_mul(src, mv.transporter))
+                queue.append((frame, depth + 1))
+                yield vertex, i, k, depth, frame
 
 
 def _swap_moves(model):
     """The model's swap moves w = h * swap, h(base) = base, in candidate
-    order.  From a vertex with frame t, the step to t w has relative
-    element w, and t h carries the base and the swap base to the source
-    and the target.
+    order, each a ``bttree.Move`` to the base type with its canonical
+    vertex w base.  From a vertex with frame t, the step to t w has
+    relative element w, and t h carries the base and the swap base to the
+    source and the target.
 
     When the base moves land on the base type they are themselves the
-    w's, built as (stabilizer word) * swap.  Otherwise a step goes
-    through a midpoint: for each base move f and each move b of the
-    midpoint, h = f sigma, with sigma the first midpoint-stabilizer word
-    sending (base, swap base) to (base, b base).  f fixes the base, being
-    a word in the base stabilizer's generators, so f sigma does too.  The
-    move leading back to the base has no such word, nor has a pair that
-    needs a word longer than _ALIGN_DEPTH.
+    swap moves, with w built as (stabilizer word) * swap.  Otherwise a
+    step goes through a midpoint: for each base move f and each move b of
+    the midpoint, h = f sigma, with sigma the first midpoint-stabilizer
+    word sending (base, swap base) to (base, b base).  f fixes the base,
+    being a word in the base stabilizer's generators, so f sigma does too.
+    The move leading back to the base has no such word, nor has a pair
+    that needs a word longer than _ALIGN_DEPTH.
     """
     base_type = model.base_type
     base_moves = model.moves(base_type)
     mid_type = base_moves[0].target_type
     if mid_type == base_type:
-        return [mv.transporter for mv in base_moves]
+        return list(base_moves)
     mid_moves = model.moves(mid_type)
     # the midpoint's neighbours b base; they were found as an orbit of its
     # stabilizer's generators, so the generators permute them
     nbrs = {b.vertex: k for k, b in enumerate(mid_moves)}
     words = _midpoint_words(model, nbrs)
-    back = nbrs[model.bases[base_type]]
+    base = model.bases[base_type]
+    back = nbrs[base]
     tails = [ringmat.mat_mul(words[back, k], model.swap)
              for k in range(len(mid_moves)) if (back, k) in words]
-    return [ringmat.mat_mul(f.transporter, tail)
-            for f in base_moves for tail in tails]
+    out = []
+    for f in base_moves:
+        for tail in tails:
+            w = ringmat.mat_mul(f.transporter, tail)
+            out.append(bttree.Move(base_type, w, bttree.canonicalize(
+                ringmat.mat_mul(w, base), model.prime)))
+    return out
 
 
 # Longest stabilizer word the alignment search tries.
@@ -389,9 +400,9 @@ def _check_move(tower, k, rng, points):
     products; the certificate is about w and rechecks at `points` fresh
     points.  Returns the number of points rechecked; raises CheckFailed."""
     model = tower.model
-    prime = tower.prime
+    prime = model.prime
     base = model.bases[model.base_type]
-    w = tower.moves[k]
+    w = tower.moves[k].transporter
     swap_base = bttree.canonicalize(ringmat.mat_mul(model.swap, base), prime)
     if bttree.canonicalize(ringmat.mat_mul(model.swap, swap_base),
                            prime) != base:
@@ -408,26 +419,27 @@ def _check_move(tower, k, rng, points):
     return recheck_certificate(cert, prime, rng=rng, points=points)
 
 
-def _check_step(tower, step):
+def _check_step(tower, n, step):
     """Step 0 has the identity frame; step n > 0 has an earlier source and
     the frame T_source * w, exactly.  The frame carries the base vertex to
     the step's vertex.  Raises CheckFailed."""
     model = tower.model
+    prime = model.prime
     base = model.bases[model.base_type]
     if step.move is None:
-        frame = ringmat.identity(tower.prime.ring, len(base))
-        ok = step.n == 0
+        frame = ringmat.identity(prime.ring, len(base))
+        ok = n == 0
     else:
         frame = ringmat.mat_mul(tower.steps[step.source_i].conjugator,
-                                tower.moves[step.move])
-        ok = step.source_i < step.n
+                                tower.moves[step.move].transporter)
+        ok = step.source_i < n
     if not (ok and ringmat.mat_eq(frame, step.conjugator)):
         raise CheckFailed("step %d: frame is not its source's frame times "
-                          "its move" % step.n)
+                          "its move" % n)
     if bttree.canonicalize(ringmat.mat_mul(step.conjugator, base),
-                           tower.prime) != step.vertex:
+                           prime) != step.vertex:
         raise CheckFailed("step %d: frame does not carry the base vertex"
-                          % step.n)
+                          % n)
 
 
 # ---------------------------------------------------------------------------
@@ -436,30 +448,13 @@ def _check_step(tower, step):
 
 def covered_radius(tower):
     """Largest r such that every type-x0 vertex within r swap-steps of the
-    base is among the tower's vertices (the cofinality proxy).  The search
-    stops at the first vertex outside the tower."""
-    prime = tower.prime
-    base = tower.steps[0].vertex
+    base is among the tower's vertices (the cofinality proxy): the source
+    depth of the first vertex of ``_walk`` outside the tower, 0 if there
+    are no moves."""
     visited = {s.vertex for s in tower.steps}
-    radius = 0
-    frontier = [None]           # the base, with the identity frame
-    seen = {base}
-    while True:
-        nxt = []
-        for frame in frontier:
-            for w, wv in zip(tower.moves, tower.move_vertices):
-                vertex = wv if frame is None else bttree.canonicalize(
-                    ringmat.mat_mul(frame, wv), prime)
-                if vertex not in seen:
-                    if vertex not in visited:
-                        return radius
-                    nxt.append(w if frame is None
-                               else ringmat.mat_mul(frame, w))
-                    seen.add(vertex)
-        if not nxt:
-            return radius
-        radius += 1
-        frontier = nxt
+    return next((depth for vertex, _, _, depth, _ in _walk(tower.model,
+                                                           tower.moves)
+                 if vertex not in visited), 0)
 
 
 def tower_report(tower, recheck_points=100, rng_seed=2024):
@@ -472,7 +467,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
     exhaustion), reported as such.
     """
     cfg = tower.config
-    p = tower.prime.p
+    p = tower.model.prime.p
     inv, mode, note = tower.torsion
     rng = random.Random(rng_seed)
     failures = []
@@ -481,9 +476,9 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
     # move index -> the points rechecked, or the CheckFailed
     outcome = {}
     steps_json = []
-    for step in tower.steps:
+    for n, step in enumerate(tower.steps):
         entry = {
-            "n": step.n,
+            "n": n,
             "source_i": step.source_i,
             "vertex": [[str(x) for x in row] for row in step.vertex],
             "g": [[str(x) for x in row] for row in step.conjugator],
@@ -492,7 +487,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
             entry["certificate"] = tower.certificates[step.move].summary()
             entry["reverified"] = False
         try:
-            _check_step(tower, step)
+            _check_step(tower, n, step)
             if step.move is not None:
                 if step.move not in outcome:
                     try:
@@ -506,7 +501,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
                 # complete certificate alone
                 entry["reverified"] = outcome[step.move] > 0
         except CheckFailed as exc:
-            failures.append({"step": step.n, "reason": str(exc)})
+            failures.append({"step": n, "reason": str(exc)})
         steps_json.append(entry)
     ok = not failures
     radius = covered_radius(tower) if ok else 0

@@ -113,13 +113,19 @@ def test_projective_hom_at_every_prime_over_5_and_13():
     assert str(sub.abelianization()) == "Z^6"
 
 
+def _image_elements(hom):
+    # the image in the closure's order: identity first, then BFS order
+    return congsub.group_closure(hom.R, hom.images, canon=hom._canon).elements
+
+
 def _right_products(hom):
     # the reference: form every element x generator product anew and look
     # up its position, as the permutations were built before the closure
     # recorded its action
-    index = {m: i for i, m in enumerate(hom.elements)}
+    elements = _image_elements(hom)
+    index = {m: i for i, m in enumerate(elements)}
     return [tuple(index[hom._canon(congsub.rmat_mul(hom.R, m, g))]
-                  for m in hom.elements)
+                  for m in elements)
             for g in hom.images]
 
 
@@ -138,8 +144,9 @@ def test_closure_records_the_right_action(sl2_lift):
     ]
     for (pres, mats), prime, projective, order in cases:
         hom = congsub.ReductionHom(pres, mats, prime, 1, projective=projective)
-        assert hom.order == len(hom.elements) == order
-        assert hom.elements[0] == hom._canon(congsub.rmat_identity(hom.R, 2))
+        elements = _image_elements(hom)
+        assert hom.order == len(elements) == order
+        assert elements[0] == hom._canon(congsub.rmat_identity(hom.R, 2))
         assert hom.permutations() == _right_products(hom)
 
 
@@ -157,7 +164,7 @@ def test_projective_canon_is_the_smaller_sign(sl2_lift, d, p):
     hom = congsub.ReductionHom(psl2, mats, prime, 1, projective=True)
     sl2, sl2_mats = sl2_lift(d)
     R = hom.R
-    elements = congsub.ReductionHom(sl2, sl2_mats, prime, 1).elements
+    elements = _image_elements(congsub.ReductionHom(sl2, sl2_mats, prime, 1))
     assert len(elements) == homology.sl2_image_order(prime.norm())
     fixed = set()
     for m in elements:

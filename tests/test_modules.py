@@ -49,11 +49,14 @@ def _is_dataclass(cls):
 
 def _self_attributes(cls):
     """(name, statement) for each public `self.name = ...` assignment in
-    the methods of a class, the first one of each name."""
+    the methods of a class, tuple targets unpacked, the first one of each
+    name."""
     out = {}
     for sub in ast.walk(cls):
         if isinstance(sub, (ast.Assign, ast.AnnAssign)):
             targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            targets = [e for t in targets
+                       for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
             for t in targets:
                 if (isinstance(t, ast.Attribute)
                         and isinstance(t.value, ast.Name)

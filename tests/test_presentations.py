@@ -82,6 +82,10 @@ def test_tietze_collapses_duplicates():
     assert q.ngens <= 1
 
 
+def _total_length(pres):
+    return sum(len(r) for r in pres.relators)
+
+
 def test_tietze_preserves_abelianization_and_length():
     text = """gens a, b, u, j;
     rels (a*b)^3*j^-1, b^2*j^-1, j^2, [a,u], (b*u*b*u^-1)^3,
@@ -89,7 +93,7 @@ def test_tietze_preserves_abelianization_and_length():
     p = parse_presentation(text)
     q = tietze_simplify(p)
     assert q.abelianization() == p.abelianization()
-    assert q.total_length() <= p.total_length()
+    assert _total_length(q) <= _total_length(p)
 
 
 def test_tietze_preserves_abelianization_random(rng):
@@ -105,7 +109,7 @@ def test_tietze_preserves_abelianization_random(rng):
         p = Presentation(tuple("g%d" % i for i in range(ngens)), tuple(rels))
         q = tietze_simplify(p)
         assert q.abelianization() == p.abelianization()
-        assert q.total_length() <= p.total_length()
+        assert _total_length(q) <= _total_length(p)
 
 
 def test_abelianization_examples():
@@ -135,7 +139,7 @@ def test_tietze_o41_gamma2_stage():
     q = tietze_simplify(sub)
     assert q.generators == ("s102", "s204", "s309", "s313", "s352", "s400",
                             "s427", "s455", "s469", "s479")
-    assert len(q.relators) == 40 and q.total_length() == 140
+    assert len(q.relators) == 40 and _total_length(q) == 140
     digest = hashlib.sha256(repr((q.generators, q.relators)).encode())
     assert digest.hexdigest() == (
         "fba7f4b2f698f62a6d71d5cddd24ab3226fdfc2669a1cfb6a08342d48da938b3")

@@ -307,6 +307,48 @@ def test_valuation_of_uniformizer_power_times_unit(ring_and_prime):
             assert prime.valuation(x.inverse()) == -k
 
 
+def _poly_mul_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _poly_rem_mod(num, den, p):
+    """num mod den over F_p, den monic; coefficients low degree first."""
+    num = [c % p for c in num]
+    for k in range(len(num) - len(den), -1, -1):
+        c = num[k + len(den) - 1]
+        for i, d in enumerate(den):
+            num[k + i] = (num[k + i] - c * d) % p
+    return num[:len(den) - 1]
+
+
+SMALL_PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=lambda r: r.kind + str(r.d or ""))
+def test_factor_monic_mod_p_is_a_factorization_into_irreducibles(ring):
+    # every p < 100: the factors multiply back to the minimal polynomial,
+    # no factor of degree >= 2 has a root, and no quartic factor has a
+    # monic quadratic divisor
+    for p in SMALL_PRIMES:
+        facs = rings._factor_monic_mod_p(list(ring.min_poly), p)
+        product = [1]
+        for fac, mult in facs:
+            assert fac[-1] == 1 and mult >= 1
+            for _ in range(mult):
+                product = _poly_mul_mod(product, fac, p)
+            if len(fac) > 2:
+                assert all(any(_poly_rem_mod(fac, [-r % p, 1], p))
+                           for r in range(p)), (p, fac)
+            if len(fac) == 5:
+                assert all(any(_poly_rem_mod(fac, [c0, c1, 1], p))
+                           for c0 in range(p) for c1 in range(p)), (p, fac)
+        assert product == [c % p for c in ring.min_poly], (p, facs)
+
+
 def test_factor_2_gaussian(gaussian_prime2):
     P = gaussian_prime2
     assert (P.e, P.f) == (2, 1)

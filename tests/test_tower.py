@@ -43,7 +43,7 @@ def test_certificate_o41():
     prime = factor_rational_prime(make_ring("rational"), 2)[0]
     cert = tower.certify_containment(catalog.o41_swap(), prime, 4, 2)
     assert cert.min_valuation == 2
-    assert cert.nvars == 25
+    assert cert.summary()["nvars"] == 25
     assert cert.summary()["basis_checks"] == 5 * 5 + 1
     tower.recheck_certificate(cert, prime, points=10)
 
@@ -79,7 +79,7 @@ def test_recheck_catches_corruption(magic_prime):
     corrupted = tower.ContainmentCertificate(
         conjugator=ringmat.mat(ring, [[0, 16], [Fraction(1, 16), 0]]),
         inner_level=cert.inner_level, outer_level=cert.outer_level,
-        nvars=cert.nvars, min_valuation=cert.min_valuation)
+        min_valuation=cert.min_valuation)
     with pytest.raises(CheckFailed):
         tower.recheck_certificate(corrupted, magic_prime, points=50)
 
@@ -142,7 +142,7 @@ def test_conjugation_kernel_checks_the_identity_point(monkeypatch,
                         lambda g: ringmat.mat_scale(inverse(g), -1))
     cert = tower.ContainmentCertificate(
         conjugator=catalog.magic_swap(), inner_level=2, outer_level=1,
-        nvars=4, min_valuation=1)
+        min_valuation=1)
     with pytest.raises(CheckFailed, match="conjugating the identity"):
         tower.certify_containment(cert.conjugator, magic_prime, 2, 1)
     with pytest.raises(CheckFailed, match="conjugating the identity"):
@@ -191,10 +191,11 @@ def test_magic_tower_small():
 def test_magic_tower_form_free_steps():
     data = tower.build_tower("magic", 3)
     swap_inv = ringmat.mat_inverse(data.model.swap)
-    for step in data.steps[1:]:
-        w = data.moves[step.move]
+    prime = data.model.prime
+    for n, step in enumerate(data.steps[1:], 1):
+        w = data.moves[step.move].transporter
         # the relative element is the move, which the certificate is about
-        assert step.source_i < step.n
+        assert step.source_i < n
         src = data.steps[step.source_i]
         assert ringmat.mat_eq(ringmat.mat_mul(src.conjugator, w),
                               step.conjugator)
@@ -204,9 +205,9 @@ def test_magic_tower_form_free_steps():
         g_n = ringmat.mat_mul(ringmat.mat_mul(h_n, data.model.swap),
                               ringmat.mat_inverse(h_n))
         assert bttree.canonicalize(
-            ringmat.mat_mul(g_n, src.vertex), data.prime) == step.vertex
+            ringmat.mat_mul(g_n, src.vertex), prime) == step.vertex
         assert bttree.canonicalize(
-            ringmat.mat_mul(g_n, step.vertex), data.prime) == src.vertex
+            ringmat.mat_mul(g_n, step.vertex), prime) == src.vertex
 
 
 def test_empty_tower_vacuous_pass():
@@ -231,7 +232,7 @@ def test_fault_injection_flips_verdict():
 
 
 def _citing(data, k):
-    return [s.n for s in data.steps[1:] if s.move == k]
+    return [n for n, s in enumerate(data.steps) if s.move == k]
 
 
 def test_fault_injected_certificate_flips_verdict():
@@ -265,7 +266,8 @@ def test_tampered_step0_vertex_fails():
 def test_tampered_step0_frame_fails():
     data = tower.build_tower("magic", 3)
     data.steps[0] = dataclasses.replace(
-        data.steps[0], conjugator=data.moves[0], vertex=data.steps[1].vertex)
+        data.steps[0], conjugator=data.moves[0].transporter,
+        vertex=data.steps[1].vertex)
     report = tower.tower_report(data, recheck_points=5)
     assert report["verdict"] == "FAIL"
     assert report["failures"][0]["step"] == 0
@@ -276,11 +278,12 @@ def test_move_times_translation_fails_every_citing_step(example):
     # w replaced by w [[1,1],[0,1]] (on the first two coordinates)
     data = tower.build_tower(example, 3)
     k = data.steps[1].move
-    w = data.moves[k]
+    w = data.moves[k].transporter
     ring = w[0][0].ring
     u = [list(row) for row in ringmat.identity(ring, len(w))]
     u[0][1] = ring.one
-    data.moves[k] = ringmat.mat_mul(w, ringmat.mat(ring, u))
+    data.moves[k] = dataclasses.replace(
+        data.moves[k], transporter=ringmat.mat_mul(w, ringmat.mat(ring, u)))
     report = tower.tower_report(data, recheck_points=5)
     assert report["verdict"] == "FAIL"
     assert [f["step"] for f in report["failures"]] == _citing(data, k)
@@ -292,8 +295,9 @@ def test_identity_move_fails():
     data = tower.build_tower("magic", 1)
     k = data.steps[1].move
     ident = data.steps[0].conjugator
-    data.moves[k] = ident
-    data.certificates[k] = tower.certify_containment(ident, data.prime, 2, 1)
+    data.moves[k] = dataclasses.replace(data.moves[k], transporter=ident)
+    data.certificates[k] = tower.certify_containment(ident, data.model.prime,
+                                                     2, 1)
     data.steps[1] = dataclasses.replace(
         data.steps[1], conjugator=ident, vertex=data.steps[0].vertex)
     report = tower.tower_report(data, recheck_points=5)
@@ -307,9 +311,9 @@ def test_swap_that_is_not_an_involution_fails():
     # swap base, so h = w swap^-1 need not fix it
     data = tower.build_tower("magic", 2)
     # keep the step by move 1, whose inverse squared moves the base
-    data.steps[1:] = [dataclasses.replace(data.steps[2], n=1)]
+    data.steps[1:] = [data.steps[2]]
     assert data.steps[1].move == 1
-    data.model.swap = ringmat.mat_inverse(data.moves[1])
+    data.model.swap = ringmat.mat_inverse(data.moves[1].transporter)
     report = tower.tower_report(data, recheck_points=5)
     assert report["verdict"] == "FAIL"
     assert [f["step"] for f in report["failures"]] == [1]
@@ -318,10 +322,27 @@ def test_swap_that_is_not_an_involution_fails():
 
 def test_later_step_without_a_move_fails():
     data = tower.build_tower("magic", 2)
-    data.steps[2] = dataclasses.replace(data.steps[0], n=2)
+    data.steps[2] = data.steps[0]
     report = tower.tower_report(data, recheck_points=5)
     assert report["verdict"] == "FAIL"
     assert [f["step"] for f in report["failures"]] == [2]
+
+
+def test_step_with_a_later_source_fails():
+    # step 1 cites source 2 by move 0, and step 2's frame is T_1 w_0^-1:
+    # step 1's frame is then its source's frame times its move and carries
+    # the base to its vertex, so only the source index refuses it
+    data = tower.build_tower("magic", 3)
+    w0_inv = ringmat.mat_inverse(data.moves[0].transporter)
+    data.steps[2] = dataclasses.replace(
+        data.steps[2],
+        conjugator=ringmat.mat_mul(data.steps[1].conjugator, w0_inv))
+    data.steps[1] = dataclasses.replace(data.steps[1], source_i=2, move=0)
+    report = tower.tower_report(data, recheck_points=5)
+    assert report["verdict"] == "FAIL"
+    assert [f["step"] for f in report["failures"]] == [1, 2]
+    assert report["failures"][0]["reason"] == (
+        "step 1: frame is not its source's frame times its move")
 
 
 def test_pu21_tower_steps():
@@ -380,16 +401,17 @@ def test_steps_match_full_frame_products(example, steps):
     # T_source w base
     data = tower.build_tower(example, steps)
     base = data.model.bases[data.model.base_type]
-    frames = [ringmat.identity(data.prime.ring, len(base))]
+    prime = data.model.prime
+    frames = [ringmat.identity(prime.ring, len(base))]
     expected = [(base, 0, None)]
     index = {base: 0}
     head = 0
     while len(expected) <= steps:
         src = head
         head += 1
-        for k, w in enumerate(data.moves):
-            t_n = ringmat.mat_mul(frames[src], w)
-            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), data.prime)
+        for k, mv in enumerate(data.moves):
+            t_n = ringmat.mat_mul(frames[src], mv.transporter)
+            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
             if vertex not in index and len(expected) <= steps:
                 index[vertex] = len(expected)
                 frames.append(t_n)
@@ -460,9 +482,12 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
     moves = tower._swap_moves(model)
     assert len(moves) == len(expected) > 0
     swap_inv = ringmat.mat_inverse(model.swap)
-    for w, w_ref in zip(moves, expected):
-        assert ringmat.mat_eq(w, w_ref)
-        h = ringmat.mat_mul(w, swap_inv)
+    for mv, w_ref in zip(moves, expected):
+        assert ringmat.mat_eq(mv.transporter, w_ref)
+        assert mv.target_type == model.base_type
+        assert mv.vertex == bttree.canonicalize(
+            ringmat.mat_mul(w_ref, base), prime)
+        h = ringmat.mat_mul(mv.transporter, swap_inv)
         assert bttree.canonicalize(ringmat.mat_mul(h, base), prime) == base
     assert bool(beyond) == (depth == 2)
 
@@ -470,10 +495,10 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
 def test_magic_swap_moves_are_the_base_moves():
     model = bttree.pgl2_model()
     moves = tower._swap_moves(model)
-    assert moves == [mv.transporter for mv in model.moves("v")]
+    assert moves == model.moves("v")
     swap_inv = ringmat.mat_inverse(model.swap)
-    for w in moves:
-        h = ringmat.mat_mul(w, swap_inv)
+    for mv in moves:
+        h = ringmat.mat_mul(mv.transporter, swap_inv)
         assert bttree.canonicalize(h, model.prime) == model.bases["v"]
 
 
@@ -491,7 +516,7 @@ def test_one_certificate_per_swap_move(monkeypatch):
     assert len(data.steps) == 11 and len(data.moves) == 3
     assert len(calls) == 3 and sorted(data.certificates) == [0, 1, 2]
     for k, cert in data.certificates.items():
-        assert ringmat.mat_eq(cert.conjugator, data.moves[k])
+        assert ringmat.mat_eq(cert.conjugator, data.moves[k].transporter)
 
 
 def _counting_rechecks(monkeypatch, fail=None):
@@ -558,10 +583,10 @@ def _full_frame_radius(data):
     while True:
         nxt = []
         for frame in frontier:
-            for w in data.moves:
-                t_n = ringmat.mat_mul(frame, w)
+            for mv in data.moves:
+                t_n = ringmat.mat_mul(frame, mv.transporter)
                 vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base),
-                                             data.prime)
+                                             data.model.prime)
                 if vertex not in seen:
                     if vertex not in visited:
                         return radius
