@@ -4,12 +4,15 @@ Vertices are homothety classes of p-local lattices in K^n, represented by
 canonical basis matrices: the column span over the localization at the
 prime, scaled so the minimal elementary-divisor exponent is 0 and put into
 Hermite form over the local ring with canonical residue representatives.
-All arithmetic is global and exact (entries in K with denominators only at
-the prime); two vertices are equal iff their canonical matrices are.  The
-prime (a ``rings.PrimeIdeal``) is all the local context there is: it
-caches the uniformizer powers pi^k, negative k included, and the residue
-rings O/p^k, so canonicalization divides by pi^v as a product with pi^-v
-and inverts only each pivot's unit.
+All arithmetic is exact; two vertices are equal iff their canonical
+matrices are.  Canonicalization runs on the int coordinates of ring
+integers: the matrix is put over one denominator, eliminated without
+fractions, and its residues are reduced mod a power of the prime once, at
+the end; ring elements are built only for the result.  The prime (a
+``rings.PrimeIdeal``) is all the local context there is: it caches the
+lattices of its powers p^k, the uniformizer powers pi^k, negative k
+included, which make the exact quotients by pi^v, and the inverses of
+units mod p^k, lifted from the residue field.
 
 Tree models package a base vertex per type together with "moves": global
 group elements carrying the base vertex to each of its neighbors,
@@ -34,8 +37,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
-from . import catalog, ringmat
-from .rings import make_ring, factor_rational_prime
+from . import catalog, ringmat, rings
+from .rings import RingElt, make_ring, factor_rational_prime
 
 
 def canonicalize(basis_matrix, prime):
@@ -45,67 +48,113 @@ def canonicalize(basis_matrix, prime):
     exact uniformizer powers, entries to the right of each pivot reduced to
     canonical residue representatives, minimal diagonal exponent 0.
     Idempotent; raises on singular input.
+
+    The work runs on the int coordinates of ring integers (the local
+    analogue of Cohen's Hermite form modulo the determinant, 1993); a
+    ``RingElt`` is built only for the returned entries.
+
+    1. The matrix is put over the lcm of its denominators, a homothety.
+    2. Elimination needs no fractions: an entry x under the pivot
+       y = pi^v u is cleared by row <- u row - (x / pi^v) pivot row, a
+       scaling by the p-unit u, which keeps the span over the local ring;
+       x / pi^v is an exact quotient of ring integers.
+    3. The content c, the least valuation of any entry, is divided out,
+       leaving pivots pi^(k_i).
+    4. The rest runs mod p^K, K the sum of the k_i right of column 0:
+       the fixups that reduce the entries of column j lose k_j of
+       precision each, and column j needs k_j.  Each row is scaled by its
+       unit's inverse mod p^K, lifted from the residue field.
     """
     n = len(basis_matrix)
     ring = prime.ring
-    # work on rows of the transpose (row span = column span of the input)
-    rows = [[basis_matrix[i][j] for i in range(n)] for j in range(n)]
-    rows = [[ring(x) for x in row] for row in rows]
-    at_least = prime.valuation_at_least
+    at_least = prime.numerator_at_least
+    reduce_coords = rings.reduce_coords
+    dot = ring.dot_coords
+    mul = ring._mul_coords
+    zero = (0,) * ring.degree
+    # rows of the transpose (row span = column span of the input), put
+    # over one denominator
+    entries = [[ring(x) for x in row] for row in basis_matrix]
+    den = math.lcm(*(x.den for row in entries for x in row))
+    rows = [[tuple(a * (den // x.den) for a in x.num) if x.den != den else x.num
+             for x in col] for col in zip(*entries)]
     exps = []
-    # row col is zero left of column col once the earlier columns are
-    # cleared, so the row operations start at column col
+    units = []
     for col in range(n):
         # the first row of least valuation: past the first nonzero entry,
         # one membership test against the least valuation so far
         piv = piv_val = None
         for r in range(col, n):
             x = rows[r][col]
-            if not x.is_zero() and (piv is None or not at_least(x, piv_val)):
-                piv, piv_val = r, prime.valuation(x)
+            if any(x) and (piv is None or not at_least(x, piv_val)):
+                piv, piv_val = r, prime.numerator_valuation(x)
         if piv is None:
             raise InputError("basis matrix is singular")
         rows[col], rows[piv] = rows[piv], rows[col]
-        # normalize the pivot to an exact uniformizer power: the one
-        # inverse per pivot; every later division by pi^v multiplies by
-        # the cached pi^-v
-        piv_inv = prime.uniformizer_power(-piv_val)
-        unit_inv = (rows[col][col] * piv_inv).inverse()
-        rows[col][col:] = [x * unit_inv for x in rows[col][col:]]
+        prow = rows[col]
+        u = prime.exact_quotient(prow[col], piv_val)
         exps.append(piv_val)
+        units.append(u)
         for r in range(col + 1, n):
-            x = rows[r][col]
-            if not x.is_zero():
-                f = x * piv_inv
-                rows[r][col:] = [a - f * b
-                                 for a, b in zip(rows[r][col:], rows[col][col:])]
-    # scale so the lattice is primitive: content = min valuation of any
-    # entry.  The pivots are the exact powers pi^exps, and each entry above
-    # them is tested against the least valuation so far.
+            row = rows[r]
+            x = row[col]
+            if any(x):
+                q = prime.exact_quotient(x, piv_val)
+                neg_q = tuple(-a for a in q)
+                row[col] = zero
+                row[col + 1:] = [dot((u, neg_q), (a, b))
+                                 for a, b in zip(row[col + 1:], prow[col + 1:])]
+    # the content: the least valuation of any entry, tested against the
+    # least valuation so far
     content = min(exps)
     for r in range(n):
         for x in rows[r][r + 1:]:
-            if not x.is_zero() and not at_least(x, content):
-                content = prime.valuation(x)
-    if content:
-        scale = prime.uniformizer_power(-content)
-        rows = [[x * scale for x in row] for row in rows]
-        exps = [e - content for e in exps]
-    # reduce entries above each pivot pi^k to their canonical residue
-    # representatives mod p^k (to 0 when k = 0); ascending column order so
-    # later columns absorb the fixups
-    for col in range(1, n):
-        k = exps[col]
-        piv_inv = prime.uniformizer_power(-k)
-        R = prime.residue(k) if k else None
-        for r in range(col):
-            x = rows[r][col]
-            diff = (x - R.lift(R.reduce(x)) if R else x) * piv_inv
-            if not diff.is_zero():
-                rows[r][col:] = [a - diff * b
-                                 for a, b in zip(rows[r][col:], rows[col][col:])]
+            if any(x) and not at_least(x, content):
+                content = prime.numerator_valuation(x)
+    exps = [e - content for e in exps]
+    prec = sum(exps[1:])
+    # with K = 0 every entry right of a pivot reduces to 0
+    if prec:
+        lattice = prime.power_lattice(prec)
+        # right of the pivot, row r <- row r / (pi^c u_r) mod p^K: with
+        # pi^-c = num/den and w the inverse of u_r, x / pi^c is a ring
+        # integer, so each coordinate of x (num w) divides by den exactly
+        c_inv = prime.uniformizer_power(-content)
+        for r in range(n - 1):
+            m = mul(c_inv.num, prime.unit_inverse(units[r], prec))
+            rows[r][r + 1:] = [
+                reduce_coords(lattice, tuple(a // c_inv.den for a in mul(x, m)))
+                for x in rows[r][r + 1:]]
+        # reduce the entries above each pivot pi^k to their residues mod
+        # p^k (to 0 when k = 0), ascending so that later columns absorb the
+        # fixups
+        for col in range(1, n):
+            k = exps[col]
+            prow = rows[col]
+            k_lattice = prime.power_lattice(k)
+            for r in range(col):
+                row = rows[r]
+                x = row[col]
+                rep = reduce_coords(k_lattice, x)
+                if rep != x:
+                    diff = prime.exact_quotient(
+                        tuple(a - b for a, b in zip(x, rep)), k)
+                    neg_diff = tuple(-a for a in diff)
+                    row[col] = rep
+                    row[col + 1:] = [
+                        reduce_coords(lattice, tuple(
+                            a + b for a, b in zip(y, mul(neg_diff, z))))
+                        for y, z in zip(row[col + 1:], prow[col + 1:])]
     # hand back in column convention
-    return tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+    zero_elt = ring.zero
+    out = [[zero_elt] * n for _ in range(n)]
+    for r in range(n):
+        out[r][r] = prime.uniformizer_power(exps[r])
+        if prec:
+            for c in range(r + 1, n):
+                if any(rows[r][c]):
+                    out[c][r] = RingElt(ring, rows[r][c])
+    return tuple(tuple(row) for row in out)
 
 
 def apartment_vertex(prime, n, r_twice):

@@ -26,14 +26,15 @@ Every prime ideal of a supported ring is principal, p = pi O, and a
 ``PrimeIdeal`` is built from its one generator pi.  It is the single
 owner of everything local at p: the Z-lattices of its powers (HNF bases),
 which make membership and valuations lattice tests; the powers pi^k for
-every int k, with pi inverted once; and the residue rings O/p^k, each
-built once and refused past ``ENUMERATION_LIMIT`` elements.  A residue of
-O/p^k is a vector reduced against the lattice of p^k, and residue
-arithmetic is the ring's own multiplication followed by that reduction: a
-unit is inverted as a^(phi - 1), phi the order of the unit group, and a
-denominator divisible by p is cleared by a power of pi^-1, so no integer
-linear system is solved.  No general ideal arithmetic beyond powers of
-primes.
+every int k, with pi inverted once, which make x / pi^v an exact quotient
+of int coordinates; the inverses of units mod p^k; and the residue rings
+O/p^k, each built once and refused past ``ENUMERATION_LIMIT`` elements.  A
+residue mod p^k is a vector reduced against the lattice of p^k
+(``reduce_coords``), and residue arithmetic is the ring's own
+multiplication followed by that reduction: a unit is inverted by Newton's
+lift x (2 - u x) of its inverse in the residue field, and a denominator
+divisible by p is cleared by a power of pi^-1, so no integer linear system
+is solved.  No general ideal arithmetic beyond powers of primes.
 """
 
 from __future__ import annotations
@@ -426,8 +427,8 @@ class PrimeIdeal:
     """The prime ideal p = pi O over the rational prime p, with
     ramification e and residue degree f.  It owns what every computation
     local at p shares: the Z-lattices of its powers (HNF rows in basis
-    coords), the powers pi^k for every int k, pi being inverted once, and
-    the residue rings O/p^k."""
+    coords), the powers pi^k for every int k, pi being inverted once, the
+    inverses of units mod p^k and the residue rings O/p^k."""
 
     def __init__(self, ring, p, pi, e, f):
         self.ring = ring
@@ -438,6 +439,8 @@ class PrimeIdeal:
         self._power_lattices = {1: _ideal_lattice(ring, p, pi)}
         self._pi_powers = {0: ring.one, 1: pi}
         self._residues = {}
+        # (unit mod p^k, k) -> its inverse mod p^k
+        self._unit_inverses = {}
 
     def norm(self):
         return self.p ** self.f
@@ -470,6 +473,50 @@ class PrimeIdeal:
                 powers[k] = self.uniformizer_power(1 if k > 0 else -1) ** abs(k)
         return powers[k]
 
+    def exact_quotient(self, coords, v):
+        """Int coordinates of x / pi^v for the ring integer x with int
+        coordinates `coords` and v_p(x) >= v.  pi^v generates p^v, so the
+        quotient is a ring integer, and pi^-v = num/den with den a power of
+        p, so each coordinate of x num divides by den exactly."""
+        if not v:
+            return tuple(coords)
+        inv = self.uniformizer_power(-v)
+        den = inv.den
+        return tuple(c // den for c in self.ring._mul_coords(coords, inv.num))
+
+    def unit_inverse(self, coords, k):
+        """The representative mod p^k, k >= 1, of u^-1 for the ring integer
+        u with int coordinates `coords`, cached by (u mod p^k, k);
+        InputError unless u is a unit at p.  The inverse u^(N(p) - 2) in
+        the residue field O/p is lifted by Newton's step x <- x (2 - u x):
+        1 - u x' = (1 - u x)^2, so each step doubles the power of p that
+        1 - u x lies in."""
+        lattice = self.power_lattice(k)
+        u = reduce_coords(lattice, coords)
+        key = (u, k)
+        if key in self._unit_inverses:
+            return self._unit_inverses[key]
+        field = self.power_lattice(1)
+        r = reduce_coords(field, u)
+        if not any(r):
+            raise InputError("element %r is not a unit in O/p^%d" % (u, k))
+        mul = self.ring._mul_coords
+        x = reduce_coords(field, self.ring.one.num)
+        e = self.norm() - 2
+        while e:
+            if e & 1:
+                x = reduce_coords(field, mul(x, r))
+            r = reduce_coords(field, mul(r, r))
+            e >>= 1
+        reached = 1
+        while reached < k:
+            ux = mul(u, x)
+            x = reduce_coords(lattice,
+                              mul(x, (2 - ux[0],) + tuple(-c for c in ux[1:])))
+            reached *= 2
+        self._unit_inverses[key] = x
+        return x
+
     def residue(self, k):
         """O/p^k, built once per k."""
         if k not in self._residues:
@@ -483,8 +530,13 @@ class PrimeIdeal:
         x = self.ring(x)
         if x.is_zero():
             return True
-        k = level + self.e * _int_valuation(x.den, self.p)
-        return k <= 0 or intmat.lattice_contains(self.power_lattice(k), x.num)
+        return self.numerator_at_least(
+            x.num, level + self.e * _int_valuation(x.den, self.p))
+
+    def numerator_at_least(self, num, level):
+        """Is v_p(num) >= level for the ring integer with int coordinates
+        num?  A level <= 0 asks nothing of it."""
+        return level <= 0 or intmat.lattice_contains(self.power_lattice(level), num)
 
     def valuation(self, x):
         """p-adic valuation on the fraction field; +inf on 0."""
@@ -498,14 +550,31 @@ class PrimeIdeal:
         """v_p of the ring integer with int coordinates num; +inf on 0."""
         if not any(num):
             return math.inf
+        # p^t dividing every coordinate puts num in p^t O, inside p^(e t);
         # a nonzero integer of the ring leaves p^v for some v
-        v = 0
+        v = self.e * _int_valuation(math.gcd(*num), self.p)
         while intmat.lattice_contains(self.power_lattice(v + 1), num):
             v += 1
         return v
 
     def __repr__(self):
         return "PrimeIdeal(p=%d, e=%d, f=%d, pi=%r)" % (self.p, self.e, self.f, self.pi)
+
+
+def reduce_coords(lattice, coords):
+    """The int coordinates `coords` reduced against the upper triangular
+    HNF basis `lattice` of a full-rank Z-lattice: 0 <= x_i < H[i][i],
+    reducing top-down.  Two vectors have the same reduction exactly when
+    they differ by a lattice vector."""
+    x = list(coords)
+    n = len(x)
+    for i in range(n):
+        row = lattice[i]
+        q = x[i] // row[i]
+        if q:
+            for j in range(i, n):
+                x[j] -= q * row[j]
+    return tuple(x)
 
 
 def _ideal_lattice(ring, p, g):
@@ -754,23 +823,11 @@ class ResidueRing:
         # p^m with m = ceil(k/e) lies in p^k: the modulus for inverting
         # denominators prime to p
         self._den_modulus = prime.p ** -(-k // prime.e)
-        q = prime.norm()
-        self._unit_count = q ** (k - 1) * (q - 1)
-        self._inv_cache = {}
 
     # -- representatives ----------------------------------------------
 
     def reduce_coords(self, coords):
-        # the lattice basis is upper triangular, so reduce top-down
-        x = list(coords)
-        n = len(x)
-        for i in range(n):
-            q = x[i] // self.lattice[i][i]
-            if q:
-                row = self.lattice[i]
-                for j in range(i, n):
-                    x[j] -= q * row[j]
-        return tuple(x)
+        return reduce_coords(self.lattice, coords)
 
     def reduce(self, elt):
         """Reduce a p-locally integral element x = num/den of the fraction
@@ -834,21 +891,10 @@ class ResidueRing:
         return self.reduce_coords(self.ring.dot_coords(xs, ys))
 
     def inverse(self, a):
-        """a^-1 = a^(phi - 1) by square-and-multiply, where
-        phi = N(p)^(k-1) (N(p) - 1) is the order of the unit group of
-        O/p^k (Lagrange).  InputError if a is not a unit."""
-        if a in self._inv_cache:
-            return self._inv_cache[a]
-        inv, base, e = self.one, a, self._unit_count - 1
-        while e:
-            if e & 1:
-                inv = self.mul(inv, base)
-            base = self.mul(base, base)
-            e >>= 1
-        if self.mul(a, inv) != self.one:
-            raise InputError("element %r is not a unit in O/p^%d" % (a, self.k))
-        self._inv_cache[a] = inv
-        return inv
+        """a^-1 by the prime's Newton lift of the residue-field inverse
+        (``PrimeIdeal.unit_inverse``, cached there).  InputError if a is
+        not a unit."""
+        return self.prime.unit_inverse(a, self.k)
 
     # -- structure -----------------------------------------------------
 

@@ -392,22 +392,31 @@ def _midpoint_words(model, nbrs):
     return first
 
 
-def _check_move(tower, k, rng, points):
-    """The facts of move k that every step citing it uses.  h = w swap^-1
-    fixes the base (w swap base = base and swap^2 base = base), so
-    h_n swap h_n^-1, h_n = T_i h, exchanges the vertices of steps i and n;
-    w preserves the form, so every frame does, by induction over exact
-    products; the certificate is about w and rechecks at `points` fresh
-    points.  Returns the number of points rechecked; raises CheckFailed."""
-    model = tower.model
+def _check_swap(model):
+    """The canonical swap base, once swap^2 base = base is checked: the
+    fact about the swap that every move uses.  Raises CheckFailed."""
     prime = model.prime
     base = model.bases[model.base_type]
-    w = tower.moves[k].transporter
     swap_base = bttree.canonicalize(ringmat.mat_mul(model.swap, base), prime)
     if bttree.canonicalize(ringmat.mat_mul(model.swap, swap_base),
                            prime) != base:
         raise CheckFailed("the swap does not exchange the base vertex and "
                           "its image")
+    return swap_base
+
+
+def _check_move(tower, k, swap_base, rng, points):
+    """The facts of move k that every step citing it uses, given the
+    canonical swap base from ``_check_swap``.  h = w swap^-1 fixes the
+    base (w swap base = base and swap^2 base = base), so h_n swap h_n^-1,
+    h_n = T_i h, exchanges the vertices of steps i and n; w preserves the
+    form, so every frame does, by induction over exact products; the
+    certificate is about w and rechecks at `points` fresh points.  Returns
+    the number of points rechecked; raises CheckFailed."""
+    model = tower.model
+    prime = model.prime
+    base = model.bases[model.base_type]
+    w = tower.moves[k].transporter
     if bttree.canonicalize(ringmat.mat_mul(w, swap_base), prime) != base:
         raise CheckFailed("move %d: w swap^-1 does not fix the base vertex" % k)
     if model.form is not None and not ringmat.preserves_form(
@@ -461,10 +470,11 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
     """Verdict + evidence for a constructed tower.
 
     PASS requires: the no-p-torsion hypothesis holds for the base group's
-    abelianization; every move a step cites passes ``_check_move`` (once
-    per move, its outcome shared by the steps citing it); every step
-    passes ``_check_step``.  The cofinality radius is a proxy (vertex
-    exhaustion), reported as such.
+    abelianization; the swap passes ``_check_swap`` (once per report) and
+    every move a step cites passes ``_check_move`` (once per move, its
+    outcome shared by the steps citing it); every step passes
+    ``_check_step``.  The cofinality radius is a proxy (vertex exhaustion),
+    reported as such.
     """
     cfg = tower.config
     p = tower.model.prime.p
@@ -475,6 +485,13 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
         failures.append({"step": None, "reason": "base group has p-torsion"})
     # move index -> the points rechecked, or the CheckFailed
     outcome = {}
+    swap_base = None
+    if len(tower.steps) > 1:
+        try:
+            swap_base = _check_swap(tower.model)
+        except CheckFailed as exc:
+            # every move rests on the swap, so every move fails with it
+            outcome = dict.fromkeys(range(len(tower.moves)), exc)
     steps_json = []
     for n, step in enumerate(tower.steps):
         entry = {
@@ -492,7 +509,7 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
                 if step.move not in outcome:
                     try:
                         outcome[step.move] = _check_move(
-                            tower, step.move, rng, recheck_points)
+                            tower, step.move, swap_base, rng, recheck_points)
                     except CheckFailed as exc:
                         outcome[step.move] = exc
                 if isinstance(outcome[step.move], CheckFailed):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from congtower import bttree, catalog, congsub, homology, ringmat
+from congtower.errors import InputError
 from congtower.rings import make_ring, factor_rational_prime
 
 
@@ -34,6 +35,87 @@ def sl2_lift():
 @pytest.fixture(scope="session")
 def zeta5_prime():
     return factor_rational_prime(make_ring("cyclotomic-5"), 5)[0]
+
+
+# The global Hermite form on RingElt entries that ``bttree.canonicalize``
+# computed before it ran on integer numerators, kept verbatim as the
+# oracle: every pivot unit inverted in the fraction field, every residue
+# taken in a ResidueRing O/p^k.
+def _global_canonicalize(basis_matrix, prime):
+    """Canonical representative of the homothety class of the column span.
+
+    Hermite form over the localization: upper triangular, diagonal entries
+    exact uniformizer powers, entries to the right of each pivot reduced to
+    canonical residue representatives, minimal diagonal exponent 0.
+    Idempotent; raises on singular input.
+    """
+    n = len(basis_matrix)
+    ring = prime.ring
+    # work on rows of the transpose (row span = column span of the input)
+    rows = [[basis_matrix[i][j] for i in range(n)] for j in range(n)]
+    rows = [[ring(x) for x in row] for row in rows]
+    at_least = prime.valuation_at_least
+    exps = []
+    # row col is zero left of column col once the earlier columns are
+    # cleared, so the row operations start at column col
+    for col in range(n):
+        # the first row of least valuation: past the first nonzero entry,
+        # one membership test against the least valuation so far
+        piv = piv_val = None
+        for r in range(col, n):
+            x = rows[r][col]
+            if not x.is_zero() and (piv is None or not at_least(x, piv_val)):
+                piv, piv_val = r, prime.valuation(x)
+        if piv is None:
+            raise InputError("basis matrix is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        # normalize the pivot to an exact uniformizer power: the one
+        # inverse per pivot; every later division by pi^v multiplies by
+        # the cached pi^-v
+        piv_inv = prime.uniformizer_power(-piv_val)
+        unit_inv = (rows[col][col] * piv_inv).inverse()
+        rows[col][col:] = [x * unit_inv for x in rows[col][col:]]
+        exps.append(piv_val)
+        for r in range(col + 1, n):
+            x = rows[r][col]
+            if not x.is_zero():
+                f = x * piv_inv
+                rows[r][col:] = [a - f * b
+                                 for a, b in zip(rows[r][col:], rows[col][col:])]
+    # scale so the lattice is primitive: content = min valuation of any
+    # entry.  The pivots are the exact powers pi^exps, and each entry above
+    # them is tested against the least valuation so far.
+    content = min(exps)
+    for r in range(n):
+        for x in rows[r][r + 1:]:
+            if not x.is_zero() and not at_least(x, content):
+                content = prime.valuation(x)
+    if content:
+        scale = prime.uniformizer_power(-content)
+        rows = [[x * scale for x in row] for row in rows]
+        exps = [e - content for e in exps]
+    # reduce entries above each pivot pi^k to their canonical residue
+    # representatives mod p^k (to 0 when k = 0); ascending column order so
+    # later columns absorb the fixups
+    for col in range(1, n):
+        k = exps[col]
+        piv_inv = prime.uniformizer_power(-k)
+        R = prime.residue(k) if k else None
+        for r in range(col):
+            x = rows[r][col]
+            diff = (x - R.lift(R.reduce(x)) if R else x) * piv_inv
+            if not diff.is_zero():
+                rows[r][col:] = [a - diff * b
+                                 for a, b in zip(rows[r][col:], rows[col][col:])]
+    # hand back in column convention
+    return tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+
+
+@pytest.fixture(scope="session")
+def oracle_canonicalize():
+    """(basis matrix, prime) -> its canonical form by the global Hermite
+    form, the oracle for ``bttree.canonicalize``."""
+    return _global_canonicalize
 
 
 def _frame_neighbors(model, vtype, frame):

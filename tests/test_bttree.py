@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congtower import bttree, catalog, congsub, ringmat, rings
 from congtower.errors import InputError
@@ -154,10 +155,11 @@ def test_pi_is_inverted_once_per_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
-def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch,
+def test_canonicalize_inverts_no_ring_element(request, name, monkeypatch,
                                               framed_ball):
-    # every division by pi^v is a product with the cached pi^-v, which
-    # leaves one inverse per pivot unit
+    # every division by pi^v is an exact quotient by the cached pi^-v, and
+    # each pivot unit is inverted mod p^K by a lift from the residue field,
+    # so no element of the fraction field is inverted
     model = request.getfixturevalue(name)
     prime = model.prime
     base = model.bases[model.base_type]
@@ -170,9 +172,103 @@ def test_canonicalize_inverts_once_per_pivot(request, name, monkeypatch,
     monkeypatch.setattr(rings.RingElt, "inverse",
                         lambda self: calls.append(self) or inverse(self))
     for m in inputs:
-        del calls[:]
         bttree.canonicalize(m, prime)
-        assert len(calls) <= len(m)
+    assert calls == []
+
+
+# -- canonicalize against the global Hermite form (the oracle) -------------
+
+def _conj_pi_column(m, prime):
+    """m with its first column times conj(pi)^-1, whose denominator lies
+    at the conjugate prime too."""
+    c = prime.pi.conj().inverse()
+    return tuple((row[0] * c,) + tuple(row[1:]) for row in m)
+
+
+@pytest.mark.parametrize("name, radius", [("pgl2", 6), ("oq", 4), ("su", 4)])
+def test_canonicalize_matches_the_oracle_on_frames(request, framed_ball,
+                                                   oracle_canonicalize, name,
+                                                   radius):
+    # frame * base for every vertex of the ball, scaled by pi^-1, with a
+    # column over conj(pi), and moved by the swap (pu21's has a conj(pi)^-1
+    # entry)
+    model = request.getfixturevalue(name)
+    prime = model.prime
+    pi_inv = prime.uniformizer_power(-1)
+    for t, frame in framed_ball(model, radius).values():
+        m = ringmat.mat_mul(frame, model.bases[t])
+        for x in (m, ringmat.mat_scale(m, pi_inv), _conj_pi_column(m, prime),
+                  ringmat.mat_mul(model.swap, m)):
+            assert bttree.canonicalize(x, prime) == oracle_canonicalize(x, prime)
+
+
+@pytest.mark.parametrize("p, radius", [(3, 2), (5, 2)])
+def test_canonicalize_matches_the_oracle_at_inert_primes(framed_ball,
+                                                         oracle_canonicalize,
+                                                         p, radius):
+    # pgl2 over O_7 at the inert primes 3 and 5 (residue degree 2)
+    ring = make_ring(7)
+    prime, = factor_rational_prime(ring, p)
+    assert prime.f == 2
+    model = bttree.pgl2_model(ring, prime)
+    pi_inv = prime.uniformizer_power(-1)
+    for t, frame in framed_ball(model, radius).values():
+        m = ringmat.mat_mul(frame, model.bases[t])
+        for x in (m, ringmat.mat_scale(m, pi_inv)):
+            assert bttree.canonicalize(x, prime) == oracle_canonicalize(x, prime)
+
+
+_ORACLE_PRIMES = {
+    "magic": lambda: catalog.magic_ring_and_prime()[1],
+    "rational-2": lambda: factor_rational_prime(make_ring("rational"), 2)[0],
+    "zeta5-5": lambda: catalog.pu21_ring_and_prime()[1],
+    "o7-3": lambda: factor_rational_prime(make_ring(7), 3)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_PRIMES))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_canonicalize_matches_the_oracle_on_integral_matrices(
+        oracle_canonicalize, name, data):
+    prime = _ORACLE_PRIMES[name]()
+    ring = prime.ring
+    n = data.draw(st.integers(2, 3))
+    coords = st.tuples(*[st.integers(-9, 9)] * ring.degree)
+    m = [[ring(data.draw(coords)) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        # a column that repeats another: singular
+        for row in m:
+            row[1] = row[0]
+    m = tuple(tuple(row) for row in m)
+    try:
+        expected = oracle_canonicalize(m, prime)
+    except InputError:
+        with pytest.raises(InputError):
+            bttree.canonicalize(m, prime)
+    else:
+        assert bttree.canonicalize(m, prime) == expected
+
+
+def test_canonicalize_builds_no_residue_ring_past_the_budget(
+        su, oracle_canonicalize):
+    # the fixups run mod p^K, K the sum of the exponents right of column
+    # 0, on the lattice of p^K: 5^(largest exponent) fits the enumeration
+    # limit, so the oracle, which builds O/p^k for each exponent k, takes
+    # both inputs, but 5^(sum of exponents) does not
+    prime = su.prime
+    ring = prime.ring
+    pi5 = prime.uniformizer_power(5)
+    d = ((ring.one, ring.zero, ring.zero), (ring.zero, pi5, ring.zero),
+         (ring.zero, ring.zero, pi5))
+    for m, exps in ((d, (0, 5, 5)),
+                    (ringmat.mat_mul(catalog.pu21_swap(), d), (7, 6, 0))):
+        assert (prime.norm() ** max(exps) <= rings.ENUMERATION_LIMIT
+                < prime.norm() ** sum(exps))
+        out = bttree.canonicalize(m, prime)
+        assert [out[i][i] for i in range(3)] == [
+            prime.uniformizer_power(k) for k in exps]
+        assert out == oracle_canonicalize(m, prime)
 
 
 def test_gl_adjacent_symmetric_irreflexive(pgl2, frame_neighbors):

@@ -320,6 +320,23 @@ def test_swap_that_is_not_an_involution_fails():
     assert "swap does not exchange" in report["failures"][0]["reason"]
 
 
+def test_a_wrong_swap_fails_every_move_with_one_check(monkeypatch):
+    # the swap is checked once per report, and every step citing a move
+    # fails with its refusal
+    data = tower.build_tower("magic", 4)
+    assert len({s.move for s in data.steps[1:]}) > 1
+    data.model.swap = ringmat.mat_inverse(data.moves[1].transporter)
+    calls = []
+    check_swap = tower._check_swap
+    monkeypatch.setattr(tower, "_check_swap",
+                        lambda model: calls.append(model) or check_swap(model))
+    report = tower.tower_report(data, recheck_points=5)
+    assert len(calls) == 1
+    assert report["failures"] == [
+        {"step": n, "reason": "the swap does not exchange the base vertex "
+                              "and its image"} for n in range(1, 5)]
+
+
 def test_later_step_without_a_move_fails():
     data = tower.build_tower("magic", 2)
     data.steps[2] = data.steps[0]
