@@ -179,8 +179,8 @@ def test_canonicalize_inverts_no_ring_element(request, name, monkeypatch,
 # -- canonicalize against the global Hermite form (the oracle) -------------
 
 def _conj_pi_column(m, prime):
-    """m with its first column times conj(pi)^-1, whose denominator lies
-    at the conjugate prime too."""
+    """m with its first column times conj(pi)^-1: a denominator at the
+    conjugate prime (a unit at pi when p splits)."""
     c = prime.pi.conj().inverse()
     return tuple((row[0] * c,) + tuple(row[1:]) for row in m)
 
@@ -252,10 +252,10 @@ def test_canonicalize_matches_the_oracle_on_integral_matrices(
 
 def test_canonicalize_builds_no_residue_ring_past_the_budget(
         su, oracle_canonicalize):
-    # the fixups run mod p^K, K the sum of the exponents right of column
-    # 0, on the lattice of p^K: 5^(largest exponent) fits the enumeration
-    # limit, so the oracle, which builds O/p^k for each exponent k, takes
-    # both inputs, but 5^(sum of exponents) does not
+    # the fixups run mod p^K on the lattice of p^K, never in O/p^K: for
+    # diag(1, pi^5, pi^5), K = 10 and 5^10 is past the enumeration limit.
+    # The oracle, which builds O/p^k for each exponent k, takes both
+    # inputs, as 5^(largest exponent) fits; 5^(sum of exponents) does not
     prime = su.prime
     ring = prime.ring
     pi5 = prime.uniformizer_power(5)
