@@ -71,7 +71,6 @@ def canonicalize(basis_matrix, prime):
     reduce_coords = rings.reduce_coords
     dot = ring.dot_coords
     mul = ring._mul_coords
-    zero = (0,) * ring.degree
     # rows of the transpose (row span = column span of the input), put
     # over one denominator
     entries = [[ring(x) for x in row] for row in basis_matrix]
@@ -101,7 +100,6 @@ def canonicalize(basis_matrix, prime):
             if any(x):
                 q = prime.exact_quotient(x, piv_val)
                 neg_q = tuple(-a for a in q)
-                row[col] = zero
                 row[col + 1:] = [dot((u, neg_q), (a, b))
                                  for a, b in zip(row[col + 1:], prow[col + 1:])]
     # the content: the least valuation of any entry, tested against the
@@ -112,8 +110,8 @@ def canonicalize(basis_matrix, prime):
             if any(x) and not at_least(x, content):
                 content = prime.numerator_valuation(x)
     exps = [e - content for e in exps]
+    # K; with K = 0 every entry right of a pivot reduces to 0
     prec = sum(exps[1:])
-    # with K = 0 every entry right of a pivot reduces to 0
     if prec:
         lattice = prime.power_lattice(prec)
         # right of the pivot, row r <- row r / (pi^c u_r) mod p^K: with
@@ -146,8 +144,7 @@ def canonicalize(basis_matrix, prime):
                             a + b for a, b in zip(y, mul(neg_diff, z))))
                         for y, z in zip(row[col + 1:], prow[col + 1:])]
     # hand back in column convention
-    zero_elt = ring.zero
-    out = [[zero_elt] * n for _ in range(n)]
+    out = [[ring.zero] * n for _ in range(n)]
     for r in range(n):
         out[r][r] = prime.uniformizer_power(exps[r])
         if prec:
