@@ -4,9 +4,9 @@ breadth-first closures and congruence-kernel quotient checks.
 Matrices over a residue ring are tuples of tuples of canonical residue
 representatives, so they hash and compare directly.  Each entry of a
 product is one ``ResidueRing.dot``: the exact int dot product of the
-representatives, reduced once; determinants and transposes are the
-``ringmat`` ones on the lift.  Every enumeration declares its cost
-estimate up front and refuses to start past the budget.
+representatives, reduced once, and a determinant is a first-row
+expansion whose every step is one ``ResidueRing.dot``.  Every enumeration
+declares its cost estimate up front and refuses to start past the budget.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
 from . import intmat, ringmat
+from .rings import ResidueRing
 
 CLOSURE_BUDGET_DEFAULT = 10_000_000
 
@@ -40,9 +41,13 @@ def rmat_mul(R, a, b):
 
 
 def rmat_det(R, a):
-    """The determinant of the lift, reduced: reduction is a ring map."""
-    return R.reduce(ringmat.det(tuple(tuple(R.lift(x) for x in row)
-                                      for row in a)))
+    """The determinant by expansion along the first row: one ``R.dot`` of
+    the row with its signed cofactors."""
+    if len(a) == 1:
+        return a[0][0]
+    cofactors = [rmat_det(R, tuple(row[:j] + row[j + 1:] for row in a[1:]))
+                 for j in range(len(a))]
+    return R.dot(a[0], [R.neg(c) if j % 2 else c for j, c in enumerate(cofactors)])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ class ReductionHom:
             if projective and ringmat.mat_eq(val, minus):
                 continue
             raise InputError("relator %r does not hold on the matrices" % (rel,))
-        self.R = prime.residue(k)
+        self.R = ResidueRing(prime, k)
         self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
         closure = group_closure(self.R, self.images, budget=budget,
                                 canon=self._canon)
@@ -195,8 +200,9 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     its order, commutativity, exponent, and elementary-abelian-ness.
 
     The kernel is {Id + pi^j M}; candidates are parametrized by M over
-    O/p^(k-j) and filtered by the scheme predicate in O/p^k.  The
-    candidate count is checked against the budget before the enumeration.
+    O/p^(k-j) and filtered by the scheme predicate in O/p^k.  The size
+    N(p)^k of O/p^k and then the candidate count are checked against the
+    budget before the enumeration.
 
     The group passes work on a generating set.  Walking the kernel set,
     each element not yet in <gens> joins gens and <gens> is closed again;
@@ -211,27 +217,32 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     """
     if not (1 <= j <= k):
         raise InputError("need 1 <= j <= k")
-    n = scheme.n
-    estimate = prime.norm() ** ((k - j) * n * n)
+    n, norm = scheme.n, prime.norm()
+    # 2^k > budget once k >= budget.bit_length(): a huge k is refused
+    # without forming norm^k, and then no power below is huge either
+    if j < k and (k >= budget.bit_length() or norm ** k > budget):
+        raise BudgetExceeded("residue ring O/p^%d of %d^%d elements exceeds "
+                             "budget" % (k, norm, k), budget=budget)
+    estimate = norm ** ((k - j) * n * n)
     if estimate > budget:
         raise BudgetExceeded(
             "kernel enumeration estimate %d exceeds budget" % estimate,
             estimate=estimate, budget=budget)
     report = {
-        "scheme": scheme.name, "norm": prime.norm(), "j": j, "k": k,
+        "scheme": scheme.name, "norm": norm, "j": j, "k": k,
         "estimate": estimate,
     }
     if j == k:
         report.update(order=1, abelian=True, exponent=1, elementary_abelian=True)
         return report
-    R = prime.residue(k)
-    Rdiff = prime.residue(k - j)
-    pi_j = prime.uniformizer_power(j)
+    R = ResidueRing(prime, k)
+    pi_j = R.reduce(prime.uniformizer_power(j))
     # each entry is pi^j c for c over O/p^(k-j), plus 1 on the diagonal:
-    # those values are built once.  A product over the rows, each row a
-    # product over its entries, keeps the row-major lexicographic order of
-    # a product over all n * n entries.
-    off = [R.reduce(pi_j * Rdiff.lift(c)) for c in Rdiff.elements()]
+    # those values are built once, pi^j c mod p^k being the residue product
+    # of any representatives.  A product over the rows, each row a product
+    # over its entries, keeps the row-major lexicographic order of a
+    # product over all n * n entries.
+    off = [R.mul(pi_j, c) for c in ResidueRing(prime, k - j).elements()]
     diag = [R.add(R.one, e) for e in off]
     rows = [list(itertools.product(*(diag if i == jj else off for jj in range(n))))
             for i in range(n)]

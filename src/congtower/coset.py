@@ -256,7 +256,8 @@ def table_from_permutations(pres, perms):
 
     perms[g] maps coset -> coset for generator g (all bijections on the same
     range, point 0 = the subgroup).  Used for congruence kernels, where the
-    action is right multiplication on the finite image group.
+    action is right multiplication on the finite image group.  The table is
+    complete by construction, and ``rewrite_word`` traces every relator.
     """
     n = len(perms[0]) if perms else 1
     nletters = 2 * pres.ngens
@@ -273,10 +274,7 @@ def table_from_permutations(pres, perms):
             row.append(perms[g][c])
             row.append(inv[g][c])
         rows.append(row)
-    rows = _standardize(rows)
-    table = CosetTable(pres, rows, ())
-    table.validate()
-    return table
+    return CosetTable(pres, _standardize(rows), ())
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,8 @@ def schreier_generators(table):
 
 
 def rewrite_word(table, gen_index, start, word):
-    """Rewrite a parent word traced from a coset into Schreier letters."""
+    """Rewrite a parent word traced from a coset into Schreier letters;
+    InputError unless the word's path returns to that coset."""
     out = []
     c = start
     for letter in word:
@@ -354,6 +353,8 @@ def rewrite_word(table, gen_index, start, word):
             k = gen_index.get((c, g))
             if k is not None:
                 out.append(-(k + 1))
+    if c != start:
+        raise InputError("relator fails to trace at coset %d" % start)
     return free_reduce(tuple(out))
 
 

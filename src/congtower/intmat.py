@@ -241,7 +241,7 @@ class AbelianInvariants:
 def abelian_invariants(relation_rows, num_generators):
     """Invariants of Z^num_generators / (row span of relation matrix).
 
-    A row is a ``{column: coefficient}`` dict or a dense sequence.  The
+    A row is a ``{column: coefficient}`` dict, left untouched.  The
     rows go through unit-pivot sparse elimination, then dense SNF on the
     residual core.  The pivot row is the shortest row with a +-1 entry,
     not the one of least Markowitz cost (r - 1)(c - 1) (Havas & Majewski
@@ -254,8 +254,7 @@ def abelian_invariants(relation_rows, num_generators):
     """
     sparse = []
     for r in relation_rows:
-        d = {j: v for j, v in (r.items() if isinstance(r, dict)
-                               else enumerate(r)) if v}
+        d = {j: v for j, v in r.items() if v}
         if d:
             sparse.append(d)
     by_col = {}

@@ -18,19 +18,19 @@ Elements of the fraction field are int coordinates over the power basis
 plus one shared positive denominator, kept in lowest terms, so equal
 elements have equal representations and integrality is just "denominator
 1".  All element, residue and lattice arithmetic runs on ints, residue
-reduction and lifting included; Fraction appears only at the edges:
+reduction included; Fraction appears only at the edges:
 element construction from Fractions, the ``coords`` view, scaling by a
 Fraction, and the value of ``norm``.
 
 Every prime ideal of a supported ring is principal, p = pi O, and a
 ``PrimeIdeal`` is built from its one generator pi.  It is the single
-owner of everything local at p: the Z-lattices of its powers (HNF bases),
-which make membership and valuations lattice tests; the powers pi^k for
-every int k, with pi inverted once, which make x / pi^v an exact quotient
-of int coordinates; the inverses of units mod p^k; and the residue rings
-O/p^k, each built once and refused past ``ENUMERATION_LIMIT`` elements.  A
-residue mod p^k is a vector reduced against the lattice of p^k
-(``reduce_coords``), and residue arithmetic is the ring's own
+owner of everything local at p: the powers pi^k for every int k, with pi
+inverted once, which make x / pi^v an exact quotient of int coordinates;
+the Z-lattices of the powers p^k = pi^k O (the HNF of pi^k's
+multiplication matrix), which make membership and valuations lattice
+tests and are the moduli of the residue rings O/p^k; and the inverses of
+units mod p^k.  A residue mod p^k is a vector reduced against the lattice
+of p^k (``reduce_coords``), and residue arithmetic is the ring's own
 multiplication followed by that reduction: a unit is inverted by Newton's
 lift x (2 - u x) of its inverse in the residue field, and a denominator
 divisible by p is cleared by a power of pi^-1, so no integer linear system
@@ -44,7 +44,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import BudgetExceeded, InputError
+from .errors import InputError
 from . import intmat
 
 RATIONAL = "rational"
@@ -426,9 +426,9 @@ def _parse_ring_spec(spec):
 class PrimeIdeal:
     """The prime ideal p = pi O over the rational prime p, with
     ramification e and residue degree f.  It owns what every computation
-    local at p shares: the Z-lattices of its powers (HNF rows in basis
-    coords), the powers pi^k for every int k, pi being inverted once, the
-    inverses of units mod p^k and the residue rings O/p^k."""
+    local at p shares: the powers pi^k for every int k, pi being inverted
+    once, the Z-lattices of the powers p^k (HNF rows in basis coords) and
+    the inverses of units mod p^k."""
 
     def __init__(self, ring, p, pi, e, f):
         self.ring = ring
@@ -436,9 +436,8 @@ class PrimeIdeal:
         self.pi = pi
         self.e = e
         self.f = f
-        self._power_lattices = {1: _ideal_lattice(ring, p, pi)}
+        self._power_lattices = {}
         self._pi_powers = {0: ring.one, 1: pi}
-        self._residues = {}
         # (unit mod p^k, k) -> its inverse mod p^k
         self._unit_inverses = {}
 
@@ -446,20 +445,14 @@ class PrimeIdeal:
         return self.p ** self.f
 
     def power_lattice(self, k):
-        """HNF basis (rows) of the Z-lattice of p^k."""
+        """HNF basis (rows) of the Z-lattice of p^k = pi^k O, k >= 0: the
+        rows pi^k x^j are the columns of pi^k's multiplication matrix."""
         if k < 0:
             raise InputError("negative ideal power")
-        if k == 0:
-            n = self.ring.degree
-            return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         if k not in self._power_lattices:
-            base = self.power_lattice(1)
-            prev = self.power_lattice(k - 1)
-            ring = self.ring
-            n = ring.degree
-            rows = [list(ring._mul_coords(a, b)) for a in prev for b in base]
-            h = intmat.hnf(rows)
-            self._power_lattices[k] = tuple(tuple(r) for r in h[: n])
+            num = self.uniformizer_power(k).num
+            self._power_lattices[k] = tuple(
+                tuple(r) for r in intmat.hnf(list(zip(*self.ring.mult_matrix(num)))))
         return self._power_lattices[k]
 
     def uniformizer_power(self, k):
@@ -516,12 +509,6 @@ class PrimeIdeal:
             reached *= 2
         self._unit_inverses[key] = x
         return x
-
-    def residue(self, k):
-        """O/p^k, built once per k."""
-        if k not in self._residues:
-            self._residues[k] = ResidueRing(self, k)
-        return self._residues[k]
 
     def valuation_at_least(self, x, level):
         """Is v_p(x) >= level?  One lattice membership: for x = num/den,
@@ -585,13 +572,6 @@ def _ideal_lattice(ring, p, g):
     rows.extend(list(col) for col in zip(*ring.mult_matrix(g.int_coords())))
     h = intmat.hnf(rows)
     return tuple(tuple(r) for r in h[: n])
-
-
-def _as_int(fr):
-    fr = Fraction(fr)
-    if fr.denominator != 1:
-        raise InputError("expected integer, got %r" % (fr,))
-    return fr.numerator
 
 
 def _int_valuation(n, p):
@@ -707,7 +687,8 @@ def _trace_form_ball(lattice, bound):
 
 def _single_generator_search(ring, p, f, lattice):
     """Look for a single generator of the prime over p of residue degree f
-    whose Z-lattice is ``lattice``: right norm, inside the ideal.
+    whose Z-lattice is ``lattice``: an x inside the ideal with |N(x)| =
+    p^f, the ideal's index, has xO = the ideal.
 
     In an imaginary quadratic ring every element of the right norm is
     tried, so the search is complete there.  Elsewhere the coordinates
@@ -730,12 +711,10 @@ def _single_generator_search(ring, p, f, lattice):
 
     def first_generator(pool):
         for coords in sorted(pool, key=preference):
-            if not any(coords) or not intmat.lattice_contains(lattice, coords):
-                continue
-            x = ring(coords)
-            if (abs(_as_int(x.norm())) == target
-                    and _ideal_lattice(ring, p, x) == lattice):
-                return x
+            if any(coords) and intmat.lattice_contains(lattice, coords):
+                x = ring(coords)
+                if abs(x.norm()) == target:
+                    return x
         return None
 
     if ring.kind == IMAG_QUAD:
@@ -790,28 +769,18 @@ def _is_small_prime(p):
 # residue rings O/p^k
 
 
-ENUMERATION_LIMIT = 10 ** 6
-
-
 class ResidueRing:
     """O/p^k with canonical coordinate representatives.
 
     Representatives are integer tuples reduced against the HNF basis of the
-    p^k lattice: 0 <= x_i < H[i][i] after back-substitution.  All group and
-    ring structure is computed by lifting to O and reducing.  A ring of
-    more than ENUMERATION_LIMIT elements is refused (BudgetExceeded) at
-    construction.
+    p^k lattice: 0 <= x_i < H[i][i] after back-substitution.  Ring
+    operations are the ring's own on representatives, then a reduction.
+    The caller declares the size N(p)^k against its budget.
     """
 
     def __init__(self, prime, k):
         if k < 1:
             raise InputError("residue ring exponent must be >= 1")
-        size = prime.norm() ** k
-        if size > ENUMERATION_LIMIT:
-            raise BudgetExceeded(
-                "residue ring size %d exceeds enumeration budget" % size,
-                estimate=size, budget=ENUMERATION_LIMIT,
-            )
         self.prime = prime
         self.k = k
         self.ring = prime.ring
@@ -819,7 +788,6 @@ class ResidueRing:
         n = self.ring.degree
         self.diag = tuple(self.lattice[i][i] for i in range(n))
         self.size = math.prod(self.diag)
-        assert self.size == size
         # p^m with m = ceil(k/e) lies in p^k: the modulus for inverting
         # denominators prime to p
         self._den_modulus = prime.p ** -(-k // prime.e)
@@ -861,9 +829,6 @@ class ResidueRing:
         bottom = scale * den
         return self.mul(self.reduce_coords(top.num),
                         self.inverse(self.reduce_coords(bottom.num)))
-
-    def lift(self, rep):
-        return RingElt(self.ring, tuple(rep))
 
     # representatives are immutable tuples, so each is built once
     @functools.cached_property
@@ -911,5 +876,5 @@ class ResidueRing:
 __all__ = [
     "NumberRing", "RingElt", "PrimeIdeal", "ResidueRing",
     "make_ring", "factor_rational_prime",
-    "RATIONAL", "IMAG_QUAD", "CYCLOTOMIC5", "SUPPORTED_D", "ENUMERATION_LIMIT",
+    "RATIONAL", "IMAG_QUAD", "CYCLOTOMIC5", "SUPPORTED_D",
 ]

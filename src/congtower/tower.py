@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CheckFailed, InputError
-from . import bttree, catalog, homology, intmat, ringmat, rings
+from . import bttree, catalog, homology, ringmat, rings
 from .intmat import AbelianInvariants
 
 
@@ -127,9 +127,7 @@ class _Conjugation:
     def at_least(self, num, b):
         """Is the valuation of the entry with numerator num >= b?  One
         lattice membership; a level <= 0 asks nothing of an integral num."""
-        k = b + self.shift
-        return k <= 0 or intmat.lattice_contains(self.prime.power_lattice(k),
-                                                 num)
+        return self.prime.numerator_at_least(num, b + self.shift)
 
     def valuation(self, num):
         """Valuation of the entry with numerator num; +inf on 0."""

@@ -4,7 +4,7 @@ import pytest
 
 from congtower import bttree, catalog, congsub, homology, ringmat
 from congtower.errors import InputError
-from congtower.rings import make_ring, factor_rational_prime
+from congtower.rings import ResidueRing, make_ring, factor_rational_prime
 
 
 @pytest.fixture(scope="session")
@@ -100,10 +100,10 @@ def _global_canonicalize(basis_matrix, prime):
     for col in range(1, n):
         k = exps[col]
         piv_inv = prime.uniformizer_power(-k)
-        R = prime.residue(k) if k else None
+        R = ResidueRing(prime, k) if k else None
         for r in range(col):
             x = rows[r][col]
-            diff = (x - R.lift(R.reduce(x)) if R else x) * piv_inv
+            diff = (x - R.ring(R.reduce(x)) if R else x) * piv_inv
             if not diff.is_zero():
                 rows[r][col:] = [a - diff * b
                                  for a, b in zip(rows[r][col:], rows[col][col:])]
@@ -218,7 +218,7 @@ def oq_residue_orbits(residue_orbit):
     orbit, line orbit)."""
     model = bttree.oq_model()
     ring = model.prime.ring
-    R = model.prime.residue(1)
+    R = ResidueRing(model.prime, 1)
     alpha = catalog.coordinate_change_alpha()
     alpha_inv = ringmat.mat_inverse(alpha)
     x0_gens = [congsub.reduce_matrix(

@@ -126,9 +126,6 @@ def test_uniformizer_powers_are_cached(request, name):
     for k in range(-4, 5):
         assert prime.uniformizer_power(k) == prime.pi ** k
         assert prime.uniformizer_power(k) is prime.uniformizer_power(k)
-    for k in range(1, 4):
-        assert prime.residue(k) is prime.residue(k)
-        assert (prime.residue(k).prime, prime.residue(k).k) == (prime, k)
 
 
 @pytest.mark.parametrize("name", ["oq", "su"])
@@ -253,9 +250,10 @@ def test_canonicalize_matches_the_oracle_on_integral_matrices(
 def test_canonicalize_builds_no_residue_ring_past_the_budget(
         su, oracle_canonicalize):
     # the fixups run mod p^K on the lattice of p^K, never in O/p^K: for
-    # diag(1, pi^5, pi^5), K = 10 and 5^10 is past the enumeration limit.
-    # The oracle, which builds O/p^k for each exponent k, takes both
-    # inputs, as 5^(largest exponent) fits; 5^(sum of exponents) does not
+    # diag(1, pi^5, pi^5), K = 10 and 5^10 is past 10^6, the size at
+    # which residue rings were once refused.  The oracle, which builds O/p^k
+    # for each exponent k, takes both inputs, as 5^(largest exponent) is
+    # under it; 5^(sum of exponents) is not
     prime = su.prime
     ring = prime.ring
     pi5 = prime.uniformizer_power(5)
@@ -263,7 +261,7 @@ def test_canonicalize_builds_no_residue_ring_past_the_budget(
          (ring.zero, ring.zero, pi5))
     for m, exps in ((d, (0, 5, 5)),
                     (ringmat.mat_mul(catalog.pu21_swap(), d), (7, 6, 0))):
-        assert (prime.norm() ** max(exps) <= rings.ENUMERATION_LIMIT
+        assert (prime.norm() ** max(exps) <= 10 ** 6
                 < prime.norm() ** sum(exps))
         out = bttree.canonicalize(m, prime)
         assert [out[i][i] for i in range(3)] == [
@@ -337,7 +335,7 @@ def test_oq_valences_from_orbits(oq, oq_residue_orbits):
     assert oq.valences() == {"x0": 5, "xhalf": 3}
     gens, orbit, lines = oq_residue_orbits
     assert len(orbit) == 5
-    order = len(congsub.group_closure(oq.prime.residue(1), gens).elements)
+    order = len(congsub.group_closure(rings.ResidueRing(oq.prime, 1), gens).elements)
     assert order % len(orbit) == 0
     assert len(lines) == 3
     # orbit sizes match the recomputed tree valences

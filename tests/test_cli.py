@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,41 @@ def test_lemma22_budget_covers_the_pair_passes(capsys):
                      "--k", "3", "--budget", "1000"])
     assert code == cli.EXIT_BUDGET
     assert "1536 products" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, order, exponent", [
+    (["--j", "19", "--k", "20"], 8, 2),
+    (["--prime", "zeta5-1", "--j", "8", "--k", "9"], 125, 5),
+    (["--j", "23", "--k", "24", "--budget", "100000000"], 8, 2),
+])
+def test_lemma22_deep_levels_within_the_budget(capsys, argv, order, exponent):
+    # O/p^k is built at any size the budget admits: 2^20, 5^9 and 2^24
+    # elements for 16, 625 and 16 candidates
+    code, out = run_cli(capsys, "lemma22", *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["order"], payload["exponent"]) == (order, exponent)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["--j", "23", "--k", "24"], "2^24"),
+    (["--j", "6", "--k", "7", "--budget", "100"], "2^7"),
+])
+def test_lemma22_declares_the_residue_ring_against_the_budget(capsys, argv,
+                                                              size):
+    # N(p)^k is declared before O/p^k is built: 2^24 is over the default
+    # budget of 10^7, and 2^7 = 128 over 100, though 16 candidates are not
+    code = cli.main(["lemma22", *argv])
+    assert code == cli.EXIT_BUDGET
+    assert "O/p^%s of %s elements" % (argv[3], size) in capsys.readouterr().err
+
+
+def test_lemma22_refuses_a_huge_level_at_once(capsys):
+    # 2^(10^9) is refused without being formed, let alone printed
+    start = time.perf_counter()
+    code = cli.main(["lemma22", "--j", "999999999", "--k", "1000000000"])
+    assert code == cli.EXIT_BUDGET
+    assert time.perf_counter() - start < 1
 
 
 def test_budget_exit_names_estimate_and_budget(capsys):

@@ -208,14 +208,14 @@ def test_quotient_check_budget(zeta5_prime):
 def _kernel_set(scheme, prime, j, k):
     # the residue ring O/p^k and every Id + pi^j M, M over O/p^(k-j), that
     # the scheme accepts
-    R, Rdiff = prime.residue(k), prime.residue(k - j)
+    R, Rdiff = ResidueRing(prime, k), ResidueRing(prime, k - j)
     pi_j = prime.pi ** j
     n = scheme.n
     out = []
     for combo in itertools.product(list(Rdiff.elements()), repeat=n * n):
         m = tuple(tuple(
             R.add(R.one if r == c else R.zero,
-                  R.reduce(pi_j * Rdiff.lift(combo[r * n + c])))
+                  R.reduce(pi_j * R.ring(combo[r * n + c])))
             for c in range(n)) for r in range(n))
         if scheme.check(R, m):
             out.append(m)

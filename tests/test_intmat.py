@@ -141,23 +141,29 @@ def test_snf_idempotence(rng):
     assert h == h2
 
 
+def _sparse(rows):
+    """Dense rows as the {column: coefficient} dicts that
+    ``abelian_invariants`` takes."""
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
 def test_abelian_invariants_basics():
-    inv = abelian_invariants([[2, 2]], 2)
+    inv = abelian_invariants(_sparse([[2, 2]]), 2)
     assert inv.free_rank == 1 and inv.torsion == (2,)
-    inv = abelian_invariants([], 5)
+    inv = abelian_invariants(_sparse([]), 5)
     assert inv == AbelianInvariants(5, ())
-    inv = abelian_invariants([[0, 2, 0], [3, 3, 0], [0, 4, 0]], 3)
+    inv = abelian_invariants(_sparse([[0, 2, 0], [3, 3, 0], [0, 4, 0]]), 3)
     assert inv.free_rank == 1 and inv.torsion == (2, 3)
 
 
 def test_abelian_invariants_row_col_ops_invariance(rng):
     for _ in range(40):
         rows = [[rng.randint(-8, 8) for _ in range(4)] for _ in range(5)]
-        base = abelian_invariants(rows, 4)
+        base = abelian_invariants(_sparse(rows), 4)
         u = _random_unimodular(rng, 5)
         mixed = [[sum(u[i][k] * rows[k][j] for k in range(5)) for j in range(4)]
                  for i in range(5)]
-        assert abelian_invariants(mixed, 4) == base
+        assert abelian_invariants(_sparse(mixed), 4) == base
 
 
 def test_sparse_path_matches_dense(rng):
@@ -165,7 +171,7 @@ def test_sparse_path_matches_dense(rng):
         rows = [[rng.randint(-4, 4) if rng.random() < 0.3 else 0
                  for _ in range(30)] for _ in range(40)]
         dense = AbelianInvariants.from_divisors(30, snf([r for r in rows if any(r)]) if any(any(r) for r in rows) else [])
-        sparse = abelian_invariants([r for r in rows if any(r)], 30)
+        sparse = abelian_invariants(_sparse([r for r in rows if any(r)]), 30)
         assert sparse == dense
     # A larger seeded case.  Rows of mostly +-1 entries on the first 116
     # columns: eliminations shorten rows below the length being drained, so
@@ -189,7 +195,7 @@ def test_sparse_path_matches_dense(rng):
     r.shuffle(rows)
     dense = AbelianInvariants.from_divisors(ncols, snf(rows))
     assert dense == AbelianInvariants(0, (2, 2, 2, 3, 4))
-    assert abelian_invariants(rows, ncols) == dense
+    assert abelian_invariants(_sparse(rows), ncols) == dense
     # -1 pivots and odd torsion, where a pivot's sign shows: the rows
     # -x_i + 3x_{i+1} give x_0 = 27x_3, so 2x_0 + 3x_3 leaves Z/57; with the
     # sign dropped the chain gives Z/51 (and the first case Z/3)
@@ -199,7 +205,7 @@ def test_sparse_path_matches_dense(rng):
         ncols = len(rows[0])
         dense = AbelianInvariants.from_divisors(ncols, snf(rows))
         assert dense == AbelianInvariants(0, expected)
-        assert abelian_invariants(rows, ncols) == dense
+        assert abelian_invariants(_sparse(rows), ncols) == dense
 
 
 @st.composite
@@ -225,8 +231,7 @@ def relation_matrices(draw):
 def test_abelian_invariants_match_dense_snf(case):
     rows, ncols = case
     expected = AbelianInvariants.from_divisors(ncols, snf(rows))
-    assert abelian_invariants(rows, ncols) == expected
-    dict_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    dict_rows = _sparse(rows)
     before = [dict(r) for r in dict_rows]
     assert abelian_invariants(dict_rows, ncols) == expected
     assert dict_rows == before  # the caller's rows are left untouched

@@ -1,7 +1,9 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +138,144 @@ def test_every_exported_name_is_read_by_the_program():
                or (label.count(".") == 2 and not attr)
                for path, line, attr in reads.get(name, ()))}
     assert unread == set(UNREAD)
+
+
+# What no command input enters, and why it stays; dunder methods are not
+# counted either.  An entry covers the functions nested in it.
+UNENTERED = {
+    "coset.coset_enumerate": "Todd-Coxeter, the oracle for the coset tables",
+    "coset._Enumerator": "Todd-Coxeter's enumerator",
+    "coset._letters": "Todd-Coxeter's letter indices",
+    "coset.CosetTable.validate": "checks the Todd-Coxeter tables only",
+    "coset.CosetTable.trace": "read by validate only",
+    "homology.o41_two_stage": "the two-stage Gamma(4) pipeline of criterion 8",
+    "homology.coxeter_presentation": "criterion 8's pipeline",
+    "presentations.tietze_simplify": "criterion 8's pipeline",
+    "presentations._normalize": "a helper of tietze_simplify",
+    "presentations._canonical_cyclic": "a helper of tietze_simplify",
+    "presentations.cyclic_reduce": "a helper of tietze_simplify",
+    "congsub.pu_identity_congruent_count": "criterion 3, an acceptance row",
+    "rings.ResidueRing.inverse": "reached by the fraction-field branch of "
+                                 "ResidueRing.reduce only, for the oracle in "
+                                 "tests/conftest.py",
+    "tower._Conjugation.entry": "the message of a failing certificate, which "
+                                "no built-in input produces",
+}
+
+# Run in a fresh process with the profiler on before congtower is imported,
+# so that what runs at import counts: the benchmark's jobs, one command per
+# subcommand and output format, and budget and input errors.  Prints the
+# (file, first line) of every code object entered.
+REACH_CODE = """\
+import contextlib, importlib.util, io, json, os, sys
+root, tmp = sys.argv[1:]
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and entered.add(frame.f_code))
+from congtower import cli
+spec = importlib.util.spec_from_file_location(
+    "perfbench_jobs", os.path.join(root, "perfbench", "jobs.py"))
+jobs = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = jobs
+spec.loader.exec_module(jobs)
+for make in jobs.WORKLOADS.values():
+    for job in make(1):
+        assert job.run() == job.expected, job.name
+
+def path(name, text):
+    out = os.path.join(tmp, name)
+    with open(out, "w") as fh:
+        fh.write(text)
+    return out
+
+d1 = {"ring": "d=1", "matrices": {"a": [[1, 1], [0, 1]], "b": [[0, -1], [1, 0]],
+                                  "u": [[1, [0, 1]], [0, 1]]}}
+good = path("good.json", json.dumps(d1))
+d1["matrices"]["a"][0][1] = "abc"
+bad = path("bad.json", json.dumps(d1))
+pres = path("bad.pres", "# provenance: test\\ngens a; rels a^2; b")
+runs = [
+    (0, "homology --norm-max 5"),
+    (0, "homology --norm-max 2 --format json --output " + path("out", "")),
+    (0, "homology --norm-max 2 --matrices " + good),
+    (0, "check-identities"), (0, "check-identities --format json"),
+    (0, "tree pgl2 --p 3 --radius 1"), (0, "tree oq --radius 1 --format json"),
+    (0, "tree su --radius 1 --format dot"),
+    (0, "tower magic --steps 2"), (0, "tower pu21 --steps 1 --format json"),
+    (0, "lemma22 --j 1 --k 2"), (0, "lemma22 --j 1 --k 2 --format json"),
+    (0, "lemma22 --field cyclotomic-5 --prime 3 --j 1 --k 1"),
+    (2, "lemma22 --j 23 --k 24"), (2, "tree pgl2 --radius 3 --budget 5"),
+    (3, "tower magic --steps abc"), (3, "homology --field 6"),
+    (3, "homology --norm-max 2 --matrices " + bad),
+    (3, "homology --norm-max 2 --presentation " + pres),
+    (3, "lemma22 --prime x --j 1 --k 2"),
+    (3, "lemma22 --j 1 --k 2 --prime-index 9"),
+    (3, "tree oq --p 3"), (3, "tree pgl2 --p 4"),
+]
+for code, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            got = cli.main(argv.split())
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code, (argv, got)
+sys.setprofile(None)
+print(json.dumps(sorted({(c.co_filename, c.co_firstlineno) for c in entered})))
+"""
+
+
+def _functions(path):
+    """label -> first line (the first decorator's or the def's) of every
+    function of a module, nested ones and methods included."""
+    out = {}
+
+    def walk(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.FunctionDef):
+                out[prefix + sub.name] = min(
+                    [sub.lineno] + [d.lineno for d in sub.decorator_list])
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                walk(sub, prefix + sub.name + ".")
+            else:
+                walk(sub, prefix)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), path.stem + ".")
+    return out
+
+
+def _covers(entry, label):
+    return label == entry or label.startswith(entry + ".")
+
+
+def test_every_function_is_entered_by_a_command(tmp_path):
+    # reachability by execution: a function read only by code that never
+    # runs, or by tests, is dead even when its name is read
+    src = ROOT / "src" / "congtower"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src.parent)] + ([os.environ["PYTHONPATH"]]
+                             if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c", REACH_CODE, str(ROOT), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    entered = {(str(Path(f).resolve()), line)
+               for f, line in json.loads(proc.stdout)}
+    labels = {}
+    for path in sorted(src.glob("*.py")):
+        for label, line in _functions(path).items():
+            labels[label] = (str(path.resolve()), line) in entered
+    assert {"rings.ResidueRing.mul", "tower._Conjugation.at_least",
+            "rings._single_generator_search.first_generator"} <= set(labels)
+    missed = sorted(
+        label for label, hit in labels.items()
+        if not (hit or re.search(r"\.__\w+__$", label)
+                or any(_covers(entry, label) for entry in UNENTERED)))
+    assert missed == []
+    # each exemption names functions, and none that a command enters
+    for entry in UNENTERED:
+        covered = [hit for label, hit in labels.items() if _covers(entry, label)]
+        assert covered and not any(covered), entry
 
 
 # what a `congtower` process does before its first job

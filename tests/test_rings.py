@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congtower import catalog, intmat, rings
-from congtower.errors import BudgetExceeded, InputError
+from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
 
@@ -424,6 +424,41 @@ def test_every_zeta5_prime_is_principal():
     assert str(factor_rational_prime(E, 5)[0].pi) == "-1 + z"
 
 
+def _product_power_lattices(prime, top):
+    """The lattices of p, ..., p^top by products: p as the ideal (p, pi),
+    each higher power the HNF of the products of the previous power's
+    basis with p's."""
+    ring = prime.ring
+    base = rings._ideal_lattice(ring, prime.p, prime.pi)
+    out = [base]
+    while len(out) < top:
+        rows = [list(ring._mul_coords(a, b)) for a in out[-1] for b in base]
+        out.append(tuple(tuple(r) for r in intmat.hnf(rows)[:ring.degree]))
+    return out
+
+
+def test_power_lattices_match_the_product_construction(all_rings):
+    # p^k = pi^k O: the HNF of pi^k's multiplication matrix equals the
+    # products of lower powers for k <= 6 at every prime below 100 of the
+    # seven rings, 1 506 lattices; p^0 is O.  The primes over each p are
+    # distinct, so no generator was taken from another prime's lattice
+    count = 0
+    for ring in all_rings:
+        ident = tuple(tuple(int(i == j) for j in range(ring.degree))
+                      for i in range(ring.degree))
+        for p in range(2, 100):
+            if not rings._is_small_prime(p):
+                continue
+            primes = factor_rational_prime(ring, p)
+            assert len({q.power_lattice(1) for q in primes}) == len(primes)
+            for prime in primes:
+                assert prime.power_lattice(0) == ident
+                assert ([prime.power_lattice(k) for k in range(1, 7)]
+                        == _product_power_lattices(prime, 6)), (ring, p)
+                count += 6
+    assert count == 1506
+
+
 def _trace_form(c):
     return 5 * sum(x * x for x in c) - sum(c) ** 2
 
@@ -555,11 +590,11 @@ def test_residue_localized_reduction(gaussian_prime2):
     # x = i/3: denominator is a unit at the prime over 2
     x = ring.gen() / 3
     r = R.reduce(x)
-    assert gaussian_prime2.valuation(x - R.lift(r)) >= 2
+    assert gaussian_prime2.valuation(x - R.ring(r)) >= 2
     # denominator with positive valuation but compensated numerator
     y = (ring.gen() + ring.one) ** 3 / 2    # v = 3 - 2 = 1 >= 0
     r2 = R.reduce(y)
-    assert gaussian_prime2.valuation(y - R.lift(r2)) >= 2
+    assert gaussian_prime2.valuation(y - R.ring(r2)) >= 2
     with pytest.raises(InputError):
         R.reduce(ring.one / 2)
 
@@ -596,8 +631,7 @@ def test_reduce_matches_the_localized_system(spec, p, index, data):
     assert R.prime.valuation(x) >= 0
     r = R.reduce(x)
     assert r == R.reduce_coords(r)
-    assert R.prime.valuation_at_least(x - R.lift(r), R.k)
-    assert R.lift(r) == R.ring(r)
+    assert R.prime.valuation_at_least(x - R.ring(r), R.k)
 
 
 @pytest.mark.parametrize("spec,p,index", REDUCTION_PRIMES)
@@ -608,25 +642,11 @@ def test_inverse_of_a_unit(spec, p, index, data):
     R = rings.ResidueRing(prime, data.draw(st.integers(1, 4)))
     a = R.reduce_coords(tuple(data.draw(st.integers(-10 ** 4, 10 ** 4))
                               for _ in range(R.ring.degree)))
-    if a != R.zero and R.prime.valuation(R.lift(a)) == 0:
+    if a != R.zero and R.prime.valuation(R.ring(a)) == 0:
         assert R.mul(a, R.inverse(a)) == R.one
     else:
         with pytest.raises(InputError):
             R.inverse(a)
-
-
-def test_enumeration_budget():
-    # N(p)^9 = 5^9 is past ENUMERATION_LIMIT and 5^8 is not: the ring is
-    # refused at construction, before any lattice of p^9 is built
-    E = make_ring("cyclotomic-5")
-    P = factor_rational_prime(E, 5)[0]
-    assert 5 ** 8 <= rings.ENUMERATION_LIMIT < 5 ** 9
-    with pytest.raises(BudgetExceeded):
-        rings.ResidueRing(P, 9)
-    with pytest.raises(BudgetExceeded):
-        P.residue(9)
-    assert 9 not in P._power_lattices
-    assert rings.ResidueRing(P, 8).size == 5 ** 8
 
 
 def test_unit_inverse_in_residue(zeta5_prime):
