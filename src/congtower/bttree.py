@@ -16,8 +16,9 @@ units mod p^k, lifted from the residue field.
 
 Tree models package a base vertex per type together with "moves": global
 group elements carrying the base vertex to each of its neighbors,
-discovered from stabilizer orbits (never hardcoded), each with the
-canonical vertex it reaches.  A g in GL_n(K) maps the homothety class of
+discovered as a stabilizer orbit (``coset.orbit``, never hardcoded), each
+with the canonical vertex it reaches and a transporter read off the
+orbit's Schreier tree.  A g in GL_n(K) maps the homothety class of
 X O^n to that of g X O^n, so canonicalize(g X) depends only on the class
 of X, and a move's small canonical vertex stands in for its transporter
 times the base.  BFS exploration reaches neighbour i of a vertex with
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
-from . import catalog, ringmat, rings
+from . import catalog, coset, ringmat, rings
 from .rings import RingElt, make_ring, factor_rational_prime
 
 
@@ -219,26 +220,20 @@ EXPLORE_BUDGET_DEFAULT = 100_000
 
 
 def _orbit_moves(prime, base_vertices, ttype, seed, stab_gens):
-    """Close the seed neighbour seed * base[ttype] under stabilizer
-    generators, keeping a witness transporter for each new neighbour
-    vertex: the seed is the first move, and every later one is a word in
-    the generators times it.  The image of the neighbour w base under s is
-    canonicalize(s * vertex), and s w is formed only for a new
-    neighbour."""
+    """``coset.orbit`` of the seed neighbour seed * base[ttype] under
+    stabilizer generators, the image of a neighbour v under s being
+    canonicalize(s * v).  The seed is the first move, and each later
+    move's witness transporter is s_k times its Schreier-tree parent's,
+    formed once per neighbour."""
     v = canonicalize(ringmat.mat_mul(seed, base_vertices[ttype]), prime)
+    vertices, _, parents = coset.orbit(
+        v, stab_gens,
+        lambda w, s: canonicalize(ringmat.mat_mul(s, w), prime),
+        _ORBIT_BUDGET)
     moves = [Move(ttype, seed, v)]
-    seen = {v}
-    for mv in moves:            # the list grows as it is walked
-        for s in stab_gens:
-            v = canonicalize(ringmat.mat_mul(s, mv.vertex), prime)
-            if v not in seen:
-                seen.add(v)
-                moves.append(Move(mv.target_type,
-                                  ringmat.mat_mul(s, mv.transporter), v))
-                if len(moves) > _ORBIT_BUDGET:
-                    raise BudgetExceeded("neighbor orbit exceeded budget",
-                                         estimate=len(moves),
-                                         budget=_ORBIT_BUDGET)
+    for w, (i, k) in zip(vertices[1:], parents[1:]):
+        moves.append(Move(ttype, ringmat.mat_mul(
+            stab_gens[k], moves[i].transporter), w))
     return moves
 
 

@@ -1,5 +1,6 @@
 """Finite matrix groups over residue rings O/p^k: reduction homomorphisms,
-breadth-first closures and congruence-kernel quotient checks.
+closures (``coset.orbit`` of the identity) and congruence-kernel quotient
+checks.
 
 Matrices over a residue ring are tuples of tuples of canonical residue
 representatives, so they hash and compare directly.  Each entry of a
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
-from . import intmat, ringmat
+from . import coset, intmat, ringmat
 from .rings import ResidueRing
 
 CLOSURE_BUDGET_DEFAULT = 10_000_000
@@ -83,8 +84,8 @@ class Closure:
 
 
 def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None):
-    """BFS closure of generator matrices from the identity, recording the
-    position of every product it forms as the Closure's action.
+    """``coset.orbit`` of the identity under right multiplication by the
+    generator matrices, whose action columns are the Closure's action.
 
     No inverses are needed: in a finite group the monoid the generators
     generate is the whole group.  The distinct canonical generators are
@@ -95,21 +96,9 @@ def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None):
     if canon is None:
         canon = lambda m: m
     gens = sorted({canon(g) for g in gens})
-    elements = [canon(rmat_identity(R, len(gens[0])))]
-    index = {elements[0]: 0}
-    columns = [[] for _ in gens]
-    for a in elements:          # the list grows as it is walked: a BFS queue
-        for g, column in zip(gens, columns):
-            b = canon(rmat_mul(R, a, g))
-            pos = index.get(b)
-            if pos is None:
-                pos = index[b] = len(elements)
-                elements.append(b)
-                if len(elements) > budget:
-                    raise BudgetExceeded(
-                        "group closure exceeded budget %d" % budget,
-                        estimate=len(elements), budget=budget)
-            column.append(pos)
+    elements, columns, _ = coset.orbit(
+        canon(rmat_identity(R, len(gens[0]))), gens,
+        lambda a, g: canon(rmat_mul(R, a, g)), budget)
     return Closure(elements, {g: tuple(c) for g, c in zip(gens, columns)})
 
 

@@ -1,11 +1,17 @@
-"""Coset enumeration (HLT Todd-Coxeter with lookahead and coincidence
-processing) and Reidemeister-Schreier subgroup presentations.
+"""Orbits of finite actions with their Schreier trees, coset enumeration
+(HLT Todd-Coxeter with lookahead and coincidence processing) and
+Reidemeister-Schreier subgroup presentations.
 
-Follows the structure in Holt, "Handbook of Computational Group Theory",
-ch. 5.  Cosets are ints starting at 0; a table row holds, for each letter
-(generator or inverse), the image coset or None.  Coset numbering is
-first-defined order and tables are standardized (BFS renumbering) after
-completion, so enumeration output is reproducible bit for bit.
+Follows the structure in Holt, Eick and O'Brien, "Handbook of
+Computational Group Theory", ch. 4 and 5.  ``orbit`` is the one
+breadth-first walk of a finite orbit: group closures, tree-model
+neighbours, tower alignment words, table standardization and Schreier
+transversals all read its points, action columns and tree.  Cosets are
+ints starting at 0; a table row holds, for each letter (generator or
+inverse), the image coset or None.  Coset numbering is first-defined
+order and tables are standardized (renumbered in the orbit order of
+coset 0) after completion, so enumeration output is reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ class CosetTable:
     @property
     def index(self):
         return len(self.rows)
-
-    @property
-    def nletters(self):
-        return 2 * self.pres.ngens
 
     def trace(self, coset, word):
         for x in _letters(word):
@@ -219,36 +221,52 @@ class _Enumerator:
         return rows
 
 
-def _standardize(rows):
-    """BFS renumbering in (coset, letter) order; canonical table layout."""
-    n = len(rows)
-    if not n:
-        return rows
-    nletters = len(rows[0])
-    order = [0]
-    seen = {0}
-    head = 0
-    while head < len(order):
-        c = order[head]
-        head += 1
-        for x in range(nletters):
-            d = rows[c][x]
-            if d is not None and d not in seen:
-                seen.add(d)
-                order.append(d)
-    if len(order) != n:
-        # incomplete table: keep original numbering for unreached cosets
-        for c in range(n):
-            if c not in seen:
-                order.append(c)
-                seen.add(c)
-    renum = {c: i for i, c in enumerate(order)}
-    out = [[None] * nletters for _ in range(n)]
-    for c in range(n):
-        for x in range(nletters):
-            v = rows[c][x]
-            out[renum[c]][x] = None if v is None else renum[v]
+def orbit(seed, gens, act, budget):
+    """The orbit of ``seed`` under ``act(point, gen)``, breadth-first with
+    the generators in the given order.
+
+    Returns (points, action, parents): the points, seed first, then in
+    BFS order; the action columns, points[action[k][i]] ==
+    act(points[i], gens[k]); and the Schreier tree, parents[i] = (j, k)
+    when point i was first reached as act(points[j], gens[k]), None at
+    the seed.  Raises BudgetExceeded past ``budget`` points.
+    """
+    points = [seed]
+    index = {seed: 0}
+    parents = [None]
+    action = [[] for _ in gens]
+    columns = [(k, g, column.append)
+               for k, (g, column) in enumerate(zip(gens, action))]
+    for i, x in enumerate(points):      # the list grows as it is walked
+        for k, g, append in columns:
+            y = act(x, g)
+            pos = index.get(y)
+            if pos is None:
+                pos = index[y] = len(points)
+                points.append(y)
+                parents.append((i, k))
+                if len(points) > budget:
+                    raise BudgetExceeded(
+                        "orbit exceeded budget %d" % budget,
+                        estimate=len(points), budget=budget)
+            append(pos)
+    return points, action, parents
+
+
+def _coset_orbit(rows):
+    """``orbit`` of coset 0 under the letters in ascending order, each
+    letter acting by its column of the table; InputError unless it
+    reaches every coset."""
+    out = orbit(0, list(zip(*rows)), lambda c, column: column[c], len(rows))
+    if len(out[0]) != len(rows):
+        raise InputError("coset graph is not connected")
     return out
+
+
+def _standardize(rows):
+    """Cosets renumbered in their orbit order from coset 0: the canonical
+    table layout, read off the action columns."""
+    return [list(row) for row in zip(*_coset_orbit(rows)[1])]
 
 
 def table_from_permutations(pres, perms):
@@ -282,32 +300,23 @@ def table_from_permutations(pres, perms):
 
 
 def schreier_transversal(table):
-    """Spanning tree of the coset graph: BFS from coset 0, letters in
-    ascending order (shortlex).
+    """Spanning tree of the coset graph: the Schreier tree of the orbit of
+    coset 0, letters in ascending order (shortlex).
 
     Returns (transversal, tree_edges): transversal[c] is a word in the
     parent generators carrying coset 0 to c; tree_edges is a set of
     (coset, letter) pairs (both directions included).
     """
-    n = table.index
-    transversal = [None] * n
+    cosets, _, parents = _coset_orbit(table.rows)
+    transversal = [None] * table.index
     transversal[0] = ()
     tree = set()
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
-        for x in range(table.nletters):
-            d = table.rows[c][x]
-            if d is not None and transversal[d] is None:
-                letter = (x // 2 + 1) if x % 2 == 0 else -(x // 2 + 1)
-                transversal[d] = transversal[c] + (letter,)
-                tree.add((c, x))
-                tree.add((d, _inv_letter(x)))
-                queue.append(d)
-    if any(t is None for t in transversal):
-        raise InputError("coset graph is not connected")
+    for d, (i, x) in zip(cosets[1:], parents[1:]):
+        c = cosets[i]
+        letter = (x // 2 + 1) if x % 2 == 0 else -(x // 2 + 1)
+        transversal[d] = transversal[c] + (letter,)
+        tree.add((c, x))
+        tree.add((d, _inv_letter(x)))
     return transversal, tree
 
 
@@ -378,7 +387,7 @@ def reidemeister_schreier(pres, table):
 
 
 __all__ = [
-    "CosetTable", "coset_enumerate", "table_from_permutations",
+    "orbit", "CosetTable", "coset_enumerate", "table_from_permutations",
     "schreier_transversal", "schreier_generators", "rewrite_word",
     "reidemeister_schreier", "MAX_COSETS_DEFAULT",
 ]

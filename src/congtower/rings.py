@@ -31,10 +31,10 @@ multiplication matrix), which make membership and valuations lattice
 tests and are the moduli of the residue rings O/p^k; and the inverses of
 units mod p^k.  A residue mod p^k is a vector reduced against the lattice
 of p^k (``reduce_coords``), and residue arithmetic is the ring's own
-multiplication followed by that reduction: a unit is inverted by Newton's
-lift x (2 - u x) of its inverse in the residue field, and a denominator
-divisible by p is cleared by a power of pi^-1, so no integer linear system
-is solved.  No general ideal arithmetic beyond powers of primes.
+multiplication followed by that reduction, on ring integers only: a unit
+is inverted by Newton's lift x (2 - u x) of its inverse in the residue
+field, so no integer linear system is solved.  No general ideal
+arithmetic beyond powers of primes.
 """
 
 from __future__ import annotations
@@ -788,9 +788,6 @@ class ResidueRing:
         n = self.ring.degree
         self.diag = tuple(self.lattice[i][i] for i in range(n))
         self.size = math.prod(self.diag)
-        # p^m with m = ceil(k/e) lies in p^k: the modulus for inverting
-        # denominators prime to p
-        self._den_modulus = prime.p ** -(-k // prime.e)
 
     # -- representatives ----------------------------------------------
 
@@ -798,37 +795,9 @@ class ResidueRing:
         return reduce_coords(self.lattice, coords)
 
     def reduce(self, elt):
-        """Reduce a p-locally integral element x = num/den of the fraction
-        field to its representative mod p^k.
-
-        - den = 1: reduce num against the lattice.
-        - den prime to p: reduce num * inv, where inv = den^-1 mod p^m for
-          the rational prime p and m = ceil(k/e).  This is exact:
-          num * inv - x = x (den inv - 1), x is locally integral, and
-          den inv - 1 is a multiple of p^m, which lies in the (e m)-th
-          power of the prime ideal, inside its k-th power.
-        - p | den: with p^v the power of p in den and p = pi^e u, u a unit
-          at the prime, x = (num pi^-ev) / (den pi^-ev).  The bottom is
-          the integral unit u^v (den / p^v), and the top is integral
-          exactly when x is locally integral (InputError otherwise), so
-          the residue is top times the inverse of bottom in O/p^k.  The
-          conjugate primes may divide den too.
-        """
-        elt = self.ring(elt)
-        num, den = elt.num, elt.den
-        if den == 1:
-            return self.reduce_coords(num)
-        p = self.prime.p
-        if den % p:
-            inv = pow(den, -1, self._den_modulus)
-            return self.reduce_coords(tuple(a * inv for a in num))
-        scale = self.prime.uniformizer_power(-self.prime.e * _int_valuation(den, p))
-        top = RingElt(self.ring, num) * scale
-        if top.den != 1:
-            raise InputError("element %r is not locally integral at p" % (elt,))
-        bottom = scale * den
-        return self.mul(self.reduce_coords(top.num),
-                        self.inverse(self.reduce_coords(bottom.num)))
+        """The representative mod p^k of a ring integer; InputError on an
+        element with a denominator."""
+        return self.reduce_coords(self.ring(elt).int_coords())
 
     # representatives are immutable tuples, so each is built once
     @functools.cached_property
@@ -854,12 +823,6 @@ class ResidueRing:
         """sum x_i y_i with one reduction: p^k is an ideal, so the exact int
         dot product of the representatives has the same residue."""
         return self.reduce_coords(self.ring.dot_coords(xs, ys))
-
-    def inverse(self, a):
-        """a^-1 by the prime's Newton lift of the residue-field inverse
-        (``PrimeIdeal.unit_inverse``, cached there).  InputError if a is
-        not a unit."""
-        return self.prime.unit_inverse(a, self.k)
 
     # -- structure -----------------------------------------------------
 

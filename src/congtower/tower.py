@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CheckFailed, InputError
-from . import bttree, catalog, homology, ringmat, rings
+from . import bttree, catalog, coset, homology, ringmat, rings
 from .intmat import AbelianInvariants
 
 
@@ -331,8 +331,9 @@ def _swap_moves(model):
     When the base moves land on the base type they are themselves the
     swap moves, with w built as (stabilizer word) * swap.  Otherwise a
     step goes through a midpoint: for each base move f and each move b of
-    the midpoint, h = f sigma, with sigma the first midpoint-stabilizer
-    word sending (base, swap base) to (base, b base).  f fixes the base,
+    the midpoint, h = f sigma, with sigma the midpoint-stabilizer word
+    that the Schreier tree of the orbit of (base, swap base) gives for
+    (base, b base) (``_midpoint_words``).  f fixes the base,
     being a word in the base stabilizer's generators, so f sigma does too.
     The move leading back to the base has no such word, nor has a pair
     that needs a word longer than _ALIGN_DEPTH.
@@ -360,15 +361,17 @@ def _swap_moves(model):
     return out
 
 
-# Longest stabilizer word the alignment search tries.
+# Longest stabilizer word the alignment keeps.
 _ALIGN_DEPTH = 8
 
 
 def _midpoint_words(model, nbrs):
-    """Breadth-first search over words s in the midpoint stabilizer's
-    generators, at most _ALIGN_DEPTH long: the first word for each pair
-    (s base, s swap base) of the midpoint's neighbours, keyed by their
-    indices in `nbrs` (canonical vertex -> index)."""
+    """The first word s in the midpoint stabilizer's generators, at most
+    _ALIGN_DEPTH long, for each pair (s base, s swap base) of the
+    midpoint's neighbours, keyed by their indices in `nbrs` (canonical
+    vertex -> index): ``coset.orbit`` of the pair under the generators'
+    permutations, each kept pair's word gen_k times its Schreier-tree
+    parent's."""
     prime = model.prime
     base = model.bases[model.base_type]
     gens = model.stab_mid
@@ -376,18 +379,16 @@ def _midpoint_words(model, nbrs):
               for v in nbrs] for gen in gens]
     start = (nbrs[base], nbrs[bttree.canonicalize(
         ringmat.mat_mul(model.swap, base), prime)])
-    first = {start: ringmat.identity(prime.ring, len(base))}
-    frontier = [start]
-    for _ in range(_ALIGN_DEPTH):
-        nxt = []
-        for key in frontier:
-            for gen, perm in zip(gens, perms):
-                key2 = (perm[key[0]], perm[key[1]])
-                if key2 not in first:
-                    first[key2] = ringmat.mat_mul(gen, first[key])
-                    nxt.append(key2)
-        frontier = nxt
-    return first
+    pairs, _, parents = coset.orbit(
+        start, perms, lambda key, perm: (perm[key[0]], perm[key[1]]),
+        len(nbrs) ** 2)
+    words = [ringmat.identity(prime.ring, len(base))]
+    depth = [0]
+    for i, k in parents[1:]:
+        depth.append(depth[i] + 1)
+        words.append(ringmat.mat_mul(gens[k], words[i])
+                     if depth[-1] <= _ALIGN_DEPTH else None)
+    return {key: w for key, w in zip(pairs, words) if w is not None}
 
 
 def _check_swap(model):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from congtower import bttree, catalog, congsub, homology, ringmat
+from congtower import bttree, catalog, congsub, homology, ringmat, rings
 from congtower.errors import InputError
 from congtower.rings import ResidueRing, make_ring, factor_rational_prime
 
@@ -37,10 +37,34 @@ def zeta5_prime():
     return factor_rational_prime(make_ring("cyclotomic-5"), 5)[0]
 
 
+def _local_residue(R, x):
+    """The representative mod p^k of a p-locally integral x = num/den of
+    the fraction field.  With p^v the power of the rational prime p in den
+    and p = pi^e u, u a unit at the prime, x = (num pi^-ev) / (den pi^-ev).
+    The bottom is the integral unit u^v (den / p^v), and the top is
+    integral exactly when x is locally integral (InputError from
+    ``ResidueRing.reduce`` otherwise), so the residue is the top times
+    the bottom's inverse mod p^k, ``PrimeIdeal.unit_inverse``."""
+    prime = R.prime
+    x = R.ring(x)
+    scale = prime.uniformizer_power(
+        -prime.e * rings._int_valuation(x.den, prime.p))
+    top = R.reduce(rings.RingElt(R.ring, x.num) * scale)
+    bottom = (scale * x.den).int_coords()
+    return R.mul(top, prime.unit_inverse(bottom, R.k))
+
+
+@pytest.fixture(scope="session")
+def local_residue():
+    """(R, x) -> the residue mod p^k of a p-locally integral x of the
+    fraction field, which ``ResidueRing.reduce`` refuses."""
+    return _local_residue
+
+
 # The global Hermite form on RingElt entries that ``bttree.canonicalize``
-# computed before it ran on integer numerators, kept verbatim as the
-# oracle: every pivot unit inverted in the fraction field, every residue
-# taken in a ResidueRing O/p^k.
+# computed before it ran on integer numerators, kept as the oracle: every
+# pivot unit inverted in the fraction field, every residue of a p-integral
+# entry taken mod p^k by ``_local_residue``.
 def _global_canonicalize(basis_matrix, prime):
     """Canonical representative of the homothety class of the column span.
 
@@ -103,7 +127,7 @@ def _global_canonicalize(basis_matrix, prime):
         R = ResidueRing(prime, k) if k else None
         for r in range(col):
             x = rows[r][col]
-            diff = (x - R.ring(R.reduce(x)) if R else x) * piv_inv
+            diff = (x - R.ring(_local_residue(R, x)) if R else x) * piv_inv
             if not diff.is_zero():
                 rows[r][col:] = [a - diff * b
                                  for a, b in zip(rows[r][col:], rows[col][col:])]
@@ -191,7 +215,7 @@ def residue_orbit():
         return tuple(x for x, in congsub.rmat_mul(R, g, tuple((x,) for x in v)))
 
     def line(R, v):
-        inv = R.inverse(next(x for x in v if x != R.zero))
+        inv = R.prime.unit_inverse(next(x for x in v if x != R.zero), R.k)
         return tuple(R.mul(inv, x) for x in v)
 
     def orbit(R, gens, point, lines=False):

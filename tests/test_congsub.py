@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from congtower import catalog, congsub, ringmat
 from congtower.errors import BudgetExceeded, InputError
@@ -404,8 +404,37 @@ def _leibniz_det(m):
     return total
 
 
+# 4 x 4 and 5 x 5 matrices over Z[zeta5] mod p^2, entry (a, b) = a + b zeta,
+# whose first-row term a_03 M_03 is a unit: a sign slip in the j = 3
+# cofactor of rmat_det moves the determinant by 2 a_03 M_03, not 0 mod p
+COFACTOR_CASES = [
+    [[(2, 0), (0, 2), (-2, 1), (-1, -2)], [(-1, -2), (0, 1), (-1, 1), (2, -2)],
+     [(2, -1), (-2, -1), (1, 0), (-1, 1)], [(-1, -2), (-1, 2), (2, 1), (-1, -1)]],
+    [[(0, 1), (1, -1), (-2, -2), (1, 0), (-1, -1)],
+     [(2, -1), (1, -2), (-1, 1), (0, -1), (-2, 1)],
+     [(0, -1), (1, 2), (-1, 2), (1, 1), (0, 1)],
+     [(0, 0), (1, 1), (-1, -2), (1, 2), (-1, 1)],
+     [(0, -1), (-2, 1), (0, 2), (2, 2), (0, -2)]],
+]
+
+
+def _cofactor_case(rows):
+    R = RESIDUE_CASES["Z[zeta5] mod p^2"]()
+    S = tuple(tuple(R.ring((a, b, 0, 0)) for a, b in row) for row in rows)
+    return R, S, S, S
+
+
+@pytest.mark.parametrize("rows", COFACTOR_CASES)
+def test_cofactor_cases_have_a_unit_term_at_j3(rows):
+    R, S, _, _ = _cofactor_case(rows)
+    minor = tuple(row[:3] + row[4:] for row in S[1:])
+    assert R.prime.valuation(S[0][3] * _leibniz_det(minor)) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(residue_matrices())
+@example(_cofactor_case(COFACTOR_CASES[0]))
+@example(_cofactor_case(COFACTOR_CASES[1]))
 def test_residue_matrix_arithmetic_matches_exact_reference(case):
     # reduction is a ring map: each residue result equals the exact
     # result over the number ring, reduced

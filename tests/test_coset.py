@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congtower import congsub, coset, homology
-from congtower.errors import BudgetExceeded
+from congtower.errors import BudgetExceeded, InputError
 from congtower.presentations import Presentation, parse_presentation
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -153,10 +154,60 @@ def test_standardized_tables_are_bfs_ordered():
     seen = {0}
     hi = 0
     for c in range(t.index):
-        for x in range(t.nletters):
+        for x in range(len(t.rows[c])):
             d = t.rows[c][x]
             assert d is not None
             if d not in seen:
                 assert d == hi + 1  # new cosets appear in numeric order
                 hi = d
                 seen.add(d)
+
+
+@st.composite
+def permutation_actions(draw):
+    """(seed, generators): up to four permutations of at most 8 points."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
+    return draw(st.integers(0, n - 1)), gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_actions())
+def test_orbit_matches_brute_force_closure(action):
+    seed, gens = action
+    points, columns, parents = coset.orbit(seed, gens, lambda x, g: g[x], 8)
+    # the closure by words of each length: distance[x] is the least word
+    # length carrying the seed to x
+    distance = {seed: 0}
+    layer = {seed}
+    for length in range(1, 8):
+        layer = layer | {g[x] for x in layer for g in gens}
+        for x in layer:
+            distance.setdefault(x, length)
+    assert points[0] == seed and len(points) == len(set(points))
+    assert set(points) == set(distance)
+    assert len(columns) == len(gens)
+    for g, column in zip(gens, columns):
+        assert [points[c] for c in column] == [g[x] for x in points]
+    assert len(parents) == len(points) and parents[0] is None
+    depth = [0]
+    for j, (i, k) in enumerate(parents[1:], 1):
+        assert i < j and gens[k][points[i]] == points[j]
+        depth.append(depth[i] + 1)
+        assert depth[j] == distance[points[j]]
+
+
+def test_orbit_budget_reports_the_point_past_it():
+    cycle = tuple(range(1, 10)) + (0,)
+    with pytest.raises(BudgetExceeded) as exc:
+        coset.orbit(0, [cycle], lambda x, g: g[x], 4)
+    assert (exc.value.estimate, exc.value.budget) == (5, 4)
+    assert len(coset.orbit(0, [cycle], lambda x, g: g[x], 10)[0]) == 10
+
+
+def test_non_transitive_action_is_refused():
+    # a and b each swap within {0, 1} or {2, 3}: coset 0 never reaches 2
+    p = parse_presentation("gens a, b; rels;")
+    with pytest.raises(InputError, match="not connected"):
+        coset.reidemeister_schreier(p, coset.table_from_permutations(
+            p, [(1, 0, 2, 3), (0, 1, 3, 2)]))

@@ -155,9 +155,6 @@ UNENTERED = {
     "presentations._canonical_cyclic": "a helper of tietze_simplify",
     "presentations.cyclic_reduce": "a helper of tietze_simplify",
     "congsub.pu_identity_congruent_count": "criterion 3, an acceptance row",
-    "rings.ResidueRing.inverse": "reached by the fraction-field branch of "
-                                 "ResidueRing.reduce only, for the oracle in "
-                                 "tests/conftest.py",
     "tower._Conjugation.entry": "the message of a failing certificate, which "
                                 "no built-in input produces",
 }

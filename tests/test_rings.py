@@ -584,19 +584,22 @@ def test_residue_tower_compatibility(zeta5_prime, rng):
         assert via_tower == R1.reduce(x)
 
 
-def test_residue_localized_reduction(gaussian_prime2):
+def test_residue_localized_reduction(gaussian_prime2, local_residue):
     ring = make_ring(1)
     R = rings.ResidueRing(gaussian_prime2, 2)
     # x = i/3: denominator is a unit at the prime over 2
     x = ring.gen() / 3
-    r = R.reduce(x)
+    r = local_residue(R, x)
     assert gaussian_prime2.valuation(x - R.ring(r)) >= 2
     # denominator with positive valuation but compensated numerator
     y = (ring.gen() + ring.one) ** 3 / 2    # v = 3 - 2 = 1 >= 0
-    r2 = R.reduce(y)
+    r2 = local_residue(R, y)
     assert gaussian_prime2.valuation(y - R.ring(r2)) >= 2
     with pytest.raises(InputError):
-        R.reduce(ring.one / 2)
+        local_residue(R, ring.one / 2)
+    # ResidueRing.reduce takes ring integers only
+    with pytest.raises(InputError):
+        R.reduce(x)
 
 
 # (ring, rational prime, index among the primes over it): split, ramified
@@ -624,12 +627,13 @@ def locally_integral(draw, prime):
 @pytest.mark.parametrize("spec,p,index", REDUCTION_PRIMES)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_reduce_matches_the_localized_system(spec, p, index, data):
+def test_reduce_matches_the_localized_system(spec, p, index, data,
+                                             local_residue):
     # a representative is reduced and congruent to x mod p^k; there is one
-    # such per class, so this pins reduce(x) down completely
+    # such per class, so this pins the residue of x down completely
     R, x = data.draw(locally_integral(factor_rational_prime(make_ring(spec), p)[index]))
     assert R.prime.valuation(x) >= 0
-    r = R.reduce(x)
+    r = local_residue(R, x)
     assert r == R.reduce_coords(r)
     assert R.prime.valuation_at_least(x - R.ring(r), R.k)
 
@@ -643,18 +647,18 @@ def test_inverse_of_a_unit(spec, p, index, data):
     a = R.reduce_coords(tuple(data.draw(st.integers(-10 ** 4, 10 ** 4))
                               for _ in range(R.ring.degree)))
     if a != R.zero and R.prime.valuation(R.ring(a)) == 0:
-        assert R.mul(a, R.inverse(a)) == R.one
+        assert R.mul(a, prime.unit_inverse(a, R.k)) == R.one
     else:
         with pytest.raises(InputError):
-            R.inverse(a)
+            prime.unit_inverse(a, R.k)
 
 
 def test_unit_inverse_in_residue(zeta5_prime):
     R = rings.ResidueRing(zeta5_prime, 2)
     E = make_ring("cyclotomic-5")
     u = R.reduce(E.zeta())
-    inv = R.inverse(u)
+    inv = zeta5_prime.unit_inverse(u, R.k)
     assert R.mul(u, inv) == R.one
     nil = R.add(u, R.neg(R.one))
     with pytest.raises(InputError):
-        R.inverse(nil)
+        zeta5_prime.unit_inverse(nil, R.k)

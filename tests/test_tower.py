@@ -473,12 +473,12 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
     return None
 
 
-@pytest.mark.parametrize("depth", [2, 8])
+@pytest.mark.parametrize("depth", [2, 3, 8])
 def test_swap_moves_match_fresh_search(monkeypatch, depth):
     # one move w = h swap per (midpoint move, second move) pair, in that
     # order, with h the word a fresh search gives; some o41 pairs are first
     # reached at level 3, so depth 2 checks that no word beyond the limit
-    # is used
+    # is used, and depth 3 that a word at the limit is
     monkeypatch.setattr(tower, "_ALIGN_DEPTH", depth)
     model = bttree.oq_model()
     prime = model.prime
