@@ -54,7 +54,8 @@ def canonicalize(basis_matrix, prime):
     analogue of Cohen's Hermite form modulo the determinant, 1993); a
     ``RingElt`` is built only for the returned entries.
 
-    1. The matrix is put over the lcm of its denominators, a homothety.
+    1. The matrix is replaced by its int numerators over their common
+       denominator (``ringmat.numerators``), a homothety.
     2. Elimination needs no fractions: an entry x under the pivot
        y = pi^v u is cleared by row <- u row - (x / pi^v) pivot row, a
        scaling by the p-unit u, which keeps the span over the local ring;
@@ -72,12 +73,9 @@ def canonicalize(basis_matrix, prime):
     reduce_coords = rings.reduce_coords
     dot = ring.dot_coords
     mul = ring._mul_coords
-    # rows of the transpose (row span = column span of the input), put
-    # over one denominator
-    entries = [[ring(x) for x in row] for row in basis_matrix]
-    den = math.lcm(*(x.den for row in entries for x in row))
-    rows = [[tuple(a * (den // x.den) for a in x.num) if x.den != den else x.num
-             for x in col] for col in zip(*entries)]
+    # the numerators of the transpose (row span = column span of the
+    # input); dropping the common denominator is a homothety
+    rows, _ = ringmat.numerators(ringmat.transpose(basis_matrix))
     exps = []
     units = []
     for col in range(n):

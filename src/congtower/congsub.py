@@ -5,8 +5,8 @@ checks.
 Matrices over a residue ring are tuples of tuples of canonical residue
 representatives, so they hash and compare directly.  Each entry of a
 product is one ``ResidueRing.dot``: the exact int dot product of the
-representatives, reduced once, and a determinant is a first-row
-expansion whose every step is one ``ResidueRing.dot``.  Every enumeration
+representatives, reduced once, and a determinant is ``rings.det``'s
+first-row expansion, each step one ``ResidueRing.dot``.  Every enumeration
 declares its cost estimate up front and refuses to start past the budget.
 """
 
@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
-from . import coset, intmat, ringmat
+from . import coset, intmat, ringmat, rings
 from .rings import ResidueRing
 
 CLOSURE_BUDGET_DEFAULT = 10_000_000
@@ -41,16 +41,6 @@ def rmat_mul(R, a, b):
     return tuple(tuple(R.dot(row, col) for col in cols) for row in a)
 
 
-def rmat_det(R, a):
-    """The determinant by expansion along the first row: one ``R.dot`` of
-    the row with its signed cofactors."""
-    if len(a) == 1:
-        return a[0][0]
-    cofactors = [rmat_det(R, tuple(row[:j] + row[j + 1:] for row in a[1:]))
-                 for j in range(len(a))]
-    return R.dot(a[0], [R.neg(c) if j % 2 else c for j, c in enumerate(cofactors)])
-
-
 # ---------------------------------------------------------------------------
 # the scheme predicate
 
@@ -64,7 +54,7 @@ class SchemeSL:
         self.n = n
 
     def check(self, R, m):
-        return rmat_det(R, m) == R.one
+        return rings.det(m, R.dot, R.neg, R.zero) == R.one
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +137,9 @@ class ReductionHom:
                 raise InputError("generator matrices must be integral with integral inverse")
         for rel in pres.relators:
             val = evaluate_word(gen_matrices, inverses, rel, ident)
-            if ringmat.mat_eq(val, ident):
+            if val == ident:
                 continue
-            if projective and ringmat.mat_eq(val, minus):
+            if projective and val == minus:
                 continue
             raise InputError("relator %r does not hold on the matrices" % (rel,))
         self.R = ResidueRing(prime, k)
@@ -253,7 +243,7 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
         while a != ident:       # a, a^p, a^(p^2), ... until Id
             if o * p > order:
                 raise AssertionError("kernel is not a p-group")
-            a = _rmat_pow(R, a, p)
+            a = rings.power(a, p, lambda x, y: rmat_mul(R, x, y))
             o *= p
         exponent = max(exponent, o)
     report.update(
@@ -288,18 +278,6 @@ def _generating_set(R, elements, ident):
     if span != members:
         raise AssertionError("kernel set is not closed")
     return gens
-
-
-def _rmat_pow(R, a, e):
-    """a^e for e >= 1 by square-and-multiply: at most 2 log2(e) products."""
-    out = None
-    while True:
-        if e & 1:
-            out = a if out is None else rmat_mul(R, out, a)
-        e >>= 1
-        if not e:
-            return out
-        a = rmat_mul(R, a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +326,7 @@ def pu_identity_congruent_count():
 __all__ = [
     "SchemeSL", "ReductionHom",
     "Closure", "group_closure", "reduce_matrix",
-    "rmat_identity", "rmat_mul", "rmat_det",
+    "rmat_identity", "rmat_mul",
     "congruence_quotient_check", "pu_identity_congruent_count",
     "CLOSURE_BUDGET_DEFAULT",
 ]

@@ -5,13 +5,13 @@ Reidemeister-Schreier subgroup presentations.
 Follows the structure in Holt, Eick and O'Brien, "Handbook of
 Computational Group Theory", ch. 4 and 5.  ``orbit`` is the one
 breadth-first walk of a finite orbit: group closures, tree-model
-neighbours, tower alignment words, table standardization and Schreier
-transversals all read its points, action columns and tree.  Cosets are
-ints starting at 0; a table row holds, for each letter (generator or
-inverse), the image coset or None.  Coset numbering is first-defined
-order and tables are standardized (renumbered in the orbit order of
-coset 0) after completion, so enumeration output is reproducible bit for
-bit.
+neighbours, tower alignment words and table standardization read its
+points, action columns and tree, and a table keeps the tree for its
+Schreier transversal.  Cosets are ints starting at 0; a table row holds,
+for each letter (generator or inverse), the image coset or None.  Coset
+numbering is first-defined order and tables are standardized
+(renumbered in the orbit order of coset 0) after completion, so
+enumeration output is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +32,14 @@ def _inv_letter(x):
 
 
 class CosetTable:
-    """Complete coset table for a subgroup of a finitely presented group."""
+    """Complete coset table for a subgroup of a finitely presented group,
+    standardized on construction, with the Schreier tree of the orbit of
+    coset 0 that standardization walked: parents[c] = (b, x) when coset c
+    was first reached from coset b < c by letter x, None at coset 0."""
 
     def __init__(self, pres, rows, subgroup_words):
         self.pres = pres
-        self.rows = rows
+        self.rows, self.parents = _standardize(rows)
         self.subgroup_words = tuple(subgroup_words)
 
     @property
@@ -91,9 +94,7 @@ def coset_enumerate(pres, subgroup_words=(), max_cosets=MAX_COSETS_DEFAULT):
         alpha += 1
         if len(enum.table) > enum.next_lookahead:
             enum.lookahead(rel_letters)
-    rows = enum.live_rows()
-    rows = _standardize(rows)
-    table = CosetTable(pres, rows, subgroup_words)
+    table = CosetTable(pres, enum.live_rows(), subgroup_words)
     table.validate()
     return table
 
@@ -253,20 +254,17 @@ def orbit(seed, gens, act, budget):
     return points, action, parents
 
 
-def _coset_orbit(rows):
-    """``orbit`` of coset 0 under the letters in ascending order, each
-    letter acting by its column of the table; InputError unless it
-    reaches every coset."""
-    out = orbit(0, list(zip(*rows)), lambda c, column: column[c], len(rows))
-    if len(out[0]) != len(rows):
-        raise InputError("coset graph is not connected")
-    return out
-
-
 def _standardize(rows):
-    """Cosets renumbered in their orbit order from coset 0: the canonical
-    table layout, read off the action columns."""
-    return [list(row) for row in zip(*_coset_orbit(rows)[1])]
+    """Cosets renumbered in the order of their ``orbit`` from coset 0,
+    the letters in ascending order, each acting by its column of the
+    table: the canonical table layout, read off the action columns, and
+    the orbit's Schreier tree, whose point indices are the new numbers.
+    InputError unless the orbit reaches every coset."""
+    cosets, action, parents = orbit(
+        0, list(zip(*rows)), lambda c, column: column[c], len(rows))
+    if len(cosets) != len(rows):
+        raise InputError("coset graph is not connected")
+    return [list(row) for row in zip(*action)], parents
 
 
 def table_from_permutations(pres, perms):
@@ -292,7 +290,7 @@ def table_from_permutations(pres, perms):
             row.append(perms[g][c])
             row.append(inv[g][c])
         rows.append(row)
-    return CosetTable(pres, _standardize(rows), ())
+    return CosetTable(pres, rows, ())
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +298,18 @@ def table_from_permutations(pres, perms):
 
 
 def schreier_transversal(table):
-    """Spanning tree of the coset graph: the Schreier tree of the orbit of
-    coset 0, letters in ascending order (shortlex).
+    """Spanning tree of the coset graph: the table's Schreier tree of the
+    orbit of coset 0, letters in ascending order (shortlex).
 
     Returns (transversal, tree_edges): transversal[c] is a word in the
     parent generators carrying coset 0 to c; tree_edges is a set of
     (coset, letter) pairs (both directions included).
     """
-    cosets, _, parents = _coset_orbit(table.rows)
-    transversal = [None] * table.index
-    transversal[0] = ()
+    transversal = [()]
     tree = set()
-    for d, (i, x) in zip(cosets[1:], parents[1:]):
-        c = cosets[i]
+    for d, (c, x) in enumerate(table.parents[1:], 1):
         letter = (x // 2 + 1) if x % 2 == 0 else -(x // 2 + 1)
-        transversal[d] = transversal[c] + (letter,)
+        transversal.append(transversal[c] + (letter,))
         tree.add((c, x))
         tree.add((d, _inv_letter(x)))
     return transversal, tree

@@ -199,7 +199,7 @@ def central_lift(pres, mats):
     ident = ringmat.identity(ring, 2)
     minus = ringmat.mat_scale(ident, -1)
     for name, m in zip(pres.generators, mats):
-        if ringmat.mat_eq(m, ident) or ringmat.mat_eq(m, minus):
+        if m == ident or m == minus:
             raise InputError("generator %r has the matrix +-Id; a PSL2 "
                              "presentation is expected" % name)
     inverses = [ringmat.mat_inverse(m) for m in mats]
@@ -207,9 +207,9 @@ def central_lift(pres, mats):
     relators = []
     for rel in pres.relators:
         val = congsub.evaluate_word(mats, inverses, rel, ident)
-        if ringmat.mat_eq(val, minus):
+        if val == minus:
             rel = rel + (-j,)
-        elif not ringmat.mat_eq(val, ident):
+        elif val != ident:
             raise InputError("relator %r is neither Id nor -Id on the "
                              "matrices" % (rel,))
         relators.append(rel)

@@ -24,7 +24,7 @@ def check_alpha_conjugates_forms():
     alpha = catalog.coordinate_change_alpha()
     lhs = ringmat.mat_mul(ringmat.mat_mul(ringmat.transpose(alpha), q0), alpha)
     ring = make_ring("rational")
-    return (ringmat.mat_eq(lhs, q)
+    return (lhs == q
             and ringmat.det(alpha) == ring.one
             and ringmat.is_integral(alpha))
 
@@ -172,7 +172,7 @@ def check_reflection_data():
             prod = ringmat.mat_mul(mats[i], mats[j])
             power, order = prod, None
             for k in range(1, 13):
-                if ringmat.mat_eq(power, ident):
+                if power == ident:
                     order = k
                     break
                 power = ringmat.mat_mul(power, prod)

@@ -21,7 +21,7 @@ def poly_identity_test(lhs, rhs, ring, n):
     the two sides differ.
     """
     for label, y in ringmat.basis_points(ring, n):
-        if not ringmat.mat_eq(lhs(y), rhs(y)):
+        if lhs(y) != rhs(y):
             return False, label
     return True, None
 

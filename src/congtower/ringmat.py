@@ -3,9 +3,12 @@ form-preservation predicates, and the reader of JSON matrices.
 
 Matrices are immutable tuples of tuples of RingElt.  Entries may sit in the
 fraction field (several of the built-in conjugators do); integrality is a
-property you ask about, not a constraint.  ``mat_mul`` works on the int
-numerators: each entry of a product is one ring dot product over a common
-denominator, normalized once, with no intermediate elements.
+property you ask about, not a constraint.  Matrices are equal when ``==``
+says so.  ``numerators`` reads a matrix as int coordinate rows over one
+common denominator, and the arithmetic runs on them: each entry of a
+product is one ring dot product of numerators, normalized once, and
+``det`` and ``mat_inverse`` expand the numerators with ``rings.det`` and
+``rings.cofactors``, building ring elements only for the result.
 """
 
 from __future__ import annotations
@@ -41,30 +44,30 @@ def basis_points(ring, n):
             yield "E_(%d,%d)" % (i, j), tuple(tuple(row) for row in e_ij)
 
 
-def _over_common_den(elts):
-    """The elements' numerators over one common denominator, the lcm of
-    theirs, and that denominator."""
-    den = math.lcm(*(x.den for x in elts))
-    return [x.num if x.den == den else tuple(c * (den // x.den) for c in x.num)
-            for x in elts], den
+def numerators(a):
+    """The int coordinate rows N of a matrix and their common denominator
+    d, the lcm of the entries' denominators: a = N / d."""
+    d = math.lcm(*[x.den for row in a for x in row])
+    return [[x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
+             for x in row] for row in a], d
 
 
 def mat_mul(a, b):
     """a * b for an n x m and an m x k matrix.  Each row of a and column of
-    b is put over one common denominator once; entry (i, j) is then one
-    ``NumberRing.dot_coords`` of row i and column j over the product of
-    their denominators, so the product builds exactly n * k RingElts and
-    normalizes each once."""
+    b is read as ``numerators`` of a one-row matrix; entry (i, j) is then
+    one ``NumberRing.dot_coords`` of row i and column j over the product
+    of their denominators, so the product builds exactly n * k RingElts
+    and normalizes each once."""
     ring = a[0][0].ring
     if b[0][0].ring != ring:
         raise InputError("element of %r used in %r" % (b[0][0].ring, ring))
     dot = ring.dot_coords
-    cols = [_over_common_den(col) for col in zip(*b)]
+    cols = [numerators((col,)) for col in zip(*b)]
     out = []
     for row in a:
-        xs, xden = _over_common_den(row)
+        (xs,), xden = numerators((row,))
         out.append(tuple(rings.RingElt(ring, dot(xs, ys), xden * yden)
-                         for ys, yden in cols))
+                         for (ys,), yden in cols))
     return tuple(out)
 
 
@@ -86,53 +89,43 @@ def conj_transpose(a):
     )
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def _coords_ops(ring):
+    """(dot, neg, zero, one) on the int coordinate tuples of ``ring``, for
+    ``rings.det`` and ``rings.cofactors``."""
+    n = ring.degree
+    return (ring.dot_coords, lambda c: tuple(-x for x in c), (0,) * n,
+            (1,) + (0,) * (n - 1))
 
 
 def det(a):
-    """Exact determinant by fraction-free-ish expansion (n <= 5 in practice)."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    out = None
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
-        term = a[0][j] * det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    if out is None:
-        ring = a[0][0].ring
-        return ring.zero
-    return out
+    """The exact determinant: ``rings.det`` of the int numerators N of a
+    over their common denominator d, then det(a) = det(N) / d^n."""
+    ring = a[0][0].ring
+    num, d = numerators(a)
+    return rings.RingElt(ring, rings.det(num, *_coords_ops(ring)[:3]),
+                         d ** len(a))
 
 
 def mat_inverse(a):
-    """Inverse over the fraction field via adjugate / det."""
-    n = len(a)
-    d = det(a)
-    if d.is_zero():
-        raise InputError("matrix is singular")
-    dinv = d.inverse()
+    """Inverse over the fraction field.  With a = N / d, a^-1 = d adj(N) /
+    det(N): row i of the cofactor matrix is ``rings.cofactors`` of N with
+    row i moved to the top, times (-1)^i, and det(N) is row 0 dotted with
+    its cofactors."""
+    ring = a[0][0].ring
+    dot, neg, zero, one = _coords_ops(ring)
+    num, d = numerators(a)
     cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != j)
-                for r in range(n) if r != i
-            )
-            term = det(minor) if n > 1 else a[0][0].ring.one
-            if (i + j) % 2:
-                term = -term
-            row.append(term * dinv)
-        cof.append(tuple(row))
-    return transpose(tuple(cof))
+    for i in range(len(num)):
+        row = rings.cofactors([num[i]] + num[:i] + num[i + 1:],
+                              dot, neg, zero, one)
+        cof.append([neg(c) for c in row] if i % 2 else row)
+    det_num = dot(num[0], cof[0])
+    if not any(det_num):
+        raise InputError("matrix is singular")
+    scale = rings.RingElt(ring, det_num).inverse() * d
+    mul = ring._mul_coords
+    return tuple(tuple(rings.RingElt(ring, mul(c, scale.num), scale.den)
+                       for c in col) for col in zip(*cof))
 
 
 def is_integral(a):
@@ -149,7 +142,7 @@ def preserves_form(m, form, kind):
     if any(x.ring != ring for row in form for x in row):
         raise InputError("matrix and form live over different rings")
     left = conj_transpose(m) if kind == "hermitian" else transpose(m)
-    return mat_eq(mat_mul(mat_mul(left, form), m), form)
+    return mat_mul(mat_mul(left, form), m) == form
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +218,7 @@ def _base_change_matrices():
 
 
 def _carries_h_to_minus_h0(c, h, h0):
-    return mat_eq(mat_mul(mat_mul(transpose(c), h), c), mat_scale(h0, -1))
+    return mat_mul(mat_mul(transpose(c), h), c) == mat_scale(h0, -1)
 
 
 def coordinate_change_check():
@@ -255,7 +248,7 @@ def coordinate_change_check():
 
 __all__ = [
     "mat", "identity", "basis_points", "mat_mul", "mat_add",
-    "mat_scale", "transpose", "conj_transpose", "mat_eq", "det", "mat_inverse",
+    "mat_scale", "transpose", "conj_transpose", "numerators", "det", "mat_inverse",
     "is_integral", "preserves_form",
     "matrix_from_json", "read_json_file",
     "coordinate_change_check",

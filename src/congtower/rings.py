@@ -12,7 +12,11 @@ through one kernel, ``NumberRing.dot_coords``: a sum of products is
 convolved unreduced and folded by the minimal polynomial once per dot, a
 single product being the one-term dot.  Multiplication by x alone (the
 reduced powers, the columns of a multiplication matrix) is a shift and one
-fold, ``NumberRing._times_gen``.
+fold, ``NumberRing._times_gen``.  There is one cofactor expansion,
+``det``/``cofactors``, and one square-and-multiply, ``power``, for every
+representation: each takes its ring's operations, so ints (norms and
+inverses), coordinate tuples (``ringmat``) and residues (``congsub``)
+all expand and power here.
 
 Elements of the fraction field are int coordinates over the power basis
 plus one shared positive denominator, kept in lowest terms, so equal
@@ -42,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InputError
@@ -284,34 +289,28 @@ class RingElt:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, operator.mul) if k else self.ring.one
 
     def inverse(self):
         """Exact inverse in the fraction field.  With M the int matrix of
         y -> num*y, (num/den)^-1 = den * adj(M) e_0 / det(M), and column 0
         of adj(M) is the cofactor row that expands det(M)."""
         m = self.ring.mult_matrix(self.num)
-        cof = _first_row_cofactors(m)
-        det = sum(a * c for a, c in zip(m[0], cof))
-        if det == 0:
+        cof = cofactors(m, _int_dot, operator.neg, 0, 1)
+        d = _int_dot(m[0], cof)
+        if d == 0:
             raise ZeroDivisionError("element is zero")
-        if det < 0:
-            det, cof = -det, [-c for c in cof]
-        return RingElt(self.ring, tuple(self.den * c for c in cof), det)
+        if d < 0:
+            d, cof = -d, [-c for c in cof]
+        return RingElt(self.ring, tuple(self.den * c for c in cof), d)
 
     def conj(self):
         return RingElt(self.ring, self.ring._conj_coords(self.num), self.den)
 
     def norm(self):
         """Field norm down to Q (determinant of the multiplication map)."""
-        return Fraction(_int_det(self.ring.mult_matrix(self.num)),
+        return Fraction(det(self.ring.mult_matrix(self.num), _int_dot,
+                            operator.neg, 0),
                         self.den ** self.ring.degree)
 
     def is_zero(self):
@@ -354,28 +353,52 @@ class RingElt:
         return " + ".join(terms) if terms else "0"
 
 
-def _first_row_cofactors(m):
-    """Cofactors (-1)^j det(m without row 0 and column j) of a square int
-    matrix; det(m) is their dot product with m[0]."""
-    rest = m[1:]
-    out = []
-    for j in range(len(m)):
-        minor = _int_det([row[:j] + row[j + 1:] for row in rest])
-        out.append(-minor if j % 2 else minor)
-    return out
-
-
-def _int_det(m):
-    """Exact determinant of a square int matrix: direct up to 3 x 3, else by
-    cofactor expansion (the rings here have degree at most 4)."""
+def det(m, dot, neg, zero):
+    """The determinant of a square matrix over any ring, by expansion along
+    the first row.  The ring is given by ``dot(xs, ys)``, the sum of the
+    products x_t y_t, ``neg`` and its ``zero``: ints, coordinate tuples and
+    residues all expand here.  A zero entry of the row is skipped with its
+    minor, and each kept cofactor takes its sign from its column; a 2 x 2
+    matrix is the one dot of its first row with (m11, -m10)."""
     if len(m) <= 2:
-        if len(m) < 2:
-            return m[0][0] if m else 1
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if len(m) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return sum(a * c for a, c in zip(m[0], _first_row_cofactors(m)))
+        return m[0][0] if len(m) == 1 else dot(m[0], (m[1][1], neg(m[1][0])))
+    rest = m[1:]
+    row, cof = [], []
+    for j, x in enumerate(m[0]):
+        if x != zero:
+            c = det([r[:j] + r[j + 1:] for r in rest], dot, neg, zero)
+            row.append(x)
+            cof.append(neg(c) if j % 2 else c)
+    return dot(row, cof)
+
+
+def cofactors(m, dot, neg, zero, one):
+    """The signed first-row cofactors (-1)^j det(m without row 0 and column
+    j) of a square matrix, ``det`` computing each minor; det(m) is their
+    dot with m[0].  ``one`` is the cofactor of a 1 x 1 matrix."""
+    if len(m) == 1:
+        return [one]
+    rest = m[1:]
+    out = [det([r[:j] + r[j + 1:] for r in rest], dot, neg, zero)
+           for j in range(len(m))]
+    return [neg(c) if j % 2 else c for j, c in enumerate(out)]
+
+
+def power(x, e, mul):
+    """x^e for an int e >= 1 by square-and-multiply under ``mul``, never
+    multiplying by a one: at most 2 log2(e) products."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
+
+def _int_dot(xs, ys):
+    return sum(map(operator.mul, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +503,7 @@ class PrimeIdeal:
     def unit_inverse(self, coords, k):
         """The representative mod p^k, k >= 1, of u^-1 for the ring integer
         u with int coordinates `coords`, cached by (u mod p^k, k);
-        InputError unless u is a unit at p.  The inverse u^(N(p) - 2) in
+        InputError unless u is a unit at p.  The inverse u^(2 N(p) - 3) in
         the residue field O/p is lifted by Newton's step x <- x (2 - u x):
         1 - u x' = (1 - u x)^2, so each step doubles the power of p that
         1 - u x lies in."""
@@ -494,13 +517,10 @@ class PrimeIdeal:
         if not any(r):
             raise InputError("element %r is not a unit in O/p^%d" % (u, k))
         mul = self.ring._mul_coords
-        x = reduce_coords(field, self.ring.one.num)
-        e = self.norm() - 2
-        while e:
-            if e & 1:
-                x = reduce_coords(field, mul(x, r))
-            r = reduce_coords(field, mul(r, r))
-            e >>= 1
+        # r^(N(p) - 1) = 1, so r^(2 N(p) - 3) = r^(N(p) - 2), and the
+        # exponent stays >= 1 at N(p) = 2
+        x = power(r, 2 * self.norm() - 3,
+                  lambda a, b: reduce_coords(field, mul(a, b)))
         reached = 1
         while reached < k:
             ux = mul(u, x)
@@ -838,6 +858,6 @@ class ResidueRing:
 
 __all__ = [
     "NumberRing", "RingElt", "PrimeIdeal", "ResidueRing",
-    "make_ring", "factor_rational_prime",
+    "make_ring", "factor_rational_prime", "det", "cofactors", "power",
     "RATIONAL", "IMAG_QUAD", "CYCLOTOMIC5", "SUPPORTED_D",
 ]

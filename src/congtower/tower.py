@@ -83,9 +83,10 @@ class ContainmentCertificate:
 
 class _Conjugation:
     """X -> g^-1 (Id + pi^a X) g - Id at integer matrices X, on int
-    numerators.  g and g^-1 are each put over one common denominator,
-    G = d_g g and H = d_h g^-1, with D = d_g d_h.  Once g^-1 g == Id,
-    checked here exactly (it is the point X = 0),
+    numerators.  ``ringmat.numerators`` reads g and g^-1 as int matrices
+    over one common denominator each, G = d_g g and H = d_h g^-1, with
+    D = d_g d_h.  Once g^-1 g == Id, checked here exactly (it is the point
+    X = 0),
 
         g^-1 (Id + pi^a X) g - Id  =  pi^a (H X G) / D,
 
@@ -97,14 +98,12 @@ class _Conjugation:
         ring = g[0][0].ring
         n = len(g)
         self.ring, self.prime, self.a = ring, prime, a
-        gs, d_g = ringmat._over_common_den([x for row in g for x in row])
-        hs, d_h = ringmat._over_common_den(
-            [x for row in ringmat.mat_inverse(g) for x in row])
+        gs, d_g = ringmat.numerators(g)
+        self._h_rows, d_h = ringmat.numerators(ringmat.mat_inverse(g))
         self.den = d_g * d_h
-        self._h_rows = [hs[k * n:(k + 1) * n] for k in range(n)]
         # for each column l of G and coordinate c, the c-th coordinates
         # of G's column l: X G is integer combinations of them
-        self._g_cols = [[tuple(gs[j * n + l][c] for j in range(n))
+        self._g_cols = [[tuple(row[l][c] for row in gs)
                          for c in range(ring.degree)] for l in range(n)]
         # v(pi^a N / D) = v(N) - shift
         self.shift = prime.valuation(ring(self.den)) - a
@@ -422,7 +421,7 @@ def _check_move(tower, k, swap_base, rng, points):
             w, model.form, model.form_kind):
         raise CheckFailed("move %d does not preserve the form" % k)
     cert = tower.certificates[k]
-    if not ringmat.mat_eq(cert.conjugator, w):
+    if cert.conjugator != w:
         raise CheckFailed("move %d: certificate is not about this move" % k)
     return recheck_certificate(cert, prime, rng=rng, points=points)
 
@@ -441,7 +440,7 @@ def _check_step(tower, n, step):
         frame = ringmat.mat_mul(tower.steps[step.source_i].conjugator,
                                 tower.moves[step.move].transporter)
         ok = step.source_i < n
-    if not (ok and ringmat.mat_eq(frame, step.conjugator)):
+    if not (ok and frame == step.conjugator):
         raise CheckFailed("step %d: frame is not its source's frame times "
                           "its move" % n)
     if bttree.canonicalize(ringmat.mat_mul(step.conjugator, base),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -59,6 +60,48 @@ def local_residue():
     """(R, x) -> the residue mod p^k of a p-locally integral x of the
     fraction field, which ``ResidueRing.reduce`` refuses."""
     return _local_residue
+
+
+def _leibniz_det(m):
+    """The determinant of a square matrix of RingElts as the sum over
+    permutations of sign * product: independent of any cofactor
+    expansion."""
+    ring = m[0][0].ring
+    n = len(m)
+    total = ring.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        term = ring.one
+        for i in range(n):
+            term = term * m[i][perm[i]]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+@pytest.fixture(scope="session")
+def leibniz_det():
+    """The Leibniz sum of a matrix of RingElts, the oracle for every
+    determinant."""
+    return _leibniz_det
+
+
+def _row_expansions(m, dot, neg, zero, one):
+    """The Laplace expansion of det(m) along each row i: row i dotted with
+    ``rings.cofactors`` of m with row i moved to the top, times (-1)^i."""
+    out = []
+    for i, row in enumerate(m):
+        moved = [row] + list(m[:i]) + list(m[i + 1:])
+        value = dot(row, rings.cofactors(moved, dot, neg, zero, one))
+        out.append(neg(value) if i % 2 else value)
+    return out
+
+
+@pytest.fixture(scope="session")
+def row_expansions():
+    """(m, dot, neg, zero, one) -> det(m) expanded along each row, by
+    ``rings.cofactors`` in the ring the operations give."""
+    return _row_expansions
 
 
 # The global Hermite form on RingElt entries that ``bttree.canonicalize``

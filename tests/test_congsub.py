@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from congtower import catalog, congsub, ringmat
+from congtower import catalog, congsub, ringmat, rings
 from congtower.errors import BudgetExceeded, InputError
 from congtower.rings import ResidueRing, factor_rational_prime, make_ring
 
@@ -388,25 +388,9 @@ def residue_matrices(draw):
     return R, matrix(n, k), matrix(k, m), matrix(n, n)
 
 
-def _leibniz_det(m):
-    # sum over permutations of sign * product: independent of the
-    # cofactor expansion in ringmat.det
-    ring = m[0][0].ring
-    n = len(m)
-    total = ring.zero
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n)
-                         for j in range(i + 1, n))
-        term = ring.one
-        for i in range(n):
-            term = term * m[i][perm[i]]
-        total = total + (-term if inversions % 2 else term)
-    return total
-
-
 # 4 x 4 and 5 x 5 matrices over Z[zeta5] mod p^2, entry (a, b) = a + b zeta,
 # whose first-row term a_03 M_03 is a unit: a sign slip in the j = 3
-# cofactor of rmat_det moves the determinant by 2 a_03 M_03, not 0 mod p
+# cofactor of rings.det moves the determinant by 2 a_03 M_03, not 0 mod p
 COFACTOR_CASES = [
     [[(2, 0), (0, 2), (-2, 1), (-1, -2)], [(-1, -2), (0, 1), (-1, 1), (2, -2)],
      [(2, -1), (-2, -1), (1, 0), (-1, 1)], [(-1, -2), (-1, 2), (2, 1), (-1, -1)]],
@@ -425,25 +409,49 @@ def _cofactor_case(rows):
 
 
 @pytest.mark.parametrize("rows", COFACTOR_CASES)
-def test_cofactor_cases_have_a_unit_term_at_j3(rows):
+def test_cofactor_cases_have_a_unit_term_at_j3(rows, leibniz_det):
     R, S, _, _ = _cofactor_case(rows)
     minor = tuple(row[:3] + row[4:] for row in S[1:])
-    assert R.prime.valuation(S[0][3] * _leibniz_det(minor)) == 0
+    assert R.prime.valuation(S[0][3] * leibniz_det(minor)) == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(residue_matrices())
 @example(_cofactor_case(COFACTOR_CASES[0]))
 @example(_cofactor_case(COFACTOR_CASES[1]))
-def test_residue_matrix_arithmetic_matches_exact_reference(case):
+def test_residue_matrix_arithmetic_matches_exact_reference(leibniz_det, case):
     # reduction is a ring map: each residue result equals the exact
     # result over the number ring, reduced
     R, A, B, S = case
     a, b = congsub.reduce_matrix(R, A), congsub.reduce_matrix(R, B)
     assert congsub.rmat_mul(R, a, b) == congsub.reduce_matrix(
         R, ringmat.mat_mul(A, B))
-    assert congsub.rmat_det(R, congsub.reduce_matrix(R, S)) == R.reduce(
-        _leibniz_det(S))
+    assert rings.det(congsub.reduce_matrix(R, S), R.dot, R.neg,
+                     R.zero) == R.reduce(leibniz_det(S))
+
+
+@st.composite
+def sparse_residue_matrices(draw):
+    """A residue ring and an integral n x n matrix over its number ring,
+    n = 1..5, about a third of whose entries are zero."""
+    R = RESIDUE_CASES[draw(st.sampled_from(sorted(RESIDUE_CASES)))]()
+    n = draw(st.integers(1, 5))
+    coords = st.tuples(*[st.integers(-30, 30)] * R.ring.degree)
+    entry = st.one_of(st.just((0,) * R.ring.degree), coords, coords)
+    return R, tuple(tuple(R.ring(draw(entry)) for _ in range(n))
+                    for _ in range(n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_residue_matrices())
+def test_det_matches_leibniz_on_residues(leibniz_det, row_expansions, case):
+    # rings.det on residues, and the Laplace expansion along every row,
+    # against the reduced Leibniz sum over the number ring
+    R, S = case
+    m = congsub.reduce_matrix(R, S)
+    expected = R.reduce(leibniz_det(S))
+    assert rings.det(m, R.dot, R.neg, R.zero) == expected
+    assert row_expansions(m, R.dot, R.neg, R.zero, R.one) == [expected] * len(m)
 
 
 @pytest.mark.parametrize("case", sorted(RESIDUE_CASES))

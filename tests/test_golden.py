@@ -34,6 +34,11 @@ GOLDEN = {
         "96d1846a781437e3a3feb296f0c0947bc2468a85ab5df0cf95a5f83d74a76291",
     "homology --field 7 --norm-max 17":
         "6cfc8eaf37770bcefcb8a3cc94f5966dcd5d9113545de6d129914600be65b64a",
+    # the congruence p-group lemma: its det = 1 filter and p-th powers
+    "lemma22 --j 2 --k 4":
+        "3999b241e77840f1c768dee990df72cce5672ee89561e8e816c9982131f2a17a",
+    "lemma22 --prime zeta5-1 --j 1 --k 2":
+        "8fa06a7ee2e8cffd4c4cf2e9590f9647522a5d9b97ebccce94af806cca820eb2",
     # rows past the cap are skipped with their SL2 index
     "homology --field 1 --norm-max 13 --index-cap 500":
         "93d81b47b361e641d8a31ca42aa5f404d99822c3fcb4a41f37f9dc659ba23432",

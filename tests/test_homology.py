@@ -25,8 +25,7 @@ def test_bundled_presentations_parse_and_validate(sl2_lift):
             inverses = [ringmat.mat_inverse(m) for m in gens]
             values = [congsub.evaluate_word(gens, inverses, rel, ident)
                       for rel in group.relators]
-            assert all(ringmat.mat_eq(v, ident) or
-                       (group is psl2 and ringmat.mat_eq(v, minus))
+            assert all(v == ident or (group is psl2 and v == minus)
                        for v in values)
         if d != 1:
             assert pres.provenance  # ingested presentations carry provenance
@@ -47,7 +46,7 @@ def test_central_lift_of_d1(sl2_lift):
         (2, 3, 2, -3) * 3, (2, 3, 3, 2, -3) * 2 + (-j,),
         (1, 3, 2, 1, -3, 2) * 2 + (-j,),
         (j, j), (1, j, -1, -j), (2, j, -2, -j), (3, j, -3, -j))
-    assert ringmat.mat_eq(mats[-1], catalog.sl2_gen_matrices(make_ring(1))["j"])
+    assert mats[-1] == catalog.sl2_gen_matrices(make_ring(1))["j"]
 
 
 def test_primes_up_to_norm_dedupes_conjugates():

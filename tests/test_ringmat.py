@@ -15,7 +15,7 @@ def test_mat_mul_and_inverse():
     ring = make_ring(1)
     m = ringmat.mat(ring, [[1, 2], [0, 1]])
     mi = ringmat.mat_inverse(m)
-    assert ringmat.mat_eq(ringmat.mat_mul(m, mi), ringmat.identity(ring, 2))
+    assert ringmat.mat_mul(m, mi) == ringmat.identity(ring, 2)
     with pytest.raises(InputError):
         ringmat.mat_inverse(ringmat.mat(ring, [[1, 1], [1, 1]]))
 
@@ -79,6 +79,37 @@ def test_mat_inverse_is_two_sided_or_refuses_a_singular_matrix(a):
     else:
         inv = ringmat.mat_inverse(a)
         assert ringmat.mat_mul(a, inv) == ident == ringmat.mat_mul(inv, a)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(square_cases())
+def test_det_matches_leibniz(leibniz_det, a):
+    # over the fraction field: numerators over one denominator, expanded
+    assert ringmat.det(a) == leibniz_det(a)
+
+
+# ring integers, most of them zero
+@st.composite
+def integral_square_cases(draw):
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 5))
+    zero = (0,) * ring.degree
+    entry = st.one_of(st.just(zero), st.just(zero),
+                      st.tuples(*[st.integers(-9, 9)] * ring.degree))
+    return ring, [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(integral_square_cases())
+def test_det_matches_leibniz_on_coordinates(leibniz_det, row_expansions, case):
+    # rings.det on int coordinate tuples, and the Laplace expansion along
+    # every row, against the Leibniz sum of the RingElts
+    ring, m = case
+    expected = leibniz_det([[ring(x) for x in row] for row in m]).num
+    neg = lambda c: tuple(-x for x in c)
+    zero, one = ring.zero.num, ring.one.num
+    assert rings.det(m, ring.dot_coords, neg, zero) == expected
+    assert row_expansions(m, ring.dot_coords, neg, zero, one) == [expected] * len(m)
 
 
 def test_mat_mul_two_by_two_times_column():
@@ -156,7 +187,7 @@ def test_json_roundtrip_integral_and_fractional():
     # may be written as a scalar
     text = '[[[1, 1, 0, 0], 0], ["1/2", [0, 0, 0, "3/7"]]]'
     back = ringmat.matrix_from_json(json.loads(text), ring)
-    assert ringmat.mat_eq(m, back)
+    assert m == back
     # rational shortcut entries
     rational = make_ring("rational")
     m2 = ringmat.matrix_from_json([[1, "1/2"], [0, 3]], rational)
@@ -183,7 +214,7 @@ def test_scheme_file_roundtrip(tmp_path):
         assert file_ring == ring
         assert set(named) == {"a", "b", "u", "j"}
         for name, m in named.items():
-            assert ringmat.mat_eq(m, gens[name])
+            assert m == gens[name]
 
 
 def test_scheme_file_form_kind(tmp_path):

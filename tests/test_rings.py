@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +15,43 @@ from congtower.rings import factor_rational_prime, make_ring
 
 def random_elt(rng, ring, span=20):
     return ring(tuple(rng.randint(-span, span) for _ in range(ring.degree)))
+
+
+# ints, most of them zero
+_sparse_int_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.just(0), st.integers(-9, 9)),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _int_dot(xs, ys):
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sparse_int_matrices)
+def test_det_matches_leibniz_on_ints(leibniz_det, row_expansions, m):
+    # rings.det on ints, and the Laplace expansion along every row, against
+    # the Leibniz sum over the rational ring
+    rational = make_ring("rational")
+    expected, = leibniz_det([[rational(x) for x in row] for row in m]).num
+    assert rings.det(m, _int_dot, operator.neg, 0) == expected
+    assert row_expansions(m, _int_dot, operator.neg, 0, 1) == [expected] * len(m)
+
+
+@pytest.mark.parametrize("e", range(1, 34))
+def test_power_matches_repeated_products(e):
+    # square-and-multiply never multiplies by a one: at most 2 log2(e)
+    # products, none at e = 1
+    ring = make_ring("cyclotomic-5")
+    x = (ring.zeta() + 2) / 3
+    products = []
+
+    def mul(a, b):
+        products.append(e)
+        return a * b
+
+    assert rings.power(x, e, mul) == functools.reduce(operator.mul, [x] * e)
+    assert len(products) <= 2 * math.log2(e)
 
 
 def test_make_ring_specs():
@@ -591,8 +630,9 @@ def test_residue_localized_reduction(gaussian_prime2, local_residue):
     x = ring.gen() / 3
     r = local_residue(R, x)
     assert gaussian_prime2.valuation(x - R.ring(r)) >= 2
-    # denominator with positive valuation but compensated numerator
-    y = (ring.gen() + ring.one) ** 3 / 2    # v = 3 - 2 = 1 >= 0
+    # (i + 1)^3 / 2 normalizes to the ring integer i - 1
+    y = (ring.gen() + ring.one) ** 3 / 2
+    assert y == ring.gen() - 1
     r2 = local_residue(R, y)
     assert gaussian_prime2.valuation(y - R.ring(r2)) >= 2
     with pytest.raises(InputError):
@@ -600,6 +640,17 @@ def test_residue_localized_reduction(gaussian_prime2, local_residue):
     # ResidueRing.reduce takes ring integers only
     with pytest.raises(InputError):
         R.reduce(x)
+    # a denominator divisible by p: 1/(2 - i) = (2 + i)/5 is integral at
+    # the prime over 5 that does not divide 2 - i
+    z = ring.one / (2 - ring.gen())
+    assert z.den == 5
+    prime, = [q for q in factor_rational_prime(ring, 5)
+              if q.valuation(2 - ring.gen()) == 0]
+    R5 = rings.ResidueRing(prime, 2)
+    r3 = local_residue(R5, z)
+    assert prime.valuation(z - R5.ring(r3)) >= 2
+    with pytest.raises(InputError):
+        R5.reduce(z)
 
 
 # (ring, rational prime, index among the primes over it): split, ramified

@@ -197,9 +197,8 @@ def test_magic_tower_form_free_steps():
         # the relative element is the move, which the certificate is about
         assert step.source_i < n
         src = data.steps[step.source_i]
-        assert ringmat.mat_eq(ringmat.mat_mul(src.conjugator, w),
-                              step.conjugator)
-        assert ringmat.mat_eq(data.certificates[step.move].conjugator, w)
+        assert ringmat.mat_mul(src.conjugator, w) == step.conjugator
+        assert data.certificates[step.move].conjugator == w
         # h_n swap h_n^-1, h_n = T_i w swap^-1, exchanges the two vertices
         h_n = ringmat.mat_mul(ringmat.mat_mul(src.conjugator, w), swap_inv)
         g_n = ringmat.mat_mul(ringmat.mat_mul(h_n, data.model.swap),
@@ -434,8 +433,7 @@ def test_steps_match_full_frame_products(example, steps):
                 frames.append(t_n)
                 expected.append((vertex, src, k))
     assert [(s.vertex, s.source_i, s.move) for s in data.steps] == expected
-    assert all(ringmat.mat_eq(s.conjugator, f)
-               for s, f in zip(data.steps, frames))
+    assert all(s.conjugator == f for s, f in zip(data.steps, frames))
 
 
 def _align_from_scratch(model, f_m, v_i, v_n, depth):
@@ -500,7 +498,7 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
     assert len(moves) == len(expected) > 0
     swap_inv = ringmat.mat_inverse(model.swap)
     for mv, w_ref in zip(moves, expected):
-        assert ringmat.mat_eq(mv.transporter, w_ref)
+        assert mv.transporter == w_ref
         assert mv.target_type == model.base_type
         assert mv.vertex == bttree.canonicalize(
             ringmat.mat_mul(w_ref, base), prime)
@@ -533,7 +531,7 @@ def test_one_certificate_per_swap_move(monkeypatch):
     assert len(data.steps) == 11 and len(data.moves) == 3
     assert len(calls) == 3 and sorted(data.certificates) == [0, 1, 2]
     for k, cert in data.certificates.items():
-        assert ringmat.mat_eq(cert.conjugator, data.moves[k].transporter)
+        assert cert.conjugator == data.moves[k].transporter
 
 
 def _counting_rechecks(monkeypatch, fail=None):
