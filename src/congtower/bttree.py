@@ -18,23 +18,23 @@ Tree models package a base vertex per type together with "moves": global
 group elements carrying the base vertex to each of its neighbors,
 discovered as a stabilizer orbit (``coset.orbit``, never hardcoded), each
 with the canonical vertex it reaches and a transporter read off the
-orbit's Schreier tree.  A g in GL_n(K) maps the homothety class of
-X O^n to that of g X O^n, so canonicalize(g X) depends only on the class
-of X, and a move's small canonical vertex stands in for its transporter
-times the base.  BFS exploration reaches neighbour i of a vertex with
-frame g (a transporter from the base) as canonicalize(g * vertex_i),
-forms a child's frame g * transporter_i only when it expands the child,
-and skips the one move that leads back to the parent.  The tower's swap
-moves are ``Move`` records too, to the base type (``tower._swap_moves``);
-in a one-type tree they are the base moves themselves, and one
-breadth-first walk over them (``tower._walk``) gives the tower's steps
-and its covered radius.
+orbit's Schreier tree; a two-type model keeps the midpoint orbit's action
+columns too, which the tower's alignment reads.  A g in GL_n(K) maps the
+homothety class of X O^n to that of g X O^n, so canonicalize(g X)
+depends only on the class of X, and a move's small canonical vertex
+stands in for its transporter times the base.  BFS exploration reaches
+neighbour i of a vertex with frame g (a transporter from the base) as
+canonicalize(g * vertex_i), forms a child's frame g * transporter_i only
+when it expands the child, and skips the one move that leads back to the
+parent.  The tower's swap moves are ``Move`` records too, to the base
+type (``tower._swap_moves``); in a one-type tree they are the base moves
+themselves, and one breadth-first walk over them (``tower._walk``) gives
+the tower's steps and its covered radius.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
@@ -187,12 +187,16 @@ class Move:
 
 class TreeModel:
     """Base vertices by type plus neighbor moves discovered from orbits,
-    the swap that the towers move by, the generators of the midpoint
-    stabilizer (two-type trees) and the form the group preserves, with
-    its ringmat.preserves_form kind (None for pgl2)."""
+    the swap that the towers move by, the form the group preserves, with
+    its ringmat.preserves_form kind (None for pgl2), and in a two-type
+    tree the midpoint stabilizer's generators stab_mid with their action:
+    stab_mid[k] carries the midpoint's neighbour i to neighbour
+    mid_action[k][i], the columns of the orbit that found them.  The base
+    is neighbour 0, the orbit's seed being the identity, and the swap is
+    stab_mid[0]."""
 
-    def __init__(self, prime, bases, moves, name, swap, stab_mid=(),
-                 form=None, form_kind=None):
+    def __init__(self, prime, bases, moves, name, swap, stab_mid, mid_action,
+                 form, form_kind):
         self.prime = prime
         self.bases = bases            # type -> canonical vertex
         self._moves = moves           # type -> list of Move
@@ -200,6 +204,7 @@ class TreeModel:
         self.base_type = next(iter(bases))
         self.swap = swap
         self.stab_mid = stab_mid
+        self.mid_action = mid_action
         self.form = form
         self.form_kind = form_kind
 
@@ -219,12 +224,12 @@ EXPLORE_BUDGET_DEFAULT = 100_000
 
 def _orbit_moves(prime, base_vertices, ttype, seed, stab_gens):
     """``coset.orbit`` of the seed neighbour seed * base[ttype] under
-    stabilizer generators, the image of a neighbour v under s being
-    canonicalize(s * v).  The seed is the first move, and each later
-    move's witness transporter is s_k times its Schreier-tree parent's,
-    formed once per neighbour."""
+    stabilizer generators, s taking a neighbour v to canonicalize(s * v):
+    the moves and the orbit's action columns.  The seed is the first
+    move, and each later move's witness transporter is s_k times its
+    Schreier-tree parent's, formed once per neighbour."""
     v = canonicalize(ringmat.mat_mul(seed, base_vertices[ttype]), prime)
-    vertices, _, parents = coset.orbit(
+    vertices, action, parents = coset.orbit(
         v, stab_gens,
         lambda w, s: canonicalize(ringmat.mat_mul(s, w), prime),
         _ORBIT_BUDGET)
@@ -232,7 +237,7 @@ def _orbit_moves(prime, base_vertices, ttype, seed, stab_gens):
     for w, (i, k) in zip(vertices[1:], parents[1:]):
         moves.append(Move(ttype, ringmat.mat_mul(
             stab_gens[k], moves[i].transporter), w))
-    return moves
+    return moves, action
 
 
 def pgl2_model(ring=None, prime=None):
@@ -247,12 +252,13 @@ def pgl2_model(ring=None, prime=None):
     swap = ((ring.zero, x), (ring.one, ring.zero))
     gens = catalog.sl2_gen_matrices(ring)
     stab = [gens["a"], gens["b"], gens["u"]]
-    moves = _orbit_moves(prime, bases, "v", swap, stab)
+    moves, _ = _orbit_moves(prime, bases, "v", swap, stab)
     expect = prime.norm() + 1
     if len(moves) != expect:
         raise AssertionError("pgl2 model found %d neighbors, expected %d"
                              % (len(moves), expect))
-    return TreeModel(prime, bases, {"v": moves}, "pgl2(%d)" % prime.norm(), swap)
+    return TreeModel(prime, bases, {"v": moves}, "pgl2(%d)" % prime.norm(),
+                     swap, (), (), None, None)
 
 
 def _conjugated_reflections():
@@ -272,18 +278,20 @@ def _two_type_model(prime, types, name, swap, mid_extra, stab, form,
     each reaching the other by the identity seed.  `stab` generates the
     base stabilizer; the midpoint stabilizer is generated by the swap, the
     `mid_extra` generators and the base-stabilizer generators that fix the
-    midpoint."""
+    midpoint: their action columns on the base's moves, an orbit from the
+    midpoint, map point 0 to 0."""
     n = len(form)
     ident = ringmat.identity(prime.ring, n)
     mid = apartment_vertex(prime, n, 1)
     base_type, mid_type = types
     bases = {base_type: ident, mid_type: mid}
+    base_moves, base_action = _orbit_moves(prime, bases, mid_type, ident, stab)
     stab_mid = [swap] + mid_extra + [
-        m for m in stab if canonicalize(ringmat.mat_mul(m, mid), prime) == mid]
-    moves = {base_type: _orbit_moves(prime, bases, mid_type, ident, stab),
-             mid_type: _orbit_moves(prime, bases, base_type, ident, stab_mid)}
-    return TreeModel(prime, bases, moves, name, swap, stab_mid, form,
-                     form_kind)
+        m for m, column in zip(stab, base_action) if column[0] == 0]
+    mid_moves, mid_action = _orbit_moves(prime, bases, base_type, ident,
+                                         stab_mid)
+    return TreeModel(prime, bases, {base_type: base_moves, mid_type: mid_moves},
+                     name, swap, stab_mid, mid_action, form, form_kind)
 
 
 def oq_model():
@@ -497,12 +505,10 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
 
 
 def _vertex_key(v):
-    """Each row's coordinates as (numerator, denominator) pairs in lowest
-    terms: a coordinate a/den with g = gcd(a, den) gives (a // g, den // g),
-    the pair of Fraction(a, den)."""
-    return tuple(tuple((a // g, x.den // g)
-                       for x in row for a in x.num for g in (math.gcd(a, x.den),))
-                 for row in v)
+    """The int coordinates of the entries, row by row: every entry of a
+    canonical vertex is a ring integer (pivots pi^k, k >= 0, and residues
+    right of them)."""
+    return tuple(x.num for row in v for x in row)
 
 
 __all__ = [

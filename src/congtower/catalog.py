@@ -239,7 +239,7 @@ def magic_ring_and_prime():
     primes = factor_rational_prime(ring, 2)
     # the prime generated by (1+sqrt(-7))/2 (the ring generator)
     for p in primes:
-        if p.valuation_at_least(ring.gen(), 1):
+        if p.numerator_at_least(ring.gen().num, 1):
             return ring, p
     raise AssertionError("no prime over 2 contains omega")
 

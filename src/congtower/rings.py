@@ -530,16 +530,6 @@ class PrimeIdeal:
         self._unit_inverses[key] = x
         return x
 
-    def valuation_at_least(self, x, level):
-        """Is v_p(x) >= level?  One lattice membership: for x = num/den,
-        num must lie in p^(level + e v_p(den)), and an exponent <= 0 asks
-        nothing of the integral num."""
-        x = self.ring(x)
-        if x.is_zero():
-            return True
-        return self.numerator_at_least(
-            x.num, level + self.e * _int_valuation(x.den, self.p))
-
     def numerator_at_least(self, num, level):
         """Is v_p(num) >= level for the ring integer with int coordinates
         num?  A level <= 0 asks nothing of it."""

@@ -332,25 +332,19 @@ def _swap_moves(model):
     step goes through a midpoint: for each base move f and each move b of
     the midpoint, h = f sigma, with sigma the midpoint-stabilizer word
     that the Schreier tree of the orbit of (base, swap base) gives for
-    (base, b base) (``_midpoint_words``).  f fixes the base,
-    being a word in the base stabilizer's generators, so f sigma does too.
-    The move leading back to the base has no such word, nor has a pair
-    that needs a word longer than _ALIGN_DEPTH.
+    (base, b base), the base being the midpoint's neighbour 0
+    (``_midpoint_words``).  f fixes the base, a word in the base
+    stabilizer's generators, so f sigma does too.  The move back to the
+    base has no such word, nor has a pair needing one past _ALIGN_DEPTH.
     """
     base_type = model.base_type
     base_moves = model.moves(base_type)
-    mid_type = base_moves[0].target_type
-    if mid_type == base_type:
+    if base_moves[0].target_type == base_type:
         return list(base_moves)
-    mid_moves = model.moves(mid_type)
-    # the midpoint's neighbours b base; they were found as an orbit of its
-    # stabilizer's generators, so the generators permute them
-    nbrs = {b.vertex: k for k, b in enumerate(mid_moves)}
-    words = _midpoint_words(model, nbrs)
+    words = _midpoint_words(model)
     base = model.bases[base_type]
-    back = nbrs[base]
-    tails = [ringmat.mat_mul(words[back, k], model.swap)
-             for k in range(len(mid_moves)) if (back, k) in words]
+    tails = [ringmat.mat_mul(words[0, k], model.swap)
+             for k in range(len(model.mid_action[0])) if (0, k) in words]
     out = []
     for f in base_moves:
         for tail in tails:
@@ -364,28 +358,22 @@ def _swap_moves(model):
 _ALIGN_DEPTH = 8
 
 
-def _midpoint_words(model, nbrs):
+def _midpoint_words(model):
     """The first word s in the midpoint stabilizer's generators, at most
     _ALIGN_DEPTH long, for each pair (s base, s swap base) of the
-    midpoint's neighbours, keyed by their indices in `nbrs` (canonical
-    vertex -> index): ``coset.orbit`` of the pair under the generators'
-    permutations, each kept pair's word gen_k times its Schreier-tree
-    parent's."""
-    prime = model.prime
-    base = model.bases[model.base_type]
-    gens = model.stab_mid
-    perms = [[nbrs[bttree.canonicalize(ringmat.mat_mul(gen, v), prime)]
-              for v in nbrs] for gen in gens]
-    start = (nbrs[base], nbrs[bttree.canonicalize(
-        ringmat.mat_mul(model.swap, base), prime)])
+    midpoint's neighbours, keyed by their indices among its moves:
+    ``coset.orbit`` of the pair under the model's ``mid_action`` from
+    (0, column_0[0]), the base being neighbour 0 and the swap generator 0,
+    each kept pair's word gen_k times its Schreier-tree parent's."""
+    perms = model.mid_action
     pairs, _, parents = coset.orbit(
-        start, perms, lambda key, perm: (perm[key[0]], perm[key[1]]),
-        len(nbrs) ** 2)
-    words = [ringmat.identity(prime.ring, len(base))]
+        (0, perms[0][0]), perms,
+        lambda key, perm: (perm[key[0]], perm[key[1]]), len(perms[0]) ** 2)
+    words = [ringmat.identity(model.prime.ring, len(model.swap))]
     depth = [0]
     for i, k in parents[1:]:
         depth.append(depth[i] + 1)
-        words.append(ringmat.mat_mul(gens[k], words[i])
+        words.append(ringmat.mat_mul(model.stab_mid[k], words[i])
                      if depth[-1] <= _ALIGN_DEPTH else None)
     return {key: w for key, w in zip(pairs, words) if w is not None}
 

@@ -121,17 +121,15 @@ def _global_canonicalize(basis_matrix, prime):
     # work on rows of the transpose (row span = column span of the input)
     rows = [[basis_matrix[i][j] for i in range(n)] for j in range(n)]
     rows = [[ring(x) for x in row] for row in rows]
-    at_least = prime.valuation_at_least
     exps = []
     # row col is zero left of column col once the earlier columns are
     # cleared, so the row operations start at column col
     for col in range(n):
-        # the first row of least valuation: past the first nonzero entry,
-        # one membership test against the least valuation so far
+        # the first row of least valuation
         piv = piv_val = None
         for r in range(col, n):
             x = rows[r][col]
-            if not x.is_zero() and (piv is None or not at_least(x, piv_val)):
+            if not x.is_zero() and (piv is None or prime.valuation(x) < piv_val):
                 piv, piv_val = r, prime.valuation(x)
         if piv is None:
             raise InputError("basis matrix is singular")
@@ -155,7 +153,7 @@ def _global_canonicalize(basis_matrix, prime):
     content = min(exps)
     for r in range(n):
         for x in rows[r][r + 1:]:
-            if not x.is_zero() and not at_least(x, content):
+            if not x.is_zero() and prime.valuation(x) < content:
                 content = prime.valuation(x)
     if content:
         scale = prime.uniformizer_power(-content)

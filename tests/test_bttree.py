@@ -130,13 +130,84 @@ def test_uniformizer_powers_are_cached(request, name):
 
 @pytest.mark.parametrize("name", ["oq", "su"])
 def test_base_moves_fix_the_base(request, name):
-    # tower._swap_moves reads the way back from the midpoint to the base
-    # once, from f^-1 base = base for every base move f
+    # tower._swap_moves aligns each move as h = f sigma, which fixes the
+    # base because every base move f does
     model = request.getfixturevalue(name)
     base = model.bases[model.base_type]
     for f in model.moves(model.base_type):
         assert bttree.canonicalize(ringmat.mat_mul(f.transporter, base),
                                    model.prime) == base
+
+
+def _two_type_generators(name):
+    """The base-stabilizer generators and the extra midpoint-stabilizer
+    generators the two-type model `name` is built from."""
+    if name == "oq":
+        return (bttree._conjugated_reflections(),
+                [catalog.o41_midpoint_stab_shear()])
+    return bttree._su_stab_gens(*catalog.pu21_ring_and_prime())[0], []
+
+
+@pytest.mark.parametrize("name", ["oq", "su"])
+def test_mid_action_is_the_midpoint_stabilizer_action(request, name):
+    # the oracle for the action columns the tower's alignment reads:
+    # mid_action[k][i] == j exactly when stab_mid[k] carries the midpoint's
+    # neighbour i to its neighbour j, by canonical forms
+    model = request.getfixturevalue(name)
+    mid_type = model.moves(model.base_type)[0].target_type
+    nbrs = [m.vertex for m in model.moves(mid_type)]
+    assert len(set(nbrs)) == len(nbrs)
+    assert len(model.mid_action) == len(model.stab_mid)
+    for g, column in zip(model.stab_mid, model.mid_action):
+        assert column == [nbrs.index(bttree.canonicalize(
+            ringmat.mat_mul(g, v), model.prime)) for v in nbrs]
+
+
+@pytest.mark.parametrize("name", ["oq", "su"])
+def test_stab_mid_keeps_the_base_generators_fixing_the_midpoint(request,
+                                                                name):
+    # after the swap and the extra generators, exactly the base-stabilizer
+    # generators g with g mid = mid, in order
+    model = request.getfixturevalue(name)
+    stab, extra = _two_type_generators(name)
+    mid = model.bases[model.moves(model.base_type)[0].target_type]
+    fixing = [g for g in stab
+              if bttree.canonicalize(ringmat.mat_mul(g, mid), model.prime) == mid]
+    assert 0 < len(fixing) < len(stab)
+    assert model.stab_mid == [model.swap] + extra + fixing
+
+
+@pytest.mark.parametrize("name", ["oq", "su"])
+def test_base_is_midpoint_neighbour_0_and_swap_is_generator_0(request, name):
+    # TreeModel states both; tower._midpoint_words starts its orbit at
+    # (0, mid_action[0][0]) on them
+    model = request.getfixturevalue(name)
+    mid_type = model.moves(model.base_type)[0].target_type
+    assert model.moves(mid_type)[0].vertex == model.bases[model.base_type]
+    assert model.stab_mid[0] == model.swap
+
+
+@pytest.mark.parametrize("name", ["oq", "su"])
+def test_two_type_model_canonicalizes_only_its_orbits(monkeypatch, name):
+    # one canonical form for the midpoint, then per orbit the seed's and
+    # one per (neighbour, generator); which base generators fix the
+    # midpoint is read off the base orbit's action, with no more
+    stab, _ = _two_type_generators(name)
+    calls = []
+    canonicalize = bttree.canonicalize
+
+    def counting(*args):
+        calls.append(args)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(bttree, "canonicalize", counting)
+    model = getattr(bttree, name + "_model")()
+    monkeypatch.setattr(bttree, "canonicalize", canonicalize)
+    base_type = model.base_type
+    mid_type = model.moves(base_type)[0].target_type
+    valence = model.valences()
+    assert len(calls) == (1 + 1 + valence[base_type] * len(stab)
+                          + 1 + valence[mid_type] * len(model.stab_mid))
 
 
 def test_pi_is_inverted_once_per_prime(monkeypatch):
@@ -420,17 +491,32 @@ def test_bfs_counts_and_acyclicity(pgl2, oq, su):
     assert len(su2.vertices) == 1 + 6 + 30 and su2.is_tree()
 
 
-def test_vertex_key_is_reduced_fraction_coordinates(pgl2, oq, su):
+def _fraction_key(v):
+    """The neighbour order key before canonical vertices were known to be
+    integral: each row's coordinates as reduced (numerator, denominator)
+    pairs."""
+    return tuple(tuple((f.numerator, f.denominator)
+                       for x in row for c in x.num for f in (Fraction(c, x.den),))
+                 for row in v)
+
+
+def test_vertex_key_is_reduced_fraction_coordinates(oq, su):
     # bfs_explore orders each vertex's neighbours by this key, so the tree
-    # and tower JSON depend on it; the vertices are integral, so each is
-    # also keyed over the denominator 6
-    for graph in (bttree.bfs_explore(pgl2, 3), bttree.bfs_explore(oq, 2),
-                  bttree.bfs_explore(su, 2)):
-        for v in graph.vertices + [ringmat.mat_scale(v, Fraction(1, 6))
-                                   for v in graph.vertices]:
-            coords = [[Fraction(c, x.den) for x in row for c in x.num] for row in v]
-            assert bttree._vertex_key(v) == tuple(
-                tuple((f.numerator, f.denominator) for f in row) for row in coords)
+    # and tower JSON depend on it: every explored vertex is integral, and
+    # the int key orders every neighbour list as the fraction key did
+    ring = make_ring(7)
+    models = [oq, su] + [bttree.pgl2_model(ring, q) for p in (2, 3, 7)
+                         for q in factor_rational_prime(ring, p)]
+    for model in models:
+        graph = bttree.bfs_explore(model, 2)
+        assert all(x.den == 1 for v in graph.vertices for row in v for x in row)
+        nbrs = [[] for _ in graph.vertices]
+        for i, j in graph.edges:
+            nbrs[i].append(graph.vertices[j])
+            nbrs[j].append(graph.vertices[i])
+        for ws in nbrs:
+            assert (sorted(ws, key=bttree._vertex_key)
+                    == sorted(ws, key=_fraction_key))
 
 
 def test_explored_valences_recomputed(oq, framed_ball, frame_neighbors):
@@ -518,7 +604,8 @@ def test_back_moves_refuse_a_model_without_one_way_back(oq):
                   moves["xhalf"] + moves["xhalf"]):
         broken = bttree.TreeModel(oq.prime, oq.bases,
                                   {"x0": moves["x0"], "xhalf": xhalf},
-                                  oq.name, oq.swap)
+                                  oq.name, oq.swap, oq.stab_mid,
+                                  oq.mid_action, oq.form, oq.form_kind)
         with pytest.raises(AssertionError, match="lead back"):
             bttree.bfs_explore(broken, 1)
 

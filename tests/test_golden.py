@@ -18,6 +18,11 @@ GOLDEN = {
         "3244c2c894cb29fbce9dfa28dc40307eaae9f7cf3931f9be7c8d7987db09c508",
     "tower pu21 --steps 3":
         "b6d22d9626548977993d906a0683fc554f81bf30676f3b9b5e2fac03887b7887",
+    # past the third step: the moves built from the midpoint alignment
+    "tower o41 --steps 8":
+        "f91c949e7b7e31efb27085324fffd2e1e0fbe267643072c4317b475f3cecf0f6",
+    "tower pu21 --steps 6":
+        "0f15fb1c182e74b8e6e08400cd9f5f38cf554587ac10ef13a8efad57419e6ba9",
     "tree su --radius 2":
         "c7f6f1cecda0f4fde7a47835f0e869620bb26218541dc0a0aeb32c0bc5e29746",
     # the ramified prime over 7 in O_7, and the rational ring

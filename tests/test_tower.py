@@ -123,7 +123,7 @@ def test_conjugation_kernel_matches_field_arithmetic(case):
         for k in range(n):
             for l in range(n):
                 diff = field[k][l] - (ring.one if k == l else ring.zero)
-                expected = prime.valuation_at_least(diff, b)
+                expected = prime.valuation(diff) >= b
                 assert conj.at_least(nums[k][l], b) == expected
                 assert conj.valuation(nums[k][l]) == prime.valuation(diff)
                 assert conj.entry(k, l, nums[k][l]) == field[k][l]
@@ -471,14 +471,23 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
     return None
 
 
-@pytest.mark.parametrize("depth", [2, 3, 8])
-def test_swap_moves_match_fresh_search(monkeypatch, depth):
+# (model, alignment depth, the longest word its moves need)
+SWAP_SEARCHES = [pytest.param("oq", 2, 3, id="2"),
+                 pytest.param("oq", 3, 3, id="3"),
+                 pytest.param("oq", 8, 3, id="8"),
+                 pytest.param("su", 3, 4, id="su-3"),
+                 pytest.param("su", 4, 4, id="su-4")]
+
+
+@pytest.mark.parametrize("name, depth, needed", SWAP_SEARCHES)
+def test_swap_moves_match_fresh_search(monkeypatch, name, depth, needed):
     # one move w = h swap per (midpoint move, second move) pair, in that
     # order, with h the word a fresh search gives; some o41 pairs are first
-    # reached at level 3, so depth 2 checks that no word beyond the limit
-    # is used, and depth 3 that a word at the limit is
+    # reached at level 3 and some pu21 pairs at level 4, so a depth below
+    # that checks that no word beyond the limit is used, and the depth
+    # itself that a word at the limit is
     monkeypatch.setattr(tower, "_ALIGN_DEPTH", depth)
-    model = bttree.oq_model()
+    model = getattr(bttree, name + "_model")()
     prime = model.prime
     base = model.bases[model.base_type]
     mid_type = model.moves(model.base_type)[0].target_type
@@ -504,7 +513,27 @@ def test_swap_moves_match_fresh_search(monkeypatch, depth):
             ringmat.mat_mul(w_ref, base), prime)
         h = ringmat.mat_mul(mv.transporter, swap_inv)
         assert bttree.canonicalize(ringmat.mat_mul(h, base), prime) == base
-    assert bool(beyond) == (depth == 2)
+    assert bool(beyond) == (depth < needed)
+
+
+@pytest.mark.parametrize("name, count", [("pgl2", 0), ("oq", 10),
+                                         ("su", 30)])
+def test_swap_moves_canonicalize_once_per_move(monkeypatch, name, count):
+    # the midpoint alignment reads the model's mid_action, so the one
+    # canonical form per move is its vertex w base (none in a one-type
+    # tree, whose swap moves are the base moves)
+    model = getattr(bttree, name + "_model")()
+    calls = []
+    canonicalize = bttree.canonicalize
+
+    def counting(*args):
+        calls.append(args)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(bttree, "canonicalize", counting)
+    moves = tower._swap_moves(model)
+    assert len(calls) == count
+    assert count in (0, len(moves))
 
 
 def test_magic_swap_moves_are_the_base_moves():
