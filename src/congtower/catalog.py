@@ -236,12 +236,9 @@ def coxeter_diagram_orders():
 
 def magic_ring_and_prime():
     ring = make_ring(7)
-    primes = factor_rational_prime(ring, 2)
-    # the prime generated by (1+sqrt(-7))/2 (the ring generator)
-    for p in primes:
-        if p.numerator_at_least(ring.gen().num, 1):
-            return ring, p
-    raise AssertionError("no prime over 2 contains omega")
+    # the first factor is (2, x): the prime containing the generator
+    # (1+sqrt(-7))/2, as x^2 - x + 2 = x (x + 1) mod 2
+    return ring, factor_rational_prime(ring, 2)[0]
 
 
 def magic_swap():

@@ -86,12 +86,9 @@ _MODEL_FACTORIES = {
 
 
 def factor_and_ring(p):
+    """O_7 and the first prime over p, one of least residue degree."""
     ring = make_ring(7)
-    primes = factor_rational_prime(ring, p)
-    for prime in primes:
-        if prime.f == 1:
-            return ring, prime
-    return ring, primes[0]
+    return ring, factor_rational_prime(ring, p)[0]
 
 
 def cmd_tree(args):

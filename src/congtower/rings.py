@@ -737,7 +737,8 @@ def _single_generator_search(ring, p, f, lattice):
 
 
 def factor_rational_prime(ring, p):
-    """Factor (p) in the ring; returns PrimeIdeal list sorted deterministically."""
+    """Factor (p) in the ring; the PrimeIdeals come in the order of the
+    minimal polynomial's factors mod p: by residue degree, then coefficients."""
     if not _is_small_prime(p):
         raise InputError("p=%r is not a prime in the supported range" % (p,))
     if p > 100:
@@ -772,7 +773,7 @@ def factor_rational_prime(ring, p):
 def _is_small_prime(p):
     if not isinstance(p, int) or p < 2:
         return False
-    return all(p % q for q in range(2, int(p ** 0.5) + 1))
+    return all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -329,53 +329,41 @@ def _swap_moves(model):
 
     When the base moves land on the base type they are themselves the
     swap moves, with w built as (stabilizer word) * swap.  Otherwise a
-    step goes through a midpoint: for each base move f and each move b of
-    the midpoint, h = f sigma, with sigma the midpoint-stabilizer word
-    that the Schreier tree of the orbit of (base, swap base) gives for
-    (base, b base), the base being the midpoint's neighbour 0
-    (``_midpoint_words``).  f fixes the base, a word in the base
-    stabilizer's generators, so f sigma does too.  The move back to the
-    base has no such word, nor has a pair needing one past _ALIGN_DEPTH.
+    step goes through a midpoint: w = f sigma swap for each base move f
+    and each move b of the midpoint in order, sigma the word in stab_mid
+    that the Schreier tree of ``coset.orbit`` of (base, swap base) under
+    ``mid_action`` gives for (base, b base), the base being neighbour 0.
+    Each tree node on a path to some (0, b) forms its tail sigma swap
+    once, stab_mid[k] times its parent's tail; the seed's is the swap.
+    f sigma fixes the base.  The move back to the base has no word:
+    (0, 0) is not in the orbit.
     """
     base_type = model.base_type
     base_moves = model.moves(base_type)
     if base_moves[0].target_type == base_type:
         return list(base_moves)
-    words = _midpoint_words(model)
-    base = model.bases[base_type]
-    tails = [ringmat.mat_mul(words[0, k], model.swap)
-             for k in range(len(model.mid_action[0])) if (0, k) in words]
-    out = []
-    for f in base_moves:
-        for tail in tails:
-            w = ringmat.mat_mul(f.transporter, tail)
-            out.append(bttree.Move(base_type, w, bttree.canonicalize(
-                ringmat.mat_mul(w, base), model.prime)))
-    return out
-
-
-# Longest stabilizer word the alignment keeps.
-_ALIGN_DEPTH = 8
-
-
-def _midpoint_words(model):
-    """The first word s in the midpoint stabilizer's generators, at most
-    _ALIGN_DEPTH long, for each pair (s base, s swap base) of the
-    midpoint's neighbours, keyed by their indices among its moves:
-    ``coset.orbit`` of the pair under the model's ``mid_action`` from
-    (0, column_0[0]), the base being neighbour 0 and the swap generator 0,
-    each kept pair's word gen_k times its Schreier-tree parent's."""
     perms = model.mid_action
     pairs, _, parents = coset.orbit(
         (0, perms[0][0]), perms,
         lambda key, perm: (perm[key[0]], perm[key[1]]), len(perms[0]) ** 2)
-    words = [ringmat.identity(model.prime.ring, len(model.swap))]
-    depth = [0]
-    for i, k in parents[1:]:
-        depth.append(depth[i] + 1)
-        words.append(ringmat.mat_mul(model.stab_mid[k], words[i])
-                     if depth[-1] <= _ALIGN_DEPTH else None)
-    return {key: w for key, w in zip(pairs, words) if w is not None}
+    tails = {0: model.swap}     # Schreier-tree node -> sigma swap
+
+    def tail(i):
+        if i not in tails:
+            j, k = parents[i]
+            tails[i] = ringmat.mat_mul(model.stab_mid[k], tail(j))
+        return tails[i]
+
+    aligned = [tail(i) for _, i in sorted(
+        (b, i) for i, (a, b) in enumerate(pairs) if a == 0)]
+    base = model.bases[base_type]
+    out = []
+    for f in base_moves:
+        for sigma_swap in aligned:
+            w = ringmat.mat_mul(f.transporter, sigma_swap)
+            out.append(bttree.Move(base_type, w, bttree.canonicalize(
+                ringmat.mat_mul(w, base), model.prime)))
+    return out
 
 
 def _check_swap(model):

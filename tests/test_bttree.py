@@ -179,7 +179,7 @@ def test_stab_mid_keeps_the_base_generators_fixing_the_midpoint(request,
 
 @pytest.mark.parametrize("name", ["oq", "su"])
 def test_base_is_midpoint_neighbour_0_and_swap_is_generator_0(request, name):
-    # TreeModel states both; tower._midpoint_words starts its orbit at
+    # TreeModel states both; tower._swap_moves starts its pair orbit at
     # (0, mid_action[0][0]) on them
     model = request.getfixturevalue(name)
     mid_type = model.moves(model.base_type)[0].target_type

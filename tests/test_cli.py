@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from congtower import cli, homology
+from congtower import catalog, cli, homology
 from congtower.errors import InputError
 from congtower.presentations import parse_presentation
-from congtower.rings import make_ring
+from congtower.rings import factor_rational_prime, make_ring
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +313,23 @@ def test_tree_pgl2_at_primes_outside_the_small_box(capsys, p, vertices):
     code, out = run_cli(capsys, "tree", "pgl2", "--p", p, "--radius", "1")
     assert code == 0
     assert "vertices: %d " % vertices in out
+
+
+def test_prime_pickers_take_the_first_factor():
+    # factor_rational_prime orders its ideals by residue degree first, so
+    # the magic prime (2, omega) and the --p prime are both its first one
+    def key(prime):
+        return prime.p, prime.pi, prime.e, prime.f
+
+    ring, prime = catalog.magic_ring_and_prime()
+    assert prime.valuation(ring.gen()) >= 1      # omega = (1+sqrt(-7))/2
+    assert key(prime) == key(factor_rational_prime(ring, 2)[0])
+    for p in range(2, 100):
+        if all(p % q for q in range(2, p)):
+            primes = factor_rational_prime(make_ring(7), p)
+            _, picked = cli.factor_and_ring(p)
+            assert key(picked) == key(primes[0])
+            assert picked.f == min(q.f for q in primes)
 
 
 @pytest.mark.parametrize("p", ["0", "1", "4", "-2"])

@@ -297,3 +297,26 @@ def test_setup_does_not_import_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# math functions whose results are floating point
+_FLOAT_MATH = {"sqrt", "pow", "log", "exp"}
+
+
+def test_no_floating_point_in_the_source():
+    # the math is exact: no float or complex literal, no float() call and
+    # no float-valued math function in any module of the package
+    found = []
+    for path in sorted(Path(congtower.__file__).resolve().parent.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(sub, ast.Constant)
+                    and isinstance(sub.value, (float, complex))):
+                found.append((path.name, sub.lineno, repr(sub.value)))
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                    and sub.func.id == "float"):
+                found.append((path.name, sub.lineno, "float()"))
+            elif (isinstance(sub, ast.Attribute) and sub.attr in _FLOAT_MATH
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "math"):
+                found.append((path.name, sub.lineno, "math." + sub.attr))
+    assert found == []

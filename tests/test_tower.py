@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from congtower import bttree, catalog, identities, ringmat, tower
+from congtower import bttree, catalog, coset, identities, ringmat, tower
 from congtower.errors import CheckFailed
 from congtower.intmat import AbelianInvariants
 from congtower.rings import factor_rational_prime, make_ring
@@ -471,38 +471,28 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
     return None
 
 
-# (model, alignment depth, the longest word its moves need)
-SWAP_SEARCHES = [pytest.param("oq", 2, 3, id="2"),
-                 pytest.param("oq", 3, 3, id="3"),
-                 pytest.param("oq", 8, 3, id="8"),
-                 pytest.param("su", 3, 4, id="su-3"),
-                 pytest.param("su", 4, 4, id="su-4")]
-
-
-@pytest.mark.parametrize("name, depth, needed", SWAP_SEARCHES)
-def test_swap_moves_match_fresh_search(monkeypatch, name, depth, needed):
+@pytest.mark.parametrize("name", ["oq", "su"])
+def test_swap_moves_match_fresh_search(name):
     # one move w = h swap per (midpoint move, second move) pair, in that
-    # order, with h the word a fresh search gives; some o41 pairs are first
-    # reached at level 3 and some pu21 pairs at level 4, so a depth below
-    # that checks that no word beyond the limit is used, and the depth
-    # itself that a word at the limit is
-    monkeypatch.setattr(tower, "_ALIGN_DEPTH", depth)
+    # order, with h the word a fresh search gives; the search runs to
+    # valence^2 levels, past the size of the pair orbit, so every pair but
+    # the way back to the base is aligned (o41 needs words of length 3,
+    # pu21 of length 4)
     model = getattr(bttree, name + "_model")()
     prime = model.prime
     base = model.bases[model.base_type]
     mid_type = model.moves(model.base_type)[0].target_type
+    depth = len(model.moves(mid_type)) ** 2
     expected = []
-    beyond = 0
     for mv_mid in model.moves(model.base_type):
         f_m = mv_mid.transporter
         for mv_b in model.moves(mid_type):
             vertex = bttree.canonicalize(ringmat.mat_mul(
                 ringmat.mat_mul(f_m, mv_b.transporter), base), prime)
             h = _align_from_scratch(model, f_m, base, vertex, depth)
+            assert (h is None) == (vertex == base)
             if h is not None:
                 expected.append(ringmat.mat_mul(h, model.swap))
-            else:
-                beyond += vertex != base    # the base itself never aligns
     moves = tower._swap_moves(model)
     assert len(moves) == len(expected) > 0
     swap_inv = ringmat.mat_inverse(model.swap)
@@ -513,7 +503,39 @@ def test_swap_moves_match_fresh_search(monkeypatch, name, depth, needed):
             ringmat.mat_mul(w_ref, base), prime)
         h = ringmat.mat_mul(mv.transporter, swap_inv)
         assert bttree.canonicalize(ringmat.mat_mul(h, base), prime) == base
-    assert bool(beyond) == (depth < needed)
+
+
+@pytest.mark.parametrize("name, count", [("pgl2", 0), ("oq", 23),
+                                         ("su", 64)])
+def test_swap_moves_form_one_product_per_tree_node(monkeypatch, name,
+                                                    count):
+    # one product per Schreier-tree node on a path from the seed to some
+    # (0, b) of the pair orbit, then w = f tail and w base per move
+    model = getattr(bttree, name + "_model")()
+    calls = []
+    mat_mul = ringmat.mat_mul
+
+    def counting(*args):
+        calls.append(args)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(ringmat, "mat_mul", counting)
+    moves = tower._swap_moves(model)
+    monkeypatch.undo()
+    assert len(calls) == count
+    if not model.mid_action:
+        return
+    perms = model.mid_action
+    pairs, _, parents = coset.orbit(
+        (0, perms[0][0]), perms,
+        lambda key, perm: (perm[key[0]], perm[key[1]]), len(perms[0]) ** 2)
+    nodes = set()
+    for end, (a, _) in enumerate(pairs):
+        node = end if a == 0 else 0
+        while parents[node] is not None:
+            nodes.add(node)
+            node = parents[node][0]
+    assert count == len(nodes) + 2 * len(moves)
 
 
 @pytest.mark.parametrize("name, count", [("pgl2", 0), ("oq", 10),
@@ -544,6 +566,14 @@ def test_magic_swap_moves_are_the_base_moves():
     for mv in moves:
         h = ringmat.mat_mul(mv.transporter, swap_inv)
         assert bttree.canonicalize(h, model.prime) == model.bases["v"]
+
+
+def test_magic_swap_is_the_pgl2_swap_and_move_0():
+    # the identity suite certifies catalog.magic_swap(); the tower
+    # certifies the swap pgl2_model builds by its own rule, move 0's w
+    swap = catalog.magic_swap()
+    assert bttree.pgl2_model().swap == swap
+    assert tower.build_tower("magic", 1).moves[0].transporter == swap
 
 
 def test_one_certificate_per_swap_move(monkeypatch):
