@@ -471,28 +471,45 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
     return None
 
 
-@pytest.mark.parametrize("name", ["oq", "su"])
-def test_swap_moves_match_fresh_search(name):
+# (model, a fresh-search depth, the longest word its moves need)
+SWAP_SEARCHES = [pytest.param("oq", 2, 3, id="2"),
+                 pytest.param("oq", 3, 3, id="3"),
+                 pytest.param("oq", 8, 3, id="8"),
+                 pytest.param("su", 3, 4, id="su-3"),
+                 pytest.param("su", 4, 4, id="su-4")]
+
+
+@pytest.mark.parametrize("name, depth, needed", SWAP_SEARCHES)
+def test_swap_moves_match_fresh_search(name, depth, needed):
     # one move w = h swap per (midpoint move, second move) pair, in that
-    # order, with h the word a fresh search gives; the search runs to
+    # order, with h the word a fresh search gives; the full search runs to
     # valence^2 levels, past the size of the pair orbit, so every pair but
-    # the way back to the base is aligned (o41 needs words of length 3,
-    # pu21 of length 4)
+    # the way back to the base is aligned. A search cut at `depth` gives the
+    # same word where it reaches one, and misses some pair exactly when
+    # depth < needed (o41 needs words of length 3, pu21 of length 4), so the
+    # moves use words of every length the pair orbit needs, with no cap
     model = getattr(bttree, name + "_model")()
     prime = model.prime
     base = model.bases[model.base_type]
     mid_type = model.moves(model.base_type)[0].target_type
-    depth = len(model.moves(mid_type)) ** 2
+    full = len(model.moves(mid_type)) ** 2
+    assert full >= needed
     expected = []
+    beyond = 0
     for mv_mid in model.moves(model.base_type):
         f_m = mv_mid.transporter
         for mv_b in model.moves(mid_type):
             vertex = bttree.canonicalize(ringmat.mat_mul(
                 ringmat.mat_mul(f_m, mv_b.transporter), base), prime)
-            h = _align_from_scratch(model, f_m, base, vertex, depth)
+            h = _align_from_scratch(model, f_m, base, vertex, full)
             assert (h is None) == (vertex == base)
             if h is not None:
                 expected.append(ringmat.mat_mul(h, model.swap))
+            h_cut = _align_from_scratch(model, f_m, base, vertex, depth)
+            if h_cut is not None:
+                assert h_cut == h
+            else:
+                beyond += vertex != base    # the base itself never aligns
     moves = tower._swap_moves(model)
     assert len(moves) == len(expected) > 0
     swap_inv = ringmat.mat_inverse(model.swap)
@@ -503,6 +520,7 @@ def test_swap_moves_match_fresh_search(name):
             ringmat.mat_mul(w_ref, base), prime)
         h = ringmat.mat_mul(mv.transporter, swap_inv)
         assert bttree.canonicalize(ringmat.mat_mul(h, base), prime) == base
+    assert bool(beyond) == (depth < needed)
 
 
 @pytest.mark.parametrize("name, count", [("pgl2", 0), ("oq", 23),
