@@ -7,8 +7,8 @@ Subpackages by task:
 - ``ringmat``        matrices over number rings, form preservation checks
 - ``poly``           the affine identity test for the conjugation displays
 - ``presentations``  finitely presented groups and the presentation file format
-- ``coset``          Todd-Coxeter enumeration and Reidemeister-Schreier
-- ``congsub``        finite matrix groups over residue rings, orbits, closures
+- ``coset``          orbits, Todd-Coxeter enumeration and Reidemeister-Schreier
+- ``congsub``        finite matrix groups over residue rings, closures
 - ``bttree``         Bruhat-Tits tree models, canonical lattice vertices, BFS
 - ``tower``          congruence tower construction with machine-checkable
                      containment certificates

@@ -5,14 +5,15 @@ changes are multiplied out over the exact rings, and each conjugation
 display compares the machine-derived conjugate of a generic congruence
 element Id + c Y with the printed template.  Both sides are affine in the
 free matrix Y, so exact agreement at Y = 0 and at each elementary matrix
-E_ij (the basis points the tower certificates also use) proves the
-display for every Y.
+E_ij proves the display for every Y.  The tower certificates decide the
+same basis points: Y = 0 by one exact product and each E_ij by the
+valuations of its rank-one conjugate.
 """
 
 from __future__ import annotations
 
 from .errors import CheckFailed
-from . import catalog, ringmat, tower
+from . import catalog, ringmat, rings, tower
 from .poly import poly_identity_test
 from .rings import make_ring, factor_rational_prime
 
@@ -50,10 +51,49 @@ def check_unitary_swap():
             and ringmat.det(g0) == ring.one)
 
 
+# The coordinate change for the hermitian example.  Work in the real
+# field Q(d), d^4 = 2d^2 + 4, where d = sqrt(1+sqrt5) and a = d^2 - 1 =
+# sqrt5.  The second square root e with e^2 = 4+2a is not independent:
+# (1+a)^3 = 4(4+2a), so e = d(1+a)/2 is a compatible choice and the two
+# roots must be chosen compatibly for the displayed base change to work
+# (with e -> -e the product c~^t h c is not even close).  All entries of c
+# are real, so conjugation is trivial on them.
+
+
+def _base_change_matrices():
+    """h, h0 and c over Q(d), then a = sqrt5, d, 1/d and e."""
+    field = rings.NumberRing(rings.SQRT_1_PLUS_SQRT5)
+    d = field.gen()
+    a = d * d - 1
+    e = d * (1 + a) / 2
+    d_inv = d * (a - 1) / 4
+    phi = (1 - a) / 2
+    h = ringmat.mat(field, [[phi, 1, 0], [1, phi, 1], [0, 1, phi]])
+    h0 = ringmat.mat(field, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    c = ringmat.mat(field, [
+        [1, -d_inv, (a - 1) / 8],
+        [d - 1, d_inv, (1 - a) * (1 + d) / 8],
+        [e - 1 - a, 0, -(2 + d) / 4],
+    ])
+    return h, h0, c, a, d, d_inv, e
+
+
+def _carries_h_to_minus_h0(c, h, h0):
+    return ringmat.mat_mul(ringmat.mat_mul(ringmat.transpose(c), h),
+                           c) == ringmat.mat_scale(h0, -1)
+
+
 def check_coordinate_change():
-    """c~^t h c = -h0 in Q(d), d^4 = 2d^2 + 4, plus N(1+a)=N(4+2a)=-4."""
-    ok, _details = ringmat.coordinate_change_check()
-    return ok
+    """c~^t h c = -h0, c carrying the hermitian form with matrix h (phi =
+    (1-a)/2 on the diagonal) to -h0, h0 the antidiagonal unit form; a^2 = 5
+    and d, e are units with the stated squares; and N(1+a) = N(4+2a) = -4
+    in Q(a)."""
+    h, h0, c, a, d, d_inv, e = _base_change_matrices()
+    ok_units = (a * a == 5 and d * d == 1 + a and d * d_inv == 1
+                and e * e == 4 + 2 * a)
+    # the norm from Q(a) to Q multiplies by the conjugate a -> -a
+    ok_norms = (1 + a) * (1 - a) == -4 and (4 + 2 * a) * (4 - 2 * a) == -4
+    return _carries_h_to_minus_h0(c, h, h0) and ok_units and ok_norms
 
 
 def _conjugate_generic(g, g_inv, c, y):

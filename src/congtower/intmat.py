@@ -2,7 +2,7 @@
 
 Everything is plain Python ints (arbitrary precision), lists of rows.
 ``hnf`` gives the canonical basis of a row lattice (the prime-power
-lattices of ``rings``), and ``lattice_contains`` tests membership in it.
+lattices of ``rings``, where ``rings.reduce_coords`` reduces against it).
 The Smith reduction uses minimal-absolute-value pivoting with full row and
 column reduction, which keeps entries tame at the sizes we need (a few
 thousand rows).  Abelian invariants always go through a sparse elimination
@@ -67,22 +67,6 @@ def _row_sub(target, source, q):
     for j in range(len(target)):
         if source[j]:
             target[j] -= q * source[j]
-
-
-def lattice_contains(hnf_rows, vector):
-    """Membership of an integer vector in the row lattice given by a square,
-    full-rank upper-triangular HNF basis."""
-    x = list(vector)
-    n = len(x)
-    for i in range(n):
-        piv = hnf_rows[i][i]
-        if x[i] % piv:
-            return False
-        q = x[i] // piv
-        if q:
-            for j in range(i, n):
-                x[j] -= q * hnf_rows[i][j]
-    return all(v == 0 for v in x)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +313,4 @@ def abelian_invariants(relation_rows, num_generators):
     return AbelianInvariants.from_divisors(num_generators, divisors)
 
 
-__all__ = [
-    "hnf", "snf", "abelian_invariants", "AbelianInvariants",
-    "lattice_contains",
-]
+__all__ = ["hnf", "snf", "abelian_invariants", "AbelianInvariants"]

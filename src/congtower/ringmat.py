@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -151,7 +152,10 @@ def preserves_form(m, form, kind):
 
 
 def _coord_from_json(v):
-    if isinstance(v, (int, str)) and not isinstance(v, bool):
+    """An int that is not a bool, or a string "a" or "a/b" of decimal
+    digits with an optional leading minus, as a Fraction."""
+    if ((isinstance(v, int) and not isinstance(v, bool)) or (
+            isinstance(v, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", v))):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
@@ -185,71 +189,9 @@ def read_json_file(path):
             raise InputError("%s is not valid JSON: %s" % (path, exc)) from None
 
 
-# ---------------------------------------------------------------------------
-# the coordinate-change verification for the hermitian example
-#
-# Work in the real field Q(d), d^4 = 2d^2 + 4, where d = sqrt(1+sqrt5) and
-# a = d^2 - 1 = sqrt5.  The second square root e with e^2 = 4+2a is not
-# independent: (1+a)^3 = 4(4+2a), so e = d(1+a)/2 is a compatible choice and
-# the two roots must be chosen compatibly for the displayed base change to
-# work (with e -> -e the product c~^t h c is not even close).  Check that c
-# carries the hermitian form with matrix h (phi = (1-a)/2 on the diagonal)
-# to -h0, h0 the antidiagonal unit form: c~^t h c = -h0.  All entries of c
-# are real, so conjugation is trivial on them.  Also checks
-# N(1+a) = N(4+2a) = -4 in Q(a).
-
-
-def _base_change_matrices():
-    """h, h0 and c over Q(d), then a = sqrt5, d, 1/d and e."""
-    field = rings.NumberRing(rings.SQRT_1_PLUS_SQRT5)
-    d = field.gen()
-    a = d * d - 1
-    e = d * (1 + a) / 2
-    d_inv = d * (a - 1) / 4
-    phi = (1 - a) / 2
-    h = mat(field, [[phi, 1, 0], [1, phi, 1], [0, 1, phi]])
-    h0 = mat(field, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    c = mat(field, [
-        [1, -d_inv, (a - 1) / 8],
-        [d - 1, d_inv, (1 - a) * (1 + d) / 8],
-        [e - 1 - a, 0, -(2 + d) / 4],
-    ])
-    return h, h0, c, a, d, d_inv, e
-
-
-def _carries_h_to_minus_h0(c, h, h0):
-    return mat_mul(mat_mul(transpose(c), h), c) == mat_scale(h0, -1)
-
-
-def coordinate_change_check():
-    """Verify the base change relating h and -h0, plus the norm facts.
-
-    Returns (ok, details).  The identity verified is  c~^t h c = -h0
-    (equivalently, in the new coordinates the form h has matrix -h0), and
-    N(1+a) = N(4+2a) = -4, and that a^2 = 5 and d, e are units with the
-    stated squares.
-    """
-    h, h0, c, a, d, d_inv, e = _base_change_matrices()
-    ok_form = _carries_h_to_minus_h0(c, h, h0)
-    ok_units = (a * a == 5 and d * d == 1 + a and d * d_inv == 1
-                and e * e == 4 + 2 * a)
-    # the norm from Q(a) to Q multiplies by the conjugate a -> -a
-    n1 = (1 + a) * (1 - a)
-    n2 = (4 + 2 * a) * (4 - 2 * a)
-    ok_norms = n1 == -4 and n2 == -4
-    details = {
-        "form_identity": ok_form,
-        "sqrt_units": ok_units,
-        "norm_1_plus_a": int(n1.coords[0]),
-        "norm_4_plus_2a": int(n2.coords[0]),
-    }
-    return (ok_form and ok_units and ok_norms), details
-
-
 __all__ = [
     "mat", "identity", "basis_points", "mat_mul", "mat_add",
     "mat_scale", "transpose", "conj_transpose", "numerators", "det", "mat_inverse",
     "is_integral", "preserves_form",
     "matrix_from_json", "read_json_file",
-    "coordinate_change_check",
 ]

@@ -533,7 +533,8 @@ class PrimeIdeal:
     def numerator_at_least(self, num, level):
         """Is v_p(num) >= level for the ring integer with int coordinates
         num?  A level <= 0 asks nothing of it."""
-        return level <= 0 or intmat.lattice_contains(self.power_lattice(level), num)
+        return level <= 0 or not any(
+            reduce_coords(self.power_lattice(level), num))
 
     def valuation(self, x):
         """p-adic valuation on the fraction field; +inf on 0."""
@@ -550,7 +551,7 @@ class PrimeIdeal:
         # p^t dividing every coordinate puts num in p^t O, inside p^(e t);
         # a nonzero integer of the ring leaves p^v for some v
         v = self.e * _int_valuation(math.gcd(*num), self.p)
-        while intmat.lattice_contains(self.power_lattice(v + 1), num):
+        while not any(reduce_coords(self.power_lattice(v + 1), num)):
             v += 1
         return v
 
@@ -721,7 +722,7 @@ def _single_generator_search(ring, p, f, lattice):
 
     def first_generator(pool):
         for coords in sorted(pool, key=preference):
-            if any(coords) and intmat.lattice_contains(lattice, coords):
+            if any(coords) and not any(reduce_coords(lattice, coords)):
                 x = ring(coords)
                 if abs(x.norm()) == target:
                     return x

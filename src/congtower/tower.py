@@ -19,14 +19,16 @@ criterion's condition (2).  Condition (1), cofinality, is not machine
 checkable for the infinite tower; the report states the exhaustion radius
 actually covered as a proxy.
 
-Certificates are complete basis checks: the conjugation is affine in X, so
-it is computed exactly at X = 0, which must give Id, and at each of the
-n^2 elementary matrices E_ij, whose conjugates must be = Id mod p^j by
-valuations.  The conjugation displays of ``identities`` are proved at the
-same points.  Certificates and their rechecks at random points share one
-kernel, ``_Conjugation``: with w and w^-1 over common denominators,
-G = d_g w, H = d_h w^-1 and D = d_g d_h, and with w^-1 w == Id checked
-exactly once,
+Certificates are complete basis checks: the conjugation is affine in X,
+so it need only give Id at X = 0, which is w^-1 w == Id, one exact
+product, and be = Id mod p^b at each of the n^2 elementary matrices E_ij.
+There the conjugate minus Id is the rank-one pi^a (w^-1 e_i)(e_j^t w),
+whose entry (k, l) has valuation a + v(w^-1_ki) + v(w_jl), so every E_ij
+passes exactly when a + min v(w^-1) + min v(w) >= b: 2 n^2 valuations.
+The conjugation displays of ``identities`` are proved at the same basis
+points.  The recheck at random points takes an independent route, the
+kernel ``_Conjugation``: with G = d_g w, H = d_h w^-1 integral, D = d_g
+d_h and w^-1 w == Id checked on them,
 
     w^-1 (Id + pi^a X) w - Id  =  pi^a (H X G) / D,
 
@@ -47,7 +49,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CheckFailed, InputError
-from . import bttree, catalog, coset, homology, ringmat, rings
+from . import bttree, catalog, coset, homology, ringmat
 from .intmat import AbelianInvariants
 
 
@@ -74,7 +76,8 @@ class ContainmentCertificate:
             "nvars": nvars,
             "min_valuation": (None if self.min_valuation is math.inf
                               else int(self.min_valuation)),
-            # exact conjugations made: X = 0 and each E_ij
+            # basis points decided exactly: X = 0 by the product w^-1 w,
+            # each E_ij by the valuations of its rank-one conjugate
             "basis_checks": nvars + 1,
             # certify_containment raises on failure
             "pass": True,
@@ -97,7 +100,7 @@ class _Conjugation:
     def __init__(self, g, prime, a):
         ring = g[0][0].ring
         n = len(g)
-        self.ring, self.prime, self.a = ring, prime, a
+        self.ring, self.prime = ring, prime
         gs, d_g = ringmat.numerators(g)
         self._h_rows, d_h = ringmat.numerators(ringmat.mat_inverse(g))
         self.den = d_g * d_h
@@ -128,44 +131,38 @@ class _Conjugation:
         lattice membership; a level <= 0 asks nothing of an integral num."""
         return self.prime.numerator_at_least(num, b + self.shift)
 
-    def valuation(self, num):
-        """Valuation of the entry with numerator num; +inf on 0."""
-        return self.prime.numerator_valuation(num) - self.shift
-
-    def entry(self, k, l, num):
-        """Entry (k, l) of the conjugate g^-1 (Id + pi^a X) g, exactly."""
-        diag = self.ring.one if k == l else self.ring.zero
-        return diag + self.prime.uniformizer_power(self.a) * rings.RingElt(
-            self.ring, num, self.den)
-
 
 def certify_containment(g, prime, a, b):
     """Certificate that  g^-1 Gamma(p^a) g  lies in the level-p^b congruence
     condition.
 
     X -> g^-1 (Id + pi^a X) g is affine in X and p^b is an ideal, so the
-    containment holds for every integral X exactly when it holds at X = 0
-    and at each elementary matrix E_ij.  X = 0 must give Id exactly, which
-    ``_Conjugation`` checks as g^-1 g == Id; each E_ij must give a matrix
-    = Id mod p^b in the valuation sense, one lattice membership of each
-    entry of H E_ij G.  Raises CheckFailed with the offending E_ij and
-    entry if not.
+    containment holds for every integral X exactly when it holds at X = 0,
+    where g^-1 g must be Id exactly, and at each elementary matrix E_ij,
+    where entry (k, l) of the conjugate minus Id is pi^a g^-1_ki g_jl: all
+    pass exactly when the valuation bound a + min v(g^-1) + min v(g) >= b
+    holds.  Raises CheckFailed if g^-1 g is not Id, or with the first E_ij
+    and entry (k, l) below b.
     """
     n = len(g)
-    conj = _Conjugation(g, prime, a)
-    min_val = math.inf
-    for i in range(n):
-        for j in range(n):
-            e_ij = [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
-            for k, row in enumerate(conj.numerators(e_ij)):
-                for l, num in enumerate(row):
-                    v = conj.valuation(num)
-                    min_val = min(min_val, v)
-                    if v < b:
-                        raise CheckFailed(
-                            "at E_(%d,%d), entry (%d,%d) of the conjugate is "
-                            "%r, valuation %s < %d from the identity"
-                            % (i, j, k, l, conj.entry(k, l, num), v, b))
+    g_inv = ringmat.mat_inverse(g)
+    if ringmat.mat_mul(g_inv, g) != ringmat.identity(g[0][0].ring, n):
+        raise CheckFailed("conjugating the identity does not give the identity")
+    v_inv = [[prime.valuation(x) for x in row] for row in g_inv]
+    v_g = [[prime.valuation(x) for x in row] for row in g]
+    min_val = a + min(map(min, v_inv)) + min(map(min, v_g))
+    if min_val < b:
+        # name the first entry below b: E_ij, then (k, l), row-major
+        i, j, k, l = next(
+            (i, j, k, l) for i, j, k, l in itertools.product(range(n),
+                                                             repeat=4)
+            if a + v_inv[k][i] + v_g[j][l] < b)
+        entry = int(k == l) + (prime.uniformizer_power(a)
+                               * g_inv[k][i] * g[j][l])
+        raise CheckFailed(
+            "at E_(%d,%d), entry (%d,%d) of the conjugate is "
+            "%r, valuation %s < %d from the identity"
+            % (i, j, k, l, entry, a + v_inv[k][i] + v_g[j][l], b))
     return ContainmentCertificate(
         conjugator=g, inner_level=a, outer_level=b, min_valuation=min_val)
 
@@ -176,7 +173,7 @@ _RECHECK_SPAN = 10
 
 def recheck_certificate(cert, prime, rng=None, points=100):
     """Re-verification at fresh random integer points X, apart from the
-    basis points the certificate used.
+    basis points the certificate decided, by a route independent of it.
 
     Each point is evaluated by the conjugation kernel, pi^a (H X G) / D,
     and the level-b congruence asked as one lattice membership per entry

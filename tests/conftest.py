@@ -104,6 +104,30 @@ def row_expansions():
     return _row_expansions
 
 
+def _lattice_contains(hnf_rows, vector):
+    """Membership of an integer vector in the row lattice of a square,
+    full-rank upper-triangular HNF basis, refused at the first pivot that
+    does not divide: the test ``rings.reduce_coords`` replaced."""
+    x = list(vector)
+    n = len(x)
+    for i in range(n):
+        piv = hnf_rows[i][i]
+        if x[i] % piv:
+            return False
+        q = x[i] // piv
+        if q:
+            for j in range(i, n):
+                x[j] -= q * hnf_rows[i][j]
+    return all(v == 0 for v in x)
+
+
+@pytest.fixture(scope="session")
+def lattice_contains():
+    """(hnf_rows, vector) -> lattice membership, the oracle for a zero
+    reduction."""
+    return _lattice_contains
+
+
 # The global Hermite form on RingElt entries that ``bttree.canonicalize``
 # computed before it ran on integer numerators, kept as the oracle: every
 # pivot unit inverted in the fraction field, every residue of a p-integral

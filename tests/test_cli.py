@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -422,6 +426,23 @@ def test_malformed_file_exits_input(tmp_path, flag, content, message):
     code, err = _homology_on(tmp_path, flag, content)
     assert code == cli.EXIT_INPUT
     assert err.startswith("input error:") and message in err
+
+
+def test_exponent_coordinate_exits_input_at_once(tmp_path):
+    # Fraction("1e999999999") would build a billion-digit int; the
+    # coordinate grammar refuses it before any arithmetic
+    path = tmp_path / "gens.json"
+    path.write_text(_with_entry("1e999999999"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "congtower.cli", "homology", "--field", "1",
+         "--norm-max", "2", "--matrices", str(path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert "bad coordinate '1e999999999'" in proc.stderr
 
 
 def _with_matrix(name, rows):

@@ -23,6 +23,11 @@ GOLDEN = {
         "f91c949e7b7e31efb27085324fffd2e1e0fbe267643072c4317b475f3cecf0f6",
     "tower pu21 --steps 6":
         "0f15fb1c182e74b8e6e08400cd9f5f38cf554587ac10ef13a8efad57419e6ba9",
+    # every swap move's certificate summary: 10 o41 moves, 30 pu21 moves
+    "tower o41 --steps 10":
+        "6026598dfb0c779b9bca70f3e0c518e8642a38d24ce88037f56228a3090dc2a6",
+    "tower pu21 --steps 30":
+        "511f901b7b9045247389345b0a9293c2bc3d4a9ab742f028af2a6a979c7a6a9c",
     "tree su --radius 2":
         "c7f6f1cecda0f4fde7a47835f0e869620bb26218541dc0a0aeb32c0bc5e29746",
     # the ramified prime over 7 in O_7, and the rational ring

@@ -86,36 +86,39 @@ def test_identity_matrix_preserves_any_form():
     assert ringmat.preserves_form(ringmat.identity(ring, 5), q, "bilinear")
 
 
-def test_coordinate_change_details():
-    ok, details = ringmat.coordinate_change_check()
-    assert ok
-    assert details["norm_1_plus_a"] == -4
-    assert details["norm_4_plus_2a"] == -4
-    assert details["form_identity"] and details["sqrt_units"]
+def test_coordinate_change_row_passes_and_needs_a_squared_5(monkeypatch):
+    assert identities.check_coordinate_change()
+    # a + 1 in place of a = sqrt5: c still carries h to -h0, but a^2 = 5
+    # and the norms fail
+    h, h0, c, a, d, d_inv, e = identities._base_change_matrices()
+    monkeypatch.setattr(identities, "_base_change_matrices",
+                        lambda: (h, h0, c, a + 1, d, d_inv, e))
+    assert identities._carries_h_to_minus_h0(c, h, h0)
+    assert not identities.check_coordinate_change()
 
 
 def test_identity_coordinate_change_fails_for_identity_matrix():
     # substituting c = Id: h and -h0 are different forms
-    h, h0, c, *_ = ringmat._base_change_matrices()
-    assert ringmat._carries_h_to_minus_h0(c, h, h0)
+    h, h0, c, *_ = identities._base_change_matrices()
+    assert identities._carries_h_to_minus_h0(c, h, h0)
     ident = ringmat.identity(c[0][0].ring, 3)
-    assert not ringmat._carries_h_to_minus_h0(ident, h, h0)
+    assert not identities._carries_h_to_minus_h0(ident, h, h0)
 
 
 def test_coordinate_change_fails_for_one_changed_entry():
-    h, h0, c, *_ = ringmat._base_change_matrices()
+    h, h0, c, *_ = identities._base_change_matrices()
     for i in range(3):
         for j in range(3):
             rows = [list(row) for row in c]
             rows[i][j] = rows[i][j] + 1
             changed = tuple(tuple(row) for row in rows)
-            assert not ringmat._carries_h_to_minus_h0(changed, h, h0), (i, j)
+            assert not identities._carries_h_to_minus_h0(changed, h, h0), (i, j)
 
 
 def test_coordinate_change_needs_the_compatible_second_root():
     # e -> -e in the bottom-left entry -1 - a + e breaks the identity
-    h, h0, c, a, _d, _d_inv, e = ringmat._base_change_matrices()
+    h, h0, c, a, _d, _d_inv, e = identities._base_change_matrices()
     rows = [list(row) for row in c]
     rows[2][0] = -1 - a - e
     changed = tuple(tuple(row) for row in rows)
-    assert not ringmat._carries_h_to_minus_h0(changed, h, h0)
+    assert not identities._carries_h_to_minus_h0(changed, h, h0)

@@ -2,7 +2,6 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from congtower import intmat
 from congtower.intmat import AbelianInvariants, abelian_invariants, hnf, snf
 
 
@@ -40,7 +39,7 @@ def test_hnf_canonical_reduction():
             assert 0 <= piv_rows[r2][c] < row[c]
 
 
-def test_hnf_random_unimodular_and_membership(rng):
+def test_hnf_random_unimodular_and_membership(rng, lattice_contains):
     for _ in range(50):
         m = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
         if m[0][0] * m[1][1] == m[0][1] * m[1][0]:
@@ -57,7 +56,7 @@ def test_hnf_random_unimodular_and_membership(rng):
         square = [r for r in h if any(r)]
         if len(square) == 3 and all(square[i][i] for i in range(3)):
             for row in m:
-                assert intmat.lattice_contains(square, row)
+                assert lattice_contains(square, row)
 
 
 def test_snf_examples():

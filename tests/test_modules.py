@@ -155,8 +155,6 @@ UNENTERED = {
     "presentations._canonical_cyclic": "a helper of tietze_simplify",
     "presentations.cyclic_reduce": "a helper of tietze_simplify",
     "congsub.pu_identity_congruent_count": "criterion 3, an acceptance row",
-    "tower._Conjugation.entry": "the message of a failing certificate, which "
-                                "no built-in input produces",
 }
 
 # Run in a fresh process with the profiler on before congtower is imported,

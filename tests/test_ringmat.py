@@ -197,6 +197,16 @@ def test_json_roundtrip_integral_and_fractional():
             ringmat.matrix_from_json(rows, rational)
 
 
+@pytest.mark.parametrize("coord", ["1e5", "1.5", "2_0", " 3"])
+def test_matrix_from_json_refuses_coordinates_outside_the_grammar(coord):
+    # a coordinate is an int or a string -?digits(/digits)?: each of these
+    # is a Fraction, but none is in the documented grammar
+    for ring in (make_ring("rational"), make_ring("cyclotomic-5")):
+        for entry in (coord, [coord] + [0] * (ring.degree - 1)):
+            with pytest.raises(InputError, match="bad coordinate"):
+                ringmat.matrix_from_json([[entry, 0], [0, 1]], ring)
+
+
 # the d=1 generator matrices as a generator-matrices file
 D1_MATRICES = {"a": [[1, 1], [0, 1]], "b": [[0, -1], [1, 0]],
                "u": [[1, [0, 1]], [0, 1]], "j": [[-1, 0], [0, -1]]}

@@ -498,11 +498,39 @@ def test_power_lattices_match_the_product_construction(all_rings):
     assert count == 1506
 
 
+def test_zero_reduction_is_lattice_membership(lattice_contains):
+    # membership in p^k is a zero reduce_coords, against the oracle that
+    # stops at the first pivot that does not divide: random vectors, and
+    # random lattice points and their near misses, so both answers occur,
+    # for the tower primes of magic, o41 and pu21 and k <= 4
+    rng = random.Random(4417)
+    primes = [catalog.magic_ring_and_prime()[1],
+              factor_rational_prime(make_ring("rational"), 2)[0],
+              catalog.pu21_ring_and_prime()[1]]
+    answers = set()
+    for prime in primes:
+        n = prime.ring.degree
+        for k in range(5):
+            lattice = prime.power_lattice(k)
+            for _ in range(200):
+                x = [rng.randint(-60, 60) for _ in range(n)]
+                point = [sum(rng.randint(-9, 9) * row[j] for row in lattice)
+                         for j in range(n)]
+                near = list(point)
+                near[rng.randrange(n)] += rng.choice((-1, 1))
+                for v in (x, point, near):
+                    expected = lattice_contains(lattice, v)
+                    assert (not any(rings.reduce_coords(lattice, v))) == expected
+                    assert prime.numerator_at_least(v, k) == expected
+                    answers.add((k > 0, expected))
+    assert answers == {(False, True), (True, True), (True, False)}
+
+
 def _trace_form(c):
     return 5 * sum(x * x for x in c) - sum(c) ** 2
 
 
-def test_trace_form_ball_is_complete():
+def test_trace_form_ball_is_complete(lattice_contains):
     # against a box past the bound: T2(c) >= sum(c_i^2), so |c_i| <= 5 when
     # T2 <= 30; on Z^4 and on the lattices of primes over 5 and 11
     E = make_ring("cyclotomic-5")
@@ -514,7 +542,7 @@ def test_trace_form_ball_is_complete():
     for lattice in lattices:
         for bound in (0, 4, 17, 30):
             expected = sorted(c for c in box if _trace_form(c) <= bound
-                              and intmat.lattice_contains(lattice, c))
+                              and lattice_contains(lattice, c))
             assert sorted(rings._trace_form_ball(lattice, bound)) == expected
 
 

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from congtower import bttree, catalog, coset, identities, ringmat, tower
+from congtower import (bttree, catalog, coset, identities, ringmat, rings,
+                       tower)
 from congtower.errors import CheckFailed
 from congtower.intmat import AbelianInvariants
 from congtower.rings import factor_rational_prime, make_ring
@@ -85,8 +88,9 @@ def test_recheck_catches_corruption(magic_prime):
 
 
 def _kernel_case(case):
-    """(g, prime, a, b): the three swaps at their tower levels, and the
-    two conjugators the certificate refuses at the magic prime."""
+    """(g, prime, a, b): the three swaps at their tower levels, the
+    identity, and the three conjugators the certificate refuses at the
+    magic prime."""
     if case == "o41":
         prime = factor_rational_prime(make_ring("rational"), 2)[0]
         return catalog.o41_swap(), prime, 4, 2
@@ -95,18 +99,103 @@ def _kernel_case(case):
     ring, prime = catalog.magic_ring_and_prime()
     g = {
         "magic": catalog.magic_swap(),
+        "identity": ringmat.identity(ring, 2),
         "magic-sixteen": ringmat.mat(ring, [[0, 16], [Fraction(1, 16), 0]]),
         "magic-diag": ringmat.mat(ring, [[1, 0], [0, (prime.pi ** 2).inverse()]]),
+        "magic-shear": ringmat.mat(ring, [[1, Fraction(1, 4)], [0, 1]]),
     }[case]
     return g, prime, 2, 1
+
+
+def _basis_point_certificate(g, prime, a, b):
+    """The certificate's min_valuation, or the message it refuses with, by
+    field arithmetic: g^-1 (Id + pi^a Y) g at Y = 0 and at each E_ij in
+    row-major order, and the valuation of every entry of each conjugate
+    minus Id, the first below b refusing."""
+    ring = g[0][0].ring
+    n = len(g)
+    g_inv = ringmat.mat_inverse(g)
+    pi_a = prime.uniformizer_power(a)
+    ident = ringmat.identity(ring, n)
+    min_val = math.inf
+    for label, y in ringmat.basis_points(ring, n):
+        conj = identities._conjugate_generic(g, g_inv, pi_a, y)
+        if label == "0":
+            if conj != ident:
+                return "conjugating the identity does not give the identity"
+            continue
+        for k, l in itertools.product(range(n), repeat=2):
+            v = prime.valuation(conj[k][l] - ident[k][l])
+            min_val = min(min_val, v)
+            if v < b:
+                return ("at %s, entry (%d,%d) of the conjugate is %r, "
+                        "valuation %s < %d from the identity"
+                        % (label, k, l, conj[k][l], v, b))
+    return min_val
+
+
+def _certificate_outcome(g, prime, a, b):
+    try:
+        return tower.certify_containment(g, prime, a, b).min_valuation
+    except CheckFailed as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", [
+    "magic", "o41", "pu21", "identity", "magic-sixteen", "magic-diag",
+    "magic-shear", "magic 25", "o41 10", "pu21 30"])
+def test_certificate_matches_the_basis_point_oracle(case):
+    # the valuation bound a + min v(g^-1) + min v(g) >= b against the
+    # conjugates at the n^2 + 1 basis points: the same min_valuation, or
+    # the same refusal, message included.  A case "example steps" is every
+    # move that tower uses, at its levels (2j, j)
+    if " " in case:
+        example, steps = case.split()
+        data = tower.build_tower(example, int(steps))
+        j = data.config.level_j
+        cases = [(data.moves[k].transporter, data.model.prime, 2 * j, j)
+                 for k in data.certificates]
+        assert len(cases) == {"magic": 3, "o41": 10, "pu21": 30}[example]
+    else:
+        cases = [_kernel_case(case)]
+    for g, prime, a, b in cases:
+        outcome = _certificate_outcome(g, prime, a, b)
+        assert outcome == _basis_point_certificate(g, prime, a, b)
+        assert isinstance(outcome, str) == case.startswith("magic-")
+
+
+@pytest.mark.parametrize("case", ["magic", "o41", "pu21"])
+def test_certificate_reads_2n2_valuations_and_one_product(monkeypatch, case):
+    # w^-1 w by one ringmat.mat_mul, then the valuations of the entries of
+    # w and w^-1; no conjugation kernel and no basis-point product
+    g, prime, a, b = _kernel_case(case)
+    counts = {"valuation": 0, "mat_mul": 0}
+    valuation, mat_mul = rings.PrimeIdeal.valuation, ringmat.mat_mul
+
+    def counting_valuation(self, x):
+        counts["valuation"] += 1
+        return valuation(self, x)
+
+    def counting_mat_mul(x, y):
+        counts["mat_mul"] += 1
+        return mat_mul(x, y)
+
+    def no_kernel(*args):
+        raise AssertionError("the certificate built a _Conjugation")
+
+    monkeypatch.setattr(rings.PrimeIdeal, "valuation", counting_valuation)
+    monkeypatch.setattr(ringmat, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(tower, "_Conjugation", no_kernel)
+    tower.certify_containment(g, prime, a, b)
+    assert counts == {"valuation": 2 * len(g) ** 2, "mat_mul": 1}
 
 
 @pytest.mark.parametrize("case", ["magic", "o41", "pu21",
                                   "magic-sixteen", "magic-diag"])
 def test_conjugation_kernel_matches_field_arithmetic(case):
     # pi^a (H X G) / D on int numerators against g^-1 (Id + pi^a X) g by
-    # plain field arithmetic: the same entries, valuations and level-b
-    # verdicts at 25 random integer points
+    # plain field arithmetic: the same entries and level-b verdicts at 25
+    # random integer points
     g, prime, a, b = _kernel_case(case)
     ring = g[0][0].ring
     n = len(g)
@@ -122,11 +211,11 @@ def test_conjugation_kernel_matches_field_arithmetic(case):
         nums = conj.numerators(x)
         for k in range(n):
             for l in range(n):
-                diff = field[k][l] - (ring.one if k == l else ring.zero)
+                diff = pi_a * rings.RingElt(ring, nums[k][l], conj.den)
+                assert diff == field[k][l] - (ring.one if k == l
+                                              else ring.zero)
                 expected = prime.valuation(diff) >= b
                 assert conj.at_least(nums[k][l], b) == expected
-                assert conj.valuation(nums[k][l]) == prime.valuation(diff)
-                assert conj.entry(k, l, nums[k][l]) == field[k][l]
                 verdicts.add(expected)
     assert verdicts == ({True} if case in ("magic", "o41", "pu21")
                         else {True, False})
