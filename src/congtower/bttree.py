@@ -34,7 +34,9 @@ the tower's steps and its covered radius.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
@@ -342,15 +344,16 @@ def _su_stab_gens(ring, prime):
     return gens, h0
 
 
+@functools.cache
 def _box_traces(ring):
     """The int coordinates of y + conj(y) for each integral y with
-    coordinates in [-2, 2], mapped to those y in ``itertools.product``
-    order."""
+    coordinates in [-2, 2], mapped to the tuple of those y in
+    ``itertools.product`` order: built once per ring, and read-only."""
     traces = {}
     for coords in itertools.product(range(-2, 3), repeat=ring.degree):
         trace = tuple(a + b for a, b in zip(coords, ring._conj_coords(coords)))
         traces.setdefault(trace, []).append(coords)
-    return traces
+    return types.MappingProxyType({t: tuple(ys) for t, ys in traces.items()})
 
 
 def _solve_trace(ring, traces, target, prime):

@@ -2,17 +2,21 @@
 closures (``coset.orbit`` of the identity) and congruence-kernel quotient
 checks.
 
-Matrices over a residue ring are tuples of tuples of canonical residue
-representatives, so they hash and compare directly.  Each entry of a
-product is one ``ResidueRing.dot``: the exact int dot product of the
-representatives, reduced once, and a determinant is ``rings.det``'s
-first-row expansion, each step one ``ResidueRing.dot``.  Every enumeration
-declares its cost estimate up front and refuses to start past the budget.
+A matrix over a residue ring is the flat row-major tuple of its entries'
+residue indices (``ResidueRing.index``), so it hashes and compares
+directly, and the order of those tuples is the order of the coordinate
+representatives.  Products, determinants (``rings.det``'s first-row
+expansion) and p-th powers run on the ring's add, mul and neg tables: a
+product entry is a sum of table lookups, and no coordinate tuple is formed
+or reduced.  A ring's N^2 table entries are declared against the budget
+before any table is built, and every enumeration declares its cost
+estimate up front and refuses to start past the budget.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
@@ -26,19 +30,63 @@ CLOSURE_BUDGET_DEFAULT = 10_000_000
 # residue matrices
 
 
+def table_ring(prime, k, budget):
+    """O/p^k, its add and mul tables of N^2 entries each declared against
+    the budget before any is built."""
+    R = ResidueRing(prime, k)
+    entries = R.size ** 2
+    if entries > budget:
+        raise BudgetExceeded(
+            "add and mul tables of O/p^%d, %d entries each, exceed budget"
+            % (k, entries), estimate=entries, budget=budget)
+    return R
+
+
 def reduce_matrix(R, m):
-    return tuple(tuple(R.reduce(x) for x in row) for row in m)
+    """The flat row-major residue indices of an integral matrix."""
+    index, reduce = R.index, R.reduce
+    return tuple(index(reduce(x)) for row in m for x in row)
 
 
 def rmat_identity(R, n):
-    one, zero = R.one, R.zero
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    one, zero = R.index(R.one), R.index(R.zero)
+    return tuple(one if i == j else zero for i in range(n) for j in range(n))
+
+
+def rdot(R, xs, ys):
+    """The index of sum x_t y_t over residue indices, by table lookups."""
+    add, mul, size = R.add_table, R.mul_table, R.size
+    acc = 0                 # the index of zero
+    for x, y in zip(xs, ys):
+        acc = add[acc * size + mul[x * size + y]]
+    return acc
+
+
+def rmat_det(R, m):
+    """The index of det m for a square matrix of residue indices:
+    ``rings.det`` on its rows, with the table operations."""
+    n = math.isqrt(len(m))
+    return rings.det([m[i:i + n] for i in range(0, len(m), n)],
+                     lambda xs, ys: rdot(R, xs, ys), R.neg_table.__getitem__,
+                     R.index(R.zero))
 
 
 def rmat_mul(R, a, b):
-    """a * b, each entry one ``R.dot`` of a row and a column."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(R.dot(row, col) for col in cols) for row in a)
+    """a * b for square matrices of residue indices, each entry the
+    ``rdot`` of a row and a column; written out for 2 x 2, the size of
+    every SL2 closure."""
+    add, mul, size = R.add_table, R.mul_table, R.size
+    if len(a) == 4:
+        a0, a1, a2, a3 = [x * size for x in a]
+        b0, b1, b2, b3 = b
+        return (add[mul[a0 + b0] * size + mul[a1 + b2]],
+                add[mul[a0 + b1] * size + mul[a1 + b3]],
+                add[mul[a2 + b0] * size + mul[a3 + b2]],
+                add[mul[a2 + b1] * size + mul[a3 + b3]])
+    n = math.isqrt(len(a))
+    cols = [b[j::n] for j in range(n)]
+    return tuple(rdot(R, a[i:i + n], col)
+                 for i in range(0, len(a), n) for col in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +94,27 @@ def rmat_mul(R, a, b):
 
 
 class SchemeSL:
-    """det = 1."""
+    """det = 1, on the congruence kernel."""
 
     name = "SL"
 
     def __init__(self, n):
         self.n = n
 
-    def check(self, R, m):
-        return rings.det(m, R.dot, R.neg, R.zero) == R.one
+    def check(self, R, t, m):
+        """Is det(Id + pi^j M) = 1 in O/p^k, for M over R = O/p^(k-j) and t
+        the index of pi^j in R?  det(Id + tM) is the sum over the index sets
+        S of t^|S| det M_SS, so det(Id + pi^j M) - 1 is pi^j times the sum
+        over nonempty S of t^(|S|-1) det M_SS, and multiplication by pi^j is
+        injective from O/p^(k-j) into O/p^k: that sum must be zero in R."""
+        n, add, mul, size = self.n, R.add_table, R.mul_table, R.size
+        total, scale = 0, R.index(R.one)
+        for i in range(1, n + 1):
+            for rows in itertools.combinations(range(n), i):
+                minor = rmat_det(R, tuple(m[r * n + c] for r in rows for c in rows))
+                total = add[total * size + mul[scale * size + minor]]
+            scale = mul[scale * size + t]
+        return total == 0
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +147,7 @@ def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None):
         canon = lambda m: m
     gens = sorted({canon(g) for g in gens})
     elements, columns, _ = coset.orbit(
-        canon(rmat_identity(R, len(gens[0]))), gens,
+        canon(rmat_identity(R, math.isqrt(len(gens[0])))), gens,
         lambda a, g: canon(rmat_mul(R, a, g)), budget)
     return Closure(elements, {g: tuple(c) for g, c in zip(gens, columns)})
 
@@ -142,7 +202,7 @@ class ReductionHom:
             if projective and val == minus:
                 continue
             raise InputError("relator %r does not hold on the matrices" % (rel,))
-        self.R = ResidueRing(prime, k)
+        self.R = table_ring(prime, k, budget)
         self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
         closure = group_closure(self.R, self.images, budget=budget,
                                 canon=self._canon)
@@ -154,14 +214,11 @@ class ReductionHom:
         matrix is negated only when -x < x."""
         if not self.projective:
             return m
-        neg = self.R.neg
-        for row in m:
-            for x in row:
-                nx = neg(x)
-                if nx != x:
-                    if nx < x:
-                        return tuple(tuple(neg(y) for y in r) for r in m)
-                    return m
+        neg = self.R.neg_table
+        for x in m:
+            nx = neg[x]
+            if nx != x:
+                return tuple(neg[y] for y in m) if nx < x else m
         return m
 
     def permutations(self):
@@ -178,10 +235,16 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     """Enumerate the kernel of reduction G(O/p^k) -> G(O/p^j) and report
     its order, commutativity, exponent, and elementary-abelian-ness.
 
-    The kernel is {Id + pi^j M}; candidates are parametrized by M over
-    O/p^(k-j) and filtered by the scheme predicate in O/p^k.  The size
-    N(p)^k of O/p^k and then the candidate count are checked against the
-    budget before the enumeration.
+    The kernel is {Id + pi^j M}, and it is carried by the matrices M over
+    R = O/p^(k-j): multiplication by pi^j is injective from O/p^(k-j) into
+    O/p^k, so Id + pi^j M determines M, and the product
+    (Id + pi^j A)(Id + pi^j B) = Id + pi^j (A + B + pi^j AB) is
+    ``kernel_product``, A + B + t AB with t = pi^j in R, whose identity is
+    M = 0.  The candidates, every M in tuple order, are filtered by the
+    scheme predicate.  The size N(p)^k of O/p^k, the ring the kernel lies
+    in (which also bounds the power pi^j formed), and then the candidate
+    count are checked against the budget before the enumeration, and the
+    N^2-entry tables of R before they are built.
 
     The group passes work on a generating set.  Walking the kernel set,
     each element not yet in <gens> joins gens and <gens> is closed again;
@@ -214,27 +277,23 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     if j == k:
         report.update(order=1, abelian=True, exponent=1, elementary_abelian=True)
         return report
-    R = ResidueRing(prime, k)
-    pi_j = R.reduce(prime.uniformizer_power(j))
-    # each entry is pi^j c for c over O/p^(k-j), plus 1 on the diagonal:
-    # those values are built once, pi^j c mod p^k being the residue product
-    # of any representatives.  A product over the rows, each row a product
-    # over its entries, keeps the row-major lexicographic order of a
-    # product over all n * n entries.
-    off = [R.mul(pi_j, c) for c in ResidueRing(prime, k - j).elements()]
-    diag = [R.add(R.one, e) for e in off]
-    rows = [list(itertools.product(*(diag if i == jj else off for jj in range(n))))
-            for i in range(n)]
-    elements = [m for m in itertools.product(*rows) if scheme.check(R, m)]
+    R = table_ring(prime, k - j, budget)
+    t = R.index(R.reduce(prime.uniformizer_power(j)))
+    candidates = itertools.product(range(R.size), repeat=n * n)
+    elements = [m for m in candidates if scheme.check(R, t, m)]
     order = len(elements)
     products = 4 * order * (order - 1).bit_length()    # 4 * order * ceil(log2 order)
     if products > budget:
         raise BudgetExceeded(
             "kernel of order %d needs up to %d products, over the budget"
             % (order, products), estimate=products, budget=budget)
-    ident = rmat_identity(R, n)
-    gens = _generating_set(R, elements, ident)
-    abelian = all(rmat_mul(R, a, b) == rmat_mul(R, b, a)
+
+    def product(a, b):
+        return kernel_product(R, t, a, b)
+
+    ident = (0,) * (n * n)      # M = 0, the identity Id + pi^j 0
+    gens = _generating_set(elements, ident, product)
+    abelian = all(product(a, b) == product(b, a)
                   for a, b in itertools.combinations(gens, 2))
     p = prime.p
     exponent = 1
@@ -243,7 +302,7 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
         while a != ident:       # a, a^p, a^(p^2), ... until Id
             if o * p > order:
                 raise AssertionError("kernel is not a p-group")
-            a = rings.power(a, p, lambda x, y: rmat_mul(R, x, y))
+            a = rings.power(a, p, product)
             o *= p
         exponent = max(exponent, o)
     report.update(
@@ -255,9 +314,18 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
     return report
 
 
-def _generating_set(R, elements, ident):
-    """Generators of the set ``elements``, chosen greedily in order; raises
-    AssertionError unless the set is a group."""
+def kernel_product(R, t, a, b):
+    """A + B + t AB for square matrices of residue indices: the product of
+    Id + pi^j A and Id + pi^j B carried to the M's, t being pi^j's index."""
+    add, mul, size = R.add_table, R.mul_table, R.size
+    t *= size
+    return tuple(add[add[x * size + y] * size + mul[t + z]]
+                 for x, y, z in zip(a, b, rmat_mul(R, a, b)))
+
+
+def _generating_set(elements, ident, product):
+    """Generators of the set ``elements`` under ``product``, chosen
+    greedily in order; raises AssertionError unless the set is a group."""
     members = set(elements)
     gens = []
     span = {ident}
@@ -266,8 +334,10 @@ def _generating_set(R, elements, ident):
             continue
         gens.append(a)
         try:
-            # a closure past len(members) elements cannot lie inside them
-            span = set(group_closure(R, gens, budget=len(members)).elements)
+            # the closure is the orbit of the identity under right
+            # multiplication; one past len(members) elements cannot lie
+            # inside them
+            span = set(coset.orbit(ident, gens, product, len(members))[0])
         except BudgetExceeded:
             raise AssertionError("kernel set is not closed") from None
         # an early stop only: the span never shrinks, so the final
@@ -325,8 +395,8 @@ def pu_identity_congruent_count():
 
 __all__ = [
     "SchemeSL", "ReductionHom",
-    "Closure", "group_closure", "reduce_matrix",
-    "rmat_identity", "rmat_mul",
-    "congruence_quotient_check", "pu_identity_congruent_count",
+    "Closure", "group_closure", "table_ring", "reduce_matrix",
+    "rmat_identity", "rdot", "rmat_det", "rmat_mul",
+    "congruence_quotient_check", "kernel_product", "pu_identity_congruent_count",
     "CLOSURE_BUDGET_DEFAULT",
 ]

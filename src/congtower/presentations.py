@@ -27,6 +27,9 @@ from . import intmat
 # its relators.  Powers, commutators and products are checked before they
 # are built, so a short text cannot make the parser build a huge word.
 MAX_WORD_LENGTH = 100_000
+# Deepest nesting of brackets, ( ) and [ ], in a word.  The parser recurses
+# once per level, so a text nested past it is refused, not overflowed.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +208,29 @@ def parse_presentation(text):
         break
     index = {nm: k + 1 for k, nm in enumerate(names)}
 
-    def parse_word():
-        word = list(parse_factor())
+    def parse_word(depth):
+        word = list(parse_factor(depth))
         while toks.peek() == "*":
             _, pos = toks.next()
-            factor = parse_factor()
+            factor = parse_factor(depth)
             _check_length(len(word) + len(factor), pos)
             word.extend(factor)
         return tuple(word)
 
-    def parse_factor():
+    def parse_factor(depth):
         tok = toks.peek()
+        if tok in ("(", "[") and depth == MAX_NESTING:
+            toks.error("brackets nested deeper than %d" % MAX_NESTING)
         if tok == "(":
             toks.next()
-            inner = parse_word()
+            inner = parse_word(depth + 1)
             toks.expect(")")
             return _maybe_power(inner)
         if tok == "[":
             _, pos = toks.next()
-            x = parse_word()
+            x = parse_word(depth + 1)
             toks.expect(",")
-            y = parse_word()
+            y = parse_word(depth + 1)
             toks.expect("]")
             _check_length(2 * (len(x) + len(y)), pos)
             return _maybe_power(commutator(x, y))
@@ -254,7 +259,7 @@ def parse_presentation(text):
         else:
             total = 0
             while True:
-                relators.append(free_reduce(parse_word()))
+                relators.append(free_reduce(parse_word(0)))
                 total += len(relators[-1])
                 if total > MAX_WORD_LENGTH:
                     toks.error("relators total more than %d letters"
@@ -375,5 +380,5 @@ def tietze_simplify(pres):
 __all__ = [
     "Presentation", "parse_presentation", "load_presentation",
     "tietze_simplify", "free_reduce", "cyclic_reduce", "inverse_word",
-    "word_pow", "commutator", "MAX_WORD_LENGTH",
+    "word_pow", "commutator", "MAX_WORD_LENGTH", "MAX_NESTING",
 ]

@@ -180,13 +180,15 @@ def matrix_from_json(rows, ring):
 
 
 def read_json_file(path):
-    """Parsed contents of a JSON file; a file that is not JSON is an
-    InputError."""
+    """Parsed contents of a JSON file; a file that is not JSON, or whose
+    nesting is too deep for the decoder's recursion, is an InputError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:
             raise InputError("%s is not valid JSON: %s" % (path, exc)) from None
+        except RecursionError:
+            raise InputError("%s is nested too deeply to decode" % path) from None
 
 
 __all__ = [

@@ -15,7 +15,7 @@ reduced powers, the columns of a multiplication matrix) is a shift and one
 fold, ``NumberRing._times_gen``.  There is one cofactor expansion,
 ``det``/``cofactors``, and one square-and-multiply, ``power``, for every
 representation: each takes its ring's operations, so ints (norms and
-inverses), coordinate tuples (``ringmat``) and residues (``congsub``)
+inverses), coordinate tuples (``ringmat``) and residue indices (``congsub``)
 all expand and power here.
 
 Elements of the fraction field are int coordinates over the power basis
@@ -37,8 +37,10 @@ units mod p^k.  A residue mod p^k is a vector reduced against the lattice
 of p^k (``reduce_coords``), and residue arithmetic is the ring's own
 multiplication followed by that reduction, on ring integers only: a unit
 is inverted by Newton's lift x (2 - u x) of its inverse in the residue
-field, so no integer linear system is solved.  No general ideal
-arithmetic beyond powers of primes.
+field, so no integer linear system is solved.  A ``ResidueRing`` also
+numbers its residues and keeps add, mul and neg tables on those indices,
+which is how ``congsub`` computes.  No general ideal arithmetic beyond
+powers of primes.
 """
 
 from __future__ import annotations
@@ -782,12 +784,17 @@ def _is_small_prime(p):
 
 
 class ResidueRing:
-    """O/p^k with canonical coordinate representatives.
+    """O/p^k with canonical coordinate representatives and their indices.
 
     Representatives are integer tuples reduced against the HNF basis of the
     p^k lattice: 0 <= x_i < H[i][i] after back-substitution.  Ring
-    operations are the ring's own on representatives, then a reduction.
-    The caller declares the size N(p)^k against its budget.
+    operations on representatives are the ring's own, then a reduction.
+    A representative's index is its mixed radix over the HNF diagonal, the
+    first coordinate most significant, so index order is tuple order and
+    ``elements`` lists the representatives by index.  The flat add and mul
+    tables (entry i * N + j for indices i, j, N = ``size``) and the neg
+    table are built once, on first use; the caller declares the size
+    N(p)^k, and the N^2 entries of a table, against its budget.
     """
 
     def __init__(self, prime, k):
@@ -831,17 +838,39 @@ class ResidueRing:
     def mul(self, a, b):
         return self.reduce_coords(self.ring._mul_coords(a, b))
 
-    def dot(self, xs, ys):
-        """sum x_i y_i with one reduction: p^k is an ideal, so the exact int
-        dot product of the representatives has the same residue."""
-        return self.reduce_coords(self.ring.dot_coords(xs, ys))
+    # -- indices and tables --------------------------------------------
+
+    def index(self, rep):
+        """The index of a representative: its mixed radix over the HNF
+        diagonal.  The zero representative has index 0."""
+        i = 0
+        for c, d in zip(rep, self.diag):
+            i = i * d + c
+        return i
+
+    @functools.cached_property
+    def neg_table(self):
+        """neg_table[i] is the index of -rep_i."""
+        return tuple(self.index(self.neg(a)) for a in self.elements())
+
+    @functools.cached_property
+    def add_table(self):
+        """add_table[i * N + j] is the index of rep_i + rep_j."""
+        reps = list(self.elements())
+        return tuple(self.index(self.add(a, b)) for a in reps for b in reps)
+
+    @functools.cached_property
+    def mul_table(self):
+        """mul_table[i * N + j] is the index of rep_i * rep_j."""
+        reps = list(self.elements())
+        return tuple(self.index(self.mul(a, b)) for a in reps for b in reps)
 
     # -- structure -----------------------------------------------------
 
     def elements(self):
-        ranges = [range(d) for d in self.diag]
-        for combo in itertools.product(*ranges):
-            yield self.reduce_coords(combo)
+        """The representatives in index order: the box 0 <= x_i < H[i][i]
+        in ``itertools.product`` order, whose points are all reduced."""
+        return itertools.product(*[range(d) for d in self.diag])
 
     def __repr__(self):
         return "ResidueRing(N(p)=%d, k=%d, size=%d)" % (

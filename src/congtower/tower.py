@@ -43,7 +43,6 @@ included.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -65,7 +64,9 @@ class ContainmentCertificate:
     conjugator: tuple
     inner_level: int          # a: the level of the generic element
     outer_level: int          # b: the level certified after conjugation
-    min_valuation: object     # smallest valuation of conj - Id seen
+    # a + min v(g^-1) + min v(g), a lower bound on every valuation of
+    # conj - Id; finite, as g and g^-1 each have a nonzero entry
+    min_valuation: int
 
     def summary(self):
         nvars = len(self.conjugator) ** 2
@@ -74,8 +75,7 @@ class ContainmentCertificate:
             "b": self.outer_level,
             "direction": "left",
             "nvars": nvars,
-            "min_valuation": (None if self.min_valuation is math.inf
-                              else int(self.min_valuation)),
+            "min_valuation": self.min_valuation,
             # basis points decided exactly: X = 0 by the product w^-1 w,
             # each E_ij by the valuations of its rank-one conjugate
             "basis_checks": nvars + 1,

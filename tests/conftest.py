@@ -273,11 +273,19 @@ def framed_ball(framed_explore):
 @pytest.fixture(scope="session")
 def residue_orbit():
     """(R, gens, point, lines=False) -> the sorted orbit of a column vector
-    over the residue ring R under generator matrices, by breadth-first
-    search.  With lines=True the points are the lines the vectors span,
-    each scaled so that its first nonzero coordinate is 1 (R a field)."""
+    of representatives over the residue ring R under generator matrices of
+    residue indices, by breadth-first search on the representatives.  With
+    lines=True the points are the lines the vectors span, each scaled so
+    that its first nonzero coordinate is 1 (R a field)."""
     def image(R, g, v):
-        return tuple(x for x, in congsub.rmat_mul(R, g, tuple((x,) for x in v)))
+        reps, n = list(R.elements()), len(v)
+        out = []
+        for i in range(n):
+            acc = R.zero
+            for x, y in zip(g[i * n:(i + 1) * n], v):
+                acc = R.add(acc, R.mul(reps[x], y))
+            out.append(acc)
+        return tuple(out)
 
     def line(R, v):
         inv = R.prime.unit_inverse(next(x for x in v if x != R.zero), R.k)

@@ -428,6 +428,29 @@ def test_malformed_file_exits_input(tmp_path, flag, content, message):
     assert err.startswith("input error:") and message in err
 
 
+@pytest.mark.parametrize("flag, content, message", [
+    # 1000 nested parentheses; at the limit of 100 the relator still parses
+    # and is then refused on the matrices
+    ("--presentation", "# provenance: test\ngens a, b; rels "
+     + "(" * 1000 + "a" + ")" * 1000 + ";",
+     "brackets nested deeper than 100 at offset 135"),
+    ("--presentation", "# provenance: test\ngens a, b; rels "
+     + "[" * 1000 + "a,b]" + ",b]" * 999 + ";",
+     "brackets nested deeper than 100 at offset 135"),
+    ("--presentation", "# provenance: test\ngens a, b; rels "
+     + "(" * 100 + "a" + ")" * 100 + ";",
+     "relator (1,) is neither Id nor -Id"),
+    # the JSON decoder recurses once per level
+    ("--matrices", "[" * 1000 + "]" * 1000, "is nested too deeply to decode"),
+    ("--matrices", json.dumps(D1_SCHEME)[:-2] + ', "x": '
+     + "[" * 100_000 + "]" * 100_000 + "}}", "is nested too deeply to decode"),
+], ids=["parentheses", "commutators", "at-the-limit", "arrays", "deep-entry"])
+def test_deep_nesting_exits_input(tmp_path, flag, content, message):
+    code, err = _homology_on(tmp_path, flag, content)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:") and message in err
+
+
 def test_exponent_coordinate_exits_input_at_once(tmp_path):
     # Fraction("1e999999999") would build a billion-digit int; the
     # coordinate grammar refuses it before any arithmetic

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from congtower import catalog, congsub, ringmat, rings
+from congtower import catalog, congsub, ringmat
 from congtower.errors import BudgetExceeded, InputError
 from congtower.rings import ResidueRing, factor_rational_prime, make_ring
 
@@ -70,7 +71,7 @@ def test_perturbed_image_fails_the_coset_table(gaussian_prime2, monkeypatch,
         out = reduce(R, m)
         calls.append(m)
         if len(calls) == perturbed + 1:
-            out = congsub.rmat_mul(R, out, ((R.one, R.one), (R.zero, R.one)))
+            out = congsub.rmat_mul(R, out, reduce(R, ((1, 1), (0, 1))))
         return out
 
     monkeypatch.setattr(congsub, "reduce_matrix", perturb)
@@ -85,7 +86,8 @@ def test_reduction_hom_composition(gaussian_prime2, sl2_lift):
     hom2 = congsub.ReductionHom(pres, mats, gaussian_prime2, 2)
     hom1 = congsub.ReductionHom(pres, mats, gaussian_prime2, 1)
     # p^2 lies in p, so reducing level-2 representatives gives level 1
-    lowered = [tuple(tuple(hom1.R.reduce_coords(x) for x in row) for row in img)
+    reps2 = list(hom2.R.elements())
+    lowered = [tuple(hom1.R.index(hom1.R.reduce_coords(reps2[x])) for x in img)
                for img in hom2.images]
     assert lowered == hom1.images
 
@@ -164,11 +166,12 @@ def test_projective_canon_is_the_smaller_sign(sl2_lift, d, p):
     hom = congsub.ReductionHom(psl2, mats, prime, 1, projective=True)
     sl2, sl2_mats = sl2_lift(d)
     R = hom.R
+    reps = list(R.elements())
     elements = _image_elements(congsub.ReductionHom(sl2, sl2_mats, prime, 1))
     assert len(elements) == homology.sl2_image_order(prime.norm())
     fixed = set()
     for m in elements:
-        neg = tuple(tuple(R.neg(x) for x in row) for row in m)
+        neg = tuple(R.index(R.neg(reps[x])) for x in m)
         assert hom._canon(m) == hom._canon(neg) == min(m, neg)
         fixed.add(neg == m)
     assert fixed == {p == 2}
@@ -205,28 +208,30 @@ def test_quotient_check_budget(zeta5_prime):
         congsub.congruence_quotient_check(sch, zeta5_prime, 1, 4, budget=100)
 
 
-def _kernel_set(scheme, prime, j, k):
-    # the residue ring O/p^k and every Id + pi^j M, M over O/p^(k-j), that
-    # the scheme accepts
+def _kernel_set(prime, j, k):
+    # the residue ring O/p^k and every Id + pi^j M, M over O/p^(k-j), of
+    # determinant 1, formed and tested in O/p^k: pairs (M, Id + pi^j M),
+    # M as residue indices of O/p^(k-j) and the matrix as those of O/p^k
     R, Rdiff = ResidueRing(prime, k), ResidueRing(prime, k - j)
     pi_j = prime.pi ** j
-    n = scheme.n
+    n = 2
+    one = R.index(R.one)
     out = []
     for combo in itertools.product(list(Rdiff.elements()), repeat=n * n):
-        m = tuple(tuple(
-            R.add(R.one if r == c else R.zero,
-                  R.reduce(pi_j * R.ring(combo[r * n + c])))
-            for c in range(n)) for r in range(n))
-        if scheme.check(R, m):
-            out.append(m)
+        m = tuple(R.index(R.add(R.one if r == c else R.zero,
+                                R.reduce(pi_j * R.ring(combo[r * n + c]))))
+                  for r in range(n) for c in range(n))
+        if congsub.rmat_det(R, m) == one:
+            out.append((tuple(Rdiff.index(x) for x in combo), m))
     return R, out
 
 
-def _pair_pass_reference(scheme, prime, j, k):
-    # the brute-force oracle: every pair is multiplied both ways and its
-    # product looked up, and each element is multiplied by itself until it
-    # reaches the identity
-    R, elements = _kernel_set(scheme, prime, j, k)
+def _pair_pass_reference(prime, j, k):
+    # the brute-force oracle, on the matrices of O/p^k: every pair is
+    # multiplied both ways and its product looked up, and each element is
+    # multiplied by itself until it reaches the identity
+    R, pairs = _kernel_set(prime, j, k)
+    elements = [m for _, m in pairs]
     members = set(elements)
     abelian = True
     for a in elements:
@@ -234,7 +239,7 @@ def _pair_pass_reference(scheme, prime, j, k):
             ab = congsub.rmat_mul(R, a, b)
             assert ab in members
             abelian = abelian and ab == congsub.rmat_mul(R, b, a)
-    ident = congsub.rmat_identity(R, scheme.n)
+    ident = congsub.rmat_identity(R, 2)
     exponent = 1
     for a in elements:
         o, cur = 1, a
@@ -255,8 +260,28 @@ def test_quotient_check_agrees_with_the_pair_passes(field, p, j, k):
     prime = factor_rational_prime(make_ring(field), p)[0]
     sch = congsub.SchemeSL(2)
     rep = congsub.congruence_quotient_check(sch, prime, j, k)
-    ref = _pair_pass_reference(sch, prime, j, k)
+    ref = _pair_pass_reference(prime, j, k)
     assert {key: rep[key] for key in ref} == ref
+
+
+@pytest.mark.parametrize("field,p,j,k", QUOTIENT_CASES)
+def test_kernel_carried_by_the_m_matches_the_matrices(field, p, j, k):
+    # the scheme predicate over O/p^(k-j) accepts exactly the M whose
+    # Id + pi^j M has determinant 1 in O/p^k, and the kernel product of
+    # two M is the M of the matrix product in O/p^k
+    prime = factor_rational_prime(make_ring(field), p)[0]
+    R, pairs = _kernel_set(prime, j, k)
+    Rdiff = ResidueRing(prime, k - j)
+    t = Rdiff.index(Rdiff.reduce(prime.pi ** j))
+    sch = congsub.SchemeSL(2)
+    accepted = [m for m in itertools.product(range(Rdiff.size), repeat=4)
+                if sch.check(Rdiff, t, m)]
+    assert accepted == [m for m, _ in pairs]
+    matrix = dict(pairs)
+    for a, ma in pairs:
+        for b, mb in pairs:
+            assert matrix[congsub.kernel_product(Rdiff, t, a, b)] == \
+                congsub.rmat_mul(R, ma, mb)
 
 
 @pytest.mark.parametrize("field,p,j,k", QUOTIENT_CASES)
@@ -290,17 +315,16 @@ class _Rejecting:
     def __init__(self, rejected):
         self.rejected = rejected
 
-    def check(self, R, m):
-        return m != self.rejected and congsub.SchemeSL(2).check(R, m)
+    def check(self, R, t, m):
+        return m != self.rejected and congsub.SchemeSL(2).check(R, t, m)
 
 
 def test_quotient_check_refuses_a_kernel_set_that_is_not_a_group(
         gaussian_prime2):
-    R, elements = _kernel_set(congsub.SchemeSL(2), gaussian_prime2, 2, 4)
-    ident = congsub.rmat_identity(R, 2)
-    assert len(elements) == 64
-    for x in elements:
-        if x == ident:
+    _, pairs = _kernel_set(gaussian_prime2, 2, 4)
+    assert len(pairs) == 64
+    for x, _ in pairs:
+        if x == (0, 0, 0, 0):   # M = 0, the identity
             continue
         with pytest.raises(AssertionError):
             congsub.congruence_quotient_check(_Rejecting(x), gaussian_prime2, 2, 4)
@@ -374,18 +398,17 @@ RESIDUE_CASES = {
 
 @st.composite
 def residue_matrices(draw):
-    """A residue ring and exact integral matrices A (n x k), B (k x m) and
-    S (n x n) over its number ring; sizes up to 5 over Z/4, else up to 3."""
+    """A residue ring and exact integral n x n matrices A, B and S over its
+    number ring; n up to 5 over Z/4, else up to 3."""
     case = draw(st.sampled_from(sorted(RESIDUE_CASES)))
     R = RESIDUE_CASES[case]()
-    top = 5 if case == "Z/4" else 3
-    n, k, m = (draw(st.integers(1, top)) for _ in range(3))
+    n = draw(st.integers(1, 5 if case == "Z/4" else 3))
 
-    def matrix(rows, cols):
+    def matrix():
         return tuple(tuple(
             R.ring(tuple(draw(st.integers(-30, 30)) for _ in range(R.ring.degree)))
-            for _ in range(cols)) for _ in range(rows))
-    return R, matrix(n, k), matrix(k, m), matrix(n, n)
+            for _ in range(n)) for _ in range(n))
+    return R, matrix(), matrix(), matrix()
 
 
 # 4 x 4 and 5 x 5 matrices over Z[zeta5] mod p^2, entry (a, b) = a + b zeta,
@@ -426,8 +449,8 @@ def test_residue_matrix_arithmetic_matches_exact_reference(leibniz_det, case):
     a, b = congsub.reduce_matrix(R, A), congsub.reduce_matrix(R, B)
     assert congsub.rmat_mul(R, a, b) == congsub.reduce_matrix(
         R, ringmat.mat_mul(A, B))
-    assert rings.det(congsub.reduce_matrix(R, S), R.dot, R.neg,
-                     R.zero) == R.reduce(leibniz_det(S))
+    assert congsub.rmat_det(R, congsub.reduce_matrix(R, S)) == R.index(
+        R.reduce(leibniz_det(S)))
 
 
 @st.composite
@@ -449,26 +472,135 @@ def test_det_matches_leibniz_on_residues(leibniz_det, row_expansions, case):
     # against the reduced Leibniz sum over the number ring
     R, S = case
     m = congsub.reduce_matrix(R, S)
-    expected = R.reduce(leibniz_det(S))
-    assert rings.det(m, R.dot, R.neg, R.zero) == expected
-    assert row_expansions(m, R.dot, R.neg, R.zero, R.one) == [expected] * len(m)
+    n = len(S)
+    expected = R.index(R.reduce(leibniz_det(S)))
+    assert congsub.rmat_det(R, m) == expected
+    rows = [m[i:i + n] for i in range(0, n * n, n)]
+    assert row_expansions(rows, lambda xs, ys: congsub.rdot(R, xs, ys),
+                          R.neg_table.__getitem__, R.index(R.zero),
+                          R.index(R.one)) == [expected] * n
 
 
 @pytest.mark.parametrize("case", sorted(RESIDUE_CASES))
-def test_rmat_mul_reduces_each_entry_once(case, monkeypatch):
-    # an n x k by k x m product makes exactly n * m reductions (a 5 x 5
-    # product: 25, where reducing every partial product and sum makes 225)
+def test_rmat_mul_is_the_reduced_exact_product(case):
+    # every size an SL or orthogonal closure multiplies (2 x 2 is written
+    # out, the rest loop), on matrices whose entries run over the whole
+    # ring: the table product of the reductions is the reduction of the
+    # exact product over the number ring
     R = RESIDUE_CASES[case]()
-    calls = []
-    reduce_coords = R.reduce_coords
-    monkeypatch.setattr(R, "reduce_coords",
-                        lambda x: calls.append(x) or reduce_coords(x))
-    pool = list(itertools.islice(R.elements(), 7))
-    for n, k, m in ((5, 5, 5), (3, 4, 2), (1, 5, 1)):
-        a = tuple(tuple(pool[(i * k + t) % len(pool)] for t in range(k))
-                  for i in range(n))
-        b = tuple(tuple(pool[(t * m + j + 3) % len(pool)] for j in range(m))
-                  for t in range(k))
-        del calls[:]
-        congsub.rmat_mul(R, a, b)
-        assert len(calls) == n * m
+    rng = random.Random(case)
+    reps = list(R.elements())
+    for n in (1, 2, 3, 5):
+        for _ in range(20):
+            A, B = (tuple(tuple(R.ring(rng.choice(reps)) for _ in range(n))
+                          for _ in range(n)) for _ in range(2))
+            a, b = congsub.reduce_matrix(R, A), congsub.reduce_matrix(R, B)
+            assert congsub.rmat_mul(R, a, b) == congsub.reduce_matrix(
+                R, ringmat.mat_mul(A, B))
+
+
+# every residue ring a command builds: the RESIDUE_CASES, O/p for each
+# homology prime of norm up to 13, and Z/2 and Z/4 (the o41 pipeline)
+def _homology_prime_rings():
+    from congtower import homology
+    return {"O%d mod p, N(p) = %d" % (d, prime.norm()):
+            (lambda prime=prime: ResidueRing(prime, 1))
+            for d in (1, 2, 3, 7, 11)
+            for prime in homology.primes_up_to_norm(make_ring(d), 13)}
+
+
+TABLE_CASES = {
+    **RESIDUE_CASES,
+    **_homology_prime_rings(),
+    "Z/2": lambda: ResidueRing(
+        factor_rational_prime(make_ring("rational"), 2)[0], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_tables_are_the_representative_operations(case):
+    # complete: every entry of the add, mul and neg tables is the index of
+    # ResidueRing.add, mul or neg on the representatives
+    R = TABLE_CASES[case]()
+    reps = list(R.elements())
+    size = R.size
+    assert len(R.add_table) == len(R.mul_table) == size * size
+    assert R.neg_table == tuple(R.index(R.neg(a)) for a in reps)
+    for i, a in enumerate(reps):
+        assert R.add_table[i * size:(i + 1) * size] == tuple(
+            R.index(R.add(a, b)) for b in reps)
+        assert R.mul_table[i * size:(i + 1) * size] == tuple(
+            R.index(R.mul(a, b)) for b in reps)
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_index_order_is_tuple_order(case):
+    # the representatives, found by reducing every point of a box that
+    # covers each class, sorted as tuples, are numbered 0, 1, 2, ... by
+    # ResidueRing.index, and ResidueRing.elements lists them in that order
+    R = TABLE_CASES[case]()
+    box = itertools.product(*[range(2 * d) for d in R.diag])
+    reps = sorted({R.reduce_coords(c) for c in box})
+    assert len(reps) == R.size
+    assert [R.index(r) for r in reps] == list(range(R.size))
+    assert list(R.elements()) == reps
+    assert R.index(R.zero) == 0
+
+
+def test_tables_are_declared_before_any_is_built(gaussian_prime2, sl2_lift,
+                                                 monkeypatch):
+    # O/p over 2 in O_1 has 2^2 = 4 entries per table: a closure budget of
+    # 3 refuses them with that estimate, and so does a budget of 10 for the
+    # 1 x 1 kernel of O/p^3 -> O/p, whose 4 candidates are carried by
+    # O/p^2 with 16 entries per table
+    built = []
+    for name in ("add_table", "mul_table", "neg_table"):
+        monkeypatch.setattr(ResidueRing, name,
+                            property(lambda R, name=name: built.append(name)))
+    pres, mats = sl2_lift(1)
+    with pytest.raises(BudgetExceeded) as exc:
+        congsub.ReductionHom(pres, mats, gaussian_prime2, 1, budget=3)
+    assert (exc.value.estimate, exc.value.budget) == (4, 3)
+    with pytest.raises(BudgetExceeded) as exc:
+        congsub.congruence_quotient_check(congsub.SchemeSL(1),
+                                          gaussian_prime2, 1, 3, budget=10)
+    assert (exc.value.estimate, exc.value.budget) == (16, 10)
+    assert "16 entries each" in str(exc.value)
+    assert built == []
+
+
+# (d, norm) -> (image order, sha256 prefix of the permutations' JSON), as
+# computed with coordinate-tuple matrices: the closure's BFS order, and so
+# the coset tables and Reidemeister-Schreier generators, do not depend on
+# how residues are stored
+IMAGE_PERMUTATIONS = {
+    (1, 2): (6, "35f2bf7cd75feed2"), (1, 5): (60, "b763340e94f5b7f1"),
+    (1, 9): (360, "1ab77514a9a4bead"), (1, 13): (1092, "993b716aaa070181"),
+    (2, 2): (6, "dae58899cb0ddcfa"), (2, 3): (12, "6533016f5c3bdba4"),
+    (2, 11): (660, "064c58bb2534fe87"),
+    (3, 3): (12, "07341e9f86ebb3d2"), (3, 4): (60, "f6404430aa35b89f"),
+    (3, 7): (168, "e8bba15e89e090b8"), (3, 13): (1092, "23e0a874e1660fcd"),
+    (7, 2): (6, "dae58899cb0ddcfa"), (7, 7): (168, "851ef4a457b651a7"),
+    (7, 9): (360, "ca3552b49e30efce"), (7, 11): (660, "f6af8da363db5539"),
+    (11, 3): (12, "7c82b0ab8ead4296"), (11, 4): (60, "f03fa1147a54cb82"),
+    (11, 5): (60, "311519874fb8785a"), (11, 11): (660, "93ef6b87db41c7c0"),
+}
+
+
+def test_image_permutations_are_pinned(sl2_lift):
+    # each homology row up to norm 13, PSL2 off 2 and SL2 over 2
+    import hashlib
+    import json
+    from congtower import homology
+    got = {}
+    for d in (1, 2, 3, 7, 11):
+        psl2 = homology.psl2_presentation_and_matrices(d)
+        for prime in homology.primes_up_to_norm(make_ring(d), 13):
+            projective = prime.p != 2
+            pres, mats = psl2 if projective else sl2_lift(d)
+            hom = congsub.ReductionHom(pres, mats, prime, 1,
+                                       projective=projective)
+            digest = hashlib.sha256(
+                json.dumps(hom.permutations()).encode()).hexdigest()
+            got[d, prime.norm()] = (hom.order, digest[:16])
+    assert got == IMAGE_PERMUTATIONS

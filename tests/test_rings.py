@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congtower import catalog, intmat, rings
+from congtower import catalog, congsub, intmat, rings
 from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
@@ -270,6 +270,8 @@ def test_dot_kernel_matches_triple_loop(ring, data):
 
 
 def test_residue_dot_is_the_reduced_loop_sum(gaussian_prime2, zeta5_prime):
+    # the table dot on residue indices against the loop sum of the
+    # representatives' products, reduced once
     rng = random.Random(5)
     for prime in (gaussian_prime2, zeta5_prime):
         R = rings.ResidueRing(prime, 3)
@@ -280,7 +282,9 @@ def test_residue_dot_is_the_reduced_loop_sum(gaussian_prime2, zeta5_prime):
             total = [0] * R.ring.degree
             for x, y in zip(xs, ys):
                 total = [s + t for s, t in zip(total, loop_mul_coords(R.ring, x, y))]
-            assert R.dot(xs, ys) == R.reduce_coords(total)
+            assert congsub.rdot(R, [R.index(x) for x in xs],
+                                [R.index(y) for y in ys]) == R.index(
+                R.reduce_coords(total))
 
 
 def test_ring_axioms_bulk(all_rings):
