@@ -133,7 +133,8 @@ class Closure:
         return len(self.elements)
 
 
-def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None):
+def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None,
+                  product=None, identity=None):
     """``coset.orbit`` of the identity under right multiplication by the
     generator matrices, whose action columns are the Closure's action.
 
@@ -141,14 +142,19 @@ def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None):
     generate is the whole group.  The distinct canonical generators are
     tried in sorted order, so the result does not depend on the order of
     ``gens``.  ``canon`` optionally canonicalizes products (quotient by a
-    central subgroup).
+    central subgroup).  ``product`` and ``identity``, by default
+    ``rmat_mul`` over R and the identity matrix, give the group law of
+    another carrier, such as the congruence kernel's M.
     """
     if canon is None:
         canon = lambda m: m
+    if product is None:
+        product = lambda a, b: rmat_mul(R, a, b)
     gens = sorted({canon(g) for g in gens})
+    if identity is None:
+        identity = rmat_identity(R, math.isqrt(len(gens[0])))
     elements, columns, _ = coset.orbit(
-        canon(rmat_identity(R, math.isqrt(len(gens[0])))), gens,
-        lambda a, g: canon(rmat_mul(R, a, g)), budget)
+        canon(identity), gens, lambda a, g: canon(product(a, g)), budget)
     return Closure(elements, {g: tuple(c) for g, c in zip(gens, columns)})
 
 
@@ -292,7 +298,7 @@ def congruence_quotient_check(scheme, prime, j, k, budget=CLOSURE_BUDGET_DEFAULT
         return kernel_product(R, t, a, b)
 
     ident = (0,) * (n * n)      # M = 0, the identity Id + pi^j 0
-    gens = _generating_set(elements, ident, product)
+    gens = _generating_set(R, elements, ident, product)
     abelian = all(product(a, b) == product(b, a)
                   for a, b in itertools.combinations(gens, 2))
     p = prime.p
@@ -323,7 +329,7 @@ def kernel_product(R, t, a, b):
                  for x, y, z in zip(a, b, rmat_mul(R, a, b)))
 
 
-def _generating_set(elements, ident, product):
+def _generating_set(R, elements, ident, product):
     """Generators of the set ``elements`` under ``product``, chosen
     greedily in order; raises AssertionError unless the set is a group."""
     members = set(elements)
@@ -334,10 +340,9 @@ def _generating_set(elements, ident, product):
             continue
         gens.append(a)
         try:
-            # the closure is the orbit of the identity under right
-            # multiplication; one past len(members) elements cannot lie
-            # inside them
-            span = set(coset.orbit(ident, gens, product, len(members))[0])
+            # a closure past len(members) elements cannot lie inside them
+            span = set(group_closure(R, gens, len(members), product=product,
+                                     identity=ident).elements)
         except BudgetExceeded:
             raise AssertionError("kernel set is not closed") from None
         # an early stop only: the span never shrinks, so the final

@@ -188,6 +188,25 @@ def test_quotient_check_elementary_abelian(gaussian_prime2):
     assert rep["abelian"] and rep["order"] == 64 and rep["exponent"] == 2
 
 
+def test_quotient_check_closes_through_group_closure(gaussian_prime2,
+                                                     monkeypatch):
+    # the kernel's closures are group_closure calls, the name the traced
+    # benchmark times; each new generator at least doubles the span
+    orders = []
+    closure = congsub.group_closure
+
+    def recording(*args, **kwargs):
+        result = closure(*args, **kwargs)
+        orders.append(len(result))
+        return result
+
+    monkeypatch.setattr(congsub, "group_closure", recording)
+    rep = congsub.congruence_quotient_check(congsub.SchemeSL(2),
+                                            gaussian_prime2, 2, 4)
+    assert orders == [2, 4, 8, 16, 32, 64] == \
+        [2 ** (i + 1) for i in range(rep["order"].bit_length() - 1)]
+
+
 def test_quotient_check_trivial_when_equal_levels(gaussian_prime2):
     sch = congsub.SchemeSL(2)
     rep = congsub.congruence_quotient_check(sch, gaussian_prime2, 2, 2)
