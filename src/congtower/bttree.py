@@ -6,9 +6,10 @@ prime, scaled so the minimal elementary-divisor exponent is 0 and put into
 Hermite form over the local ring with canonical residue representatives.
 All arithmetic is exact; two vertices are equal iff their canonical
 matrices are.  Canonicalization runs on the int coordinates of ring
-integers: the matrix is put over one denominator, eliminated without
-fractions, and its residues are reduced mod a power of the prime once, at
-the end; ring elements are built only for the result.  The prime (a
+integers: it takes the lattice's generators as int rows over one
+denominator, eliminates without fractions, and reduces the residues mod a
+power of the prime once, at the end; ring elements are built only for the
+result.  The prime (a
 ``rings.PrimeIdeal``) is all the local context there is: it caches the
 lattices of its powers p^k, the uniformizer powers pi^k, negative k
 included, which make the exact quotients by pi^v, and the inverses of
@@ -22,11 +23,15 @@ orbit's Schreier tree; a two-type model keeps the midpoint orbit's action
 columns too, which the tower's alignment reads.  A g in GL_n(K) maps the
 homothety class of X O^n to that of g X O^n, so canonicalize(g X)
 depends only on the class of X, and a move's small canonical vertex
-stands in for its transporter times the base.  BFS exploration reaches
-neighbour i of a vertex with frame g (a transporter from the base) as
-canonicalize(g * vertex_i), forms a child's frame g * transporter_i only
-when it expands the child, and skips the one move that leads back to the
-parent.  The tower's swap moves are ``Move`` records too, to the base
+stands in for its transporter times the base.  A product that is only
+canonicalized is taken on int numerators (``ringmat.product_rows``):
+dropping a denominator is a homothety, so no ring element is built for
+it.  BFS exploration keeps each frame g (a transporter from the base) as
+int rows and each move's vertex and transporter as int columns, taken
+once per walk; it reaches neighbour i of a vertex with frame g as
+canonicalize(g * vertex_i), forms a child's frame rows g * transporter_i
+only when it expands the child, and skips the one move that leads back
+to the parent.  The tower's swap moves are ``Move`` records too, to the base
 type (``tower._swap_moves``); in a one-type tree they are the base moves
 themselves, and one breadth-first walk over them (``tower._walk``) gives
 the tower's steps and its covered radius.
@@ -44,8 +49,12 @@ from . import catalog, coset, ringmat, rings
 from .rings import RingElt, make_ring, factor_rational_prime
 
 
-def canonicalize(basis_matrix, prime):
-    """Canonical representative of the homothety class of the column span.
+def canonicalize(generators, prime):
+    """Canonical representative of the homothety class of a lattice, given
+    its generators as int coordinate rows: the numerators of a basis
+    matrix's columns (``ringmat.numerator_columns``), or of the columns of
+    a product (``ringmat.product_rows``).  The result is a matrix of ring
+    elements whose columns span the class.
 
     Hermite form over the localization: upper triangular, diagonal entries
     exact uniformizer powers, entries to the right of each pivot reduced to
@@ -56,8 +65,8 @@ def canonicalize(basis_matrix, prime):
     analogue of Cohen's Hermite form modulo the determinant, 1993); a
     ``RingElt`` is built only for the returned entries.
 
-    1. The matrix is replaced by its int numerators over their common
-       denominator (``ringmat.numerators``), a homothety.
+    1. The generators are int rows over one dropped denominator, a
+       homothety; they are copied, as the elimination works in place.
     2. Elimination needs no fractions: an entry x under the pivot
        y = pi^v u is cleared by row <- u row - (x / pi^v) pivot row, a
        scaling by the p-unit u, which keeps the span over the local ring;
@@ -69,15 +78,13 @@ def canonicalize(basis_matrix, prime):
        precision each, and column j needs k_j.  Each row is scaled by its
        unit's inverse mod p^K, lifted from the residue field.
     """
-    n = len(basis_matrix)
+    n = len(generators)
     ring = prime.ring
     at_least = prime.numerator_at_least
     reduce_coords = rings.reduce_coords
     dot = ring.dot_coords
     mul = ring._mul_coords
-    # the numerators of the transpose (row span = column span of the
-    # input); dropping the common denominator is a homothety
-    rows, _ = ringmat.numerators(ringmat.transpose(basis_matrix))
+    rows = [list(row) for row in generators]
     exps = []
     units = []
     for col in range(n):
@@ -173,7 +180,15 @@ def apartment_vertex(prime, n, r_twice):
     for i in range(1, n - 1):
         rows[i][i] = ring.one
     rows[n - 1][n - 1] = prime.uniformizer_power(b)
-    return canonicalize(tuple(tuple(r) for r in rows), prime)
+    return canonicalize(ringmat.numerator_columns(rows), prime)
+
+
+def canonical_image(g, x, prime):
+    """canonicalize(g X) for matrices g and X of ring elements: g's int
+    rows times X's int columns, their denominators dropped."""
+    return canonicalize(ringmat.product_rows(
+        prime.ring, ringmat.numerator_columns(x), ringmat.numerators(g)[0]),
+        prime)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +242,18 @@ EXPLORE_BUDGET_DEFAULT = 100_000
 def _orbit_moves(prime, base_vertices, ttype, seed, stab_gens):
     """``coset.orbit`` of the seed neighbour seed * base[ttype] under
     stabilizer generators, s taking a neighbour v to canonicalize(s * v):
-    the moves and the orbit's action columns.  The seed is the first
-    move, and each later move's witness transporter is s_k times its
-    Schreier-tree parent's, formed once per neighbour."""
-    v = canonicalize(ringmat.mat_mul(seed, base_vertices[ttype]), prime)
+    the moves and the orbit's action columns.  The product is taken on
+    int numerators, each generator's rows and each neighbour's columns
+    read once.  The seed is the first move, and each later move's witness
+    transporter is s_k times its Schreier-tree parent's, formed once per
+    neighbour."""
+    ring = prime.ring
+    v = canonical_image(seed, base_vertices[ttype], prime)
+    columns = functools.cache(ringmat.numerator_columns)
     vertices, action, parents = coset.orbit(
-        v, stab_gens,
-        lambda w, s: canonicalize(ringmat.mat_mul(s, w), prime),
+        v, [ringmat.numerators(s)[0] for s in stab_gens],
+        lambda w, s: canonicalize(
+            ringmat.product_rows(ring, columns(w), s), prime),
         _ORBIT_BUDGET)
     moves = [Move(ttype, seed, v)]
     for w, (i, k) in zip(vertices[1:], parents[1:]):
@@ -452,8 +472,8 @@ def _back_moves(model):
     back = {}
     for t, base in model.bases.items():
         seed = model.moves(t)[0]
-        home = canonicalize(ringmat.mat_mul(
-            ringmat.mat_inverse(seed.transporter), base), model.prime)
+        home = canonical_image(ringmat.mat_inverse(seed.transporter), base,
+                               model.prime)
         js = [j for j, m in enumerate(model.moves(seed.target_type))
               if m.vertex == home]
         if len(js) != 1:
@@ -468,36 +488,44 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
     types; edges are deduplicated and the result is scheduling-independent
     (canonical vertex ordering within each BFS layer).
 
+    Frames are int rows and moves int columns (``ringmat.product_rows``).
     Neighbour i of a vertex with frame g is canonicalize(g * vertex_i); a
     child's frame g * transporter_i is formed when the child is expanded,
     so never on the last layer, and the move back to the parent, whose
     edge is already recorded, is not tried."""
     prime = model.prime
+    ring = prime.ring
+    product = ringmat.product_rows
     base_type = model.base_type
     base = model.bases[base_type]
     back = _back_moves(model)
+    # type -> (vertex columns, transporter columns) of each move
+    columns = {t: [(ringmat.numerator_columns(mv.vertex),
+                    ringmat.numerator_columns(mv.transporter))
+                   for mv in model.moves(t)] for t in model.bases}
+    identity = ringmat.numerators(ringmat.identity(ring, len(base)))[0]
     vertices = [base]
     types = [base_type]
     index = {base: 0}
     edges = set()
-    # (vertex index, type, (parent frame, move) or None at the base, the
-    # index of the move back to the parent)
+    # (vertex index, type, (parent frame rows, transporter columns) or
+    # None at the base, the index of the move back to the parent)
     layer = [(0, base_type, None, None)]
     for _ in range(radius):
         nxt = []
         for vi, t, via, skip in layer:
-            frame = (ringmat.identity(prime.ring, len(base)) if via is None
-                     else ringmat.mat_mul(via[0], via[1].transporter))
-            nbrs = [(canonicalize(ringmat.mat_mul(frame, mv.vertex), prime), i)
-                    for i, mv in enumerate(model.moves(t)) if i != skip]
+            frame = identity if via is None else product(ring, *via)
+            # the columns of frame * vertex_i
+            nbrs = [(canonicalize(product(ring, cols, frame), prime), i)
+                    for i, (cols, _) in enumerate(columns[t]) if i != skip]
             nbrs.sort(key=lambda item: _vertex_key(item[0]))
             for w, i in nbrs:
                 if w not in index:
-                    mv = model.moves(t)[i]
+                    target = model.moves(t)[i].target_type
                     index[w] = len(vertices)
                     vertices.append(w)
-                    types.append(mv.target_type)
-                    nxt.append((index[w], mv.target_type, (frame, mv),
+                    types.append(target)
+                    nxt.append((index[w], target, (frame, columns[t][i][1]),
                                 back[t]))
                     if len(vertices) > budget:
                         raise BudgetExceeded("tree exploration exceeded budget",
@@ -515,6 +543,7 @@ def _vertex_key(v):
 
 
 __all__ = [
-    "canonicalize", "apartment_vertex", "TreeModel", "Move", "pgl2_model",
-    "oq_model", "su_model", "bfs_explore", "TreeGraph", "EXPLORE_BUDGET_DEFAULT",
+    "canonicalize", "canonical_image", "apartment_vertex", "TreeModel",
+    "Move", "pgl2_model", "oq_model", "su_model", "bfs_explore", "TreeGraph",
+    "EXPLORE_BUDGET_DEFAULT",
 ]

@@ -9,6 +9,8 @@ common denominator, and the arithmetic runs on them: each entry of a
 product is one ring dot product of numerators, normalized once, and
 ``det`` and ``mat_inverse`` expand the numerators with ``rings.det`` and
 ``rings.cofactors``, building ring elements only for the result.
+``product_rows`` multiplies int rows by int columns and builds no ring
+element at all, for a product whose class is all that is used.
 """
 
 from __future__ import annotations
@@ -51,6 +53,21 @@ def numerators(a):
     d = math.lcm(*[x.den for row in a for x in row])
     return [[x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
              for x in row] for row in a], d
+
+
+def numerator_columns(a):
+    """The int numerators of a's columns over a's common denominator: the
+    generators of the lattice a spans, up to a homothety."""
+    return numerators(transpose(a))[0]
+
+
+def product_rows(ring, rows, cols):
+    """The int rows of R C from the int rows of R and the int columns of
+    C: entry (i, j) is one ``NumberRing.dot_coords`` of rows[i] and
+    cols[j], and no ring element is built.  The ring is commutative, so
+    the columns of R C are product_rows(ring, columns of C, rows of R)."""
+    dot = ring.dot_coords
+    return [[dot(r, c) for c in cols] for r in rows]
 
 
 def mat_mul(a, b):
@@ -160,7 +177,7 @@ def _coord_from_json(v):
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
-    raise InputError("bad coordinate %r" % (v,))
+    raise InputError("bad coordinate %s" % _clipped_repr(v))
 
 
 def entry_from_json(ring, v):
@@ -168,7 +185,18 @@ def entry_from_json(ring, v):
         return ring(_coord_from_json(v))
     if isinstance(v, list):
         return ring(tuple(_coord_from_json(c) for c in v))
-    raise InputError("bad matrix entry %r" % (v,))
+    raise InputError("bad matrix entry %s" % _clipped_repr(v))
+
+
+# Longest repr of an offending JSON value that an error message quotes.
+_REPR_LIMIT = 60
+
+
+def _clipped_repr(v):
+    """repr(v), cut to its first _REPR_LIMIT characters plus "..." when
+    longer, so that a huge value makes a short message."""
+    text = repr(v)
+    return text if len(text) <= _REPR_LIMIT else text[:_REPR_LIMIT] + "..."
 
 
 def matrix_from_json(rows, ring):
@@ -193,7 +221,8 @@ def read_json_file(path):
 
 __all__ = [
     "mat", "identity", "basis_points", "mat_mul", "mat_add",
-    "mat_scale", "transpose", "conj_transpose", "numerators", "det", "mat_inverse",
+    "mat_scale", "transpose", "conj_transpose", "numerators",
+    "numerator_columns", "product_rows", "det", "mat_inverse",
     "is_integral", "preserves_form",
     "matrix_from_json", "read_json_file",
 ]

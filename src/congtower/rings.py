@@ -10,7 +10,8 @@ multiplication table (the powers x^k, k < 2n - 1, reduced by the minimal
 polynomial) and the conjugation matrix are derived from them.  Products go
 through one kernel, ``NumberRing.dot_coords``: a sum of products is
 convolved unreduced and folded by the minimal polynomial once per dot, a
-single product being the one-term dot.  Multiplication by x alone (the
+single product being the one-term dot; the kernel is written out for each
+supported degree, 1, 2 and 4.  Multiplication by x alone (the
 reduced powers, the columns of a multiplication matrix) is a shift and one
 fold, ``NumberRing._times_gen``.  There is one cofactor expansion,
 ``det``/``cofactors``, and one square-and-multiply, ``power``, for every
@@ -23,8 +24,8 @@ plus one shared positive denominator, kept in lowest terms, so equal
 elements have equal representations and integrality is just "denominator
 1".  All element, residue and lattice arithmetic runs on ints, residue
 reduction included; Fraction appears only at the edges:
-element construction from Fractions, the ``coords`` view, scaling by a
-Fraction, and the value of ``norm``.
+element construction from Fractions, scaling by a Fraction, and the value
+of ``norm``.
 
 Every prime ideal of a supported ring is principal, p = pi O, and a
 ``PrimeIdeal`` is built from its one generator pi.  It is the single
@@ -165,8 +166,10 @@ class NumberRing:
         """Coordinates of sum_t x_t * y_t: int coordinate tuples in, an int
         tuple out.  The polynomial products of all terms are summed
         unreduced, up to x^(2n-2), and the powers x^k with k >= n are folded
-        back by the minimal polynomial once for the whole sum.  Degrees 1
-        and 2 write the same sum and fold out in closed form."""
+        back by the minimal polynomial once for the whole sum.  Every ring
+        has degree 1, 2 or 4, and each degree writes the sum out: degree 2
+        folds x^2 in closed form, degree 4 folds x^4, x^5 and x^6 by their
+        reduced powers."""
         n = self.degree
         if n == 1:
             return (sum([a * b for (a,), (b,) in zip(xs, ys)]),)
@@ -179,19 +182,19 @@ class NumberRing:
             # x^2 = -c0 - c1 x
             c0, c1 = self.min_poly[0], self.min_poly[1]
             return (s0 - c0 * s2, s1 - c1 * s2)
-        conv = [0] * (2 * n - 1)
-        for a, b in zip(xs, ys):
-            for i, ai in enumerate(a):
-                if ai:
-                    for k, bj in enumerate(b, i):
-                        if bj:
-                            conv[k] += ai * bj
-        out = conv[:n]
-        for k in range(n, 2 * n - 1):
-            c = conv[k]
-            if c:
-                for i, m in self._powers[k]:
-                    out[i] += c * m
+        s0 = s1 = s2 = s3 = s4 = s5 = s6 = 0
+        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(xs, ys):
+            s0 += a0 * b0
+            s1 += a0 * b1 + a1 * b0
+            s2 += a0 * b2 + a1 * b1 + a2 * b0
+            s3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+            s4 += a1 * b3 + a2 * b2 + a3 * b1
+            s5 += a2 * b3 + a3 * b2
+            s6 += a3 * b3
+        out = [s0, s1, s2, s3]
+        for c, power in zip((s4, s5, s6), self._powers[4:]):
+            for i, m in power:
+                out[i] += c * m
         return tuple(out)
 
     def _times_gen(self, a):
@@ -236,12 +239,6 @@ class RingElt:
         self.ring = ring
         self.num = num
         self.den = den
-
-    @property
-    def coords(self):
-        """The coordinates as reduced Fractions (read-only view)."""
-        den = self.den
-        return tuple(Fraction(a, den) for a in self.num)
 
     def __add__(self, other):
         other = self.ring(other)
@@ -341,14 +338,18 @@ class RingElt:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        names = self.ring.basis_names
+        """The nonzero coordinates as ``str`` of their reduced fractions,
+        "a" or "a/b", joined with the basis names; "0" for zero."""
+        den = self.den
         terms = []
-        for c, nm in zip(self.coords, names):
-            if c == 0:
+        for a, nm in zip(self.num, self.ring.basis_names):
+            if a == 0:
                 continue
+            g = math.gcd(a, den)
+            c = "%d" % (a // g) if g == den else "%d/%d" % (a // g, den // g)
             if nm == "1":
-                terms.append(str(c))
-            elif c == 1:
+                terms.append(c)
+            elif c == "1":
                 terms.append(nm)
             else:
                 terms.append("%s*%s" % (c, nm))

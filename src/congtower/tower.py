@@ -301,14 +301,19 @@ def _walk(model, moves):
     vertex the next index.  A frame T maps the class of w base to that of
     T w base, so the vertex is canonicalize(T_source * mv.vertex) and its
     frame T_source * mv.transporter; the base's frame is the identity, so
-    from the base they are mv.vertex and mv.transporter themselves."""
+    from the base they are mv.vertex and mv.transporter themselves.  The
+    vertex's product is taken on int numerators: each move's vertex
+    columns once per walk, each source frame's rows once."""
     prime = model.prime
+    ring = prime.ring
+    vertex_columns = [ringmat.numerator_columns(mv.vertex) for mv in moves]
     queue = [(None, 0)]         # (frame, depth); the base's frame is None
     seen = {model.bases[model.base_type]}
     for i, (src, depth) in enumerate(queue):    # the queue grows as walked
+        src_rows = None if src is None else ringmat.numerators(src)[0]
         for k, mv in enumerate(moves):
             vertex = mv.vertex if src is None else bttree.canonicalize(
-                ringmat.mat_mul(src, mv.vertex), prime)
+                ringmat.product_rows(ring, vertex_columns[k], src_rows), prime)
             if vertex not in seen:
                 seen.add(vertex)
                 frame = (mv.transporter if src is None
@@ -358,8 +363,8 @@ def _swap_moves(model):
     for f in base_moves:
         for sigma_swap in aligned:
             w = ringmat.mat_mul(f.transporter, sigma_swap)
-            out.append(bttree.Move(base_type, w, bttree.canonicalize(
-                ringmat.mat_mul(w, base), model.prime)))
+            out.append(bttree.Move(base_type, w, bttree.canonical_image(
+                w, base, model.prime)))
     return out
 
 
@@ -368,9 +373,8 @@ def _check_swap(model):
     fact about the swap that every move uses.  Raises CheckFailed."""
     prime = model.prime
     base = model.bases[model.base_type]
-    swap_base = bttree.canonicalize(ringmat.mat_mul(model.swap, base), prime)
-    if bttree.canonicalize(ringmat.mat_mul(model.swap, swap_base),
-                           prime) != base:
+    swap_base = bttree.canonical_image(model.swap, base, prime)
+    if bttree.canonical_image(model.swap, swap_base, prime) != base:
         raise CheckFailed("the swap does not exchange the base vertex and "
                           "its image")
     return swap_base
@@ -388,7 +392,7 @@ def _check_move(tower, k, swap_base, rng, points):
     prime = model.prime
     base = model.bases[model.base_type]
     w = tower.moves[k].transporter
-    if bttree.canonicalize(ringmat.mat_mul(w, swap_base), prime) != base:
+    if bttree.canonical_image(w, swap_base, prime) != base:
         raise CheckFailed("move %d: w swap^-1 does not fix the base vertex" % k)
     if model.form is not None and not ringmat.preserves_form(
             w, model.form, model.form_kind):
@@ -416,8 +420,7 @@ def _check_step(tower, n, step):
     if not (ok and frame == step.conjugator):
         raise CheckFailed("step %d: frame is not its source's frame times "
                           "its move" % n)
-    if bttree.canonicalize(ringmat.mat_mul(step.conjugator, base),
-                           prime) != step.vertex:
+    if bttree.canonical_image(step.conjugator, base, prime) != step.vertex:
         raise CheckFailed("step %d: frame does not carry the base vertex"
                           % n)
 

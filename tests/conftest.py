@@ -214,8 +214,8 @@ def _frame_neighbors(model, vtype, frame):
     out = []
     for mv in model.moves(vtype):
         g = ringmat.mat_mul(frame, mv.transporter)
-        out.append((bttree.canonicalize(
-            ringmat.mat_mul(g, model.bases[mv.target_type]), model.prime),
+        out.append((bttree.canonicalize(ringmat.numerator_columns(
+            ringmat.mat_mul(g, model.bases[mv.target_type])), model.prime),
             mv.target_type, g))
     return out
 
@@ -258,6 +258,61 @@ def framed_explore():
             layer = nxt
         return vertices, types, sorted(edges), frames
     return explore
+
+
+# The breadth-first walk that ``bttree.bfs_explore`` made before its
+# frames and products ran on int numerators, kept as the oracle: every
+# frame and every product g * vertex_i is a matrix of ring elements formed
+# by ``ringmat.mat_mul``, and the move back to the parent is skipped.
+def _ringelt_explore(model, radius):
+    """The ``bttree.TreeGraph`` within `radius` of the base vertex."""
+    prime = model.prime
+
+    def canon(m):
+        return bttree.canonicalize(ringmat.numerator_columns(m), prime)
+
+    back = {}
+    for t, base in model.bases.items():
+        seed = model.moves(t)[0]
+        home = canon(ringmat.mat_mul(ringmat.mat_inverse(seed.transporter),
+                                     base))
+        js = [j for j, m in enumerate(model.moves(seed.target_type))
+              if m.vertex == home]
+        assert len(js) == 1
+        back[t] = js[0]
+    base_type = model.base_type
+    base = model.bases[base_type]
+    vertices, types = [base], [base_type]
+    index = {base: 0}
+    edges = set()
+    layer = [(0, base_type, None, None)]
+    for _ in range(radius):
+        nxt = []
+        for vi, t, via, skip in layer:
+            frame = (ringmat.identity(prime.ring, len(base)) if via is None
+                     else ringmat.mat_mul(via[0], via[1].transporter))
+            nbrs = [(canon(ringmat.mat_mul(frame, mv.vertex)), i)
+                    for i, mv in enumerate(model.moves(t)) if i != skip]
+            nbrs.sort(key=lambda item: bttree._vertex_key(item[0]))
+            for w, i in nbrs:
+                if w not in index:
+                    mv = model.moves(t)[i]
+                    index[w] = len(vertices)
+                    vertices.append(w)
+                    types.append(mv.target_type)
+                    nxt.append((index[w], mv.target_type, (frame, mv),
+                                back[t]))
+                edges.add((min(vi, index[w]), max(vi, index[w])))
+        layer = nxt
+    return bttree.TreeGraph(model.name, vertices, types, sorted(edges))
+
+
+@pytest.fixture(scope="session")
+def ringelt_explore():
+    """(model, radius) -> the tree graph by breadth-first search on frames
+    and products of ring elements: the oracle for ``bttree.bfs_explore``'s
+    int numerator rows."""
+    return _ringelt_explore
 
 
 @pytest.fixture(scope="session")

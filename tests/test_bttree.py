@@ -10,6 +10,12 @@ from congtower.errors import InputError
 from congtower.rings import factor_rational_prime, make_ring
 
 
+def canon(m, prime):
+    """``bttree.canonicalize`` of the column span of a matrix of ring
+    elements, any product in it formed exactly by ``ringmat.mat_mul``."""
+    return bttree.canonicalize(ringmat.numerator_columns(m), prime)
+
+
 @pytest.fixture(scope="module")
 def magic_prime():
     return catalog.magic_ring_and_prime()[1]
@@ -83,16 +89,16 @@ def gl_adjacent(v, w, prime):
 def test_canonicalize_idempotent_and_homothety(magic_prime):
     ring = magic_prime.ring
     v0 = ringmat.identity(ring, 2)
-    c = bttree.canonicalize(v0, magic_prime)
-    assert bttree.canonicalize(c, magic_prime) == c
-    assert bttree.canonicalize(ringmat.mat_scale(v0, 2), magic_prime) == c
-    assert bttree.canonicalize(ringmat.mat_scale(v0, ring.gen()), magic_prime) == c
+    c = canon(v0, magic_prime)
+    assert canon(c, magic_prime) == c
+    assert canon(ringmat.mat_scale(v0, 2), magic_prime) == c
+    assert canon(ringmat.mat_scale(v0, ring.gen()), magic_prime) == c
 
 
 def test_canonicalize_rejects_singular(magic_prime):
     ring = magic_prime.ring
     with pytest.raises(InputError):
-        bttree.canonicalize(ringmat.mat(ring, [[1, 1], [1, 1]]), magic_prime)
+        canon(ringmat.mat(ring, [[1, 1], [1, 1]]), magic_prime)
 
 
 def test_canonicalize_stabilizer_invariance(magic_prime, rng):
@@ -102,14 +108,14 @@ def test_canonicalize_stabilizer_invariance(magic_prime, rng):
     mats = [gens[k] for k in "abu"]
     mats += [ringmat.mat_inverse(m) for m in mats]
     v0 = ringmat.identity(ring, 2)
-    base = bttree.canonicalize(v0, magic_prime)
+    base = canon(v0, magic_prime)
     for _ in range(50):
         g = ringmat.identity(ring, 2)
         for _ in range(rng.randint(1, 6)):
             g = ringmat.mat_mul(g, rng.choice(mats))
-        assert bttree.canonicalize(ringmat.mat_mul(g, v0), magic_prime) == base
+        assert canon(ringmat.mat_mul(g, v0), magic_prime) == base
     # and for a moved vertex: stabilizer conjugates
-    w = bttree.canonicalize(ringmat.mat_mul(catalog.magic_swap(), v0), magic_prime)
+    w = canon(ringmat.mat_mul(catalog.magic_swap(), v0), magic_prime)
     swap = catalog.magic_swap()
     for _ in range(25):
         g = ringmat.identity(ring, 2)
@@ -117,7 +123,7 @@ def test_canonicalize_stabilizer_invariance(magic_prime, rng):
             g = ringmat.mat_mul(g, rng.choice(mats))
         conj = ringmat.mat_mul(ringmat.mat_mul(swap, g),
                                ringmat.mat_inverse(swap))
-        assert bttree.canonicalize(ringmat.mat_mul(conj, w), magic_prime) == w
+        assert canon(ringmat.mat_mul(conj, w), magic_prime) == w
 
 
 @pytest.mark.parametrize("name", ["pgl2", "oq", "su"])
@@ -135,8 +141,8 @@ def test_base_moves_fix_the_base(request, name):
     model = request.getfixturevalue(name)
     base = model.bases[model.base_type]
     for f in model.moves(model.base_type):
-        assert bttree.canonicalize(ringmat.mat_mul(f.transporter, base),
-                                   model.prime) == base
+        assert canon(ringmat.mat_mul(f.transporter, base),
+                     model.prime) == base
 
 
 def _two_type_generators(name):
@@ -159,7 +165,7 @@ def test_mid_action_is_the_midpoint_stabilizer_action(request, name):
     assert len(set(nbrs)) == len(nbrs)
     assert len(model.mid_action) == len(model.stab_mid)
     for g, column in zip(model.stab_mid, model.mid_action):
-        assert column == [nbrs.index(bttree.canonicalize(
+        assert column == [nbrs.index(canon(
             ringmat.mat_mul(g, v), model.prime)) for v in nbrs]
 
 
@@ -172,7 +178,7 @@ def test_stab_mid_keeps_the_base_generators_fixing_the_midpoint(request,
     stab, extra = _two_type_generators(name)
     mid = model.bases[model.moves(model.base_type)[0].target_type]
     fixing = [g for g in stab
-              if bttree.canonicalize(ringmat.mat_mul(g, mid), model.prime) == mid]
+              if canon(ringmat.mat_mul(g, mid), model.prime) == mid]
     assert 0 < len(fixing) < len(stab)
     assert model.stab_mid == [model.swap] + extra + fixing
 
@@ -240,7 +246,7 @@ def test_canonicalize_inverts_no_ring_element(request, name, monkeypatch,
     monkeypatch.setattr(rings.RingElt, "inverse",
                         lambda self: calls.append(self) or inverse(self))
     for m in inputs:
-        bttree.canonicalize(m, prime)
+        canon(m, prime)
     assert calls == []
 
 
@@ -267,7 +273,7 @@ def test_canonicalize_matches_the_oracle_on_frames(request, framed_ball,
         m = ringmat.mat_mul(frame, model.bases[t])
         for x in (m, ringmat.mat_scale(m, pi_inv), _conj_pi_column(m, prime),
                   ringmat.mat_mul(model.swap, m)):
-            assert bttree.canonicalize(x, prime) == oracle_canonicalize(x, prime)
+            assert canon(x, prime) == oracle_canonicalize(x, prime)
 
 
 @pytest.mark.parametrize("p, radius", [(3, 2), (5, 2)])
@@ -283,7 +289,7 @@ def test_canonicalize_matches_the_oracle_at_inert_primes(framed_ball,
     for t, frame in framed_ball(model, radius).values():
         m = ringmat.mat_mul(frame, model.bases[t])
         for x in (m, ringmat.mat_scale(m, pi_inv)):
-            assert bttree.canonicalize(x, prime) == oracle_canonicalize(x, prime)
+            assert canon(x, prime) == oracle_canonicalize(x, prime)
 
 
 _ORACLE_PRIMES = {
@@ -313,9 +319,9 @@ def test_canonicalize_matches_the_oracle_on_integral_matrices(
         expected = oracle_canonicalize(m, prime)
     except InputError:
         with pytest.raises(InputError):
-            bttree.canonicalize(m, prime)
+            canon(m, prime)
     else:
-        assert bttree.canonicalize(m, prime) == expected
+        assert canon(m, prime) == expected
 
 
 def test_canonicalize_builds_no_residue_ring_past_the_budget(
@@ -334,7 +340,7 @@ def test_canonicalize_builds_no_residue_ring_past_the_budget(
                     (ringmat.mat_mul(catalog.pu21_swap(), d), (7, 6, 0))):
         assert (prime.norm() ** max(exps) <= 10 ** 6
                 < prime.norm() ** sum(exps))
-        out = bttree.canonicalize(m, prime)
+        out = canon(m, prime)
         assert [out[i][i] for i in range(3)] == [
             prime.uniformizer_power(k) for k in exps]
         assert out == oracle_canonicalize(m, prime)
@@ -436,7 +442,7 @@ def test_oq_base_neighbors_match_published_representatives(oq,
 
     def vert(cols):
         m = tuple(tuple(ring(c[i]) for c in cols) for i in range(5))
-        return bttree.canonicalize(m, oq.prime)
+        return canon(m, oq.prime)
 
     nb_x0 = {v for (v, t, g) in frame_neighbors(oq, "x0", ident)}
     explicit = [
@@ -467,8 +473,8 @@ def test_su_dictionary_and_swap(su):
     assert bttree.apartment_vertex(apartment, 3, 1) == mid
     v1 = bttree.apartment_vertex(apartment, 3, 2)
     g0 = catalog.pu21_swap()
-    assert bttree.canonicalize(ringmat.mat_mul(g0, v0), prime) == v1
-    assert bttree.canonicalize(ringmat.mat_mul(g0, mid), prime) == mid
+    assert canon(ringmat.mat_mul(g0, v0), prime) == v1
+    assert canon(ringmat.mat_mul(g0, mid), prime) == mid
     assert gl_adjacent(v0, mid, prime)
     assert gl_adjacent(mid, v1, prime)
 
@@ -554,7 +560,7 @@ def test_move_vertex_is_the_canonical_transporter_image(request, name):
     model = request.getfixturevalue(name)
     for t in model.bases:
         for mv in model.moves(t):
-            assert mv.vertex == bttree.canonicalize(ringmat.mat_mul(
+            assert mv.vertex == canon(ringmat.mat_mul(
                 mv.transporter, model.bases[mv.target_type]), model.prime)
 
 
@@ -569,7 +575,7 @@ def test_back_moves_lead_back_to_the_base(request, name):
     for t in model.bases:
         for mv in model.moves(t):
             home = [k for k, m in enumerate(model.moves(mv.target_type))
-                    if bttree.canonicalize(ringmat.mat_mul(
+                    if canon(ringmat.mat_mul(
                         mv.transporter, m.vertex), model.prime)
                     == model.bases[t]]
             assert home == [back[t]]
@@ -581,12 +587,14 @@ def test_bfs_explore_forms_each_edge_once(request, monkeypatch, name, radius):
     # past the back table (one inverse, product and canonical form per
     # type), one product and one canonical form per edge, the move back
     # to the parent never tried, and one frame per expanded vertex but the
-    # base, none on the last layer
+    # base, none on the last layer; every product is on int rows, so no
+    # matrix of ring elements is multiplied
     model = request.getfixturevalue(name)
     inner = len(bttree.bfs_explore(model, radius - 1).vertices)
     table = len(model.bases)
-    calls = {"canonicalize": 0, "mat_mul": 0}
-    for owner, attr in ((bttree, "canonicalize"), (ringmat, "mat_mul")):
+    calls = {"canonicalize": 0, "product_rows": 0, "mat_mul": 0}
+    for owner, attr in ((bttree, "canonicalize"), (ringmat, "product_rows"),
+                        (ringmat, "mat_mul")):
         def counting(*args, _f=getattr(owner, attr), _attr=attr):
             calls[_attr] += 1
             return _f(*args)
@@ -594,7 +602,35 @@ def test_bfs_explore_forms_each_edge_once(request, monkeypatch, name, radius):
     graph = bttree.bfs_explore(model, radius)
     edges = len(graph.edges)
     assert calls == {"canonicalize": table + edges,
-                     "mat_mul": table + edges + inner - 1}
+                     "product_rows": table + edges + inner - 1,
+                     "mat_mul": 0}
+
+
+def _pgl2_primes_below_50():
+    """(ring spec, rational p, index) of every prime of Z below 50 and of
+    every prime of O_7 of norm below 50: split, inert and ramified."""
+    out = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        out.append(("rational", p, 0))
+        out.extend((7, p, i) for i, prime in enumerate(
+            factor_rational_prime(make_ring(7), p)) if prime.norm() < 50)
+    return out
+
+
+@pytest.mark.parametrize("spec, p, i", _pgl2_primes_below_50(),
+                         ids=lambda v: str(v))
+def test_bfs_explore_matches_the_ringelt_walk_on_pgl2(ringelt_explore, spec,
+                                                      p, i):
+    prime = factor_rational_prime(make_ring(spec), p)[i]
+    model = bttree.pgl2_model(prime.ring, prime)
+    assert bttree.bfs_explore(model, 2) == ringelt_explore(model, 2)
+
+
+@pytest.mark.parametrize("name, radius", [("oq", 3), ("su", 2)])
+def test_bfs_explore_matches_the_ringelt_walk(request, ringelt_explore, name,
+                                              radius):
+    model = request.getfixturevalue(name)
+    assert bttree.bfs_explore(model, radius) == ringelt_explore(model, radius)
 
 
 def test_back_moves_refuse_a_model_without_one_way_back(oq):
@@ -626,7 +662,7 @@ def test_frames_carry_base_to_vertex(oq, framed_ball):
     ball = framed_ball(oq, 2)
     assert [ball[v][0] for v in graph.vertices] == graph.types
     for v, (t, frame) in ball.items():
-        assert bttree.canonicalize(
+        assert canon(
             ringmat.mat_mul(frame, oq.bases[t]), oq.prime) == v
 
 

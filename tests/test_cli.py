@@ -451,6 +451,20 @@ def test_deep_nesting_exits_input(tmp_path, flag, content, message):
     assert err.startswith("input error:") and message in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    (json.loads("[" * 900 + "]" * 900), "bad coordinate [[[["),
+    ({"x": json.loads("[" * 900 + "]" * 900)}, "bad matrix entry {'x': [[["),
+], ids=["coordinate", "entry"])
+def test_huge_bad_value_makes_a_short_message(tmp_path, entry, message):
+    # 900 nested arrays have a repr of 1 800 characters; the message quotes
+    # a prefix of it
+    code, err = _homology_on(tmp_path, "--matrices", _with_entry(entry))
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error:") and message in err
+    assert "..." in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
 def test_exponent_coordinate_exits_input_at_once(tmp_path):
     # Fraction("1e999999999") would build a billion-digit int; the
     # coordinate grammar refuses it before any arithmetic

@@ -35,6 +35,13 @@ GOLDEN = {
         "14ddcbd2a8363054205f520ef5b82d4629ac7508231584a1a980acfb48d789fd",
     "tree oq --radius 2":
         "01b44a359403880d011ba375f7ff21611676780970ea7d9b29bf0402d921ba0b",
+    # the longest frames: four su layers, five oq layers, nine pgl2 layers
+    "tree su --radius 4":
+        "c2bfe31b0d91fac3cdbff967116b0e752448b33aa32f6208b0abbb3b35f735e7",
+    "tree oq --radius 5":
+        "80e059799f38556f23153185b856e24ca8dcd07cd0f2f31b88eeac61e677bae1",
+    "tree pgl2 --radius 9":
+        "b2704e8219e5ed8ecb919e4404b0116d64b919746113fa7b0260e534a046fc0c",
     "check-identities":
         "1daab3bfd58f842d8ef10ad659890d9527a0ba7f6d79a33b3a0a13e2f0f6347b",
     # rows over 2 and odd rows, split and inert and ramified primes

@@ -101,11 +101,17 @@ def test_imaginary_quadratic_conjugation(d):
         assert x * x.conj() == x.norm()
 
 
+def as_fractions(x):
+    """The coordinates of a ring element as reduced Fractions."""
+    return [Fraction(a, x.den) for a in x.num]
+
+
 def test_products_keep_fraction_coordinates():
     for ring in (make_ring(1), make_ring("cyclotomic-5")):
         x = ring.gen() * ring.gen()     # -1 and z^2: zero coordinates
         for y in (x, x / 2, x * 3, x.conj() * x):
-            assert all(isinstance(c, Fraction) for c in y.coords), y
+            assert all(type(c) is int for c in y.num), y
+            assert math.gcd(y.den, *y.num) == 1, y
     assert str(make_ring(1).gen() * make_ring(1).gen() / 2) == "-1/2"
     assert str(make_ring("cyclotomic-5").zeta() ** 2 / 2) == "1/2*z^2"
 
@@ -165,7 +171,7 @@ def ref_inverse(ring, a):
 
 def ref_conj(ring, a):
     """sum a_i conj(x)^i, from the conjugate of the generator alone."""
-    cg = list(ring.gen().conj().coords)
+    cg = as_fractions(ring.gen().conj())
     out, power = [Fraction(0)] * ring.degree, [Fraction(1)] + [Fraction(0)] * (ring.degree - 1)
     for c in a:
         out = [o + c * p for o, p in zip(out, power)]
@@ -191,6 +197,35 @@ def ring_elements(draw):
     return ring, draw(coords), draw(coords), draw(fraction_coords)
 
 
+def fraction_text(ring, coords):
+    """The text of an element with the given Fraction coordinates, each
+    term formatted by ``str`` of its Fraction: the reference for
+    ``RingElt.__repr__``."""
+    terms = []
+    for c, nm in zip(coords, ring.basis_names):
+        if c == 0:
+            continue
+        if nm == "1":
+            terms.append(str(c))
+        elif c == 1:
+            terms.append(nm)
+        else:
+            terms.append("%s*%s" % (c, nm))
+    return " + ".join(terms) if terms else "0"
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_repr_matches_the_fraction_text(ring, data):
+    # zeros, ones, negative coordinates and shared denominators
+    coord = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)),
+                      fraction_coords)
+    coords = data.draw(st.lists(coord, min_size=ring.degree,
+                                max_size=ring.degree))
+    assert repr(ring(tuple(coords))) == fraction_text(ring, coords)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(ring_elements())
 def test_int_coordinates_match_fraction_reference(case):
@@ -212,13 +247,13 @@ def test_int_coordinates_match_fraction_reference(case):
         expected.append((x / q, [s / q for s in a]))
     for got, want in expected:
         assert_lowest_terms(got)
-        assert list(got.coords) == want
+        assert as_fractions(got) == want
     assert x.norm() == ref_det(ref_mult_matrix(ring, a))
     assert x.den == math.lcm(*(c.denominator for c in a))
     assert x.is_integral() == all(c.denominator == 1 for c in a)
     # equal values built two ways are equal and hash alike
     for left, right in [((x / 6) * 3, x / 2), (x * Fraction(1, 2), x / 2),
-                        ((x + y) - y, x), (ring(tuple(x.coords)), x)]:
+                        ((x + y) - y, x), (ring(tuple(as_fractions(x))), x)]:
         assert left == right and hash(left) == hash(right)
     with pytest.raises(ZeroDivisionError):
         ring.zero.inverse()

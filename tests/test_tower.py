@@ -13,6 +13,12 @@ from congtower.intmat import AbelianInvariants
 from congtower.rings import factor_rational_prime, make_ring
 
 
+def canon(m, prime):
+    """``bttree.canonicalize`` of the column span of a matrix of ring
+    elements, any product in it formed exactly by ``ringmat.mat_mul``."""
+    return bttree.canonicalize(ringmat.numerator_columns(m), prime)
+
+
 @pytest.fixture(scope="module")
 def magic_prime():
     return catalog.magic_ring_and_prime()[1]
@@ -292,9 +298,9 @@ def test_magic_tower_form_free_steps():
         h_n = ringmat.mat_mul(ringmat.mat_mul(src.conjugator, w), swap_inv)
         g_n = ringmat.mat_mul(ringmat.mat_mul(h_n, data.model.swap),
                               ringmat.mat_inverse(h_n))
-        assert bttree.canonicalize(
+        assert canon(
             ringmat.mat_mul(g_n, src.vertex), prime) == step.vertex
-        assert bttree.canonicalize(
+        assert canon(
             ringmat.mat_mul(g_n, step.vertex), prime) == src.vertex
 
 
@@ -516,7 +522,7 @@ def test_steps_match_full_frame_products(example, steps):
         head += 1
         for k, mv in enumerate(data.moves):
             t_n = ringmat.mat_mul(frames[src], mv.transporter)
-            vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base), prime)
+            vertex = canon(ringmat.mat_mul(t_n, base), prime)
             if vertex not in index and len(expected) <= steps:
                 index[vertex] = len(expected)
                 frames.append(t_n)
@@ -532,12 +538,12 @@ def _align_from_scratch(model, f_m, v_i, v_n, depth):
     prime = model.prime
     base = model.bases[model.base_type]
     f_inv = ringmat.mat_inverse(f_m)
-    target = (bttree.canonicalize(ringmat.mat_mul(f_inv, v_i), prime),
-              bttree.canonicalize(ringmat.mat_mul(f_inv, v_n), prime))
+    target = (canon(ringmat.mat_mul(f_inv, v_i), prime),
+              canon(ringmat.mat_mul(f_inv, v_n), prime))
 
     def pair_of(s):
-        return (bttree.canonicalize(ringmat.mat_mul(s, base), prime),
-                bttree.canonicalize(ringmat.mat_mul(
+        return (canon(ringmat.mat_mul(s, base), prime),
+                canon(ringmat.mat_mul(
                     s, ringmat.mat_mul(model.swap, base)), prime))
 
     ident = ringmat.identity(prime.ring, len(base))
@@ -588,7 +594,7 @@ def test_swap_moves_match_fresh_search(name, depth, needed):
     for mv_mid in model.moves(model.base_type):
         f_m = mv_mid.transporter
         for mv_b in model.moves(mid_type):
-            vertex = bttree.canonicalize(ringmat.mat_mul(
+            vertex = canon(ringmat.mat_mul(
                 ringmat.mat_mul(f_m, mv_b.transporter), base), prime)
             h = _align_from_scratch(model, f_m, base, vertex, full)
             assert (h is None) == (vertex == base)
@@ -605,10 +611,10 @@ def test_swap_moves_match_fresh_search(name, depth, needed):
     for mv, w_ref in zip(moves, expected):
         assert mv.transporter == w_ref
         assert mv.target_type == model.base_type
-        assert mv.vertex == bttree.canonicalize(
+        assert mv.vertex == canon(
             ringmat.mat_mul(w_ref, base), prime)
         h = ringmat.mat_mul(mv.transporter, swap_inv)
-        assert bttree.canonicalize(ringmat.mat_mul(h, base), prime) == base
+        assert canon(ringmat.mat_mul(h, base), prime) == base
     assert bool(beyond) == (depth < needed)
 
 
@@ -617,19 +623,19 @@ def test_swap_moves_match_fresh_search(name, depth, needed):
 def test_swap_moves_form_one_product_per_tree_node(monkeypatch, name,
                                                     count):
     # one product per Schreier-tree node on a path from the seed to some
-    # (0, b) of the pair orbit, then w = f tail and w base per move
+    # (0, b) of the pair orbit, then w = f tail and w base per move; w base
+    # is only canonicalized, so it is a product of int rows
     model = getattr(bttree, name + "_model")()
-    calls = []
-    mat_mul = ringmat.mat_mul
-
-    def counting(*args):
-        calls.append(args)
-        return mat_mul(*args)
-
-    monkeypatch.setattr(ringmat, "mat_mul", counting)
+    calls = {"mat_mul": 0, "product_rows": 0}
+    for attr in calls:
+        def counting(*args, _f=getattr(ringmat, attr), _attr=attr):
+            calls[_attr] += 1
+            return _f(*args)
+        monkeypatch.setattr(ringmat, attr, counting)
     moves = tower._swap_moves(model)
     monkeypatch.undo()
-    assert len(calls) == count
+    assert calls["mat_mul"] + calls["product_rows"] == count
+    assert calls["product_rows"] == (len(moves) if model.mid_action else 0)
     if not model.mid_action:
         return
     perms = model.mid_action
@@ -672,7 +678,7 @@ def test_magic_swap_moves_are_the_base_moves():
     swap_inv = ringmat.mat_inverse(model.swap)
     for mv in moves:
         h = ringmat.mat_mul(mv.transporter, swap_inv)
-        assert bttree.canonicalize(h, model.prime) == model.bases["v"]
+        assert canon(h, model.prime) == model.bases["v"]
 
 
 def test_magic_swap_is_the_pgl2_swap_and_move_0():
@@ -766,8 +772,7 @@ def _full_frame_radius(data):
         for frame in frontier:
             for mv in data.moves:
                 t_n = ringmat.mat_mul(frame, mv.transporter)
-                vertex = bttree.canonicalize(ringmat.mat_mul(t_n, base),
-                                             data.model.prime)
+                vertex = canon(ringmat.mat_mul(t_n, base), data.model.prime)
                 if vertex not in seen:
                     if vertex not in visited:
                         return radius
