@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import types
 from dataclasses import dataclass
 
@@ -506,7 +507,8 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
     identity = ringmat.numerators(ringmat.identity(ring, len(base)))[0]
     vertices = [base]
     types = [base_type]
-    index = {base: 0}
+    # _vertex_key of each vertex -> its index
+    index = {_vertex_key(base): 0}
     edges = set()
     # (vertex index, type, (parent frame rows, transporter columns) or
     # None at the base, the index of the move back to the parent)
@@ -515,22 +517,26 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
         nxt = []
         for vi, t, via, skip in layer:
             frame = identity if via is None else product(ring, *via)
-            # the columns of frame * vertex_i
-            nbrs = [(canonicalize(product(ring, cols, frame), prime), i)
-                    for i, (cols, _) in enumerate(columns[t]) if i != skip]
-            nbrs.sort(key=lambda item: _vertex_key(item[0]))
-            for w, i in nbrs:
-                if w not in index:
+            nbrs = []
+            for i, (cols, _) in enumerate(columns[t]):
+                if i != skip:
+                    # the columns of frame * vertex_i
+                    w = canonicalize(product(ring, cols, frame), prime)
+                    nbrs.append((_vertex_key(w), w, i))
+            nbrs.sort(key=operator.itemgetter(0))
+            for key, w, i in nbrs:
+                wi = index.get(key)
+                if wi is None:
                     target = model.moves(t)[i].target_type
-                    index[w] = len(vertices)
+                    wi = index[key] = len(vertices)
                     vertices.append(w)
                     types.append(target)
-                    nxt.append((index[w], target, (frame, columns[t][i][1]),
+                    nxt.append((wi, target, (frame, columns[t][i][1]),
                                 back[t]))
                     if len(vertices) > budget:
                         raise BudgetExceeded("tree exploration exceeded budget",
                                              estimate=len(vertices), budget=budget)
-                edges.add((min(vi, index[w]), max(vi, index[w])))
+                edges.add((min(vi, wi), max(vi, wi)))
         layer = nxt
     return TreeGraph(model.name, vertices, types, sorted(edges))
 
@@ -538,7 +544,7 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
 def _vertex_key(v):
     """The int coordinates of the entries, row by row: every entry of a
     canonical vertex is a ring integer (pivots pi^k, k >= 0, and residues
-    right of them)."""
+    right of them), of denominator 1, so the key determines the vertex."""
     return tuple(x.num for row in v for x in row)
 
 

@@ -10,7 +10,9 @@ product is one ring dot product of numerators, normalized once, and
 ``det`` and ``mat_inverse`` expand the numerators with ``rings.det`` and
 ``rings.cofactors``, building ring elements only for the result.
 ``product_rows`` multiplies int rows by int columns and builds no ring
-element at all, for a product whose class is all that is used.
+element at all, for a product whose class is all that is used, or whose
+numerators, put in ``lowest_terms``, are kept until ``from_numerators``
+builds the matrix.
 """
 
 from __future__ import annotations
@@ -53,6 +55,22 @@ def numerators(a):
     d = math.lcm(*[x.den for row in a for x in row])
     return [[x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
              for x in row] for row in a], d
+
+
+def lowest_terms(rows, d):
+    """Int coordinate rows N over d with their common factor divided out:
+    ``numerators`` of the matrix N / d."""
+    g = math.gcd(d, *(c for row in rows for x in row for c in x))
+    if g == 1:
+        return rows, d
+    return [[tuple(c // g for c in x) for x in row] for row in rows], d // g
+
+
+def from_numerators(ring, rows, d):
+    """The matrix N / d of ring elements from int coordinate rows N over
+    d, the inverse of ``numerators``."""
+    return tuple(tuple(rings.RingElt(ring, x, d) for x in row)
+                 for row in rows)
 
 
 def numerator_columns(a):
@@ -222,7 +240,7 @@ def read_json_file(path):
 __all__ = [
     "mat", "identity", "basis_points", "mat_mul", "mat_add",
     "mat_scale", "transpose", "conj_transpose", "numerators",
-    "numerator_columns", "product_rows", "det", "mat_inverse",
-    "is_integral", "preserves_form",
+    "lowest_terms", "from_numerators", "numerator_columns", "product_rows",
+    "det", "mat_inverse", "is_integral", "preserves_form",
     "matrix_from_json", "read_json_file",
 ]

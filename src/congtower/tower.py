@@ -32,12 +32,15 @@ d_h and w^-1 w == Id checked on them,
 
     w^-1 (Id + pi^a X) w - Id  =  pi^a (H X G) / D,
 
-so each entry is one lattice membership of an int numerator of H X G.
-The report checks each move a tower uses once (h fixes the base, w keeps
-the form, the certificate is about w and re-verifies at fresh random
-points) and each step by one exact product, T_source w == T_n, and its
-vertex; every step citing a move gets the move's outcome, a failure
-included.
+so each entry is one lattice membership of an int numerator of H X G,
+at the level b - a + v_p(D).  H X G is integral for every integral X, so
+at a level <= 0 the denominators decide every point and none is drawn:
+so it is for every move of the magic and o41 towers, while the pu21
+moves are tested at level 6.  The report checks each move a tower uses
+once (h fixes the base, w keeps the form, the certificate is about w and
+re-verifies at fresh random points) and each step by one exact product,
+T_source w == T_n, and its vertex; every step citing a move gets the
+move's outcome, a failure included.
 """
 
 from __future__ import annotations
@@ -177,13 +180,19 @@ def recheck_certificate(cert, prime, rng=None, points=100):
 
     Each point is evaluated by the conjugation kernel, pi^a (H X G) / D,
     and the level-b congruence asked as one lattice membership per entry
-    of H X G.  Returns the number of points checked; raises CheckFailed
-    on any failure.
+    of H X G, at the level b - a + v_p(D).  The kernel first checks
+    w^-1 w == Id.  Then the denominators bound every point at once: H X G
+    is integral, so each entry of pi^a (H X G) / D has valuation at least
+    a - v_p(D), and at a level <= 0 every integral X passes without a
+    point being drawn.  Returns the number of points the recheck stands
+    for; raises CheckFailed on any failure.
     """
     rng = rng or random.Random(0)
     n = len(cert.conjugator)
     b = cert.outer_level
     conj = _Conjugation(cert.conjugator, prime, cert.inner_level)
+    if b + conj.shift <= 0:
+        return points
     for _ in range(points):
         x = [[rng.randrange(-_RECHECK_SPAN, _RECHECK_SPAN + 1)
               for _ in range(n)] for _ in range(n)]
@@ -286,7 +295,9 @@ def build_tower(example, steps):
         if k not in certs:
             certs[k] = certify_containment(moves[k].transporter, prime,
                                            2 * j, j)
-        tower_steps.append(TowerStep(frame, vertex, source_i, k))
+        tower_steps.append(TowerStep(ringmat.from_numerators(prime.ring,
+                                                             *frame),
+                                     vertex, source_i, k))
     if len(tower_steps) <= steps:
         raise BudgetExceeded("ran out of reachable vertices",
                              estimate=len(tower_steps), budget=steps)
@@ -301,23 +312,29 @@ def _walk(model, moves):
     vertex the next index.  A frame T maps the class of w base to that of
     T w base, so the vertex is canonicalize(T_source * mv.vertex) and its
     frame T_source * mv.transporter; the base's frame is the identity, so
-    from the base they are mv.vertex and mv.transporter themselves.  The
-    vertex's product is taken on int numerators: each move's vertex
-    columns once per walk, each source frame's rows once."""
+    from the base they are mv.vertex and mv.transporter themselves.  A
+    frame is kept as ``ringmat.numerators`` gives it, int rows over a
+    denominator, and both products are taken on int numerators, with each
+    move's vertex columns and transporter numerators read once per walk;
+    no ring element is built."""
     prime = model.prime
     ring = prime.ring
     vertex_columns = [ringmat.numerator_columns(mv.vertex) for mv in moves]
+    transporters = [ringmat.numerators(mv.transporter) for mv in moves]
+    transporter_columns = [list(zip(*rows)) for rows, _ in transporters]
     queue = [(None, 0)]         # (frame, depth); the base's frame is None
     seen = {model.bases[model.base_type]}
     for i, (src, depth) in enumerate(queue):    # the queue grows as walked
-        src_rows = None if src is None else ringmat.numerators(src)[0]
         for k, mv in enumerate(moves):
             vertex = mv.vertex if src is None else bttree.canonicalize(
-                ringmat.product_rows(ring, vertex_columns[k], src_rows), prime)
+                ringmat.product_rows(ring, vertex_columns[k], src[0]), prime)
             if vertex not in seen:
                 seen.add(vertex)
-                frame = (mv.transporter if src is None
-                         else ringmat.mat_mul(src, mv.transporter))
+                frame = (transporters[k] if src is None
+                         else ringmat.lowest_terms(
+                             ringmat.product_rows(ring, src[0],
+                                                  transporter_columns[k]),
+                             src[1] * transporters[k][1]))
                 queue.append((frame, depth + 1))
                 yield vertex, i, k, depth, frame
 

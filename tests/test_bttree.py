@@ -588,13 +588,17 @@ def test_bfs_explore_forms_each_edge_once(request, monkeypatch, name, radius):
     # type), one product and one canonical form per edge, the move back
     # to the parent never tried, and one frame per expanded vertex but the
     # base, none on the last layer; every product is on int rows, so no
-    # matrix of ring elements is multiplied
+    # matrix of ring elements is multiplied; vertices are looked up by
+    # their int key, taken once for the base and once per neighbour, so no
+    # ring element is hashed
     model = request.getfixturevalue(name)
     inner = len(bttree.bfs_explore(model, radius - 1).vertices)
     table = len(model.bases)
-    calls = {"canonicalize": 0, "product_rows": 0, "mat_mul": 0}
+    calls = {"canonicalize": 0, "product_rows": 0, "mat_mul": 0,
+             "_vertex_key": 0, "__hash__": 0}
     for owner, attr in ((bttree, "canonicalize"), (ringmat, "product_rows"),
-                        (ringmat, "mat_mul")):
+                        (ringmat, "mat_mul"), (bttree, "_vertex_key"),
+                        (rings.RingElt, "__hash__")):
         def counting(*args, _f=getattr(owner, attr), _attr=attr):
             calls[_attr] += 1
             return _f(*args)
@@ -603,7 +607,7 @@ def test_bfs_explore_forms_each_edge_once(request, monkeypatch, name, radius):
     edges = len(graph.edges)
     assert calls == {"canonicalize": table + edges,
                      "product_rows": table + edges + inner - 1,
-                     "mat_mul": 0}
+                     "mat_mul": 0, "_vertex_key": edges + 1, "__hash__": 0}
 
 
 def _pgl2_primes_below_50():

@@ -58,6 +58,22 @@ def test_mat_mul_matches_the_entrywise_fold(case):
     assert ringmat.mat_mul(a, b) == fold_mat_mul(a, b)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(product_cases())
+def test_product_numerators_in_lowest_terms(case):
+    # product_rows of the numerators over the product of the
+    # denominators, put in lowest terms, is numerators of a * b, and
+    # from_numerators gives a * b back
+    a, b = case
+    ring = a[0][0].ring
+    rows, d = ringmat.numerators(a)
+    b_rows, e = ringmat.numerators(b)
+    num = ringmat.lowest_terms(
+        ringmat.product_rows(ring, rows, list(zip(*b_rows))), d * e)
+    assert num == ringmat.numerators(ringmat.mat_mul(a, b))
+    assert ringmat.from_numerators(ring, *num) == ringmat.mat_mul(a, b)
+
+
 @st.composite
 def square_cases(draw):
     ring = draw(st.sampled_from(RINGS))

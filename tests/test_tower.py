@@ -82,6 +82,8 @@ def test_certificate_soundness_random_points(magic_prime):
 
 
 def test_recheck_catches_corruption(magic_prime):
+    # the corrupted conjugator has D = 256, so its points are tested at
+    # level 7: the denominators alone cannot pass it
     from fractions import Fraction
     cert = tower.certify_containment(catalog.magic_swap(), magic_prime, 2, 1)
     ring = make_ring(7)
@@ -95,8 +97,9 @@ def test_recheck_catches_corruption(magic_prime):
 
 def _kernel_case(case):
     """(g, prime, a, b): the three swaps at their tower levels, the
-    identity, and the three conjugators the certificate refuses at the
-    magic prime."""
+    identity, the magic swap over 4, which the certificate passes at a
+    recheck level of 1, and the three conjugators the certificate refuses
+    at the magic prime."""
     if case == "o41":
         prime = factor_rational_prime(make_ring("rational"), 2)[0]
         return catalog.o41_swap(), prime, 4, 2
@@ -105,6 +108,8 @@ def _kernel_case(case):
     ring, prime = catalog.magic_ring_and_prime()
     g = {
         "magic": catalog.magic_swap(),
+        "magic-quarter": ringmat.mat_scale(catalog.magic_swap(),
+                                           Fraction(1, 4)),
         "identity": ringmat.identity(ring, 2),
         "magic-sixteen": ringmat.mat(ring, [[0, 16], [Fraction(1, 16), 0]]),
         "magic-diag": ringmat.mat(ring, [[1, 0], [0, (prime.pi ** 2).inverse()]]),
@@ -196,7 +201,7 @@ def test_certificate_reads_2n2_valuations_and_one_product(monkeypatch, case):
     assert counts == {"valuation": 2 * len(g) ** 2, "mat_mul": 1}
 
 
-@pytest.mark.parametrize("case", ["magic", "o41", "pu21",
+@pytest.mark.parametrize("case", ["magic", "o41", "pu21", "magic-quarter",
                                   "magic-sixteen", "magic-diag"])
 def test_conjugation_kernel_matches_field_arithmetic(case):
     # pi^a (H X G) / D on int numerators against g^-1 (Id + pi^a X) g by
@@ -223,7 +228,8 @@ def test_conjugation_kernel_matches_field_arithmetic(case):
                 expected = prime.valuation(diff) >= b
                 assert conj.at_least(nums[k][l], b) == expected
                 verdicts.add(expected)
-    assert verdicts == ({True} if case in ("magic", "o41", "pu21")
+    assert verdicts == ({True} if case in ("magic", "o41", "pu21",
+                                           "magic-quarter")
                         else {True, False})
 
 
@@ -244,17 +250,35 @@ def test_conjugation_kernel_checks_the_identity_point(monkeypatch,
         tower.recheck_certificate(cert, magic_prime, points=5)
 
 
-@pytest.mark.parametrize("case", ["magic", "o41", "pu21"])
+# b - a + v_p(D), the level at which the recheck tests each entry of
+# H X G: for the swaps at their tower levels, the magic swap over 4, and
+# the corrupted conjugator of test_recheck_catches_corruption
+RECHECK_LEVELS = {"magic": 0, "o41": 0, "pu21": 6, "magic-quarter": 1,
+                  "magic-sixteen": 7}
+
+
+@pytest.mark.parametrize("case", sorted(RECHECK_LEVELS))
+def test_recheck_levels_pinned(case):
+    g, prime, a, b = _kernel_case(case)
+    conj = tower._Conjugation(g, prime, a)
+    assert b + conj.shift == RECHECK_LEVELS[case]
+
+
+@pytest.mark.parametrize("case", ["magic", "o41", "pu21", "magic-quarter"])
 @pytest.mark.parametrize("points", [0, 1, 7])
 def test_recheck_draws_n_squared_entries_per_point(case, points):
-    # each point is n^2 draws of randrange(-10, 11), so a seed picks the
-    # same points as the field-arithmetic recheck did
+    # at a positive level each point is n^2 draws of randrange(-10, 11),
+    # so a seed picks the same points as the field-arithmetic recheck did;
+    # at level 0 (the magic and o41 swaps) the denominators decide every
+    # integral point, so none is drawn and the rng is left as it was, and
+    # the recheck still stands for the points asked
     g, prime, a, b = _kernel_case(case)
     cert = tower.certify_containment(g, prime, a, b)
     rng, ref = random.Random(31), random.Random(31)
     assert tower.recheck_certificate(cert, prime, rng=rng,
                                      points=points) == points
-    for _ in range(len(g) ** 2 * points):
+    drawn = points if RECHECK_LEVELS[case] > 0 else 0
+    for _ in range(len(g) ** 2 * drawn):
         ref.randrange(-10, 11)
     assert rng.getstate() == ref.getstate()
 
@@ -529,6 +553,36 @@ def test_steps_match_full_frame_products(example, steps):
                 expected.append((vertex, src, k))
     assert [(s.vertex, s.source_i, s.move) for s in data.steps] == expected
     assert all(s.conjugator == f for s, f in zip(data.steps, frames))
+
+
+@pytest.mark.parametrize("example, steps", [
+    ("magic", 25), ("o41", 15), ("pu21", 35)])
+def test_walk_frames_are_the_numerators_of_the_products(example, steps):
+    # each frame the walk keeps is ringmat.numerators of T_source w, the
+    # int rows over the least common denominator; from step 31 of pu21
+    # the product of the numerators has a common factor to divide out
+    data = tower.build_tower(example, steps)
+    walked = itertools.islice(tower._walk(data.model, data.moves), steps)
+    for _, src, k, _, frame in walked:
+        assert frame == ringmat.numerators(ringmat.mat_mul(
+            data.steps[src].conjugator, data.moves[k].transporter))
+
+
+@pytest.mark.parametrize("example, steps", [("magic", 10), ("pu21", 3)])
+def test_covered_radius_builds_no_frame(monkeypatch, example, steps):
+    # the walk's frames stay int numerators, and only build_tower turns
+    # those of its steps into ring elements
+    data = tower.build_tower(example, steps)
+    calls = {"mat_mul": 0, "from_numerators": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(ringmat, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(ringmat, name, counting)
+    tower.covered_radius(data)
+    assert calls == {"mat_mul": 0, "from_numerators": 0}
+    tower.build_tower(example, steps)
+    assert calls["from_numerators"] == steps
 
 
 def _align_from_scratch(model, f_m, v_i, v_n, depth):
