@@ -3,12 +3,14 @@
     python3 scripts/golden_interpreters.py [--python PATH ...]
 
 An opt-in check, like the benchmark: pyproject.toml declares
-requires-python >= 3.10, and the byte-identical JSON outputs must not
-depend on the interpreter or on hash randomization.  The commands and
-their sha256 digests are read from tests/test_golden.py, so the two cannot
-drift apart.  Each interpreter runs every command through ``cli.main`` in
-one process, once with hash randomization on and once under
-PYTHONHASHSEED=12345, with ``src`` on its path; no test runner is needed.
+requires-python >= 3.10, and the byte-identical outputs must not depend
+on the interpreter or on hash randomization.  The commands and their
+sha256 digests are read from tests/test_golden.py, so the two cannot
+drift apart: its GOLDEN commands are run with ``--format json``, its
+EXPORTS commands (dot and text output) as written.  Each interpreter
+runs every command through ``cli.main`` in one process, once with hash
+randomization on and once under PYTHONHASHSEED=12345, with ``src`` on
+its path; no test runner is needed.
 
 Interpreters are the --python paths given, or else every pyenv version and
 every python3.N on PATH, deduplicated by version; those older than 3.10
@@ -32,8 +34,8 @@ GOLDEN_FILE = ROOT / "tests" / "test_golden.py"
 MIN_VERSION = (3, 10)
 HASH_SEEDS = ("random", "12345")
 
-# Run by each interpreter: argv[1] is the JSON list of commands; prints
-# {command: [exit code, sha256 of stdout]}.
+# Run by each interpreter: argv[1] is the JSON list of full commands;
+# prints {command: [exit code, sha256 of stdout]}.
 RUNNER = """\
 import contextlib, hashlib, io, json, sys
 from congtower import cli
@@ -41,20 +43,25 @@ out = {}
 for command in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(command.split() + ["--format", "json"])
+        code = cli.main(command.split())
     out[command] = [code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()]
 print(json.dumps(out))
 """
 
 
 def golden_digests(path=GOLDEN_FILE):
-    """The GOLDEN dict of tests/test_golden.py, read without importing it."""
+    """{full command: digest} from the GOLDEN and EXPORTS dicts of
+    tests/test_golden.py, read without importing it."""
+    found = {}
     for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-        if (isinstance(stmt, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "GOLDEN"
-                        for t in stmt.targets)):
-            return ast.literal_eval(stmt.value)
-    raise SystemExit("%s defines no GOLDEN dict" % path)
+        for t in getattr(stmt, "targets", ()):
+            if isinstance(t, ast.Name) and t.id in ("GOLDEN", "EXPORTS"):
+                found[t.id] = ast.literal_eval(stmt.value)
+    if len(found) != 2:
+        raise SystemExit("%s does not define both GOLDEN and EXPORTS" % path)
+    return {**{cmd + " --format json": digest
+               for cmd, digest in found["GOLDEN"].items()},
+            **found["EXPORTS"]}
 
 
 def _version(python):

@@ -4,12 +4,13 @@ Vertices are homothety classes of p-local lattices in K^n, represented by
 canonical basis matrices: the column span over the localization at the
 prime, scaled so the minimal elementary-divisor exponent is 0 and put into
 Hermite form over the local ring with canonical residue representatives.
-All arithmetic is exact; two vertices are equal iff their canonical
-matrices are.  Canonicalization runs on the int coordinates of ring
-integers: it takes the lattice's generators as int rows over one
+Its entries are ring integers, so a vertex is the int coordinate matrix
+of its canonical form, a tuple of rows of int coordinate tuples, whose
+columns zip(*v) generate the lattice; vertices compare, hash and sort as
+tuples, and only ``vertex_strings`` lifts one to ring elements, to print
+it.  Canonicalization takes the lattice's generators as int rows over one
 denominator, eliminates without fractions, and reduces the residues mod a
-power of the prime once, at the end; ring elements are built only for the
-result.  The prime (a
+power of the prime once, at the end.  The prime (a
 ``rings.PrimeIdeal``) is all the local context there is: it caches the
 lattices of its powers p^k, the uniformizer powers pi^k, negative k
 included, which make the exact quotients by pi^v, and the inverses of
@@ -27,8 +28,8 @@ stands in for its transporter times the base.  A product that is only
 canonicalized is taken on int numerators (``ringmat.product_rows``):
 dropping a denominator is a homothety, so no ring element is built for
 it.  BFS exploration keeps each frame g (a transporter from the base) as
-int rows and each move's vertex and transporter as int columns, taken
-once per walk; it reaches neighbour i of a vertex with frame g as
+int rows and each move's transporter as int columns, taken once per
+walk; it reaches neighbour i of a vertex with frame g as
 canonicalize(g * vertex_i), forms a child's frame rows g * transporter_i
 only when it expands the child, and skips the one move that leads back
 to the parent.  The tower's swap moves are ``Move`` records too, to the base
@@ -41,21 +42,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import types
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
 from . import catalog, coset, ringmat, rings
-from .rings import RingElt, make_ring, factor_rational_prime
+from .rings import make_ring, factor_rational_prime
 
 
 def canonicalize(generators, prime):
     """Canonical representative of the homothety class of a lattice, given
     its generators as int coordinate rows: the numerators of a basis
-    matrix's columns (``ringmat.numerator_columns``), or of the columns of
-    a product (``ringmat.product_rows``).  The result is a matrix of ring
-    elements whose columns span the class.
+    matrix's columns (``ringmat.numerator_columns``), the columns of a
+    vertex, or of a product (``ringmat.product_rows``).  The result is a
+    vertex: the int coordinate matrix whose columns span the class.
 
     Hermite form over the localization: upper triangular, diagonal entries
     exact uniformizer powers, entries to the right of each pivot reduced to
@@ -63,8 +63,8 @@ def canonicalize(generators, prime):
     Idempotent; raises on singular input.
 
     The work runs on the int coordinates of ring integers (the local
-    analogue of Cohen's Hermite form modulo the determinant, 1993); a
-    ``RingElt`` is built only for the returned entries.
+    analogue of Cohen's Hermite form modulo the determinant, 1993), and no
+    ``RingElt`` is built.
 
     1. The generators are int rows over one dropped denominator, a
        homothety; they are copied, as the elimination works in place.
@@ -152,14 +152,13 @@ def canonicalize(generators, prime):
                         reduce_coords(lattice, tuple(
                             a + b for a, b in zip(y, mul(neg_diff, z))))
                         for y, z in zip(row[col + 1:], prow[col + 1:])]
-    # hand back in column convention
-    out = [[ring.zero] * n for _ in range(n)]
+    # hand back in column convention; pi^k, k >= 0, is a ring integer
+    out = [[ring.zero.num] * n for _ in range(n)]
     for r in range(n):
-        out[r][r] = prime.uniformizer_power(exps[r])
+        out[r][r] = prime.uniformizer_power(exps[r]).num
         if prec:
             for c in range(r + 1, n):
-                if any(rows[r][c]):
-                    out[c][r] = RingElt(ring, rows[r][c])
+                out[c][r] = rows[r][c]
     return tuple(tuple(row) for row in out)
 
 
@@ -185,11 +184,21 @@ def apartment_vertex(prime, n, r_twice):
 
 
 def canonical_image(g, x, prime):
-    """canonicalize(g X) for matrices g and X of ring elements: g's int
-    rows times X's int columns, their denominators dropped."""
+    """The vertex canonicalize(g X) for a matrix g of ring elements and a
+    vertex X: g's int rows, its denominator dropped, times X's columns."""
     return canonicalize(ringmat.product_rows(
-        prime.ring, ringmat.numerator_columns(x), ringmat.numerators(g)[0]),
-        prime)
+        prime.ring, zip(*x), ringmat.numerators(g)[0]), prime)
+
+
+def identity_vertex(ring, n):
+    """The standard lattice's vertex, already canonical: the int identity."""
+    return tuple(tuple((ring.one if i == j else ring.zero).num
+                       for j in range(n)) for i in range(n))
+
+
+def vertex_strings(ring, v):
+    """The printed entries of a vertex: its one lift to ring elements."""
+    return [[str(x) for x in row] for row in ringmat.from_numerators(ring, v, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +209,7 @@ def canonical_image(g, x, prime):
 class Move:
     target_type: str
     transporter: tuple  # global matrix
-    vertex: tuple       # canonical transporter * base[target_type]
+    vertex: tuple       # canonical transporter * base[target_type], int
 
 
 class TreeModel:
@@ -244,17 +253,15 @@ def _orbit_moves(prime, base_vertices, ttype, seed, stab_gens):
     """``coset.orbit`` of the seed neighbour seed * base[ttype] under
     stabilizer generators, s taking a neighbour v to canonicalize(s * v):
     the moves and the orbit's action columns.  The product is taken on
-    int numerators, each generator's rows and each neighbour's columns
-    read once.  The seed is the first move, and each later move's witness
-    transporter is s_k times its Schreier-tree parent's, formed once per
-    neighbour."""
+    int numerators, each generator's rows read once.  The seed is the
+    first move, and each later move's witness transporter is s_k times
+    its Schreier-tree parent's, formed once per neighbour."""
     ring = prime.ring
     v = canonical_image(seed, base_vertices[ttype], prime)
-    columns = functools.cache(ringmat.numerator_columns)
     vertices, action, parents = coset.orbit(
         v, [ringmat.numerators(s)[0] for s in stab_gens],
         lambda w, s: canonicalize(
-            ringmat.product_rows(ring, columns(w), s), prime),
+            ringmat.product_rows(ring, zip(*w), s), prime),
         _ORBIT_BUDGET)
     moves = [Move(ttype, seed, v)]
     for w, (i, k) in zip(vertices[1:], parents[1:]):
@@ -270,7 +277,7 @@ def pgl2_model(ring=None, prime=None):
     prime's generator."""
     if ring is None:
         ring, prime = catalog.magic_ring_and_prime()
-    bases = {"v": ringmat.identity(ring, 2)}
+    bases = {"v": identity_vertex(ring, 2)}
     x = ring(prime.p) if prime.e == 1 else prime.pi
     swap = ((ring.zero, x), (ring.one, ring.zero))
     gens = catalog.sl2_gen_matrices(ring)
@@ -307,7 +314,7 @@ def _two_type_model(prime, types, name, swap, mid_extra, stab, form,
     ident = ringmat.identity(prime.ring, n)
     mid = apartment_vertex(prime, n, 1)
     base_type, mid_type = types
-    bases = {base_type: ident, mid_type: mid}
+    bases = {base_type: identity_vertex(prime.ring, n), mid_type: mid}
     base_moves, base_action = _orbit_moves(prime, bases, mid_type, ident, stab)
     stab_mid = [swap] + mid_extra + [
         m for m, column in zip(stab, base_action) if column[0] == 0]
@@ -408,7 +415,8 @@ def su_model():
 @dataclass
 class TreeGraph:
     model_name: str
-    vertices: list          # canonical matrices
+    ring: object
+    vertices: list          # canonical int matrices
     types: list
     edges: list             # index pairs (i, j), i < j
 
@@ -436,7 +444,7 @@ class TreeGraph:
             verts.append({
                 "id": i,
                 "type": t,
-                "matrix": [[str(x) for x in row] for row in v],
+                "matrix": vertex_strings(self.ring, v),
             })
         return {
             "model": self.model_name,
@@ -453,8 +461,7 @@ class TreeGraph:
             if t not in colors:
                 colors[t] = palette[len(colors) % len(palette)]
             digest = hashlib.sha256(
-                repr([[str(x) for x in row] for row in v]).encode()
-            ).hexdigest()[:8]
+                repr(vertex_strings(self.ring, v)).encode()).hexdigest()[:8]
             lines.append('  %d [label="%s" color=%s];' % (i, digest, colors[t]))
         for i, j in self.edges:
             lines.append("  %d -- %d;" % (i, j))
@@ -493,7 +500,8 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
     Neighbour i of a vertex with frame g is canonicalize(g * vertex_i); a
     child's frame g * transporter_i is formed when the child is expanded,
     so never on the last layer, and the move back to the parent, whose
-    edge is already recorded, is not tried."""
+    edge is already recorded, is not tried.  Vertices key ``index`` and
+    sort as themselves, int tuples, in row-major coordinate order."""
     prime = model.prime
     ring = prime.ring
     product = ringmat.product_rows
@@ -501,14 +509,13 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
     base = model.bases[base_type]
     back = _back_moves(model)
     # type -> (vertex columns, transporter columns) of each move
-    columns = {t: [(ringmat.numerator_columns(mv.vertex),
+    columns = {t: [(list(zip(*mv.vertex)),
                     ringmat.numerator_columns(mv.transporter))
                    for mv in model.moves(t)] for t in model.bases}
-    identity = ringmat.numerators(ringmat.identity(ring, len(base)))[0]
+    identity = identity_vertex(ring, len(base))
     vertices = [base]
     types = [base_type]
-    # _vertex_key of each vertex -> its index
-    index = {_vertex_key(base): 0}
+    index = {base: 0}
     edges = set()
     # (vertex index, type, (parent frame rows, transporter columns) or
     # None at the base, the index of the move back to the parent)
@@ -522,13 +529,13 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
                 if i != skip:
                     # the columns of frame * vertex_i
                     w = canonicalize(product(ring, cols, frame), prime)
-                    nbrs.append((_vertex_key(w), w, i))
-            nbrs.sort(key=operator.itemgetter(0))
-            for key, w, i in nbrs:
-                wi = index.get(key)
+                    nbrs.append((w, i))
+            nbrs.sort()
+            for w, i in nbrs:
+                wi = index.get(w)
                 if wi is None:
                     target = model.moves(t)[i].target_type
-                    wi = index[key] = len(vertices)
+                    wi = index[w] = len(vertices)
                     vertices.append(w)
                     types.append(target)
                     nxt.append((wi, target, (frame, columns[t][i][1]),
@@ -538,18 +545,11 @@ def bfs_explore(model, radius, budget=EXPLORE_BUDGET_DEFAULT):
                                              estimate=len(vertices), budget=budget)
                 edges.add((min(vi, wi), max(vi, wi)))
         layer = nxt
-    return TreeGraph(model.name, vertices, types, sorted(edges))
-
-
-def _vertex_key(v):
-    """The int coordinates of the entries, row by row: every entry of a
-    canonical vertex is a ring integer (pivots pi^k, k >= 0, and residues
-    right of them), of denominator 1, so the key determines the vertex."""
-    return tuple(x.num for row in v for x in row)
+    return TreeGraph(model.name, ring, vertices, types, sorted(edges))
 
 
 __all__ = [
     "canonicalize", "canonical_image", "apartment_vertex", "TreeModel",
     "Move", "pgl2_model", "oq_model", "su_model", "bfs_explore", "TreeGraph",
-    "EXPLORE_BUDGET_DEFAULT",
+    "identity_vertex", "vertex_strings", "EXPLORE_BUDGET_DEFAULT",
 ]

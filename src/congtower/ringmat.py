@@ -89,22 +89,16 @@ def product_rows(ring, rows, cols):
 
 
 def mat_mul(a, b):
-    """a * b for an n x m and an m x k matrix.  Each row of a and column of
-    b is read as ``numerators`` of a one-row matrix; entry (i, j) is then
-    one ``NumberRing.dot_coords`` of row i and column j over the product
-    of their denominators, so the product builds exactly n * k RingElts
-    and normalizes each once."""
+    """a * b for an n x m and an m x k matrix: the ``product_rows`` of
+    a's numerators and the numerators of b's columns, over the product of
+    their denominators, so the product builds exactly n * k RingElts and
+    normalizes each once."""
     ring = a[0][0].ring
     if b[0][0].ring != ring:
         raise InputError("element of %r used in %r" % (b[0][0].ring, ring))
-    dot = ring.dot_coords
-    cols = [numerators((col,)) for col in zip(*b)]
-    out = []
-    for row in a:
-        (xs,), xden = numerators((row,))
-        out.append(tuple(rings.RingElt(ring, dot(xs, ys), xden * yden)
-                         for (ys,), yden in cols))
-    return tuple(out)
+    rows, da = numerators(a)
+    cols, db = numerators(transpose(b))
+    return from_numerators(ring, product_rows(ring, rows, cols), da * db)
 
 
 def mat_add(a, b):

@@ -5,7 +5,8 @@ congruence subgroup Gamma = Gamma(p^j), indexed by the type-x0 vertices of
 the relevant tree in BFS order, T_n the frame carrying the base vertex to
 vertex n.  Each tree model has one fixed list of swap moves w = h * swap,
 h in the base stabilizer, worked out once per tower as ``bttree.Move``
-records that carry w and its canonical vertex w base.  One breadth-first
+records that carry w and its canonical vertex w base, an int matrix that
+compares and hashes as a tuple of int tuples.  One breadth-first
 walk over the swap moves, ``_walk``, gives both the tower's steps and its
 covered radius.  A step is a source frame and a move, T_n = T_i w, so its
 relative element T_i^-1 T_n is the move w itself, and one certificate per
@@ -253,7 +254,7 @@ TOWER_EXAMPLES = {
 @dataclass
 class TowerStep:
     conjugator: tuple         # frame T_n = T_source * moves[move].transporter
-    vertex: tuple             # canonical T_n(base)
+    vertex: tuple             # canonical T_n(base), an int matrix
     source_i: int
     move: object              # index into TowerData.moves; None at step 0
 
@@ -316,10 +317,10 @@ def _walk(model, moves):
     frame is kept as ``ringmat.numerators`` gives it, int rows over a
     denominator, and both products are taken on int numerators, with each
     move's vertex columns and transporter numerators read once per walk;
-    no ring element is built."""
+    no ring element is built, and vertices hash as int tuples."""
     prime = model.prime
     ring = prime.ring
-    vertex_columns = [ringmat.numerator_columns(mv.vertex) for mv in moves]
+    vertex_columns = [list(zip(*mv.vertex)) for mv in moves]
     transporters = [ringmat.numerators(mv.transporter) for mv in moves]
     transporter_columns = [list(zip(*rows)) for rows, _ in transporters]
     queue = [(None, 0)]         # (frame, depth); the base's frame is None
@@ -488,7 +489,8 @@ def tower_report(tower, recheck_points=100, rng_seed=2024):
         entry = {
             "n": n,
             "source_i": step.source_i,
-            "vertex": [[str(x) for x in row] for row in step.vertex],
+            "vertex": bttree.vertex_strings(tower.model.prime.ring,
+                                            step.vertex),
             "g": [[str(x) for x in row] for row in step.conjugator],
         }
         if step.move is not None:

@@ -207,16 +207,42 @@ def oracle_canonicalize():
     return _global_canonicalize
 
 
+def _lift(ring, v):
+    """The matrix of ring elements of a vertex, an int coordinate matrix:
+    every entry over denominator 1."""
+    return ringmat.from_numerators(ring, v, 1)
+
+
+@pytest.fixture(scope="session")
+def lift():
+    """(ring, vertex) -> the vertex as a matrix of ring elements, for the
+    exact products and the oracles that work on ring elements."""
+    return _lift
+
+
+def _row_major(v):
+    """The int coordinates of a vertex's entries, row by row: the order
+    ``bttree.bfs_explore`` lists each vertex's neighbours in."""
+    return [c for row in v for x in row for c in x]
+
+
+@pytest.fixture(scope="session")
+def row_major():
+    """vertex -> its int coordinates, row by row, flattened."""
+    return _row_major
+
+
 def _frame_neighbors(model, vtype, frame):
     """(vertex, type, frame) for each neighbour of frame * base[vtype]:
     the child frame frame * T for each move T and its vertex
     canonicalize(frame * T * base[type]), every product formed exactly."""
+    ring = model.prime.ring
     out = []
     for mv in model.moves(vtype):
         g = ringmat.mat_mul(frame, mv.transporter)
         out.append((bttree.canonicalize(ringmat.numerator_columns(
-            ringmat.mat_mul(g, model.bases[mv.target_type])), model.prime),
-            mv.target_type, g))
+            ringmat.mat_mul(g, _lift(ring, model.bases[mv.target_type]))),
+            model.prime), mv.target_type, g))
     return out
 
 
@@ -233,8 +259,8 @@ def frame_neighbors():
 def framed_explore():
     """(model, radius) -> (vertices, types, edges, frames) by breadth-first
     search through full frames: each layer in order, each vertex's
-    neighbours sorted by ``bttree._vertex_key``, every move tried, the back
-    move included, and each frame its parent's times a move."""
+    neighbours sorted by their row-major coordinates, every move tried,
+    the back move included, and each frame its parent's times a move."""
     def explore(model, radius):
         base = model.bases[model.base_type]
         vertices, types = [base], [model.base_type]
@@ -246,7 +272,7 @@ def framed_explore():
             nxt = []
             for vi in layer:
                 nbrs = _frame_neighbors(model, types[vi], frames[vi])
-                nbrs.sort(key=lambda item: bttree._vertex_key(item[0]))
+                nbrs.sort(key=lambda item: _row_major(item[0]))
                 for w, wt, g in nbrs:
                     if w not in index:
                         index[w] = len(vertices)
@@ -267,6 +293,7 @@ def framed_explore():
 def _ringelt_explore(model, radius):
     """The ``bttree.TreeGraph`` within `radius` of the base vertex."""
     prime = model.prime
+    ring = prime.ring
 
     def canon(m):
         return bttree.canonicalize(ringmat.numerator_columns(m), prime)
@@ -275,7 +302,7 @@ def _ringelt_explore(model, radius):
     for t, base in model.bases.items():
         seed = model.moves(t)[0]
         home = canon(ringmat.mat_mul(ringmat.mat_inverse(seed.transporter),
-                                     base))
+                                     _lift(ring, base)))
         js = [j for j, m in enumerate(model.moves(seed.target_type))
               if m.vertex == home]
         assert len(js) == 1
@@ -291,9 +318,9 @@ def _ringelt_explore(model, radius):
         for vi, t, via, skip in layer:
             frame = (ringmat.identity(prime.ring, len(base)) if via is None
                      else ringmat.mat_mul(via[0], via[1].transporter))
-            nbrs = [(canon(ringmat.mat_mul(frame, mv.vertex)), i)
+            nbrs = [(canon(ringmat.mat_mul(frame, _lift(ring, mv.vertex))), i)
                     for i, mv in enumerate(model.moves(t)) if i != skip]
-            nbrs.sort(key=lambda item: bttree._vertex_key(item[0]))
+            nbrs.sort(key=lambda item: _row_major(item[0]))
             for w, i in nbrs:
                 if w not in index:
                     mv = model.moves(t)[i]
@@ -304,7 +331,7 @@ def _ringelt_explore(model, radius):
                                 back[t]))
                 edges.add((min(vi, index[w]), max(vi, index[w])))
         layer = nxt
-    return bttree.TreeGraph(model.name, vertices, types, sorted(edges))
+    return bttree.TreeGraph(model.name, ring, vertices, types, sorted(edges))
 
 
 @pytest.fixture(scope="session")

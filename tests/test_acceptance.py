@@ -175,7 +175,7 @@ def test_criterion_8_two_stage_pipeline():
 # -- 9. property suites (the per-module invariants run in the module tests;
 #       this aggregates a quick cross-module randomized sweep) --------------------
 
-def test_criterion_9_property_sweep(rng):
+def test_criterion_9_property_sweep(rng, lift):
     t0 = time.time()
     cases = 0
     # ring axioms on random triples in every supported ring
@@ -212,7 +212,8 @@ def test_criterion_9_property_sweep(rng):
             c = bttree.canonicalize(ringmat.numerator_columns(m), prime)
         except Exception:
             continue
-        assert bttree.canonicalize(ringmat.numerator_columns(c), prime) == c
+        assert bttree.canonicalize(ringmat.numerator_columns(lift(ring, c)),
+                                   prime) == c
         cases += 1
     assert cases >= 10_000
     dt = time.time() - t0

@@ -1,8 +1,9 @@
-"""Byte-level pins of CLI JSON outputs.
+"""Byte-level pins of CLI outputs.
 
-Each digest is the sha256 of the exact stdout of the command with
-``--format json``.  A change that alters any of these outputs must update
-the digest here and say so in CHANGES.md.
+Each GOLDEN digest is the sha256 of the exact stdout of the command with
+``--format json``; each EXPORTS digest is that of the command as written,
+for the outputs that are not JSON.  A change that alters any of these
+outputs must update the digest here and say so in CHANGES.md.
 """
 
 import hashlib
@@ -62,9 +63,30 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", GOLDEN)
-def test_cli_json_output_is_pinned(capsys, command):
-    code = cli.main(command.split() + ["--format", "json"])
+EXPORTS = {
+    # the dot labels hash each vertex's printed entries
+    "tree su --radius 2 --format dot":
+        "25522705711b31d916fc0e0d87408396d0a8b55b22482798a27fd1a7474a2fe2",
+    "tree pgl2 --p 7 --radius 3 --format dot":
+        "633e276e10f485bb673743ef9db11bee5a873daf77a318196771d09c6e980e17",
+    "tower pu21 --steps 6 --format text":
+        "d95897a758c7ce528f74540cf4b6d21d2cb18699abaef7a7b95f99b8bb9af11d",
+}
+
+
+def _digest(capsys, argv):
+    code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_cli_json_output_is_pinned(capsys, command):
+    assert (_digest(capsys, command.split() + ["--format", "json"])
+            == GOLDEN[command])
+
+
+@pytest.mark.parametrize("command", EXPORTS)
+def test_cli_export_is_pinned(capsys, command):
+    assert _digest(capsys, command.split()) == EXPORTS[command]

@@ -63,15 +63,16 @@ def test_mat_mul_matches_the_entrywise_fold(case):
 def test_product_numerators_in_lowest_terms(case):
     # product_rows of the numerators over the product of the
     # denominators, put in lowest terms, is numerators of a * b, and
-    # from_numerators gives a * b back
+    # from_numerators gives a * b back; a * b is the fold, as mat_mul is
+    # built on these three
     a, b = case
     ring = a[0][0].ring
     rows, d = ringmat.numerators(a)
     b_rows, e = ringmat.numerators(b)
     num = ringmat.lowest_terms(
         ringmat.product_rows(ring, rows, list(zip(*b_rows))), d * e)
-    assert num == ringmat.numerators(ringmat.mat_mul(a, b))
-    assert ringmat.from_numerators(ring, *num) == ringmat.mat_mul(a, b)
+    assert num == ringmat.numerators(fold_mat_mul(a, b))
+    assert ringmat.from_numerators(ring, *num) == fold_mat_mul(a, b)
 
 
 @st.composite

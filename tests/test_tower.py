@@ -307,7 +307,7 @@ def test_magic_tower_small():
     assert report["cofinality_radius"] == 1
 
 
-def test_magic_tower_form_free_steps():
+def test_magic_tower_form_free_steps(lift):
     data = tower.build_tower("magic", 3)
     swap_inv = ringmat.mat_inverse(data.model.swap)
     prime = data.model.prime
@@ -322,10 +322,10 @@ def test_magic_tower_form_free_steps():
         h_n = ringmat.mat_mul(ringmat.mat_mul(src.conjugator, w), swap_inv)
         g_n = ringmat.mat_mul(ringmat.mat_mul(h_n, data.model.swap),
                               ringmat.mat_inverse(h_n))
-        assert canon(
-            ringmat.mat_mul(g_n, src.vertex), prime) == step.vertex
-        assert canon(
-            ringmat.mat_mul(g_n, step.vertex), prime) == src.vertex
+        assert canon(ringmat.mat_mul(g_n, lift(prime.ring, src.vertex)),
+                     prime) == step.vertex
+        assert canon(ringmat.mat_mul(g_n, lift(prime.ring, step.vertex)),
+                     prime) == src.vertex
 
 
 def test_empty_tower_vacuous_pass():
@@ -530,7 +530,7 @@ def test_tower_vertex_sequence_deterministic():
 
 @pytest.mark.parametrize("example, steps", [
     ("magic", 25), ("o41", 8), ("pu21", 4)])
-def test_steps_match_full_frame_products(example, steps):
+def test_steps_match_full_frame_products(example, steps, lift):
     # build_tower canonicalizes T_source * canonicalize(w base); the
     # reference forms T_source w for every candidate and canonicalizes
     # T_source w base
@@ -546,7 +546,8 @@ def test_steps_match_full_frame_products(example, steps):
         head += 1
         for k, mv in enumerate(data.moves):
             t_n = ringmat.mat_mul(frames[src], mv.transporter)
-            vertex = canon(ringmat.mat_mul(t_n, base), prime)
+            vertex = canon(ringmat.mat_mul(t_n, lift(prime.ring, base)),
+                           prime)
             if vertex not in index and len(expected) <= steps:
                 index[vertex] = len(expected)
                 frames.append(t_n)
@@ -571,7 +572,8 @@ def test_walk_frames_are_the_numerators_of_the_products(example, steps):
 @pytest.mark.parametrize("example, steps", [("magic", 10), ("pu21", 3)])
 def test_covered_radius_builds_no_frame(monkeypatch, example, steps):
     # the walk's frames stay int numerators, and only build_tower turns
-    # those of its steps into ring elements
+    # those of its steps into ring elements: one from_numerators per step
+    # past the one each of its exact products makes
     data = tower.build_tower(example, steps)
     calls = {"mat_mul": 0, "from_numerators": 0}
     for name in calls:
@@ -582,15 +584,15 @@ def test_covered_radius_builds_no_frame(monkeypatch, example, steps):
     tower.covered_radius(data)
     assert calls == {"mat_mul": 0, "from_numerators": 0}
     tower.build_tower(example, steps)
-    assert calls["from_numerators"] == steps
+    assert calls["from_numerators"] == steps + calls["mat_mul"]
 
 
-def _align_from_scratch(model, f_m, v_i, v_n, depth):
+def _align_from_scratch(model, base, f_m, v_i, v_n, depth):
     """Reference for the midpoint alignment of tower._swap_moves: a fresh
     breadth-first search over midpoint-stabilizer words that stops at the
-    first word s with f_m s (base, swap base) = (v_i, v_n); returns f_m s."""
+    first word s with f_m s (base, swap base) = (v_i, v_n), the base and
+    v_i, v_n lifted to ring elements; returns f_m s."""
     prime = model.prime
-    base = model.bases[model.base_type]
     f_inv = ringmat.mat_inverse(f_m)
     target = (canon(ringmat.mat_mul(f_inv, v_i), prime),
               canon(ringmat.mat_mul(f_inv, v_n), prime))
@@ -629,7 +631,7 @@ SWAP_SEARCHES = [pytest.param("oq", 2, 3, id="2"),
 
 
 @pytest.mark.parametrize("name, depth, needed", SWAP_SEARCHES)
-def test_swap_moves_match_fresh_search(name, depth, needed):
+def test_swap_moves_match_fresh_search(name, depth, needed, lift):
     # one move w = h swap per (midpoint move, second move) pair, in that
     # order, with h the word a fresh search gives; the full search runs to
     # valence^2 levels, past the size of the pair orbit, so every pair but
@@ -640,6 +642,7 @@ def test_swap_moves_match_fresh_search(name, depth, needed):
     model = getattr(bttree, name + "_model")()
     prime = model.prime
     base = model.bases[model.base_type]
+    lifted = lift(prime.ring, base)
     mid_type = model.moves(model.base_type)[0].target_type
     full = len(model.moves(mid_type)) ** 2
     assert full >= needed
@@ -649,12 +652,14 @@ def test_swap_moves_match_fresh_search(name, depth, needed):
         f_m = mv_mid.transporter
         for mv_b in model.moves(mid_type):
             vertex = canon(ringmat.mat_mul(
-                ringmat.mat_mul(f_m, mv_b.transporter), base), prime)
-            h = _align_from_scratch(model, f_m, base, vertex, full)
+                ringmat.mat_mul(f_m, mv_b.transporter), lifted), prime)
+            h = _align_from_scratch(model, lifted, f_m, lifted,
+                                    lift(prime.ring, vertex), full)
             assert (h is None) == (vertex == base)
             if h is not None:
                 expected.append(ringmat.mat_mul(h, model.swap))
-            h_cut = _align_from_scratch(model, f_m, base, vertex, depth)
+            h_cut = _align_from_scratch(model, lifted, f_m, lifted,
+                                        lift(prime.ring, vertex), depth)
             if h_cut is not None:
                 assert h_cut == h
             else:
@@ -666,9 +671,9 @@ def test_swap_moves_match_fresh_search(name, depth, needed):
         assert mv.transporter == w_ref
         assert mv.target_type == model.base_type
         assert mv.vertex == canon(
-            ringmat.mat_mul(w_ref, base), prime)
+            ringmat.mat_mul(w_ref, lifted), prime)
         h = ringmat.mat_mul(mv.transporter, swap_inv)
-        assert canon(ringmat.mat_mul(h, base), prime) == base
+        assert canon(ringmat.mat_mul(h, lifted), prime) == base
     assert bool(beyond) == (depth < needed)
 
 
@@ -678,7 +683,8 @@ def test_swap_moves_form_one_product_per_tree_node(monkeypatch, name,
                                                     count):
     # one product per Schreier-tree node on a path from the seed to some
     # (0, b) of the pair orbit, then w = f tail and w base per move; w base
-    # is only canonicalized, so it is a product of int rows
+    # is only canonicalized, so it is a product of int rows: a product_rows
+    # not inside a mat_mul, each of which makes one
     model = getattr(bttree, name + "_model")()
     calls = {"mat_mul": 0, "product_rows": 0}
     for attr in calls:
@@ -688,8 +694,9 @@ def test_swap_moves_form_one_product_per_tree_node(monkeypatch, name,
         monkeypatch.setattr(ringmat, attr, counting)
     moves = tower._swap_moves(model)
     monkeypatch.undo()
-    assert calls["mat_mul"] + calls["product_rows"] == count
-    assert calls["product_rows"] == (len(moves) if model.mid_action else 0)
+    assert calls["product_rows"] == count
+    assert calls["product_rows"] - calls["mat_mul"] == (
+        len(moves) if model.mid_action else 0)
     if not model.mid_action:
         return
     perms = model.mid_action
@@ -815,10 +822,11 @@ def test_covered_radius_pinned(example, steps, radius):
 
 
 
-def _full_frame_radius(data):
+def _full_frame_radius(data, lift):
     # the covered radius, each candidate T w formed and T w base
     # canonicalized
     base = data.steps[0].vertex
+    lifted = lift(data.model.prime.ring, base)
     visited = {s.vertex for s in data.steps}
     frontier, seen, radius = [data.steps[0].conjugator], {base}, 0
     while True:
@@ -826,7 +834,7 @@ def _full_frame_radius(data):
         for frame in frontier:
             for mv in data.moves:
                 t_n = ringmat.mat_mul(frame, mv.transporter)
-                vertex = canon(ringmat.mat_mul(t_n, base), data.model.prime)
+                vertex = canon(ringmat.mat_mul(t_n, lifted), data.model.prime)
                 if vertex not in seen:
                     if vertex not in visited:
                         return radius
@@ -840,8 +848,26 @@ def _full_frame_radius(data):
 
 @pytest.mark.parametrize("example, steps", [
     ("magic", 19), ("magic", 40), ("o41", 11), ("pu21", 7)])
-def test_covered_radius_matches_a_full_frame_search(example, steps):
+def test_covered_radius_matches_a_full_frame_search(example, steps, lift):
     # covered_radius canonicalizes T * canonicalize(w base); at magic 19
     # and 40 a move paired with the wrong vertex reads one layer more
     data = tower.build_tower(example, steps)
-    assert tower.covered_radius(data) == _full_frame_radius(data)
+    assert tower.covered_radius(data) == _full_frame_radius(data, lift)
+
+
+def test_towers_and_trees_hash_no_ring_element(monkeypatch):
+    # vertices are int matrices, so building the benchmark's towers,
+    # reporting on them and exploring each model's tree key and compare
+    # int tuples only; with vertices of ring elements the towers alone
+    # hashed 5 772 of them
+    calls = []
+    hash_ = rings.RingElt.__hash__
+    monkeypatch.setattr(rings.RingElt, "__hash__",
+                        lambda self: calls.append(self) or hash_(self))
+    for example, steps in (("magic", 10), ("o41", 3), ("pu21", 3)):
+        report = tower.tower_report(tower.build_tower(example, steps))
+        assert report["verdict"] == "PASS"
+    for factory, radius in ((bttree.pgl2_model, 4), (bttree.oq_model, 3),
+                            (bttree.su_model, 2)):
+        assert bttree.bfs_explore(factory(), radius).is_tree()
+    assert calls == []
