@@ -1,6 +1,6 @@
-"""Finite matrix groups over residue rings O/p^k: reduction homomorphisms,
-closures (``coset.orbit`` of the identity) and congruence-kernel quotient
-checks.
+"""Finite matrix groups over residue rings O/p^k: presentations realized by
+exact matrices, reduction homomorphisms, closures (``coset.orbit`` of the
+identity) and congruence-kernel quotient checks.
 
 A matrix over a residue ring is the flat row-major tuple of its entries'
 residue indices (``ResidueRing.index``), so it hashes and compares
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InputError
 from . import coset, intmat, ringmat, rings
@@ -159,57 +159,78 @@ def group_closure(R, gens, budget=CLOSURE_BUDGET_DEFAULT, canon=None,
 
 
 # ---------------------------------------------------------------------------
-# reduction homomorphisms
+# realizations and reduction homomorphisms
 
 
-def evaluate_word(mats, inverses, word, ident):
-    out = ident
-    for letter in word:
-        m = mats[letter - 1] if letter > 0 else inverses[-letter - 1]
-        out = ringmat.mat_mul(out, m)
-    return out
+@dataclass(frozen=True)
+class Realization:
+    """A presentation with exact integral generator matrices, each with an
+    integral inverse, on which every relator is Id or -Id.
+
+    The constructor is the one exact evaluation of the relators: it
+    refuses a wrong matrix count, a matrix or an inverse that is not
+    integral, and a relator of any other value.  ``signs`` holds +1 or -1
+    per relator, its value on the matrices."""
+    pres: object
+    matrices: tuple
+    signs: tuple = field(init=False)
+    _inverses: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mats = tuple(self.matrices)
+        if len(mats) != self.pres.ngens:
+            raise InputError("need one matrix per generator")
+        inverses = tuple(ringmat.mat_inverse(m) for m in mats)
+        if not all(ringmat.is_integral(m) for m in mats + inverses):
+            raise InputError("generator matrices must be integral with "
+                             "integral inverse")
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "_inverses", inverses)
+        ident = ringmat.identity(mats[0][0][0].ring, len(mats[0]))
+        minus = ringmat.mat_scale(ident, -1)
+        signs = []
+        for rel in self.pres.relators:
+            value = self.evaluate(rel)
+            if value != ident and value != minus:
+                raise InputError("relator %r is neither Id nor -Id on the "
+                                 "matrices" % (rel,))
+            signs.append(1 if value == ident else -1)
+        object.__setattr__(self, "signs", tuple(signs))
+
+    @property
+    def projective(self):
+        """Some relator is -Id: the matrices realize the group only modulo
+        the centre {+-Id}."""
+        return -1 in self.signs
+
+    def evaluate(self, word):
+        """The exact matrix of a word, letter -i standing for the inverse
+        of generator i."""
+        m = self.matrices[0]
+        out = ringmat.identity(m[0][0].ring, len(m))
+        for letter in word:
+            out = ringmat.mat_mul(out, self.matrices[letter - 1] if letter > 0
+                                  else self._inverses[-letter - 1])
+        return out
 
 
 class ReductionHom:
-    """The reduction SL-type group -> matrices over O/p^k, built from a
-    presentation with explicit integral generator matrices.
+    """The reduction of a realized group to matrices over O/p^k.
 
-    Verifies every relator exactly over the ring before reducing, which
-    makes it hold in the finite quotient too; the coset table built from
-    ``permutations`` traces every relator again on the same image.  With
-    projective=True the target is the quotient by the center {+-Id}:
-    relators may evaluate to -Id over the ring, and residue matrices are
-    canonicalized up to sign.
+    The ``Realization`` has checked every relator exactly over the ring,
+    so each holds in the finite quotient too; the coset table built from
+    ``permutations`` traces every relator again on the images.  When the
+    realization is projective the target is the quotient by the centre
+    {+-Id}, and residue matrices are canonicalized up to sign.
 
     ``permutations`` reads the action that group_closure recorded on its
     list of the image (identity first, then BFS order).
     """
 
-    def __init__(self, pres, gen_matrices, prime, k,
-                 budget=CLOSURE_BUDGET_DEFAULT, projective=False):
-        if len(gen_matrices) != pres.ngens:
-            raise InputError("need one matrix per generator")
-        self.pres = pres
-        self.prime = prime
-        self.k = k
-        self.projective = projective
-        ring = prime.ring
-        n = len(gen_matrices[0])
-        ident = ringmat.identity(ring, n)
-        minus = ringmat.mat_scale(ident, -1)
-        inverses = [ringmat.mat_inverse(m) for m in gen_matrices]
-        for m, mi in zip(gen_matrices, inverses):
-            if not (ringmat.is_integral(m) and ringmat.is_integral(mi)):
-                raise InputError("generator matrices must be integral with integral inverse")
-        for rel in pres.relators:
-            val = evaluate_word(gen_matrices, inverses, rel, ident)
-            if val == ident:
-                continue
-            if projective and val == minus:
-                continue
-            raise InputError("relator %r does not hold on the matrices" % (rel,))
+    def __init__(self, group, prime, k, budget=CLOSURE_BUDGET_DEFAULT):
+        self.projective = group.projective
         self.R = table_ring(prime, k, budget)
-        self.images = [self._canon(reduce_matrix(self.R, m)) for m in gen_matrices]
+        self.images = [self._canon(reduce_matrix(self.R, m)) for m in group.matrices]
         closure = group_closure(self.R, self.images, budget=budget,
                                 canon=self._canon)
         self.order = len(closure)
@@ -399,7 +420,7 @@ def pu_identity_congruent_count():
 
 
 __all__ = [
-    "SchemeSL", "ReductionHom",
+    "SchemeSL", "Realization", "ReductionHom",
     "Closure", "group_closure", "table_ring", "reduce_matrix",
     "rmat_identity", "rdot", "rmat_det", "rmat_mul",
     "congruence_quotient_check", "kernel_product", "pu_identity_congruent_count",

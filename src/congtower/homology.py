@@ -16,8 +16,9 @@ The closure lists the image identity first, then in BFS order, and its
 recorded right action is the coset table: no product is formed twice.
 
 Presentations are data: the PSL2(Z[i]) one is bundled (classical); the
-others carry their provenance.  ``ReductionHom`` checks every relator on
-the generator matrices each time a kernel is computed.
+others carry their provenance.  A presentation meets its generator
+matrices once, in a ``congsub.Realization``, which evaluates every
+relator exactly; each kernel is computed from it with no evaluation.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ def bundled_presentation(name):
     return load_presentation(path)
 
 
-def have_presentation(name):
-    return os.path.exists(presentation_path(name))
-
-
 # ---------------------------------------------------------------------------
 # kernel invariants for one prime
 
@@ -77,15 +74,15 @@ class HomologyRow:
         }
 
 
-def kernel_presentation(pres, matrices, prime, k=1, projective=False,
+def kernel_presentation(group, prime, k=1,
                         budget=congsub.CLOSURE_BUDGET_DEFAULT):
-    """ker(G -> image mod p^k) for the presented group G: reduction hom
-    (relators checked on the matrices) -> coset table -> Reidemeister-
-    Schreier.  Returns (image order, presentation, generator words)."""
-    hom = congsub.ReductionHom(pres, matrices, prime, k, budget=budget,
-                               projective=projective)
-    table = coset.table_from_permutations(pres, hom.permutations())
-    sub, gen_words = coset.reidemeister_schreier(pres, table)
+    """ker(G -> image mod p^k) for the group G of a ``congsub.Realization``,
+    its image taken up to sign when the realization is projective:
+    reduction hom -> coset table -> Reidemeister-Schreier.  Returns
+    (image order, presentation, generator words)."""
+    hom = congsub.ReductionHom(group, prime, k, budget=budget)
+    table = coset.table_from_permutations(group.pres, hom.permutations())
+    sub, gen_words = coset.reidemeister_schreier(group.pres, table)
     return hom.order, sub, gen_words
 
 
@@ -144,23 +141,22 @@ def load_generator_matrices(path):
     return ring, matrices
 
 
-def psl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
-    """The PSL2 presentation for O_d and its generator matrices.
+def psl2_realization(d, pres_file=None, matrices_file=None):
+    """The ``congsub.Realization`` of the PSL2 presentation for O_d on its
+    generator matrices.
 
     The bundled file for d unless a presentation file is given, which must
     carry provenance.  The generator name convention is a, b, u (and
     optional extras); matrices follow catalog.sl2_gen_matrices unless
     overridden by a generator-matrices file (--matrices, read by
     load_generator_matrices) keyed by generator name, which must give
-    each generator of the presentation and no other name.
+    each generator of the presentation and no other name.  A generator
+    whose matrix is +-Id is refused first: such a presentation already
+    carries the centre, and its lift would present SL2 x Z/2.
     """
     ring = make_ring(d)
     if pres_file is None:
-        name = PRESENTATION_FILES.get(d)
-        if name is None or not have_presentation(name):
-            raise InputError(
-                "no presentation data for d=%d (provide --presentation)" % d)
-        pres = bundled_presentation(name)
+        pres = bundled_presentation(PRESENTATION_FILES[d])
     else:
         pres = load_presentation(pres_file)
         if not pres.provenance:
@@ -182,45 +178,33 @@ def psl2_presentation_and_matrices(d, pres_file=None, matrices_file=None):
                              "not a generator of the presentation" % extra[0])
     else:
         mats = _matrices_for(pres, ring)
-    return pres, mats
-
-
-def central_lift(pres, mats):
-    """The SL2 presentation over a PSL2 one, with the central j = -Id
-    adjoined as the last generator.
-
-    Each relator r is evaluated exactly: one that gives -Id becomes
-    r j^-1, one that gives Id stays, and anything else is an input error.
-    Then j^2 and [x, j] for every generator x.  A generator whose matrix
-    is +-Id is refused: such a presentation already carries the centre,
-    and its lift would present SL2 x Z/2.  Returns (presentation,
-    matrices)."""
-    ring = mats[0][0][0].ring
     ident = ringmat.identity(ring, 2)
-    minus = ringmat.mat_scale(ident, -1)
     for name, m in zip(pres.generators, mats):
-        if m == ident or m == minus:
+        if m == ident or m == ringmat.mat_scale(ident, -1):
             raise InputError("generator %r has the matrix +-Id; a PSL2 "
                              "presentation is expected" % name)
-    inverses = [ringmat.mat_inverse(m) for m in mats]
+    return congsub.Realization(pres, mats)
+
+
+def central_lift(group):
+    """The SL2 realization over a PSL2 one, with the central j = -Id
+    adjoined as the last generator: each relator r that is -Id on the
+    matrices becomes r j^-1, the others stay, and then j^2 and [x, j] for
+    every generator x."""
+    pres = group.pres
     j = pres.ngens + 1
-    relators = []
-    for rel in pres.relators:
-        val = congsub.evaluate_word(mats, inverses, rel, ident)
-        if val == minus:
-            rel = rel + (-j,)
-        elif val != ident:
-            raise InputError("relator %r is neither Id nor -Id on the "
-                             "matrices" % (rel,))
-        relators.append(rel)
+    relators = [rel + (-j,) if sign < 0 else rel
+                for rel, sign in zip(pres.relators, group.signs)]
     relators.append((j, j))
     relators += [(x, j, -x, -j) for x in range(1, j)]
     name = "j"
     while name in pres.generators:
         name += "_"
-    return (Presentation(pres.generators + (name,), tuple(relators),
-                         pres.provenance),
-            list(mats) + [minus])
+    ring = group.matrices[0][0][0].ring
+    return congsub.Realization(
+        Presentation(pres.generators + (name,), tuple(relators),
+                     pres.provenance),
+        group.matrices + (ringmat.mat_scale(ringmat.identity(ring, 2), -1),))
 
 
 def _matrices_for(pres, ring):
@@ -251,8 +235,8 @@ def homology_table(d, norm_max, pres_file=None, matrices_file=None,
     presentation or the matrices are wrong.
     """
     ring = make_ring(d)
-    psl2, mats = psl2_presentation_and_matrices(d, pres_file, matrices_file)
-    sl2, sl2_mats = central_lift(psl2, mats)
+    psl2 = psl2_realization(d, pres_file, matrices_file)
+    sl2 = central_lift(psl2)
     rows = []
     skipped = []
     for prime in primes_up_to_norm(ring, norm_max):
@@ -264,20 +248,18 @@ def homology_table(d, norm_max, pres_file=None, matrices_file=None,
             })
             continue
         # -Id = Id mod p exactly when p lies over 2
-        projective = prime.p != 2
-        if projective:
-            group, pres, gens, expected = "PSL2", psl2, mats, index // 2
+        if prime.p != 2:
+            name, group, expected = "PSL2", psl2, index // 2
         else:
-            group, pres, gens, expected = "SL2", sl2, sl2_mats, index
+            name, group, expected = "SL2", sl2, index
         try:
-            order, sub, _ = kernel_presentation(
-                pres, gens, prime, projective=projective, budget=expected)
+            order, sub, _ = kernel_presentation(group, prime, budget=expected)
         except BudgetExceeded:
             order = "> %d" % expected
         if order != expected:
             raise InputError(
                 "image order %s != |%s(F_%d)| = %d; presentation or matrices wrong"
-                % (order, group, prime.norm(), expected))
+                % (order, name, prime.norm(), expected))
         rows.append(HomologyRow(prime.norm(), index, sub.abelianization()))
     return rows, skipped
 
@@ -311,21 +293,17 @@ def o41_two_stage():
     """
     from .presentations import tietze_simplify
 
-    ring = make_ring("rational")
-    prime = factor_rational_prime(ring, 2)[0]
-    pres = coxeter_presentation()
-    mats = catalog.o41_reflections()
-    index2, sub2, gen_words2 = kernel_presentation(pres, mats, prime)
+    prime = factor_rational_prime(make_ring("rational"), 2)[0]
+    stage1 = congsub.Realization(coxeter_presentation(),
+                                 catalog.o41_reflections())
+    index2, sub2, gen_words2 = kernel_presentation(stage1, prime)
     simp2 = tietze_simplify(sub2)
     inv2 = simp2.abelianization()
 
-    ident = ringmat.identity(ring, 5)
-    inverses = [ringmat.mat_inverse(m) for m in mats]
-    g2_mats = [
-        congsub.evaluate_word(mats, inverses, gen_words2[int(nm[1:])], ident)
-        for nm in simp2.generators
-    ]
-    index4, sub4, _ = kernel_presentation(simp2, g2_mats, prime, k=2)
+    stage2 = congsub.Realization(
+        simp2, [stage1.evaluate(gen_words2[int(nm[1:])])
+                for nm in simp2.generators])
+    index4, sub4, _ = kernel_presentation(stage2, prime, k=2)
     inv4 = sub4.abelianization()
     return {
         "index_gamma2": index2,
@@ -338,7 +316,7 @@ def o41_two_stage():
 
 __all__ = [
     "kernel_presentation",
-    "homology_table", "load_generator_matrices", "psl2_presentation_and_matrices",
+    "homology_table", "load_generator_matrices", "psl2_realization",
     "central_lift",
     "primes_up_to_norm", "sl2_image_order", "HomologyRow", "bundled_presentation", "data_dir",
     "DATA_ENV_VAR", "PRESENTATION_FILES", "coxeter_presentation",

@@ -215,11 +215,9 @@ class TowerConfig:
 
 
 def _magic_torsion():
-    ring, prime = catalog.magic_ring_and_prime()
-    pres = homology.bundled_presentation("psl2_d7.pres")
-    mats = homology._matrices_for(pres, ring)
-    _, sub, _ = homology.kernel_presentation(pres, mats, prime,
-                                             projective=True)
+    _, prime = catalog.magic_ring_and_prime()
+    _, sub, _ = homology.kernel_presentation(homology.psl2_realization(7),
+                                             prime)
     return sub.abelianization(), "computed", \
         "kernel of PSL2(O_7) -> PSL2(F_2) abelianized via Reidemeister-Schreier"
 

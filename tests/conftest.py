@@ -25,11 +25,10 @@ def gaussian_prime2():
 
 @pytest.fixture(scope="session")
 def sl2_lift():
-    """d -> the SL2 presentation of O_d and its generator matrices: the
-    central lift of the bundled PSL2 presentation."""
+    """d -> the SL2 realization of O_d: the central lift of the bundled
+    PSL2 realization."""
     def lift(d):
-        return homology.central_lift(
-            *homology.psl2_presentation_and_matrices(d))
+        return homology.central_lift(homology.psl2_realization(d))
     return lift
 
 

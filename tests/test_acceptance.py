@@ -47,9 +47,6 @@ EXPECTED_OTHER = {
 
 @pytest.mark.parametrize("d", sorted(EXPECTED_OTHER))
 def test_criterion_2_other_fields(d):
-    name = homology.PRESENTATION_FILES[d]
-    if not homology.have_presentation(name):
-        pytest.skip("presentation data file for d=%d absent" % d)
     norm, (rank, torsion) = EXPECTED_OTHER[d]
     rows, _ = homology.homology_table(d, norm)
     got = {r.norm: (r.invariants.free_rank, r.invariants.torsion_factorization())

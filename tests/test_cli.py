@@ -525,6 +525,21 @@ def test_input_without_a_central_lift_exits_input(tmp_path, flag, content,
     assert err.startswith("input error:") and message in err
 
 
+def test_presentation_without_a_minus_id_relator_exits_input(capsys,
+                                                            tmp_path):
+    # in PSL2(O_d) b = [[0,-1],[1,0]] has order 2, and any lift to SL2 of
+    # an element of order 2 squares to -Id, so a PSL2 presentation has a
+    # relator that is -Id on the matrices.  This one has none: its image
+    # is read in SL2, past the PSL2 order at the first odd prime.
+    path = tmp_path / "commuting.pres"
+    path.write_text("# provenance: test\ngens a, b, u; rels [a,u];")
+    code = cli.main(["homology", "--norm-max", "5", "--presentation",
+                     str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT and captured.out == ""
+    assert "image order > 60 != |PSL2(F_5)| = 60" in captured.err
+
+
 def test_presentation_file_takes_psl2(capsys, tmp_path):
     # the bundled PSL2(Z[i]) file as --presentation: its row over 2 on the
     # central lift, its odd rows on the PSL2 image, as without the flag
@@ -542,10 +557,12 @@ def test_presentation_file_takes_psl2(capsys, tmp_path):
 def test_missing_presentation_file_exits_input(capsys, tmp_path, monkeypatch):
     # a data directory without the bundled presentations
     monkeypatch.setenv(homology.DATA_ENV_VAR, str(tmp_path))
-    code = cli.main(["tower", "magic", "--steps", "2"])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_INPUT
-    assert err.startswith("input error:") and "not found" in err
+    for argv in (["tower", "magic", "--steps", "2"],
+                 ["homology", "--field", "7", "--norm-max", "2"]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("input error:") and "not found" in err
 
 
 @pytest.mark.parametrize("flag", ["--presentation", "--matrices"])

@@ -46,13 +46,27 @@ def test_closure_budget():
         congsub.group_closure(R, imgs, budget=50)
 
 
-def test_reduction_hom_rejects_bad_relators(gaussian_prime2):
+def test_realization_rejects_bad_input():
+    # every refusal happens when the presentation meets its matrices
     from congtower.presentations import parse_presentation
     pres = parse_presentation("gens a, b; rels a^2;")
     ring = make_ring(1)
     gens = catalog.sl2_gen_matrices(ring)
-    with pytest.raises(InputError):
-        congsub.ReductionHom(pres, [gens["a"], gens["b"]], gaussian_prime2, 1)
+    with pytest.raises(InputError, match="one matrix per generator"):
+        congsub.Realization(pres, [gens["a"]])
+    half = ringmat.mat(ring, [[ring(1) / 2, 0], [0, 2]])
+    double = ringmat.mat(ring, [[2, 0], [0, 1]])
+    for bad in (half, double):      # not integral; inverse not integral
+        with pytest.raises(InputError, match="integral with integral inverse"):
+            congsub.Realization(pres, [bad, gens["b"]])
+    with pytest.raises(InputError, match=r"relator \(1, 1\) is neither Id "
+                                         "nor -Id on the matrices"):
+        congsub.Realization(pres, [gens["a"], gens["b"]])
+    # b^2 = (ab)^3 = -Id and (ab)^6 = Id: one sign per relator
+    group = congsub.Realization(
+        parse_presentation("gens a, b; rels b^2, (a*b)^3, (a*b)^6;"),
+        [gens["a"], gens["b"]])
+    assert group.signs == (-1, -1, 1) and group.projective
 
 
 @pytest.mark.parametrize("perturbed", range(4))
@@ -62,8 +76,8 @@ def test_perturbed_image_fails_the_coset_table(gaussian_prime2, monkeypatch,
     # exactly on the matrices, and the coset table built from the images'
     # action refuses the relator that no longer traces
     from congtower import homology
-    pres, mats = sl2_lift(1)
-    assert pres.ngens == 4
+    group = sl2_lift(1)
+    assert group.pres.ngens == 4
     calls = []
     reduce = congsub.reduce_matrix
 
@@ -76,15 +90,15 @@ def test_perturbed_image_fails_the_coset_table(gaussian_prime2, monkeypatch,
 
     monkeypatch.setattr(congsub, "reduce_matrix", perturb)
     with pytest.raises(InputError, match="relator fails"):
-        homology.kernel_presentation(pres, mats, gaussian_prime2)
+        homology.kernel_presentation(group, gaussian_prime2)
 
 
 def test_reduction_hom_composition(gaussian_prime2, sl2_lift):
     # reducing the level-2 hom to level 1 equals the direct level-1 hom
     from congtower import homology
-    pres, mats = sl2_lift(1)
-    hom2 = congsub.ReductionHom(pres, mats, gaussian_prime2, 2)
-    hom1 = congsub.ReductionHom(pres, mats, gaussian_prime2, 1)
+    group = sl2_lift(1)
+    hom2 = congsub.ReductionHom(group, gaussian_prime2, 2)
+    hom1 = congsub.ReductionHom(group, gaussian_prime2, 1)
     # p^2 lies in p, so reducing level-2 representatives gives level 1
     reps2 = list(hom2.R.elements())
     lowered = [tuple(hom1.R.index(hom1.R.reduce_coords(reps2[x])) for x in img)
@@ -97,12 +111,14 @@ def test_projective_hom_at_every_prime_over_5_and_13():
     # so both conjugate primes work whichever of +-Id is the smaller form
     from congtower import coset, homology
     ring = make_ring(1)
-    pres = homology.bundled_presentation("psl2_d1.pres")
-    mats = homology._matrices_for(pres, ring)
+    group = homology.psl2_realization(1)
+    pres = group.pres
+    assert group.projective
     homs = {}
     for p in (5, 13):
         for prime in factor_rational_prime(ring, p):
-            hom = congsub.ReductionHom(pres, mats, prime, 1, projective=True)
+            hom = congsub.ReductionHom(group, prime, 1)
+            assert hom.projective
             assert hom.order == p * (p * p - 1) // 2
             homs[str(prime.pi)] = hom
     assert set(homs) == {"-1 + 2*sqrt(-1)", "1 + 2*sqrt(-1)",
@@ -136,16 +152,16 @@ def test_closure_records_the_right_action(sl2_lift):
     # with the canonical identity at position 0
     from congtower import homology
     ring = make_ring(1)
-    psl2 = homology.bundled_presentation("psl2_d1.pres")
     cases = [
         (sl2_lift(1),
          factor_rational_prime(ring, 5)[0], False, 120),
-        ((psl2, homology._matrices_for(psl2, ring)),
+        (homology.psl2_realization(1),
          next(q for q in factor_rational_prime(ring, 5)
               if str(q.pi) == "1 + 2*sqrt(-1)"), True, 60),
     ]
-    for (pres, mats), prime, projective, order in cases:
-        hom = congsub.ReductionHom(pres, mats, prime, 1, projective=projective)
+    for group, prime, projective, order in cases:
+        hom = congsub.ReductionHom(group, prime, 1)
+        assert hom.projective == projective
         elements = _image_elements(hom)
         assert hom.order == len(elements) == order
         assert elements[0] == hom._canon(congsub.rmat_identity(hom.R, 2))
@@ -162,12 +178,11 @@ def test_projective_canon_is_the_smaller_sign(sl2_lift, d, p):
     prime = factor_rational_prime(ring, p)[0]
     if d == 7:
         assert prime.pi == catalog.magic_ring_and_prime()[1].pi
-    psl2, mats = homology.psl2_presentation_and_matrices(d)
-    hom = congsub.ReductionHom(psl2, mats, prime, 1, projective=True)
-    sl2, sl2_mats = sl2_lift(d)
+    hom = congsub.ReductionHom(homology.psl2_realization(d), prime, 1)
+    assert hom.projective
     R = hom.R
     reps = list(R.elements())
-    elements = _image_elements(congsub.ReductionHom(sl2, sl2_mats, prime, 1))
+    elements = _image_elements(congsub.ReductionHom(sl2_lift(d), prime, 1))
     assert len(elements) == homology.sl2_image_order(prime.norm())
     fixed = set()
     for m in elements:
@@ -576,9 +591,9 @@ def test_tables_are_declared_before_any_is_built(gaussian_prime2, sl2_lift,
     for name in ("add_table", "mul_table", "neg_table"):
         monkeypatch.setattr(ResidueRing, name,
                             property(lambda R, name=name: built.append(name)))
-    pres, mats = sl2_lift(1)
+    group = sl2_lift(1)
     with pytest.raises(BudgetExceeded) as exc:
-        congsub.ReductionHom(pres, mats, gaussian_prime2, 1, budget=3)
+        congsub.ReductionHom(group, gaussian_prime2, 1, budget=3)
     assert (exc.value.estimate, exc.value.budget) == (4, 3)
     with pytest.raises(BudgetExceeded) as exc:
         congsub.congruence_quotient_check(congsub.SchemeSL(1),
@@ -613,12 +628,12 @@ def test_image_permutations_are_pinned(sl2_lift):
     from congtower import homology
     got = {}
     for d in (1, 2, 3, 7, 11):
-        psl2 = homology.psl2_presentation_and_matrices(d)
+        psl2 = homology.psl2_realization(d)
         for prime in homology.primes_up_to_norm(make_ring(d), 13):
             projective = prime.p != 2
-            pres, mats = psl2 if projective else sl2_lift(d)
-            hom = congsub.ReductionHom(pres, mats, prime, 1,
-                                       projective=projective)
+            hom = congsub.ReductionHom(psl2 if projective else sl2_lift(d),
+                                       prime, 1)
+            assert hom.projective == projective
             digest = hashlib.sha256(
                 json.dumps(hom.permutations()).encode()).hexdigest()
             got[d, prime.norm()] = (hom.order, digest[:16])

@@ -77,8 +77,9 @@ def test_rs_relator_count():
 
 
 def test_kernel_index_matches_image_order(gaussian_prime2, sl2_lift):
-    pres, mats = sl2_lift(1)
-    hom = congsub.ReductionHom(pres, mats, gaussian_prime2, 1)
+    group = sl2_lift(1)
+    pres = group.pres
+    hom = congsub.ReductionHom(group, gaussian_prime2, 1)
     assert hom.order == 6
     table = coset.table_from_permutations(pres, hom.permutations())
     assert table.index == hom.order
@@ -90,9 +91,10 @@ def test_kernel_index_matches_image_order(gaussian_prime2, sl2_lift):
 
 def test_kernel_index_120_todd_coxeter_cross_check(sl2_lift):
     # norm-5 congruence kernel: enumeration agrees with the image order
-    pres, mats = sl2_lift(1)
+    group = sl2_lift(1)
+    pres = group.pres
     prime = factor_rational_prime(make_ring(1), 5)[0]
-    hom = congsub.ReductionHom(pres, mats, prime, 1)
+    hom = congsub.ReductionHom(group, prime, 1)
     assert hom.order == 120
     table = coset.table_from_permutations(pres, hom.permutations())
     _, gen_words = coset.reidemeister_schreier(pres, table)
@@ -118,12 +120,13 @@ def _reversed_generators(pres, table):
 def test_transversal_strategies_differ_but_agree(sl2_lift):
     # the shortlex tree of the same subgroup under the reversed generator
     # order is another spanning tree, with the same abelianization
-    pres, mats = sl2_lift(1)
+    group = sl2_lift(1)
+    pres = group.pres
     ring = make_ring(1)
     subgroups = []
     for p in (2, 5):
         prime = factor_rational_prime(ring, p)[0]
-        hom = congsub.ReductionHom(pres, mats, prime, 1)
+        hom = congsub.ReductionHom(group, prime, 1)
         subgroups.append(coset.table_from_permutations(pres, hom.permutations()))
     # the cosets of <a> in D4 form a path of involutions, which has one
     # spanning tree under either order

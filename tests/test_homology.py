@@ -3,32 +3,77 @@ import os
 import pytest
 
 from congtower import catalog, congsub, homology, ringmat
+from congtower.errors import InputError
 from congtower.intmat import AbelianInvariants, abelian_invariants, snf
 from congtower.rings import (PrimeIdeal, _is_small_prime,
                              factor_rational_prime, make_ring)
 
 
+def _evaluate(mats, word, ident):
+    # the oracle: a word's matrix by products in turn, the inverses by
+    # ringmat.mat_inverse
+    out = ident
+    for letter in word:
+        m = mats[abs(letter) - 1]
+        out = ringmat.mat_mul(out, m if letter > 0 else ringmat.mat_inverse(m))
+    return out
+
+
 def test_bundled_presentations_parse_and_validate(sl2_lift):
     for d, name in homology.PRESENTATION_FILES.items():
-        assert homology.have_presentation(name)
-        psl2, psl2_mats = homology.psl2_presentation_and_matrices(d)
-        pres, mats = sl2_lift(d)
-        assert psl2.ngens == len(psl2_mats) and pres.ngens == len(mats)
-        assert pres.generators == psl2.generators + ("j",)
-        # relators hold exactly on the matrices (checked by ReductionHom on
-        # first use; spot check by direct evaluation here): up to sign on
-        # PSL2, exactly on its lift
+        assert os.path.exists(homology.presentation_path(name))
+        psl2 = homology.psl2_realization(d)
+        lift = sl2_lift(d)
+        assert psl2.pres.ngens == len(psl2.matrices)
+        assert lift.pres.ngens == len(lift.matrices)
+        assert lift.pres.generators == psl2.pres.generators + ("j",)
+        # relators hold exactly on the matrices (checked by Realization;
+        # recomputed by direct evaluation here): up to sign on PSL2,
+        # exactly on its lift, and the signs are the values
         ring = make_ring(d)
         ident = ringmat.identity(ring, 2)
         minus = ringmat.mat_scale(ident, -1)
-        for group, gens in ((psl2, psl2_mats), (pres, mats)):
-            inverses = [ringmat.mat_inverse(m) for m in gens]
-            values = [congsub.evaluate_word(gens, inverses, rel, ident)
-                      for rel in group.relators]
+        for group in (psl2, lift):
+            values = [_evaluate(group.matrices, rel, ident)
+                      for rel in group.pres.relators]
             assert all(v == ident or (group is psl2 and v == minus)
                        for v in values)
+            assert group.signs == tuple(1 if v == ident else -1
+                                        for v in values)
         if d != 1:
-            assert pres.provenance  # ingested presentations carry provenance
+            assert lift.pres.provenance  # ingested presentations carry provenance
+
+
+def test_projective_is_some_relator_at_minus_id(sl2_lift):
+    # in PSL2(O_d) b = [[0,-1],[1,0]] has order 2, and any lift to SL2 of
+    # an element of order 2 squares to -Id: every PSL2 presentation has a
+    # -Id relator.  Its central lift and the reflection group have none.
+    for d in homology.PRESENTATION_FILES:
+        assert homology.psl2_realization(d).projective
+        assert not sl2_lift(d).projective
+    stage1 = congsub.Realization(homology.coxeter_presentation(),
+                                 catalog.o41_reflections())
+    assert set(stage1.signs) == {1} and not stage1.projective
+
+
+def test_a_table_evaluates_each_relator_once(monkeypatch):
+    # the relators of the presentation and of its lift are evaluated once
+    # per table, whatever the number of rows
+    calls = []
+    mat_mul = ringmat.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(ringmat, "mat_mul", counting)
+    counts = []
+    for norm_max in (9, 13):
+        del calls[:]
+        rows, _ = homology.homology_table(1, norm_max)
+        counts.append((len(rows), len(calls)))
+    assert counts[0][0] == 3 and counts[1][0] == 4
+    assert counts[0][1] == counts[1][1]
 
 
 def test_data_dir_holds_exactly_the_read_presentations():
@@ -39,14 +84,15 @@ def test_data_dir_holds_exactly_the_read_presentations():
 
 def test_central_lift_of_d1(sl2_lift):
     # the sign of each relator on the matrices picks r or r j^-1
-    pres, mats = sl2_lift(1)
+    lift = sl2_lift(1)
     j = 4
-    assert pres.relators == (
+    assert lift.pres.relators == (
         (2, 2, -j), (1, 2, 1, 2, 1, 2, -j), (1, 3, -1, -3),
         (2, 3, 2, -3) * 3, (2, 3, 3, 2, -3) * 2 + (-j,),
         (1, 3, 2, 1, -3, 2) * 2 + (-j,),
         (j, j), (1, j, -1, -j), (2, j, -2, -j), (3, j, -3, -j))
-    assert mats[-1] == catalog.sl2_gen_matrices(make_ring(1))["j"]
+    assert lift.matrices[-1] == catalog.sl2_gen_matrices(make_ring(1))["j"]
+    assert lift.signs == (1,) * 10
 
 
 def test_primes_up_to_norm_dedupes_conjugates():
@@ -102,27 +148,25 @@ ROWS_OVER_2 = {(1, 2): (0, "2^5"), (2, 2): (3, "2^2"), (3, 4): (5, "2"),
 def test_psl2_rows_equal_the_lifted_sl2_rows(d, sl2_lift):
     # off 2, -Id is not in Gamma(p), so the level-p kernels of SL2 and PSL2
     # are the same group; over 2 the lift gives the published SL2 row
-    psl2, psl2_mats = homology.psl2_presentation_and_matrices(d)
-    sl2, sl2_mats = sl2_lift(d)
+    psl2 = homology.psl2_realization(d)
+    sl2 = sl2_lift(d)
     over_2 = {}
     for prime in homology.primes_up_to_norm(make_ring(d), 13):
-        order, sub, _ = homology.kernel_presentation(sl2, sl2_mats, prime)
+        order, sub, _ = homology.kernel_presentation(sl2, prime)
         assert order == homology.sl2_image_order(prime.norm())
         if prime.p == 2:
             inv = sub.abelianization()
             over_2[(d, prime.norm())] = (inv.free_rank,
                                          inv.torsion_factorization())
             continue
-        porder, psub, _ = homology.kernel_presentation(
-            psl2, psl2_mats, prime, projective=True)
+        porder, psub, _ = homology.kernel_presentation(psl2, prime)
         assert 2 * porder == order
         assert psub.abelianization() == sub.abelianization()
     assert over_2 == {k: v for k, v in ROWS_OVER_2.items() if k[0] == d}
 
 
 def test_kernel_invariants_norm2(gaussian_prime2, sl2_lift):
-    pres, mats = sl2_lift(1)
-    order, sub, _ = homology.kernel_presentation(pres, mats, gaussian_prime2)
+    order, sub, _ = homology.kernel_presentation(sl2_lift(1), gaussian_prime2)
     inv = sub.abelianization()
     assert order == 6
     assert inv.free_rank == 0
@@ -153,10 +197,9 @@ def test_each_row_closure_is_bounded_by_its_image_order(monkeypatch):
 def test_elimination_matches_dense_snf_on_relation_rows(d, norm, ngens,
                                                         expected, sl2_lift):
     # real Reidemeister-Schreier rows whose torsion leaves a core for snf
-    pres, mats = sl2_lift(d)
     prime, = [q for q in homology.primes_up_to_norm(make_ring(d), norm)
               if q.norm() == norm]
-    _, sub, _ = homology.kernel_presentation(pres, mats, prime)
+    _, sub, _ = homology.kernel_presentation(sl2_lift(d), prime)
     rows = sub.relation_matrix()
     assert sub.ngens == ngens
     dense = [[row.get(j, 0) for j in range(ngens)] for row in rows]
@@ -175,9 +218,10 @@ def test_homology_table_skips_above_cap():
 def test_data_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(homology.DATA_ENV_VAR, str(tmp_path))
     assert homology.data_dir() == str(tmp_path)
-    assert not homology.have_presentation("psl2_d1.pres")
+    with pytest.raises(InputError, match="not found"):
+        homology.bundled_presentation("psl2_d1.pres")
     monkeypatch.delenv(homology.DATA_ENV_VAR)
-    assert homology.have_presentation("psl2_d1.pres")
+    assert homology.bundled_presentation("psl2_d1.pres").ngens == 3
 
 
 def test_image_order_formula():

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congtower import catalog, homology
+from congtower import catalog, congsub, homology
 from congtower.errors import InputError
 from congtower.presentations import (
     Presentation, cyclic_reduce, free_reduce, inverse_word,
@@ -134,7 +134,8 @@ def test_tietze_o41_gamma2_stage():
     # group, 481 Schreier generators, simplified to these 10
     prime = factor_rational_prime(make_ring("rational"), 2)[0]
     _, sub, _ = homology.kernel_presentation(
-        homology.coxeter_presentation(), catalog.o41_reflections(), prime)
+        congsub.Realization(homology.coxeter_presentation(),
+                            catalog.o41_reflections()), prime)
     assert sub.ngens == 481
     q = tietze_simplify(sub)
     assert q.generators == ("s102", "s204", "s309", "s313", "s352", "s400",
